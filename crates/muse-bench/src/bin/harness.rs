@@ -11,10 +11,8 @@
 //! written as JSON for downstream plotting. Extra experiments are
 //! run only when named explicitly: `ablation` (design-choice ablations),
 //! `matcher` (indexed vs. naive join engine; written as
-//! `BENCH_matcher.json`), `executor` (batched vs. naive inter-node
-//! transport on the threaded executor; written as `BENCH_executor.json`),
-//! `faults` (crash recovery on the threaded executor; written as
-//! `BENCH_faults.json`), `multiquery` (shared evaluation at scale;
+//! `BENCH_matcher.json`), `faults` (crash recovery on the threaded
+//! executor; written as `BENCH_faults.json`), `multiquery` (shared evaluation at scale;
 //! `BENCH_multiquery.json`), `observe` (provenance overhead, witness
 //! closure, cost-model drift, flight recorder; `BENCH_observe.json`), and
 //! `migrate` (live-migration soundness gate: certified plan pairs restore
@@ -27,7 +25,7 @@
 //! the witness event set alone reproduces the match byte-identically.
 //!
 //! With `--telemetry DIR`, the executing experiments (`table3`, `fig8`,
-//! `matcher`, `executor`) additionally collect run telemetry — registry snapshots,
+//! `matcher`) additionally collect run telemetry — registry snapshots,
 //! per-task series, lineage traces, provenance records — written as
 //! `DIR/telemetry.json`, `DIR/series.jsonl`, `DIR/trace.jsonl`, and
 //! `DIR/provenance.jsonl`, with a per-task summary table printed per run
@@ -94,7 +92,6 @@ fn main() -> ExitCode {
             id if all_experiments().contains(&id)
                 || id == "ablation"
                 || id == "matcher"
-                || id == "executor"
                 || id == "faults"
                 || id == "multiquery"
                 || id == "observe"
@@ -156,11 +153,9 @@ fn main() -> ExitCode {
             eprintln!("{id} finished in {elapsed:.1?}\n");
         }
         if let Some(dir) = &out_dir {
-            // The matcher and executor benches are named deliverables, not
-            // paper figures.
+            // The benches are named deliverables, not paper figures.
             let file = match id.as_str() {
                 "matcher" => "BENCH_matcher.json".to_string(),
-                "executor" => "BENCH_executor.json".to_string(),
                 "faults" => "BENCH_faults.json".to_string(),
                 "multiquery" => "BENCH_multiquery.json".to_string(),
                 "observe" => "BENCH_observe.json".to_string(),

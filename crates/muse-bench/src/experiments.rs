@@ -27,6 +27,9 @@ use std::fmt::Write as _;
 
 /// Output of one experiment: a ratio sweep, a construction-statistics
 /// table, the case-study table, or the case-study latency/throughput runs.
+// One value exists per harness run, so the size spread between variants
+// costs nothing worth boxing the large ones for.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ExperimentOutput {
     /// Transmission-ratio sweep (Figs. 5-7c).
@@ -60,29 +63,6 @@ pub enum ExperimentOutput {
         id: String,
         /// Per-scenario latency and throughput of MS vs. OP.
         rows: Vec<RunRow>,
-    },
-    /// Threaded-executor transport throughput: batched/backpressured vs.
-    /// naive per-match shipping (written as `BENCH_executor.json`; not a
-    /// paper artifact).
-    ExecutorBench {
-        /// Experiment id ("executor").
-        id: String,
-        /// Workload executed ("relay": the transport-bound relay topology).
-        scenario: String,
-        /// Events injected per run.
-        events: u64,
-        /// Messages per frame before an eager flush (batched transport).
-        batch: usize,
-        /// Bounded per-node channel capacity, in frames.
-        capacity: usize,
-        /// Batched-transport measurements.
-        batched: TransportRunRow,
-        /// Naive-transport measurements.
-        naive: TransportRunRow,
-        /// Batched events/sec over naive events/sec.
-        speedup: f64,
-        /// Whether both transports produced identical per-query match sets.
-        fingerprints_equal: bool,
     },
     /// Threaded-executor crash recovery (§7.3 Ambrosia): uninterrupted
     /// baseline vs. chunk-boundary checkpointing vs. an injected node
@@ -252,33 +232,6 @@ pub struct ObserveModeRow {
     pub provenance_records: u64,
     /// Provenance records evicted by the ring bound.
     pub provenance_dropped: u64,
-}
-
-/// One transport mode's measurements in the executor bench.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TransportRunRow {
-    /// Transport name ("batched" or "naive").
-    pub transport: String,
-    /// Injected events per wall-clock second (best of reps).
-    pub events_per_sec: f64,
-    /// Wall-clock time of the best rep, milliseconds.
-    pub wall_ms: f64,
-    /// Sink-latency five-number summary in microseconds (best rep).
-    pub latency_us: [f64; 5],
-    /// Complete matches produced.
-    pub matches: u64,
-    /// Frames pushed onto inter-node channels.
-    pub frames_sent: u64,
-    /// Messages carried inside those frames.
-    pub messages_framed: u64,
-    /// Mean realized batch size (messages per frame).
-    pub mean_batch: f64,
-    /// `try_send` attempts rejected by a full channel.
-    pub blocked_sends: u64,
-    /// Fraction of frame buffers served from the recycling pool.
-    pub pool_reuse_ratio: f64,
-    /// Peak frames in flight to any single node.
-    pub peak_queue_depth: u64,
 }
 
 /// One resilience mode's measurements in the faults bench.
@@ -452,7 +405,6 @@ pub fn run_experiment_telemetry(
         "fig8" => fig8_case_study(id, settings, tel),
         "ablation" => ablation(id, settings),
         "matcher" => matcher_bench(id, settings, tel),
-        "executor" => executor_bench(id, settings, tel),
         "faults" => faults_bench(id, settings, tel),
         "multiquery" => multiquery_bench(id, settings, tel),
         "observe" => observe_bench(id, settings, tel),
@@ -883,139 +835,6 @@ fn fig8_case_study(
     }
 }
 
-/// The `executor` experiment (`BENCH_executor.json`): threaded-executor
-/// throughput with the batched, backpressured transport vs. the naive
-/// per-match transport on the transport-bound relay workload
-/// ([`crate::transport_stress`]), with the per-query match sets
-/// cross-checked.
-fn executor_bench(
-    id: &str,
-    settings: &SweepSettings,
-    tel: Option<&mut TelemetryCollector>,
-) -> ExperimentOutput {
-    let duration = if settings.reps <= 2 { 60.0 } else { 200.0 };
-    executor_bench_sized(id, duration, settings, tel)
-}
-
-fn executor_bench_sized(
-    id: &str,
-    duration: f64,
-    settings: &SweepSettings,
-    tel: Option<&mut TelemetryCollector>,
-) -> ExperimentOutput {
-    use crate::transport_stress::{stress_deployment, stress_network, stress_trace};
-    use muse_runtime::matcher::Match;
-    use muse_runtime::threaded::TransportMode;
-    use std::collections::BTreeSet;
-
-    // Both transports run with the same enlarged chunk (20 windows): the
-    // relay window is short, and per-window chunks would make barrier
-    // rounds, not the data plane, the measured cost. The eviction slack is
-    // raised to cover it — remote deliveries can land a full chunk late,
-    // so `slack * window` must stay above `chunk` or window stores evict
-    // partials that a late frame still needs (transport-dependent match
-    // loss, which the fingerprint check below would flag).
-    const CHUNK_TICKS: muse_core::event::Timestamp = 10 * crate::transport_stress::WINDOW;
-    const SLACK: f64 = 12.0;
-    let scenario = "relay";
-    let network = stress_network();
-    let ms = stress_deployment(&network);
-    let trace_events = stress_trace(&network, duration, settings.seed);
-    let reps = settings.reps.max(1);
-    let (batch, capacity) = match TransportMode::default() {
-        TransportMode::Batched { batch, capacity } => (batch, capacity),
-        TransportMode::Naive => unreachable!("default transport is batched"),
-    };
-
-    // Best-of-reps timing per transport; fingerprints come from the best
-    // rep (the executor is deterministic up to thread interleaving, and
-    // match *sets* are interleaving-independent).
-    let measure =
-        |transport: TransportMode, name: &str| -> (TransportRunRow, Vec<BTreeSet<Vec<u64>>>) {
-            let config = ThreadedConfig {
-                transport,
-                slack: SLACK,
-                chunk_ticks: Some(CHUNK_TICKS),
-                ..ThreadedConfig::default()
-            };
-            // One untimed warmup rep: the first run after process start pays
-            // for faulting the trace in and warming the allocator, and always
-            // hitting the first-measured transport with that cost skews the
-            // ratio between the two.
-            let _ = run_threaded(&ms, &trace_events, &config);
-            let mut best: Option<muse_runtime::threaded::ThreadedReport> = None;
-            for _ in 0..reps {
-                let report = run_threaded(&ms, &trace_events, &config);
-                if best.as_ref().is_none_or(|b| report.wall_time < b.wall_time) {
-                    best = Some(report);
-                }
-            }
-            let report = best.expect("reps >= 1");
-            let fps: Vec<BTreeSet<Vec<u64>>> = report
-                .matches
-                .iter()
-                .map(|q| q.iter().map(Match::fingerprint).collect())
-                .collect();
-            let t = &report.metrics.transport;
-            let mean_batch = if t.frames_sent > 0 {
-                t.messages_framed as f64 / t.frames_sent as f64
-            } else {
-                0.0
-            };
-            let row = TransportRunRow {
-                transport: name.to_string(),
-                events_per_sec: report.events_per_sec,
-                wall_ms: report.wall_time.as_secs_f64() * 1e3,
-                latency_us: report
-                    .latency_summary_ns()
-                    .map(|s| s.map(|v| v as f64 / 1e3))
-                    .unwrap_or([0.0; 5]),
-                matches: report.metrics.sink_matches,
-                frames_sent: t.frames_sent,
-                messages_framed: t.messages_framed,
-                mean_batch,
-                blocked_sends: t.blocked_sends,
-                pool_reuse_ratio: t.pool_reuse_ratio(),
-                peak_queue_depth: t.peak_queue_depth,
-            };
-            (row, fps)
-        };
-
-    let (batched, batched_fps) = measure(TransportMode::default(), "batched");
-    let (naive, naive_fps) = measure(TransportMode::Naive, "naive");
-    let fingerprints_equal = batched_fps == naive_fps;
-    let speedup = batched.events_per_sec / naive.events_per_sec;
-
-    // A separate instrumented pass (telemetry sampling has overhead, so it
-    // stays out of the timed runs): one batched run with the collector's
-    // spec, recorded under `<id>/batched` for the harness summary tables.
-    if let Some(tel) = tel {
-        let config = ThreadedConfig {
-            transport: TransportMode::default(),
-            slack: SLACK,
-            chunk_ticks: Some(CHUNK_TICKS),
-            telemetry: Some(tel.spec()),
-            ..ThreadedConfig::default()
-        };
-        let mut report = run_threaded(&ms, &trace_events, &config);
-        if let Some(run) = report.telemetry.take() {
-            tel.record_run(&format!("{id}/batched"), run);
-        }
-    }
-
-    ExperimentOutput::ExecutorBench {
-        id: id.to_string(),
-        scenario: scenario.to_string(),
-        events: trace_events.len() as u64,
-        batch,
-        capacity,
-        batched,
-        naive,
-        speedup,
-        fingerprints_equal,
-    }
-}
-
 /// The `faults` experiment (`BENCH_faults.json`): crash-recovery cost on
 /// the threaded executor over the transport-bound relay workload. Three
 /// modes run on the same trace: an uninterrupted baseline, chunk-boundary
@@ -1034,8 +853,12 @@ fn faults_bench(
     use std::collections::BTreeSet;
     use std::time::Duration;
 
-    // Same chunk/slack regime as the executor bench (see there for why the
-    // relay workload needs the enlarged chunk and covering slack).
+    // An enlarged chunk (10 windows): the relay window is short, and
+    // per-window chunks would make barrier rounds, not the data plane, the
+    // measured cost. The eviction slack is raised to cover it — remote
+    // deliveries can land a full chunk late, so `slack * window` must stay
+    // above `chunk` or window stores evict partials that a late frame still
+    // needs.
     const CHUNK_TICKS: muse_core::event::Timestamp = 10 * WINDOW;
     const SLACK: f64 = 12.0;
     let duration = if settings.reps <= 2 { 40.0 } else { 120.0 };
@@ -1565,7 +1388,7 @@ fn observe_bench_sized(
     use std::collections::BTreeSet;
     use std::time::Duration;
 
-    // Same chunk/slack regime as the executor bench (see there).
+    // Same chunk/slack regime as the faults bench (see there).
     const CHUNK_TICKS: muse_core::event::Timestamp = 10 * WINDOW;
     const SLACK: f64 = 12.0;
     const SAMPLE: u64 = 64;
@@ -1960,7 +1783,6 @@ impl ExperimentOutput {
             | ExperimentOutput::Construction { id, .. }
             | ExperimentOutput::CaseStudyTable { id, .. }
             | ExperimentOutput::CaseStudyRuns { id, .. }
-            | ExperimentOutput::ExecutorBench { id, .. }
             | ExperimentOutput::FaultBench { id, .. }
             | ExperimentOutput::MatcherBench { id, .. }
             | ExperimentOutput::MultiQueryBench { id, .. }
@@ -2059,57 +1881,6 @@ impl ExperimentOutput {
                         r.scenario, r.strategy, lat, r.events_per_sec, r.matches
                     );
                 }
-            }
-            ExperimentOutput::ExecutorBench {
-                id,
-                scenario,
-                events,
-                batch,
-                capacity,
-                batched,
-                naive,
-                speedup,
-                fingerprints_equal,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "== {id}: transport throughput ({scenario}, {events} events, \
-                     batch {batch}, capacity {capacity}) =="
-                );
-                let _ = writeln!(
-                    out,
-                    "{:>8} | {:>12} | {:>10} | {:>8} | {:>10} | {:>10} | {:>8} | {:>7} | {:>6} | {:>8}",
-                    "mode",
-                    "events/s",
-                    "wall ms",
-                    "matches",
-                    "frames",
-                    "messages",
-                    "batch",
-                    "blocked",
-                    "reuse",
-                    "q-peak"
-                );
-                for r in [batched, naive] {
-                    let _ = writeln!(
-                        out,
-                        "{:>8} | {:>12.0} | {:>10.1} | {:>8} | {:>10} | {:>10} | {:>8.1} | {:>7} | {:>5.0}% | {:>8}",
-                        r.transport,
-                        r.events_per_sec,
-                        r.wall_ms,
-                        r.matches,
-                        r.frames_sent,
-                        r.messages_framed,
-                        r.mean_batch,
-                        r.blocked_sends,
-                        r.pool_reuse_ratio * 100.0,
-                        r.peak_queue_depth
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "speedup: {speedup:.2}x, match sets identical: {fingerprints_equal}"
-                );
             }
             ExperimentOutput::FaultBench {
                 id,
@@ -2404,43 +2175,6 @@ mod tests {
         let text = out.render();
         assert!(text.contains("speedup"));
         assert!(text.contains("indexed"));
-    }
-
-    #[test]
-    fn executor_bench_small_instance_agrees() {
-        let mut tel = TelemetryCollector::new();
-        let out = executor_bench_sized("executor", 20.0, &quick(), Some(&mut tel));
-        match &out {
-            ExperimentOutput::ExecutorBench {
-                batched,
-                naive,
-                fingerprints_equal,
-                ..
-            } => {
-                assert!(*fingerprints_equal, "transports diverged");
-                assert_eq!(batched.matches, naive.matches);
-                assert!(batched.matches > 0, "workload must produce matches");
-                assert!(batched.frames_sent > 0, "plan must ship frames");
-                // The naive baseline ships one message per frame and never
-                // recycles; the batched transport must do strictly better
-                // on both axes.
-                assert_eq!(naive.frames_sent, naive.messages_framed);
-                assert_eq!(naive.pool_reuse_ratio, 0.0);
-                assert!(batched.frames_sent < batched.messages_framed);
-                assert!(batched.mean_batch > 1.0);
-            }
-            other => panic!("unexpected output {other:?}"),
-        }
-        assert_eq!(out.id(), "executor");
-        let text = out.render();
-        assert!(text.contains("speedup"));
-        assert!(text.contains("batched"));
-        let (label, run) = tel.runs().next().expect("one instrumented run");
-        assert_eq!(label, "executor/batched");
-        assert!(
-            run.transport_summary().is_some(),
-            "instrumented run must carry transport telemetry"
-        );
     }
 
     #[test]

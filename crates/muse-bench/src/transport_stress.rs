@@ -1,6 +1,5 @@
-//! The transport-bound distributed workload shared by the transport
-//! criterion bench and the `executor` harness experiment
-//! (`BENCH_executor.json`).
+//! The transport-bound distributed workload shared by the provenance
+//! criterion bench and the `faults` and `observe` harness experiments.
 //!
 //! A relay topology: three edge nodes each produce one frequent event
 //! type, two center nodes each produce a rare anchor type, and each query

@@ -9,13 +9,10 @@
 //! * [`optimal`] — exhaustive, branch-and-bound optimal construction within
 //!   the `G^uni` class (Alg. 1, tractable only for tiny instances);
 //! * [`multi_query`] — the sequential multi-query extension with projection
-//!   reuse (§6.2);
-//! * [`pushpull`] — push-pull communication modes for MuSE graph edges,
-//!   the future-work integration named in §8.
+//!   reuse (§6.2).
 
 pub mod amuse;
 pub mod baselines;
 pub mod multi_query;
 pub mod optimal;
 pub mod pruning;
-pub mod pushpull;

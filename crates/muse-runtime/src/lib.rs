@@ -5,7 +5,9 @@
 //!
 //! A [`deploy::Deployment`] turns a MuSE graph into per-node tasks (event
 //! sources and partial-match joins) plus a routing table describing the
-//! exchange of matches. Two executors run deployments:
+//! exchange of matches. The node semantics — inject, join, sink
+//! attribution, transmission accounting, fan-out, checkpoint — live once, in
+//! a private node core; two thin drivers run it:
 //!
 //! * [`sim`] — a deterministic discrete-event simulator with a virtual
 //!   clock, used for correctness validation and transmission accounting;
@@ -31,6 +33,7 @@ pub mod drift;
 pub mod flight;
 pub mod matcher;
 pub mod metrics;
+mod node;
 pub mod sim;
 pub mod telemetry;
 pub mod threaded;

@@ -385,22 +385,23 @@ impl ExecTelemetry {
 }
 
 /// Builds end-of-run [`TaskSummary`] rows for the given task indices;
-/// `join_of` resolves a task index to its live join state. Join tasks
-/// always appear; source tasks (no join state) appear only when the
-/// discrimination path measured them, so the summary stays bounded at
-/// shared-multi-query scale while still surfacing per-source candidate
-/// counters. `tel` contributes the discrimination and recovery columns.
-pub(crate) fn task_summaries<'j>(
+/// `joins` holds the live join state per task (parallel to
+/// `Deployment::tasks`). Join tasks always appear; source tasks (no join
+/// state) appear only when the discrimination path measured them, so the
+/// summary stays bounded at shared-multi-query scale while still surfacing
+/// per-source candidate counters. `tel` contributes the discrimination and
+/// recovery columns.
+pub(crate) fn task_summaries(
     deployment: &Deployment,
     indices: impl Iterator<Item = usize>,
-    join_of: impl Fn(usize) -> Option<&'j JoinTask>,
+    joins: &[Option<JoinTask>],
     tel: &ExecTelemetry,
 ) -> Vec<TaskSummary> {
     indices
         .filter_map(|i| {
             let spec = &deployment.tasks[i];
             let considered = tel.disc.get(i).map_or(0, |d| d[0]);
-            let join = join_of(i);
+            let join = joins[i].as_ref();
             if join.is_none() && considered == 0 {
                 return None;
             }

@@ -1,9 +1,12 @@
 //! Thread-per-node execution of a deployment for wall-clock latency and
 //! throughput measurements (the Fig. 8 experiment of the paper).
 //!
-//! Each network node runs as one OS thread owning its tasks; matches cross
-//! nodes in batched [`Frame`]s over bounded `crossbeam` channels. Execution
-//! proceeds in *chunks* of virtual time: within a chunk every node injects
+//! Each network node runs as one OS thread driving the node core of its
+//! tasks — the same node semantics the simulator runs; this module is only
+//! the driver: frames, pools, backpressure, barriers, the chunk schedule and
+//! crash recovery. Matches cross nodes in batched [`Frame`]s over bounded
+//! `crossbeam` channels. Execution proceeds
+//! in *chunks* of virtual time: within a chunk every node injects
 //! its local events as fast as possible (interleaved with inbox draining),
 //! then all nodes run a fixed number of barrier-synchronized drain rounds —
 //! one per possible network hop — so every in-flight match is consumed
@@ -14,7 +17,7 @@
 //!
 //! # Data plane
 //!
-//! The transport ([`TransportMode::Batched`], the default) keeps one output
+//! The transport ([`TransportMode::Batched`]) keeps one output
 //! buffer per destination node and flushes it as a multi-message frame when
 //! it reaches the batch threshold, and at chunk and drain-round boundaries.
 //! Receivers hand emptied frame buffers back to their origin node over an
@@ -42,12 +45,12 @@
 //! release-and-drain phase per level ([`negation_release_phases`]).
 
 use crate::checkpoint::{self, CheckpointError, Snapshot};
-use crate::codec::encoded_len;
-use crate::deploy::{Deployment, TaskKind};
+use crate::deploy::Deployment;
 use crate::flight::{FlightRecord, FlightRing};
-use crate::matcher::{JoinTask, Match};
-use crate::metrics::{Metrics, RecoveryStats};
-use crate::telemetry::{names, ClockDomain, ExecTelemetry, GaugeKind, RunTelemetry, TelemetrySpec};
+use crate::matcher::Match;
+use crate::metrics::{Metrics, RecoveryStats, TransportStats};
+use crate::node::{match_hash, CoreReport, MuxBuildHasher, NodeCore, Outbox};
+use crate::telemetry::{names, ClockDomain, GaugeKind, RunTelemetry, TelemetrySpec};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use muse_core::event::{Event, Timestamp};
 use std::collections::{HashMap, VecDeque};
@@ -56,12 +59,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Inter-node transport flavor of the threaded executor.
+/// Inter-node transport parameters of the threaded executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
     /// Per-destination output buffers flushed as multi-message frames over
     /// bounded channels, with a frame-recycling return path and
-    /// inbox-stealing backpressure. The default.
+    /// inbox-stealing backpressure.
     Batched {
         /// Messages per frame before an eager flush (frames also flush at
         /// chunk and drain-round boundaries, so they may be smaller).
@@ -69,10 +72,6 @@ pub enum TransportMode {
         /// Bound of each node's data channel, in frames.
         capacity: usize,
     },
-    /// One heap-allocated single-message frame per match over unbounded
-    /// channels — the pre-batching data plane, kept as the measured
-    /// baseline of the `executor` benchmark.
-    Naive,
 }
 
 impl Default for TransportMode {
@@ -110,7 +109,7 @@ pub struct ThreadedConfig {
     /// Virtual-time chunk length; defaults to the workload's largest
     /// window.
     pub chunk_ticks: Option<Timestamp>,
-    /// Inter-node transport flavor.
+    /// Inter-node transport parameters.
     pub transport: TransportMode,
     /// Telemetry collection; each node thread keeps a private shard
     /// (registry, series, trace) that is merged when the threads join.
@@ -336,7 +335,7 @@ pub fn run_threaded(
     events: &[Event],
     config: &ThreadedConfig,
 ) -> ThreadedReport {
-    run_threaded_inner(deployment, events, config, None)
+    run_cores(deployment, events, config, node_cores(deployment, config))
 }
 
 /// Resumes a threaded run from a snapshot (produced by either executor —
@@ -353,26 +352,42 @@ pub fn run_threaded_resumed(
     config: &ThreadedConfig,
     snapshot: &[u8],
 ) -> Result<ThreadedReport, CheckpointError> {
-    let snap = checkpoint::decode_for(deployment, snapshot)?;
+    let mut snap = checkpoint::decode_for(deployment, snapshot)?;
     if !snap.pending.is_empty() {
         return Err(CheckpointError::NotQuiescent);
     }
-    // Validate the graft once up front so the node threads cannot fail:
-    // every join task must accept its saved state.
-    for (i, saved) in snap.tasks.iter().enumerate() {
-        let mut join = deployment.make_join(i, config.slack);
-        checkpoint::restore_task(deployment, i, saved.clone(), &mut join, |j, s| {
-            j.restore_state(s)
-        })?;
+    // Restore on the caller, so a snapshot that does not fit the plan is an
+    // error here and the node threads cannot fail. Node 0 absorbs the
+    // snapshot's run totals (see `NodeCore::restore`), so the merged report
+    // continues them.
+    let mut cores = node_cores(deployment, config);
+    for core in &mut cores {
+        core.restore(&mut snap)?;
     }
-    Ok(run_threaded_inner(deployment, events, config, Some(&snap)))
+    Ok(run_cores(deployment, events, config, cores))
 }
 
-fn run_threaded_inner(
+/// One fresh core per network node.
+fn node_cores<'a>(deployment: &'a Deployment, config: &ThreadedConfig) -> Vec<NodeCore<'a>> {
+    (0..deployment.num_nodes.max(1))
+        .map(|node| {
+            NodeCore::new(
+                deployment,
+                Some(node),
+                config.slack,
+                ClockDomain::WallNanos,
+                config.telemetry.as_ref(),
+            )
+        })
+        .collect()
+}
+
+/// Moves each core onto its node thread and runs the trace through them.
+fn run_cores(
     deployment: &Deployment,
     events: &[Event],
     config: &ThreadedConfig,
-    resume: Option<&Snapshot>,
+    cores: Vec<NodeCore<'_>>,
 ) -> ThreadedReport {
     let num_nodes = deployment.num_nodes.max(1);
     let chunk = config
@@ -417,17 +432,15 @@ fn run_threaded_inner(
         begin = end;
     }
 
-    // Data channels (bounded under the batched transport), buffer return
-    // channels, in-flight depth gauges, and the drain barrier.
+    // Bounded data channels, buffer return channels, in-flight depth
+    // gauges, and the drain barrier.
     let mut senders: Vec<Sender<Frame>> = Vec::with_capacity(num_nodes);
     let mut receivers: Vec<Option<Receiver<Frame>>> = Vec::with_capacity(num_nodes);
     let mut ret_senders: Vec<Sender<Vec<NodeMsg>>> = Vec::with_capacity(num_nodes);
     let mut ret_receivers: Vec<Option<Receiver<Vec<NodeMsg>>>> = Vec::with_capacity(num_nodes);
+    let TransportMode::Batched { batch, capacity } = config.transport;
     for _ in 0..num_nodes {
-        let (s, r) = match config.transport {
-            TransportMode::Batched { capacity, .. } => bounded(capacity.max(1)),
-            TransportMode::Naive => unbounded(),
-        };
+        let (s, r) = bounded(capacity.max(1));
         senders.push(s);
         receivers.push(Some(r));
         let (rs, rr) = unbounded();
@@ -449,9 +462,9 @@ fn run_threaded_inner(
     });
     let start = Instant::now();
 
-    let report_parts: Vec<NodeOutcome> = std::thread::scope(|scope| {
+    let report_parts: Vec<(CoreReport, Option<Snapshot>)> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(num_nodes);
-        for node in 0..num_nodes {
+        for (node, core) in cores.into_iter().enumerate() {
             let channels = NodeChannels {
                 inbox: receivers[node].take().expect("receiver unused"),
                 ret_inbox: ret_receivers[node].take().expect("return receiver unused"),
@@ -462,8 +475,6 @@ fn run_threaded_inner(
             };
             let events = Arc::clone(&flat);
             let range = ranges[node].clone();
-            let inject_ns = Arc::clone(&inject_ns);
-            let config = config.clone();
             let shared = shared.clone();
             let schedule = ChunkSchedule {
                 chunk,
@@ -471,12 +482,36 @@ fn run_threaded_inner(
                 rounds_per_chunk,
                 release_phases,
             };
-            handles.push(scope.spawn(move || {
-                run_node(
-                    deployment, node, events, range, channels, inject_ns, start, schedule, config,
-                    shared, resume,
-                )
-            }));
+            let runner = NodeRunner {
+                node,
+                channels,
+                backlog: VecDeque::new(),
+                out_bufs: (0..num_nodes).map(|_| Vec::new()).collect(),
+                pool: Vec::new(),
+                batch: batch.max(1),
+                stats: TransportStats::default(),
+                inject_ns: Arc::clone(&inject_ns),
+                start,
+                fault: config.fault.clone(),
+                recovery: RecoveryStats::default(),
+                injected_local: 0,
+                crashed: false,
+                send_log: Vec::new(),
+                recv_log: Default::default(),
+                suppressed: Vec::new(),
+                logs_active: false,
+                dedup_active: false,
+                crash_started: None,
+                flight: FlightRing::new(
+                    node as u16,
+                    if shared.is_some() { FLIGHT_CAPACITY } else { 0 },
+                ),
+                shared,
+            };
+            let checkpoint = config.checkpoint;
+            handles.push(
+                scope.spawn(move || run_node(core, runner, &events[range], schedule, checkpoint)),
+            );
         }
         handles
             .into_iter()
@@ -493,13 +528,13 @@ fn run_threaded_inner(
         .as_ref()
         .map(|spec| RunTelemetry::new(ClockDomain::WallNanos, spec));
     let mut final_state = config.checkpoint.then(|| Snapshot::empty(deployment));
-    for part in report_parts {
+    for (part, shard) in report_parts {
         metrics.merge(&part.metrics);
         for (q, ms) in part.matches.into_iter().enumerate() {
             matches[q].extend(ms);
         }
         wall_latencies_ns.extend(part.wall_latencies_ns);
-        if let (Some(merged), Some(shard)) = (&mut final_state, part.shard) {
+        if let (Some(merged), Some(shard)) = (&mut final_state, shard) {
             merged.merge_shard(shard);
         }
         if let (Some(merged), Some(shard)) = (&mut telemetry, part.telemetry) {
@@ -545,15 +580,6 @@ fn run_threaded_inner(
     }
 }
 
-struct NodeOutcome {
-    metrics: Metrics,
-    matches: Vec<Vec<Match>>,
-    wall_latencies_ns: Vec<u64>,
-    telemetry: Option<RunTelemetry>,
-    /// End-of-run state shard (checkpoint mode).
-    shard: Option<Snapshot>,
-}
-
 /// The communication endpoints handed to one node thread.
 struct NodeChannels {
     inbox: Receiver<Frame>,
@@ -574,10 +600,10 @@ struct ChunkSchedule {
     release_phases: usize,
 }
 
-struct NodeRunner<'a> {
-    deployment: &'a Deployment,
+/// One node thread's driver state: the transport and the fault machinery.
+/// It is the [`Outbox`] of the node's [`NodeCore`].
+struct NodeRunner {
     node: usize,
-    joins: Vec<Option<JoinTask>>,
     channels: NodeChannels,
     /// Messages ingested from inbox frames, awaiting processing.
     backlog: VecDeque<NodeMsg>,
@@ -585,30 +611,24 @@ struct NodeRunner<'a> {
     out_bufs: Vec<Vec<NodeMsg>>,
     /// Emptied frame buffers recycled via the return path.
     pool: Vec<Vec<NodeMsg>>,
-    /// Flush threshold in messages (1 under the naive transport).
+    /// Flush threshold in messages.
     batch: usize,
-    naive: bool,
+    /// Transport counters since the run (or the last recovery) started.
+    /// Kept here rather than in the core's metrics because the send path
+    /// runs while the core is borrowed; folded into the metrics whenever
+    /// they leave the thread (shards, end of run).
+    stats: TransportStats,
+    /// Wall-clock injection mark per event seq (0 = never injected),
+    /// shared by all nodes: the baseline of sink latencies.
     inject_ns: Arc<Vec<AtomicU64>>,
     start: Instant,
-    metrics: Metrics,
-    matches: Vec<Vec<Match>>,
-    wall_latencies_ns: Vec<u64>,
-    /// Sender-side transmission multiplexing (see the simulator's `sent`).
-    sent: std::collections::HashSet<(u64, usize, u64), crate::sim::MuxBuildHasher>,
-    /// This node's private telemetry shard.
-    telemetry: Option<ExecTelemetry>,
-    /// Newest event timestamp seen by any local join (the node-local
-    /// watermark behind the series' lag column).
-    max_seen: Timestamp,
-    /// Eviction slack (kept for rebuilding joins during crash recovery).
-    slack: f64,
     /// Fault plan from the config, when fault injection is enabled.
     fault: Option<FaultPlan>,
     /// Shared shard storage and crash flag (checkpoint or fault mode).
     shared: Option<Arc<ResilienceShared>>,
-    /// Crash-recovery counters, kept OUTSIDE `metrics` so the crashing
-    /// node's state rollback cannot erase the record of its own recovery;
-    /// folded into `metrics.recovery` when the thread finishes.
+    /// Crash-recovery counters, kept OUTSIDE the core's metrics so the
+    /// crashing node's state rollback cannot erase the record of its own
+    /// recovery; folded into `metrics.recovery` when the thread finishes.
     recovery: RecoveryStats,
     /// Local events injected so far (drives [`FaultPlan::crash_at`]).
     injected_local: u64,
@@ -621,7 +641,11 @@ struct NodeRunner<'a> {
     /// Fault mode, pre-crash: multiset of messages ingested from the
     /// planned-crash node this chunk, keyed by `(target, slot, mux match
     /// hash)` — the receive-side replay-dedup filter.
-    recv_log: HashMap<(usize, usize, u64), u32, crate::sim::MuxBuildHasher>,
+    recv_log: HashMap<(usize, usize, u64), u32, MuxBuildHasher>,
+    /// Target tasks of the duplicate deliveries suppressed so far, handed
+    /// to the telemetry at the end of the run (ingest can run while the
+    /// core is borrowed).
+    suppressed: Vec<usize>,
     /// Whether chunk logs are being recorded (fault mode, until the crash
     /// has happened).
     logs_active: bool,
@@ -644,127 +668,23 @@ const SEND_BACKOFF_START: Duration = Duration::from_micros(1);
 /// indefinitely on a channel whose receiver may have crashed.
 const SEND_BACKOFF_CAP: Duration = Duration::from_micros(256);
 
-#[allow(clippy::too_many_arguments)]
+/// One node thread: drives `core` through the chunk schedule.
 fn run_node(
-    deployment: &Deployment,
-    node: usize,
-    events: Arc<[Event]>,
-    range: Range<usize>,
-    channels: NodeChannels,
-    inject_ns: Arc<Vec<AtomicU64>>,
-    start: Instant,
+    mut core: NodeCore<'_>,
+    mut runner: NodeRunner,
+    local_events: &[Event],
     schedule: ChunkSchedule,
-    config: ThreadedConfig,
-    shared: Option<Arc<ResilienceShared>>,
-    resume: Option<&Snapshot>,
-) -> NodeOutcome {
-    let mut joins: Vec<Option<JoinTask>> = (0..deployment.tasks.len())
-        .map(|i| {
-            if deployment.tasks[i].node.index() == node {
-                let mut join = deployment.make_join(i, config.slack);
-                if let Some(j) = &mut join {
-                    // Parallel chunk execution can deliver a negation guard
-                    // after the match it suppresses; defer candidates to
-                    // chunk quiescence (see the module docs).
-                    if j.has_negations() {
-                        j.set_defer_negation(true);
-                    }
-                }
-                join
-            } else {
-                None
-            }
-        })
-        .collect();
-    let telemetry = config
-        .telemetry
-        .as_ref()
-        .map(|spec| ExecTelemetry::new(ClockDomain::WallNanos, spec, deployment.tasks.len()));
-    let (batch, naive) = match config.transport {
-        TransportMode::Batched { batch, .. } => (batch.max(1), false),
-        TransportMode::Naive => (1, true),
-    };
-    let num_nodes = deployment.num_nodes.max(1);
-    // Graft resumed state onto the freshly built local joins; node 0
-    // absorbs the snapshot's run-wide accumulators (metrics, matches,
-    // latencies) so the merged report continues the interrupted totals.
-    let mut metrics = Metrics::new(deployment.num_nodes);
-    let mut matches = vec![Vec::new(); deployment.queries.len()];
-    let mut wall_latencies_ns = Vec::new();
-    let mut sent: std::collections::HashSet<(u64, usize, u64), crate::sim::MuxBuildHasher> =
-        Default::default();
-    if let Some(snap) = resume {
-        for (i, join) in joins.iter_mut().enumerate() {
-            if deployment.tasks[i].node.index() != node {
-                continue;
-            }
-            checkpoint::restore_task(deployment, i, snap.tasks[i].clone(), join, |j, s| {
-                j.restore_state(s)
-            })
-            .expect("resume pre-validated by run_threaded_resumed");
-        }
-        sent.extend(snap.sent.iter().filter_map(|&(sig, from, to, mhash)| {
-            (from as usize == node).then_some((sig, to as usize, mhash))
-        }));
-        if node == 0 {
-            metrics = snap.metrics.clone();
-            matches = snap.matches.clone();
-            wall_latencies_ns = snap.wall_latencies_ns.clone();
-            // Re-establish `sink_matches == samples + dropped` over the
-            // absorbed history: matches the snapshot carries without a
-            // wall-latency sample (all of them, for simulator snapshots —
-            // the sim measures event-time lag, not wall time) count as
-            // dropped samples of this run.
-            metrics.latency_samples_dropped = metrics
-                .sink_matches
-                .saturating_sub(wall_latencies_ns.len() as u64);
-        }
-    }
-    let fault_mode = config.fault.is_some();
-    let flight = FlightRing::new(
-        node as u16,
-        if shared.is_some() { FLIGHT_CAPACITY } else { 0 },
-    );
-    let mut runner = NodeRunner {
-        deployment,
-        node,
-        joins,
-        channels,
-        backlog: VecDeque::new(),
-        out_bufs: (0..num_nodes).map(|_| Vec::new()).collect(),
-        pool: Vec::new(),
-        batch,
-        naive,
-        inject_ns,
-        start,
-        metrics,
-        matches,
-        wall_latencies_ns,
-        sent,
-        telemetry,
-        max_seen: 0,
-        slack: config.slack,
-        fault: config.fault.clone(),
-        shared,
-        recovery: RecoveryStats::default(),
-        injected_local: 0,
-        crashed: false,
-        send_log: Vec::new(),
-        recv_log: Default::default(),
-        logs_active: false,
-        dedup_active: false,
-        crash_started: None,
-        flight,
-    };
-
-    let local_events = &events[range];
+    checkpoint: bool,
+) -> (CoreReport, Option<Snapshot>) {
+    let node = runner.node;
+    let fault_mode = runner.fault.is_some();
     let mut next = 0usize;
     for chunk_idx in 0..schedule.num_chunks {
         let bound = (chunk_idx + 1) * schedule.chunk;
         if runner.shared.is_some() {
             // Every chunk starts from quiescence: persist this node's
             // shard (the durable state a crash rolls back to).
-            runner.save_shard(next);
+            runner.save_shard(&core, next);
         }
         if fault_mode {
             runner.begin_chunk_logs(chunk_idx);
@@ -776,9 +696,9 @@ fn run_node(
                 crashed_here = true;
                 break;
             }
-            runner.drain();
-            runner.inject(&local_events[next]);
-            runner.maybe_sample();
+            runner.drain(&mut core);
+            core.inject(&mut runner, &local_events[next]);
+            core.maybe_sample(&runner);
             next += 1;
         }
         if !crashed_here {
@@ -798,7 +718,7 @@ fn run_node(
             if crash_chunk == chunk_idx + 1 {
                 let fault_node = runner.fault.as_ref().map(|f| f.node).unwrap_or(usize::MAX);
                 if node == fault_node {
-                    next = runner.recover();
+                    next = runner.recover(&mut core);
                 } else {
                     runner.dedup_active = true;
                 }
@@ -809,15 +729,15 @@ fn run_node(
                     // regenerated; peers dedup re-deliveries they already
                     // processed against their receive logs.
                     while next < local_events.len() && local_events[next].time < bound {
-                        runner.drain();
-                        runner.inject(&local_events[next]);
+                        runner.drain(&mut core);
+                        core.inject(&mut runner, &local_events[next]);
                         next += 1;
                     }
                     if let Some(started) = runner.crash_started.take() {
                         runner.recovery.recovery_ns += started.elapsed().as_nanos() as u64;
                     }
                 } else {
-                    runner.resend_log();
+                    runner.resend_log(&mut core);
                 }
                 runner.flush_all();
             } else {
@@ -829,83 +749,102 @@ fn run_node(
         // candidates and drain to quiescence again.
         for phase in 0..=schedule.release_phases {
             if phase > 0 {
-                runner.release_deferred();
+                core.release_deferred(&mut runner);
                 runner.flush_all();
             }
             for _ in 0..schedule.rounds_per_chunk {
                 runner.barrier_wait();
-                runner.drain();
+                runner.drain(&mut core);
                 runner.flush_all();
-                runner.maybe_sample();
+                core.maybe_sample(&runner);
             }
             runner.barrier_wait();
         }
     }
-    // End-of-run state shard, captured BEFORE the join-stats fold below:
-    // snapshots keep `metrics.join` unfolded (the engine counters live in
-    // the saved task states), so a resumed run folds them exactly once.
-    let shard = config.checkpoint.then(|| runner.build_shard(next));
-    // Fold this node's join-engine counters into its metrics share, and
-    // the recovery record kept outside the rolled-back metrics.
-    for join in runner.joins.iter().flatten() {
-        runner.metrics.join.merge(join.stats());
+    // End-of-run state shard, captured BEFORE `finish` folds the join
+    // stats: snapshots keep `metrics.join` unfolded.
+    let shard = checkpoint.then(|| runner.build_shard(&core, next));
+    core.metrics.transport.merge(&runner.stats);
+    core.metrics.recovery.merge(&runner.recovery);
+    if let Some(tel) = core.telemetry.as_mut() {
+        for task in runner.suppressed.drain(..) {
+            tel.on_suppressed(task);
+        }
     }
-    runner
-        .metrics
-        .recovery
-        .merge(&std::mem::take(&mut runner.recovery));
-    // Final sample at shutdown, then seal this node's shard with its local
-    // task summaries.
-    runner.sample(runner.start.elapsed().as_nanos() as u64);
-    let telemetry = runner.telemetry.take().map(|tel| {
-        let local =
-            (0..deployment.tasks.len()).filter(|&i| deployment.tasks[i].node.index() == node);
-        let tasks =
-            crate::telemetry::task_summaries(deployment, local, |i| runner.joins[i].as_ref(), &tel);
-        tel.finish(&runner.metrics, tasks)
-    });
-    NodeOutcome {
-        metrics: runner.metrics,
-        matches: runner.matches,
-        wall_latencies_ns: runner.wall_latencies_ns,
-        telemetry,
-        shard,
+    (core.finish(runner.now()), shard)
+}
+
+impl Outbox for NodeRunner {
+    fn now(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+
+    fn on_inject(&mut self, event: &Event, now: u64) {
+        self.injected_local += 1;
+        if !self.flight.is_disabled() {
+            self.flight.push(FlightRecord::Inject {
+                t: now,
+                seq: event.seq,
+                ty: event.ty.0,
+                time: event.time,
+            });
+        }
+        if let Some(slot) = self.inject_ns.get(event.seq as usize) {
+            // First write wins (0 means "never injected"), so a crash
+            // replay keeps the original mark and a recovered match's
+            // latency includes the downtime it survived.
+            let _ = slot.compare_exchange(0, now.max(1), Ordering::AcqRel, Ordering::Acquire);
+        }
+    }
+
+    /// A thread has no scheduler: the core delivers local matches inline.
+    fn local(&mut self, _target: usize, _slot: usize, m: Match) -> Option<Match> {
+        Some(m)
+    }
+
+    fn remote(&mut self, dest: usize, target: usize, slot: usize, m: Match) {
+        self.enqueue(dest, NodeMsg { target, slot, m });
+    }
+
+    /// Wall time since the injection of the match's newest constituent.
+    /// `None` when that event has no injection mark — it entered in a
+    /// resumed-from run (or its seq is outside this run's table), and a
+    /// sample against a zero baseline would be garbage.
+    fn sink_latency(&self, m: &Match, now: u64) -> Option<u64> {
+        let newest = m
+            .entries()
+            .iter()
+            .map(|(_, e)| e)
+            .max_by(|a, b| a.trace_cmp(b))
+            .expect("non-empty match");
+        let injected = self
+            .inject_ns
+            .get(newest.seq as usize)
+            .map_or(0, |a| a.load(Ordering::Acquire));
+        (injected != 0).then(|| now.saturating_sub(injected))
     }
 }
 
-impl NodeRunner<'_> {
-    /// This node's state as a snapshot shard: local task states, local
-    /// sent-set entries, this node's metrics share, and its local event
-    /// cursor. Shards of all nodes merge into one whole-run [`Snapshot`].
-    fn build_shard(&self, cursor: usize) -> Snapshot {
-        let mut snap = Snapshot::empty(self.deployment);
-        for (i, join) in self.joins.iter().enumerate() {
-            if let Some(join) = join {
-                snap.tasks[i] = Some(join.save_state());
-            }
-        }
-        snap.metrics = self.metrics.clone();
-        snap.matches = self.matches.clone();
-        snap.wall_latencies_ns = self.wall_latencies_ns.clone();
-        snap.sent = self
-            .sent
-            .iter()
-            .map(|&(sig, to, mhash)| (sig, self.node as u16, to as u16, mhash))
-            .collect();
-        snap.sent.sort_unstable();
-        snap.cursors = vec![0; self.deployment.num_nodes.max(1)];
+impl NodeRunner {
+    /// This node's state as a snapshot shard: the core's slice plus the
+    /// live transport counters and the local event cursor. Shards of all
+    /// nodes merge into one whole-run [`Snapshot`].
+    fn build_shard(&self, core: &NodeCore<'_>, cursor: usize) -> Snapshot {
+        let mut snap = core.save();
+        snap.metrics.transport.merge(&self.stats);
+        snap.cursors = vec![0; self.out_bufs.len()];
         snap.cursors[self.node] = cursor as u64;
         snap
     }
 
     /// Encodes this node's state and stores it as the chunk-boundary
     /// shard — the durable state a crash rolls back to.
-    fn save_shard(&mut self, cursor: usize) {
-        let bytes = checkpoint::encode(&self.build_shard(cursor));
+    fn save_shard(&mut self, core: &NodeCore<'_>, cursor: usize) {
+        let bytes = checkpoint::encode(&self.build_shard(core, cursor));
         self.recovery.snapshots_taken += 1;
         self.recovery.snapshot_bytes += bytes.len() as u64;
         self.flight.push(FlightRecord::Checkpoint {
-            t: self.start.elapsed().as_nanos() as u64,
+            t: self.now(),
             bytes: bytes.len() as u64,
         });
         if let Some(shared) = &self.shared {
@@ -948,7 +887,7 @@ impl NodeRunner<'_> {
         self.crash_started = Some(Instant::now());
         self.recovery.crashes += 1;
         self.flight.push(FlightRecord::Crash {
-            t: self.start.elapsed().as_nanos() as u64,
+            t: self.now(),
             chunk: chunk_idx,
         });
         if let Some(shared) = &self.shared {
@@ -975,64 +914,30 @@ impl NodeRunner<'_> {
 
     /// Post-crash restoration: discard every in-flight frame addressed to
     /// the old incarnation (peers replay their chunk logs afterwards),
-    /// decode the last shard, rebuild the local joins from the plan, and
-    /// graft the saved dynamic state. Returns the restored event cursor.
-    fn recover(&mut self) -> usize {
-        self.flight.push(FlightRecord::RecoveryStart {
-            t: self.start.elapsed().as_nanos() as u64,
-        });
+    /// decode the last shard, and roll the core back to it. Returns the
+    /// restored event cursor.
+    fn recover(&mut self, core: &mut NodeCore<'_>) -> usize {
+        self.flight
+            .push(FlightRecord::RecoveryStart { t: self.now() });
         self.backlog.clear();
         while let Ok(frame) = self.channels.inbox.try_recv() {
             self.channels.depth[self.node].fetch_sub(1, Ordering::Relaxed);
             let Frame { origin, mut msgs } = frame;
             msgs.clear();
-            if !self.naive {
-                let _ = self.channels.ret_senders[origin].send(msgs);
-            }
+            let _ = self.channels.ret_senders[origin].send(msgs);
         }
         let bytes = self.shared.as_ref().expect("fault mode has shards").shards[self.node]
             .lock()
             .expect("shard lock")
             .clone();
         let mut snap = checkpoint::decode(&bytes).expect("own shard decodes");
-        for i in 0..self.deployment.tasks.len() {
-            if self.deployment.tasks[i].node.index() != self.node {
-                continue;
-            }
-            let mut join = self.deployment.make_join(i, self.slack);
-            if let Some(j) = &mut join {
-                if j.has_negations() {
-                    j.set_defer_negation(true);
-                }
-            }
-            checkpoint::restore_task(
-                self.deployment,
-                i,
-                snap.tasks[i].take(),
-                &mut join,
-                |j, s| j.restore_state(s),
-            )
-            .expect("own shard matches the plan");
-            self.joins[i] = join;
-        }
-        self.metrics = snap.metrics;
-        self.matches = snap.matches;
-        self.wall_latencies_ns = snap.wall_latencies_ns;
-        self.sent.clear();
-        self.sent
-            .extend(snap.sent.iter().filter_map(|&(sig, from, to, mhash)| {
-                (from as usize == self.node).then_some((sig, to as usize, mhash))
-            }));
-        self.max_seen = self
-            .joins
-            .iter()
-            .flatten()
-            .map(|j| j.last_seen())
-            .max()
-            .unwrap_or(0);
+        core.restore(&mut snap).expect("own shard matches the plan");
+        // The shard's metrics carry the transport counters up to the
+        // checkpoint; the live ones roll back with the rest of the state.
+        self.stats = TransportStats::default();
         let cursor = snap.cursors.get(self.node).copied().unwrap_or(0) as usize;
         self.flight.push(FlightRecord::RecoveryDone {
-            t: self.start.elapsed().as_nanos() as u64,
+            t: self.now(),
             cursor: cursor as u64,
         });
         cursor
@@ -1043,18 +948,18 @@ impl NodeRunner<'_> {
     /// deliveries are not new network transmissions (the §4.4 message
     /// metric counted them when first shipped), so they bypass the mux
     /// accounting and are tallied separately.
-    fn resend_log(&mut self) {
+    fn resend_log(&mut self, core: &mut NodeCore<'_>) {
         let Some(dest) = self.fault.as_ref().map(|f| f.node) else {
             return;
         };
         let log = std::mem::take(&mut self.send_log);
         self.recovery.replayed_messages += log.len() as u64;
         self.flight.push(FlightRecord::Replay {
-            t: self.start.elapsed().as_nanos() as u64,
+            t: self.now(),
             msgs: log.len() as u32,
         });
         for (target, slot, m) in log {
-            if let Some(tel) = self.telemetry.as_mut() {
+            if let Some(tel) = core.telemetry.as_mut() {
                 tel.on_replayed(target, 1);
             }
             self.enqueue(dest, NodeMsg { target, slot, m });
@@ -1062,10 +967,10 @@ impl NodeRunner<'_> {
     }
 
     /// Processes the backlog and every frame currently in the inbox.
-    fn drain(&mut self) {
+    fn drain(&mut self, core: &mut NodeCore<'_>) {
         loop {
             while let Some(msg) = self.backlog.pop_front() {
-                self.handle(msg.target, msg.slot, msg.m);
+                core.deliver(self, msg.target, msg.slot, msg.m);
             }
             match self.channels.inbox.try_recv() {
                 Ok(frame) => self.ingest(frame),
@@ -1100,7 +1005,7 @@ impl NodeRunner<'_> {
         self.channels.depth[self.node].fetch_sub(1, Ordering::Relaxed);
         if !self.flight.is_disabled() {
             self.flight.push(FlightRecord::FrameRecv {
-                t: self.start.elapsed().as_nanos() as u64,
+                t: self.now(),
                 from: frame.origin as u16,
                 msgs: frame.msgs.len() as u32,
             });
@@ -1112,7 +1017,7 @@ impl NodeRunner<'_> {
                 .is_some_and(|f| f.node == frame.origin && f.node != self.node);
         if filtered {
             for msg in frame.msgs.drain(..) {
-                let key = (msg.target, msg.slot, crate::sim::match_hash_for_mux(&msg.m));
+                let key = (msg.target, msg.slot, match_hash(&msg.m));
                 if self.dedup_active {
                     if let Some(count) = self.recv_log.get_mut(&key) {
                         *count -= 1;
@@ -1120,9 +1025,7 @@ impl NodeRunner<'_> {
                             self.recv_log.remove(&key);
                         }
                         self.recovery.suppressed_sends += 1;
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            tel.on_suppressed(msg.target);
-                        }
+                        self.suppressed.push(msg.target);
                         continue;
                     }
                 }
@@ -1132,11 +1035,9 @@ impl NodeRunner<'_> {
         } else {
             self.backlog.extend(frame.msgs.drain(..));
         }
-        if !self.naive {
-            // The origin may already have shut its return receiver down at
-            // the very end of the run; the buffer is then simply dropped.
-            let _ = self.channels.ret_senders[frame.origin].send(frame.msgs);
-        }
+        // The origin may already have shut its return receiver down at
+        // the very end of the run; the buffer is then simply dropped.
+        let _ = self.channels.ret_senders[frame.origin].send(frame.msgs);
     }
 
     /// Waits at the drain barrier, stealing inbox frames (or yielding)
@@ -1159,10 +1060,10 @@ impl NodeRunner<'_> {
             }
         }
         if let Some(buf) = self.pool.pop() {
-            self.metrics.transport.pool_reuses += 1;
+            self.stats.pool_reuses += 1;
             buf
         } else {
-            self.metrics.transport.pool_allocs += 1;
+            self.stats.pool_allocs += 1;
             Vec::with_capacity(self.batch)
         }
     }
@@ -1210,20 +1111,20 @@ impl NodeRunner<'_> {
             self.send_log
                 .extend(msgs.iter().map(|msg| (msg.target, msg.slot, msg.m.clone())));
         }
-        let t = &mut self.metrics.transport;
+        let t = &mut self.stats;
         t.frames_sent += 1;
         t.messages_framed += msgs.len() as u64;
         t.batch_hist.record(msgs.len() as u64);
         if !self.flight.is_disabled() {
             self.flight.push(FlightRecord::FrameSent {
-                t: self.start.elapsed().as_nanos() as u64,
+                t: self.now(),
                 to: dest as u16,
                 msgs: msgs.len() as u32,
             });
         }
         let in_flight = self.channels.depth[dest].fetch_add(1, Ordering::Relaxed) + 1;
-        if in_flight > self.metrics.transport.peak_queue_depth {
-            self.metrics.transport.peak_queue_depth = in_flight;
+        if in_flight > self.stats.peak_queue_depth {
+            self.stats.peak_queue_depth = in_flight;
         }
         let mut frame = Frame {
             origin: self.node,
@@ -1234,7 +1135,7 @@ impl NodeRunner<'_> {
             match self.channels.senders[dest].try_send(frame) {
                 Ok(()) => return,
                 Err(TrySendError::Full(f)) => {
-                    self.metrics.transport.blocked_sends += 1;
+                    self.stats.blocked_sends += 1;
                     frame = f;
                     if !self.steal() {
                         if self.fault.is_some() {
@@ -1251,335 +1152,6 @@ impl NodeRunner<'_> {
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     panic!("receiver alive during execution")
-                }
-            }
-        }
-    }
-
-    /// Samples the series shard when the wall-clock cadence has elapsed.
-    fn maybe_sample(&mut self) {
-        let now = self.start.elapsed().as_nanos() as u64;
-        if self
-            .telemetry
-            .as_ref()
-            .is_some_and(|tel| tel.sample_due(now))
-        {
-            self.sample(now);
-        }
-    }
-
-    /// Emits one series record per local join task. Queue depth is the
-    /// number of deliveries the task consumed since the previous sample
-    /// (crossbeam receivers expose no length), and watermark lag is
-    /// measured against this node's newest-seen event timestamp.
-    fn sample(&mut self, now: u64) {
-        let Some(tel) = self.telemetry.as_mut() else {
-            return;
-        };
-        for (i, join) in self.joins.iter().enumerate() {
-            let Some(join) = join else { continue };
-            let stats = join.stats();
-            let queue_depth = tel.drained_since(i);
-            tel.record_task_sample(
-                now,
-                i,
-                self.node,
-                self.deployment.task_label(i),
-                queue_depth,
-                join.buffered() as u64,
-                self.max_seen.saturating_sub(join.last_seen()),
-                [stats.inputs, stats.probes, stats.evicted, stats.emitted],
-            );
-        }
-        tel.end_sample(now);
-    }
-
-    fn inject(&mut self, event: &Event) {
-        let deployment = self.deployment;
-        let candidates = deployment.candidates_for(event.origin, event.ty);
-        if candidates.is_empty() {
-            return;
-        }
-        self.metrics.events_injected += 1;
-        self.metrics.record_processed(self.node);
-        self.injected_local += 1;
-        let now = self.start.elapsed().as_nanos() as u64;
-        if !self.flight.is_disabled() {
-            self.flight.push(FlightRecord::Inject {
-                t: now,
-                seq: event.seq,
-                ty: event.ty.0,
-                time: event.time,
-            });
-        }
-        if let Some(slot) = self.inject_ns.get(event.seq as usize) {
-            // First write wins (0 means "never injected"), so a crash
-            // replay keeps the original mark and a recovered match's
-            // latency includes the downtime it survived.
-            let _ = slot.compare_exchange(0, now.max(1), Ordering::AcqRel, Ordering::Acquire);
-        }
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.on_inject(now, self.node, candidates[0].task, event);
-        }
-        let mut admitted = 0u64;
-        for cand in candidates {
-            // Discrimination index: skip candidates whose predicate bands
-            // already reject the event, before any predicate runs.
-            let admits = cand.admits(event);
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.on_candidate(cand.task, admits);
-            }
-            if !admits {
-                continue;
-            }
-            admitted += 1;
-            let task = cand.task;
-            let TaskKind::Source {
-                prim, predicates, ..
-            } = &deployment.tasks[task].kind
-            else {
-                unreachable!("candidates_for returns source tasks");
-            };
-            let query = &deployment.queries[deployment.tasks[task].query_idx];
-            let passes = predicates.iter().all(|&pi| {
-                query.predicates()[pi].evaluate(|p| (p == *prim).then_some(event)) == Some(true)
-            });
-            if passes {
-                if let Some(tel) = self.telemetry.as_mut() {
-                    tel.on_emit(task, event.time, 1);
-                }
-                let m = Match::single(*prim, event.clone());
-                self.route(task, vec![m]);
-            }
-        }
-        self.metrics
-            .discrimination
-            .observe(candidates.len() as u64, admitted);
-    }
-
-    fn handle(&mut self, task: usize, slot: usize, m: Match) {
-        self.metrics.record_processed(self.node);
-        self.max_seen = self.max_seen.max(m.last_time());
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.on_delivery(task);
-        }
-        let outs = self.joins[task]
-            .as_mut()
-            .expect("deliveries target local joins")
-            .on_match(slot, m);
-        self.emit(task, outs);
-    }
-
-    /// Re-checks and releases the deferred candidates of every local
-    /// negation-hosting join (called once per release phase, at chunk
-    /// quiescence when all in-window guards have been delivered).
-    fn release_deferred(&mut self) {
-        for task in 0..self.joins.len() {
-            let released = match self.joins[task].as_mut() {
-                Some(join) if join.has_negations() => join.release_deferred(),
-                _ => continue,
-            };
-            self.emit(task, released);
-        }
-    }
-
-    /// Sink bookkeeping (or merge telemetry) for a task's outputs, then
-    /// routing to the fanout.
-    fn emit(&mut self, task: usize, outs: Vec<Match>) {
-        if outs.is_empty() {
-            return;
-        }
-        if let Some(tel) = self.telemetry.as_mut() {
-            for m in &outs {
-                tel.on_emit(task, m.last_time(), 1);
-            }
-        }
-        let spec = &self.deployment.tasks[task];
-        if spec.is_sink {
-            // One physical sink may feed many logical queries (shared
-            // deployments): attribute each match — and its latency
-            // bookkeeping — to every subscriber so per-query match sets
-            // are identical to independent evaluation.
-            let deployment = self.deployment;
-            let sink_queries = &deployment.sink_queries[task];
-            let now = self.start.elapsed().as_nanos() as u64;
-            let prov = self
-                .telemetry
-                .as_ref()
-                .map_or(0, |tel| tel.provenance_sample());
-            for m in &outs {
-                let mhash = if prov != 0 {
-                    crate::sim::match_hash_for_mux(m)
-                } else {
-                    0
-                };
-                let newest = m
-                    .entries()
-                    .iter()
-                    .map(|(_, e)| e)
-                    .max_by(|a, b| a.trace_cmp(b))
-                    .expect("non-empty match");
-                let injected = self
-                    .inject_ns
-                    .get(newest.seq as usize)
-                    .map(|a| a.load(Ordering::Acquire))
-                    .unwrap_or(0);
-                for &query_idx in sink_queries {
-                    self.metrics.sink_matches += 1;
-                    if injected == 0 {
-                        // No injection record for the newest constituent —
-                        // it entered in a resumed-from run (or its seq is
-                        // outside this run's table). A sample against a
-                        // zero baseline would be garbage; count the loss
-                        // instead of hiding it. Invariant:
-                        // `sink_matches == samples + latency_samples_dropped`.
-                        self.metrics.latency_samples_dropped += 1;
-                    } else {
-                        let latency = now.saturating_sub(injected);
-                        self.wall_latencies_ns.push(latency);
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            tel.on_sink(now, self.node, task, m.len(), m.last_time(), latency);
-                        }
-                    }
-                    if prov != 0 {
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            tel.on_sink_match(
-                                now,
-                                self.node,
-                                task,
-                                &deployment.queries[query_idx],
-                                query_idx,
-                                m,
-                                mhash,
-                            );
-                        }
-                    }
-                    self.matches[query_idx].push(m.clone());
-                }
-            }
-        } else if self.telemetry.is_some() {
-            let now = self.start.elapsed().as_nanos() as u64;
-            for m in &outs {
-                let span = m.last_time().saturating_sub(m.first_time());
-                if let Some(tel) = self.telemetry.as_mut() {
-                    tel.on_merge(now, self.node, task, m.len(), span);
-                }
-            }
-        }
-        self.route(task, outs);
-    }
-
-    fn route(&mut self, task: usize, outs: Vec<Match>) {
-        if self.naive {
-            self.route_naive(task, outs);
-        } else {
-            self.route_batched(task, outs);
-        }
-    }
-
-    /// Routes via the precomputed fanout: local targets are handled
-    /// inline, remote targets are enqueued into per-destination batches.
-    /// The steady-state path performs no heap allocation — the fanout is
-    /// borrowed, the byte size is computed arithmetically, match clones
-    /// are reference-counted, and frame buffers come from the pool.
-    fn route_batched(&mut self, task: usize, outs: Vec<Match>) {
-        let deployment = self.deployment;
-        let fanout = &deployment.fanouts[task];
-        if fanout.local.is_empty() && fanout.remote.is_empty() {
-            return;
-        }
-        for m in outs {
-            if !fanout.remote_nodes.is_empty() {
-                let sig = deployment.tasks[task].stream_sig;
-                let mhash = crate::sim::match_hash_for_mux(&m);
-                // The encoded size is only needed for transmissions that
-                // survive the once-per-node multiplexing.
-                let mut bytes: Option<u64> = None;
-                for &n in &fanout.remote_nodes {
-                    if self.sent.insert((sig, n, mhash)) {
-                        let b = *bytes.get_or_insert_with(|| encoded_len(&m) as u64);
-                        self.metrics.messages_sent += 1;
-                        self.metrics.bytes_sent += b;
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            let now = self.start.elapsed().as_nanos() as u64;
-                            tel.on_ship(now, self.node, n, task, b);
-                        }
-                    }
-                }
-                for &(dest, target, slot) in &fanout.remote {
-                    self.enqueue(
-                        dest,
-                        NodeMsg {
-                            target,
-                            slot,
-                            m: m.clone(),
-                        },
-                    );
-                }
-            }
-            for &(target, slot) in &fanout.local {
-                self.metrics.local_deliveries += 1;
-                if let Some(tel) = self.telemetry.as_mut() {
-                    tel.on_local();
-                }
-                self.handle(target, slot, m.clone());
-            }
-        }
-    }
-
-    /// The pre-batching send path, preserved as the benchmark baseline:
-    /// clones the route table per output, rebuilds the remote-node list
-    /// per match, encodes the full wire buffer just to measure it, and
-    /// ships every match as its own freshly allocated single-message
-    /// frame over an unbounded channel.
-    fn route_naive(&mut self, task: usize, outs: Vec<Match>) {
-        let deployment = self.deployment;
-        let routes = &deployment.routes[task];
-        if routes.is_empty() {
-            return;
-        }
-        for m in outs {
-            let mut remote_nodes: Vec<usize> = routes
-                .iter()
-                .filter(|r| r.remote)
-                .map(|r| deployment.tasks[r.target].node.index())
-                .collect();
-            remote_nodes.sort_unstable();
-            remote_nodes.dedup();
-            if !remote_nodes.is_empty() {
-                let bytes = crate::codec::encode_match(&m).len() as u64;
-                let sig = deployment.tasks[task].stream_sig;
-                let mhash = crate::sim::match_hash_for_mux(&m);
-                for &n in &remote_nodes {
-                    if self.sent.insert((sig, n, mhash)) {
-                        self.metrics.messages_sent += 1;
-                        self.metrics.bytes_sent += bytes;
-                        if let Some(tel) = self.telemetry.as_mut() {
-                            let now = self.start.elapsed().as_nanos() as u64;
-                            tel.on_ship(now, self.node, n, task, bytes);
-                        }
-                    }
-                }
-            }
-            let routes: Vec<crate::deploy::Route> = routes.clone();
-            for r in routes {
-                if r.remote {
-                    let dest = deployment.tasks[r.target].node.index();
-                    self.metrics.transport.pool_allocs += 1;
-                    self.send_frame(
-                        dest,
-                        vec![NodeMsg {
-                            target: r.target,
-                            slot: r.slot,
-                            m: m.clone(),
-                        }],
-                    );
-                } else {
-                    self.metrics.local_deliveries += 1;
-                    if let Some(tel) = self.telemetry.as_mut() {
-                        tel.on_local();
-                    }
-                    self.handle(r.target, r.slot, m.clone());
                 }
             }
         }
@@ -1668,40 +1240,6 @@ mod tests {
         assert_eq!(threaded.metrics.messages_sent, sim.metrics.messages_sent);
         assert!(threaded.events_per_sec > 0.0);
         assert_eq!(threaded.wall_latencies_ns.len(), threaded.matches[0].len());
-    }
-
-    #[test]
-    fn naive_transport_matches_batched() {
-        let (deployment, events) = test_deployment();
-        let batched = run_threaded(&deployment, &events, &ThreadedConfig::default());
-        let naive = run_threaded(
-            &deployment,
-            &events,
-            &ThreadedConfig {
-                transport: TransportMode::Naive,
-                ..ThreadedConfig::default()
-            },
-        );
-        assert_eq!(
-            fingerprints(&batched.matches[0]),
-            fingerprints(&naive.matches[0]),
-        );
-        assert_eq!(batched.metrics.messages_sent, naive.metrics.messages_sent);
-        assert_eq!(batched.metrics.bytes_sent, naive.metrics.bytes_sent);
-        // The naive path ships one fresh single-message frame per match;
-        // the batched path packs multiple messages per frame and recycles
-        // the buffers.
-        assert_eq!(
-            naive.metrics.transport.frames_sent,
-            naive.metrics.transport.messages_framed
-        );
-        assert_eq!(naive.metrics.transport.pool_reuses, 0);
-        let t = &batched.metrics.transport;
-        assert!(t.frames_sent > 0, "batched run must ship frames");
-        assert!(
-            t.frames_sent < t.messages_framed,
-            "batching must pack multiple messages into at least some frames"
-        );
     }
 
     #[test]

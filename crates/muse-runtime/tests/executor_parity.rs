@@ -1,11 +1,11 @@
 //! Simulator-vs-threaded parity on query classes beyond plain SEQ/AND:
 //! disjunctions (OR, split into per-alternative queries) and negated
 //! sequences (NSEQ, exercising the threaded executor's deferred-negation
-//! release), plus batched-vs-naive transport equivalence on both.
+//! release).
 //!
 //! The simulator processes events in global timestamp order and is the
 //! correctness reference; the threaded executor must reproduce its match
-//! sets and transmission counts under every transport mode.
+//! sets and transmission counts.
 
 use muse_core::algorithms::amuse::AMuseConfig;
 use muse_core::algorithms::multi_query::amuse_workload;
@@ -187,42 +187,6 @@ fn nseq_guard_actually_suppresses() {
         suppressed,
         "the frequent negated type must suppress at least one match"
     );
-}
-
-#[test]
-fn naive_transport_parity_on_or_and_nseq() {
-    let net = network();
-    for (label, pattern) in [("OR", or_pattern()), ("NSEQ", nseq_pattern())] {
-        let deployment = deploy(pattern, 5_000, &net);
-        let events = trace(&net, 23);
-        let batched = run_threaded(&deployment, &events, &ThreadedConfig::default());
-        let naive = run_threaded(
-            &deployment,
-            &events,
-            &ThreadedConfig {
-                transport: TransportMode::Naive,
-                ..ThreadedConfig::default()
-            },
-        );
-        for (q, (b, nv)) in batched.matches.iter().zip(&naive.matches).enumerate() {
-            assert_eq!(
-                fingerprints(b),
-                fingerprints(nv),
-                "{label}: query {q} diverges between transports"
-            );
-        }
-        assert_eq!(batched.metrics.messages_sent, naive.metrics.messages_sent);
-        assert_eq!(batched.metrics.bytes_sent, naive.metrics.bytes_sent);
-        assert_parity(
-            &deployment,
-            &events,
-            &ThreadedConfig {
-                transport: TransportMode::Naive,
-                ..ThreadedConfig::default()
-            },
-            &format!("{label} naive"),
-        );
-    }
 }
 
 #[test]

@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate: release build, workspace test suite, lint gates, static
-# verification of the example queries/plans, the loom concurrency lane, and
-# smoke runs of the matcher join bench, the executor transport bench, the
-# fault-recovery bench, the shared multi-query bench, and the
-# observability bench (emitting BENCH_matcher.json, BENCH_executor.json,
-# BENCH_faults.json, BENCH_multiquery.json, BENCH_observe.json, and
-# BENCH_migrate.json at the repo root plus telemetry exports under out/). The executor smoke
-# additionally gates on the batched and naive transports producing
-# identical match sets; the fault smoke gates on the crashed run
+# verification of the example queries/plans, the loom concurrency lane, the
+# pinned benchmark under bench/ (its own workspace: unit tests plus the
+# smoke run, so a public-API removal cannot break BENCHMARK.json's command
+# unnoticed), and smoke runs of the matcher join bench, the fault-recovery
+# bench, the shared multi-query bench, and the observability bench (emitting
+# BENCH_matcher.json, BENCH_faults.json, BENCH_multiquery.json,
+# BENCH_observe.json, and BENCH_migrate.json at the repo root plus telemetry
+# exports under out/). The fault smoke gates on the crashed run
 # reproducing the uninterrupted run's match sets; the multiquery smoke
 # gates on shared-plan evaluation reproducing independent per-query
 # evaluation and on sublinear wall-time growth in the query count; the
@@ -85,15 +85,12 @@ if [ "${MUSE_CI_MIRI:-0}" = "1" ]; then
     fi
 fi
 
+echo "== bench/: the pinned benchmark builds, its tests pass, smoke run =="
+cargo test --offline --manifest-path bench/Cargo.toml
+bash bench/run.sh smoke
+
 echo "== smoke: matcher join bench (with telemetry) =="
 cargo run -p muse-bench --release --bin harness -- matcher --quick --out . --telemetry out
-
-echo "== smoke: executor transport bench (with telemetry) =="
-cargo run -p muse-bench --release --bin harness -- executor --quick --out . --telemetry out
-grep -q '"fingerprints_equal": true' BENCH_executor.json || {
-    echo "ci.sh: executor smoke: batched and naive transports diverged" >&2
-    exit 1
-}
 
 echo "== smoke: fault-recovery bench (with telemetry) =="
 cargo run -p muse-bench --release --bin harness -- faults --quick --out . --telemetry out
