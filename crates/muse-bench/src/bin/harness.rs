@@ -25,11 +25,10 @@
 //! the witness event set alone reproduces the match byte-identically.
 //!
 //! With `--telemetry DIR`, the executing experiments (`table3`, `fig8`,
-//! `matcher`) additionally collect run telemetry — registry snapshots,
+//! `matcher`) additionally collect each run's metrics and telemetry —
 //! per-task series, lineage traces, provenance records — written as
 //! `DIR/telemetry.json`, `DIR/series.jsonl`, `DIR/trace.jsonl`, and
-//! `DIR/provenance.jsonl`, with a per-task summary table printed per run
-//! and the experiment wall time sourced from the telemetry registry.
+//! `DIR/provenance.jsonl`, with a per-task summary table printed per run.
 
 use muse_bench::experiments::{all_experiments, run_experiment_telemetry};
 use muse_bench::runner::SweepSettings;
@@ -113,7 +112,6 @@ fn main() -> ExitCode {
     }
 
     let mut telemetry_out = telemetry_dir.as_ref().map(|_| TelemetryOutput::new());
-    let mut all_checks_pass = true;
     for id in &ids {
         eprintln!("running {id} (reps = {}) …", settings.reps);
         let mut collector = telemetry_dir.as_ref().map(|_| TelemetryCollector::new());
@@ -121,31 +119,25 @@ fn main() -> ExitCode {
         let output = run_experiment_telemetry(id, &settings, collector.as_mut());
         let elapsed = started.elapsed();
         println!("{}", output.render());
-        if let Some(collector) = &mut collector {
-            // The experiment's wall time flows through the telemetry
-            // registry; the summary line below reads it (and the peak
-            // live-match gauge) back from there rather than from ad-hoc
-            // `Instant` arithmetic.
-            collector.set_wall_ns(elapsed.as_nanos() as u64);
-            for (label, run) in collector.runs() {
+        if let Some(collector) = &collector {
+            for (label, metrics, run) in collector.runs() {
                 if !run.tasks.is_empty() {
                     println!("-- {label} --\n{}", run.task_table());
                 }
-                if let Some(transport) = run.transport_summary() {
+                if let Some(transport) = metrics.transport.summary() {
                     println!("-- {label} transport --\n{transport}");
                 }
-                if let Some(disc) = run.discrimination_summary() {
+                if let Some(disc) = metrics.discrimination.summary() {
                     println!("-- {label} discrimination --\n{disc}");
                 }
-                if let Some(rec) = run.recovery_summary() {
+                if let Some(rec) = metrics.recovery.summary() {
                     println!("-- {label} recovery --\n{rec}");
                 }
                 if let Some(prov) = run.provenance_summary() {
                     println!("-- {label} provenance --\n{prov}");
                 }
             }
-            eprintln!("{id} finished: {}\n", collector.summary_line());
-            all_checks_pass &= collector.checks_pass();
+            eprintln!("{id} finished: {}\n", collector.summary_line(elapsed));
             if let Some(out) = &mut telemetry_out {
                 out.add(id, collector);
             }
@@ -173,10 +165,6 @@ fn main() -> ExitCode {
         for p in paths {
             eprintln!("wrote {}", p.display());
         }
-    }
-    if !all_checks_pass {
-        eprintln!("error: telemetry latency checks failed (histogram vs. exact percentiles)");
-        return ExitCode::from(1);
     }
     ExitCode::SUCCESS
 }

@@ -1,14 +1,12 @@
 //! Harness-side telemetry aggregation and export (`--telemetry DIR`).
 //!
-//! Executors hand back one [`RunTelemetry`] per run; the harness collects
-//! them per experiment in a [`TelemetryCollector`] (which also merges every
-//! run's registry into one experiment-level registry, the source of the
-//! end-of-experiment wall-time/peak-live summary line) and a
-//! [`TelemetryOutput`] writes four artifacts into the chosen directory:
+//! Executors hand back one [`Metrics`] and one [`RunTelemetry`] per run;
+//! the harness collects the pairs per experiment in a
+//! [`TelemetryCollector`] and a [`TelemetryOutput`] writes four artifacts
+//! into the chosen directory:
 //!
-//! * `telemetry.json` — per-experiment aggregated registry snapshots,
-//!   per-run registry/task/discrimination/recovery/provenance sections,
-//!   and histogram-vs-exact latency checks;
+//! * `telemetry.json` — per experiment the [`Metrics::merge`] of its runs,
+//!   and per run its metrics plus task/series/trace/provenance sections;
 //! * `series.jsonl` — every buffered per-task series sample, one JSON
 //!   object per line, tagged with its experiment and run;
 //! * `trace.jsonl` — the bounded lineage trace rings, tagged likewise;
@@ -18,30 +16,12 @@
 //! [`ProvenanceRecord`]: muse_telemetry::ProvenanceRecord
 
 use muse_runtime::metrics::Metrics;
-use muse_runtime::telemetry::{names, RunTelemetry, TelemetrySpec};
-use muse_telemetry::{GaugeKind, LogHistogram, Registry};
+use muse_runtime::telemetry::{RunTelemetry, TelemetrySpec};
+use muse_telemetry::{LogHistogram, Ring};
 use serde::Serialize;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
-
-/// One histogram-vs-exact latency quantile comparison, asserting the
-/// streaming [`LogHistogram`] stays within its documented relative error of
-/// the exact sorted percentile.
-#[derive(Debug, Clone, Serialize)]
-pub struct LatencyCheck {
-    /// Run the check belongs to (e.g. `"matcher/indexed"`).
-    pub run: String,
-    /// Quantile label (`"p50"` or `"p100"`).
-    pub quantile: String,
-    /// Exact value from the sorted latency vector.
-    pub exact: u64,
-    /// Estimate from the streaming histogram.
-    pub histogram: u64,
-    /// Permitted absolute deviation (`exact · max_relative_error + 1`).
-    pub bound: f64,
-    /// Whether the estimate lies within the bound.
-    pub pass: bool,
-}
+use std::time::Duration;
 
 /// Builds a JSON object from string keys and values.
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -53,13 +33,40 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-/// Per-experiment telemetry collection: the runs' telemetry payloads, an
-/// experiment-level aggregated registry, and the latency parity checks.
+/// What a telemetry ring holds and what it lost, as export entries.
+fn ring_counts<T>(ring: &Ring<T>) -> Vec<(&'static str, Value)> {
+    vec![
+        ("len", (ring.len() as u64).to_value()),
+        ("dropped", ring.dropped().to_value()),
+    ]
+}
+
+/// The exported form of a run's [`Metrics`]: every field as serialized,
+/// except that the raw latency vector is replaced by its exact five-number
+/// summary and a fixed-size histogram derived from it here, off the hot
+/// path.
+fn metrics_value(metrics: &Metrics) -> Value {
+    let mut hist = LogHistogram::new();
+    for &l in &metrics.latencies {
+        hist.record(l);
+    }
+    let mut v = metrics.to_value();
+    if let Value::Object(map) = &mut v {
+        map.remove("latencies");
+        map.insert(
+            "latency_summary".to_string(),
+            metrics.latency_summary().to_value(),
+        );
+        map.insert("latency_hist".to_string(), hist.to_value());
+    }
+    v
+}
+
+/// Per-experiment telemetry collection: each run's label, metrics and
+/// telemetry payload.
 pub struct TelemetryCollector {
     spec: TelemetrySpec,
-    registry: Registry,
-    runs: Vec<(String, RunTelemetry)>,
-    checks: Vec<LatencyCheck>,
+    runs: Vec<(String, Metrics, RunTelemetry)>,
 }
 
 impl Default for TelemetryCollector {
@@ -73,9 +80,7 @@ impl TelemetryCollector {
     pub fn new() -> Self {
         Self {
             spec: TelemetrySpec::default(),
-            registry: Registry::new(),
             runs: Vec::new(),
-            checks: Vec::new(),
         }
     }
 
@@ -84,109 +89,53 @@ impl TelemetryCollector {
         self.spec.clone()
     }
 
-    /// Absorbs one run's telemetry under the given label, folding its
-    /// registry into the experiment-level aggregate.
-    pub fn record_run(&mut self, label: &str, run: RunTelemetry) {
-        self.registry.merge(&run.registry);
-        self.runs.push((label.to_string(), run));
-    }
-
-    /// Compares the streaming histogram's p50/p100 against the exact sorted
-    /// percentiles of `metrics` (no-op when the run had no matches).
-    pub fn check_latency(&mut self, run: &str, metrics: &Metrics) {
-        let Some(exact) = metrics.latency_summary() else {
-            return;
-        };
-        for (label, q, exact) in [("p50", 0.5, exact[2]), ("p100", 1.0, exact[4])] {
-            let est = metrics.latency_hist.quantile(q).unwrap_or(0);
-            let bound = exact as f64 * LogHistogram::max_relative_error() + 1.0;
-            self.checks.push(LatencyCheck {
-                run: run.to_string(),
-                quantile: label.to_string(),
-                exact,
-                histogram: est,
-                bound,
-                pass: (est as f64 - exact as f64).abs() <= bound,
-            });
-        }
-    }
-
-    /// Records the experiment's wall time into the aggregated registry
-    /// (the summary line reads it back from there).
-    pub fn set_wall_ns(&mut self, ns: u64) {
-        let g = self.registry.gauge(names::RUN_WALL_NS, GaugeKind::Max);
-        self.registry.gauge_peak(g, ns);
-    }
-
-    /// `true` when every latency check passed (vacuously true without
-    /// checks).
-    pub fn checks_pass(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
+    /// Absorbs one run's metrics and telemetry under the given label.
+    pub fn record_run(&mut self, label: &str, metrics: &Metrics, run: RunTelemetry) {
+        self.runs.push((label.to_string(), metrics.clone(), run));
     }
 
     /// The collected runs, in recording order.
-    pub fn runs(&self) -> impl Iterator<Item = &(String, RunTelemetry)> {
+    pub fn runs(&self) -> impl Iterator<Item = &(String, Metrics, RunTelemetry)> {
         self.runs.iter()
     }
 
-    /// The latency checks recorded so far.
-    pub fn checks(&self) -> &[LatencyCheck] {
-        &self.checks
-    }
-
-    /// One-line experiment summary sourced from the aggregated registry:
-    /// wall time and peak live partial matches.
-    pub fn summary_line(&self) -> String {
-        let wall_ms = self.registry.gauge_value(names::RUN_WALL_NS).unwrap_or(0) as f64 / 1e6;
-        let peak = self
-            .registry
-            .gauge_value(names::JOIN_PEAK_LIVE)
-            .unwrap_or(0);
-        format!("wall {wall_ms:.1} ms, peak live matches {peak} [registry]")
+    /// One-line experiment summary: the harness-measured wall time and the
+    /// peak live partial matches of any collected run.
+    pub fn summary_line(&self, wall: Duration) -> String {
+        let peak = self.runs.iter().map(|(_, m, _)| m.join.peak_buffered).max();
+        format!(
+            "wall {:.1} ms, peak live matches {}",
+            wall.as_secs_f64() * 1e3,
+            peak.unwrap_or(0)
+        )
     }
 
     fn section(&self, experiment: &str) -> Value {
+        let mut merged = Metrics::default();
+        for (_, metrics, _) in &self.runs {
+            merged.merge(metrics);
+        }
         let runs: Vec<Value> = self
             .runs
             .iter()
-            .map(|(label, run)| {
+            .map(|(label, metrics, run)| {
+                let mut provenance = ring_counts(&run.provenance);
+                provenance.push(("summary", run.provenance_summary().to_value()));
                 obj(vec![
                     ("run", label.to_value()),
                     ("clock", run.clock.to_value()),
-                    ("registry", run.registry.snapshot().to_value()),
+                    ("metrics", metrics_value(metrics)),
                     ("tasks", run.tasks.to_value()),
-                    (
-                        "series",
-                        obj(vec![
-                            ("len", (run.series.len() as u64).to_value()),
-                            ("dropped", run.series.dropped().to_value()),
-                        ]),
-                    ),
-                    (
-                        "trace",
-                        obj(vec![
-                            ("len", (run.trace.len() as u64).to_value()),
-                            ("dropped", run.trace.dropped().to_value()),
-                        ]),
-                    ),
-                    (
-                        "provenance",
-                        obj(vec![
-                            ("len", (run.provenance.len() as u64).to_value()),
-                            ("dropped", run.provenance.dropped().to_value()),
-                            ("summary", run.provenance_summary().to_value()),
-                        ]),
-                    ),
-                    ("discrimination", run.discrimination_summary().to_value()),
-                    ("recovery", run.recovery_summary().to_value()),
+                    ("series", obj(ring_counts(&run.series))),
+                    ("trace", obj(ring_counts(&run.trace))),
+                    ("provenance", obj(provenance)),
                 ])
             })
             .collect();
         obj(vec![
             ("experiment", experiment.to_value()),
-            ("registry", self.registry.snapshot().to_value()),
+            ("metrics", metrics_value(&merged)),
             ("runs", Value::Array(runs)),
-            ("latency_checks", self.checks.to_value()),
         ])
     }
 }
@@ -219,7 +168,7 @@ impl TelemetryOutput {
     /// Folds one finished experiment's collector into the output.
     pub fn add(&mut self, experiment: &str, collector: &TelemetryCollector) {
         self.experiments.push(collector.section(experiment));
-        for (label, run) in collector.runs() {
+        for (label, _, run) in collector.runs() {
             for rec in run.series.records() {
                 self.series.push_str(&tagged_line(experiment, label, rec));
                 self.series.push('\n');
@@ -265,22 +214,15 @@ mod tests {
     use muse_runtime::telemetry::ClockDomain;
 
     #[test]
-    fn latency_check_passes_on_histogram_fed_metrics() {
+    fn summary_line_reports_wall_and_peak() {
+        let mut c = TelemetryCollector::new();
         let mut metrics = Metrics::new(1);
-        for l in [5u64, 100, 2_000, 30_000, 400_000] {
-            metrics.record_latency(l);
-        }
-        let mut c = TelemetryCollector::new();
-        c.check_latency("t", &metrics);
-        assert_eq!(c.checks().len(), 2);
-        assert!(c.checks_pass(), "checks: {:?}", c.checks());
-    }
-
-    #[test]
-    fn summary_line_reads_registry() {
-        let mut c = TelemetryCollector::new();
-        c.set_wall_ns(2_500_000);
-        assert!(c.summary_line().contains("wall 2.5 ms"));
+        metrics.join.peak_buffered = 9;
+        let run = RunTelemetry::new(ClockDomain::VirtualTicks, &c.spec());
+        c.record_run("r0", &metrics, run);
+        let line = c.summary_line(Duration::from_micros(2_500));
+        assert!(line.contains("wall 2.5 ms"), "{line}");
+        assert!(line.contains("peak live matches 9"), "{line}");
     }
 
     #[test]
@@ -300,7 +242,9 @@ mod tests {
             evictions: 0,
             emitted: 0,
         });
-        c.record_run("r0", run);
+        let mut metrics = Metrics::new(1);
+        metrics.latencies = vec![5, 100, 2_000, 30_000, 400_000];
+        c.record_run("r0", &metrics, run);
         let mut out = TelemetryOutput::new();
         out.add("exp", &c);
         let line = serde_json::parse(out.series.lines().next().unwrap()).unwrap();
@@ -308,9 +252,64 @@ mod tests {
         assert_eq!(map.get("experiment").and_then(Value::as_str), Some("exp"));
         assert_eq!(map.get("run").and_then(Value::as_str), Some("r0"));
         assert!(map.contains_key("t"));
-        // The experiment section carries the latency-check array.
+        // The experiment section carries the merged metrics; the latency
+        // vector is exported as its summary and a histogram, not raw.
         let section = out.experiments[0].as_object().unwrap();
-        assert!(section.contains_key("latency_checks"));
-        assert!(section.contains_key("registry"));
+        let exported = section["metrics"].as_object().unwrap();
+        assert!(!exported.contains_key("latencies"));
+        assert_eq!(
+            exported["latency_summary"],
+            [5u64, 100, 2_000, 30_000, 400_000].to_value()
+        );
+        let hist = exported["latency_hist"].as_object().unwrap();
+        assert_eq!(hist["count"], 5u64.to_value());
+    }
+
+    /// A crashed node re-injects from its last checkpoint. The exported
+    /// account must be the rolled-back one: as many injections as the trace
+    /// has events, however many times some of them ran.
+    #[test]
+    fn crashed_run_exports_the_rolled_back_account() {
+        use crate::transport_stress::{stress_deployment, stress_network, stress_trace, CENTERS};
+        use muse_runtime::threaded::{run_threaded, FaultPlan, ThreadedConfig};
+
+        let network = stress_network();
+        let deployment = stress_deployment(&network);
+        let events = stress_trace(&network, 4.0, 7);
+        // The first edge node: it injects most of the trace, so the crash
+        // re-runs a long stretch of injections.
+        let node = CENTERS;
+        let local = events.iter().filter(|e| e.origin.index() == node).count() as u64;
+        let mut c = TelemetryCollector::new();
+        let mut report = run_threaded(
+            &deployment,
+            &events,
+            &ThreadedConfig {
+                telemetry: Some(c.spec()),
+                fault: Some(FaultPlan {
+                    node,
+                    crash_at: local / 2,
+                    restart_delay: Duration::ZERO,
+                }),
+                ..ThreadedConfig::default()
+            },
+        );
+        assert_eq!(report.metrics.recovery.crashes, 1, "crash must fire");
+        let run = report.telemetry.take().expect("telemetry requested");
+        c.record_run("crashed", &report.metrics, run);
+        let section = c.section("faults");
+        let exported = section.as_object().unwrap()["runs"].as_array().unwrap()[0]
+            .as_object()
+            .unwrap()["metrics"]
+            .as_object()
+            .unwrap();
+        assert_eq!(
+            exported["events_injected"],
+            (events.len() as u64).to_value()
+        );
+        assert_eq!(
+            exported["recovery"].as_object().unwrap()["crashes"],
+            1u64.to_value()
+        );
     }
 }

@@ -14,7 +14,7 @@
 //! across shards and processes.
 
 use crate::codec::{try_get_u16, try_get_u32, try_get_u64, try_get_u8};
-use std::collections::VecDeque;
+use muse_telemetry::Ring;
 
 /// One recorded step of a shard's recent history. `t` is always wall
 /// nanoseconds since the run started.
@@ -193,9 +193,7 @@ impl FlightRecord {
 /// recording entirely (the non-resilient configuration).
 #[derive(Debug, Clone, Default)]
 pub struct FlightRing {
-    records: VecDeque<FlightRecord>,
-    capacity: usize,
-    dropped: u64,
+    ring: Ring<FlightRecord>,
     /// Shard the ring belongs to (stamped into dumps).
     node: u16,
 }
@@ -215,49 +213,40 @@ impl FlightRing {
     /// Creates a ring for shard `node` holding at most `capacity` records.
     pub fn new(node: u16, capacity: usize) -> Self {
         Self {
-            records: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            dropped: 0,
+            ring: Ring::new(capacity),
             node,
         }
     }
 
     /// True when recording is disabled (capacity 0).
     pub fn is_disabled(&self) -> bool {
-        self.capacity == 0
+        !self.ring.is_enabled()
     }
 
     /// Appends a record, evicting the oldest if full.
     #[inline]
     pub fn push(&mut self, rec: FlightRecord) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(rec);
+        self.ring.push(rec);
     }
 
     /// Number of records held.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.ring.len()
     }
 
     /// True if nothing is recorded.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.ring.is_empty()
     }
 
     /// Encodes the ring (shard id, eviction count, records) for
     /// publication alongside a recovery snapshot.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16 + self.records.len() * 32);
+        let mut buf = Vec::with_capacity(16 + self.ring.len() * 32);
         buf.extend_from_slice(&self.node.to_be_bytes());
-        buf.extend_from_slice(&self.dropped.to_be_bytes());
-        buf.extend_from_slice(&(self.records.len() as u32).to_be_bytes());
-        for rec in &self.records {
+        buf.extend_from_slice(&self.ring.dropped().to_be_bytes());
+        buf.extend_from_slice(&(self.ring.len() as u32).to_be_bytes());
+        for rec in self.ring.records() {
             rec.encode(&mut buf);
         }
         buf
@@ -373,11 +362,12 @@ mod tests {
         let dump = decode_dump(&ring.encode()).unwrap();
         assert_eq!(dump.dropped, 6);
         assert_eq!(dump.records.first().unwrap().t(), 6);
-        // Capacity 0 records nothing.
+        // Capacity 0 records nothing and says so.
         let mut off = FlightRing::new(0, 0);
         assert!(off.is_disabled());
         off.push(FlightRecord::RecoveryStart { t: 0 });
         assert!(off.is_empty());
+        assert_eq!(decode_dump(&off.encode()).unwrap().dropped, 1);
     }
 
     #[test]

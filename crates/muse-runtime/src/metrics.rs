@@ -17,9 +17,8 @@ use serde::{Deserialize, Serialize};
 /// This is the single definition of "percentile" in the codebase — the
 /// virtual-time summaries here, the wall-clock summaries in
 /// [`crate::threaded::ThreadedReport`], and the
-/// [`LogHistogram::quantile`] estimates the telemetry harness gates
-/// against all use this same rule, so their results are comparable
-/// rank-for-rank. Returns `None` on an empty slice.
+/// [`LogHistogram::quantile`] estimates all use this same rule, so their
+/// results are comparable rank-for-rank. Returns `None` on an empty slice.
 pub fn percentile_nearest_rank(sorted: &[u64], q: f64) -> Option<u64> {
     if sorted.is_empty() {
         return None;
@@ -137,6 +136,37 @@ impl TransportStats {
             self.pool_reuses as f64 / total as f64
         }
     }
+
+    /// One-paragraph rendering for the harness, or `None` when the run
+    /// shipped no frames (the simulator, or a plan without network edges).
+    pub fn summary(&self) -> Option<String> {
+        if self.frames_sent == 0 {
+            return None;
+        }
+        Some(format!(
+            "frames {}  messages {}  mean-batch {:.1}  blocked-sends {}  queue-peak {}  \
+             pool-reuse {:.1}% ({} reused / {} fresh)\n{}",
+            self.frames_sent,
+            self.messages_framed,
+            self.messages_framed as f64 / self.frames_sent as f64,
+            self.blocked_sends,
+            self.peak_queue_depth,
+            100.0 * self.pool_reuse_ratio(),
+            self.pool_reuses,
+            self.pool_allocs,
+            five_number_line("batch-size", &self.batch_hist),
+        ))
+    }
+}
+
+/// `"{label} min … max …\n"` over a histogram's five-number summary (empty
+/// for an empty histogram).
+fn five_number_line(label: &str, hist: &LogHistogram) -> String {
+    hist.summary()
+        .map(|[min, p25, p50, p75, max]| {
+            format!("{label} min {min}  p25 {p25}  p50 {p50}  p75 {p75}  max {max}\n")
+        })
+        .unwrap_or_default()
 }
 
 /// Crash-recovery counters of the threaded executor's fault-injection
@@ -182,6 +212,26 @@ impl RecoveryStats {
         self.backoff_ns += other.backoff_ns;
         self.backoff_hist.merge(&other.backoff_hist);
         self.recovery_ns += other.recovery_ns;
+    }
+
+    /// One-line rendering for the harness, or `None` when the run neither
+    /// checkpointed nor crashed.
+    pub fn summary(&self) -> Option<String> {
+        if self.snapshots_taken == 0 && self.crashes == 0 {
+            return None;
+        }
+        Some(format!(
+            "crashes {}  snapshots {} ({} B)  replayed {}  suppressed {}  send-retries {}  \
+             backoff {:.2} ms  recovery {:.2} ms\n",
+            self.crashes,
+            self.snapshots_taken,
+            self.snapshot_bytes,
+            self.replayed_messages,
+            self.suppressed_sends,
+            self.send_retries,
+            self.backoff_ns as f64 / 1e6,
+            self.recovery_ns as f64 / 1e6,
+        ))
     }
 }
 
@@ -240,6 +290,25 @@ impl DiscriminationStats {
         self.candidates_admitted += other.candidates_admitted;
         self.candidate_hist.merge(&other.candidate_hist);
     }
+
+    /// One-paragraph rendering for the harness, or `None` when no event
+    /// went through the index.
+    pub fn summary(&self) -> Option<String> {
+        if self.candidates_considered == 0 {
+            return None;
+        }
+        Some(format!(
+            "events {}  candidates {}  admitted {}  filtered {:.1}%  mean-candidates {:.2}\n{}",
+            self.events,
+            self.candidates_considered,
+            self.candidates_admitted,
+            100.0 * self.hit_ratio(),
+            // Per event *considered*, like the `candidates` total on this
+            // line; `mean_candidates()` is the admitted mean.
+            self.candidates_considered as f64 / self.events.max(1) as f64,
+            five_number_line("candidate-set", &self.candidate_hist),
+        ))
+    }
 }
 
 /// Counters collected during an execution.
@@ -259,15 +328,10 @@ pub struct Metrics {
     /// Per-node count of processed inputs (events + matches).
     pub per_node_processed: Vec<u64>,
     /// Virtual-time latency per sink match: emission time minus the latest
-    /// constituent event's timestamp (ticks). Kept exact for the paper's
-    /// Fig. 8 summaries; [`Metrics::latency_hist`] carries the same values
-    /// in fixed memory for telemetry export.
+    /// constituent event's timestamp (ticks). Kept exact: the paper's
+    /// Fig. 8 summaries and the pinned benchmark read this vector, and an
+    /// export that wants fixed memory derives a [`LogHistogram`] from it.
     pub latencies: Vec<Timestamp>,
-    /// Fixed-memory streaming histogram over the same latencies (populated
-    /// by [`Metrics::record_latency`]; bounded relative error instead of
-    /// the unbounded exact vector).
-    #[serde(default)]
-    pub latency_hist: LogHistogram,
     /// Latency samples that could not be attributed to an injection
     /// timestamp and were dropped instead of being recorded as a bogus
     /// value — e.g. a sink match in a resumed run whose constituent events
@@ -305,13 +369,6 @@ impl Metrics {
         }
     }
 
-    /// Records one sink-match latency into both the exact vector and the
-    /// streaming histogram.
-    pub fn record_latency(&mut self, latency: Timestamp) {
-        self.latencies.push(latency);
-        self.latency_hist.record(latency);
-    }
-
     /// Merges another metrics object into this one (for per-thread
     /// collection).
     pub fn merge(&mut self, other: &Metrics) {
@@ -328,7 +385,6 @@ impl Metrics {
             self.per_node_processed[i] += v;
         }
         self.latencies.extend_from_slice(&other.latencies);
-        self.latency_hist.merge(&other.latency_hist);
         self.latency_samples_dropped += other.latency_samples_dropped;
         self.join.merge(&other.join);
         self.transport.merge(&other.transport);
@@ -413,21 +469,43 @@ mod tests {
     }
 
     #[test]
-    fn record_latency_feeds_vec_and_histogram() {
+    fn summaries_are_none_until_something_ran() {
         let mut m = Metrics::new(1);
-        for l in [10u64, 30, 20, 40, 50] {
-            m.record_latency(l);
-        }
-        assert_eq!(m.latencies.len(), 5);
-        assert_eq!(m.latency_hist.count(), 5);
-        // p0/p100 of the histogram are exact; mid quantiles are within one
-        // bucket of the exact sorted percentiles.
-        let exact = m.latency_summary().unwrap();
-        assert_eq!(m.latency_hist.quantile(0.0), Some(exact[0]));
-        assert_eq!(m.latency_hist.quantile(1.0), Some(exact[4]));
-        let p50 = m.latency_hist.quantile(0.5).unwrap() as f64;
-        let bound = exact[2] as f64 * muse_telemetry::LogHistogram::max_relative_error() + 1.0;
-        assert!((p50 - exact[2] as f64).abs() <= bound);
+        assert!(m.transport.summary().is_none());
+        assert!(m.discrimination.summary().is_none());
+        assert!(m.recovery.summary().is_none());
+
+        m.transport.frames_sent = 2;
+        m.transport.messages_framed = 5;
+        m.transport.pool_allocs = 1;
+        m.transport.pool_reuses = 3;
+        m.transport.batch_hist.record(2);
+        m.transport.batch_hist.record(3);
+        let text = m.transport.summary().expect("frames were sent");
+        assert!(text.contains("mean-batch 2.5"), "{text}");
+        assert!(
+            text.contains("pool-reuse 75.0% (3 reused / 1 fresh)"),
+            "{text}"
+        );
+        assert!(text.contains("batch-size min 2"), "{text}");
+
+        m.discrimination.observe(4, 1);
+        m.discrimination.observe(4, 2);
+        let text = m.discrimination.summary().expect("events were looked up");
+        assert!(
+            text.contains("events 2  candidates 8  admitted 3"),
+            "{text}"
+        );
+        assert!(
+            text.contains("filtered 62.5%  mean-candidates 4.00"),
+            "{text}"
+        );
+        assert!(text.contains("candidate-set min 1"), "{text}");
+
+        m.recovery.snapshots_taken = 4;
+        m.recovery.crashes = 1;
+        let text = m.recovery.summary().expect("counters present");
+        assert!(text.contains("crashes 1  snapshots 4"), "{text}");
     }
 
     #[test]

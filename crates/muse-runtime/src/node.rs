@@ -277,26 +277,17 @@ impl<'a> NodeCore<'a> {
                 let latency = out.sink_latency(m, now);
                 for &query_idx in &deployment.sink_queries[task] {
                     self.metrics.sink_matches += 1;
-                    match latency {
-                        Some(latency) => {
-                            match self.clock {
-                                ClockDomain::VirtualTicks => self.metrics.record_latency(latency),
-                                ClockDomain::WallNanos => self.wall_latencies_ns.push(latency),
-                            }
-                            if let Some(tel) = &mut self.telemetry {
-                                tel.on_sink(now, node, task, m.len(), m.last_time(), latency);
-                            }
-                        }
+                    match (latency, self.clock) {
+                        (Some(l), ClockDomain::VirtualTicks) => self.metrics.latencies.push(l),
+                        (Some(l), ClockDomain::WallNanos) => self.wall_latencies_ns.push(l),
                         // Invariant: `sink_matches == latency samples +
                         // latency_samples_dropped` — a loss is counted,
                         // never hidden.
-                        None => self.metrics.latency_samples_dropped += 1,
+                        (None, _) => self.metrics.latency_samples_dropped += 1,
                     }
-                    if prov != 0 {
-                        if let Some(tel) = &mut self.telemetry {
-                            let query = &deployment.queries[query_idx];
-                            tel.on_sink_match(now, node, task, query, query_idx, m, mhash);
-                        }
+                    if let Some(tel) = &mut self.telemetry {
+                        let query = &deployment.queries[query_idx];
+                        tel.on_sink(now, node, task, query, query_idx, m, mhash);
                     }
                     self.matches[query_idx].push(m.clone());
                 }
@@ -350,9 +341,6 @@ impl<'a> NodeCore<'a> {
                 "local route must stay on the node"
             );
             self.metrics.local_deliveries += 1;
-            if let Some(tel) = &mut self.telemetry {
-                tel.on_local();
-            }
             if let Some(m) = out.local(target, slot, m.clone()) {
                 self.deliver(out, target, slot, m);
             }
@@ -493,7 +481,7 @@ impl<'a> NodeCore<'a> {
         let telemetry = self.telemetry.take().map(|tel| {
             let hosted = (0..self.joins.len()).filter(|&i| self.hosts(i));
             let tasks = task_summaries(self.deployment, hosted, &self.joins, &tel);
-            tel.finish(&self.metrics, tasks)
+            tel.finish(tasks)
         });
         CoreReport {
             metrics: self.metrics,
@@ -712,6 +700,22 @@ mod tests {
         }
         assert_eq!(core.metrics.sink_matches as usize, 2 * central.len());
         assert_eq!(core.metrics.latencies.len(), 2 * central.len());
+    }
+
+    #[test]
+    fn telemetry_observes_without_touching_the_account() {
+        let (deployment, events) = fig1(1, Sharing::Shared);
+        let run = |spec: Option<&TelemetrySpec>| {
+            let mut core = NodeCore::new(&deployment, None, 1.0, ClockDomain::VirtualTicks, spec);
+            drive(&mut core, &mut Recorder::default(), &events);
+            core.finish(events.last().map_or(0, |e| e.time))
+        };
+        let off = run(None);
+        let on = run(Some(&TelemetrySpec::default()));
+        assert!(off.metrics.sink_matches > 0, "trace should produce matches");
+        assert!(off.telemetry.is_none());
+        assert!(!on.telemetry.expect("attached").trace.is_empty());
+        assert_eq!(on.metrics, off.metrics);
     }
 
     #[test]

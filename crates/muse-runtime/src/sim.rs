@@ -34,7 +34,7 @@ pub struct SimConfig {
     pub latency: Timestamp,
     /// Join store eviction slack (≥ 1.0).
     pub slack: f64,
-    /// Telemetry collection (registry, per-task series, trace); `None`
+    /// Telemetry collection (per-task series, trace, provenance); `None`
     /// disables it entirely. Telemetry is observational — it is not part
     /// of checkpointed state and restarts fresh on restore.
     #[serde(default)]

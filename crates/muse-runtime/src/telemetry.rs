@@ -1,29 +1,23 @@
 //! Executor-side telemetry collection.
 //!
-//! Thin bridge between the executors and the `muse-telemetry` crate: owns
+//! Thin bridge between the node core and the `muse-telemetry` crate: owns
 //! the per-run (simulator) or per-node-shard (threaded executor)
-//! registry/series/trace containers, pre-registered metric handles for
-//! allocation-free hot-path updates, and the per-task cumulative state
-//! behind the sampled series deltas. Join-engine counters are folded from
-//! [`crate::metrics::JoinStats`] at the end of a run — they are already
-//! accumulated allocation-free inside [`crate::matcher::JoinTask`].
+//! series/trace/provenance/rate containers and the per-task cumulative
+//! state behind the sampled series deltas. It counts nothing the run's
+//! [`crate::metrics::Metrics`] counts — that struct is the one account, and
+//! reports hand it out next to the [`RunTelemetry`] built here.
 //!
 //! Telemetry is observational: it is not part of checkpointed executor
-//! state and resets on restore.
+//! state and is not rolled back on restore.
 
 use crate::deploy::{Deployment, TaskKind};
 use crate::matcher::{absence_windows, JoinTask, Match};
-use crate::metrics::Metrics;
 use muse_core::event::Event;
 use muse_core::query::Query;
-pub use muse_telemetry::{
-    names, ClockDomain, GaugeKind, RunTelemetry, TaskSummary, TelemetrySpec, TraceRecord,
-};
-use muse_telemetry::{
-    sampled, AbsenceWindow, CounterId, HistId, ProvenanceRecord, SeriesRecord, WitnessEvent,
-};
+use muse_telemetry::{sampled, AbsenceWindow, ProvenanceRecord, SeriesRecord, WitnessEvent};
+pub use muse_telemetry::{ClockDomain, RunTelemetry, TaskSummary, TelemetrySpec, TraceRecord};
 
-/// Per-run (or per-shard) collection state with hot-path metric handles.
+/// Per-run (or per-shard) collection state.
 pub(crate) struct ExecTelemetry {
     run: RunTelemetry,
     cadence: u64,
@@ -31,12 +25,6 @@ pub(crate) struct ExecTelemetry {
     /// Cached `run.trace.is_enabled()`: per-event hooks skip building
     /// `TraceRecord`s entirely when the trace ring has capacity 0.
     trace_on: bool,
-    c_events: CounterId,
-    c_msgs: CounterId,
-    c_bytes: CounterId,
-    c_local: CounterId,
-    c_sink: CounterId,
-    h_latency: HistId,
     /// Cumulative `[inputs, probes, evicted, emitted]` per task at the
     /// previous sample, for per-interval deltas.
     prev: Vec<[u64; 4]>,
@@ -57,14 +45,7 @@ pub(crate) struct ExecTelemetry {
 
 impl ExecTelemetry {
     pub fn new(clock: ClockDomain, spec: &TelemetrySpec, num_tasks: usize) -> Self {
-        let mut run = RunTelemetry::new(clock, spec);
-        let r = &mut run.registry;
-        let c_events = r.counter(names::EVENTS_INJECTED);
-        let c_msgs = r.counter(names::MESSAGES_SENT);
-        let c_bytes = r.counter(names::BYTES_SENT);
-        let c_local = r.counter(names::LOCAL_DELIVERIES);
-        let c_sink = r.counter(names::SINK_MATCHES);
-        let h_latency = r.hist(names::LATENCY_SINK);
+        let run = RunTelemetry::new(clock, spec);
         let cadence = match clock {
             ClockDomain::VirtualTicks => spec.series_cadence_ticks,
             ClockDomain::WallNanos => spec.series_cadence_ns,
@@ -76,12 +57,6 @@ impl ExecTelemetry {
             cadence,
             next_sample: 0,
             trace_on,
-            c_events,
-            c_msgs,
-            c_bytes,
-            c_local,
-            c_sink,
-            h_latency,
             prev: vec![[0; 4]; num_tasks],
             drained: vec![0; num_tasks],
             prov_sample: spec.provenance_sample,
@@ -100,7 +75,6 @@ impl ExecTelemetry {
     /// One event accepted by the source tasks at its origin.
     #[inline]
     pub fn on_inject(&mut self, t: u64, node: usize, task: usize, event: &Event) {
-        self.run.registry.inc(self.c_events, 1);
         if self.trace_on {
             self.run.trace.push(TraceRecord::EventInjected {
                 t,
@@ -115,8 +89,6 @@ impl ExecTelemetry {
     /// One match counted as crossing the network to a remote node.
     #[inline]
     pub fn on_ship(&mut self, t: u64, from: usize, to: usize, task: usize, bytes: u64) {
-        self.run.registry.inc(self.c_msgs, 1);
-        self.run.registry.inc(self.c_bytes, bytes);
         if self.trace_on {
             self.run.trace.push(TraceRecord::MessageShipped {
                 t,
@@ -126,12 +98,6 @@ impl ExecTelemetry {
                 bytes,
             });
         }
-    }
-
-    /// One node-local (zero network cost) delivery.
-    #[inline]
-    pub fn on_local(&mut self) {
-        self.run.registry.inc(self.c_local, 1);
     }
 
     /// One delivery consumed by a task (feeds the queue-depth series in
@@ -153,29 +119,6 @@ impl ExecTelemetry {
                 task,
                 size,
                 span,
-            });
-        }
-    }
-
-    /// A complete match emitted at a sink.
-    pub fn on_sink(
-        &mut self,
-        t: u64,
-        node: usize,
-        task: usize,
-        size: usize,
-        last_time: u64,
-        latency: u64,
-    ) {
-        self.run.registry.inc(self.c_sink, 1);
-        self.run.registry.observe(self.h_latency, latency);
-        if self.trace_on {
-            self.run.trace.push(TraceRecord::SinkMatch {
-                t,
-                node,
-                task,
-                size,
-                last_time,
             });
         }
     }
@@ -211,10 +154,11 @@ impl ExecTelemetry {
         self.run.rates.record(task, t, n);
     }
 
-    /// Records the full witness set of a sink match if its hash falls in
-    /// the deterministic provenance sample.
+    /// A complete match attributed to `query` at a sink: one trace record,
+    /// plus the full witness set if its hash falls in the deterministic
+    /// provenance sample.
     #[allow(clippy::too_many_arguments)]
-    pub fn on_sink_match(
+    pub fn on_sink(
         &mut self,
         t: u64,
         node: usize,
@@ -224,6 +168,15 @@ impl ExecTelemetry {
         m: &Match,
         match_hash: u64,
     ) {
+        if self.trace_on {
+            self.run.trace.push(TraceRecord::SinkMatch {
+                t,
+                node,
+                task,
+                size: m.len(),
+                last_time: m.last_time(),
+            });
+        }
         if !sampled(self.prov_sample, match_hash) {
             return;
         }
@@ -302,83 +255,9 @@ impl ExecTelemetry {
         self.next_sample = now.saturating_add(self.cadence);
     }
 
-    /// Folds the run-wide join counters (already aggregated in `metrics`)
-    /// into the registry, attaches the per-task summaries, and returns the
-    /// completed telemetry.
-    pub fn finish(mut self, metrics: &Metrics, tasks: Vec<TaskSummary>) -> RunTelemetry {
-        let r = &mut self.run.registry;
-        for (name, v) in [
-            (names::JOIN_INPUTS, metrics.join.inputs),
-            (names::JOIN_PROBES, metrics.join.probes),
-            (names::JOIN_GUARD_REJECTS, metrics.join.guard_rejects),
-            (names::JOIN_MERGE_ATTEMPTS, metrics.join.merge_attempts),
-            (names::JOIN_MERGE_SUCCESSES, metrics.join.merge_successes),
-            (names::JOIN_EMITTED, metrics.join.emitted),
-            (names::JOIN_EVICTED, metrics.join.evicted),
-        ] {
-            let id = r.counter(name);
-            r.inc(id, v);
-        }
-        let g = r.gauge(names::JOIN_PEAK_LIVE, GaugeKind::Max);
-        r.gauge_peak(g, metrics.join.peak_buffered);
-        // Transport counters exist only where a transport ran (threaded
-        // executor shards that actually shipped frames).
-        let t = &metrics.transport;
-        if t.frames_sent > 0 {
-            for (name, v) in [
-                (names::TRANSPORT_FRAMES, t.frames_sent),
-                (names::TRANSPORT_MESSAGES_FRAMED, t.messages_framed),
-                (names::TRANSPORT_BLOCKED_SENDS, t.blocked_sends),
-                (names::TRANSPORT_POOL_ALLOCS, t.pool_allocs),
-                (names::TRANSPORT_POOL_REUSES, t.pool_reuses),
-            ] {
-                let id = r.counter(name);
-                r.inc(id, v);
-            }
-            let g = r.gauge(names::TRANSPORT_QUEUE_PEAK, GaugeKind::Max);
-            r.gauge_peak(g, t.peak_queue_depth);
-            let h = r.hist(names::TRANSPORT_BATCH_SIZE);
-            r.observe_hist(h, &t.batch_hist);
-        }
-        if metrics.latency_samples_dropped > 0 {
-            let id = r.counter(names::LATENCY_SAMPLES_DROPPED);
-            r.inc(id, metrics.latency_samples_dropped);
-        }
-        // Discrimination-index counters exist only where events flowed
-        // through the candidate lookup (any executor run with traffic).
-        let d = &metrics.discrimination;
-        if d.candidates_considered > 0 {
-            for (name, v) in [
-                (names::DISCRIMINATION_EVENTS, d.events),
-                (names::DISCRIMINATION_CANDIDATES, d.candidates_considered),
-                (names::DISCRIMINATION_ADMITTED, d.candidates_admitted),
-            ] {
-                let id = r.counter(name);
-                r.inc(id, v);
-            }
-            let h = r.hist(names::DISCRIMINATION_CANDIDATE_SET);
-            r.observe_hist(h, &d.candidate_hist);
-        }
-        // Recovery counters exist only where resilience machinery ran
-        // (checkpointing or fault injection enabled).
-        let rec = &metrics.recovery;
-        if rec.snapshots_taken > 0 || rec.crashes > 0 {
-            for (name, v) in [
-                (names::RECOVERY_CRASHES, rec.crashes),
-                (names::RECOVERY_SNAPSHOTS, rec.snapshots_taken),
-                (names::RECOVERY_SNAPSHOT_BYTES, rec.snapshot_bytes),
-                (names::RECOVERY_REPLAYED, rec.replayed_messages),
-                (names::RECOVERY_SUPPRESSED, rec.suppressed_sends),
-                (names::RECOVERY_SEND_RETRIES, rec.send_retries),
-                (names::RECOVERY_BACKOFF_NS, rec.backoff_ns),
-                (names::RECOVERY_NS, rec.recovery_ns),
-            ] {
-                let id = r.counter(name);
-                r.inc(id, v);
-            }
-            let h = r.hist(names::RECOVERY_BACKOFF_SLEEP);
-            r.observe_hist(h, &rec.backoff_hist);
-        }
+    /// Attaches the per-task summaries and returns the completed
+    /// telemetry.
+    pub fn finish(mut self, tasks: Vec<TaskSummary>) -> RunTelemetry {
         self.run.tasks = tasks;
         self.run
     }

@@ -50,7 +50,7 @@ use crate::flight::{FlightRecord, FlightRing};
 use crate::matcher::Match;
 use crate::metrics::{Metrics, RecoveryStats, TransportStats};
 use crate::node::{match_hash, CoreReport, MuxBuildHasher, NodeCore, Outbox};
-use crate::telemetry::{names, ClockDomain, GaugeKind, RunTelemetry, TelemetrySpec};
+use crate::telemetry::{ClockDomain, RunTelemetry, TelemetrySpec, TraceRecord};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use muse_core::event::{Event, Timestamp};
 use std::collections::{HashMap, VecDeque};
@@ -112,7 +112,7 @@ pub struct ThreadedConfig {
     /// Inter-node transport parameters.
     pub transport: TransportMode,
     /// Telemetry collection; each node thread keeps a private shard
-    /// (registry, series, trace) that is merged when the threads join.
+    /// (series, trace, provenance, rates) that is merged when the threads join.
     pub telemetry: Option<TelemetrySpec>,
     /// Take a per-node state snapshot at every chunk boundary and assemble
     /// the merged end-of-run state into [`ThreadedReport::final_snapshot`].
@@ -538,7 +538,6 @@ fn run_cores(
             merged.merge_shard(shard);
         }
         if let (Some(merged), Some(shard)) = (&mut telemetry, part.telemetry) {
-            merged.registry.merge(&shard.registry);
             merged.series.absorb(shard.series);
             merged.trace.absorb(shard.trace);
             merged.provenance.absorb(shard.provenance);
@@ -558,10 +557,11 @@ fn run_cores(
         .unwrap_or_default();
     let final_snapshot = final_state.map(|state| checkpoint::encode(&state));
     if let Some(merged) = &mut telemetry {
-        merged.series.sort_by_time();
+        // Shards were absorbed node by node; read in time order.
+        merged.series.sort_by_key(|r| (r.t, r.task));
+        merged.trace.sort_by_key(TraceRecord::t);
+        merged.provenance.sort_by_key(|r| r.t);
         merged.tasks.sort_by_key(|s| s.task);
-        let g = merged.registry.gauge(names::RUN_WALL_NS, GaugeKind::Max);
-        merged.registry.gauge_peak(g, wall_time.as_nanos() as u64);
     }
     let events_per_sec = if wall_time.as_secs_f64() > 0.0 {
         events.len() as f64 / wall_time.as_secs_f64()
@@ -1320,23 +1320,8 @@ mod tests {
             sim.metrics.sink_matches > 0,
             "workload must produce matches"
         );
-        // … and their telemetry registries must carry the same counters.
         let s = sim.telemetry.expect("sim telemetry");
         let t = threaded.telemetry.expect("threaded telemetry");
-        for name in [
-            names::EVENTS_INJECTED,
-            names::MESSAGES_SENT,
-            names::BYTES_SENT,
-            names::SINK_MATCHES,
-            names::JOIN_INPUTS,
-            names::JOIN_EMITTED,
-        ] {
-            assert_eq!(
-                s.registry.counter_value(name),
-                t.registry.counter_value(name),
-                "counter {name} diverges between executors"
-            );
-        }
         // Task summaries cover the same join tasks (threaded shards each
         // contribute their local slice; merged and sorted by task id).
         let s_tasks: Vec<usize> = s.tasks.iter().map(|x| x.task).collect();

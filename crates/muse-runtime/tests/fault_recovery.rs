@@ -18,6 +18,7 @@ use muse_runtime::checkpoint::{self, CheckpointError};
 use muse_runtime::deploy::Deployment;
 use muse_runtime::matcher::Match;
 use muse_runtime::sim::{SimConfig, SimExecutor};
+use muse_runtime::telemetry::TelemetrySpec;
 use muse_runtime::threaded::{
     run_threaded, run_threaded_resumed, FaultPlan, ThreadedConfig, ThreadedReport,
 };
@@ -170,6 +171,47 @@ fn crash_at_arbitrary_injection_is_lossless() {
             assert_equal_outcomes(&faulted, &baseline, &ctx);
             assert_latency_invariant(&faulted, &ctx);
         }
+    }
+}
+
+/// A crash rolls the node's metrics back to its last checkpoint and
+/// replays from there. Telemetry is not rolled back, so it must not keep
+/// counters of its own: with it attached, the report still carries exactly
+/// the uninterrupted run's account.
+#[test]
+fn crash_with_telemetry_attached_keeps_one_account() {
+    let net = network();
+    let deployment = deploy(fig1_pattern(), 5_000, &net);
+    let events = trace(&net, 23);
+    let observed = ThreadedConfig {
+        telemetry: Some(TelemetrySpec::default()),
+        ..ThreadedConfig::default()
+    };
+    let baseline = run_threaded(&deployment, &events, &observed);
+    assert_eq!(baseline.metrics.events_injected as usize, events.len());
+    for node in 0..3usize {
+        let local = events.iter().filter(|e| e.origin.index() == node).count() as u64;
+        let config = ThreadedConfig {
+            fault: Some(FaultPlan {
+                node,
+                crash_at: local / 2,
+                restart_delay: Duration::ZERO,
+            }),
+            ..observed.clone()
+        };
+        let faulted = run_threaded(&deployment, &events, &config);
+        let ctx = format!("telemetry on, crash node {node} at injection {}", local / 2);
+        assert_eq!(
+            faulted.metrics.recovery.crashes, 1,
+            "{ctx}: crash must fire"
+        );
+        assert!(faulted.telemetry.is_some(), "{ctx}: telemetry attached");
+        assert_equal_outcomes(&faulted, &baseline, &ctx);
+        assert_eq!(
+            faulted.metrics.events_injected as usize,
+            events.len(),
+            "{ctx}: one injection per trace event"
+        );
     }
 }
 

@@ -8,9 +8,9 @@
 //! of the exact order statistic — with `min` and `max` tracked exactly, the
 //! p0 and p100 estimates are exact. Recording is two shifts and an
 //! increment; memory is a fixed `976 × 8` byte bucket array regardless of
-//! how many values are recorded (this is what lets the runtime keep a
-//! latency distribution per run without the unbounded latency vectors the
-//! paper's Fig. 8 summaries previously required).
+//! how many values are recorded (this is what lets the transport and
+//! discrimination counters keep a distribution per run, and an export carry
+//! a latency distribution without the exact latency vector).
 
 use serde::{Deserialize, Serialize};
 

@@ -3,10 +3,9 @@
 //! Observability substrate for the MuSE runtime, shared by the
 //! discrete-event simulator and the thread-per-node executor:
 //!
-//! * [`registry`] — allocation-free named counters, gauges, and
-//!   log-bucketed streaming histograms with shard-and-merge semantics.
-//! * [`hist`] — the fixed-memory [`LogHistogram`] itself (HDR-style
-//!   bucketing, bounded relative error, mergeable across shards).
+//! * [`hist`] — the fixed-memory [`LogHistogram`] (HDR-style bucketing,
+//!   bounded relative error, mergeable across shards).
+//! * [`ring`] — the one bounded record container the buffers below share.
 //! * [`series`] — bounded per-task time series (queue depth, watermark
 //!   lag, live partial matches, per-interval join activity).
 //! * [`trace`] — a bounded ring of structured lineage records with JSONL
@@ -16,9 +15,11 @@
 //! * [`rate`] — windowed per-task output-rate estimators feeding the
 //!   cost-model drift monitor.
 //!
-//! Executors accept an optional [`TelemetrySpec`] and, when present,
-//! attach a [`RunTelemetry`] to their reports; the bench harness writes
-//! those out as `telemetry.json` + `series.jsonl` (+ `trace.jsonl`).
+//! Counters are not kept here: the runtime's `Metrics` is the one account
+//! of a run, and telemetry adds what it does not have. Executors accept an
+//! optional [`TelemetrySpec`] and, when present, attach a [`RunTelemetry`]
+//! to their reports; the bench harness writes those out next to the run's
+//! metrics as `telemetry.json` + `series.jsonl` (+ `trace.jsonl`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,14 +29,14 @@
 pub mod hist;
 pub mod lineage;
 pub mod rate;
-pub mod registry;
+pub mod ring;
 pub mod series;
 pub mod trace;
 
 pub use hist::{HistSnapshot, LogHistogram};
 pub use lineage::{sampled, AbsenceWindow, ProvenanceRecord, ProvenanceRing, WitnessEvent};
 pub use rate::{RateBank, RateEstimator};
-pub use registry::{CounterId, GaugeId, GaugeKind, HistId, Registry, Snapshot};
+pub use ring::Ring;
 pub use series::{ClockDomain, SeriesBuffer, SeriesRecord};
 pub use trace::{TraceRecord, TraceRing};
 
@@ -190,8 +191,6 @@ pub struct TaskSummary {
 pub struct RunTelemetry {
     /// Interpretation of every timestamp in `series` and `trace`.
     pub clock: Option<ClockDomain>,
-    /// Final merged metrics registry.
-    pub registry: Registry,
     /// Per-task time series.
     pub series: SeriesBuffer,
     /// Lineage trace ring.
@@ -210,7 +209,6 @@ impl RunTelemetry {
     pub fn new(clock: ClockDomain, spec: &TelemetrySpec) -> Self {
         Self {
             clock: Some(clock),
-            registry: Registry::new(),
             series: SeriesBuffer::new(spec.series_capacity),
             trace: TraceRing::new(spec.trace_capacity),
             provenance: ProvenanceRing::new(if spec.provenance_sample == 0 {
@@ -263,100 +261,6 @@ impl RunTelemetry {
         out
     }
 
-    /// Renders the inter-node transport counters as a one-paragraph
-    /// summary, or `None` when the run shipped no frames (the simulator,
-    /// or a plan without network edges).
-    pub fn transport_summary(&self) -> Option<String> {
-        let frames = self.registry.counter_value(names::TRANSPORT_FRAMES)?;
-        if frames == 0 {
-            return None;
-        }
-        let counter = |name| self.registry.counter_value(name).unwrap_or(0);
-        let messages = counter(names::TRANSPORT_MESSAGES_FRAMED);
-        let blocked = counter(names::TRANSPORT_BLOCKED_SENDS);
-        let allocs = counter(names::TRANSPORT_POOL_ALLOCS);
-        let reuses = counter(names::TRANSPORT_POOL_REUSES);
-        let peak = self
-            .registry
-            .gauge_value(names::TRANSPORT_QUEUE_PEAK)
-            .unwrap_or(0);
-        let mean_batch = messages as f64 / frames as f64;
-        let reuse_pct = if allocs + reuses > 0 {
-            100.0 * reuses as f64 / (allocs + reuses) as f64
-        } else {
-            100.0
-        };
-        let mut out = format!(
-            "frames {frames}  messages {messages}  mean-batch {mean_batch:.1}  \
-             blocked-sends {blocked}  queue-peak {peak}  pool-reuse {reuse_pct:.1}% \
-             ({reuses} reused / {allocs} fresh)\n"
-        );
-        if let Some([min, p25, p50, p75, max]) = self
-            .registry
-            .hist_value(names::TRANSPORT_BATCH_SIZE)
-            .and_then(|h| h.summary())
-        {
-            out.push_str(&format!(
-                "batch-size min {min}  p25 {p25}  p50 {p50}  p75 {p75}  max {max}\n"
-            ));
-        }
-        Some(out)
-    }
-
-    /// Renders the event-discrimination index counters as a one-line
-    /// summary, or `None` when the run injected no events through the
-    /// index (legacy deployments or empty traces).
-    pub fn discrimination_summary(&self) -> Option<String> {
-        let considered = self
-            .registry
-            .counter_value(names::DISCRIMINATION_CANDIDATES)?;
-        if considered == 0 {
-            return None;
-        }
-        let counter = |name| self.registry.counter_value(name).unwrap_or(0);
-        let events = counter(names::DISCRIMINATION_EVENTS);
-        let admitted = counter(names::DISCRIMINATION_ADMITTED);
-        let hit_ratio = 100.0 * (1.0 - admitted as f64 / considered as f64);
-        let mean = considered as f64 / events.max(1) as f64;
-        let mut out = format!(
-            "events {events}  candidates {considered}  admitted {admitted}  \
-             filtered {hit_ratio:.1}%  mean-candidates {mean:.2}\n"
-        );
-        if let Some([min, p25, p50, p75, max]) = self
-            .registry
-            .hist_value(names::DISCRIMINATION_CANDIDATE_SET)
-            .and_then(|h| h.summary())
-        {
-            out.push_str(&format!(
-                "candidate-set min {min}  p25 {p25}  p50 {p50}  p75 {p75}  max {max}\n"
-            ));
-        }
-        Some(out)
-    }
-
-    /// Renders the crash-recovery counters as a one-paragraph summary, or
-    /// `None` when the run neither checkpointed nor crashed (fault-free
-    /// runs and the simulator without snapshots).
-    pub fn recovery_summary(&self) -> Option<String> {
-        let snapshots = self.registry.counter_value(names::RECOVERY_SNAPSHOTS)?;
-        let counter = |name| self.registry.counter_value(name).unwrap_or(0);
-        let crashes = counter(names::RECOVERY_CRASHES);
-        if snapshots == 0 && crashes == 0 {
-            return None;
-        }
-        let snapshot_bytes = counter(names::RECOVERY_SNAPSHOT_BYTES);
-        let replayed = counter(names::RECOVERY_REPLAYED);
-        let suppressed = counter(names::RECOVERY_SUPPRESSED);
-        let retries = counter(names::RECOVERY_SEND_RETRIES);
-        let backoff_ms = counter(names::RECOVERY_BACKOFF_NS) as f64 / 1e6;
-        let recovery_ms = counter(names::RECOVERY_NS) as f64 / 1e6;
-        Some(format!(
-            "crashes {crashes}  snapshots {snapshots} ({snapshot_bytes} B)  \
-             replayed {replayed}  suppressed {suppressed}  send-retries {retries}  \
-             backoff {backoff_ms:.2} ms  recovery {recovery_ms:.2} ms\n"
-        ))
-    }
-
     /// Renders the causal-provenance collection state as a one-line
     /// summary, or `None` when tracing was disabled and nothing was
     /// sampled.
@@ -372,87 +276,6 @@ impl RunTelemetry {
             "records {held}  dropped {dropped}  mean-witness {mean_witness:.1}\n"
         ))
     }
-}
-
-/// Canonical metric names used across both executors, so registry
-/// snapshots from the simulator and the threaded executor line up
-/// name-for-name.
-pub mod names {
-    /// Primitive events injected at source tasks.
-    pub const EVENTS_INJECTED: &str = "events_injected";
-    /// Partial matches shipped between distinct nodes.
-    pub const MESSAGES_SENT: &str = "messages_sent";
-    /// Wire bytes for those messages.
-    pub const BYTES_SENT: &str = "bytes_sent";
-    /// Partial matches delivered node-locally (no network hop).
-    pub const LOCAL_DELIVERIES: &str = "local_deliveries";
-    /// Complete matches arriving at sink tasks.
-    pub const SINK_MATCHES: &str = "sink_matches";
-    /// Join: partial matches received.
-    pub const JOIN_INPUTS: &str = "join.inputs";
-    /// Join: store probes performed.
-    pub const JOIN_PROBES: &str = "join.probes";
-    /// Join: merges rejected by negation guards.
-    pub const JOIN_GUARD_REJECTS: &str = "join.guard_rejects";
-    /// Join: merge attempts after window/predicate filtering.
-    pub const JOIN_MERGE_ATTEMPTS: &str = "join.merge_attempts";
-    /// Join: successful merges.
-    pub const JOIN_MERGE_SUCCESSES: &str = "join.merge_successes";
-    /// Join: matches emitted downstream.
-    pub const JOIN_EMITTED: &str = "join.emitted";
-    /// Join: partial matches evicted by window expiry.
-    pub const JOIN_EVICTED: &str = "join.evicted";
-    /// Peak concurrently-buffered partial matches across all joins.
-    pub const JOIN_PEAK_LIVE: &str = "join.peak_live_matches";
-    /// Sink-side match latency histogram (event-time lag in the
-    /// simulator, wall nanoseconds in the threaded executor).
-    pub const LATENCY_SINK: &str = "latency.sink";
-    /// Run wall time in nanoseconds.
-    pub const RUN_WALL_NS: &str = "run.wall_ns";
-    /// Transport: frames pushed onto inter-node channels.
-    pub const TRANSPORT_FRAMES: &str = "transport.frames_sent";
-    /// Transport: messages carried inside those frames.
-    pub const TRANSPORT_MESSAGES_FRAMED: &str = "transport.messages_framed";
-    /// Transport: `try_send` attempts rejected by a full channel.
-    pub const TRANSPORT_BLOCKED_SENDS: &str = "transport.blocked_sends";
-    /// Transport: frame buffers freshly allocated (pool empty).
-    pub const TRANSPORT_POOL_ALLOCS: &str = "transport.pool_allocs";
-    /// Transport: frame buffers recycled from the return path.
-    pub const TRANSPORT_POOL_REUSES: &str = "transport.pool_reuses";
-    /// Transport: peak frames in flight to any single node.
-    pub const TRANSPORT_QUEUE_PEAK: &str = "transport.queue_peak";
-    /// Transport: realized batch sizes (messages per frame).
-    pub const TRANSPORT_BATCH_SIZE: &str = "transport.batch_size";
-    /// Sink matches whose latency sample had to be discarded because no
-    /// injection timestamp existed for the newest constituent (e.g. it
-    /// was injected before a resumed-from snapshot).
-    pub const LATENCY_SAMPLES_DROPPED: &str = "latency.samples_dropped";
-    /// Recovery: injected node crashes taken.
-    pub const RECOVERY_CRASHES: &str = "recovery.crashes";
-    /// Recovery: chunk-boundary snapshots written.
-    pub const RECOVERY_SNAPSHOTS: &str = "recovery.snapshots_taken";
-    /// Recovery: cumulative encoded snapshot bytes.
-    pub const RECOVERY_SNAPSHOT_BYTES: &str = "recovery.snapshot_bytes";
-    /// Recovery: messages re-delivered from peer replay logs.
-    pub const RECOVERY_REPLAYED: &str = "recovery.replayed_messages";
-    /// Recovery: duplicate replay deliveries suppressed by receivers.
-    pub const RECOVERY_SUPPRESSED: &str = "recovery.suppressed_sends";
-    /// Recovery: sender retry rounds against an unresponsive peer.
-    pub const RECOVERY_SEND_RETRIES: &str = "recovery.send_retries";
-    /// Recovery: total nanoseconds slept in sender backoff.
-    pub const RECOVERY_BACKOFF_NS: &str = "recovery.backoff_ns";
-    /// Recovery: wall nanoseconds from crash to restored state.
-    pub const RECOVERY_NS: &str = "recovery.recovery_ns";
-    /// Recovery: distribution of individual backoff sleeps (ns).
-    pub const RECOVERY_BACKOFF_SLEEP: &str = "recovery.backoff_sleep_ns";
-    /// Discrimination index: events looked up.
-    pub const DISCRIMINATION_EVENTS: &str = "discrimination.events";
-    /// Discrimination index: source candidates considered across lookups.
-    pub const DISCRIMINATION_CANDIDATES: &str = "discrimination.candidates_considered";
-    /// Discrimination index: candidates admitted past the band filter.
-    pub const DISCRIMINATION_ADMITTED: &str = "discrimination.candidates_admitted";
-    /// Discrimination index: per-event candidate-set size distribution.
-    pub const DISCRIMINATION_CANDIDATE_SET: &str = "discrimination.candidate_set_size";
 }
 
 #[cfg(test)]
@@ -515,18 +338,5 @@ mod tests {
             absence: vec![],
         });
         assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn recovery_summary_gated_on_counters() {
-        let mut rt = RunTelemetry::new(ClockDomain::WallNanos, &TelemetrySpec::default());
-        assert!(rt.recovery_summary().is_none());
-        let c = rt.registry.counter(names::RECOVERY_SNAPSHOTS);
-        rt.registry.inc(c, 4);
-        let c = rt.registry.counter(names::RECOVERY_CRASHES);
-        rt.registry.inc(c, 1);
-        let text = rt.recovery_summary().expect("counters present");
-        assert!(text.contains("crashes 1"));
-        assert!(text.contains("snapshots 4"));
     }
 }

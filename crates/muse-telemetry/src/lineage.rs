@@ -10,13 +10,13 @@
 //! reproduce exactly the recorded match; the runtime's test suites assert
 //! this closure property.
 //!
-//! Records are collected in a bounded [`ProvenanceRing`] with the same
-//! eviction/merge discipline as [`crate::trace::TraceRing`], and sampled
-//! deterministically by match hash ([`sampled`]) so independent executors
-//! (and shards of one run) sample identical match sets.
+//! Records are collected in a bounded [`ProvenanceRing`] (the shared
+//! [`Ring`] container), and sampled deterministically by match hash
+//! ([`sampled`]) so independent executors (and shards of one run) sample
+//! identical match sets.
 
+use crate::ring::Ring;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// One constituent primitive event of a recorded match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -87,84 +87,12 @@ pub fn sampled(sample: u64, match_hash: u64) -> bool {
 
 /// Bounded ring of provenance records (oldest evicted first; capacity 0
 /// disables collection).
-#[derive(Debug, Clone, Default)]
-pub struct ProvenanceRing {
-    records: VecDeque<ProvenanceRecord>,
-    capacity: usize,
-    dropped: u64,
-}
+pub type ProvenanceRing = Ring<ProvenanceRecord>;
 
-impl ProvenanceRing {
-    /// Creates a ring holding at most `capacity` records (0 disables
-    /// collection entirely).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            records: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Appends a record, evicting the oldest if full.
-    pub fn push(&mut self, rec: ProvenanceRecord) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(rec);
-    }
-
-    /// Records currently held, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &ProvenanceRecord> {
-        self.records.iter()
-    }
-
+impl Ring<ProvenanceRecord> {
     /// The newest record for `match_hash`, if any is held.
     pub fn find(&self, match_hash: u64) -> Option<&ProvenanceRecord> {
-        self.records
-            .iter()
-            .rev()
-            .find(|r| r.match_hash == match_hash)
-    }
-
-    /// Number of records held.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Records evicted (or rejected) due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Moves all records from `other` into this ring, then re-sorts by
-    /// emission time so shard-merged provenance reads in time order.
-    pub fn absorb(&mut self, other: ProvenanceRing) {
-        self.dropped += other.dropped;
-        for rec in other.records {
-            self.push(rec);
-        }
-        self.records.make_contiguous().sort_by_key(|r| r.t);
-    }
-
-    /// Serializes every held record as JSONL into `out`.
-    pub fn write_jsonl<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        for rec in &self.records {
-            let line = serde_json::to_string(rec)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            out.write_all(line.as_bytes())?;
-            out.write_all(b"\n")?;
-        }
-        Ok(())
+        self.records().rev().find(|r| r.match_hash == match_hash)
     }
 }
 
@@ -213,17 +141,6 @@ mod tests {
         off.push(rec(0, 1));
         assert!(off.is_empty());
         assert_eq!(off.dropped(), 1);
-    }
-
-    #[test]
-    fn absorb_sorts_by_time() {
-        let mut a = ProvenanceRing::new(8);
-        a.push(rec(10, 1));
-        let mut b = ProvenanceRing::new(8);
-        b.push(rec(4, 2));
-        a.absorb(b);
-        let ts: Vec<u64> = a.records().map(|r| r.t).collect();
-        assert_eq!(ts, vec![4, 10]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! (oldest dropped first, drop count kept) and export as JSONL, one record
 //! per line.
 
+use crate::ring::Ring;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// What the series timestamps mean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,85 +47,8 @@ pub struct SeriesRecord {
     pub emitted: u64,
 }
 
-/// Bounded FIFO of series samples.
-#[derive(Debug, Clone, Default)]
-pub struct SeriesBuffer {
-    records: VecDeque<SeriesRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl SeriesBuffer {
-    /// Creates a buffer holding at most `capacity` records (0 disables
-    /// collection entirely).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            records: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Appends a record, evicting the oldest if full.
-    pub fn push(&mut self, rec: SeriesRecord) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(rec);
-    }
-
-    /// Records currently buffered, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &SeriesRecord> {
-        self.records.iter()
-    }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Records evicted (or rejected) due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Moves all records from `other` into this buffer, preserving order.
-    pub fn absorb(&mut self, other: SeriesBuffer) {
-        self.dropped += other.dropped;
-        for rec in other.records {
-            self.push(rec);
-        }
-    }
-
-    /// Re-sorts the buffered records by `(t, task)` — used after absorbing
-    /// per-shard buffers so the merged series reads in time order.
-    pub fn sort_by_time(&mut self) {
-        self.records
-            .make_contiguous()
-            .sort_by_key(|r| (r.t, r.task));
-    }
-
-    /// Serializes every buffered record as JSONL into `out`.
-    pub fn write_jsonl<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        for rec in &self.records {
-            let line = serde_json::to_string(rec)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            out.write_all(line.as_bytes())?;
-            out.write_all(b"\n")?;
-        }
-        Ok(())
-    }
-}
+/// Bounded FIFO of series samples (capacity 0 disables collection).
+pub type SeriesBuffer = Ring<SeriesRecord>;
 
 #[cfg(test)]
 mod tests {
@@ -148,26 +71,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_fifo_drops_oldest() {
-        let mut buf = SeriesBuffer::new(3);
-        for t in 0..5 {
-            buf.push(rec(t, 0));
-        }
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf.dropped(), 2);
-        let ts: Vec<u64> = buf.records().map(|r| r.t).collect();
-        assert_eq!(ts, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn zero_capacity_disables_collection() {
-        let mut buf = SeriesBuffer::new(0);
-        buf.push(rec(1, 0));
-        assert!(buf.is_empty());
-        assert_eq!(buf.dropped(), 1);
-    }
-
-    #[test]
     fn jsonl_roundtrip() {
         let mut buf = SeriesBuffer::new(8);
         buf.push(rec(10, 1));
@@ -179,19 +82,5 @@ mod tests {
         assert_eq!(lines.len(), 2);
         let back: SeriesRecord = serde_json::from_str(lines[1]).unwrap();
         assert_eq!(back, rec(20, 2));
-    }
-
-    #[test]
-    fn absorb_preserves_order_and_drops() {
-        let mut a = SeriesBuffer::new(4);
-        a.push(rec(1, 0));
-        let mut b = SeriesBuffer::new(2);
-        for t in 2..6 {
-            b.push(rec(t, 1));
-        }
-        a.absorb(b);
-        let ts: Vec<u64> = a.records().map(|r| r.t).collect();
-        assert_eq!(ts, vec![1, 4, 5]);
-        assert_eq!(a.dropped(), 2);
     }
 }

@@ -6,8 +6,8 @@
 //! final emission at a sink. Exported as JSONL, the ring lets a match at a
 //! sink be traced back through every node that contributed to it.
 
+use crate::ring::Ring;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// One step in a match's lineage. `t` is always in the run's clock domain
 /// (virtual ticks in the simulator, wall nanoseconds in the threaded
@@ -82,111 +82,13 @@ impl TraceRecord {
     }
 }
 
-/// Bounded ring of trace records (oldest evicted first).
-#[derive(Debug, Clone, Default)]
-pub struct TraceRing {
-    records: VecDeque<TraceRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl TraceRing {
-    /// Creates a ring holding at most `capacity` records (0 disables
-    /// tracing entirely).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            records: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// True when the ring records at all (capacity > 0). Hot paths check
-    /// this before constructing a [`TraceRecord`]: the capacity-0 reject
-    /// inside [`Self::push`] still pays for building the record, which is
-    /// measurable at per-event call rates.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.capacity != 0
-    }
-
-    /// Appends a record, evicting the oldest if full.
-    #[inline]
-    pub fn push(&mut self, rec: TraceRecord) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(rec);
-    }
-
-    /// Records currently held, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
-    }
-
-    /// Number of records held.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Records evicted (or rejected) due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Moves all records from `other` into this ring, then re-sorts by
-    /// timestamp so shard-merged traces read in time order.
-    pub fn absorb(&mut self, other: TraceRing) {
-        self.dropped += other.dropped;
-        for rec in other.records {
-            self.push(rec);
-        }
-        self.records.make_contiguous().sort_by_key(|r| r.t());
-    }
-
-    /// Serializes every held record as JSONL into `out`.
-    pub fn write_jsonl<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        for rec in &self.records {
-            let line = serde_json::to_string(rec)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            out.write_all(line.as_bytes())?;
-            out.write_all(b"\n")?;
-        }
-        Ok(())
-    }
-}
+/// Bounded ring of trace records (oldest evicted first; capacity 0
+/// disables tracing entirely).
+pub type TraceRing = Ring<TraceRecord>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_bounds_and_drops() {
-        let mut ring = TraceRing::new(2);
-        for t in 0..4 {
-            ring.push(TraceRecord::EventInjected {
-                t,
-                node: 0,
-                task: 0,
-                event_type: 1,
-                seq: t,
-            });
-        }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.dropped(), 2);
-        let ts: Vec<u64> = ring.records().map(|r| r.t()).collect();
-        assert_eq!(ts, vec![2, 3]);
-    }
 
     #[test]
     fn records_roundtrip_as_jsonl() {
@@ -218,28 +120,5 @@ mod tests {
             back[0],
             TraceRecord::MessageShipped { bytes: 24, .. }
         ));
-    }
-
-    #[test]
-    fn absorb_sorts_by_time() {
-        let mut a = TraceRing::new(8);
-        a.push(TraceRecord::SinkMatch {
-            t: 10,
-            node: 0,
-            task: 0,
-            size: 1,
-            last_time: 10,
-        });
-        let mut b = TraceRing::new(8);
-        b.push(TraceRecord::SinkMatch {
-            t: 4,
-            node: 1,
-            task: 1,
-            size: 1,
-            last_time: 4,
-        });
-        a.absorb(b);
-        let ts: Vec<u64> = a.records().map(|r| r.t()).collect();
-        assert_eq!(ts, vec![4, 10]);
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# Tier-1 CI gate: release build, workspace test suite, lint gates, static
-# verification of the example queries/plans, the loom concurrency lane, the
-# pinned benchmark under bench/ (its own workspace: unit tests plus the
+# Tier-1 CI gate: release build, workspace test suite, lint gates (fmt,
+# clippy, rustdoc), static verification of the example queries/plans, the
+# loom concurrency lane, the pinned benchmark under bench/ (its own
+# workspace: unit tests plus the
 # smoke run, so a public-API removal cannot break BENCHMARK.json's command
 # unnoticed), and smoke runs of the matcher join bench, the fault-recovery
 # bench, the shared multi-query bench, and the observability bench (emitting
@@ -40,6 +41,12 @@ cargo fmt --check
 
 echo "== lint: cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
+
+echo "== lint: cargo doc (intra-doc links of the library crates) =="
+# Every library crate denies rustdoc::broken_intra_doc_links, which only
+# rustdoc evaluates: without this lane a deleted public type leaves its
+# [`links`] dangling unnoticed.
+cargo doc --offline --workspace --no-deps
 
 echo "== verify: muse-verify over examples/queries =="
 cargo run -q -p muse-verify --release --bin muse-verify -- \
