@@ -2,7 +2,7 @@
 //! partial-match join throughput — the per-node work that MuSE graphs
 //! distribute. The `join_indexed`/`join_naive` pair compares the indexed,
 //! window-pruned engine against the naive cross-product reference on the
-//! shared stress workload (same workload as `harness -- matcher`).
+//! stress workload of `muse_bench::matcher_stress`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use muse_bench::matcher_stress::{stress_feed, stress_query, stress_slots};

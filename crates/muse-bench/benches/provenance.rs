@@ -1,21 +1,18 @@
 //! Provenance overhead benchmarks: the threaded executor on the shared
 //! relay stress workload with provenance tracing absent, compiled-in but
-//! disabled (`provenance_sample = 0`), and sampled at 1-in-64 — the same
-//! three regimes `harness -- observe` gates in `BENCH_observe.json`
-//! (disabled < 5% overhead, sampled < 15%). Match counts are asserted
-//! equal across modes every iteration, so tracing that perturbs matching
-//! fails the bench rather than skewing it.
+//! disabled (`provenance_sample = 0`), and sampled at 1-in-64. Run under
+//! the relay's enlarged-chunk regime (`transport_stress::CHUNK_TICKS`,
+//! `SLACK`), which keeps barrier rounds off the measured path. Match
+//! counts are asserted equal across modes every iteration, so tracing
+//! that perturbs matching fails the bench rather than skewing it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use muse_bench::transport_stress::{stress_deployment, stress_network, stress_trace};
+use muse_bench::transport_stress::{
+    stress_deployment, stress_network, stress_trace, CHUNK_TICKS, SLACK,
+};
 use muse_runtime::telemetry::TelemetrySpec;
 use muse_runtime::threaded::{run_threaded, ThreadedConfig};
 use std::hint::black_box;
-
-/// Chunking mirrors `harness -- observe`: enlarged chunks keep barrier
-/// rounds off the measured path, and the eviction slack covers them.
-const CHUNK_TICKS: muse_core::event::Timestamp = 10 * muse_bench::transport_stress::WINDOW;
-const SLACK: f64 = 12.0;
 
 fn provenance_overhead(c: &mut Criterion) {
     let network = stress_network();

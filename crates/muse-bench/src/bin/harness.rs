@@ -8,33 +8,82 @@
 //!
 //! Experiments: fig5a fig5b fig5c fig5d fig6a fig6b fig7a fig7b fig7c fig7d
 //! table3 fig8. Results are printed as text tables and, with `--out`,
-//! written as JSON for downstream plotting. Extra experiments are
-//! run only when named explicitly: `ablation` (design-choice ablations),
-//! `matcher` (indexed vs. naive join engine; written as
-//! `BENCH_matcher.json`), `faults` (crash recovery on the threaded
-//! executor; written as `BENCH_faults.json`), `multiquery` (shared evaluation at scale;
-//! `BENCH_multiquery.json`), `observe` (provenance overhead, witness
-//! closure, cost-model drift, flight recorder; `BENCH_observe.json`), and
-//! `migrate` (live-migration soundness gate: certified plan pairs restore
-//! fingerprint-identical, rejected pairs fail the restore;
-//! `BENCH_migrate.json`).
+//! written as `DIR/<id>.json` for downstream plotting. `ablation`
+//! (design-choice ablations, not a paper artifact) is run only when named
+//! explicitly.
 //!
-//! `explain` re-runs the observe witness workload with full provenance
+//! `explain` re-runs the calibrated witness workload with full provenance
 //! sampling and replays one recorded match (by its hex hash, as printed
 //! in provenance exports) — or every record with `all` — checking that
-//! the witness event set alone reproduces the match byte-identically.
+//! the witness event set alone reproduces the match byte-identically, then
+//! prints the run's cost-model drift table.
 //!
-//! With `--telemetry DIR`, the executing experiments (`table3`, `fig8`,
-//! `matcher`) additionally collect each run's metrics and telemetry —
-//! per-task series, lineage traces, provenance records — written as
+//! With `--telemetry DIR`, the executing experiments (`table3`, `fig8`)
+//! additionally collect each run's metrics and telemetry — per-task
+//! series, lineage traces, provenance records — written as
 //! `DIR/telemetry.json`, `DIR/series.jsonl`, `DIR/trace.jsonl`, and
 //! `DIR/provenance.jsonl`, with a per-task summary table printed per run.
 
-use muse_bench::experiments::{all_experiments, run_experiment_telemetry};
+use muse_bench::experiments::{all_experiments, experiment_ids, run_experiment_telemetry};
 use muse_bench::runner::SweepSettings;
 use muse_bench::telemetry::{TelemetryCollector, TelemetryOutput};
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// A parsed `harness <experiment|all> …` command line.
+struct Cli {
+    /// Experiment ids to run, in command-line order, each once.
+    ids: Vec<&'static str>,
+    settings: SweepSettings,
+    out_dir: Option<PathBuf>,
+    telemetry_dir: Option<PathBuf>,
+}
+
+impl Cli {
+    fn select(&mut self, id: &'static str) {
+        if !self.ids.contains(&id) {
+            self.ids.push(id);
+        }
+    }
+}
+
+/// Parses the experiment-running command line. `--quick` lowers `reps`
+/// only, so `--seed 7 --quick` and `--quick --seed 7` both run seed 7.
+fn parse(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        ids: Vec::new(),
+        settings: SweepSettings::default(),
+        out_dir: None,
+        telemetry_dir: None,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let number = |v: Option<&String>| {
+            v.and_then(|v| v.parse::<u64>().ok())
+                .ok_or_else(|| format!("{arg} needs a number"))
+        };
+        let path = |v: Option<&String>| {
+            v.map(PathBuf::from)
+                .ok_or_else(|| format!("{arg} needs a path"))
+        };
+        match arg.as_str() {
+            "--reps" => cli.settings.reps = number(args.next())?,
+            "--seed" => cli.settings.seed = number(args.next())?,
+            "--quick" => cli.settings.reps = SweepSettings::quick().reps,
+            "--out" => cli.out_dir = Some(path(args.next())?),
+            "--telemetry" => cli.telemetry_dir = Some(path(args.next())?),
+            "all" => all_experiments().into_iter().for_each(|id| cli.select(id)),
+            other => match experiment_ids().find(|id| *id == other) {
+                Some(id) => cli.select(id),
+                None => return Err(format!("unknown argument '{other}'")),
+            },
+        }
+    }
+    if cli.ids.is_empty() {
+        return Err("no experiment selected".to_string());
+    }
+    Ok(cli)
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,79 +93,31 @@ fn main() -> ExitCode {
              [--telemetry DIR]\n\
              \u{20}      harness explain <match-hash|all> [--seed S] [--quick]\n\
              experiments: {} all",
-            all_experiments().join(" ")
+            experiment_ids().collect::<Vec<_>>().join(" ")
         );
         return ExitCode::from(2);
     }
     if args[0] == "explain" {
         return run_explain(&args[1..]);
     }
-
-    let mut ids: Vec<String> = Vec::new();
-    let mut settings = SweepSettings::default();
-    let mut out_dir: Option<PathBuf> = None;
-    let mut telemetry_dir: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--reps" => {
-                i += 1;
-                settings.reps = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--reps needs a number"));
-            }
-            "--seed" => {
-                i += 1;
-                settings.seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs a number"));
-            }
-            "--quick" => settings = SweepSettings::quick(),
-            "--out" => {
-                i += 1;
-                out_dir = Some(PathBuf::from(
-                    args.get(i).unwrap_or_else(|| die("--out needs a path")),
-                ));
-            }
-            "--telemetry" => {
-                i += 1;
-                telemetry_dir = Some(PathBuf::from(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--telemetry needs a path")),
-                ));
-            }
-            "all" => ids.extend(all_experiments().iter().map(|s| s.to_string())),
-            id if all_experiments().contains(&id)
-                || id == "ablation"
-                || id == "matcher"
-                || id == "faults"
-                || id == "multiquery"
-                || id == "observe"
-                || id == "migrate" =>
-            {
-                ids.push(id.to_string())
-            }
-            other => die(&format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    if ids.is_empty() {
-        die("no experiment selected");
-    }
-    ids.dedup();
+    let Cli {
+        ids,
+        settings,
+        out_dir,
+        telemetry_dir,
+    } = parse(&args).unwrap_or_else(|msg| die(&msg));
 
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
 
     let mut telemetry_out = telemetry_dir.as_ref().map(|_| TelemetryOutput::new());
-    for id in &ids {
+    for id in ids {
         eprintln!("running {id} (reps = {}) …", settings.reps);
         let mut collector = telemetry_dir.as_ref().map(|_| TelemetryCollector::new());
         let started = std::time::Instant::now();
-        let output = run_experiment_telemetry(id, &settings, collector.as_mut());
+        let output = run_experiment_telemetry(id, &settings, collector.as_mut())
+            .expect("parse admits only ids of the experiment table");
         let elapsed = started.elapsed();
         println!("{}", output.render());
         if let Some(collector) = &collector {
@@ -145,16 +146,7 @@ fn main() -> ExitCode {
             eprintln!("{id} finished in {elapsed:.1?}\n");
         }
         if let Some(dir) = &out_dir {
-            // The benches are named deliverables, not paper figures.
-            let file = match id.as_str() {
-                "matcher" => "BENCH_matcher.json".to_string(),
-                "faults" => "BENCH_faults.json".to_string(),
-                "multiquery" => "BENCH_multiquery.json".to_string(),
-                "observe" => "BENCH_observe.json".to_string(),
-                "migrate" => "BENCH_migrate.json".to_string(),
-                _ => format!("{id}.json"),
-            };
-            let path = dir.join(file);
+            let path = dir.join(format!("{id}.json"));
             let json = serde_json::to_string_pretty(&output).expect("serialize result");
             std::fs::write(&path, json).expect("write result file");
             eprintln!("wrote {}", path.display());
@@ -175,13 +167,15 @@ fn die(msg: &str) -> ! {
 }
 
 /// `harness explain <match-hash|all> [--seed S] [--quick]`: replays the
-/// observe witness workload and checks, for the targeted provenance
+/// calibrated witness workload and checks, for the targeted provenance
 /// record(s), that the recorded witness events alone reproduce the match
-/// byte-identically.
+/// byte-identically; then prints the run's cost-model drift table.
 fn run_explain(args: &[String]) -> ExitCode {
     use muse_bench::observe::{
-        find_recorded_match, witness_closure_holds, witness_duration, witness_run,
+        find_recorded_match, witness_closure_holds, witness_duration, witness_run, RATE_SCALE,
+        TICKS_PER_UNIT,
     };
+    use muse_runtime::drift::CostDrift;
 
     let mut target: Option<String> = None;
     let mut seed: u64 = 1;
@@ -207,7 +201,7 @@ fn run_explain(args: &[String]) -> ExitCode {
     let target = target.unwrap_or_else(|| "all".to_string());
 
     let duration = witness_duration(quick);
-    eprintln!("replaying observe witness run (duration = {duration}, seed = {seed}) …");
+    eprintln!("replaying witness run (duration = {duration}, seed = {seed}) …");
     let (deployment, trace, mut report) = witness_run(duration, seed);
     let run = report
         .telemetry
@@ -261,8 +255,55 @@ fn run_explain(args: &[String]) -> ExitCode {
         records.len() - failures,
         records.len()
     );
+    // The same run's per-vertex rates against the §4.4 cost model: the
+    // trace is stationary, so the score reads near zero.
+    let ticks = (duration * TICKS_PER_UNIT) as u64;
+    let drift = CostDrift::compute(&deployment, &run.rates, TICKS_PER_UNIT, RATE_SCALE, ticks);
+    println!("{}", drift.render(8));
     if failures > 0 {
         return ExitCode::from(1);
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Cli, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn quick_keeps_the_seed_in_either_order() {
+        for line in ["fig8 --seed 7 --quick", "fig8 --quick --seed 7"] {
+            let cli = parse_line(line).unwrap();
+            assert_eq!(cli.ids, ["fig8"], "{line}");
+            assert_eq!(cli.settings.seed, 7, "{line}");
+            assert_eq!(cli.settings.reps, SweepSettings::quick().reps, "{line}");
+        }
+    }
+
+    #[test]
+    fn repeated_ids_run_once_in_first_occurrence_order() {
+        let cli = parse_line("fig5b ablation all fig5b").unwrap();
+        let mut want = vec!["fig5b", "ablation"];
+        want.extend(all_experiments().into_iter().filter(|id| *id != "fig5b"));
+        assert_eq!(cli.ids, want);
+        assert_eq!(parse_line("fig5a all").unwrap().ids, all_experiments());
+    }
+
+    #[test]
+    fn bad_lines_are_one_line_errors() {
+        for (line, want) in [
+            ("matcher", "unknown argument 'matcher'"),
+            ("fig8 --reps", "--reps needs a number"),
+            ("fig8 --seed x", "--seed needs a number"),
+            ("fig8 --out", "--out needs a path"),
+            ("--quick", "no experiment selected"),
+        ] {
+            assert_eq!(parse_line(line).err().as_deref(), Some(want), "{line}");
+        }
+    }
 }

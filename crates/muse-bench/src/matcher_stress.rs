@@ -1,6 +1,5 @@
-//! The skip-till-any-match join stress workload shared by the matcher
-//! criterion bench and the `matcher` harness experiment
-//! (`BENCH_matcher.json`).
+//! The skip-till-any-match join stress workload of the matcher criterion
+//! bench (`join_indexed` vs. `join_naive`).
 //!
 //! The workload drives one join of `SEQ(AND(A, B), C)` — β = {AB, C} — with
 //! a long, mildly out-of-order stream of AB matches and C singles spanning

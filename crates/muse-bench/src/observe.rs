@@ -1,5 +1,5 @@
-//! The observability workload shared by the `observe` harness experiment
-//! (`BENCH_observe.json`) and the `explain` subcommand.
+//! The calibrated observability workload of the `harness explain`
+//! subcommand and of this module's witness-closure and drift tests.
 //!
 //! The drift monitor compares the §4.4 cost model's *per-rate-unit*
 //! predictions against *per-tick* observed rates, so the workload here is
@@ -17,7 +17,7 @@
 //!
 //! On this workload a stationary trace scores near-zero drift while a
 //! trace generated from a rate-shifted network scores toward 1 — the two
-//! gates `scripts/ci.sh` checks. The same workload serves the witness
+//! properties the tests below assert. The same workload serves the witness
 //! closure: with `provenance_sample = 1` every sink match gets a
 //! [`ProvenanceRecord`], and replaying *only* the recorded witness events
 //! must reproduce the match byte-for-byte.
@@ -136,10 +136,9 @@ pub fn witness_duration(quick: bool) -> f64 {
     }
 }
 
-/// Builds the observe workload and runs it once on the simulator with
-/// full provenance sampling. Shared by the `observe` experiment's witness
-/// phase and the `explain` subcommand, so a hash printed by one is
-/// resolvable by the other.
+/// Builds the calibrated workload and runs it once on the simulator with
+/// full provenance sampling: the run `harness explain` replays, so a hash
+/// it prints for one `(duration, seed)` resolves in the next invocation.
 pub fn witness_run(duration: f64, seed: u64) -> (Deployment, Vec<Event>, SimReport) {
     let network = observe_network();
     let deployment = observe_deployment(&network);

@@ -1,5 +1,5 @@
 //! The transport-bound distributed workload shared by the provenance
-//! criterion bench and the `faults` and `observe` harness experiments.
+//! criterion bench and the crash-recovery tests of this crate.
 //!
 //! A relay topology: three edge nodes each produce one frequent event
 //! type, two center nodes each produce a rare anchor type, and each query
@@ -13,7 +13,7 @@
 //! only the rare anchors sweep. The result is a run whose cost is
 //! dominated by the inter-node data plane — the component the batched
 //! transport optimizes — rather than by the join engine, which
-//! `BENCH_matcher.json` already isolates.
+//! [`crate::matcher_stress`] isolates.
 
 use muse_core::algorithms::baselines::{placement_to_graph, OperatorPlacement};
 use muse_core::catalog::Catalog;
@@ -30,6 +30,16 @@ use muse_sim::traces::{generate_traces, TraceConfig};
 /// The query window (ticks): anchors sweep this span of buffered edge
 /// partials, so sink-match volume stays proportional to the anchor rate.
 pub const WINDOW: Timestamp = 100;
+
+/// Threaded-executor chunk length for relay runs: an enlarged chunk (10
+/// windows). The relay window is short, and per-window chunks would make
+/// barrier rounds, not the data plane, the measured cost.
+pub const CHUNK_TICKS: Timestamp = 10 * WINDOW;
+
+/// Eviction slack that goes with [`CHUNK_TICKS`]: remote deliveries can
+/// land a full chunk late, so `slack * window` must stay above `chunk` or
+/// window stores evict partials that a late frame still needs.
+pub const SLACK: f64 = 12.0;
 
 /// Edge event types (one per edge node) relayed to every center.
 pub const EDGE_TYPES: usize = 3;
@@ -150,7 +160,12 @@ pub fn stress_trace(network: &Network, duration: f64, seed: u64) -> Vec<Event> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muse_runtime::flight::{decode_dump, render_timeline};
+    use muse_runtime::matcher::Match;
     use muse_runtime::sim::{run_simulation, SimConfig};
+    use muse_runtime::threaded::{run_threaded, FaultPlan, ThreadedConfig, ThreadedReport};
+    use std::collections::BTreeSet;
+    use std::time::Duration;
 
     #[test]
     fn relay_workload_is_transport_dominated() {
@@ -170,5 +185,67 @@ mod tests {
             CENTERS
         );
         assert!(report.metrics.sink_matches > 0, "anchors must find matches");
+    }
+
+    /// The Fig. 1 fixture of `fault_recovery.rs` runs per-window chunks at
+    /// the default slack; the relay runs in the enlarged-chunk regime
+    /// ([`CHUNK_TICKS`], [`SLACK`]), where a restarted node re-collects up
+    /// to ten windows of peer traffic from the replay logs.
+    #[test]
+    fn relay_crash_is_lossless_in_the_enlarged_chunk_regime() {
+        let net = stress_network();
+        let deployment = stress_deployment(&net);
+        // 40 units = four chunks: the halfway crash has real checkpoints
+        // behind it, and the rare anchors fire often enough to match.
+        let events = stress_trace(&net, 40.0, 7);
+        let baseline_config = ThreadedConfig {
+            slack: SLACK,
+            chunk_ticks: Some(CHUNK_TICKS),
+            ..ThreadedConfig::default()
+        };
+        let checkpoint_config = ThreadedConfig {
+            checkpoint: true,
+            ..baseline_config.clone()
+        };
+        // The first edge node: it injects a third of the trace, so the
+        // halfway crash re-runs a long stretch of injections whose frames
+        // both centers have already received.
+        let node = CENTERS;
+        let local = events.iter().filter(|e| e.origin.index() == node).count() as u64;
+        let crash_config = ThreadedConfig {
+            fault: Some(FaultPlan {
+                node,
+                crash_at: local / 2,
+                restart_delay: Duration::from_millis(1),
+            }),
+            ..checkpoint_config.clone()
+        };
+        let fingerprints = |report: &ThreadedReport| -> Vec<BTreeSet<Vec<u64>>> {
+            report
+                .matches
+                .iter()
+                .map(|q| q.iter().map(Match::fingerprint).collect())
+                .collect()
+        };
+
+        let baseline = run_threaded(&deployment, &events, &baseline_config);
+        let checkpointed = run_threaded(&deployment, &events, &checkpoint_config);
+        let crashed = run_threaded(&deployment, &events, &crash_config);
+        assert!(
+            baseline.metrics.sink_matches > 0,
+            "anchors must find matches"
+        );
+        assert_eq!(fingerprints(&baseline), fingerprints(&checkpointed));
+        assert_eq!(fingerprints(&baseline), fingerprints(&crashed));
+        assert_eq!(checkpointed.metrics.recovery.crashes, 0);
+        assert_eq!(crashed.metrics.recovery.crashes, 1, "crash must fire");
+
+        let dump = crashed
+            .flight_dumps
+            .iter()
+            .find_map(|d| decode_dump(d))
+            .expect("the crashed node publishes a flight dump that decodes");
+        let timeline = render_timeline(&dump);
+        assert!(timeline.contains("CRASH"), "timeline:\n{timeline}");
     }
 }

@@ -183,6 +183,11 @@ proptest! {
         let shared = Deployment::new_with(&plan.merged, &ctx, Sharing::Shared);
         let independent = Deployment::new_with(&plan.merged, &ctx, Sharing::Independent);
         prop_assert_eq!(&shared.queries, &independent.queries);
+        // Every recipe is registered twice, so sharing must strictly
+        // collapse: fewer physical tasks than logical ones, while the
+        // independent deployment keeps one task per logical vertex.
+        prop_assert!(shared.tasks.len() < shared.logical_tasks);
+        prop_assert_eq!(shared.logical_tasks, independent.tasks.len());
 
         let trace = generate_traces(&net, &TraceConfig {
             duration: 25.0,
