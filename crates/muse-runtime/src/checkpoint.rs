@@ -5,7 +5,7 @@
 //! *immortal* that checkpoints the application state (input queues and
 //! partial matches) and replays logged calls after a failure. Here the
 //! equivalent durable state is a [`Snapshot`]: per-task join-engine state
-//! (buffered partial matches, negation evaluators, watermarks, counters),
+//! (buffered partial matches, negation assemblers, watermarks, counters),
 //! in-flight deliveries, the transmission-multiplexing sent-sets, metrics,
 //! and collected sink matches. A snapshot taken mid-run and restored into
 //! a fresh executor resumes to exactly the same results as an
@@ -43,6 +43,11 @@
 //! fail with [`CheckpointError::UnsupportedVersion`]; truncated or
 //! malformed bytes with [`CheckpointError::Malformed`] — never a panic.
 //!
+//! The current format is version 3: each `NSEQ` negation of a join state
+//! ([`JoinState::negations`]) carries its forbidden-match store and, for a
+//! composite forbidden pattern, the nested [`JoinState`] of the join that
+//! assembles it (version 2 carried an evaluator state there).
+//!
 //! The one sanctioned way *across* plans is [`map_snapshot`] /
 //! [`restore_mapped`]: given a certified-safe `muse-verify`
 //! [`MigrationPlan`], state is re-keyed task-by-task from the old
@@ -52,7 +57,7 @@ use crate::codec::{
     encode_match, try_decode_match, try_get_u16, try_get_u32, try_get_u64, try_get_u8,
 };
 use crate::deploy::{Deployment, TaskKind};
-use crate::matcher::{EvalState, JoinState, Match, StoreState};
+use crate::matcher::{JoinState, Match, StoreState};
 use crate::metrics::{JoinStats, Metrics, TransportStats};
 use crate::sim::{SimConfig, SimExecutor};
 use bytes::{BufMut, BytesMut};
@@ -63,7 +68,7 @@ use muse_verify::{CarryMode, MigrationPlan};
 pub const SNAPSHOT_MAGIC: u32 = 0x4d55_5345;
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Errors raised by snapshot encode/decode/restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -477,13 +482,7 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
     buf.put_u64(snap.plan);
     buf.put_u32(snap.tasks.len() as u32);
     for task in &snap.tasks {
-        match task {
-            None => buf.put_u8(0),
-            Some(state) => {
-                buf.put_u8(1);
-                put_join(&mut buf, state);
-            }
-        }
+        put_opt_join(&mut buf, task.as_ref());
     }
     buf.put_u32(snap.pending.len() as u32);
     for p in &snap.pending {
@@ -536,11 +535,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     let num_tasks = get_len(buf)?;
     let mut tasks = Vec::with_capacity(num_tasks);
     for _ in 0..num_tasks {
-        match try_get_u8(buf).ok_or(CheckpointError::Malformed)? {
-            0 => tasks.push(None),
-            1 => tasks.push(Some(get_join(buf)?)),
-            _ => return Err(CheckpointError::Malformed),
-        }
+        tasks.push(get_opt_join(buf, 0)?);
     }
     let num_pending = get_len(buf)?;
     let mut pending = Vec::with_capacity(num_pending);
@@ -657,44 +652,14 @@ fn get_store(buf: &mut &[u8]) -> Result<StoreState, CheckpointError> {
     })
 }
 
-fn put_eval(buf: &mut BytesMut, e: &EvalState) {
-    put_store(buf, &e.partials);
-    buf.put_u64(e.partials_created);
-    buf.put_u64(e.peak_partials);
-    buf.put_u32(e.negations.len() as u32);
-    for (sub, forbidden) in &e.negations {
-        put_eval(buf, sub);
-        put_store(buf, forbidden);
-    }
-}
-
-fn get_eval(buf: &mut &[u8]) -> Result<EvalState, CheckpointError> {
-    let partials = get_store(buf)?;
-    let partials_created = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    let peak_partials = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    let n = get_len(buf)?;
-    let mut negations = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sub = get_eval(buf)?;
-        let forbidden = get_store(buf)?;
-        negations.push((sub, forbidden));
-    }
-    Ok(EvalState {
-        partials,
-        partials_created,
-        peak_partials,
-        negations,
-    })
-}
-
 fn put_join(buf: &mut BytesMut, j: &JoinState) {
     buf.put_u32(j.stores.len() as u32);
     for s in &j.stores {
         put_store(buf, s);
     }
     buf.put_u32(j.negations.len() as u32);
-    for (eval, forbidden) in &j.negations {
-        put_eval(buf, eval);
+    for (assembler, forbidden) in &j.negations {
+        put_opt_join(buf, assembler.as_ref());
         put_store(buf, forbidden);
     }
     buf.put_u64(j.max_time);
@@ -705,7 +670,31 @@ fn put_join(buf: &mut BytesMut, j: &JoinState) {
     put_join_stats(buf, &j.stats);
 }
 
-fn get_join(buf: &mut &[u8]) -> Result<JoinState, CheckpointError> {
+/// An optional join state: a task's (absent for sources) or a negation's
+/// forbidden-pattern assembler (absent for single-primitive patterns).
+fn put_opt_join(buf: &mut BytesMut, j: Option<&JoinState>) {
+    match j {
+        None => buf.put_u8(0),
+        Some(state) => {
+            buf.put_u8(1);
+            put_join(buf, state);
+        }
+    }
+}
+
+/// `depth` counts enclosing assemblers: one per `NSEQ` nested inside
+/// another's negated child, so a well-formed state stays below the
+/// primitive count and a corrupt one cannot recurse the decoder off the
+/// stack.
+fn get_opt_join(buf: &mut &[u8], depth: usize) -> Result<Option<JoinState>, CheckpointError> {
+    match try_get_u8(buf).ok_or(CheckpointError::Malformed)? {
+        0 => Ok(None),
+        1 if depth <= muse_core::types::MAX_PRIMS => get_join(buf, depth).map(Some),
+        _ => Err(CheckpointError::Malformed),
+    }
+}
+
+fn get_join(buf: &mut &[u8], depth: usize) -> Result<JoinState, CheckpointError> {
     let n = get_len(buf)?;
     let mut stores = Vec::with_capacity(n);
     for _ in 0..n {
@@ -714,9 +703,9 @@ fn get_join(buf: &mut &[u8]) -> Result<JoinState, CheckpointError> {
     let n = get_len(buf)?;
     let mut negations = Vec::with_capacity(n);
     for _ in 0..n {
-        let eval = get_eval(buf)?;
+        let assembler = get_opt_join(buf, depth + 1)?;
         let forbidden = get_store(buf)?;
-        negations.push((eval, forbidden));
+        negations.push((assembler, forbidden));
     }
     let max_time = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
     let n = get_len(buf)?;
@@ -901,29 +890,38 @@ mod tests {
     use super::*;
     use muse_core::algorithms::amuse::{amuse, AMuseConfig};
     use muse_core::graph::PlanContext;
-    use muse_core::network::NetworkBuilder;
+    use muse_core::network::{Network, NetworkBuilder};
     use muse_core::query::{Pattern, Query};
     use muse_core::types::{EventTypeId, NodeId, QueryId};
 
-    fn two_node_deployment(window: u64) -> Deployment {
-        let t0 = EventTypeId(0);
-        let t1 = EventTypeId(1);
-        let net = NetworkBuilder::new(2, 2)
-            .node(NodeId(0), [t0])
-            .node(NodeId(1), [t1])
-            .rate(t0, 1.0)
-            .rate(t1, 1.0)
-            .build();
-        let q = Query::build(
-            QueryId(0),
-            &Pattern::seq([Pattern::leaf(t0), Pattern::leaf(t1)]),
-            vec![],
-            window,
-        )
-        .unwrap();
-        let plan = amuse(&q, &net, &AMuseConfig::default()).unwrap();
-        let ctx = PlanContext::new(std::slice::from_ref(&q), &net, &plan.table);
+    /// One event type per node (type id = node id), each at rate 1.
+    fn one_type_per_node(n: u16) -> Network {
+        (0..n)
+            .map(EventTypeId)
+            .fold(NetworkBuilder::new(n.into(), n.into()), |net, t| {
+                net.node(NodeId(t.0), [t]).rate(t, 1.0)
+            })
+            .build()
+    }
+
+    fn deploy(net: &Network, pattern: &Pattern, window: u64) -> Deployment {
+        let q = Query::build(QueryId(0), pattern, vec![], window).unwrap();
+        let plan = amuse(&q, net, &AMuseConfig::default()).unwrap();
+        let ctx = PlanContext::new(std::slice::from_ref(&q), net, &plan.table);
         Deployment::new(&plan.graph, &ctx)
+    }
+
+    fn two_node_deployment(window: u64) -> Deployment {
+        let [t0, t1] = [0, 1].map(|t| Pattern::leaf(EventTypeId(t)));
+        deploy(&one_type_per_node(2), &Pattern::seq([t0, t1]), window)
+    }
+
+    /// `NSEQ(A, SEQ(B, D), C)` with A, B, D, C produced at nodes 0..4: the
+    /// sink join hosts a forbidden-pattern assembler.
+    fn composite_guard_deployment(window: u64) -> Deployment {
+        let [a, b, d, c] = [0, 1, 2, 3].map(|t| Pattern::leaf(EventTypeId(t)));
+        let pattern = Pattern::nseq(a, Pattern::seq([b, d]), c);
+        deploy(&one_type_per_node(4), &pattern, window)
     }
 
     #[test]
@@ -1008,16 +1006,8 @@ mod tests {
             .rate(t1, 1.0)
             .rate(t2, 1.0)
             .build();
-        let q = Query::build(
-            QueryId(0),
-            &Pattern::seq([Pattern::leaf(t0), Pattern::leaf(t1), Pattern::leaf(t2)]),
-            vec![],
-            100,
-        )
-        .unwrap();
-        let plan = amuse(&q, &net, &AMuseConfig::default()).unwrap();
-        let ctx = PlanContext::new(std::slice::from_ref(&q), &net, &plan.table);
-        let d2 = Deployment::new(&plan.graph, &ctx);
+        let pattern = Pattern::seq([Pattern::leaf(t0), Pattern::leaf(t1), Pattern::leaf(t2)]);
+        let d2 = deploy(&net, &pattern, 100);
         let executor = SimExecutor::new(&d1, SimConfig::default());
         let bytes = snapshot(&executor).unwrap();
         match restore(&d2, SimConfig::default(), &bytes) {
@@ -1044,27 +1034,84 @@ mod tests {
             Err(CheckpointError::UnsupportedVersion(_))
         ));
         // Version 1 carried a latency histogram in the metrics block that
-        // version 2 does not: it is refused by number, not misread.
-        bytes[4..6].copy_from_slice(&1u16.to_be_bytes());
-        assert_eq!(
-            decode(&bytes).err(),
-            Some(CheckpointError::UnsupportedVersion(1))
-        );
+        // later versions do not, and version 2 a sub-evaluator state where
+        // version 3 has the negation's assembler: both are refused by
+        // number, not misread.
+        for old in [1u16, 2] {
+            bytes[4..6].copy_from_slice(&old.to_be_bytes());
+            assert_eq!(
+                decode(&bytes).err(),
+                Some(CheckpointError::UnsupportedVersion(old))
+            );
+        }
     }
 
     #[test]
     fn snapshot_decode_is_lossless() {
-        let deployment = two_node_deployment(100);
-        let mut executor = SimExecutor::new(&deployment, SimConfig::default());
-        let events = vec![
-            muse_core::event::Event::new(0, EventTypeId(0), 10, NodeId(0)),
-            muse_core::event::Event::new(1, EventTypeId(1), 20, NodeId(1)),
-            muse_core::event::Event::new(2, EventTypeId(0), 30, NodeId(0)),
+        let ev = |seq, ty: u16, time| {
+            muse_core::event::Event::new(seq, EventTypeId(ty), time, NodeId(ty))
+        };
+        // (deployment, trace, events processed before the snapshot,
+        // forbidden-pattern assemblers in the plan)
+        let cases = [
+            (
+                two_node_deployment(100),
+                vec![ev(0, 0, 10), ev(1, 1, 20), ev(2, 0, 30)],
+                3,
+                0,
+            ),
+            // The snapshot catches the forbidden SEQ(B, D) half-assembled:
+            // B@20 sits in the assembler, D@25 is still to come, and only
+            // together do they suppress (A@10, C@30) and (A@10, C@50).
+            (
+                composite_guard_deployment(100),
+                vec![
+                    ev(0, 0, 10),
+                    ev(1, 1, 20),
+                    ev(2, 2, 25),
+                    ev(3, 3, 30),
+                    ev(4, 0, 40),
+                    ev(5, 3, 50),
+                ],
+                2,
+                1,
+            ),
         ];
-        executor.process_trace(&events);
-        let snap = executor.to_snapshot();
-        let decoded = decode_for(&deployment, &encode(&snap)).unwrap();
-        assert_eq!(decoded, snap);
-        assert!(decoded.metrics.sink_matches > 0 || decoded.metrics.events_injected > 0);
+        for (deployment, events, split, assemblers) in cases {
+            let mut executor = SimExecutor::new(&deployment, SimConfig::default());
+            executor.process_trace(&events[..split]);
+            let snap = executor.to_snapshot();
+            let decoded = decode_for(&deployment, &encode(&snap)).unwrap();
+            assert_eq!(decoded, snap);
+            assert!(decoded.metrics.sink_matches > 0 || decoded.metrics.events_injected > 0);
+
+            // Without its assembler states the snapshot no longer fits the
+            // plan's negation joins, and the restore says so.
+            let mut stripped = decoded.clone();
+            let negations = stripped
+                .tasks
+                .iter_mut()
+                .flatten()
+                .flat_map(|j| &mut j.negations);
+            assert_eq!(negations.filter_map(|(a, _)| a.take()).count(), assemblers);
+            if assemblers > 0 {
+                assert!(matches!(
+                    SimExecutor::from_snapshot(&deployment, SimConfig::default(), stripped),
+                    Err(CheckpointError::Shape(_))
+                ));
+            }
+
+            // The restored executor finishes the trace like an
+            // uninterrupted run.
+            let mut resumed =
+                SimExecutor::from_snapshot(&deployment, SimConfig::default(), decoded).unwrap();
+            resumed.process_trace(&events[split..]);
+            let whole = crate::sim::run_simulation(&deployment, &events, &SimConfig::default());
+            let fingerprints = |ms: &[Match]| ms.iter().map(Match::fingerprint).collect::<Vec<_>>();
+            assert_eq!(
+                fingerprints(&resumed.matches()[0]),
+                fingerprints(&whole.matches[0])
+            );
+        }
     }
 }

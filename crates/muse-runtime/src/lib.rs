@@ -15,8 +15,9 @@
 //!   wall-clock latency and throughput measurements (Fig. 8).
 //!
 //! [`matcher`] implements the query semantics (skip-till-any-match, §2.2):
-//! a centralized [`matcher::Evaluator`] doubles as the ground truth that
-//! distributed runs are verified against. [`checkpoint`] provides
+//! [`matcher::JoinTask`] is the one engine on the data path, and the
+//! centralized [`matcher::Evaluator`] is the reference that distributed
+//! runs are verified against. [`checkpoint`] provides
 //! snapshot/restore of executor state — the stand-in for Ambrosia's virtual
 //! resiliency; [`codec`] is the compact wire format used for transmission
 //! byte accounting and snapshots.

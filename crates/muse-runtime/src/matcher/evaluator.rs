@@ -8,12 +8,17 @@
 //! exactly the per-node state that MuSE graphs shrink by distributing
 //! evaluation.
 //!
-//! The evaluator doubles as (a) the centralized ground-truth engine used to
-//! verify distributed execution, and (b) the per-node engine for evaluating
-//! a projection whose inputs are all local.
+//! The evaluator is the centralized reference that distributed execution is
+//! verified against; nothing on the runtime's data path uses it (joins,
+//! including the forbidden-pattern assembly of `NSEQ` contexts, run on
+//! [`super::JoinTask`]). It keeps its own plain partial-match buffer so it
+//! shares no storage code with the engine it judges.
+//!
+//! Precondition of the reference: [`Evaluator::on_event`] and
+//! [`Evaluator::run`] must see the events in global trace order — an
+//! incoming event is treated as the newest, so extensions are only checked
+//! against `Before` obligations and eviction never looks back.
 
-use super::join::default_stride;
-use super::store::{MatchStore, StoreState};
 use super::{is_valid_match, nseq_violated, Match};
 use muse_core::event::Event;
 use muse_core::query::{NSeqContext, OrderRel, Query};
@@ -46,54 +51,25 @@ use muse_core::types::{PrimId, PrimSet};
 /// let matches = Evaluator::for_query(&query).run(&trace);
 /// assert_eq!(matches.len(), 2); // skip-till-any-match: both pairs
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Evaluator {
     query: Query,
-    /// All primitives of the evaluated projection.
-    prims: PrimSet,
     /// Primitives whose events form emitted matches.
     positive: PrimSet,
-    /// Open partial matches, indexed by first timestamp with watermark
-    /// eviction (same [`MatchStore`] as the join engine's slot stores).
-    partials: MatchStore,
-    /// `NSEQ` contexts fully contained in `prims`, with the forbidden
-    /// matches observed so far and a sub-evaluator producing them.
+    /// Open partial matches, in creation order; those starting before
+    /// `time − window` are dropped on every event.
+    partials: Vec<Match>,
+    /// `NSEQ` contexts fully contained in the evaluated projection, with
+    /// the forbidden matches observed so far and a sub-evaluator producing
+    /// them.
     negations: Vec<Negation>,
-    /// Minimum horizon progress between physical prefix drains.
-    evict_stride: muse_core::event::Timestamp,
-    /// Total partial matches ever created (a load proxy; §7.3 attributes
-    /// latency/throughput to per-node partial-match state).
-    partials_created: u64,
-    /// Largest number of simultaneously open partials observed at this
-    /// evaluator level (excluding sub-evaluators).
-    #[serde(default)]
-    peak_partials: usize,
 }
 
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 struct Negation {
     context: NSeqContext,
     sub: Box<Evaluator>,
-    forbidden: MatchStore,
-}
-
-/// The checkpointable dynamic state of an [`Evaluator`]: open partials,
-/// load counters, and — recursively — each negation's sub-evaluator state
-/// and forbidden-match store. The static structure (query, primitive
-/// sets, eviction stride, the negation list itself) is *not* captured: a
-/// restore target is rebuilt from the deployment plan first, and the
-/// state is grafted onto it after a structural check.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct EvalState {
-    /// Open partial matches.
-    pub partials: StoreState,
-    /// Total partials ever created at this level.
-    pub partials_created: u64,
-    /// Peak simultaneously-open partials at this level.
-    pub peak_partials: u64,
-    /// Per-negation `(sub-evaluator state, forbidden store state)`, in the
-    /// evaluator's negation order.
-    pub negations: Vec<(EvalState, StoreState)>,
+    forbidden: Vec<Match>,
 }
 
 impl Evaluator {
@@ -111,7 +87,7 @@ impl Evaluator {
     /// Internal constructor: `positive` overrides which primitives form the
     /// emitted matches (used for sub-evaluators of negated patterns, whose
     /// primitives are negated in the outer query but positive locally).
-    pub(crate) fn with_positive(query: &Query, prims: PrimSet, positive: PrimSet) -> Self {
+    fn with_positive(query: &Query, prims: PrimSet, positive: PrimSet) -> Self {
         let negations = query
             .nseq_contexts()
             .iter()
@@ -124,90 +100,15 @@ impl Evaluator {
             .map(|ctx| Negation {
                 context: *ctx,
                 sub: Box::new(Evaluator::with_positive(query, ctx.negated, ctx.negated)),
-                forbidden: MatchStore::new(),
+                forbidden: Vec::new(),
             })
             .collect();
         Self {
-            prims,
             positive,
-            partials: MatchStore::new(),
+            partials: Vec::new(),
             negations,
-            evict_stride: default_stride(query.window()),
-            partials_created: 0,
-            peak_partials: 0,
             query: query.clone(),
         }
-    }
-
-    /// The primitives of the evaluated projection.
-    pub fn prims(&self) -> PrimSet {
-        self.prims
-    }
-
-    /// Number of currently open (live) partial matches, including
-    /// sub-evaluators. Partials past the eviction watermark do not count,
-    /// whether or not they have been physically drained yet.
-    pub fn open_partials(&self) -> usize {
-        self.partials.len()
-            + self
-                .negations
-                .iter()
-                .map(|n| n.sub.open_partials())
-                .sum::<usize>()
-    }
-
-    /// Total partial matches ever created (including sub-evaluators).
-    pub fn partials_created(&self) -> u64 {
-        self.partials_created
-            + self
-                .negations
-                .iter()
-                .map(|n| n.sub.partials_created())
-                .sum::<u64>()
-    }
-
-    /// Peak number of simultaneously open partials, summed over this
-    /// evaluator and its sub-evaluators (each level tracks its own peak,
-    /// so the sum is an upper bound on the true concurrent peak).
-    pub fn peak_open_partials(&self) -> usize {
-        self.peak_partials
-            + self
-                .negations
-                .iter()
-                .map(|n| n.sub.peak_open_partials())
-                .sum::<usize>()
-    }
-
-    /// Captures the evaluator's dynamic state for a checkpoint.
-    pub fn save_state(&self) -> EvalState {
-        EvalState {
-            partials: self.partials.save_state(),
-            partials_created: self.partials_created,
-            peak_partials: self.peak_partials as u64,
-            negations: self
-                .negations
-                .iter()
-                .map(|n| (n.sub.save_state(), n.forbidden.save_state()))
-                .collect(),
-        }
-    }
-
-    /// Grafts a saved dynamic state onto this (freshly rebuilt)
-    /// evaluator. Fails when the state's negation structure does not match
-    /// the evaluator's — the symptom of restoring against a different
-    /// query than the one that produced the snapshot.
-    pub fn restore_state(&mut self, state: EvalState) -> Result<(), &'static str> {
-        if state.negations.len() != self.negations.len() {
-            return Err("evaluator negation count differs from snapshot");
-        }
-        self.partials = MatchStore::restore_state(state.partials);
-        self.partials_created = state.partials_created;
-        self.peak_partials = state.peak_partials as usize;
-        for (neg, (sub, forbidden)) in self.negations.iter_mut().zip(state.negations) {
-            neg.sub.restore_state(sub)?;
-            neg.forbidden = MatchStore::restore_state(forbidden);
-        }
-        Ok(())
     }
 
     /// Feeds one event (in global trace order) and returns the complete
@@ -218,13 +119,10 @@ impl Evaluator {
         // ending before a candidate's suffix is always observed first in
         // trace order.
         for negation in &mut self.negations {
-            for found in negation.sub.on_event(event) {
-                negation.forbidden.insert(found);
-            }
-            negation
-                .forbidden
-                .advance_horizon(horizon, self.evict_stride);
+            negation.forbidden.extend(negation.sub.on_event(event));
+            negation.forbidden.retain(|f| f.first_time() >= horizon);
         }
+        self.partials.retain(|pm| pm.first_time() >= horizon);
 
         let mut emitted = Vec::new();
         // Which positive primitives can this event instantiate?
@@ -234,17 +132,13 @@ impl Evaluator {
             .filter(|p| self.query.prim_type(*p) == event.ty)
             .collect();
         if candidates.is_empty() {
-            self.partials.advance_horizon(horizon, self.evict_stride);
             return emitted;
         }
 
         let mut created: Vec<Match> = Vec::new();
         for prim in candidates {
             // Extend every compatible open partial (skip-till-any-match).
-            // The index skips partials that start before `time − window`
-            // outright — `can_extend` would reject every one of them.
-            for stored in self.partials.live_from(horizon) {
-                let pm = &stored.m;
+            for pm in &self.partials {
                 if pm.get(prim).is_some() {
                     continue;
                 }
@@ -274,10 +168,7 @@ impl Evaluator {
                 }
             }
         }
-        self.partials_created += created.len() as u64;
-        self.partials.insert_batch(created);
-        self.partials.advance_horizon(horizon, self.evict_stride);
-        self.peak_partials = self.peak_partials.max(self.partials.len());
+        self.partials.append(&mut created);
         emitted
     }
 
@@ -326,9 +217,8 @@ impl Evaluator {
     fn passes_negation(&self, m: &Match) -> bool {
         self.negations.iter().all(|n| {
             n.forbidden
-                .live()
                 .iter()
-                .all(|f| !nseq_violated(m, &f.m, n.context.first, n.context.last, &self.query))
+                .all(|f| !nseq_violated(m, f, n.context.first, n.context.last, &self.query))
         })
     }
 }
@@ -525,71 +415,6 @@ mod tests {
         let mut e = Evaluator::for_query(&q);
         let trace = [ev(0, 0, 1), ev(1, 3, 2), ev(2, 1, 3), ev(3, 2, 5)];
         assert_eq!(e.run(&trace).len(), 1);
-    }
-
-    #[test]
-    fn partials_accounting() {
-        let q = seq_ab(1000);
-        let mut e = Evaluator::for_query(&q);
-        let trace: Vec<Event> = (0..5).map(|i| ev(i, 0, i)).collect();
-        e.run(&trace);
-        assert_eq!(e.open_partials(), 5);
-        assert_eq!(e.partials_created(), 5);
-    }
-
-    #[test]
-    fn save_restore_mid_stream_resumes_identically() {
-        // NSEQ exercises the recursive negation state (sub-evaluator +
-        // forbidden store) alongside the open-partial store.
-        let q = Query::build(
-            QueryId(0),
-            &Pattern::nseq(
-                Pattern::leaf(EventTypeId(0)),
-                Pattern::leaf(EventTypeId(1)),
-                Pattern::leaf(EventTypeId(2)),
-            ),
-            vec![],
-            100,
-        )
-        .unwrap();
-        let trace: Vec<Event> = (0..30).map(|i| ev(i, (i % 3) as u16, i * 4)).collect();
-        let full: Vec<Vec<u64>> = Evaluator::for_query(&q)
-            .run(&trace)
-            .iter()
-            .map(Match::fingerprint)
-            .collect();
-        for split in [1usize, 7, 15, 29] {
-            let mut first = Evaluator::for_query(&q);
-            let mut out: Vec<Vec<u64>> = first
-                .run(&trace[..split])
-                .iter()
-                .map(Match::fingerprint)
-                .collect();
-            let saved = first.save_state();
-            drop(first);
-            let mut resumed = Evaluator::for_query(&q);
-            resumed.restore_state(saved).unwrap();
-            out.extend(resumed.run(&trace[split..]).iter().map(Match::fingerprint));
-            assert_eq!(out, full, "split at {split}");
-        }
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_structure() {
-        let with_neg = Query::build(
-            QueryId(0),
-            &Pattern::nseq(
-                Pattern::leaf(EventTypeId(0)),
-                Pattern::leaf(EventTypeId(1)),
-                Pattern::leaf(EventTypeId(2)),
-            ),
-            vec![],
-            100,
-        )
-        .unwrap();
-        let saved = Evaluator::for_query(&with_neg).save_state();
-        let mut plain = Evaluator::for_query(&seq_ab(100));
-        assert!(plain.restore_state(saved).is_err());
     }
 
     #[test]

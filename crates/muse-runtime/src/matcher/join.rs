@@ -14,9 +14,11 @@
 //! [`Match::merge`] enforces.
 //!
 //! Negated primitives arrive as raw primitive streams (negation-closure
-//! keeps their context together, §5.2); per `NSEQ` context the join runs a
-//! sub-[`Evaluator`] over the forbidden pattern and suppresses positive
-//! matches with a forbidden match strictly inside the context interval.
+//! keeps their context together, §5.2); per `NSEQ` context the join
+//! assembles the forbidden pattern with a nested [`JoinTask`] over those
+//! streams — the same arrival-order-independent engine, so guards may reach
+//! it in any relative order — and suppresses positive matches with a
+//! forbidden match strictly inside the context interval.
 //!
 //! # Probe strategy
 //!
@@ -32,18 +34,16 @@
 //! strategy ([`NaiveJoinTask`]), which is kept as the reference
 //! implementation for equivalence tests and benchmarks.
 
-use super::evaluator::EvalState;
 use super::store::{MatchStore, StoreState};
-use super::{is_valid_match, nseq_violated, Evaluator, Match};
+use super::{is_valid_match, nseq_violated, Match};
 use crate::metrics::JoinStats;
 use muse_core::event::Timestamp;
 use muse_core::query::{NSeqContext, Query};
 use muse_core::types::PrimSet;
-use serde::{Deserialize, Serialize};
 
 /// Static description of one input slot of a join: the predecessor
 /// projection's primitive operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotSpec {
     /// The predecessor projection's primitives.
     pub prims: PrimSet,
@@ -54,10 +54,9 @@ pub struct SlotSpec {
 
 /// A join task deriving matches of one target projection from predecessor
 /// match streams, with indexed, window-pruned probing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinTask {
     query: Query,
-    target: PrimSet,
     /// Positive primitives of the target (events of emitted matches).
     positive: PrimSet,
     slots: Vec<SlotSpec>,
@@ -79,35 +78,37 @@ pub struct JoinTask {
     /// the caller knows every in-flight guard has arrived (the threaded
     /// executor's chunk-quiescence boundary). Joins without negations are
     /// unaffected.
-    #[serde(default)]
     defer_negation: bool,
     /// Candidates awaiting their deferred absence check.
-    #[serde(default)]
     deferred: Vec<Match>,
     /// Observability counters.
     stats: JoinStats,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct NegationCheck {
     context: NSeqContext,
-    evaluator: Evaluator,
+    /// Assembles the forbidden pattern from its primitives' guard streams
+    /// (see [`JoinTask::assembler`]). `None` when the pattern is a single
+    /// primitive: the guard match *is* the forbidden match.
+    assembler: Option<JoinTask>,
     forbidden: MatchStore,
 }
 
 /// The checkpointable dynamic state of a [`JoinTask`]: per-slot match
-/// buffers, per-negation evaluator/forbidden state, the local watermark,
+/// buffers, per-negation assembler/forbidden state, the local watermark,
 /// deferred candidates, and the task's counters. Static structure (query,
 /// slot specs, slack, stride, defer flag) is rebuilt from the deployment
 /// plan on restore and validated structurally against this state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinState {
     /// Buffered matches per slot, parallel to the task's slot list
     /// (negated slots carry an empty store — their state lives in
     /// `negations`).
     pub stores: Vec<StoreState>,
-    /// Per-negation `(sub-evaluator state, forbidden store state)`.
-    pub negations: Vec<(EvalState, StoreState)>,
+    /// Per-negation `(assembler state, forbidden store state)`; the
+    /// assembler state is `None` for a single-primitive forbidden pattern.
+    pub negations: Vec<(Option<JoinState>, StoreState)>,
     /// Largest timestamp seen on any input.
     pub max_time: Timestamp,
     /// Candidates awaiting their deferred absence check.
@@ -141,16 +142,48 @@ impl JoinTask {
     ) -> Self {
         assert!(slack >= 1.0);
         let negated_prims = query.negated_prims();
-        let slots: Vec<SlotSpec> = predecessors
+        let slots = predecessors
             .iter()
             .map(|&prims| SlotSpec {
                 prims,
                 negated: prims.is_subset(negated_prims),
             })
             .collect();
+        let positive = target.difference(negated_prims);
+        Self::build(query, target, positive, slots, slack)
+    }
+
+    /// The join assembling the forbidden pattern of `ctx` from the raw
+    /// guard streams of its primitives: one singleton input slot per
+    /// negated primitive (in primitive order), each a *positive* input of
+    /// this join, whose emitted matches are the forbidden matches.
+    fn assembler(query: &Query, ctx: &NSeqContext, slack: f64) -> Self {
+        let slots = ctx
+            .negated
+            .iter()
+            .map(|p| SlotSpec {
+                prims: PrimSet::single(p),
+                negated: false,
+            })
+            .collect();
+        Self::build(query, ctx.negated, ctx.negated, slots, slack)
+    }
+
+    /// Shared constructor: a join emitting matches over `positive`, with an
+    /// absence check for every `NSEQ` context inside `target` that has a
+    /// guard stream among `slots` (a slot of negated primitives only — for
+    /// an assembler that is every slot, so it checks exactly the contexts
+    /// nested inside its forbidden pattern, recursively).
+    fn build(
+        query: &Query,
+        target: PrimSet,
+        positive: PrimSet,
+        slots: Vec<SlotSpec>,
+        slack: f64,
+    ) -> Self {
         let guard_prims = slots
             .iter()
-            .filter(|s| s.negated)
+            .filter(|s| s.prims.is_subset(query.negated_prims()))
             .fold(PrimSet::empty(), |acc, s| acc.union(s.prims));
         let negations = query
             .nseq_contexts()
@@ -161,15 +194,14 @@ impl JoinTask {
             })
             .map(|ctx| NegationCheck {
                 context: *ctx,
-                evaluator: Evaluator::with_positive(query, ctx.negated, ctx.negated),
+                assembler: (ctx.negated.len() > 1).then(|| Self::assembler(query, ctx, slack)),
                 forbidden: MatchStore::new(),
             })
             .collect();
         let stores = vec![MatchStore::new(); slots.len()];
         Self {
             query: query.clone(),
-            target,
-            positive: target.difference(negated_prims),
+            positive,
             slots,
             stores,
             negations,
@@ -189,11 +221,6 @@ impl JoinTask {
     pub fn with_evict_stride(mut self, stride: Timestamp) -> Self {
         self.evict_stride = stride.max(1);
         self
-    }
-
-    /// The target projection's primitives.
-    pub fn target(&self) -> PrimSet {
-        self.target
     }
 
     /// Whether any `NSEQ` absence check runs at this join.
@@ -233,11 +260,6 @@ impl JoinTask {
             .collect();
         self.stats.emitted += released.len() as u64;
         released
-    }
-
-    /// Candidates currently awaiting their deferred absence check.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
     }
 
     /// The input slots.
@@ -281,18 +303,28 @@ impl JoinTask {
     pub fn on_match(&mut self, slot: usize, m: Match) -> Vec<Match> {
         self.stats.inputs += 1;
         self.max_time = self.max_time.max(m.last_time());
-        if self.slots[slot].negated {
-            // Negation guard: feed the forbidden-pattern evaluator of each
-            // context this primitive belongs to.
+        // Negation guards: every event of a context's negated primitive is
+        // a forbidden match (single-primitive pattern) or an input of the
+        // context's assembler. Matches on positive slots carry no negated
+        // primitive, except in an assembler whose pattern nests an `NSEQ`.
+        for neg in &mut self.negations {
             for (prim, event) in m.entries() {
-                for neg in &mut self.negations {
-                    if neg.context.negated.contains(*prim) {
-                        for found in neg.evaluator.on_event(event) {
+                // The primitive's rank in the negated set is its assembler slot.
+                let Some(slot) = neg.context.negated.iter().position(|p| p == *prim) else {
+                    continue;
+                };
+                let guard = Match::single(*prim, event.clone());
+                match &mut neg.assembler {
+                    None => neg.forbidden.insert(guard),
+                    Some(assembler) => {
+                        for found in assembler.on_match(slot, guard) {
                             neg.forbidden.insert(found);
                         }
                     }
                 }
             }
+        }
+        if self.slots[slot].negated {
             self.evict();
             return Vec::new();
         }
@@ -411,7 +443,10 @@ impl JoinTask {
             negations: self
                 .negations
                 .iter()
-                .map(|n| (n.evaluator.save_state(), n.forbidden.save_state()))
+                .map(|n| {
+                    let assembler = n.assembler.as_ref().map(JoinTask::save_state);
+                    (assembler, n.forbidden.save_state())
+                })
                 .collect(),
             max_time: self.max_time,
             deferred: self.deferred.clone(),
@@ -435,8 +470,12 @@ impl JoinTask {
             .into_iter()
             .map(MatchStore::restore_state)
             .collect();
-        for (neg, (eval, forbidden)) in self.negations.iter_mut().zip(state.negations) {
-            neg.evaluator.restore_state(eval)?;
+        for (neg, (assembler, forbidden)) in self.negations.iter_mut().zip(state.negations) {
+            match (&mut neg.assembler, assembler) {
+                (Some(task), Some(state)) => task.restore_state(state)?,
+                (None, None) => {}
+                _ => return Err("join negation assembler differs from snapshot"),
+            }
             neg.forbidden = MatchStore::restore_state(forbidden);
         }
         self.max_time = state.max_time;
@@ -463,7 +502,7 @@ impl JoinTask {
 
 /// Default watermark stride: a quarter window bounds dead entries to a
 /// fraction of the live set while draining only a few times per window.
-pub(crate) fn default_stride(window: Timestamp) -> Timestamp {
+fn default_stride(window: Timestamp) -> Timestamp {
     (window / 4).max(1)
 }
 
@@ -476,10 +515,9 @@ pub(crate) fn default_stride(window: Timestamp) -> Timestamp {
 /// (`tests/join_equivalence.rs`) checks that [`JoinTask`] emits an
 /// identical match stream, and the matcher benchmark measures the indexed
 /// engine's speedup against it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NaiveJoinTask {
     query: Query,
-    target: PrimSet,
     positive: PrimSet,
     slots: Vec<SlotSpec>,
     stores: Vec<Vec<Match>>,
@@ -489,19 +527,14 @@ pub struct NaiveJoinTask {
     emitted: u64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct NaiveNegationCheck {
     context: NSeqContext,
-    evaluator: Evaluator,
+    assembler: Option<NaiveJoinTask>,
     forbidden: Vec<Match>,
 }
 
 impl NaiveJoinTask {
-    /// See [`JoinTask::new`].
-    pub fn new(query: &Query, target: PrimSet, predecessors: &[PrimSet]) -> Self {
-        Self::with_slack(query, target, predecessors, 1.0)
-    }
-
     /// See [`JoinTask::with_slack`].
     pub fn with_slack(
         query: &Query,
@@ -510,26 +543,28 @@ impl NaiveJoinTask {
         slack: f64,
     ) -> Self {
         // Reuse the indexed constructor's slot/negation analysis.
-        let task = JoinTask::with_slack(query, target, predecessors, slack);
-        let stores = vec![Vec::new(); task.slots.len()];
-        let negations = task
-            .negations
-            .iter()
-            .map(|n| NaiveNegationCheck {
-                context: n.context,
-                evaluator: n.evaluator.clone(),
-                forbidden: Vec::new(),
-            })
-            .collect();
+        Self::mirror(JoinTask::with_slack(query, target, predecessors, slack))
+    }
+
+    /// The naive task with a fresh indexed task's static structure,
+    /// forbidden-pattern assemblers included.
+    fn mirror(task: JoinTask) -> Self {
         Self {
+            stores: vec![Vec::new(); task.slots.len()],
+            negations: task
+                .negations
+                .into_iter()
+                .map(|n| NaiveNegationCheck {
+                    context: n.context,
+                    assembler: n.assembler.map(Self::mirror),
+                    forbidden: Vec::new(),
+                })
+                .collect(),
             query: task.query,
-            target: task.target,
             positive: task.positive,
             slots: task.slots,
-            stores,
-            negations,
             max_time: 0,
-            slack,
+            slack: task.slack,
             emitted: 0,
         }
     }
@@ -552,15 +587,19 @@ impl NaiveJoinTask {
     /// See [`JoinTask::on_match`].
     pub fn on_match(&mut self, slot: usize, m: Match) -> Vec<Match> {
         self.max_time = self.max_time.max(m.last_time());
-        if self.slots[slot].negated {
+        for neg in &mut self.negations {
             for (prim, event) in m.entries() {
-                for neg in &mut self.negations {
-                    if neg.context.negated.contains(*prim) {
-                        let found = neg.evaluator.on_event(event);
-                        neg.forbidden.extend(found);
-                    }
+                let Some(slot) = neg.context.negated.iter().position(|p| p == *prim) else {
+                    continue;
+                };
+                let guard = Match::single(*prim, event.clone());
+                match &mut neg.assembler {
+                    None => neg.forbidden.push(guard),
+                    Some(assembler) => neg.forbidden.extend(assembler.on_match(slot, guard)),
                 }
             }
+        }
+        if self.slots[slot].negated {
             self.evict();
             return Vec::new();
         }
@@ -836,11 +875,9 @@ mod tests {
         assert_eq!(join.on_match(0, ac_after).len(), 1);
     }
 
-    #[test]
-    fn nseq_composite_forbidden_pattern_assembled_from_primitives() {
-        // NSEQ(A, SEQ(B, D), C): guards arrive as primitive B and D streams
-        // and the join assembles the forbidden SEQ(B, D) itself.
-        let q = Query::build(
+    /// NSEQ(A, SEQ(B, D), C), window 100. Leaf order: A=0, B=1, D=2, C=3.
+    fn nseq_a_bd_c() -> Query {
+        Query::build(
             QueryId(0),
             &Pattern::nseq(
                 Pattern::leaf(EventTypeId(0)),
@@ -850,8 +887,14 @@ mod tests {
             vec![],
             100,
         )
-        .unwrap();
-        // Positive prims: A=0, C=3? Leaf order: A=0, B=1, D=2, C=3.
+        .unwrap()
+    }
+
+    #[test]
+    fn nseq_composite_forbidden_pattern_assembled_from_primitives() {
+        // NSEQ(A, SEQ(B, D), C): guards arrive as primitive B and D streams
+        // and the join assembles the forbidden SEQ(B, D) itself.
+        let q = nseq_a_bd_c();
         let positive = ps([0, 3]);
         let mut join = JoinTask::new(&q, q.prims(), &[positive, ps([1]), ps([2])]);
         // B@20 then D@25: forbidden pattern completes inside (10, 30).
@@ -864,6 +907,32 @@ mod tests {
         join.on_match(2, Match::single(PrimId(2), ev(2, 3, 25)));
         let ac = Match::new(vec![(PrimId(0), ev(0, 0, 10)), (PrimId(3), ev(5, 2, 30))]);
         assert_eq!(join.on_match(0, ac).len(), 1);
+    }
+
+    #[test]
+    fn nseq_composite_guards_assemble_in_any_arrival_order() {
+        // Distribution delivers the B and D guard streams in arbitrary
+        // relative order; whether SEQ(B, D) forms depends on the events'
+        // trace positions only. Deferred as under the threaded executor.
+        let q = nseq_a_bd_c();
+        let deferred_join = || {
+            let mut join = JoinTask::new(&q, q.prims(), &[ps([0, 3]), ps([1]), ps([2])]);
+            join.set_defer_negation(true);
+            join
+        };
+        let ac = || Match::new(vec![(PrimId(0), ev(0, 0, 10)), (PrimId(3), ev(5, 2, 30))]);
+        // D@25 arrives before B@20: the pattern still completes in (10, 30).
+        let mut join = deferred_join();
+        join.on_match(2, Match::single(PrimId(2), ev(2, 3, 25)));
+        join.on_match(1, Match::single(PrimId(1), ev(1, 1, 20)));
+        assert!(join.on_match(0, ac()).is_empty());
+        assert!(join.release_deferred().is_empty());
+        // B@20, then a late D@10: D precedes B, nothing forbidden exists.
+        let mut join = deferred_join();
+        join.on_match(1, Match::single(PrimId(1), ev(1, 1, 20)));
+        join.on_match(2, Match::single(PrimId(2), ev(2, 3, 10)));
+        assert!(join.on_match(0, ac()).is_empty());
+        assert_eq!(join.release_deferred().len(), 1);
     }
 
     #[test]

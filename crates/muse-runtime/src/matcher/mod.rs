@@ -13,10 +13,9 @@ pub mod store;
 use muse_core::event::{Event, Timestamp};
 use muse_core::query::{OrderRel, Query};
 use muse_core::types::PrimSet;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-pub use evaluator::{EvalState, Evaluator};
+pub use evaluator::Evaluator;
 pub use join::{JoinState, JoinTask, NaiveJoinTask, SlotSpec};
 pub use store::{MatchStore, StoreState, StoredMatch};
 
@@ -27,7 +26,7 @@ pub use store::{MatchStore, StoreState, StoredMatch};
 /// The event list is shared (`Arc`), so cloning a match — which the join
 /// engine does once per store insert and per network route — is O(1) and
 /// allocation-free instead of a deep copy of every payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Match {
     events: Arc<[(muse_core::types::PrimId, Event)]>,
 }

@@ -1,5 +1,5 @@
 //! Sorted, window-pruned storage for (partial) matches — the index behind
-//! the join engine and the evaluator's open-partial set.
+//! the join engine's slot and forbidden-match buffers.
 //!
 //! Entries are kept sorted by their earliest constituent timestamp so a
 //! probe can binary-search the window-compatible slice instead of scanning
@@ -18,11 +18,10 @@
 
 use super::Match;
 use muse_core::event::Timestamp;
-use serde::{Deserialize, Serialize};
 
 /// A buffered match with its cached time span (so probes never re-scan the
 /// match's events for timestamps).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredMatch {
     /// Earliest constituent timestamp — the sort key.
     pub first: Timestamp,
@@ -37,7 +36,7 @@ pub struct StoredMatch {
 /// plus the eviction bookkeeping. The cached `first`/`last` spans are
 /// *not* part of the state — they are recomputed from each match on
 /// restore, so a snapshot can never desynchronize them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoreState {
     /// Buffered matches in entry order (sorted by first timestamp, ties in
     /// insertion order).
@@ -52,7 +51,7 @@ pub struct StoreState {
 
 /// An indexed buffer of matches ordered by [`Match::first_time`], with
 /// watermark-based eviction.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatchStore {
     /// Sorted by `first` (ties keep insertion order).
     entries: Vec<StoredMatch>,
@@ -76,43 +75,6 @@ impl MatchStore {
         let (first, last) = (m.first_time(), m.last_time());
         let idx = self.entries.partition_point(|e| e.first <= first);
         self.entries.insert(idx, StoredMatch { first, last, m });
-    }
-
-    /// Inserts a batch of matches in one merge pass (cheaper than repeated
-    /// [`MatchStore::insert`] when many matches arrive per trigger).
-    pub fn insert_batch(&mut self, batch: Vec<Match>) {
-        if batch.is_empty() {
-            return;
-        }
-        let mut incoming: Vec<StoredMatch> = batch
-            .into_iter()
-            .map(|m| StoredMatch {
-                first: m.first_time(),
-                last: m.last_time(),
-                m,
-            })
-            .collect();
-        // Stable, so same-key batch entries keep their creation order.
-        incoming.sort_by_key(|e| e.first);
-        if self
-            .entries
-            .last()
-            .is_none_or(|e| e.first <= incoming[0].first)
-        {
-            self.entries.append(&mut incoming);
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.entries.len() + incoming.len());
-        let mut new = incoming.into_iter().peekable();
-        for old in self.entries.drain(..) {
-            // Existing entries come first among equal keys.
-            while new.peek().is_some_and(|n| n.first < old.first) {
-                merged.push(new.next().unwrap());
-            }
-            merged.push(old);
-        }
-        merged.extend(new);
-        self.entries = merged;
     }
 
     /// Index of the first live entry.
@@ -156,14 +118,6 @@ impl MatchStore {
         let start = self.entries.partition_point(|e| e.first < lo);
         let end = self.entries.partition_point(|e| e.first <= hi);
         &self.entries[start..end.max(start)]
-    }
-
-    /// The live entries with first timestamp ≥ `lo` (no upper bound) —
-    /// the evaluator's probe, whose window check lives in `can_extend`.
-    pub fn live_from(&self, lo: Timestamp) -> &[StoredMatch] {
-        let lo = self.horizon.max(lo);
-        let start = self.entries.partition_point(|e| e.first < lo);
-        &self.entries[start..]
     }
 
     /// Advances the logical horizon (monotone; smaller values are ignored)
@@ -256,22 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_matches_repeated_insert() {
-        let mut a = MatchStore::new();
-        let mut b = MatchStore::new();
-        for (seq, t) in [(0, 5), (1, 40), (2, 20)] {
-            a.insert(m(seq, t));
-            b.insert(m(seq, t));
-        }
-        let batch: Vec<Match> = [(3, 20), (4, 1), (5, 60)].map(|(q, t)| m(q, t)).into();
-        for x in batch.clone() {
-            a.insert(x);
-        }
-        b.insert_batch(batch);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn compatible_slices_by_window() {
         let mut s = MatchStore::new();
         for (seq, t) in [(0, 0), (1, 50), (2, 100), (3, 150), (4, 200)] {
@@ -337,16 +275,5 @@ mod tests {
             .map(|e| e.m.fingerprint()[0])
             .collect();
         assert_eq!(all, vec![1, 3, 2, 0, 4]);
-    }
-
-    #[test]
-    fn live_from_applies_horizon_and_bound() {
-        let mut s = MatchStore::new();
-        for (seq, t) in [(0, 10), (1, 20), (2, 30)] {
-            s.insert(m(seq, t));
-        }
-        assert_eq!(firsts(s.live_from(15)), vec![20, 30]);
-        s.advance_horizon(25, 1_000);
-        assert_eq!(firsts(s.live_from(0)), vec![30]);
     }
 }

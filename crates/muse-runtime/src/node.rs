@@ -168,6 +168,13 @@ impl<'a> NodeCore<'a> {
         self.joins.get(task).is_some_and(Option::is_some)
     }
 
+    /// Whether `task` is a hosted join running an `NSEQ` absence check.
+    pub fn hosts_negation(&self, task: usize) -> bool {
+        self.joins[task]
+            .as_ref()
+            .is_some_and(JoinTask::has_negations)
+    }
+
     /// Injects one event into the source tasks at its origin, consulting
     /// the deployment's discrimination index first: candidate tasks whose
     /// predicate bands reject the event are pruned without evaluating a

@@ -45,7 +45,7 @@
 //! release-and-drain phase per level ([`negation_release_phases`]).
 
 use crate::checkpoint::{self, CheckpointError, Snapshot};
-use crate::deploy::Deployment;
+use crate::deploy::{Deployment, Route};
 use crate::flight::{FlightRecord, FlightRing};
 use crate::matcher::Match;
 use crate::metrics::{Metrics, RecoveryStats, TransportStats};
@@ -234,9 +234,9 @@ impl DrainBarrier {
     }
 }
 
-/// The maximum number of network hops on any task path — the number of
-/// drain rounds needed to reach quiescence after all sends of a chunk.
-fn remote_depth(deployment: &Deployment) -> usize {
+/// The heaviest task path of the plan, where following route `r` costs
+/// `weight(r)` (a Kahn walk in topological order over the route DAG).
+fn longest_path(deployment: &Deployment, weight: impl Fn(&Route) -> usize) -> usize {
     let n = deployment.tasks.len();
     let mut indeg = vec![0usize; n];
     for routes in &deployment.routes {
@@ -252,7 +252,7 @@ fn remote_depth(deployment: &Deployment) -> usize {
         let i = queue[head];
         head += 1;
         for r in &deployment.routes[i] {
-            let d = depth[i] + usize::from(r.remote);
+            let d = depth[i] + weight(r);
             if d > depth[r.target] {
                 depth[r.target] = d;
                 max_depth = max_depth.max(d);
@@ -266,48 +266,21 @@ fn remote_depth(deployment: &Deployment) -> usize {
     max_depth
 }
 
+/// The maximum number of network hops on any task path — the number of
+/// drain rounds needed to reach quiescence after all sends of a chunk.
+fn remote_depth(deployment: &Deployment) -> usize {
+    longest_path(deployment, |r| usize::from(r.remote))
+}
+
 /// The longest chain of negation-hosting joins on any task path — the
 /// number of extra release-and-drain phases each chunk needs so deferred
 /// candidates released by one negation level reach (and are re-checked by)
-/// the next.
-fn negation_release_phases(deployment: &Deployment, slack: f64) -> usize {
-    let n = deployment.tasks.len();
-    let neg: Vec<bool> = (0..n)
-        .map(|i| {
-            deployment
-                .make_join(i, slack)
-                .is_some_and(|j| j.has_negations())
-        })
-        .collect();
-    let mut indeg = vec![0usize; n];
-    for routes in &deployment.routes {
-        for r in routes {
-            indeg[r.target] += 1;
-        }
-    }
-    let mut count = vec![0usize; n];
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    for &i in &queue {
-        count[i] = usize::from(neg[i]);
-    }
-    let mut head = 0;
-    let mut max_count = count.iter().copied().max().unwrap_or(0);
-    while head < queue.len() {
-        let i = queue[head];
-        head += 1;
-        for r in &deployment.routes[i] {
-            let c = count[i] + usize::from(neg[r.target]);
-            if c > count[r.target] {
-                count[r.target] = c;
-                max_count = max_count.max(c);
-            }
-            indeg[r.target] -= 1;
-            if indeg[r.target] == 0 {
-                queue.push(r.target);
-            }
-        }
-    }
-    max_count
+/// the next. `cores` are the run's node cores, one per network node.
+fn negation_release_phases(deployment: &Deployment, cores: &[NodeCore<'_>]) -> usize {
+    longest_path(deployment, |r| {
+        let host = &cores[deployment.tasks[r.target].node.index()];
+        usize::from(host.hosts_negation(r.target))
+    })
 }
 
 /// Crash-recovery coordination shared by the node threads in checkpoint
@@ -404,7 +377,7 @@ fn run_cores(
     let t_end = events.iter().map(|e| e.time).max().unwrap_or(0) + 1;
     let num_chunks = t_end.div_ceil(chunk).max(1);
     let rounds_per_chunk = remote_depth(deployment) + 1;
-    let release_phases = negation_release_phases(deployment, config.slack);
+    let release_phases = negation_release_phases(deployment, &cores);
 
     // One flat, origin-partitioned copy of the trace shared by all node
     // threads; each thread reads its own contiguous range. (The former
@@ -1362,7 +1335,8 @@ mod tests {
     #[test]
     fn release_phases_zero_without_negations() {
         let (deployment, _) = test_deployment();
-        assert_eq!(negation_release_phases(&deployment, 4.0), 0);
+        let cores = node_cores(&deployment, &ThreadedConfig::default());
+        assert_eq!(negation_release_phases(&deployment, &cores), 0);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! reference join [`NaiveJoinTask`] — which buffers unsorted, probes the
 //! full cross-product, and retains on every arrival — on randomized
 //! out-of-order streams, windows, slack factors, eviction strides, and
-//! slot layouts (disjoint, overlapping, many-way, and negation-guarded).
+//! slot layouts (disjoint, overlapping, many-way, negation-guarded, and
+//! negation-guarded with a composite forbidden pattern).
 //!
 //! Invariants checked per generated stream (see DESIGN.md, "Join engine
 //! internals"):
@@ -32,9 +33,10 @@ struct Shape {
     slots: Vec<PrimSet>,
 }
 
-/// The four slot layouts exercised: disjoint predecessors, overlapping
-/// predecessors (shared primitive B), a three-way primitive join, and an
-/// `NSEQ` query with a negation guard slot.
+/// The five slot layouts exercised: disjoint predecessors, overlapping
+/// predecessors (shared primitive B), a three-way primitive join, an
+/// `NSEQ` query with a negation guard slot, and an `NSEQ` query whose
+/// forbidden `SEQ(B, D)` is assembled from two primitive guard slots.
 fn shape(kind: u8, window: Timestamp) -> Shape {
     let seq_abc = || {
         Query::build(
@@ -49,7 +51,7 @@ fn shape(kind: u8, window: Timestamp) -> Shape {
         )
         .unwrap()
     };
-    match kind % 4 {
+    match kind % 5 {
         0 => Shape {
             query: seq_abc(),
             slots: vec![ps([0, 1]), ps([2])],
@@ -61,6 +63,21 @@ fn shape(kind: u8, window: Timestamp) -> Shape {
         2 => Shape {
             query: seq_abc(),
             slots: vec![ps([0]), ps([1]), ps([2])],
+        },
+        // Leaf order: A=0, B=1, D=2, C=3.
+        4 => Shape {
+            query: Query::build(
+                QueryId(0),
+                &Pattern::nseq(
+                    Pattern::leaf(EventTypeId(0)),
+                    Pattern::seq([Pattern::leaf(EventTypeId(1)), Pattern::leaf(EventTypeId(2))]),
+                    Pattern::leaf(EventTypeId(3)),
+                ),
+                vec![],
+                window,
+            )
+            .unwrap(),
+            slots: vec![ps([0, 3]), ps([1]), ps([2])],
         },
         _ => Shape {
             query: Query::build(
@@ -132,7 +149,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn indexed_join_equals_naive_reference(
-        kind in 0u8..4,
+        kind in 0u8..5,
         window in 10u64..=200,
         slack_idx in 0usize..3,
         stride in 1u64..=300,
@@ -180,7 +197,7 @@ proptest! {
     /// exceed attempts, and the live count never exceeds the peak.
     #[test]
     fn join_stats_are_consistent(
-        kind in 0u8..4,
+        kind in 0u8..5,
         window in 10u64..=200,
         seed in any::<u64>(),
     ) {

@@ -3,11 +3,13 @@
 # clippy, rustdoc), static verification of the example queries/plans and a
 # `muse-verify migrate` smoke over them (the certified pair must exit 0,
 # the narrowed pair must be refused — no test runs the binary), the loom
-# concurrency lane, the pinned benchmark under bench/ (its own workspace:
-# unit tests plus the smoke run, so a public-API removal cannot break
-# BENCHMARK.json's command unnoticed), and two harness smokes: `table3`
-# with the telemetry export under out/, and the `explain` witness-closure
-# replay. Correctness is gated by the test suite and performance is
+# concurrency lane, the driver-parity suites once more in the release
+# profile (thread interleavings there are the ones bench/ measures, far
+# less tame than the dev profile's), the pinned benchmark under bench/
+# (its own workspace: unit tests plus the smoke run, so a public-API
+# removal cannot break BENCHMARK.json's command unnoticed), and two
+# harness smokes: `table3` with the telemetry export under out/, and the
+# `explain` witness-closure replay. Correctness is gated by the test suite and performance is
 # judged by bench/ alone; no lane here reads a number. Exits nonzero on
 # the first failure, and at the end if any lane wrote a tracked file.
 #
@@ -64,6 +66,11 @@ fi
 
 echo "== loom: model-checked worker/watermark handoff =="
 RUSTFLAGS="--cfg loom" cargo test --release -p muse-runtime --test loom_handoff -q
+
+echo "== release: driver-parity suites under optimized interleavings =="
+cargo test --release -q -p muse-runtime \
+    --test executor_parity --test fault_recovery --test provenance
+cargo test --release -q --test end_to_end
 
 if [ "${MUSE_CI_TSAN:-0}" = "1" ]; then
     echo "== tsan: cargo +nightly test -Zsanitizer=thread (opt-in) =="

@@ -172,38 +172,87 @@ fn oop_and_amuse_agree_on_matches() {
 }
 
 /// NSEQ queries work end-to-end through the full pipeline, with the
-/// negation guard streams distributed across nodes.
+/// negation guard streams distributed across nodes: the simulator and the
+/// threaded executor both reproduce the centralized evaluator's match set.
+/// Two cases — a primitive guard on a generated network, and a composite
+/// guard `SEQ(B, D)` whose primitives are produced at different nodes, so
+/// the threaded executor's join sees the two guard streams in arbitrary
+/// relative order.
 #[test]
 fn nseq_pipeline_end_to_end() {
+    let fingerprints = |ms: &[muse_runtime::Match]| -> BTreeSet<Vec<u64>> {
+        ms.iter().map(|m| m.fingerprint()).collect()
+    };
+    let check = |label: &str, network: &Network, query: &Query, events: &[Event]| {
+        let plan = amuse(query, network, &AMuseConfig::default()).unwrap();
+        let ctx = PlanContext::new(std::slice::from_ref(query), network, &plan.table);
+        let deployment = Deployment::new(&plan.graph, &ctx);
+        let truth = fingerprints(&Evaluator::for_query(query).run(events));
+        let sim = run_simulation(&deployment, events, &SimConfig::default());
+        assert_eq!(fingerprints(&sim.matches[0]), truth, "{label}: simulator");
+        let threaded = muse_runtime::run_threaded(
+            &deployment,
+            events,
+            &muse_runtime::ThreadedConfig::default(),
+        );
+        assert_eq!(
+            fingerprints(&threaded.matches[0]),
+            truth,
+            "{label}: threaded"
+        );
+        truth.len()
+    };
+    let trace = |network: &Network, duration: f64, ticks_per_unit: f64, rate_scale: f64, seed| {
+        generate_traces(
+            network,
+            &TraceConfig {
+                duration,
+                ticks_per_unit,
+                rate_scale,
+                key_domain: 0,
+                band_domain: 0,
+                seed,
+            },
+        )
+    };
+
+    let [a, b, c, d] = [0, 1, 2, 3].map(EventTypeId);
     let network = generate_network(&small_network(3));
-    let pattern = Pattern::nseq(
-        Pattern::leaf(EventTypeId(0)),
-        Pattern::leaf(EventTypeId(1)),
-        Pattern::leaf(EventTypeId(2)),
+    let primitive = Pattern::nseq(Pattern::leaf(a), Pattern::leaf(b), Pattern::leaf(c));
+    let query = Query::build(QueryId(0), &primitive, vec![], 3_000).unwrap();
+    let events = trace(&network, 40.0, 100.0, 3.0 / 1_000.0, 3);
+    check("primitive guard", &network, &query, &events);
+
+    let network = NetworkBuilder::new(4, 4)
+        .node(NodeId(0), [a])
+        .node(NodeId(1), [b])
+        .node(NodeId(2), [d])
+        .node(NodeId(3), [c])
+        .rate(a, 2.0)
+        .rate(b, 20.0)
+        .rate(d, 20.0)
+        .rate(c, 2.0)
+        .build();
+    let composite = Pattern::nseq(
+        Pattern::leaf(a),
+        Pattern::seq([Pattern::leaf(b), Pattern::leaf(d)]),
+        Pattern::leaf(c),
     );
-    let query = Query::build(QueryId(0), &pattern, vec![], 3_000).unwrap();
-    let events = generate_traces(
-        &network,
-        &TraceConfig {
-            duration: 40.0,
-            ticks_per_unit: 100.0,
-            rate_scale: 3.0 / 1_000.0,
-            key_domain: 0,
-            band_domain: 0,
-            seed: 3,
-        },
+    let query = Query::build(QueryId(0), &composite, vec![], 400).unwrap();
+    let mut matched = 0;
+    for seed in 0..24 {
+        let events = trace(&network, 3.0, 1_000.0, 1.0, seed);
+        matched += check(
+            &format!("composite guard, seed {seed}"),
+            &network,
+            &query,
+            &events,
+        );
+    }
+    assert!(
+        matched > 0,
+        "the composite-guard traces must produce matches"
     );
-    let plan = amuse(&query, &network, &AMuseConfig::default()).unwrap();
-    let ctx = PlanContext::new(std::slice::from_ref(&query), &network, &plan.table);
-    let deployment = Deployment::new(&plan.graph, &ctx);
-    let report = run_simulation(&deployment, &events, &SimConfig::default());
-    let truth: BTreeSet<Vec<u64>> = Evaluator::for_query(&query)
-        .run(&events)
-        .iter()
-        .map(|m| m.fingerprint())
-        .collect();
-    let got: BTreeSet<Vec<u64>> = report.matches[0].iter().map(|m| m.fingerprint()).collect();
-    assert_eq!(got, truth);
 }
 
 /// A whole workload's merged deployment runs on the threaded executor and
