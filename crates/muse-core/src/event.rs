@@ -10,7 +10,9 @@
 use crate::types::{AttrId, EventTypeId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Logical time, in abstract time units (the paper's `e.time ∈ ℕ`).
@@ -38,6 +40,30 @@ impl Value {
             (Value::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             _ => None,
+        }
+    }
+
+    /// A hashable image of the value under [`Value::partial_cmp_value`]
+    /// equality: two values that compare `Some(Equal)` both have a key and
+    /// the keys are equal. `NaN` (equal to nothing) has none.
+    ///
+    /// Only that direction holds. Unequal values may share a key — integers
+    /// beyond 2⁵³ that round to one `f64`, a string whose hash meets a
+    /// number's bits — so a key match is a hint to compare, never a verdict;
+    /// a key mismatch is proof of inequality.
+    pub fn eq_key(&self) -> Option<u64> {
+        // `Int`/`Float` compare through the integer's `f64` image, so that
+        // image is the key; `+ 0.0` folds `-0.0` into `0.0`, which compare
+        // equal but differ in bits.
+        let num = |f: f64| (!f.is_nan()).then(|| (f + 0.0).to_bits());
+        match self {
+            Value::Int(i) => num(*i as f64),
+            Value::Float(f) => num(*f),
+            Value::Str(s) => {
+                let mut h = DefaultHasher::new();
+                s.hash(&mut h);
+                Some(h.finish())
+            }
         }
     }
 }
@@ -276,6 +302,51 @@ mod tests {
         assert_eq!(
             Value::Str("a".into()).partial_cmp_value(&Value::Int(1)),
             None
+        );
+    }
+
+    #[test]
+    fn eq_key_agrees_with_value_equality() {
+        let pool = [
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(1.5),
+            Value::Int(-1),
+            Value::Int(1 << 53),
+            Value::Int((1 << 53) + 1),
+            Value::Float(9007199254740992.0),
+            Value::Int(i64::MIN),
+            Value::Float(i64::MIN as f64),
+            Value::Int(i64::MAX),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+            Value::Str("a".into()),
+            Value::Str("".into()),
+            Value::Str("0".into()),
+        ];
+        let mut equal_pairs = 0;
+        for a in &pool {
+            for b in &pool {
+                if a.partial_cmp_value(b) == Some(Ordering::Equal) {
+                    equal_pairs += 1;
+                    assert!(a.eq_key().is_some(), "{a:?} equals {b:?} but has no key");
+                    assert_eq!(a.eq_key(), b.eq_key(), "{a:?} equals {b:?}");
+                }
+            }
+        }
+        // Every non-NaN value equals itself, plus the cross-variant pairs
+        // (0 / 0.0 / -0.0, 1 / 1.0, both 2^53 ints / the float, i64::MIN).
+        assert!(equal_pairs > pool.len());
+        assert_eq!(Value::Float(f64::NAN).eq_key(), None);
+        // Collisions between unequal values are allowed, mismatches are not
+        // required — but plainly different small values should not collide.
+        assert_ne!(Value::Int(0).eq_key(), Value::Int(1).eq_key());
+        assert_ne!(
+            Value::Str("a".into()).eq_key(),
+            Value::Str("".into()).eq_key()
         );
     }
 

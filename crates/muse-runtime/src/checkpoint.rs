@@ -889,10 +889,11 @@ fn get_metrics(buf: &mut &[u8]) -> Result<Metrics, CheckpointError> {
 mod tests {
     use super::*;
     use muse_core::algorithms::amuse::{amuse, AMuseConfig};
+    use muse_core::event::{Event, Payload, Value};
     use muse_core::graph::PlanContext;
     use muse_core::network::{Network, NetworkBuilder};
-    use muse_core::query::{Pattern, Query};
-    use muse_core::types::{EventTypeId, NodeId, QueryId};
+    use muse_core::query::{CmpOp, Pattern, Predicate, Query};
+    use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, QueryId};
 
     /// One event type per node (type id = node id), each at rate 1.
     fn one_type_per_node(n: u16) -> Network {
@@ -905,7 +906,16 @@ mod tests {
     }
 
     fn deploy(net: &Network, pattern: &Pattern, window: u64) -> Deployment {
-        let q = Query::build(QueryId(0), pattern, vec![], window).unwrap();
+        deploy_with(net, pattern, vec![], window)
+    }
+
+    fn deploy_with(
+        net: &Network,
+        pattern: &Pattern,
+        predicates: Vec<Predicate>,
+        window: u64,
+    ) -> Deployment {
+        let q = Query::build(QueryId(0), pattern, predicates, window).unwrap();
         let plan = amuse(&q, net, &AMuseConfig::default()).unwrap();
         let ctx = PlanContext::new(std::slice::from_ref(&q), net, &plan.table);
         Deployment::new(&plan.graph, &ctx)
@@ -914,6 +924,20 @@ mod tests {
     fn two_node_deployment(window: u64) -> Deployment {
         let [t0, t1] = [0, 1].map(|t| Pattern::leaf(EventTypeId(t)));
         deploy(&one_type_per_node(2), &Pattern::seq([t0, t1]), window)
+    }
+
+    /// [`two_node_deployment`] with the predicate `A.k = B.k` on attribute
+    /// 0: both slots of the join are keyed on `k`.
+    fn keyed_two_node_deployment(window: u64) -> Deployment {
+        let [t0, t1] = [0, 1].map(|t| Pattern::leaf(EventTypeId(t)));
+        let k = AttrId(0);
+        let same_k = Predicate::binary((PrimId(0), k), CmpOp::Eq, (PrimId(1), k), 0.25);
+        deploy_with(
+            &one_type_per_node(2),
+            &Pattern::seq([t0, t1]),
+            vec![same_k],
+            window,
+        )
     }
 
     /// `NSEQ(A, SEQ(B, D), C)` with A, B, D, C produced at nodes 0..4: the
@@ -1048,8 +1072,10 @@ mod tests {
 
     #[test]
     fn snapshot_decode_is_lossless() {
-        let ev = |seq, ty: u16, time| {
-            muse_core::event::Event::new(seq, EventTypeId(ty), time, NodeId(ty))
+        let ev = |seq, ty: u16, time| Event::new(seq, EventTypeId(ty), time, NodeId(ty));
+        let kev = |seq, ty: u16, time, k: i64| {
+            let payload = Payload::from_pairs(vec![(AttrId(0), Value::Int(k))]);
+            Event::with_payload(seq, EventTypeId(ty), time, NodeId(ty), payload)
         };
         // (deployment, trace, events processed before the snapshot,
         // forbidden-pattern assemblers in the plan)
@@ -1075,6 +1101,24 @@ mod tests {
                 ],
                 2,
                 1,
+            ),
+            // Four As under three keys are buffered at the snapshot; each B
+            // that follows must merge with the As of its key only — which a
+            // restore that left the restored entries unkeyed would not do.
+            (
+                keyed_two_node_deployment(100),
+                vec![
+                    kev(0, 0, 10, 1),
+                    kev(1, 0, 12, 2),
+                    kev(2, 0, 14, 3),
+                    kev(3, 0, 16, 1),
+                    kev(4, 1, 20, 1),
+                    kev(5, 1, 22, 2),
+                    kev(6, 1, 24, 3),
+                    kev(7, 1, 26, 9),
+                ],
+                4,
+                0,
             ),
         ];
         for (deployment, events, split, assemblers) in cases {
@@ -1111,6 +1155,12 @@ mod tests {
             assert_eq!(
                 fingerprints(&resumed.matches()[0]),
                 fingerprints(&whole.matches[0])
+            );
+            // Restored store entries probe exactly like the ones they were
+            // saved from: equality keys are recomputed, not lost.
+            assert_eq!(
+                resumed.finish().metrics.join.merge_attempts,
+                whole.metrics.join.merge_attempts
             );
         }
     }

@@ -26,20 +26,41 @@
 //! first timestamp. An arriving match probes only the window-compatible
 //! slice of each other slot (two binary searches) instead of the full
 //! store, visits the slots smallest-slice-first so thin inputs cut the
-//! candidate set early, and rejects pairs with a cheap window-span /
-//! shared-primitive guard before paying for a merge. Eviction is a logical
-//! watermark applied at probe time, with the physical prefix truncated only
-//! every [`JoinTask::with_evict_stride`] ticks of horizon progress — the
-//! emitted match stream is identical to the naive retain-per-arrival
-//! strategy ([`NaiveJoinTask`]), which is kept as the reference
-//! implementation for equivalence tests and benchmarks.
+//! candidate set early, and rejects pairs with cheap guards — equality key,
+//! window span, shared primitives, in that order — before paying for a
+//! merge.
+//!
+//! The equality-key guard uses the query's `=` predicates to skip pairs
+//! instead of merging them and discarding the result. The `prim.attr` terms
+//! linked by `=` predicates inside the join's positive primitives form
+//! equality classes (transitively: `a.x = b.x, b.x = c.x` is one class of
+//! three). Each positive slot is keyed on the class with a term in the most
+//! other positive slots, and every stored match caches the
+//! [`Value::eq_key`] of its slot's term of that class. A candidate carrying
+//! any term of the probed slot's class skips every stored match whose key
+//! is known and differs from its own. That is sound because an emitted
+//! match covers all positive primitives and satisfies every predicate
+//! among them, so the terms of one class all have equal keys in it — and so
+//! do every candidate and stored match it was assembled from. An unknown
+//! key (missing attribute, `NaN`, slot without a class) never skips, and
+//! every merged candidate is still validated in full: the guard only
+//! removes pairs that validation would have removed. The slice is scanned
+//! linearly; it is not hash-partitioned by key.
+//!
+//! Eviction is a logical watermark applied at probe time, with the physical
+//! prefix truncated only every [`JoinTask::with_evict_stride`] ticks of
+//! horizon progress — the emitted match stream is identical to the naive
+//! retain-per-arrival strategy ([`NaiveJoinTask`]), which is kept as the
+//! reference implementation for equivalence tests and benchmarks.
+//!
+//! [`Value::eq_key`]: muse_core::event::Value::eq_key
 
-use super::store::{MatchStore, StoreState};
+use super::store::{MatchStore, StoreState, StoredMatch};
 use super::{is_valid_match, nseq_violated, Match};
 use crate::metrics::JoinStats;
 use muse_core::event::Timestamp;
-use muse_core::query::{NSeqContext, Query};
-use muse_core::types::PrimSet;
+use muse_core::query::{CmpOp, NSeqContext, PredicateExpr, Query};
+use muse_core::types::{AttrId, PrimId, PrimSet};
 
 /// Static description of one input slot of a join: the predecessor
 /// projection's primitive operators.
@@ -60,6 +81,9 @@ pub struct JoinTask {
     /// Positive primitives of the target (events of emitted matches).
     positive: PrimSet,
     slots: Vec<SlotSpec>,
+    /// Equality-key plan per slot (parallel to `slots`); `None` for a slot
+    /// no equality class links to another positive slot.
+    keys: Vec<Option<SlotKey>>,
     /// Buffered matches per positive slot (parallel to `slots`; negated
     /// slots keep theirs inside `negations`).
     stores: Vec<MatchStore>,
@@ -83,6 +107,109 @@ pub struct JoinTask {
     deferred: Vec<Match>,
     /// Observability counters.
     stats: JoinStats,
+}
+
+/// A `prim.attr` operand of an equality predicate.
+type Term = (PrimId, AttrId);
+
+/// How one positive slot takes part in the equality-key guard.
+#[derive(Debug, Clone)]
+struct SlotKey {
+    /// The slot's own term of `class`: its value keys the stored matches.
+    term: Term,
+    /// The whole equality class; a candidate probing this slot is keyed on
+    /// the first of these terms it has a key for.
+    class: Vec<Term>,
+}
+
+impl SlotKey {
+    /// The key under which `m` is stored in this slot.
+    fn stored_key(&self, m: &Match) -> Option<u64> {
+        term_key(m, self.term)
+    }
+
+    /// The key with which `m` probes this slot; `None` when `m` has no key
+    /// for any term of the class.
+    fn probe_key(&self, m: &Match) -> Option<u64> {
+        self.class.iter().find_map(|&term| term_key(m, term))
+    }
+}
+
+/// `m`'s equality key for a term: `None` when `m` does not assign the
+/// primitive, the event lacks the attribute, or the value is `NaN`.
+fn term_key(m: &Match, (prim, attr): Term) -> Option<u64> {
+    m.get(prim)?.payload.get(attr)?.eq_key()
+}
+
+/// The equality classes of `prim.attr` terms under the query's `=`
+/// predicates between primitives of `positive`, in predicate order.
+fn equality_classes(query: &Query, positive: PrimSet) -> Vec<Vec<Term>> {
+    let mut classes: Vec<Vec<Term>> = Vec::new();
+    for pred in query.predicates() {
+        let PredicateExpr::BinaryAttr {
+            left_prim,
+            left_attr,
+            op: CmpOp::Eq,
+            right_prim,
+            right_attr,
+        } = pred.expr
+        else {
+            continue;
+        };
+        if !pred.prims().is_subset(positive) {
+            continue;
+        }
+        let (left, right) = ((left_prim, left_attr), (right_prim, right_attr));
+        let class_of = |t: &Term| classes.iter().position(|c| c.contains(t));
+        match (class_of(&left), class_of(&right)) {
+            (None, None) => classes.push(vec![left, right]),
+            (Some(i), None) => classes[i].push(right),
+            (None, Some(i)) => classes[i].push(left),
+            (Some(i), Some(j)) if i != j => {
+                let merged = classes.remove(i.max(j));
+                classes[i.min(j)].extend(merged);
+            }
+            (Some(_), Some(_)) => {}
+        }
+    }
+    classes
+}
+
+/// Keys each positive slot on the class with a term in the most other
+/// positive slots (first class wins ties; no such class, no key).
+fn slot_keys(classes: &[Vec<Term>], slots: &[SlotSpec]) -> Vec<Option<SlotKey>> {
+    let term_in = |spec: &SlotSpec, class: &[Term]| {
+        class
+            .iter()
+            .copied()
+            .find(|(prim, _)| !spec.negated && spec.prims.contains(*prim))
+    };
+    slots
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let mut best = None;
+            let mut best_links = 0;
+            for class in classes {
+                let Some(term) = term_in(spec, class) else {
+                    continue;
+                };
+                let links = slots
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, other)| j != i && term_in(other, class).is_some())
+                    .count();
+                if links > best_links {
+                    best_links = links;
+                    best = Some(SlotKey {
+                        term,
+                        class: class.clone(),
+                    });
+                }
+            }
+            best
+        })
+        .collect()
 }
 
 #[derive(Debug, Clone)]
@@ -199,10 +326,12 @@ impl JoinTask {
             })
             .collect();
         let stores = vec![MatchStore::new(); slots.len()];
+        let keys = slot_keys(&equality_classes(query, positive), &slots);
         Self {
             query: query.clone(),
             positive,
             slots,
+            keys,
             stores,
             negations,
             max_time: 0,
@@ -302,7 +431,8 @@ impl JoinTask {
     /// Panics if the slot index is out of range.
     pub fn on_match(&mut self, slot: usize, m: Match) -> Vec<Match> {
         self.stats.inputs += 1;
-        self.max_time = self.max_time.max(m.last_time());
+        let (m_first, m_last) = (m.first_time(), m.last_time());
+        self.max_time = self.max_time.max(m_last);
         // Negation guards: every event of a context's negated primitive is
         // a forbidden match (single-primitive pattern) or an input of the
         // context's assembler. Matches on positive slots carry no negated
@@ -330,7 +460,12 @@ impl JoinTask {
         }
 
         let window = self.query.window();
-        let (m_first, m_last) = (m.first_time(), m.last_time());
+        let entry = StoredMatch {
+            first: m_first,
+            last: m_last,
+            key: self.keys[slot].as_ref().and_then(|k| k.stored_key(&m)),
+            m,
+        };
 
         // Fast path for the common no-join case: the merge across slots is
         // a conjunction, so if any other positive slot has nothing
@@ -344,7 +479,7 @@ impl JoinTask {
                     .is_empty()
         });
         if doomed {
-            self.stores[slot].insert(m);
+            self.stores[slot].insert_keyed(entry);
             self.evict();
             self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered() as u64);
             return Vec::new();
@@ -365,20 +500,26 @@ impl JoinTask {
         let mut acc = vec![Candidate {
             first: m_first,
             last: m_last,
-            m: m.clone(),
+            m: entry.m.clone(),
         }];
         for (_, i) in order {
             let slot_prims = self.slots[i].prims;
             let mut next = Vec::new();
             for cand in &acc {
                 let shared = cand.m.prims().intersect(slot_prims);
+                let probe_key = self.keys[i].as_ref().and_then(|k| k.probe_key(&cand.m));
                 let slice = self.stores[i].compatible(cand.first, cand.last, window);
                 self.stats.probes += slice.len() as u64;
                 for stored in slice {
+                    // Cheap guards before the allocating merge: equality
+                    // keys (both known) agree, combined span within the
+                    // window, shared primitives agree.
+                    if matches!((probe_key, stored.key), (Some(a), Some(b)) if a != b) {
+                        self.stats.guard_rejects += 1;
+                        continue;
+                    }
                     let first = cand.first.min(stored.first);
                     let last = cand.last.max(stored.last);
-                    // Cheap guards before the allocating merge: combined
-                    // span within the window, shared primitives agree.
                     if last - first > window || !cand.m.agrees_on(&stored.m, shared) {
                         self.stats.guard_rejects += 1;
                         continue;
@@ -413,7 +554,7 @@ impl JoinTask {
         emitted.sort_by_key(Match::fingerprint);
         emitted.dedup_by(|a, b| a.fingerprint() == b.fingerprint());
 
-        self.stores[slot].insert(m);
+        self.stores[slot].insert_keyed(entry);
         if self.defer_negation && !self.negations.is_empty() {
             // Hold candidates for the quiescence-time absence check; the
             // filter above already removed everything rejectable by the
@@ -465,10 +606,12 @@ impl JoinTask {
         if state.negations.len() != self.negations.len() {
             return Err("join negation count differs from snapshot");
         }
+        // Keys are derived state, like the spans: recomputed, not restored.
         self.stores = state
             .stores
             .into_iter()
-            .map(MatchStore::restore_state)
+            .zip(&self.keys)
+            .map(|(store, key)| MatchStore::restore_keyed(store, |m| key.as_ref()?.stored_key(m)))
             .collect();
         for (neg, (assembler, forbidden)) in self.negations.iter_mut().zip(state.negations) {
             match (&mut neg.assembler, assembler) {

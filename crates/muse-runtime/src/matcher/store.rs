@@ -15,27 +15,41 @@
 //! Because the horizon is monotone, the set of live entries is always a
 //! suffix of the sorted vector; "evict" is a prefix truncation, never a
 //! scattered retain.
+//!
+//! An entry also caches an optional *equality key*: the [`Value::eq_key`]
+//! of the one attribute the owning join slot is keyed on (see the join
+//! module's "Probe strategy"). The store only carries it — the join decides
+//! the key term and compares. `None` means "unknown": the slot is unkeyed,
+//! the attribute is missing or `NaN`, or the entry came through the public
+//! [`MatchStore::insert`] (forbidden-match stores, unit tests); an unknown
+//! key never excludes an entry from a probe. Like the spans, keys are
+//! derived from the match and so are not part of [`StoreState`]: a snapshot
+//! cannot desynchronize them, and restore recomputes both.
+//!
+//! [`Value::eq_key`]: muse_core::event::Value::eq_key
 
 use super::Match;
 use muse_core::event::Timestamp;
 
-/// A buffered match with its cached time span (so probes never re-scan the
-/// match's events for timestamps).
+/// A buffered match with its cached time span and equality key (so probes
+/// never re-scan the match's events for timestamps or attribute values).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredMatch {
     /// Earliest constituent timestamp — the sort key.
     pub first: Timestamp,
     /// Latest constituent timestamp.
     pub last: Timestamp,
+    /// Equality key of the owning slot's key term; `None` when unknown.
+    pub key: Option<u64>,
     /// The match itself.
     pub m: Match,
 }
 
 /// The checkpointable dynamic state of a [`MatchStore`]: the buffered
 /// matches in physical entry order (live and not-yet-drained dead alike)
-/// plus the eviction bookkeeping. The cached `first`/`last` spans are
-/// *not* part of the state — they are recomputed from each match on
-/// restore, so a snapshot can never desynchronize them.
+/// plus the eviction bookkeeping. The cached `first`/`last` spans and the
+/// equality keys are *not* part of the state — they are recomputed from
+/// each match on restore, so a snapshot can never desynchronize them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreState {
     /// Buffered matches in entry order (sorted by first timestamp, ties in
@@ -70,11 +84,23 @@ impl MatchStore {
     }
 
     /// Inserts a match, keeping the buffer sorted by first timestamp.
-    /// Entries with equal keys keep their insertion order.
+    /// Entries with equal first timestamps keep their insertion order. The
+    /// entry's equality key is unknown.
     pub fn insert(&mut self, m: Match) {
         let (first, last) = (m.first_time(), m.last_time());
-        let idx = self.entries.partition_point(|e| e.first <= first);
-        self.entries.insert(idx, StoredMatch { first, last, m });
+        self.insert_keyed(StoredMatch {
+            first,
+            last,
+            key: None,
+            m,
+        });
+    }
+
+    /// [`MatchStore::insert`] for a caller that already knows the match's
+    /// span and equality key.
+    pub(super) fn insert_keyed(&mut self, entry: StoredMatch) {
+        let idx = self.entries.partition_point(|e| e.first <= entry.first);
+        self.entries.insert(idx, entry);
     }
 
     /// Index of the first live entry.
@@ -164,8 +190,14 @@ impl MatchStore {
     /// order [`MatchStore::save_state`] exported them (already sorted by
     /// first timestamp with insertion-order ties), so no re-sort happens
     /// and tie order — which determines probe order — survives the
-    /// round trip exactly.
+    /// round trip exactly. Equality keys are unknown.
     pub fn restore_state(state: StoreState) -> Self {
+        Self::restore_keyed(state, |_| None)
+    }
+
+    /// [`MatchStore::restore_state`] with every entry's equality key
+    /// recomputed by `key`.
+    pub(super) fn restore_keyed(state: StoreState, key: impl Fn(&Match) -> Option<u64>) -> Self {
         Self {
             entries: state
                 .matches
@@ -173,6 +205,7 @@ impl MatchStore {
                 .map(|m| StoredMatch {
                     first: m.first_time(),
                     last: m.last_time(),
+                    key: key(&m),
                     m,
                 })
                 .collect(),

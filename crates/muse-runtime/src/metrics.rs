@@ -38,8 +38,9 @@ pub struct JoinStats {
     pub inputs: u64,
     /// Stored matches inspected by window-sliced probes.
     pub probes: u64,
-    /// Probed pairs rejected by the cheap pre-merge guards (window span or
-    /// shared-primitive disagreement) before any merge allocation.
+    /// Probed pairs rejected by the cheap pre-merge guards (equality-key
+    /// mismatch, window span or shared-primitive disagreement) before any
+    /// merge allocation.
     pub guard_rejects: u64,
     /// Merges actually attempted ([`crate::matcher::Match::merge`] calls).
     pub merge_attempts: u64,
@@ -78,7 +79,8 @@ impl JoinStats {
         }
     }
 
-    /// Fraction of probed pairs that survived the pre-merge guards
+    /// Fraction of probed pairs that survived the pre-merge guards —
+    /// equality key, window span, shared primitives — and were merged
     /// (1.0 when nothing was probed).
     pub fn guard_pass_ratio(&self) -> f64 {
         if self.probes == 0 {

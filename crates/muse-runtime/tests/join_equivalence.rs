@@ -6,7 +6,10 @@
 //! full cross-product, and retains on every arrival — on randomized
 //! out-of-order streams, windows, slack factors, eviction strides, and
 //! slot layouts (disjoint, overlapping, many-way, negation-guarded, and
-//! negation-guarded with a composite forbidden pattern).
+//! negation-guarded with a composite forbidden pattern) — the last four
+//! layouts with equality predicates, so the indexed engine's equality-key
+//! guard runs against the unkeyed reference on payloads whose keys hit,
+//! miss, cross `Int`/`Float`, and are absent.
 //!
 //! Invariants checked per generated stream (see DESIGN.md, "Join engine
 //! internals"):
@@ -15,9 +18,9 @@
 //! 3. the indexed engine's output does not depend on the eviction stride,
 //! 4. total emission counters agree.
 
-use muse_core::event::{Event, Timestamp};
-use muse_core::query::{Pattern, Query};
-use muse_core::types::{EventTypeId, NodeId, PrimId, PrimSet, QueryId};
+use muse_core::event::{Event, Payload, Timestamp, Value};
+use muse_core::query::{CmpOp, Pattern, Predicate, Query};
+use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, PrimSet, QueryId};
 use muse_runtime::matcher::{JoinTask, Match, NaiveJoinTask};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,12 +36,28 @@ struct Shape {
     slots: Vec<PrimSet>,
 }
 
-/// The five slot layouts exercised: disjoint predecessors, overlapping
-/// predecessors (shared primitive B), a three-way primitive join, an
-/// `NSEQ` query with a negation guard slot, and an `NSEQ` query whose
-/// forbidden `SEQ(B, D)` is assembled from two primitive guard slots.
+/// Number of layouts [`shape`] knows.
+const KINDS: u8 = 9;
+
+/// The payload attribute the keyed layouts' predicates compare.
+const K: AttrId = AttrId(0);
+
+/// `left.k = right.k`.
+fn eq_k(left: u8, right: u8) -> Predicate {
+    Predicate::binary((PrimId(left), K), CmpOp::Eq, (PrimId(right), K), 0.3)
+}
+
+/// The slot layouts exercised. Without predicates: disjoint predecessors,
+/// overlapping predecessors (shared primitive B), a three-way primitive
+/// join, an `NSEQ` query with a negation guard slot, and an `NSEQ` query
+/// whose forbidden `SEQ(B, D)` is assembled from two primitive guard slots.
+/// With equality predicates on `k`: the chain `A.k = B.k, B.k = C.k` over
+/// `[{A},{C},{B}]` and `[{A,C},{B}]` (the `A`–`C` link is transitive only),
+/// `A.k = C.k` over the overlapping `[{A,B},{B,C}]`, and the composite
+/// `NSEQ` with `B.k = D.k` inside the forbidden pattern and `A.k = B.k`
+/// linking it to the positive part.
 fn shape(kind: u8, window: Timestamp) -> Shape {
-    let seq_abc = || {
+    let seq_abc_with = |predicates| {
         Query::build(
             QueryId(0),
             &Pattern::seq([
@@ -46,12 +65,27 @@ fn shape(kind: u8, window: Timestamp) -> Shape {
                 Pattern::leaf(EventTypeId(1)),
                 Pattern::leaf(EventTypeId(2)),
             ]),
-            vec![],
+            predicates,
             window,
         )
         .unwrap()
     };
-    match kind % 5 {
+    let seq_abc = || seq_abc_with(vec![]);
+    // Leaf order: A=0, B=1, D=2, C=3.
+    let nseq_a_bd_c_with = |predicates| {
+        Query::build(
+            QueryId(0),
+            &Pattern::nseq(
+                Pattern::leaf(EventTypeId(0)),
+                Pattern::seq([Pattern::leaf(EventTypeId(1)), Pattern::leaf(EventTypeId(2))]),
+                Pattern::leaf(EventTypeId(3)),
+            ),
+            predicates,
+            window,
+        )
+        .unwrap()
+    };
+    match kind % KINDS {
         0 => Shape {
             query: seq_abc(),
             slots: vec![ps([0, 1]), ps([2])],
@@ -64,19 +98,24 @@ fn shape(kind: u8, window: Timestamp) -> Shape {
             query: seq_abc(),
             slots: vec![ps([0]), ps([1]), ps([2])],
         },
-        // Leaf order: A=0, B=1, D=2, C=3.
         4 => Shape {
-            query: Query::build(
-                QueryId(0),
-                &Pattern::nseq(
-                    Pattern::leaf(EventTypeId(0)),
-                    Pattern::seq([Pattern::leaf(EventTypeId(1)), Pattern::leaf(EventTypeId(2))]),
-                    Pattern::leaf(EventTypeId(3)),
-                ),
-                vec![],
-                window,
-            )
-            .unwrap(),
+            query: nseq_a_bd_c_with(vec![]),
+            slots: vec![ps([0, 3]), ps([1]), ps([2])],
+        },
+        5 => Shape {
+            query: seq_abc_with(vec![eq_k(0, 1), eq_k(1, 2)]),
+            slots: vec![ps([0]), ps([2]), ps([1])],
+        },
+        6 => Shape {
+            query: seq_abc_with(vec![eq_k(0, 1), eq_k(1, 2)]),
+            slots: vec![ps([0, 2]), ps([1])],
+        },
+        7 => Shape {
+            query: seq_abc_with(vec![eq_k(0, 2)]),
+            slots: vec![ps([0, 1]), ps([1, 2])],
+        },
+        8 => Shape {
+            query: nseq_a_bd_c_with(vec![eq_k(1, 2), eq_k(0, 1)]),
             slots: vec![ps([0, 3]), ps([1]), ps([2])],
         },
         _ => Shape {
@@ -101,13 +140,26 @@ fn shape(kind: u8, window: Timestamp) -> Shape {
 /// events jitter backwards, so arrivals cross window and slack boundaries
 /// in both directions. Matches on slots sharing primitive B draw the B
 /// event from a small recent pool, so overlapping inputs sometimes agree
-/// and sometimes clash.
+/// and sometimes clash. Under a keyed shape every event carries `k` from a
+/// domain of four, about one in ten as a `Float` of the same number, as
+/// `NaN`, or not at all.
 fn arrivals(shape: &Shape, window: Timestamp, n: usize, seed: u64) -> Vec<(usize, Match)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut seq = 0u64;
-    let mut fresh = |time: Timestamp, ty: u16| {
+    let keyed = !shape.query.predicates().is_empty();
+    let mut fresh = |rng: &mut StdRng, time: Timestamp, ty: u16| {
         seq += 1;
-        Event::new(seq, EventTypeId(ty), time, NodeId(0))
+        let mut payload = Payload::new();
+        if keyed {
+            let k = rng.gen_range(0i64..4);
+            match rng.gen_range(0..30) {
+                0 => {}
+                1 => payload.set(K, Value::Float(f64::NAN)),
+                2 => payload.set(K, Value::Float(k as f64)),
+                _ => payload.set(K, Value::Int(k)),
+            }
+        }
+        Event::with_payload(seq, EventTypeId(ty), time, NodeId(0), payload)
     };
     // Pool of B events reusable by any slot containing primitive 1.
     let mut b_pool: Vec<Event> = Vec::new();
@@ -129,7 +181,7 @@ fn arrivals(shape: &Shape, window: Timestamp, n: usize, seed: u64) -> Vec<(usize
                 let idx = b_pool.len() - 1 - rng.gen_range(0..b_pool.len().min(3));
                 events.push((*prim, b_pool[idx].clone()));
             } else {
-                let e = fresh(pt, prim.0 as u16);
+                let e = fresh(&mut rng, pt, prim.0 as u16);
                 if prim.0 == 1 {
                     b_pool.push(e.clone());
                 }
@@ -149,7 +201,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn indexed_join_equals_naive_reference(
-        kind in 0u8..5,
+        kind in 0u8..KINDS,
         window in 10u64..=200,
         slack_idx in 0usize..3,
         stride in 1u64..=300,
@@ -197,7 +249,7 @@ proptest! {
     /// exceed attempts, and the live count never exceeds the peak.
     #[test]
     fn join_stats_are_consistent(
-        kind in 0u8..5,
+        kind in 0u8..KINDS,
         window in 10u64..=200,
         seed in any::<u64>(),
     ) {

@@ -7,7 +7,9 @@
 # profile (thread interleavings there are the ones bench/ measures, far
 # less tame than the dev profile's), the pinned benchmark under bench/
 # (its own workspace: unit tests plus the smoke run, so a public-API
-# removal cannot break BENCHMARK.json's command unnoticed), and two
+# removal cannot break BENCHMARK.json's command unnoticed; then one short
+# full-size `cluster` run for its exit code — pins, and the case study's
+# reference matches against simulator and `Evaluator`), and two
 # harness smokes: `table3` with the telemetry export under out/, and the
 # `explain` witness-closure replay. Correctness is gated by the test suite and performance is
 # judged by bench/ alone; no lane here reads a number. Exits nonzero on
@@ -97,6 +99,7 @@ fi
 echo "== bench/: the pinned benchmark builds, its tests pass, smoke run =="
 cargo test --offline --manifest-path bench/Cargo.toml
 bash bench/run.sh smoke
+bash bench/run.sh --workload cluster --seed 1 --seconds 3 --trace 0 --out "$(mktemp -d)"
 
 echo "== smoke: harness table3 with the telemetry export =="
 cargo run -p muse-bench --release --bin harness -- table3 --quick --telemetry out
