@@ -235,12 +235,18 @@ pub struct Deployment {
     pub routes: Vec<Vec<Route>>,
     /// Per-task local/remote fanout (derived from `routes`).
     pub fanouts: Vec<Fanout>,
-    /// Source task indices by `(origin node, event type)`.
-    sources_by_origin: HashMap<(NodeId, EventTypeId), Vec<usize>>,
-    /// Discrimination index: per `(origin node, event type)`, the candidate
-    /// source tasks with their predicate bands (parallel in task order to
-    /// `sources_by_origin`).
-    candidates_by_origin: HashMap<(NodeId, EventTypeId), Vec<SourceCandidate>>,
+    /// Discrimination index: the candidate source tasks, in task order and
+    /// with their predicate bands, of `(origin node, event type)` at
+    /// `node · num_types + type` (empty where no source is registered).
+    candidates: Vec<Vec<SourceCandidate>>,
+    /// Row length of `candidates`: one past the largest sourced event type.
+    num_types: usize,
+    /// Per task: whether another task on the same node emits a stream of
+    /// the same [`TaskSpec::stream_sig`] ([`Sharing::Independent`] twins;
+    /// [`Sharing::Shared`] tasks of equal signature and different window).
+    /// Only such a task can emit a match its node has already shipped, so
+    /// only it consults the executors' once-per-node `sent` set (§4.4).
+    stream_shared: Vec<bool>,
     /// Sink task indices per query (parallel to `queries`).
     pub sink_tasks: Vec<Vec<usize>>,
     /// Per task: indices into `queries` of the queries for which this task
@@ -366,7 +372,6 @@ impl Deployment {
         let mut sink_queries: Vec<Vec<usize>> = Vec::with_capacity(vertices.len());
         let mut vertex_task: HashMap<Vertex, usize> = HashMap::with_capacity(vertices.len());
         let mut shared_key: HashMap<(NodeId, u64, PrimSet, Timestamp), usize> = HashMap::new();
-        let mut sources_by_origin: HashMap<(NodeId, EventTypeId), Vec<usize>> = HashMap::new();
         let mut sink_tasks = vec![Vec::new(); queries.len()];
         for v in &vertices {
             let proj = ctx.proj(v.proj);
@@ -400,7 +405,6 @@ impl Deployment {
                 );
                 let prim = proj.prims.iter().next().unwrap();
                 let ty = query.prim_type(prim);
-                sources_by_origin.entry((v.node, ty)).or_default().push(i);
                 TaskKind::Source {
                     prim,
                     ty,
@@ -480,38 +484,52 @@ impl Deployment {
 
         // Discrimination index: per (origin, type) candidate list with
         // precomputed predicate bands, so the executors' inject paths test
-        // cheap interval containment before touching any predicate.
-        let candidates_by_origin = sources_by_origin
+        // cheap interval containment before touching any predicate. Dense,
+        // because the lookup runs once per event.
+        let num_nodes = ctx.network.num_nodes();
+        let num_types = tasks
             .iter()
-            .map(|(key, task_idxs)| {
-                let cands = task_idxs
-                    .iter()
-                    .map(|&i| {
-                        let TaskKind::Source {
-                            prim, predicates, ..
-                        } = &tasks[i].kind
-                        else {
-                            unreachable!("sources_by_origin holds source tasks");
-                        };
-                        SourceCandidate {
-                            task: i,
-                            bands: derive_bands(&queries[tasks[i].query_idx], *prim, predicates),
-                        }
-                    })
-                    .collect();
-                (*key, cands)
+            .filter_map(|t| match t.kind {
+                TaskKind::Source { ty, .. } => Some(ty.index() + 1),
+                TaskKind::Join { .. } => None,
             })
+            .max()
+            .unwrap_or(0);
+        let mut candidates = vec![Vec::new(); num_nodes * num_types];
+        for (i, task) in tasks.iter().enumerate() {
+            let TaskKind::Source {
+                prim,
+                ty,
+                predicates,
+            } = &task.kind
+            else {
+                continue;
+            };
+            candidates[task.node.index() * num_types + ty.index()].push(SourceCandidate {
+                task: i,
+                bands: derive_bands(&queries[task.query_idx], *prim, predicates),
+            });
+        }
+
+        let mut streams: HashMap<(NodeId, u64), u32> = HashMap::new();
+        for t in &tasks {
+            *streams.entry((t.node, t.stream_sig)).or_default() += 1;
+        }
+        let stream_shared = tasks
+            .iter()
+            .map(|t| streams[&(t.node, t.stream_sig)] > 1)
             .collect();
 
         Self {
             queries,
-            num_nodes: ctx.network.num_nodes(),
+            num_nodes,
             logical_tasks: vertices.len(),
             tasks,
             routes,
             fanouts,
-            sources_by_origin,
-            candidates_by_origin,
+            candidates,
+            num_types,
+            stream_shared,
             sink_tasks,
             sink_queries,
             sharing,
@@ -523,18 +541,26 @@ impl Deployment {
     /// interval bands an event must pass to possibly satisfy the task's
     /// predicates. Allocation-free lookup for the executors' inject paths.
     pub fn candidates_for(&self, node: NodeId, ty: EventTypeId) -> &[SourceCandidate] {
-        self.candidates_by_origin
-            .get(&(node, ty))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        if ty.index() >= self.num_types {
+            return &[];
+        }
+        self.candidates
+            .get(node.index() * self.num_types + ty.index())
+            .map_or(&[], Vec::as_slice)
     }
 
-    /// The source tasks receiving events of `ty` generated at `node`.
-    pub fn sources_for(&self, node: NodeId, ty: EventTypeId) -> &[usize] {
-        self.sources_by_origin
-            .get(&(node, ty))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// Whether `task` shares its `(node, stream signature)` with another
+    /// task, and so must consult the once-per-node `sent` set before it
+    /// counts a transmission.
+    pub(crate) fn stream_shared(&self, task: usize) -> bool {
+        self.stream_shared[task]
+    }
+
+    /// Overrides the as-built marks: `true` is consult-`sent`-always, the
+    /// accounting they are tested against; `false` counts every emission.
+    #[cfg(test)]
+    pub(crate) fn set_all_streams_shared(&mut self, shared: bool) {
+        self.stream_shared.fill(shared);
     }
 
     /// Instantiates the join state for a task (`None` for sources).
@@ -721,8 +747,11 @@ mod tests {
         // Every sink vertex surfaced.
         assert_eq!(deployment.sink_tasks[0].len(), plan.sinks.len());
         // Source lookup: node 1 generates C (type 0).
-        assert!(!deployment.sources_for(n(1), t(0)).is_empty());
-        assert!(deployment.sources_for(n(2), t(0)).is_empty());
+        assert!(!deployment.candidates_for(n(1), t(0)).is_empty());
+        assert!(deployment.candidates_for(n(2), t(0)).is_empty());
+        // Pairs outside the network or the catalog have no candidates.
+        assert!(deployment.candidates_for(n(7), t(0)).is_empty());
+        assert!(deployment.candidates_for(n(0), t(9)).is_empty());
         // Route counts match graph edges.
         let total_routes: usize = deployment.routes.iter().map(Vec::len).sum();
         assert_eq!(total_routes, plan.graph.num_edges());

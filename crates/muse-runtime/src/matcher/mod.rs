@@ -40,10 +40,11 @@ impl Match {
         }
     }
 
-    /// A single-event match for a primitive operator.
+    /// A single-event match for a primitive operator: one allocation (the
+    /// executors build one per injected event and per received one).
     pub fn single(prim: muse_core::types::PrimId, event: Event) -> Self {
         Self {
-            events: vec![(prim, event)].into(),
+            events: Arc::from([(prim, event)]),
         }
     }
 
@@ -305,6 +306,8 @@ mod tests {
         assert_eq!(m.first_time(), 10);
         assert_eq!(m.last_time(), 20);
         assert_eq!(m.fingerprint(), vec![3, 5]);
+        let (p, e) = (PrimId(4), ev(7, 2, 30));
+        assert_eq!(Match::single(p, e.clone()), Match::new(vec![(p, e)]));
     }
 
     #[test]

@@ -33,6 +33,7 @@ use crate::matcher::{JoinTask, Match};
 use crate::metrics::Metrics;
 use crate::telemetry::{task_summaries, ClockDomain, ExecTelemetry, RunTelemetry, TelemetrySpec};
 use muse_core::event::{Event, Timestamp};
+use muse_core::types::PrimId;
 use std::collections::HashSet;
 
 /// The driver side of a [`NodeCore`]: where deliveries go and what time it
@@ -93,7 +94,9 @@ pub(crate) struct NodeCore<'a> {
     /// Already-transmitted streams `(stream sig, from, to, match hash)` —
     /// the [`Snapshot`]'s key shape. Identical matches of semantically
     /// identical tasks are shipped to a node once and multiplexed there
-    /// (cross-query stream reuse at runtime).
+    /// (cross-query stream reuse at runtime). Holds entries only for
+    /// streams that two tasks of a node emit (see [`Self::fan_out`]), so it
+    /// stays empty — in memory and in snapshots — where no stream is shared.
     sent: HashSet<(u64, u16, u16, u64), MuxBuildHasher>,
     /// Observational; not checkpointed, untouched by [`Self::restore`].
     pub telemetry: Option<ExecTelemetry>,
@@ -280,7 +283,11 @@ impl<'a> NodeCore<'a> {
                 .as_ref()
                 .map_or(0, |tel| tel.provenance_sample());
             for m in &outs {
-                let mhash = if prov != 0 { match_hash(m) } else { 0 };
+                let mhash = if prov != 0 {
+                    match_hash(m.entries())
+                } else {
+                    0
+                };
                 let latency = out.sink_latency(m, now);
                 for &query_idx in &deployment.sink_queries[task] {
                     self.metrics.sink_matches += 1;
@@ -314,21 +321,29 @@ impl<'a> NodeCore<'a> {
     /// Routes one emitted match along the deployment's precomputed
     /// [`crate::deploy::Fanout`], counting a network message once per
     /// (match, remote node): §4.4 ships a match to a node once and shares
-    /// it among the node's placements. The steady state allocates nothing —
-    /// the fanout is borrowed, match clones are reference-counted, and the
-    /// encoded size is computed only for a transmission that survives the
-    /// multiplexing.
+    /// it among the node's placements. A task emits each match once, so its
+    /// transmissions are counted directly; only a task whose
+    /// `(node, stream signature)` another task shares
+    /// ([`Deployment::stream_shared`]) can emit a match the node has already
+    /// shipped, and only it hashes the match and consults `sent`. An
+    /// unshared stream allocates nothing here — the fanout is borrowed, match
+    /// clones are reference-counted, the encoded size is computed, not
+    /// encoded; a shared stream adds one `sent` key per counted
+    /// transmission. What a delivery allocates is the driver's business
+    /// (see [`crate::threaded`]).
     fn fan_out<O: Outbox>(&mut self, out: &mut O, task: usize, m: Match) {
         let deployment = self.deployment;
         let fanout = &deployment.fanouts[task];
         let spec = &deployment.tasks[task];
         if !fanout.remote_nodes.is_empty() {
-            let mhash = match_hash(&m);
+            let shared = deployment.stream_shared(task);
+            let mhash = if shared { match_hash(m.entries()) } else { 0 };
             let mut bytes: Option<u64> = None;
             for &n in &fanout.remote_nodes {
-                if self
-                    .sent
-                    .insert((spec.stream_sig, spec.node.0, n as u16, mhash))
+                if !shared
+                    || self
+                        .sent
+                        .insert((spec.stream_sig, spec.node.0, n as u16, mhash))
                 {
                     let b = *bytes.get_or_insert_with(|| encoded_len(&m) as u64);
                     self.metrics.messages_sent += 1;
@@ -546,10 +561,11 @@ impl std::hash::Hasher for MuxHasher {
 /// `HashSet` state for [`MuxHasher`]-keyed multiplexing sets.
 pub(crate) type MuxBuildHasher = std::hash::BuildHasherDefault<MuxHasher>;
 
-/// A compact hash of a match's constituent events (for transmission
+/// A compact hash of a match's constituent events, given as its
+/// [`Match::entries`] (for transmission
 /// multiplexing, replay dedup and provenance sampling; collisions only skew
 /// a metric, never the results).
-pub(crate) fn match_hash(m: &Match) -> u64 {
+pub(crate) fn match_hash(entries: &[(PrimId, Event)]) -> u64 {
     // Only the constituent events identify the physical payload: primitive
     // operator ids are receiver-side interpretation and differ across
     // queries for semantically identical streams. Each seq is finalized
@@ -557,7 +573,7 @@ pub(crate) fn match_hash(m: &Match) -> u64 {
     // is independent of entry order without sorting (and allocating) a
     // scratch vector on the send path.
     let mut acc: u64 = 0;
-    for (_, e) in m.entries() {
+    for (_, e) in entries {
         let mut x = e.seq.wrapping_add(0x9e37_79b9_7f4a_7c15);
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -579,6 +595,7 @@ mod tests {
     use muse_core::query::{Pattern, Predicate};
     use muse_core::types::{EventTypeId, NodeId};
     use muse_core::workload::Workload;
+    use proptest::prelude::*;
     use std::collections::{BTreeSet, VecDeque};
 
     /// A recording fake driver: every delivery, local or remote, queues
@@ -626,41 +643,57 @@ mod tests {
         EventTypeId(i)
     }
 
-    /// The Fig. 1 network and query of the paper (as in the simulator's
-    /// tests), with the query registered `copies` times.
-    fn fig1(copies: usize, sharing: Sharing) -> (Deployment, Vec<Event>) {
-        let net: Network = NetworkBuilder::new(3, 3)
+    fn fig1_network() -> Network {
+        NetworkBuilder::new(3, 3)
             .node(NodeId(0), [t(0), t(2)])
             .node(NodeId(1), [t(0), t(1)])
             .node(NodeId(2), [t(1)])
             .rate(t(0), 20.0)
             .rate(t(1), 20.0)
             .rate(t(2), 1.0)
-            .build();
+            .build()
+    }
+
+    /// The Fig. 1 query of the paper (as in the simulator's tests),
+    /// registered once per entry of `windows`, planned and deployed.
+    fn fig1_deployment(windows: &[Timestamp], sharing: Sharing) -> Deployment {
+        let net = fig1_network();
         let robots = Pattern::seq([
             Pattern::and([Pattern::leaf(t(0)), Pattern::leaf(t(1))]),
             Pattern::leaf(t(2)),
         ]);
         let workload = Workload::from_patterns(
             Catalog::with_anonymous_types(3),
-            vec![(robots, Vec::<Predicate>::new(), 5_000); copies],
+            windows
+                .iter()
+                .map(|&w| (robots.clone(), Vec::<Predicate>::new(), w)),
         )
         .unwrap();
         let plan = amuse_workload(&workload, &net, &AMuseConfig::default()).unwrap();
         let ctx = PlanContext::new(workload.queries(), &net, &plan.table);
-        let deployment = Deployment::new_with(&plan.merged, &ctx, sharing);
-        let events = muse_sim::traces::generate_traces(
-            &net,
+        Deployment::new_with(&plan.merged, &ctx, sharing)
+    }
+
+    fn fig1_trace(seed: u64) -> Vec<Event> {
+        muse_sim::traces::generate_traces(
+            &fig1_network(),
             &muse_sim::traces::TraceConfig {
                 duration: 30.0,
                 ticks_per_unit: 100.0,
                 rate_scale: 0.05,
                 key_domain: 0,
                 band_domain: 0,
-                seed: 13,
+                seed,
             },
-        );
-        (deployment, events)
+        )
+    }
+
+    /// The Fig. 1 query registered `copies` times, and a trace for it.
+    fn fig1(copies: usize, sharing: Sharing) -> (Deployment, Vec<Event>) {
+        (
+            fig1_deployment(&vec![5_000; copies], sharing),
+            fig1_trace(13),
+        )
     }
 
     fn fingerprints(matches: &[Match]) -> BTreeSet<Vec<u64>> {
@@ -693,6 +726,65 @@ mod tests {
         assert_eq!(out_a.remote.len(), 2 * out_b.remote.len());
         assert_eq!(a.metrics.messages_sent, b.metrics.messages_sent);
         assert_eq!(a.metrics.bytes_sent, b.metrics.bytes_sent);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The mux rule: consulting `sent` only for tasks that share their
+        /// `(node, stream signature)` counts exactly what consulting it for
+        /// every task counts, keeps the set empty elsewhere, and still
+        /// dedupes where two tasks do emit the same stream.
+        #[test]
+        fn sent_is_consulted_only_where_it_can_hit(
+            shape in 0usize..3,
+            narrow in 1_000u64..5_000,
+            trace_seed in 0u64..50,
+        ) {
+            // One task per stream; `Independent` twins; one plan under two
+            // windows (equal stream signatures, two tasks per stream).
+            let as_built = match shape {
+                0 => fig1_deployment(&[5_000], Sharing::Shared),
+                1 => fig1_deployment(&[5_000, 5_000], Sharing::Independent),
+                _ => fig1_deployment(&[5_000, narrow], Sharing::Shared),
+            };
+            let override_marks = |shared: bool| {
+                let mut d = as_built.clone();
+                d.set_all_streams_shared(shared);
+                d
+            };
+            let (always, never) = (override_marks(true), override_marks(false));
+            let events = fig1_trace(trace_seed);
+            let run = |deployment| {
+                let mut core = fresh(deployment);
+                drive(&mut core, &mut Recorder::default(), &events);
+                core
+            };
+            let (built, always, never) = (run(&as_built), run(&always), run(&never));
+
+            prop_assert!(built.metrics.messages_sent > 0);
+            prop_assert_eq!(built.metrics.messages_sent, always.metrics.messages_sent);
+            prop_assert_eq!(built.metrics.bytes_sent, always.metrics.bytes_sent);
+            for (b, a) in built.matches().iter().zip(always.matches()) {
+                prop_assert_eq!(fingerprints(b), fingerprints(a));
+            }
+            let marked: BTreeSet<(u64, u16)> = (0..as_built.tasks.len())
+                .filter(|&i| as_built.stream_shared(i))
+                .map(|i| (as_built.tasks[i].stream_sig, as_built.tasks[i].node.0))
+                .collect();
+            prop_assert_eq!(marked.is_empty(), shape == 0);
+            prop_assert_eq!(built.save().sent.is_empty(), shape == 0);
+            prop_assert!(built
+                .sent
+                .iter()
+                .all(|&(sig, from, _, _)| marked.contains(&(sig, from))));
+            // Where streams are shared the set earns its keep: counting
+            // every emission of every task would overcount.
+            prop_assert_eq!(
+                built.metrics.messages_sent < never.metrics.messages_sent,
+                shape != 0
+            );
+        }
     }
 
     #[test]

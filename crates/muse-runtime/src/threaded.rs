@@ -17,21 +17,37 @@
 //!
 //! # Data plane
 //!
-//! The transport ([`TransportMode::Batched`]) keeps one output
-//! buffer per destination node and flushes it as a multi-message frame when
-//! it reaches the batch threshold, and at chunk and drain-round boundaries.
-//! Receivers hand emptied frame buffers back to their origin node over an
-//! unbounded return channel, so the steady-state send path recycles buffers
-//! instead of allocating. Data channels are bounded: a full channel rejects
-//! the `try_send`, and the blocked sender *steals from its own inbox*
-//! (ingesting frames into a local backlog without processing them) before
-//! retrying — senders under backpressure convert stalls into useful work,
-//! which also breaks send cycles between mutually-full nodes. The same
-//! steal runs while spinning at the drain barrier, so a node waiting for a
-//! round cannot deadlock senders that are still flushing into it.
+//! The transport keeps one output buffer per destination node and flushes
+//! it as a multi-message frame when it reaches [`ThreadedConfig::batch`],
+//! and at chunk and drain-round boundaries. A message carries a
+//! single-event match by value and a larger one by its shared node (see
+//! `InFlight`), so the match node a join stores is allocated, and later
+//! freed, by the thread that runs the join. Receivers hand emptied frame
+//! buffers back to their origin node over an unbounded return channel, so
+//! the steady-state send path recycles buffers instead of allocating.
+//! Data channels are bounded ([`ThreadedConfig::capacity`] frames): a full
+//! channel rejects the `try_send`, and the blocked sender *steals from its
+//! own inbox* (ingesting frames into a local backlog without processing
+//! them) before retrying — senders under backpressure convert stalls into
+//! useful work, which also breaks send cycles between mutually-full nodes.
 //! Backpressure is observable, not silent: blocked sends, in-flight queue
 //! depth, and the realized batch-size distribution are recorded in
 //! [`crate::metrics::TransportStats`].
+//!
+//! # Barriers
+//!
+//! A node waiting at a barrier never just spins, or a bounded-channel
+//! sender and a parked receiver could deadlock each other. Before a drain
+//! round it *works*: it processes its backlog and inbox exactly as a drain
+//! round would, so a node that owns few of a chunk's events receives while
+//! its senders still inject, and sink latency measures the plan rather
+//! than which thread reached the barrier first. Peers are at most one
+//! barrier apart, so the skew between nodes stays within one chunk and a
+//! message that crossed `h` hops is still consumed no later than round
+//! `h`. At the barrier that ends a phase, and at the two crash-coordination
+//! barriers of fault mode, it only *steals*: what arrives there belongs to
+//! a peer's next phase or chunk, or must be discarded by a crashed node,
+//! and is kept unprocessed.
 //!
 //! # Negation
 //!
@@ -53,35 +69,12 @@ use crate::node::{match_hash, CoreReport, MuxBuildHasher, NodeCore, Outbox};
 use crate::telemetry::{ClockDomain, RunTelemetry, TelemetrySpec, TraceRecord};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use muse_core::event::{Event, Timestamp};
+use muse_core::types::PrimId;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Inter-node transport parameters of the threaded executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportMode {
-    /// Per-destination output buffers flushed as multi-message frames over
-    /// bounded channels, with a frame-recycling return path and
-    /// inbox-stealing backpressure.
-    Batched {
-        /// Messages per frame before an eager flush (frames also flush at
-        /// chunk and drain-round boundaries, so they may be smaller).
-        batch: usize,
-        /// Bound of each node's data channel, in frames.
-        capacity: usize,
-    },
-}
-
-impl Default for TransportMode {
-    fn default() -> Self {
-        Self::Batched {
-            batch: 64,
-            capacity: 128,
-        }
-    }
-}
 
 /// Deterministic fault-injection plan: crash one node mid-run and recover
 /// it from its last chunk-boundary checkpoint (the executor's stand-in
@@ -109,8 +102,12 @@ pub struct ThreadedConfig {
     /// Virtual-time chunk length; defaults to the workload's largest
     /// window.
     pub chunk_ticks: Option<Timestamp>,
-    /// Inter-node transport parameters.
-    pub transport: TransportMode,
+    /// Messages per frame before an eager flush (frames also flush at
+    /// chunk and drain-round boundaries, so they may be smaller). Clamped
+    /// to ≥ 1.
+    pub batch: usize,
+    /// Bound of each node's data channel, in frames. Clamped to ≥ 1.
+    pub capacity: usize,
     /// Telemetry collection; each node thread keeps a private shard
     /// (series, trace, provenance, rates) that is merged when the threads join.
     pub telemetry: Option<TelemetrySpec>,
@@ -127,7 +124,8 @@ impl Default for ThreadedConfig {
         Self {
             slack: 4.0,
             chunk_ticks: None,
-            transport: TransportMode::default(),
+            batch: 64,
+            capacity: 128,
             telemetry: None,
             checkpoint: false,
             fault: None,
@@ -182,10 +180,48 @@ impl ThreadedReport {
 }
 
 /// A match in flight between nodes.
+#[derive(Clone)]
 struct NodeMsg {
     target: usize,
     slot: usize,
-    m: Match,
+    m: InFlight,
+}
+
+/// What a [`NodeMsg`] carries of its match. A match node (`Arc<[..]>`) that
+/// crossed threads would be allocated by the sender and freed by the
+/// receiver when its join evicts it, which no allocator serves from a
+/// thread-local cache. So a single-event match — every source task's
+/// output, and on a relay every message — travels by value (the payload
+/// stays the trace's shared `Arc`): the sender frees the node it allocated,
+/// and the receiver allocates the one its join will store and evict.
+/// Larger matches keep sharing the sender's node.
+#[derive(Clone)]
+enum InFlight {
+    Single((PrimId, Event)),
+    Multi(Match),
+}
+
+impl InFlight {
+    fn of(m: Match) -> Self {
+        match m.entries() {
+            [single] => Self::Single(single.clone()),
+            _ => Self::Multi(m),
+        }
+    }
+
+    fn entries(&self) -> &[(PrimId, Event)] {
+        match self {
+            Self::Single(single) => std::slice::from_ref(single),
+            Self::Multi(m) => m.entries(),
+        }
+    }
+
+    fn into_match(self) -> Match {
+        match self {
+            Self::Single((prim, event)) => Match::single(prim, event),
+            Self::Multi(m) => m,
+        }
+    }
 }
 
 /// A batch of messages on an inter-node channel. `origin` addresses the
@@ -197,10 +233,10 @@ struct Frame {
 }
 
 /// A sense-reversing spin barrier whose waiters run an `idle` closure each
-/// spin iteration. The threaded executor's waiters steal frames from their
-/// own inbox (ingest without processing) so a node parked at a round
-/// boundary keeps consuming — a plain [`std::sync::Barrier`] would let a
-/// bounded-channel sender and a parked receiver deadlock each other.
+/// spin iteration. The threaded executor's waiters consume from their own
+/// inbox while parked (see the module's "Barriers") — a plain
+/// [`std::sync::Barrier`] would let a bounded-channel sender and a parked
+/// receiver deadlock each other.
 ///
 /// Correctness: the last arriver resets `arrived` (Release) and then bumps
 /// `generation` (Release); a waiter leaves on an Acquire load of the new
@@ -411,9 +447,8 @@ fn run_cores(
     let mut receivers: Vec<Option<Receiver<Frame>>> = Vec::with_capacity(num_nodes);
     let mut ret_senders: Vec<Sender<Vec<NodeMsg>>> = Vec::with_capacity(num_nodes);
     let mut ret_receivers: Vec<Option<Receiver<Vec<NodeMsg>>>> = Vec::with_capacity(num_nodes);
-    let TransportMode::Batched { batch, capacity } = config.transport;
     for _ in 0..num_nodes {
-        let (s, r) = bounded(capacity.max(1));
+        let (s, r) = bounded(config.capacity.max(1));
         senders.push(s);
         receivers.push(Some(r));
         let (rs, rr) = unbounded();
@@ -461,7 +496,7 @@ fn run_cores(
                 backlog: VecDeque::new(),
                 out_bufs: (0..num_nodes).map(|_| Vec::new()).collect(),
                 pool: Vec::new(),
-                batch: batch.max(1),
+                batch: config.batch.max(1),
                 stats: TransportStats::default(),
                 inject_ns: Arc::clone(&inject_ns),
                 start,
@@ -610,7 +645,7 @@ struct NodeRunner {
     /// Fault mode, pre-crash: messages flushed to the planned-crash node
     /// this chunk, replayed to it after the crash (the peers' side of the
     /// Ambrosia-style logged-call replay).
-    send_log: Vec<(usize, usize, Match)>,
+    send_log: Vec<NodeMsg>,
     /// Fault mode, pre-crash: multiset of messages ingested from the
     /// planned-crash node this chunk, keyed by `(target, slot, mux match
     /// hash)` — the receive-side replay-dedup filter.
@@ -682,7 +717,7 @@ fn run_node(
             // consistently; the crashed node then discards its inbox and
             // restores its shard while peers hold their sends; barrier B
             // orders the discard before the replay traffic.
-            runner.barrier_wait();
+            runner.barrier_steal();
             let crash_chunk = runner
                 .shared
                 .as_ref()
@@ -695,7 +730,7 @@ fn run_node(
                 } else {
                     runner.dedup_active = true;
                 }
-                runner.barrier_wait();
+                runner.barrier_steal();
                 if node == fault_node {
                     // Replay the rolled-back part of the chunk: re-inject
                     // the local events from the restored cursor. Sends are
@@ -714,24 +749,28 @@ fn run_node(
                 }
                 runner.flush_all();
             } else {
-                runner.barrier_wait();
+                runner.barrier_steal();
             }
         }
         // Quiescence: one barrier-synchronized drain round per possible
         // network hop; then, per negation level, release the deferred
-        // candidates and drain to quiescence again.
+        // candidates and drain to quiescence again. A node parked before a
+        // round works on what its peers have already sent. The barrier
+        // that ends a phase only steals: the phase is quiescent, so a frame
+        // that shows up there was sent by a peer already past the barrier,
+        // and must wait for this node's own release or chunk-start shard.
         for phase in 0..=schedule.release_phases {
             if phase > 0 {
                 core.release_deferred(&mut runner);
                 runner.flush_all();
             }
             for _ in 0..schedule.rounds_per_chunk {
-                runner.barrier_wait();
+                runner.barrier_drain(&mut core);
                 runner.drain(&mut core);
                 runner.flush_all();
                 core.maybe_sample(&runner);
             }
-            runner.barrier_wait();
+            runner.barrier_steal();
         }
     }
     // End-of-run state shard, captured BEFORE `finish` folds the join
@@ -776,6 +815,7 @@ impl Outbox for NodeRunner {
     }
 
     fn remote(&mut self, dest: usize, target: usize, slot: usize, m: Match) {
+        let m = InFlight::of(m);
         self.enqueue(dest, NodeMsg { target, slot, m });
     }
 
@@ -931,23 +971,27 @@ impl NodeRunner {
             t: self.now(),
             msgs: log.len() as u32,
         });
-        for (target, slot, m) in log {
+        for msg in log {
             if let Some(tel) = core.telemetry.as_mut() {
-                tel.on_replayed(target, 1);
+                tel.on_replayed(msg.target, 1);
             }
-            self.enqueue(dest, NodeMsg { target, slot, m });
+            self.enqueue(dest, msg);
         }
     }
 
-    /// Processes the backlog and every frame currently in the inbox.
-    fn drain(&mut self, core: &mut NodeCore<'_>) {
+    /// Processes the backlog and every frame currently in the inbox;
+    /// returns whether there was anything to process. Each match node is
+    /// built here, on the thread whose join will store and evict it.
+    fn drain(&mut self, core: &mut NodeCore<'_>) -> bool {
+        let mut worked = false;
         loop {
             while let Some(msg) = self.backlog.pop_front() {
-                core.deliver(self, msg.target, msg.slot, msg.m);
+                worked = true;
+                core.deliver(self, msg.target, msg.slot, msg.m.into_match());
             }
             match self.channels.inbox.try_recv() {
                 Ok(frame) => self.ingest(frame),
-                Err(_) => break,
+                Err(_) => return worked,
             }
         }
     }
@@ -990,7 +1034,7 @@ impl NodeRunner {
                 .is_some_and(|f| f.node == frame.origin && f.node != self.node);
         if filtered {
             for msg in frame.msgs.drain(..) {
-                let key = (msg.target, msg.slot, match_hash(&msg.m));
+                let key = (msg.target, msg.slot, match_hash(msg.m.entries()));
                 if self.dedup_active {
                     if let Some(count) = self.recv_log.get_mut(&key) {
                         *count -= 1;
@@ -1013,15 +1057,34 @@ impl NodeRunner {
         let _ = self.channels.ret_senders[frame.origin].send(frame.msgs);
     }
 
-    /// Waits at the drain barrier, stealing inbox frames (or yielding)
-    /// while parked so senders blocked on this node's channel can finish.
-    fn barrier_wait(&mut self) {
+    /// Waits at the barrier, running `work` (or yielding, when it reports
+    /// nothing done) while parked: a parked node keeps consuming its inbox,
+    /// so senders blocked on its channel can finish.
+    fn park(&mut self, mut work: impl FnMut(&mut Self) -> bool) {
         let barrier = Arc::clone(&self.channels.barrier);
         barrier.wait(|| {
-            if !self.steal() {
+            if !work(self) {
                 std::thread::yield_now();
             }
         });
+    }
+
+    /// Waits at a barrier where nothing may be processed — the two
+    /// crash-coordination barriers (peers must hold their sends while the
+    /// crashed node discards its inbox) and the one that ends a phase —
+    /// only stealing inbox frames while parked.
+    fn barrier_steal(&mut self) {
+        self.park(Self::steal);
+    }
+
+    /// Waits at the barrier before a drain round, working while parked: the
+    /// backlog and the inbox are processed as in [`Self::drain`] (sends are
+    /// buffered and flush when a batch fills), so a node that owns few of a
+    /// chunk's events receives while its senders still inject. Peers are at
+    /// most one barrier ahead, so everything processed here belongs to the
+    /// round this barrier opens or to an earlier one.
+    fn barrier_drain(&mut self, core: &mut NodeCore<'_>) {
+        self.park(|runner| runner.drain(core));
     }
 
     /// A frame buffer from the recycling pool, refilled from the return
@@ -1081,8 +1144,7 @@ impl NodeRunner {
                 .as_ref()
                 .is_some_and(|f| f.node == dest && f.node != self.node)
         {
-            self.send_log
-                .extend(msgs.iter().map(|msg| (msg.target, msg.slot, msg.m.clone())));
+            self.send_log.extend(msgs.iter().cloned());
         }
         let t = &mut self.stats;
         t.frames_sent += 1;
@@ -1224,10 +1286,8 @@ mod tests {
             &deployment,
             &events,
             &ThreadedConfig {
-                transport: TransportMode::Batched {
-                    batch: 1,
-                    capacity: 8,
-                },
+                batch: 1,
+                capacity: 8,
                 ..ThreadedConfig::default()
             },
         );
@@ -1249,10 +1309,8 @@ mod tests {
             &deployment,
             &events,
             &ThreadedConfig {
-                transport: TransportMode::Batched {
-                    batch: 1,
-                    capacity: 1,
-                },
+                batch: 1,
+                capacity: 1,
                 ..ThreadedConfig::default()
             },
         );
