@@ -17,6 +17,11 @@
 //!
 //! # Data plane
 //!
+//! Before the first event the call scans the trace once (`origin`, `time`,
+//! `seq`) for each node's event positions and for the chunks that hold an
+//! event — only those are scheduled. Node threads walk the caller's slice
+//! through their positions; no event is copied or moved.
+//!
 //! The transport keeps one output buffer per destination node and flushes
 //! it as a multi-message frame when it reaches [`ThreadedConfig::batch`],
 //! and at chunk and drain-round boundaries. A message carries a
@@ -71,7 +76,6 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use muse_core::event::{Event, Timestamp};
 use muse_core::types::PrimId;
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -339,6 +343,12 @@ struct ResilienceShared {
 const FLIGHT_CAPACITY: usize = 256;
 
 /// Runs a deployment with one thread per network node.
+///
+/// Precondition: each origin's events are non-decreasing in `time` (origins
+/// may interleave freely); a node injects in slice order, so an event stamped
+/// before its predecessor would enter its chunk late. Only debug builds
+/// assert it: the typed error waits for the session's fallible entry point
+/// (ROADMAP 5(c), 9(e)) rather than a `try_` twin of this function.
 pub fn run_threaded(
     deployment: &Deployment,
     events: &[Event],
@@ -410,36 +420,34 @@ fn run_cores(
                 .unwrap_or(1)
         })
         .max(1);
-    let t_end = events.iter().map(|e| e.time).max().unwrap_or(0) + 1;
-    let num_chunks = t_end.div_ceil(chunk).max(1);
     let rounds_per_chunk = remote_depth(deployment) + 1;
     let release_phases = negation_release_phases(deployment, &cores);
 
-    // One flat, origin-partitioned copy of the trace shared by all node
-    // threads; each thread reads its own contiguous range. (The former
-    // implementation cloned every event into per-node vectors — double
-    // buffering of the whole trace before the run even started.) The sort
-    // is stable, so trace order is preserved within each node; events from
-    // origins outside the network are excluded, as before.
-    let flat: Arc<[Event]> = {
-        let mut sorted: Vec<Event> = events
-            .iter()
-            .filter(|e| e.origin.index() < num_nodes)
-            .cloned()
-            .collect();
-        sorted.sort_by_key(|e| e.origin.index());
-        sorted.into()
-    };
-    let mut ranges: Vec<Range<usize>> = Vec::with_capacity(num_nodes);
-    let mut begin = 0usize;
-    for node in 0..num_nodes {
-        let mut end = begin;
-        while end < flat.len() && flat[end].origin.index() == node {
-            end += 1;
+    // The only pass over the trace before the first injection (see "Data
+    // plane"). Origins outside the network are skipped, as the simulator
+    // skips them. An empty chunk would change nothing at `remote_depth + 2`
+    // barriers, and a timestamp can put 10^9 of them before an event.
+    let mut positions: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
+    let mut chunks: Vec<u64> = Vec::new();
+    let mut max_seq = 0;
+    for (at, event) in events.iter().enumerate() {
+        max_seq = max_seq.max(event.seq);
+        let Some(local) = positions.get_mut(event.origin.index()) else {
+            continue;
+        };
+        debug_assert!(
+            local.last().is_none_or(|&p| events[p].time <= event.time),
+            "time decreases at an origin (see `run_threaded`)"
+        );
+        local.push(at);
+        let chunk_idx = event.time / chunk;
+        if chunks.last() != Some(&chunk_idx) {
+            chunks.push(chunk_idx);
         }
-        ranges.push(begin..end);
-        begin = end;
     }
+    // Origins interleave, so the list is only nearly sorted.
+    chunks.sort_unstable();
+    chunks.dedup();
 
     // Bounded data channels, buffer return channels, in-flight depth
     // gauges, and the drain barrier.
@@ -457,9 +465,8 @@ fn run_cores(
     }
     let depth: Arc<Vec<AtomicU64>> = Arc::new((0..num_nodes).map(|_| AtomicU64::new(0)).collect());
     let barrier = Arc::new(DrainBarrier::new(num_nodes));
-    let max_seq = events.iter().map(|e| e.seq).max().unwrap_or(0) as usize;
     let inject_ns: Arc<Vec<AtomicU64>> =
-        Arc::new((0..=max_seq).map(|_| AtomicU64::new(0)).collect());
+        Arc::new((0..=max_seq as usize).map(|_| AtomicU64::new(0)).collect());
     let resilient = config.checkpoint || config.fault.is_some();
     let shared: Option<Arc<ResilienceShared>> = resilient.then(|| {
         Arc::new(ResilienceShared {
@@ -468,6 +475,12 @@ fn run_cores(
             flight_dumps: (0..num_nodes).map(|_| Mutex::new(Vec::new())).collect(),
         })
     });
+    let schedule = ChunkSchedule {
+        chunk,
+        chunks: &chunks,
+        rounds_per_chunk,
+        release_phases,
+    };
     let start = Instant::now();
 
     let report_parts: Vec<(CoreReport, Option<Snapshot>)> = std::thread::scope(|scope| {
@@ -481,15 +494,8 @@ fn run_cores(
                 depth: Arc::clone(&depth),
                 barrier: Arc::clone(&barrier),
             };
-            let events = Arc::clone(&flat);
-            let range = ranges[node].clone();
+            let local = positions[node].as_slice();
             let shared = shared.clone();
-            let schedule = ChunkSchedule {
-                chunk,
-                num_chunks,
-                rounds_per_chunk,
-                release_phases,
-            };
             let runner = NodeRunner {
                 node,
                 channels,
@@ -518,7 +524,7 @@ fn run_cores(
             };
             let checkpoint = config.checkpoint;
             handles.push(
-                scope.spawn(move || run_node(core, runner, &events[range], schedule, checkpoint)),
+                scope.spawn(move || run_node(core, runner, events, local, schedule, checkpoint)),
             );
         }
         handles
@@ -601,9 +607,10 @@ struct NodeChannels {
 
 /// Per-run chunking parameters, identical on every node.
 #[derive(Clone, Copy)]
-struct ChunkSchedule {
+struct ChunkSchedule<'a> {
     chunk: Timestamp,
-    num_chunks: u64,
+    /// Indices of the chunks that hold an event of any node, ascending.
+    chunks: &'a [u64],
     rounds_per_chunk: usize,
     release_phases: usize,
 }
@@ -676,19 +683,22 @@ const SEND_BACKOFF_START: Duration = Duration::from_micros(1);
 /// indefinitely on a channel whose receiver may have crashed.
 const SEND_BACKOFF_CAP: Duration = Duration::from_micros(256);
 
-/// One node thread: drives `core` through the chunk schedule.
+/// One node thread: drives `core` through the chunk schedule. `local` lists
+/// the positions in `events` of this node's events.
 fn run_node(
     mut core: NodeCore<'_>,
     mut runner: NodeRunner,
-    local_events: &[Event],
-    schedule: ChunkSchedule,
+    events: &[Event],
+    local: &[usize],
+    schedule: ChunkSchedule<'_>,
     checkpoint: bool,
 ) -> (CoreReport, Option<Snapshot>) {
     let node = runner.node;
     let fault_mode = runner.fault.is_some();
     let mut next = 0usize;
-    for chunk_idx in 0..schedule.num_chunks {
-        let bound = (chunk_idx + 1) * schedule.chunk;
+    for &chunk_idx in schedule.chunks {
+        // Inclusive, so the last chunk of the time domain keeps its last tick.
+        let last_tick = (chunk_idx * schedule.chunk).saturating_add(schedule.chunk - 1);
         if runner.shared.is_some() {
             // Every chunk starts from quiescence: persist this node's
             // shard (the durable state a crash rolls back to).
@@ -698,14 +708,14 @@ fn run_node(
             runner.begin_chunk_logs(chunk_idx);
         }
         let mut crashed_here = false;
-        while next < local_events.len() && local_events[next].time < bound {
+        while next < local.len() && events[local[next]].time <= last_tick {
             if runner.crash_due() {
                 runner.crash(chunk_idx);
                 crashed_here = true;
                 break;
             }
             runner.drain(&mut core);
-            core.inject(&mut runner, &local_events[next]);
+            core.inject(&mut runner, &events[local[next]]);
             core.maybe_sample(&runner);
             next += 1;
         }
@@ -736,9 +746,9 @@ fn run_node(
                     // the local events from the restored cursor. Sends are
                     // regenerated; peers dedup re-deliveries they already
                     // processed against their receive logs.
-                    while next < local_events.len() && local_events[next].time < bound {
+                    while next < local.len() && events[local[next]].time <= last_tick {
                         runner.drain(&mut core);
-                        core.inject(&mut runner, &local_events[next]);
+                        core.inject(&mut runner, &events[local[next]]);
                         next += 1;
                     }
                     if let Some(started) = runner.crash_started.take() {
@@ -1403,6 +1413,179 @@ mod tests {
         let report = run_threaded(&deployment, &[], &ThreadedConfig::default());
         assert_eq!(report.metrics.events_injected, 0);
         assert!(report.matches[0].is_empty());
+    }
+
+    /// One occurrence of the test query — SEQ(AND(t0, t1), t2) — shortly
+    /// after `base`, with seqs from `first_seq`.
+    fn occurrence(first_seq: u64, base: Timestamp) -> [Event; 3] {
+        [
+            Event::new(first_seq, t(0), base + 10, n(0)),
+            Event::new(first_seq + 1, t(1), base + 20, n(2)),
+            Event::new(first_seq + 2, t(2), base + 30, n(0)),
+        ]
+    }
+
+    #[test]
+    fn schedule_is_bounded_by_the_input_not_by_its_timestamps() {
+        let (deployment, _) = test_deployment();
+        // A silent gap of 10^12 ticks, and a trace stamped in epoch
+        // milliseconds: 2 x 10^8 and 3.4 x 10^8 chunks of 5 000 ticks, two
+        // of which hold an event.
+        const EPOCH: Timestamp = 1_700_000_000_000;
+        for bases in [[0, 1_000_000_000_000], [EPOCH, EPOCH + 7_000]] {
+            let events: Vec<Event> = bases
+                .iter()
+                .zip([0, 3])
+                .flat_map(|(&base, first_seq)| occurrence(first_seq, base))
+                .collect();
+            let sim = run_simulation(&deployment, &events, &SimConfig::default());
+            assert_eq!(sim.matches[0].len(), 2, "one match per occurrence");
+            for checkpoint in [false, true] {
+                let config = ThreadedConfig {
+                    checkpoint,
+                    ..ThreadedConfig::default()
+                };
+                let started = Instant::now();
+                let threaded = run_threaded(&deployment, &events, &config);
+                assert!(
+                    started.elapsed() < Duration::from_secs(1),
+                    "bases {bases:?} took {:?}",
+                    started.elapsed()
+                );
+                assert_eq!(
+                    fingerprints(&threaded.matches[0]),
+                    fingerprints(&sim.matches[0]),
+                    "bases {bases:?}, checkpoint {checkpoint}"
+                );
+                // One shard per node at the start of each chunk that runs.
+                let shards = if checkpoint { 2 * 3 } else { 0 };
+                assert_eq!(threaded.metrics.recovery.snapshots_taken, shards);
+            }
+        }
+    }
+
+    /// The test trace — origins interleave across the three nodes — with
+    /// one more event in its middle, from an origin outside the network.
+    fn trace_with_foreign_origin() -> (Deployment, Vec<Event>) {
+        let (deployment, mut events) = test_deployment();
+        let mid = events.len() / 2;
+        let seq = events.iter().map(|e| e.seq).max().expect("events") + 1;
+        events.insert(mid, Event::new(seq, t(0), events[mid].time, n(7)));
+        (deployment, events)
+    }
+
+    fn local_seqs(events: &[Event], node: usize) -> Vec<u64> {
+        let local = events.iter().filter(|e| e.origin.index() == node);
+        local.map(|e| e.seq).collect()
+    }
+
+    #[test]
+    fn nodes_inject_their_events_in_trace_order() {
+        let (deployment, events) = trace_with_foreign_origin();
+        let interleaved = events.windows(2).filter(|w| w[0].origin != w[1].origin);
+        assert!(interleaved.count() > 10, "origins must interleave");
+        let sim = run_simulation(&deployment, &events, &SimConfig::default());
+        let config = ThreadedConfig {
+            telemetry: Some(TelemetrySpec {
+                trace_capacity: 1 << 16,
+                ..TelemetrySpec::default()
+            }),
+            ..ThreadedConfig::default()
+        };
+        let threaded = run_threaded(&deployment, &events, &config);
+        // The foreign event is ignored, as the simulator ignores it.
+        assert_eq!(sim.metrics.events_injected, events.len() as u64 - 1);
+        assert_eq!(
+            threaded.metrics.events_injected,
+            sim.metrics.events_injected
+        );
+        assert_eq!(
+            fingerprints(&threaded.matches[0]),
+            fingerprints(&sim.matches[0])
+        );
+        let trace = threaded.telemetry.expect("telemetry").trace;
+        assert_eq!(trace.dropped(), 0);
+        for node in 0..3 {
+            let injected: Vec<u64> = trace
+                .records()
+                .filter_map(|r| match r {
+                    TraceRecord::EventInjected { node: at, seq, .. } if *at == node => Some(*seq),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(injected, local_seqs(&events, node), "node {node}");
+        }
+    }
+
+    #[test]
+    fn crash_and_resume_keep_counting_local_events() {
+        let (deployment, events) = trace_with_foreign_origin();
+        let consumed = |events: &[Event]| -> Vec<u64> {
+            (0..3)
+                .map(|node| local_seqs(events, node).len() as u64)
+                .collect()
+        };
+        let cursors = |report: &ThreadedReport| {
+            let snapshot = report.final_snapshot.as_deref().expect("final snapshot");
+            checkpoint::decode(snapshot).expect("decodes").cursors
+        };
+        let config = ThreadedConfig {
+            checkpoint: true,
+            ..ThreadedConfig::default()
+        };
+        let baseline = run_threaded(&deployment, &events, &config);
+        assert_eq!(cursors(&baseline), consumed(&events));
+
+        // A crash rolls node 1 back to its shard's cursor and replays from
+        // there: a cursor that were a trace position would skip or repeat
+        // events.
+        let crashed = run_threaded(
+            &deployment,
+            &events,
+            &ThreadedConfig {
+                fault: Some(FaultPlan {
+                    node: 1,
+                    crash_at: consumed(&events)[1] / 2,
+                    restart_delay: Duration::ZERO,
+                }),
+                ..config.clone()
+            },
+        );
+        assert_eq!(crashed.metrics.recovery.crashes, 1);
+        assert_eq!(
+            crashed.metrics.events_injected,
+            baseline.metrics.events_injected
+        );
+        assert_eq!(
+            fingerprints(&crashed.matches[0]),
+            fingerprints(&baseline.matches[0])
+        );
+        assert_eq!(cursors(&crashed), cursors(&baseline));
+
+        // A resumed run counts from the start of its remainder.
+        let (prefix, rest) = events.split_at(events.len() / 3);
+        let first = run_threaded(&deployment, prefix, &config);
+        let snapshot = first.final_snapshot.as_deref().expect("final snapshot");
+        let resumed = run_threaded_resumed(&deployment, rest, &config, snapshot).expect("resumes");
+        assert_eq!(cursors(&first), consumed(prefix));
+        assert_eq!(cursors(&resumed), consumed(rest));
+        assert_eq!(
+            fingerprints(&resumed.matches[0]),
+            fingerprints(&baseline.matches[0])
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "time decreases at an origin")]
+    fn time_going_backwards_at_one_origin_is_caught_in_debug_builds() {
+        let (deployment, _) = test_deployment();
+        let events = [
+            Event::new(0, t(0), 20, n(0)),
+            Event::new(1, t(1), 5, n(2)),
+            Event::new(2, t(2), 10, n(0)),
+        ];
+        run_threaded(&deployment, &events, &ThreadedConfig::default());
     }
 
     #[test]

@@ -9,8 +9,10 @@
 # (its own workspace: unit tests plus the smoke run, so a public-API
 # removal cannot break BENCHMARK.json's command unnoticed; then one short
 # full-size `cluster` run for its exit code — pins, and the case study's
-# reference matches against simulator and `Evaluator` — and one of `relay`,
-# 60 850 matches through a receiver that works while parked at the barrier),
+# reference matches against simulator and `Evaluator` — one of `relay`,
+# 60 850 matches through a receiver that works while parked at the barrier,
+# and one of `multiquery`, whose pins and threaded-vs-simulator digest no
+# other lane exercises at full size),
 # and two harness smokes: `table3` with the telemetry export under out/, and the
 # `explain` witness-closure replay. Correctness is gated by the test suite and performance is
 # judged by bench/ alone; no lane here reads a number. Exits nonzero on
@@ -102,6 +104,7 @@ cargo test --offline --manifest-path bench/Cargo.toml
 bash bench/run.sh smoke
 bash bench/run.sh --workload cluster --seed 1 --seconds 3 --trace 0 --out "$(mktemp -d)"
 bash bench/run.sh --workload relay --seed 1 --seconds 3 --trace 0 --out "$(mktemp -d)"
+bash bench/run.sh --workload multiquery --seed 1 --seconds 3 --trace 0 --out "$(mktemp -d)"
 
 echo "== smoke: harness table3 with the telemetry export =="
 cargo run -p muse-bench --release --bin harness -- table3 --quick --telemetry out
