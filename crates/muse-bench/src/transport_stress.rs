@@ -8,7 +8,7 @@
 //! because aMuSE exists to minimize exactly the traffic this workload
 //! needs. Every edge event therefore crosses the network to every center
 //! as a single-event partial match (the streams differ per center, so
-//! once-per-node multiplexing cannot dedup them), while the join work
+//! the once-per-node charge cannot share them), while the join work
 //! there stays linear: edge partials are inserted into a window store that
 //! only the rare anchors sweep. The result is a run whose cost is
 //! dominated by the inter-node data plane — the component the batched

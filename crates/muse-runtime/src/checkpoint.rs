@@ -6,10 +6,10 @@
 //! partial matches) and replays logged calls after a failure. Here the
 //! equivalent durable state is a [`Snapshot`]: per-task join-engine state
 //! (buffered partial matches, negation assemblers, watermarks, counters),
-//! in-flight deliveries, the transmission-multiplexing sent-sets, metrics,
-//! and collected sink matches. A snapshot taken mid-run and restored into
-//! a fresh executor resumes to exactly the same results as an
-//! uninterrupted run (verified by the executor and resilience tests).
+//! in-flight deliveries, metrics, and collected sink matches. A snapshot
+//! taken mid-run and restored into a fresh executor resumes to exactly the
+//! same results as an uninterrupted run (verified by the executor and
+//! resilience tests).
 //!
 //! # One schema, both executors
 //!
@@ -43,10 +43,14 @@
 //! fail with [`CheckpointError::UnsupportedVersion`]; truncated or
 //! malformed bytes with [`CheckpointError::Malformed`] — never a panic.
 //!
-//! The current format is version 3: each `NSEQ` negation of a join state
+//! The current format is version 4: each `NSEQ` negation of a join state
 //! ([`JoinState::negations`]) carries its forbidden-match store and, for a
 //! composite forbidden pattern, the nested [`JoinState`] of the join that
-//! assembles it (version 2 carried an evaluator state there).
+//! assembles it (version 2 carried an evaluator state there). Version 3
+//! also carried a set of shipped matches; which task is charged for a
+//! transmission is fixed by the deployment
+//! ([`crate::deploy::Fanout::charged_nodes`]), so a snapshot holds no such
+//! memory.
 //!
 //! The one sanctioned way *across* plans is [`map_snapshot`] /
 //! [`restore_mapped`]: given a certified-safe `muse-verify`
@@ -68,7 +72,7 @@ use muse_verify::{CarryMode, MigrationPlan};
 pub const SNAPSHOT_MAGIC: u32 = 0x4d55_5345;
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 3;
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Errors raised by snapshot encode/decode/restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,10 +186,6 @@ pub struct Snapshot {
     /// Wall-clock sink latencies (threaded executor only; the simulator
     /// carries its virtual-time latencies inside `metrics`).
     pub wall_latencies_ns: Vec<u64>,
-    /// Transmission-multiplexing memory as `(stream sig, from node, to
-    /// node, match hash)` — restoring it keeps replayed sends from
-    /// double-counting network messages.
-    pub sent: Vec<(u64, u16, u16, u64)>,
     /// Per-node next-event cursors into the node-local event partitions
     /// (threaded executor only; empty for the simulator).
     pub cursors: Vec<u64>,
@@ -203,15 +203,13 @@ impl Snapshot {
             metrics: Metrics::new(deployment.num_nodes),
             matches: vec![Vec::new(); deployment.queries.len()],
             wall_latencies_ns: Vec::new(),
-            sent: Vec::new(),
             cursors: Vec::new(),
         }
     }
 
-    /// Merges another snapshot shard into this one: task states and sent
-    /// entries are unioned (shards own disjoint tasks/nodes), metrics
-    /// merge, matches and latencies concatenate, cursors take the
-    /// element-wise maximum.
+    /// Merges another snapshot shard into this one: task states are unioned
+    /// (shards own disjoint tasks), metrics merge, matches and latencies
+    /// concatenate, cursors take the element-wise maximum.
     pub fn merge_shard(&mut self, other: Snapshot) {
         debug_assert_eq!(self.plan, other.plan);
         for (slot, state) in self.tasks.iter_mut().zip(other.tasks) {
@@ -226,7 +224,6 @@ impl Snapshot {
             into.extend(from);
         }
         self.wall_latencies_ns.extend(other.wall_latencies_ns);
-        self.sent.extend(other.sent);
         if self.cursors.len() < other.cursors.len() {
             self.cursors.resize(other.cursors.len(), 0);
         }
@@ -340,10 +337,9 @@ fn shape_divergence(deployment: &Deployment, snap: &Snapshot) -> String {
 /// freshly instantiated state (`slack` must match the restoring executor's
 /// eviction slack so fresh and grafted states share a shape). Sink matches
 /// follow their [`QueryId`](muse_core::types::QueryId); dropped queries'
-/// matches are discarded. Transmission-multiplexing memory is filtered to
-/// stream signatures the new plan still emits. The result claims `new`'s
-/// fingerprint and restores through the ordinary
-/// [`SimExecutor::from_snapshot`] / threaded resume paths.
+/// matches are discarded. The result claims `new`'s fingerprint and
+/// restores through the ordinary [`SimExecutor::from_snapshot`] / threaded
+/// resume paths.
 ///
 /// # Errors
 ///
@@ -360,7 +356,7 @@ pub fn map_snapshot(
     slack: f64,
     bytes: &[u8],
 ) -> Result<Snapshot, CheckpointError> {
-    use std::collections::{HashMap, HashSet, VecDeque};
+    use std::collections::{HashMap, VecDeque};
     if !plan.safe {
         let why = plan
             .actions
@@ -425,18 +421,6 @@ pub fn map_snapshot(
         })
         .collect();
 
-    let live_sigs: HashSet<u64> = new.tasks.iter().map(|t| t.stream_sig).collect();
-    let sent = snap
-        .sent
-        .iter()
-        .filter(|&&(sig, from, to, _)| {
-            live_sigs.contains(&sig)
-                && (from as usize) < new.num_nodes
-                && (to as usize) < new.num_nodes
-        })
-        .copied()
-        .collect();
-
     let mut metrics = snap.metrics.clone();
     metrics.per_node_processed.resize(new.num_nodes, 0);
     let mut cursors = snap.cursors.clone();
@@ -452,7 +436,6 @@ pub fn map_snapshot(
         metrics,
         matches,
         wall_latencies_ns: snap.wall_latencies_ns.clone(),
-        sent,
         cursors,
     })
 }
@@ -505,13 +488,6 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
     buf.put_u32(snap.wall_latencies_ns.len() as u32);
     for &l in &snap.wall_latencies_ns {
         buf.put_u64(l);
-    }
-    buf.put_u32(snap.sent.len() as u32);
-    for &(sig, from, to, mhash) in &snap.sent {
-        buf.put_u64(sig);
-        buf.put_u16(from);
-        buf.put_u16(to);
-        buf.put_u64(mhash);
     }
     buf.put_u32(snap.cursors.len() as u32);
     for &c in &snap.cursors {
@@ -573,15 +549,6 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
         wall_latencies_ns.push(try_get_u64(buf).ok_or(CheckpointError::Malformed)?);
     }
     let n = get_len(buf)?;
-    let mut sent = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sig = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-        let from = try_get_u16(buf).ok_or(CheckpointError::Malformed)?;
-        let to = try_get_u16(buf).ok_or(CheckpointError::Malformed)?;
-        let mhash = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-        sent.push((sig, from, to, mhash));
-    }
-    let n = get_len(buf)?;
     let mut cursors = Vec::with_capacity(n);
     for _ in 0..n {
         cursors.push(try_get_u64(buf).ok_or(CheckpointError::Malformed)?);
@@ -597,7 +564,6 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
         metrics,
         matches,
         wall_latencies_ns,
-        sent,
         cursors,
     })
 }
@@ -1058,10 +1024,11 @@ mod tests {
             Err(CheckpointError::UnsupportedVersion(_))
         ));
         // Version 1 carried a latency histogram in the metrics block that
-        // later versions do not, and version 2 a sub-evaluator state where
-        // version 3 has the negation's assembler: both are refused by
-        // number, not misread.
-        for old in [1u16, 2] {
+        // later versions do not, version 2 a sub-evaluator state where later
+        // versions have the negation's assembler, and version 3 a
+        // transmission-multiplexing set after the wall latencies: all are
+        // refused by number, not misread.
+        for old in [1u16, 2, 3] {
             bytes[4..6].copy_from_slice(&old.to_be_bytes());
             assert_eq!(
                 decode(&bytes).err(),

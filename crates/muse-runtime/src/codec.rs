@@ -52,7 +52,9 @@ pub fn decode_match(mut buf: impl Buf) -> Match {
 /// match extends on success.
 pub fn try_decode_match(buf: &mut &[u8]) -> Option<Match> {
     let n = try_get_u16(buf)? as usize;
-    let mut entries = Vec::with_capacity(n.min(256));
+    // Every entry takes more than one byte: a count beyond the remaining
+    // bytes is corrupt, and must not size the buffer.
+    let mut entries = Vec::with_capacity(n.min(buf.len()));
     for _ in 0..n {
         let prim = PrimId(try_get_u8(buf)?);
         let event = try_decode_event(buf)?;

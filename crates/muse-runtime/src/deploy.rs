@@ -18,13 +18,10 @@ use muse_core::query::{CmpOp, PredicateExpr, Query};
 use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, PrimSet, QueryId};
 use std::collections::HashMap;
 
-/// How logically identical graph vertices map to physical tasks.
+/// How logically identical graph vertices map to physical tasks; an
+/// argument of [`Deployment::unchecked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Sharing {
-    /// One physical task per graph vertex: every query gets its own
-    /// pipeline even when vertices are structurally identical. This is the
-    /// reference mode the shared plan is gated against.
-    Independent,
     /// Structurally identical vertices — same node, same output stream
     /// identity ([`TaskSpec::stream_sig`]), same primitive set, and same
     /// query window — collapse into one physical task feeding every
@@ -175,9 +172,10 @@ pub struct TaskSpec {
     pub vertex: Vertex,
     /// Semantic identity of the task's output stream (from
     /// [`muse_core::projection::Projection::stream_sig`]): two tasks with
-    /// equal signatures at the same node emit identical matches, so their
-    /// network transmissions are multiplexed (counted once) by the
-    /// executors — the runtime analogue of the planner's stream reuse.
+    /// equal signatures at the same node emit the same matches up to their
+    /// windows, so a destination node is charged for the stream once
+    /// ([`Fanout::charged_nodes`]) — the runtime analogue of the planner's
+    /// stream reuse.
     pub stream_sig: u64,
     /// Hosting node.
     pub node: NodeId,
@@ -217,9 +215,16 @@ pub struct Fanout {
     pub local: Vec<(usize, usize)>,
     /// Network destinations as `(destination node, target task, slot)`.
     pub remote: Vec<(usize, usize, usize)>,
-    /// Distinct destination nodes of the remote routes, sorted — the
-    /// once-per-node shipping set of the §4.4 cost model.
-    pub remote_nodes: Vec<usize>,
+    /// The destination nodes this task's matches are charged to, sorted: a
+    /// subset of the nodes in `remote`. §4.4 charges a match once per
+    /// destination node, however many placements there consume it. Tasks
+    /// on one node with one [`TaskSpec::stream_sig`] ("twins") emit the
+    /// same matches up to their windows, and a pattern's match set under a
+    /// window is contained in its match set under any larger one — so of
+    /// the twins that route to a destination, the one whose query has the
+    /// largest window (ties: the lowest task index) is charged for it, and
+    /// the others ship there uncharged.
+    pub charged_nodes: Vec<usize>,
 }
 
 /// A runnable deployment of a MuSE graph.
@@ -241,22 +246,12 @@ pub struct Deployment {
     candidates: Vec<Vec<SourceCandidate>>,
     /// Row length of `candidates`: one past the largest sourced event type.
     num_types: usize,
-    /// Per task: whether another task on the same node emits a stream of
-    /// the same [`TaskSpec::stream_sig`] ([`Sharing::Independent`] twins;
-    /// [`Sharing::Shared`] tasks of equal signature and different window).
-    /// Only such a task can emit a match its node has already shipped, so
-    /// only it consults the executors' once-per-node `sent` set (§4.4).
-    stream_shared: Vec<bool>,
     /// Sink task indices per query (parallel to `queries`).
     pub sink_tasks: Vec<Vec<usize>>,
     /// Per task: indices into `queries` of the queries for which this task
-    /// emits the full match stream (the shared-sink fanout table). Under
-    /// [`Sharing::Independent`] every sink task lists exactly its own
-    /// query; under [`Sharing::Shared`] one physical sink may feed many
-    /// logical queries.
+    /// emits the full match stream (the shared-sink fanout table): one
+    /// physical sink may feed many logical queries.
     pub sink_queries: Vec<Vec<usize>>,
-    /// The sharing mode the deployment was built with.
-    pub sharing: Sharing,
     /// Number of graph vertices the tasks were derived from (`>= tasks.len()`;
     /// the difference is the number of vertices collapsed by sharing).
     pub logical_tasks: usize,
@@ -277,25 +272,11 @@ impl Deployment {
         graph: &MuseGraph,
         ctx: &PlanContext<'_>,
     ) -> Result<Self, Box<muse_verify::Report>> {
-        Self::verified_with(graph, ctx, Sharing::default())
-    }
-
-    /// [`Deployment::verified`] with an explicit sharing mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns the full diagnostic [`muse_verify::Report`] when the plan
-    /// has errors; warnings and lints do not block deployment.
-    pub fn verified_with(
-        graph: &MuseGraph,
-        ctx: &PlanContext<'_>,
-        sharing: Sharing,
-    ) -> Result<Self, Box<muse_verify::Report>> {
         let report = muse_verify::verify_for_deploy(graph, ctx);
         if report.has_errors() {
             return Err(Box::new(report));
         }
-        Ok(Self::build(graph, ctx, sharing))
+        Ok(Self::build(graph, ctx))
     }
 
     /// Builds a deployment from a MuSE graph.
@@ -305,16 +286,7 @@ impl Deployment {
     /// Panics if the graph fails static verification (see
     /// [`Deployment::verified`] for the non-panicking form).
     pub fn new(graph: &MuseGraph, ctx: &PlanContext<'_>) -> Self {
-        Self::new_with(graph, ctx, Sharing::default())
-    }
-
-    /// [`Deployment::new`] with an explicit sharing mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph fails static verification.
-    pub fn new_with(graph: &MuseGraph, ctx: &PlanContext<'_>, sharing: Sharing) -> Self {
-        match Self::verified_with(graph, ctx, sharing) {
+        match Self::verified(graph, ctx) {
             Ok(d) => d,
             Err(report) => panic!(
                 "refusing to deploy an invalid MuSE graph:\n{}",
@@ -329,13 +301,14 @@ impl Deployment {
     /// hand-written or externally supplied plans; programmatically generated
     /// workloads at the 100k-query scale pay a substantial startup cost for
     /// checks their generator guarantees by construction. Use only on plans
-    /// produced by the in-tree construction algorithms.
-    pub fn unchecked(graph: &MuseGraph, ctx: &PlanContext<'_>, sharing: Sharing) -> Self {
-        Self::build(graph, ctx, sharing)
+    /// produced by the in-tree construction algorithms. [`Sharing::Shared`]
+    /// is the only mode; callers name it.
+    pub fn unchecked(graph: &MuseGraph, ctx: &PlanContext<'_>, _sharing: Sharing) -> Self {
+        Self::build(graph, ctx)
     }
 
     /// Translates a verified graph into tasks and routes.
-    fn build(graph: &MuseGraph, ctx: &PlanContext<'_>, sharing: Sharing) -> Self {
+    fn build(graph: &MuseGraph, ctx: &PlanContext<'_>) -> Self {
         // Deduplicated query list in id order.
         let mut query_ids: Vec<QueryId> =
             graph.vertices().map(|v| ctx.proj(v.proj).source).collect();
@@ -359,14 +332,15 @@ impl Deployment {
 
         let vertices: Vec<Vertex> = graph.vertices().collect();
 
-        // In shared mode, structurally identical vertices — same node,
-        // same output stream identity, same primitive set, same window —
-        // collapse into one physical task. Equal stream signatures imply
-        // identical projected operator trees (hence identical left-to-right
-        // prim numbering) and identical retained predicates, so the first
-        // vertex's task evaluates the collapsed vertices' semantics exactly;
-        // the window must be keyed separately because it is not part of the
-        // stream signature.
+        // Structurally identical vertices — same node, same output stream
+        // identity, same primitive set, same window — collapse into one
+        // physical task. Equal stream signatures imply identical projected
+        // operator trees over event types and identical retained
+        // predicates, so the first vertex's task evaluates the collapsed
+        // vertices' semantics exactly. The primitive set and the window are
+        // keyed separately because neither is part of the signature: one
+        // event type can sit at different primitive positions in two
+        // queries, and one pattern can run under two windows.
         let mut tasks: Vec<TaskSpec> = Vec::with_capacity(vertices.len());
         let mut task_owner: Vec<Vertex> = Vec::with_capacity(vertices.len());
         let mut sink_queries: Vec<Vec<usize>> = Vec::with_capacity(vertices.len());
@@ -378,24 +352,22 @@ impl Deployment {
             let query = ctx.query_of(v.proj);
             let query_idx = query_index[&proj.source];
             let is_sink = proj.is_full_query(query);
-            if sharing == Sharing::Shared {
-                let key = (v.node, proj.stream_sig, proj.prims, query.window());
-                if let Some(&i) = shared_key.get(&key) {
-                    // Collapse onto the existing task.
-                    vertex_task.insert(*v, i);
-                    if is_sink {
-                        tasks[i].is_sink = true;
-                        if !sink_queries[i].contains(&query_idx) {
-                            sink_queries[i].push(query_idx);
-                        }
-                        if !sink_tasks[query_idx].contains(&i) {
-                            sink_tasks[query_idx].push(i);
-                        }
+            let key = (v.node, proj.stream_sig, proj.prims, query.window());
+            if let Some(&i) = shared_key.get(&key) {
+                // Collapse onto the existing task.
+                vertex_task.insert(*v, i);
+                if is_sink {
+                    tasks[i].is_sink = true;
+                    if !sink_queries[i].contains(&query_idx) {
+                        sink_queries[i].push(query_idx);
                     }
-                    continue;
+                    if !sink_tasks[query_idx].contains(&i) {
+                        sink_tasks[query_idx].push(i);
+                    }
                 }
-                shared_key.insert(key, tasks.len());
+                continue;
             }
+            shared_key.insert(key, tasks.len());
             let i = tasks.len();
             let preds = graph.predecessors(*v);
             let kind = if preds.is_empty() {
@@ -463,7 +435,7 @@ impl Deployment {
             r.sort_by_key(|r| (r.target, r.slot));
             r.dedup();
         }
-        let fanouts = routes
+        let mut fanouts: Vec<Fanout> = routes
             .iter()
             .map(|rs| {
                 let mut f = Fanout::default();
@@ -471,16 +443,36 @@ impl Deployment {
                     if r.remote {
                         f.remote
                             .push((tasks[r.target].node.index(), r.target, r.slot));
-                        f.remote_nodes.push(tasks[r.target].node.index());
+                        f.charged_nodes.push(tasks[r.target].node.index());
                     } else {
                         f.local.push((r.target, r.slot));
                     }
                 }
-                f.remote_nodes.sort_unstable();
-                f.remote_nodes.dedup();
+                f.charged_nodes.sort_unstable();
+                f.charged_nodes.dedup();
                 f
             })
             .collect();
+        // The §4.4 once-per-node charge (see `Fanout::charged_nodes`): per
+        // (node, stream, destination), the widest-window twin that routes
+        // there; tasks are visited in index order, so ties keep the first.
+        let window = |i: usize| queries[tasks[i].query_idx].window();
+        let mut charged: HashMap<(NodeId, u64, usize), usize> = HashMap::new();
+        for (i, f) in fanouts.iter().enumerate() {
+            for &dest in &f.charged_nodes {
+                let owner = charged
+                    .entry((tasks[i].node, tasks[i].stream_sig, dest))
+                    .or_insert(i);
+                if window(*owner) < window(i) {
+                    *owner = i;
+                }
+            }
+        }
+        for (i, f) in fanouts.iter_mut().enumerate() {
+            let (node, sig) = (tasks[i].node, tasks[i].stream_sig);
+            f.charged_nodes
+                .retain(|&dest| charged[&(node, sig, dest)] == i);
+        }
 
         // Discrimination index: per (origin, type) candidate list with
         // precomputed predicate bands, so the executors' inject paths test
@@ -511,15 +503,6 @@ impl Deployment {
             });
         }
 
-        let mut streams: HashMap<(NodeId, u64), u32> = HashMap::new();
-        for t in &tasks {
-            *streams.entry((t.node, t.stream_sig)).or_default() += 1;
-        }
-        let stream_shared = tasks
-            .iter()
-            .map(|t| streams[&(t.node, t.stream_sig)] > 1)
-            .collect();
-
         Self {
             queries,
             num_nodes,
@@ -529,10 +512,8 @@ impl Deployment {
             fanouts,
             candidates,
             num_types,
-            stream_shared,
             sink_tasks,
             sink_queries,
-            sharing,
         }
     }
 
@@ -547,20 +528,6 @@ impl Deployment {
         self.candidates
             .get(node.index() * self.num_types + ty.index())
             .map_or(&[], Vec::as_slice)
-    }
-
-    /// Whether `task` shares its `(node, stream signature)` with another
-    /// task, and so must consult the once-per-node `sent` set before it
-    /// counts a transmission.
-    pub(crate) fn stream_shared(&self, task: usize) -> bool {
-        self.stream_shared[task]
-    }
-
-    /// Overrides the as-built marks: `true` is consult-`sent`-always, the
-    /// accounting they are tested against; `false` counts every emission.
-    #[cfg(test)]
-    pub(crate) fn set_all_streams_shared(&mut self, shared: bool) {
-        self.stream_shared.fill(shared);
     }
 
     /// Instantiates the join state for a task (`None` for sources).
@@ -676,7 +643,6 @@ impl Deployment {
                 mix(r.remote as u64);
             }
         }
-        mix(matches!(self.sharing, Sharing::Shared) as u64);
         for qs in &self.sink_queries {
             mix(qs.len() as u64);
             for q in qs {

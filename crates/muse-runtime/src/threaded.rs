@@ -103,8 +103,14 @@ pub struct ThreadedConfig {
     /// release additionally needs `slack · window ≥ chunk + window`, which
     /// the defaults satisfy).
     pub slack: f64,
-    /// Virtual-time chunk length; defaults to the workload's largest
-    /// window.
+    /// Virtual-time chunk length; defaults to the workload's *smallest*
+    /// window. Each query's eviction horizon is `slack` times its own
+    /// window, so the smallest window is the one the documented
+    /// `slack · window ≥ chunk + window` must hold for, and with the
+    /// default slack of 4 this default satisfies it for every query. An
+    /// explicit `chunk_ticks` or `slack` that breaks it is not rejected:
+    /// match sets then silently depend on the transport, and keeping the
+    /// precondition is the caller's responsibility.
     pub chunk_ticks: Option<Timestamp>,
     /// Messages per frame before an eager flush (frames also flush at
     /// chunk and drain-round boundaries, so they may be smaller). Clamped
@@ -416,7 +422,7 @@ fn run_cores(
                 .queries
                 .iter()
                 .map(|q| q.window())
-                .max()
+                .min()
                 .unwrap_or(1)
         })
         .max(1);

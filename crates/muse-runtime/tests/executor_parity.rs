@@ -1,8 +1,8 @@
 //! Simulator-vs-threaded parity on query classes beyond plain SEQ/AND:
 //! disjunctions (OR, split into per-alternative queries) and negated
 //! sequences (NSEQ, exercising the threaded executor's deferred-negation
-//! release); on streams that two tasks of a node share (the §4.4
-//! once-per-node count); and on a relay-shaped network, where one node
+//! release); on streams that two tasks of a node emit (the §4.4
+//! once-per-node charge); and on a relay-shaped network, where one node
 //! spends the run parked at the drain barrier and works there.
 //!
 //! The simulator processes events in global timestamp order and is the
@@ -20,11 +20,11 @@ use muse_core::projection::ProjectionTable;
 use muse_core::query::{Pattern, Predicate};
 use muse_core::types::{EventTypeId, NodeId};
 use muse_core::workload::Workload;
-use muse_runtime::deploy::Deployment;
+use muse_runtime::deploy::{Deployment, TaskKind};
 use muse_runtime::matcher::Match;
 use muse_runtime::sim::{run_simulation, SimConfig};
 use muse_runtime::threaded::{run_threaded, run_threaded_resumed, FaultPlan, ThreadedConfig};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 fn t(i: u16) -> EventTypeId {
@@ -231,14 +231,59 @@ fn injections(events: &[Event], node: usize) -> u64 {
     events.iter().filter(|e| e.origin.index() == node).count() as u64
 }
 
+/// `SEQ(t0, t2)`: next to Fig. 1's query, t2 is primitive 1 here and
+/// primitive 2 there.
+fn seq02_pattern() -> Pattern {
+    Pattern::seq([Pattern::leaf(t(0)), Pattern::leaf(t(2))])
+}
+
+/// A twin deployment on the Fig. 1 network, one of its traces, and the
+/// `(messages_sent, bytes_sent, sink_matches)` the simulator counted on it
+/// when the once-per-node charge was a runtime set of shipped match hashes.
+type TwinCase = (Vec<(Pattern, Timestamp)>, u64, (u64, u64, u64));
+
+/// Checks a twin case's counts on the simulator, then threaded parity
+/// without and with a crash of each node.
+fn assert_twin_counts(cases: &[TwinCase], ctx: &str) {
+    let net = network();
+    for (registrations, seed, (messages, bytes, sink)) in cases {
+        let deployment = deploy_all(registrations.iter().cloned(), &net);
+        let events = trace(&net, *seed);
+        let sim = run_simulation(&deployment, &events, &SimConfig::default());
+        let ctx = format!("{ctx}, trace {seed}");
+        assert_eq!(
+            (
+                sim.metrics.messages_sent,
+                sim.metrics.bytes_sent,
+                sim.metrics.sink_matches
+            ),
+            (*messages, *bytes, *sink),
+            "{ctx}: simulator counts"
+        );
+        assert_parity(&deployment, &events, &ThreadedConfig::default(), &ctx);
+        for node in 0..3 {
+            let config = crash(node, injections(&events, node) / 2);
+            assert_parity(
+                &deployment,
+                &events,
+                &config,
+                &format!("{ctx}, crash of node {node}"),
+            );
+        }
+    }
+}
+
 #[test]
 fn streams_shared_across_windows_count_once_in_both_executors() {
-    // One pattern under two windows: equal stream signatures, two tasks
-    // per stream and node, so these tasks (and only such tasks) consult
-    // the once-per-node set — also across a crash, which restores the set
-    // and the counts it guards from one shard.
-    let net = network();
-    let deployment = deploy_all([(fig1_pattern(), 5_000), (fig1_pattern(), 3_000)], &net);
+    // One pattern under two windows: equal stream signatures, two tasks per
+    // stream and node, and the wider one charged where both route. Under
+    // 5 000 / 3 000 the two match sets coincide on this trace; under
+    // 5 000 / 700 the narrow one is a strict subset, so charging it would
+    // undercount.
+    let deployment = deploy_all(
+        [(fig1_pattern(), 5_000), (fig1_pattern(), 3_000)],
+        &network(),
+    );
     let streams: BTreeSet<(u16, u64)> = deployment
         .tasks
         .iter()
@@ -248,18 +293,65 @@ fn streams_shared_across_windows_count_once_in_both_executors() {
         streams.len() < deployment.tasks.len(),
         "two windows must put two tasks on one stream"
     );
-    let events = trace(&net, 23);
-    assert_parity(
-        &deployment,
-        &events,
-        &ThreadedConfig::default(),
+    assert_twin_counts(
+        &[
+            (
+                vec![(fig1_pattern(), 5_000), (fig1_pattern(), 3_000)],
+                23,
+                (34, 904, 108),
+            ),
+            (
+                vec![(fig1_pattern(), 5_000), (fig1_pattern(), 700)],
+                13,
+                (80, 2_976, 7_175),
+            ),
+        ],
         "two windows",
     );
-    for node in 0..3 {
-        let config = crash(node, injections(&events, node) / 2);
-        let ctx = format!("two windows, crash of node {node}");
-        assert_parity(&deployment, &events, &config, &ctx);
-    }
+}
+
+#[test]
+fn one_type_at_two_positions_counts_once_in_both_executors() {
+    // Fig. 1's query next to `SEQ(t0, t2)`: node 0 hosts a t2 source for
+    // each (primitive 2 of one, primitive 1 of the other), one stream
+    // signature under two primitive sets, and both route to node 1. In the
+    // last case the windows differ too: of the two `{t0, t2}` joins on
+    // node 0, only the narrow query's routes off the node, so it is the
+    // one charged although its twin is wider.
+    let twins = deploy_all(
+        [(fig1_pattern(), 5_000), (seq02_pattern(), 5_000)],
+        &network(),
+    );
+    let t2_routed: Vec<usize> = (0..twins.tasks.len())
+        .filter(|&i| {
+            matches!(twins.tasks[i].kind, TaskKind::Source { ty, .. } if ty == t(2))
+                && !twins.fanouts[i].remote.is_empty()
+        })
+        .collect();
+    assert_eq!(t2_routed.len(), 2, "both t2 sources route off node 0");
+    let [a, b] = [0, 1].map(|k| &twins.tasks[t2_routed[k]]);
+    assert_eq!((a.node, a.stream_sig), (b.node, b.stream_sig));
+    assert_ne!(a.prims, b.prims);
+    assert_twin_counts(
+        &[
+            (
+                vec![(fig1_pattern(), 5_000), (seq02_pattern(), 5_000)],
+                13,
+                (80, 2_976, 6_619),
+            ),
+            (
+                vec![(fig1_pattern(), 5_000), (seq02_pattern(), 5_000)],
+                23,
+                (34, 904, 60),
+            ),
+            (
+                vec![(fig1_pattern(), 300), (seq02_pattern(), 5_000)],
+                13,
+                (41, 1_182, 303),
+            ),
+        ],
+        "two positions",
+    );
 }
 
 /// Two nodes, relay-shaped: node 1 owns every frequent type, node 0 only
@@ -328,8 +420,10 @@ fn parked_receiver_matches_simulator() {
     let net = relay_network();
     let deployment = relay_deployment(&net);
     assert!(
-        deployment.tasks.iter().all(|task| task.node == n(0)
-            || matches!(task.kind, muse_runtime::deploy::TaskKind::Source { .. })),
+        deployment
+            .tasks
+            .iter()
+            .all(|task| task.node == n(0) || matches!(task.kind, TaskKind::Source { .. })),
         "every join sits on the receiver"
     );
     // Maximal backpressure: the parked receiver drains one-message frames
@@ -439,25 +533,66 @@ fn steady_state_send_path_recycles_frames() {
 #[test]
 fn fanout_tables_mirror_route_tables() {
     let net = network();
-    for pattern in [or_pattern(), nseq_pattern()] {
-        let deployment = deploy(pattern, 5_000, &net);
+    let deployments = [
+        deploy(or_pattern(), 5_000, &net),
+        deploy(nseq_pattern(), 5_000, &net),
+        // Twins: one pattern under two windows, one type at two positions.
+        deploy_all(
+            [
+                (fig1_pattern(), 5_000),
+                (fig1_pattern(), 700),
+                (seq02_pattern(), 300),
+            ],
+            &net,
+        ),
+    ];
+    for deployment in &deployments {
         assert_eq!(deployment.fanouts.len(), deployment.routes.len());
+        // Every (node, stream, destination) with a remote route, and the
+        // tasks charged for it.
+        let mut charges: BTreeMap<(u16, u64, usize), Vec<usize>> = BTreeMap::new();
         for (task, routes) in deployment.routes.iter().enumerate() {
             let f = &deployment.fanouts[task];
+            let spec = &deployment.tasks[task];
             assert_eq!(f.local.len() + f.remote.len(), routes.len());
             for r in routes {
                 if r.remote {
                     let dest = deployment.tasks[r.target].node.index();
                     assert!(f.remote.contains(&(dest, r.target, r.slot)));
-                    assert!(f.remote_nodes.contains(&dest));
+                    charges
+                        .entry((spec.node.0, spec.stream_sig, dest))
+                        .or_default();
                 } else {
                     assert!(f.local.contains(&(r.target, r.slot)));
                 }
             }
-            let mut sorted = f.remote_nodes.clone();
+            let mut sorted = f.charged_nodes.clone();
             sorted.sort_unstable();
             sorted.dedup();
-            assert_eq!(sorted, f.remote_nodes, "remote_nodes sorted and deduped");
+            assert_eq!(sorted, f.charged_nodes, "charged_nodes sorted and deduped");
+            for &dest in &f.charged_nodes {
+                assert!(
+                    f.remote.iter().any(|&(d, _, _)| d == dest),
+                    "task {task} charged for {dest}, where it does not route"
+                );
+                charges
+                    .entry((spec.node.0, spec.stream_sig, dest))
+                    .or_default()
+                    .push(task);
+            }
+        }
+        for (key, charged) in &charges {
+            assert_eq!(charged.len(), 1, "{key:?} charged to tasks {charged:?}");
         }
     }
+    let twins = &deployments[2];
+    let groups: BTreeSet<(u16, u64)> = twins
+        .tasks
+        .iter()
+        .map(|task| (task.node.0, task.stream_sig))
+        .collect();
+    assert!(
+        groups.len() < twins.tasks.len(),
+        "the twin deployment has twins"
+    );
 }

@@ -184,11 +184,11 @@ fn full_spec() -> TelemetrySpec {
 }
 
 /// Executor configs with identical eviction horizons. The workloads here
-/// mix windows (50..300), so the threaded chunk must be pinned to the
-/// *smallest* window and the slack widened to cover one chunk of
-/// inter-node skew for every query (`slack · window ≥ chunk + window`);
-/// the default chunk (largest window) would silently evict small-window
-/// partials mid-skew and lose matches the simulator keeps.
+/// mix windows (50..300), so the threaded chunk is the *smallest* window
+/// (the default, pinned here) and the slack covers one chunk of inter-node
+/// skew for every query (`slack · window ≥ chunk + window`); a chunk of the
+/// largest window would silently evict small-window partials mid-skew and
+/// lose matches the simulator keeps.
 const CHUNK: Timestamp = 50;
 const SLACK: f64 = 8.0;
 

@@ -5,10 +5,9 @@
 //! the shared deployment (structurally identical projections collapsed
 //! into one physical task fanning out to many logical sinks, sources
 //! looked up through the discrimination index) must deliver exactly the
-//! same per-query match sets as the independent deployment that gives
-//! every graph vertex its own physical task.
+//! same per-query match sets as each query planned and deployed alone.
 
-use muse_core::algorithms::amuse::AMuseConfig;
+use muse_core::algorithms::amuse::{amuse, AMuseConfig};
 use muse_core::algorithms::multi_query::amuse_workload;
 use muse_core::catalog::Catalog;
 use muse_core::event::{Timestamp, Value};
@@ -17,7 +16,7 @@ use muse_core::network::{Network, NetworkBuilder};
 use muse_core::query::{CmpOp, Pattern, Predicate};
 use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId};
 use muse_core::workload::Workload;
-use muse_runtime::deploy::{Deployment, Sharing};
+use muse_runtime::deploy::Deployment;
 use muse_runtime::matcher::Match;
 use muse_runtime::sim::{run_simulation, SimConfig};
 use muse_sim::traces::{generate_traces, TraceConfig};
@@ -131,11 +130,8 @@ fn build_workload(recipes: &[Recipe]) -> Workload {
         .expect("generated patterns are valid")
 }
 
-fn fingerprints(matches: &[Vec<Match>]) -> Vec<BTreeSet<Vec<u64>>> {
-    matches
-        .iter()
-        .map(|q| q.iter().map(Match::fingerprint).collect())
-        .collect()
+fn fingerprints(matches: &[Match]) -> BTreeSet<Vec<u64>> {
+    matches.iter().map(Match::fingerprint).collect()
 }
 
 /// Derives `count` recipes from a seed: operator kind, window, and an
@@ -162,9 +158,10 @@ fn recipes_from_seed(count: usize, seed: u64) -> Vec<Recipe> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Shared and independent deployments of the same plan produce
-    /// identical per-query match sets — including workloads that contain
-    /// exact duplicate registrations (every recipe list is doubled).
+    /// The shared deployment of a workload and each of its queries deployed
+    /// alone produce identical per-query match sets — including workloads
+    /// that contain exact duplicate registrations (every recipe list is
+    /// doubled).
     #[test]
     fn shared_matches_independent(
         count in 1usize..4,
@@ -180,14 +177,11 @@ proptest! {
         let net = network();
         let plan = amuse_workload(&workload, &net, &AMuseConfig::default()).unwrap();
         let ctx = PlanContext::new(workload.queries(), &net, &plan.table);
-        let shared = Deployment::new_with(&plan.merged, &ctx, Sharing::Shared);
-        let independent = Deployment::new_with(&plan.merged, &ctx, Sharing::Independent);
-        prop_assert_eq!(&shared.queries, &independent.queries);
+        let shared = Deployment::new(&plan.merged, &ctx);
+        prop_assert_eq!(&shared.queries[..], workload.queries());
         // Every recipe is registered twice, so sharing must strictly
-        // collapse: fewer physical tasks than logical ones, while the
-        // independent deployment keeps one task per logical vertex.
+        // collapse: fewer physical tasks than logical ones.
         prop_assert!(shared.tasks.len() < shared.logical_tasks);
-        prop_assert_eq!(shared.logical_tasks, independent.tasks.len());
 
         let trace = generate_traces(&net, &TraceConfig {
             duration: 25.0,
@@ -199,15 +193,19 @@ proptest! {
         });
         let config = SimConfig::default();
         let shared_report = run_simulation(&shared, &trace, &config);
-        let independent_report = run_simulation(&independent, &trace, &config);
-        prop_assert_eq!(
-            fingerprints(&shared_report.matches),
-            fingerprints(&independent_report.matches)
-        );
-        // Per-sink attribution keeps the aggregate counters equal too.
-        prop_assert_eq!(
-            shared_report.metrics.sink_matches,
-            independent_report.metrics.sink_matches
-        );
+        let mut alone_sink_matches = 0;
+        for (q, query) in workload.queries().iter().enumerate() {
+            let alone_plan = amuse(query, &net, &AMuseConfig::default()).unwrap();
+            let alone_ctx = PlanContext::new(std::slice::from_ref(query), &net, &alone_plan.table);
+            let alone = Deployment::new(&alone_plan.graph, &alone_ctx);
+            let report = run_simulation(&alone, &trace, &config);
+            prop_assert_eq!(
+                fingerprints(&shared_report.matches[q]),
+                fingerprints(&report.matches[0])
+            );
+            alone_sink_matches += report.metrics.sink_matches;
+        }
+        // Per-sink attribution keeps the aggregate counter equal too.
+        prop_assert_eq!(shared_report.metrics.sink_matches, alone_sink_matches);
     }
 }

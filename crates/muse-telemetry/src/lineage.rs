@@ -60,8 +60,9 @@ pub struct ProvenanceRecord {
     /// Logical query the match was attributed to.
     pub query: u32,
     /// Order-independent hash of the witness sequence numbers — the
-    /// record's identity (shared with the executors' transmission
-    /// multiplexing, so sim and threaded runs sample identical sets).
+    /// record's identity, a function of the witness set alone, so sim and
+    /// threaded runs sample identical sets (the threaded executor's replay
+    /// dedup keys on the same hash).
     pub match_hash: u64,
     /// The constituent events, in primitive-slot order.
     pub witness: Vec<WitnessEvent>,

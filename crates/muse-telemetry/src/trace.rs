@@ -49,8 +49,8 @@ pub enum TraceRecord {
         from: usize,
         /// Receiving node.
         to: usize,
-        /// Sending task index (one record per remote target node; the
-        /// executors ship a match to a node once and multiplex it).
+        /// Sending task index (one record per destination node the task is
+        /// charged for; §4.4 charges a match to a node once).
         task: usize,
         /// Wire size in bytes.
         bytes: u64,

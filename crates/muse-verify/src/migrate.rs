@@ -187,7 +187,7 @@ fn render_pred(p: &Predicate) -> String {
 }
 
 /// Collapses a placed graph into physical-task profiles, mirroring
-/// `Deployment::build` under `Sharing::Shared`: first vertex per
+/// `Deployment::build`: first vertex per
 /// `(node, stream_sig, prims, window)` owns the task and its slot layout,
 /// later structural twins only contribute their query and sink attribution.
 fn build_profiles(graph: &MuseGraph, ctx: &PlanContext<'_>) -> Vec<Profile> {

@@ -305,6 +305,72 @@ fn workload_threaded_equals_simulator() {
     assert_eq!(sim.metrics.messages_sent, threaded.metrics.messages_sent);
 }
 
+/// One keyed `SEQ` registered under windows 300 and 50 runs on the threaded
+/// executor with the default config and matches the simulator per query.
+/// The default chunk is the smallest window: a chunk of the largest window
+/// would outrun the window-50 query's eviction slack and lose its matches.
+#[test]
+fn mixed_windows_threaded_equals_simulator_by_default() {
+    let t = EventTypeId;
+    let network = NetworkBuilder::new(3, 5)
+        .node(NodeId(0), [t(0), t(3)])
+        .node(NodeId(1), [t(1), t(4)])
+        .node(NodeId(2), [t(2), t(0)])
+        .rate(t(0), 4.0)
+        .rate(t(1), 4.0)
+        .rate(t(2), 3.0)
+        .rate(t(3), 2.0)
+        .rate(t(4), 2.0)
+        .build();
+    let pattern = Pattern::seq([0, 1, 2].map(|i| Pattern::leaf(t(i))));
+    let same_key = Predicate::binary(
+        (PrimId(0), AttrId(0)),
+        CmpOp::Eq,
+        (PrimId(1), AttrId(0)),
+        0.2,
+    );
+    let workload = Workload::from_patterns(
+        Catalog::with_anonymous_types(5),
+        [300, 50].map(|window| (pattern.clone(), vec![same_key.clone()], window)),
+    )
+    .unwrap();
+    let plan = amuse_workload(&workload, &network, &AMuseConfig::default()).unwrap();
+    let ctx = PlanContext::new(workload.queries(), &network, &plan.table);
+    let deployment = Deployment::new(&plan.merged, &ctx);
+    let fingerprints =
+        |ms: &[Match]| -> BTreeSet<Vec<u64>> { ms.iter().map(Match::fingerprint).collect() };
+    for seed in [1, 7, 28, 42] {
+        let events = generate_traces(
+            &network,
+            &TraceConfig {
+                duration: 25.0,
+                ticks_per_unit: 10.0,
+                rate_scale: 1.0,
+                key_domain: 3,
+                band_domain: 10,
+                seed,
+            },
+        );
+        let sim = run_simulation(&deployment, &events, &SimConfig::default());
+        let threaded = muse_runtime::run_threaded(
+            &deployment,
+            &events,
+            &muse_runtime::ThreadedConfig::default(),
+        );
+        for (q, (s, r)) in sim.matches.iter().zip(&threaded.matches).enumerate() {
+            assert!(!s.is_empty(), "seed {seed}: query {q} must match");
+            assert_eq!(
+                fingerprints(s),
+                fingerprints(r),
+                "seed {seed}: query {q} (window {}) reads {} simulator vs {} threaded matches",
+                deployment.queries[q].window(),
+                s.len(),
+                r.len()
+            );
+        }
+    }
+}
+
 /// The multi-sink ablation: disabling partitioning placements never
 /// improves the plan.
 #[test]
