@@ -147,8 +147,9 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// One in-flight match delivery (the simulator's scheduled queue; always
-/// empty in quiesced threaded-executor snapshots).
+/// One in-flight match delivery to one join slot (the simulator's
+/// scheduled queue, which lists a delivery to a join input once per reader;
+/// always empty in quiesced threaded-executor snapshots).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PendingDelivery {
     /// Virtual delivery time.
@@ -392,16 +393,38 @@ pub fn map_snapshot(
     }
 
     let mut tasks = Vec::with_capacity(new.tasks.len());
+    let mut carried_task = Vec::with_capacity(new.tasks.len());
     for i in 0..new.tasks.len() {
         let carried = carry_by_to
             .get_mut(&new.task_key(i))
             .and_then(VecDeque::pop_front)
             .and_then(|from| old_by_key.get_mut(&from).and_then(VecDeque::pop_front))
             .and_then(|old_idx| snap.tasks[old_idx].clone());
+        carried_task.push(carried.is_some());
         tasks.push(match carried {
             Some(state) => Some(state),
             None => new.make_join(i, slack).map(|j| j.save_state()),
         });
+    }
+    // The readers of a shared input restore one buffer: each takes the
+    // first carried reader's, under its own horizon. A fresh reader thus
+    // reads the input's recent matches, as every reader of it does.
+    for input in 0..new.inputs.len() {
+        let readers = new.shared_readers(input);
+        let Some(buffer) = readers
+            .iter()
+            .find(|&&(task, _)| carried_task[task])
+            .and_then(|&(task, slot)| tasks[task].as_ref()?.stores.get(slot).cloned())
+        else {
+            continue;
+        };
+        for &(task, slot) in &readers {
+            if let Some(store) = tasks[task].as_mut().and_then(|j| j.stores.get_mut(slot)) {
+                store.matches.clone_from(&buffer.matches);
+                store.drained_at = buffer.drained_at;
+                store.evicted = buffer.evicted;
+            }
+        }
     }
 
     let old_query_idx: HashMap<_, _> = old

@@ -1,16 +1,16 @@
 //! Compact binary wire format for events and matches.
 //!
-//! Used (a) to account transmitted bytes realistically in the executors,
-//! (b) as the match payload of the threaded executor's channel messages,
-//! and (c) as the body encoding of [`crate::checkpoint`] snapshots. The
-//! format is length-prefixed and self-describing enough for roundtrips;
-//! it is not versioned itself — snapshots wrap it in a versioned,
+//! Used (a) to account transmitted bytes realistically in the executors
+//! ([`encoded_len`] is what a network transmission costs), and (b) as the
+//! body encoding of [`crate::checkpoint`] snapshots. The threaded
+//! executor's channel messages carry matches by value, not encoded. The
+//! format is length-prefixed and self-describing enough for roundtrips; it
+//! is not versioned itself — snapshots wrap it in a versioned,
 //! plan-fingerprinted envelope (see `checkpoint`).
 //!
-//! The in-run decoders ([`decode_event`], [`decode_match`]) panic on
-//! malformed input, which is fine for channel payloads this process just
-//! encoded; the checked `try_*` variants exist for the snapshot reader,
-//! where the input is untrusted bytes from disk.
+//! Every decoder is checked: malformed or truncated bytes decode to
+//! `None`, never a panic, and no length prefix sizes a buffer beyond the
+//! bytes that remain.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use muse_core::event::{Event, Payload, Value};
@@ -29,27 +29,20 @@ pub fn encode_match(m: &Match) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a match.
-///
-/// # Panics
-///
-/// Panics on malformed input (the format is only produced by
-/// [`encode_match`]).
-pub fn decode_match(mut buf: impl Buf) -> Match {
-    let n = buf.get_u16() as usize;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let prim = PrimId(buf.get_u8());
-        let event = decode_event(&mut buf);
-        entries.push((prim, event));
+/// Decodes the match at the front of `buf` ([`try_decode_match`] over its
+/// bytes); `None` when they are truncated or malformed.
+pub fn decode_match(mut buf: impl Buf) -> Option<Match> {
+    if buf.chunk().len() == buf.remaining() {
+        return try_decode_match(&mut buf.chunk());
     }
-    Match::new(entries)
+    let mut bytes = vec![0; buf.remaining()];
+    buf.copy_to_slice(&mut bytes);
+    try_decode_match(&mut bytes.as_slice())
 }
 
-/// Checked variant of [`decode_match`] for untrusted input (snapshot
-/// bytes): returns `None` on truncation or a malformed value instead of
-/// panicking. Consumes from the front of `buf` exactly as far as the
-/// match extends on success.
+/// Decodes the match at the front of a byte slice: `None` on truncation or
+/// a malformed value. Consumes from the front of `buf` exactly as far as
+/// the match extends on success.
 pub fn try_decode_match(buf: &mut &[u8]) -> Option<Match> {
     let n = try_get_u16(buf)? as usize;
     // Every entry takes more than one byte: a count beyond the remaining
@@ -63,7 +56,7 @@ pub fn try_decode_match(buf: &mut &[u8]) -> Option<Match> {
     Some(Match::new(entries))
 }
 
-/// Checked variant of [`decode_event`] for untrusted input; see
+/// Decodes the event at the front of a byte slice; see
 /// [`try_decode_match`].
 pub fn try_decode_event(buf: &mut &[u8]) -> Option<Event> {
     let seq = try_get_u64(buf)?;
@@ -158,32 +151,6 @@ pub fn encode_event(e: &Event, buf: &mut BytesMut) {
     }
 }
 
-/// Decodes an event from the buffer.
-pub fn decode_event(buf: &mut impl Buf) -> Event {
-    let seq = buf.get_u64();
-    let ty = EventTypeId(buf.get_u16());
-    let time = buf.get_u64();
-    let origin = NodeId(buf.get_u16());
-    let n_attrs = buf.get_u8() as usize;
-    let mut payload = Payload::new();
-    for _ in 0..n_attrs {
-        let attr = AttrId(buf.get_u8());
-        let value = match buf.get_u8() {
-            0 => Value::Int(buf.get_i64()),
-            1 => Value::Float(buf.get_f64()),
-            2 => {
-                let len = buf.get_u32() as usize;
-                let mut bytes = vec![0u8; len];
-                buf.copy_to_slice(&mut bytes);
-                Value::Str(String::from_utf8(bytes).expect("valid UTF-8"))
-            }
-            tag => panic!("unknown value tag {tag}"),
-        };
-        payload.set(attr, value);
-    }
-    Event::with_payload(seq, ty, time, origin, payload)
-}
-
 /// Encoded size of one event in bytes, computed arithmetically (no buffer
 /// is written). Kept in lockstep with [`encode_event`]; the equality is
 /// asserted by the codec property suite.
@@ -231,8 +198,10 @@ mod tests {
         let e = sample_event();
         let mut buf = BytesMut::new();
         encode_event(&e, &mut buf);
-        let back = decode_event(&mut buf.freeze());
-        assert_eq!(back, e);
+        let buf = buf.into_vec();
+        let mut bytes: &[u8] = &buf;
+        assert_eq!(try_decode_event(&mut bytes), Some(e));
+        assert!(bytes.is_empty());
     }
 
     #[test]
@@ -243,13 +212,30 @@ mod tests {
         ]);
         let encoded = encode_match(&m);
         let back = decode_match(encoded);
-        assert_eq!(back, m);
+        assert_eq!(back, Some(m));
     }
 
     #[test]
     fn empty_match_roundtrip() {
         let m = Match::new(vec![]);
-        assert_eq!(decode_match(encode_match(&m)), m);
+        assert_eq!(decode_match(encode_match(&m)), Some(m));
+    }
+
+    #[test]
+    fn malformed_values_decode_to_none() {
+        let m = Match::single(PrimId(0), sample_event());
+        let encoded = encode_match(&m).chunk().to_vec();
+        // The string value's first byte: 2 (count) + 1 (prim) + 21 (event
+        // header) + 10 (int attr) + 10 (float attr) + 2 (attr id, tag) + 4
+        // (length).
+        let str_pos = 2 + 1 + 21 + 10 + 10 + 2 + 4;
+        assert_eq!(encoded[str_pos], b'j');
+        let mut not_utf8 = encoded.clone();
+        not_utf8[str_pos] = 0xff;
+        assert_eq!(try_decode_match(&mut not_utf8.as_slice()), None);
+        let mut bad_tag = encoded;
+        bad_tag[2 + 1 + 21 + 1] = 9;
+        assert_eq!(try_decode_match(&mut bad_tag.as_slice()), None);
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! composite projections (combining predecessor match streams,
 //! [`crate::matcher::JoinTask`]). Every graph edge becomes a *route*; routes
 //! whose endpoints live on different nodes are network transmissions.
+//! Routes into join slots that one node stores alike are grouped into
+//! *inputs* ([`InputSpec`]): the unit a match is delivered to and stored as.
 //!
 //! The deployment owns copies of the workload queries so executors are
 //! self-contained (no lifetimes into the planning structures).
 
+use crate::matcher::join::{slot_key_terms, Term};
 use crate::matcher::JoinTask;
 use muse_core::event::{Event, Timestamp, Value};
 use muse_core::graph::{MuseGraph, PlanContext, Vertex};
@@ -206,15 +209,36 @@ pub struct Route {
     pub remote: bool,
 }
 
-/// A task's routes split into local and remote destinations, precomputed at
-/// deployment build time so the executors' hot send paths iterate plain
-/// slices instead of filtering (and cloning) the route list per emission.
+/// A join input: the matches a set of feeder tasks sends to one node, as
+/// every join slot there that they feed and that keys stored matches on one
+/// term reads them. Such slots receive the same matches in the same order
+/// and would store identical entries, so a match is delivered to the input
+/// once and, when two or more of its readers store it, stored once for all
+/// of them ([`Deployment::shared_readers`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InputSpec {
+    /// The receiving node.
+    pub node: NodeId,
+    /// Every join slot reading the input, as `(task, slot)`, in task order.
+    pub readers: Vec<(usize, usize)>,
+    /// The `(primitive, attribute)` term the readers key stored matches on
+    /// (their equality-key guard; `None` when unkeyed).
+    pub key: Option<(PrimId, AttrId)>,
+}
+
+/// A task's destinations split into local and remote join inputs,
+/// precomputed at deployment build time so the executors' hot send paths
+/// iterate plain slices instead of filtering (and cloning) the route list
+/// per emission. A match is delivered once per destination input, however
+/// many of the task's routes end in it; on the network that is one message
+/// per (match, destination input).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fanout {
-    /// Node-local destinations as `(target task, slot)`.
-    pub local: Vec<(usize, usize)>,
-    /// Network destinations as `(destination node, target task, slot)`.
-    pub remote: Vec<(usize, usize, usize)>,
+    /// Node-local destination inputs (indices into [`Deployment::inputs`]),
+    /// ascending.
+    pub local: Vec<usize>,
+    /// Network destinations as `(destination node, input)`, by input.
+    pub remote: Vec<(usize, usize)>,
     /// The destination nodes this task's matches are charged to, sorted: a
     /// subset of the nodes in `remote`. §4.4 charges a match once per
     /// destination node, however many placements there consume it. Tasks
@@ -240,6 +264,10 @@ pub struct Deployment {
     pub routes: Vec<Vec<Route>>,
     /// Per-task local/remote fanout (derived from `routes`).
     pub fanouts: Vec<Fanout>,
+    /// The join inputs, numbered by their first reader in task order.
+    pub inputs: Vec<InputSpec>,
+    /// Per task, the input each join slot reads (empty for sources).
+    slot_inputs: Vec<Vec<usize>>,
     /// Discrimination index: the candidate source tasks, in task order and
     /// with their predicate bands, of `(origin node, event type)` at
     /// `node · num_types + type` (empty where no source is registered).
@@ -435,19 +463,24 @@ impl Deployment {
             r.sort_by_key(|r| (r.target, r.slot));
             r.dedup();
         }
+        let (inputs, slot_inputs) = join_inputs(&queries, &tasks, &routes);
         let mut fanouts: Vec<Fanout> = routes
             .iter()
             .map(|rs| {
                 let mut f = Fanout::default();
                 for r in rs {
+                    let input = slot_inputs[r.target][r.slot];
                     if r.remote {
-                        f.remote
-                            .push((tasks[r.target].node.index(), r.target, r.slot));
+                        f.remote.push((tasks[r.target].node.index(), input));
                         f.charged_nodes.push(tasks[r.target].node.index());
                     } else {
-                        f.local.push((r.target, r.slot));
+                        f.local.push(input);
                     }
                 }
+                f.local.sort_unstable();
+                f.local.dedup();
+                f.remote.sort_unstable_by_key(|&(_, input)| input);
+                f.remote.dedup();
                 f.charged_nodes.sort_unstable();
                 f.charged_nodes.dedup();
                 f
@@ -510,10 +543,43 @@ impl Deployment {
             tasks,
             routes,
             fanouts,
+            inputs,
+            slot_inputs,
             candidates,
             num_types,
             sink_tasks,
             sink_queries,
+        }
+    }
+
+    /// The input join slot `slot` of `task` reads (`None` for a source or
+    /// an index out of range).
+    pub fn input_of(&self, task: usize, slot: usize) -> Option<usize> {
+        self.slot_inputs.get(task)?.get(slot).copied()
+    }
+
+    /// The readers of `input` that store its matches — its positive slots,
+    /// not negation guards — when there are two or more; empty otherwise.
+    /// The node stores such an input once, in a buffer all of them probe;
+    /// an input one join stores stays in that join's own store.
+    pub fn shared_readers(&self, input: usize) -> Vec<(usize, usize)> {
+        let stores = |&(task, slot): &(usize, usize)| {
+            let spec = &self.tasks[task];
+            let TaskKind::Join { slots } = &spec.kind else {
+                return false;
+            };
+            !slots[slot].is_subset(self.queries[spec.query_idx].negated_prims())
+        };
+        let readers: Vec<_> = self.inputs[input]
+            .readers
+            .iter()
+            .copied()
+            .filter(stores)
+            .collect();
+        if readers.len() >= 2 {
+            readers
+        } else {
+            Vec::new()
         }
     }
 
@@ -652,7 +718,7 @@ impl Deployment {
         h
     }
 
-    /// Number of network edges in the deployment.
+    /// Number of network edges in the deployment (routes, not inputs).
     pub fn num_remote_routes(&self) -> usize {
         self.routes
             .iter()
@@ -660,6 +726,53 @@ impl Deployment {
             .filter(|r| r.remote)
             .count()
     }
+}
+
+/// Groups the join slots into inputs: slots on one node fed by the same
+/// tasks and keyed on the same term (the term [`JoinTask`] derives, via
+/// [`slot_key_terms`]) are one input. Returns the inputs, numbered in order
+/// of their first reader, and per task the input of each slot.
+fn join_inputs(
+    queries: &[Query],
+    tasks: &[TaskSpec],
+    routes: &[Vec<Route>],
+) -> (Vec<InputSpec>, Vec<Vec<usize>>) {
+    let mut feeders: Vec<Vec<Vec<usize>>> = tasks
+        .iter()
+        .map(|t| match &t.kind {
+            TaskKind::Join { slots } => vec![Vec::new(); slots.len()],
+            TaskKind::Source { .. } => Vec::new(),
+        })
+        .collect();
+    for (from, rs) in routes.iter().enumerate() {
+        for r in rs {
+            feeders[r.target][r.slot].push(from);
+        }
+    }
+    let mut inputs: Vec<InputSpec> = Vec::new();
+    let mut slot_inputs = vec![Vec::new(); tasks.len()];
+    let mut ids: HashMap<(NodeId, &[usize], Option<Term>), usize> = HashMap::new();
+    for (task, spec) in tasks.iter().enumerate() {
+        let TaskKind::Join { slots } = &spec.kind else {
+            continue;
+        };
+        let keys = slot_key_terms(&queries[spec.query_idx], spec.prims, slots);
+        for (slot, key) in keys.into_iter().enumerate() {
+            let id = *ids
+                .entry((spec.node, feeders[task][slot].as_slice(), key))
+                .or_insert_with(|| {
+                    inputs.push(InputSpec {
+                        node: spec.node,
+                        readers: Vec::new(),
+                        key,
+                    });
+                    inputs.len() - 1
+                });
+            inputs[id].readers.push((task, slot));
+            slot_inputs[task].push(id);
+        }
+    }
+    (inputs, slot_inputs)
 }
 
 #[cfg(test)]

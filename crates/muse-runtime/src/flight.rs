@@ -253,13 +253,17 @@ impl FlightRing {
     }
 }
 
+/// The smallest encoded record: a tag and `t`.
+const MIN_RECORD_BYTES: usize = 1 + 8;
+
 /// Decodes one encoded flight dump; `None` on truncation or an unknown
-/// record tag.
+/// record tag. The record count is untrusted: it sizes the record buffer
+/// only as far as the remaining bytes could hold records.
 pub fn decode_dump(mut buf: &[u8]) -> Option<FlightDump> {
     let node = try_get_u16(&mut buf)?;
     let dropped = try_get_u64(&mut buf)?;
     let count = try_get_u32(&mut buf)? as usize;
-    let mut records = Vec::with_capacity(count.min(4096));
+    let mut records = Vec::with_capacity(count.min(buf.len() / MIN_RECORD_BYTES));
     for _ in 0..count {
         records.push(FlightRecord::decode(&mut buf)?);
     }

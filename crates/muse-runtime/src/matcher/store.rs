@@ -50,7 +50,7 @@ pub struct StoredMatch {
 /// plus the eviction bookkeeping. The cached `first`/`last` spans and the
 /// equality keys are *not* part of the state — they are recomputed from
 /// each match on restore, so a snapshot can never desynchronize them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreState {
     /// Buffered matches in entry order (sorted by first timestamp, ties in
     /// insertion order).
@@ -98,7 +98,7 @@ impl MatchStore {
 
     /// [`MatchStore::insert`] for a caller that already knows the match's
     /// span and equality key.
-    pub(super) fn insert_keyed(&mut self, entry: StoredMatch) {
+    pub(crate) fn insert_keyed(&mut self, entry: StoredMatch) {
         let idx = self.entries.partition_point(|e| e.first <= entry.first);
         self.entries.insert(idx, entry);
     }
@@ -139,7 +139,20 @@ impl MatchStore {
         last: Timestamp,
         window: Timestamp,
     ) -> &[StoredMatch] {
-        let lo = self.horizon.max(last.saturating_sub(window));
+        self.compatible_above(self.horizon, first, last, window)
+    }
+
+    /// [`MatchStore::compatible`] for a reader whose own horizon is `floor`:
+    /// a join reading a buffer the node shares among several joins sees it
+    /// through its own watermark, which is never below the buffer's.
+    pub(crate) fn compatible_above(
+        &self,
+        floor: Timestamp,
+        first: Timestamp,
+        last: Timestamp,
+        window: Timestamp,
+    ) -> &[StoredMatch] {
+        let lo = floor.max(self.horizon).max(last.saturating_sub(window));
         let hi = first.saturating_add(window);
         let start = self.entries.partition_point(|e| e.first < lo);
         let end = self.entries.partition_point(|e| e.first <= hi);
@@ -171,6 +184,13 @@ impl MatchStore {
         self.horizon
     }
 
+    /// First timestamp of the newest entry (the largest first timestamp
+    /// buffered; 0 when empty). A horizon at least one window behind it
+    /// never drains that entry, so the value survives every drain.
+    pub(crate) fn latest_first(&self) -> Timestamp {
+        self.entries.last().map_or(0, |e| e.first)
+    }
+
     /// Entries physically dropped over the store's lifetime.
     pub fn evicted(&self) -> u64 {
         self.evicted
@@ -197,7 +217,7 @@ impl MatchStore {
 
     /// [`MatchStore::restore_state`] with every entry's equality key
     /// recomputed by `key`.
-    pub(super) fn restore_keyed(state: StoreState, key: impl Fn(&Match) -> Option<u64>) -> Self {
+    pub(crate) fn restore_keyed(state: StoreState, key: impl Fn(&Match) -> Option<u64>) -> Self {
         Self {
             entries: state
                 .matches

@@ -32,6 +32,12 @@ pub fn percentile_nearest_rank(sorted: &[u64], q: f64) -> Option<u64> {
 /// over all join tasks of a run. Probe counts versus merge attempts expose
 /// how much work the window slicing saves; merge attempts versus merge
 /// successes expose how selective the pre-merge guards leave the hot path.
+///
+/// A join input that two or more joins on a node read is stored once, by
+/// the node (see [`crate::deploy::InputSpec`]). Its readers still count
+/// `inputs`, `probes`, `guard_rejects`, `merge_*` and `emitted` each for
+/// itself — the values private stores would give — while the buffer's
+/// evictions count once, and its live count is one store's peak.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct JoinStats {
     /// Matches fed into join slots (positive and negated).
@@ -48,10 +54,12 @@ pub struct JoinStats {
     pub merge_successes: u64,
     /// Complete target matches emitted.
     pub emitted: u64,
-    /// Stored matches physically dropped by watermark eviction.
+    /// Stored matches physically dropped by watermark eviction; an entry of
+    /// a shared input's buffer counts once, not once per reader.
     pub evicted: u64,
     /// Largest number of simultaneously buffered (live) matches observed in
-    /// any single join task.
+    /// any one store: a join task's own stores together, or one shared
+    /// input's buffer.
     pub peak_buffered: u64,
 }
 

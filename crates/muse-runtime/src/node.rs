@@ -10,6 +10,21 @@
 //! schedules anything: every delivery it causes is handed to the driver's
 //! [`Outbox`].
 //!
+//! # Shared join inputs
+//!
+//! A delivery goes to a join *input* ([`crate::deploy::InputSpec`]), not to
+//! one join: every slot the input feeds reads it. When two or more of them
+//! store it, the core owns one [`MatchStore`] for the input and
+//! [`NodeCore::deliver`] runs in three steps — every reader probes with the
+//! match and applies its guards, in reader order; the core stores the match
+//! once and drains the buffer once; then the readers' outputs fan out. All
+//! readers see the insert at one instant, after all of them were
+//! triggered, so each pair is still found once, by its later arrival. The
+//! buffer keeps matches for slack × the widest reader window behind its
+//! newest entry, so it holds everything any reader's own horizon keeps, and
+//! each reader reads it above that horizon; ties sit in arrival order, as
+//! in a reader's own store. An input one join stores stays in that join.
+//!
 //! Two drivers run cores. [`crate::sim`] hosts every task in one core and
 //! orders deliveries on a virtual-clock heap; [`crate::threaded`] runs one
 //! core per network node on its own thread and moves matches in frames.
@@ -29,7 +44,8 @@
 use crate::checkpoint::{CheckpointError, Snapshot};
 use crate::codec::encoded_len;
 use crate::deploy::{Deployment, TaskKind};
-use crate::matcher::{JoinTask, Match};
+use crate::matcher::join::{default_stride, term_key};
+use crate::matcher::{JoinTask, Match, MatchStore, StoreState, StoredMatch};
 use crate::metrics::Metrics;
 use crate::telemetry::{task_summaries, ClockDomain, ExecTelemetry, RunTelemetry, TelemetrySpec};
 use muse_core::event::{Event, Timestamp};
@@ -46,13 +62,14 @@ pub(crate) trait Outbox {
     /// source task), before any of its matches is routed.
     fn on_inject(&mut self, _event: &Event, _now: u64) {}
 
-    /// Offers a delivery to `target` on the emitting task's own node. A
-    /// driver that schedules deliveries keeps the match and returns `None`;
-    /// one that does not returns it, and the core delivers it inline.
-    fn local(&mut self, target: usize, slot: usize, m: Match) -> Option<Match>;
+    /// Offers a delivery to join input `input` on the emitting task's own
+    /// node. A driver that schedules deliveries keeps the match and returns
+    /// `None`; one that does not returns it, and the core delivers it
+    /// inline.
+    fn local(&mut self, input: usize, m: Match) -> Option<Match>;
 
-    /// Sends a delivery to `target` on the remote node `dest`.
-    fn remote(&mut self, dest: usize, target: usize, slot: usize, m: Match);
+    /// Sends a delivery to join input `input` on the remote node `dest`.
+    fn remote(&mut self, dest: usize, input: usize, m: Match);
 
     /// The latency sample of a sink match emitted at `now`, on the driver's
     /// clock; `None` when no injection time can be attributed to the match
@@ -69,6 +86,19 @@ pub(crate) struct CoreReport {
     pub telemetry: Option<RunTelemetry>,
 }
 
+/// A hosted input two or more joins store (see "Shared join inputs").
+struct SharedInput {
+    /// Index into `Deployment::inputs`.
+    input: usize,
+    /// Its readers that store it ([`Deployment::shared_readers`]).
+    readers: Vec<(usize, usize)>,
+    /// How far behind its newest entry the buffer keeps matches: slack ×
+    /// the widest reader window, the longest any reader keeps them.
+    reach: Timestamp,
+    /// Minimum horizon progress between physical drains.
+    stride: Timestamp,
+}
+
 /// The state and behaviour of the tasks hosted in one place.
 pub(crate) struct NodeCore<'a> {
     deployment: &'a Deployment,
@@ -83,6 +113,13 @@ pub(crate) struct NodeCore<'a> {
     /// Join state per task, parallel to `Deployment::tasks` (`None` for
     /// sources and for tasks hosted elsewhere).
     joins: Vec<Option<JoinTask>>,
+    /// The hosted inputs two or more joins store, parallel to `buffers`.
+    shared: Vec<SharedInput>,
+    /// One store per shared input: what its readers' shared slots read.
+    buffers: Vec<MatchStore>,
+    /// Per `Deployment::inputs` entry, its index in `shared` (`None` when
+    /// one join stores it, or it is hosted elsewhere).
+    shared_of: Vec<Option<usize>>,
     pub metrics: Metrics,
     /// Sink matches per query (parallel to `Deployment::queries`).
     matches: Vec<Vec<Match>>,
@@ -112,6 +149,9 @@ impl<'a> NodeCore<'a> {
             slack,
             clock,
             joins: Vec::new(),
+            shared: Vec::new(),
+            buffers: Vec::new(),
+            shared_of: vec![None; deployment.inputs.len()],
             metrics: Metrics::new(deployment.num_nodes),
             matches: vec![Vec::new(); deployment.queries.len()],
             wall_latencies_ns: Vec::new(),
@@ -119,15 +159,49 @@ impl<'a> NodeCore<'a> {
                 .map(|spec| ExecTelemetry::new(clock, spec, deployment.tasks.len())),
             max_seen: 0,
         };
+        for (input, spec) in deployment.inputs.iter().enumerate() {
+            if core.node.is_some_and(|n| spec.node.index() != n) {
+                continue;
+            }
+            let readers = deployment.shared_readers(input);
+            let Some(widest) = readers
+                .iter()
+                .map(|&(task, _)| deployment.queries[deployment.tasks[task].query_idx].window())
+                .max()
+            else {
+                continue;
+            };
+            core.shared_of[input] = Some(core.shared.len());
+            core.shared.push(SharedInput {
+                input,
+                readers,
+                // The eviction span `JoinTask` computes for the widest reader.
+                reach: (widest as f64 * slack) as Timestamp,
+                stride: default_stride(widest),
+            });
+            core.buffers.push(MatchStore::new());
+        }
         core.joins = (0..deployment.tasks.len())
             .map(|i| core.make_join(i))
             .collect();
+        core.attach_shared();
         core
     }
 
     fn hosts(&self, task: usize) -> bool {
         self.node
             .is_none_or(|n| self.deployment.tasks[task].node.index() == n)
+    }
+
+    /// Points every shared input's readers at its buffer.
+    fn attach_shared(&mut self) {
+        for (b, shared) in self.shared.iter().enumerate() {
+            for &(task, slot) in &shared.readers {
+                if let Some(join) = self.joins[task].as_mut() {
+                    join.share_slot(slot, b);
+                }
+            }
+        }
     }
 
     /// Instantiates a hosted join from the plan (`None` for sources and
@@ -147,6 +221,11 @@ impl<'a> NodeCore<'a> {
         Some(join)
     }
 
+    /// The deployment this core runs.
+    pub fn deployment(&self) -> &'a Deployment {
+        self.deployment
+    }
+
     /// The sink matches collected so far, per query.
     pub fn matches(&self) -> &[Vec<Match>] {
         &self.matches
@@ -155,11 +234,6 @@ impl<'a> NodeCore<'a> {
     /// Newest event timestamp delivered to any hosted join.
     pub fn max_seen(&self) -> Timestamp {
         self.max_seen
-    }
-
-    /// Whether `task` is a join hosted by this core.
-    pub fn has_join(&self, task: usize) -> bool {
-        self.joins.get(task).is_some_and(Option::is_some)
     }
 
     /// Whether `task` is a hosted join running an `NSEQ` absence check.
@@ -220,20 +294,68 @@ impl<'a> NodeCore<'a> {
             .observe(candidates.len() as u64, admitted);
     }
 
-    /// Delivers a match to input `slot` of the hosted join `target` and
-    /// processes everything the join emits.
-    pub fn deliver<O: Outbox>(&mut self, out: &mut O, target: usize, slot: usize, m: Match) {
-        self.metrics
-            .record_processed(self.deployment.tasks[target].node.index());
-        self.max_seen = self.max_seen.max(m.last_time());
-        if let Some(tel) = &mut self.telemetry {
-            tel.on_delivery(target);
+    /// Delivers a match to the hosted join input `input` — to every join
+    /// slot reading it — and processes everything the joins emit. The one
+    /// delivery path: see "Shared join inputs" for the order.
+    pub fn deliver<O: Outbox>(&mut self, out: &mut O, input: usize, m: Match) {
+        let deployment = self.deployment;
+        let spec = &deployment.inputs[input];
+        for &(task, _) in &spec.readers {
+            self.metrics.record_processed(spec.node.index());
+            if let Some(tel) = &mut self.telemetry {
+                tel.on_delivery(task);
+            }
         }
-        let outs = self.joins[target]
+        self.max_seen = self.max_seen.max(m.last_time());
+        let Some(b) = self.shared_of[input] else {
+            // At most one reader stores the match, in its own store.
+            let (&(task, slot), rest) = spec.readers.split_last().expect("an input has a reader");
+            for &(task, slot) in rest {
+                self.deliver_to(out, task, slot, m.clone());
+            }
+            self.deliver_to(out, task, slot, m);
+            return;
+        };
+        let entry = StoredMatch {
+            first: m.first_time(),
+            last: m.last_time(),
+            key: spec.key.and_then(|term| term_key(&m, term)),
+            m,
+        };
+        let mut emitted = Vec::new();
+        for &(task, slot) in &spec.readers {
+            let outs = self.joins[task]
+                .as_mut()
+                .expect("deliveries target hosted joins")
+                .on_shared(slot, &entry, &self.buffers);
+            if !outs.is_empty() {
+                emitted.push((task, outs));
+            }
+        }
+        let (shared, buffer) = (&self.shared[b], &mut self.buffers[b]);
+        buffer.insert_keyed(entry);
+        buffer.advance_horizon(
+            buffer.latest_first().saturating_sub(shared.reach),
+            shared.stride,
+        );
+        let live = buffer.len();
+        for &(task, _) in &shared.readers {
+            if let Some(join) = self.joins[task].as_mut() {
+                join.observe_shared(live);
+            }
+        }
+        for (task, outs) in emitted {
+            self.emit(out, task, outs);
+        }
+    }
+
+    /// Delivers a match to one join slot that reads its input alone.
+    fn deliver_to<O: Outbox>(&mut self, out: &mut O, task: usize, slot: usize, m: Match) {
+        let outs = self.joins[task]
             .as_mut()
             .expect("deliveries target hosted joins")
-            .on_match(slot, m);
-        self.emit(out, target, outs);
+            .on_match_in(slot, m, &self.buffers);
+        self.emit(out, task, outs);
     }
 
     /// Re-checks and releases the deferred candidates of every hosted
@@ -310,7 +432,8 @@ impl<'a> NodeCore<'a> {
     }
 
     /// Routes one emitted match along the deployment's precomputed
-    /// [`crate::deploy::Fanout`], charging one network message per node in
+    /// [`crate::deploy::Fanout`] — one delivery per destination input —
+    /// charging one network message per node in
     /// its `charged_nodes`: §4.4 ships a match to a node once and shares it
     /// among the node's placements, and the deployment decided which task
     /// pays for each (stream, destination). A task emits each match once,
@@ -332,17 +455,18 @@ impl<'a> NodeCore<'a> {
                 }
             }
         }
-        for &(dest, target, slot) in &fanout.remote {
-            out.remote(dest, target, slot, m.clone());
+        for &(dest, input) in &fanout.remote {
+            out.remote(dest, input, m.clone());
         }
-        for &(target, slot) in &fanout.local {
+        for &input in &fanout.local {
+            let readers = &deployment.inputs[input].readers;
             debug_assert!(
-                deployment.tasks[target].node == spec.node,
+                deployment.inputs[input].node == spec.node,
                 "local route must stay on the node"
             );
-            self.metrics.local_deliveries += 1;
-            if let Some(m) = out.local(target, slot, m.clone()) {
-                self.deliver(out, target, slot, m);
+            self.metrics.local_deliveries += readers.len() as u64;
+            if let Some(m) = out.local(input, m.clone()) {
+                self.deliver(out, input, m);
             }
         }
     }
@@ -387,10 +511,24 @@ impl<'a> NodeCore<'a> {
     /// share of the run totals. Slices of all nodes merge
     /// into one whole-run snapshot ([`Snapshot::merge_shard`]); drivers add
     /// what only they know (pending deliveries, event cursors).
+    ///
+    /// A shared buffer is saved into each reader's store state for the
+    /// slot, under the reader's own horizon — what the reader's own store
+    /// would hold, up to entries dead to it.
     pub fn save(&self) -> Snapshot {
         let mut snap = Snapshot::empty(self.deployment);
         for (slot, join) in snap.tasks.iter_mut().zip(&self.joins) {
             *slot = join.as_ref().map(JoinTask::save_state);
+        }
+        for (shared, buffer) in self.shared.iter().zip(&self.buffers) {
+            let state = buffer.save_state();
+            for &(task, slot) in &shared.readers {
+                if let Some(store) = snap.tasks[task].as_mut().map(|j| &mut j.stores[slot]) {
+                    store.matches.clone_from(&state.matches);
+                    store.drained_at = state.drained_at;
+                    store.evicted = state.evicted;
+                }
+            }
         }
         snap.metrics = self.metrics.clone();
         snap.matches = self.matches.clone();
@@ -405,8 +543,9 @@ impl<'a> NodeCore<'a> {
     /// snapshot, the first continues the interrupted totals and the others
     /// start from zero.
     ///
-    /// Fails when the snapshot's task structure does not fit the plan; the
-    /// core is then partially restored and must be dropped.
+    /// Fails when the snapshot's task structure does not fit the plan, or
+    /// the readers of a shared input carry different buffers; the core is
+    /// then partially restored and must be dropped.
     pub fn restore(&mut self, snap: &mut Snapshot) -> Result<(), CheckpointError> {
         let deployment = self.deployment;
         if snap.tasks.len() != deployment.tasks.len() {
@@ -416,6 +555,9 @@ impl<'a> NodeCore<'a> {
             return Err(CheckpointError::Shape(
                 "query count differs from deployment",
             ));
+        }
+        for b in 0..self.shared.len() {
+            self.buffers[b] = self.take_buffer(b, snap)?;
         }
         for task in 0..deployment.tasks.len() {
             if !self.hosts(task) {
@@ -435,6 +577,7 @@ impl<'a> NodeCore<'a> {
                 }
             };
         }
+        self.attach_shared();
         self.metrics = std::mem::replace(&mut snap.metrics, Metrics::new(deployment.num_nodes));
         self.matches = std::mem::replace(
             &mut snap.matches,
@@ -460,6 +603,50 @@ impl<'a> NodeCore<'a> {
         Ok(())
     }
 
+    /// Rebuilds shared buffer `b` from its readers' store states in `snap`,
+    /// which must agree, and leaves each reader's state an empty store with
+    /// its own horizon. The buffer's horizon is not saved: it trails the
+    /// newest entry, which no drain removes, by the buffer's reach.
+    fn take_buffer(&self, b: usize, snap: &mut Snapshot) -> Result<MatchStore, CheckpointError> {
+        let shared = &self.shared[b];
+        let mut carried: Option<StoreState> = None;
+        for &(task, slot) in &shared.readers {
+            let store = snap.tasks[task]
+                .as_mut()
+                .and_then(|j| j.stores.get_mut(slot))
+                .ok_or(CheckpointError::Shape(
+                    "missing store state for a shared input reader",
+                ))?;
+            let taken = StoreState {
+                matches: std::mem::take(&mut store.matches),
+                ..store.clone()
+            };
+            store.drained_at = 0;
+            store.evicted = 0;
+            match &carried {
+                None => carried = Some(taken),
+                Some(first)
+                    if (&first.matches, first.drained_at, first.evicted)
+                        == (&taken.matches, taken.drained_at, taken.evicted) => {}
+                Some(_) => {
+                    return Err(CheckpointError::Shape(
+                        "readers of a shared input carry different buffers",
+                    ))
+                }
+            }
+        }
+        let mut state = carried.unwrap_or_default();
+        state.horizon = state
+            .matches
+            .last()
+            .map_or(0, Match::first_time)
+            .saturating_sub(shared.reach);
+        let key = self.deployment.inputs[shared.input].key;
+        Ok(MatchStore::restore_keyed(state, |m| {
+            key.and_then(|term| term_key(m, term))
+        }))
+    }
+
     /// Ends the run: a final series sample at `now`, the per-join engine
     /// counters folded into the metrics (snapshots keep them unfolded, in
     /// the saved join states, so a resumed run folds them exactly once),
@@ -468,6 +655,10 @@ impl<'a> NodeCore<'a> {
         self.sample(now);
         for join in self.joins.iter().flatten() {
             self.metrics.join.merge(join.stats());
+        }
+        // A shared buffer's evictions count once, not once per reader.
+        for buffer in &self.buffers {
+            self.metrics.join.evicted += buffer.evicted();
         }
         let telemetry = self.telemetry.take().map(|tel| {
             let hosted = (0..self.joins.len()).filter(|&i| self.hosts(i));
@@ -485,7 +676,7 @@ impl<'a> NodeCore<'a> {
 
 /// The hasher for the threaded executor's replay `recv_log`.
 ///
-/// Its keys are task indices, slots and [`match_hash`] values — the hash
+/// Its keys are join input indices and [`match_hash`] values — the hash
 /// already well mixed — so SipHash's keyed preimage resistance buys nothing
 /// here while its per-insert cost shows up on every logged receive. One
 /// multiply-and-rotate round per word keeps the tuple components from
@@ -563,11 +754,11 @@ mod tests {
     use std::collections::{BTreeSet, VecDeque};
 
     /// A recording fake driver: every delivery, local or remote, queues
-    /// FIFO; remote ones are also logged as `(dest, target)`.
+    /// FIFO; remote ones are also logged as `(dest, input)`.
     #[derive(Default)]
     struct Recorder {
         now: u64,
-        queue: VecDeque<(usize, usize, Match)>,
+        queue: VecDeque<(usize, Match)>,
         remote: Vec<(usize, usize)>,
     }
 
@@ -575,13 +766,13 @@ mod tests {
         fn now(&self) -> u64 {
             self.now
         }
-        fn local(&mut self, target: usize, slot: usize, m: Match) -> Option<Match> {
-            self.queue.push_back((target, slot, m));
+        fn local(&mut self, input: usize, m: Match) -> Option<Match> {
+            self.queue.push_back((input, m));
             None
         }
-        fn remote(&mut self, dest: usize, target: usize, slot: usize, m: Match) {
-            self.remote.push((dest, target));
-            self.queue.push_back((target, slot, m));
+        fn remote(&mut self, dest: usize, input: usize, m: Match) {
+            self.remote.push((dest, input));
+            self.queue.push_back((input, m));
         }
         fn sink_latency(&self, m: &Match, now: u64) -> Option<u64> {
             Some(now.saturating_sub(m.last_time()))
@@ -593,8 +784,8 @@ mod tests {
         for event in events {
             out.now = event.time;
             core.inject(out, event);
-            while let Some((target, slot, m)) = out.queue.pop_front() {
-                core.deliver(out, target, slot, m);
+            while let Some((input, m)) = out.queue.pop_front() {
+                core.deliver(out, input, m);
             }
         }
     }
@@ -707,10 +898,10 @@ mod tests {
         let (mut out_a, mut out_b) = (Recorder::default(), Recorder::default());
         drive(&mut a, &mut out_a, &events);
         drive(&mut b, &mut out_b, &events);
-        // Remote deliveries into each twin's receiving join at node 1.
+        // Remote deliveries into each twin's receiving input at node 1.
         let [first, second] = [0, 1].map(|k| {
-            let target = twins.fanouts[routed[k]].remote[0].1;
-            out_a.remote.iter().filter(|&&(_, t)| t == target).count()
+            let input = twins.fanouts[routed[k]].remote[0].1;
+            out_a.remote.iter().filter(|&&(_, i)| i == input).count()
         });
         assert!(first > 0);
         assert_eq!(first, second);

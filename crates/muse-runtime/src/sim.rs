@@ -51,10 +51,20 @@ impl Default for SimConfig {
     }
 }
 
+/// One scheduled delivery of a match to a join input.
+#[derive(Debug, Clone)]
+struct Scheduled {
+    time: Timestamp,
+    trigger: u64,
+    sub: u64,
+    input: usize,
+    m: Match,
+}
+
 /// Heap adapter ordering scheduled deliveries by `(time, trigger, sub)`
 /// ascending.
 #[derive(Debug, Clone)]
-struct HeapEntry(PendingDelivery);
+struct HeapEntry(Scheduled);
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
@@ -106,14 +116,13 @@ struct Schedule {
 }
 
 impl Schedule {
-    fn push(&mut self, time: Timestamp, target: usize, slot: usize, m: Match) {
+    fn push(&mut self, time: Timestamp, input: usize, m: Match) {
         self.next_sub += 1;
-        self.heap.push(HeapEntry(PendingDelivery {
+        self.heap.push(HeapEntry(Scheduled {
             time,
             trigger: self.trigger,
             sub: self.next_sub,
-            target,
-            slot,
+            input,
             m,
         }));
     }
@@ -124,13 +133,13 @@ impl Outbox for Schedule {
         self.now
     }
 
-    fn local(&mut self, target: usize, slot: usize, m: Match) -> Option<Match> {
-        self.push(self.now, target, slot, m);
+    fn local(&mut self, input: usize, m: Match) -> Option<Match> {
+        self.push(self.now, input, m);
         None
     }
 
-    fn remote(&mut self, _dest: usize, target: usize, slot: usize, m: Match) {
-        self.push(self.now + self.latency, target, slot, m);
+    fn remote(&mut self, _dest: usize, input: usize, m: Match) {
+        self.push(self.now + self.latency, input, m);
     }
 
     /// Event-time lag: emission time minus the newest constituent's
@@ -171,22 +180,33 @@ impl<'a> SimExecutor<'a> {
     /// non-decreasing across successive calls).
     pub fn process_trace(&mut self, events: &[Event]) {
         for event in events {
-            self.schedule.now = event.time;
-            self.schedule.trigger = event.seq;
-            self.core.maybe_sample(&self.schedule);
-            self.core.inject(&mut self.schedule, event);
+            self.inject(event);
             self.drain();
         }
     }
 
+    /// Injects one event, scheduling (not yet delivering) its matches.
+    fn inject(&mut self, event: &Event) {
+        self.schedule.now = event.time;
+        self.schedule.trigger = event.seq;
+        self.core.maybe_sample(&self.schedule);
+        self.core.inject(&mut self.schedule, event);
+    }
+
+    /// Processes the next pending delivery; `false` when there is none.
+    fn step(&mut self) -> bool {
+        let Some(HeapEntry(item)) = self.schedule.heap.pop() else {
+            return false;
+        };
+        self.schedule.now = item.time;
+        self.schedule.trigger = item.trigger;
+        self.core.deliver(&mut self.schedule, item.input, item.m);
+        true
+    }
+
     /// Processes all pending deliveries.
     fn drain(&mut self) {
-        while let Some(HeapEntry(item)) = self.schedule.heap.pop() {
-            self.schedule.now = item.time;
-            self.schedule.trigger = item.trigger;
-            self.core
-                .deliver(&mut self.schedule, item.target, item.slot, item.m);
-        }
+        while self.step() {}
     }
 
     /// The metrics collected so far.
@@ -201,10 +221,24 @@ impl<'a> SimExecutor<'a> {
 
     /// Captures the executor's state as a portable [`Snapshot`] — the
     /// schema shared with the threaded executor (see [`crate::checkpoint`]).
+    /// A delivery to a join input is listed as one [`PendingDelivery`] per
+    /// reader, in reader order.
     pub fn to_snapshot(&self) -> Snapshot {
         let mut snap = self.core.save();
-        snap.pending = self.schedule.heap.iter().map(|e| e.0.clone()).collect();
-        snap.pending.sort_by_key(|p| (p.time, p.trigger, p.sub));
+        let mut scheduled: Vec<&Scheduled> = self.schedule.heap.iter().map(|e| &e.0).collect();
+        scheduled.sort_by_key(|p| (p.time, p.trigger, p.sub));
+        for p in scheduled {
+            for &(target, slot) in &self.core.deployment().inputs[p.input].readers {
+                snap.pending.push(PendingDelivery {
+                    time: p.time,
+                    trigger: p.trigger,
+                    sub: p.sub,
+                    target,
+                    slot,
+                    m: p.m.clone(),
+                });
+            }
+        }
         snap.next_sub = self.schedule.next_sub;
         snap
     }
@@ -221,16 +255,10 @@ impl<'a> SimExecutor<'a> {
     ) -> Result<Self, CheckpointError> {
         let mut executor = Self::new(deployment, config);
         executor.core.restore(&mut snap)?;
-        if snap
-            .pending
-            .iter()
-            .any(|p| !executor.core.has_join(p.target))
-        {
-            return Err(CheckpointError::Shape(
-                "pending delivery targets a non-join task",
-            ));
-        }
-        executor.schedule.heap = snap.pending.into_iter().map(HeapEntry).collect();
+        executor.schedule.heap = collapse_pending(deployment, &snap.pending)?
+            .into_iter()
+            .map(HeapEntry)
+            .collect();
         executor.schedule.next_sub = snap.next_sub;
         Ok(executor)
     }
@@ -248,6 +276,46 @@ impl<'a> SimExecutor<'a> {
             telemetry: report.telemetry,
         }
     }
+}
+
+/// Collapses a snapshot's per-reader pending deliveries back into input
+/// deliveries: each run of adjacent entries with equal `(time, trigger,
+/// match)` that lists an input's readers in order is one delivery to it.
+fn collapse_pending(
+    deployment: &Deployment,
+    pending: &[PendingDelivery],
+) -> Result<Vec<Scheduled>, CheckpointError> {
+    let mut scheduled = Vec::new();
+    let mut rest = pending;
+    while let Some(first) = rest.first() {
+        let input = deployment
+            .input_of(first.target, first.slot)
+            .ok_or(CheckpointError::Shape(
+                "pending delivery targets a non-join task",
+            ))?;
+        let readers = &deployment.inputs[input].readers;
+        let group = rest.get(..readers.len()).filter(|group| {
+            group.iter().zip(readers).all(|(p, &reader)| {
+                (p.target, p.slot) == reader
+                    && (p.time, p.trigger) == (first.time, first.trigger)
+                    && p.m == first.m
+            })
+        });
+        if group.is_none() {
+            return Err(CheckpointError::Shape(
+                "pending deliveries to a join input miss some of its readers",
+            ));
+        }
+        scheduled.push(Scheduled {
+            time: first.time,
+            trigger: first.trigger,
+            sub: first.sub,
+            input,
+            m: first.m.clone(),
+        });
+        rest = &rest[readers.len()..];
+    }
+    Ok(scheduled)
 }
 
 /// Runs a deployment over a complete global trace.
@@ -298,10 +366,14 @@ mod tests {
     use super::*;
     use crate::matcher::Evaluator;
     use muse_core::algorithms::amuse::{amuse, AMuseConfig};
+    use muse_core::algorithms::multi_query::amuse_workload;
+    use muse_core::catalog::Catalog;
+    use muse_core::event::Value;
     use muse_core::graph::PlanContext;
     use muse_core::network::{Network, NetworkBuilder};
     use muse_core::query::{CmpOp, Pattern, Predicate, Query};
     use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, QueryId};
+    use muse_core::workload::Workload;
     use std::collections::BTreeSet;
 
     fn t(i: u16) -> EventTypeId {
@@ -550,5 +622,88 @@ mod tests {
         if !report.metrics.latencies.is_empty() {
             assert!(report.metrics.latencies.iter().any(|&l| l > 0));
         }
+    }
+
+    #[test]
+    fn checkpoint_with_a_shared_input_delivery_pending_resumes_identically() {
+        // Two band variants of the Fig. 1 query: their t1 and t2 streams
+        // feed both variants' joins, which read them as shared inputs.
+        let net = fig1_network();
+        let pattern = Pattern::seq([
+            Pattern::and([Pattern::leaf(t(0)), Pattern::leaf(t(1))]),
+            Pattern::leaf(t(2)),
+        ]);
+        let band = |lo, hi| {
+            [(CmpOp::Ge, lo), (CmpOp::Le, hi)]
+                .map(|(op, v)| Predicate::unary(PrimId(0), AttrId(1), op, Value::Int(v), 0.5))
+                .to_vec()
+        };
+        let workload = Workload::from_patterns(
+            Catalog::with_anonymous_types(3),
+            [band(0, 4), band(5, 9)].map(|preds| (pattern.clone(), preds, 5_000)),
+        )
+        .unwrap();
+        let plan = amuse_workload(&workload, &net, &AMuseConfig::default()).unwrap();
+        let ctx = PlanContext::new(workload.queries(), &net, &plan.table);
+        let deployment = Deployment::new(&plan.merged, &ctx);
+        let shared: Vec<usize> = (0..deployment.inputs.len())
+            .filter(|&i| !deployment.shared_readers(i).is_empty())
+            .collect();
+        assert!(!shared.is_empty(), "the variants' joins share an input");
+        let events = muse_sim::traces::generate_traces(
+            &net,
+            &muse_sim::traces::TraceConfig {
+                duration: 30.0,
+                ticks_per_unit: 100.0,
+                rate_scale: 0.05,
+                key_domain: 0,
+                band_domain: 10,
+                seed: 13,
+            },
+        );
+        let full = run_simulation(&deployment, &events, &SimConfig::default());
+        assert!(full.matches.iter().all(|m| !m.is_empty()));
+
+        // Step deliveries until one to a shared input is next in line, some
+        // way into the trace, and checkpoint there.
+        let mut first = SimExecutor::new(&deployment, SimConfig::default());
+        let mut resume_at = None;
+        'trace: for (k, event) in events.iter().enumerate() {
+            first.inject(event);
+            loop {
+                let next_is_shared = first
+                    .schedule
+                    .heap
+                    .peek()
+                    .is_some_and(|e| shared.contains(&e.0.input));
+                if next_is_shared && k > events.len() / 2 {
+                    resume_at = Some(k + 1);
+                    break 'trace;
+                }
+                if !first.step() {
+                    break;
+                }
+            }
+        }
+        let resume_at = resume_at.expect("a shared delivery is pending at some point");
+        let snap = first.to_snapshot();
+        let head = &snap.pending[0];
+        let readers = snap
+            .pending
+            .iter()
+            .filter(|p| (p.time, p.trigger, p.sub) == (head.time, head.trigger, head.sub))
+            .count();
+        assert!(readers >= 2, "the delivery is listed once per reader");
+        let bytes = crate::checkpoint::encode(&snap);
+        drop(first);
+
+        let mut resumed =
+            crate::checkpoint::restore(&deployment, SimConfig::default(), &bytes).unwrap();
+        assert_eq!(resumed.to_snapshot(), snap, "restore loses nothing");
+        resumed.drain();
+        resumed.process_trace(&events[resume_at..]);
+        let report = resumed.finish();
+        assert_eq!(report.matches, full.matches, "per-query lists, in order");
+        assert_eq!(report.metrics, full.metrics);
     }
 }

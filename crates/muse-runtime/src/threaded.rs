@@ -189,11 +189,10 @@ impl ThreadedReport {
     }
 }
 
-/// A match in flight between nodes.
+/// A match in flight to a join input on another node.
 #[derive(Clone)]
 struct NodeMsg {
-    target: usize,
-    slot: usize,
+    input: usize,
     m: InFlight,
 }
 
@@ -660,12 +659,12 @@ struct NodeRunner {
     /// Ambrosia-style logged-call replay).
     send_log: Vec<NodeMsg>,
     /// Fault mode, pre-crash: multiset of messages ingested from the
-    /// planned-crash node this chunk, keyed by `(target, slot, mux match
-    /// hash)` — the receive-side replay-dedup filter.
-    recv_log: HashMap<(usize, usize, u64), u32, MuxBuildHasher>,
-    /// Target tasks of the duplicate deliveries suppressed so far, handed
-    /// to the telemetry at the end of the run (ingest can run while the
-    /// core is borrowed).
+    /// planned-crash node this chunk, keyed by `(input, mux match hash)` —
+    /// the receive-side replay-dedup filter.
+    recv_log: HashMap<(usize, u64), u32, MuxBuildHasher>,
+    /// Inputs of the duplicate deliveries suppressed so far, handed to the
+    /// telemetry at the end of the run (ingest can run while the core is
+    /// borrowed).
     suppressed: Vec<usize>,
     /// Whether chunk logs are being recorded (fault mode, until the crash
     /// has happened).
@@ -794,9 +793,12 @@ fn run_node(
     let shard = checkpoint.then(|| runner.build_shard(&core, next));
     core.metrics.transport.merge(&runner.stats);
     core.metrics.recovery.merge(&runner.recovery);
+    let deployment = core.deployment();
     if let Some(tel) = core.telemetry.as_mut() {
-        for task in runner.suppressed.drain(..) {
-            tel.on_suppressed(task);
+        for input in runner.suppressed.drain(..) {
+            for &(task, _) in &deployment.inputs[input].readers {
+                tel.on_suppressed(task);
+            }
         }
     }
     (core.finish(runner.now()), shard)
@@ -826,13 +828,13 @@ impl Outbox for NodeRunner {
     }
 
     /// A thread has no scheduler: the core delivers local matches inline.
-    fn local(&mut self, _target: usize, _slot: usize, m: Match) -> Option<Match> {
+    fn local(&mut self, _input: usize, m: Match) -> Option<Match> {
         Some(m)
     }
 
-    fn remote(&mut self, dest: usize, target: usize, slot: usize, m: Match) {
+    fn remote(&mut self, dest: usize, input: usize, m: Match) {
         let m = InFlight::of(m);
-        self.enqueue(dest, NodeMsg { target, slot, m });
+        self.enqueue(dest, NodeMsg { input, m });
     }
 
     /// Wall time since the injection of the match's newest constituent.
@@ -987,9 +989,12 @@ impl NodeRunner {
             t: self.now(),
             msgs: log.len() as u32,
         });
+        let deployment = core.deployment();
         for msg in log {
             if let Some(tel) = core.telemetry.as_mut() {
-                tel.on_replayed(msg.target, 1);
+                for &(task, _) in &deployment.inputs[msg.input].readers {
+                    tel.on_replayed(task, 1);
+                }
             }
             self.enqueue(dest, msg);
         }
@@ -1003,7 +1008,7 @@ impl NodeRunner {
         loop {
             while let Some(msg) = self.backlog.pop_front() {
                 worked = true;
-                core.deliver(self, msg.target, msg.slot, msg.m.into_match());
+                core.deliver(self, msg.input, msg.m.into_match());
             }
             match self.channels.inbox.try_recv() {
                 Ok(frame) => self.ingest(frame),
@@ -1050,7 +1055,7 @@ impl NodeRunner {
                 .is_some_and(|f| f.node == frame.origin && f.node != self.node);
         if filtered {
             for msg in frame.msgs.drain(..) {
-                let key = (msg.target, msg.slot, match_hash(msg.m.entries()));
+                let key = (msg.input, match_hash(msg.m.entries()));
                 if self.dedup_active {
                     if let Some(count) = self.recv_log.get_mut(&key) {
                         *count -= 1;
@@ -1058,7 +1063,7 @@ impl NodeRunner {
                             self.recv_log.remove(&key);
                         }
                         self.recovery.suppressed_sends += 1;
-                        self.suppressed.push(msg.target);
+                        self.suppressed.push(msg.input);
                         continue;
                     }
                 }

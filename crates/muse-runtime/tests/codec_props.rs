@@ -2,7 +2,7 @@
 //!
 //! Two invariants over randomized matches (all three value kinds, varied
 //! payload shapes and entry counts):
-//! 1. `decode_match(encode_match(m)) == m` — lossless roundtrip,
+//! 1. `decode_match(encode_match(m)) == Some(m)` — lossless roundtrip,
 //! 2. `encoded_len(m) == encode_match(m).len()` — the arithmetic size the
 //!    executors use for byte accounting stays in lockstep with the actual
 //!    encoder (the batched send path never encodes, so this equality is
@@ -61,7 +61,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = random_match(&mut rng, max_entries);
         let decoded = decode_match(encode_match(&m));
-        prop_assert_eq!(&decoded, &m);
+        prop_assert_eq!(decoded.as_ref(), Some(&m));
     }
 
     #[test]
@@ -85,7 +85,7 @@ proptest! {
         let e = random_event(&mut rng);
         let m = Match::single(PrimId(rng.gen_range(0u8..16)), e.clone());
         let decoded = decode_match(encode_match(&m));
-        prop_assert_eq!(decoded.entries().len(), 1);
-        prop_assert_eq!(&decoded.entries()[0].1, &e);
+        prop_assert_eq!(decoded.as_ref().map(|d| d.entries().len()), Some(1));
+        prop_assert_eq!(decoded.as_ref().map(|d| &d.entries()[0].1), Some(&e));
     }
 }

@@ -554,16 +554,25 @@ fn fanout_tables_mirror_route_tables() {
         for (task, routes) in deployment.routes.iter().enumerate() {
             let f = &deployment.fanouts[task];
             let spec = &deployment.tasks[task];
-            assert_eq!(f.local.len() + f.remote.len(), routes.len());
+            // One entry per destination input, however many routes end in it.
+            let inputs: BTreeSet<usize> = routes
+                .iter()
+                .map(|r| deployment.input_of(r.target, r.slot).expect("a join slot"))
+                .collect();
+            assert_eq!(f.local.len() + f.remote.len(), inputs.len());
             for r in routes {
+                let input = deployment.input_of(r.target, r.slot).expect("a join slot");
+                assert!(deployment.inputs[input]
+                    .readers
+                    .contains(&(r.target, r.slot)));
                 if r.remote {
                     let dest = deployment.tasks[r.target].node.index();
-                    assert!(f.remote.contains(&(dest, r.target, r.slot)));
+                    assert!(f.remote.contains(&(dest, input)));
                     charges
                         .entry((spec.node.0, spec.stream_sig, dest))
                         .or_default();
                 } else {
-                    assert!(f.local.contains(&(r.target, r.slot)));
+                    assert!(f.local.contains(&input));
                 }
             }
             let mut sorted = f.charged_nodes.clone();
@@ -572,7 +581,7 @@ fn fanout_tables_mirror_route_tables() {
             assert_eq!(sorted, f.charged_nodes, "charged_nodes sorted and deduped");
             for &dest in &f.charged_nodes {
                 assert!(
-                    f.remote.iter().any(|&(d, _, _)| d == dest),
+                    f.remote.iter().any(|&(d, _)| d == dest),
                     "task {task} charged for {dest}, where it does not route"
                 );
                 charges

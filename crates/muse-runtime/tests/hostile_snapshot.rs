@@ -2,7 +2,8 @@
 //! buffered state, then single bytes overwritten, bits flipped, or a random
 //! tail spliced on. `checkpoint::decode` must return `Err` or a snapshot
 //! that re-encodes, never panic, and never size a buffer from a length
-//! prefix beyond the input — which this binary's allocator measures.
+//! prefix beyond the input — which this binary's allocator measures. The
+//! flight-recorder dump format gets the same treatment.
 
 use muse_core::algorithms::amuse::{amuse, AMuseConfig};
 use muse_core::event::{Event, Payload, Value};
@@ -12,6 +13,7 @@ use muse_core::query::{CmpOp, Pattern, Predicate, Query};
 use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, QueryId};
 use muse_runtime::checkpoint::{decode, encode, PendingDelivery};
 use muse_runtime::matcher::{JoinState, StoreState};
+use muse_runtime::{decode_dump, FlightRecord, FlightRing};
 use muse_runtime::{Deployment, Match, SimConfig, SimExecutor};
 use muse_telemetry::LogHistogram;
 use proptest::prelude::*;
@@ -216,5 +218,73 @@ proptest! {
             prop_assert!(redecoded.is_ok(), "re-encoded snapshot refused: {:?}", redecoded.err());
             prop_assert_eq!(encode(&redecoded.unwrap()), again);
         }
+    }
+}
+
+/// A flight dump holding one record of every variant.
+fn every_record_dump() -> Vec<u8> {
+    let mut ring = FlightRing::new(1, 16);
+    for rec in [
+        FlightRecord::Inject {
+            t: 10,
+            seq: 7,
+            ty: 2,
+            time: 400,
+        },
+        FlightRecord::FrameSent {
+            t: 20,
+            to: 1,
+            msgs: 3,
+        },
+        FlightRecord::FrameRecv {
+            t: 30,
+            from: 0,
+            msgs: 5,
+        },
+        FlightRecord::Checkpoint { t: 40, bytes: 128 },
+        FlightRecord::Crash { t: 50, chunk: 4 },
+        FlightRecord::RecoveryStart { t: 60 },
+        FlightRecord::RecoveryDone { t: 70, cursor: 99 },
+        FlightRecord::Replay { t: 80, msgs: 12 },
+    ] {
+        ring.push(rec);
+    }
+    ring.encode()
+}
+
+/// `decode_dump` of `bytes` allocates at most input bytes × record size at
+/// once.
+fn assert_dump_bounded(bytes: &[u8]) -> Result<(), String> {
+    let (_, peak) = peak_alloc(|| decode_dump(bytes));
+    let bound = bytes.len() * size_of::<FlightRecord>();
+    prop_assert!(
+        peak <= bound,
+        "decoding a {}-byte dump allocated {peak} bytes at once (bound {bound})",
+        bytes.len()
+    );
+    Ok(())
+}
+
+#[test]
+fn flight_dump_record_count_does_not_size_the_buffer() {
+    // Node, dropped count, then a record count of u32::MAX and no record.
+    let mut bytes = vec![0u8; 2 + 8];
+    bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+    assert!(decode_dump(&bytes).is_none());
+    assert_dump_bounded(&bytes).unwrap();
+    assert!(decode_dump(&every_record_dump()).is_some());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn hostile_flight_dumps_are_refused_or_decode_within_bounds(
+        mutation in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let mut bytes = every_record_dump();
+        mutate(&mut bytes, mutation, &mut StdRng::seed_from_u64(seed));
+        assert_dump_bounded(&bytes)?;
     }
 }

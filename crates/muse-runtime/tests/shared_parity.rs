@@ -4,8 +4,10 @@
 //! with deliberate duplicate registrations and predicate-band variants —
 //! the shared deployment (structurally identical projections collapsed
 //! into one physical task fanning out to many logical sinks, sources
-//! looked up through the discrimination index) must deliver exactly the
-//! same per-query match sets as each query planned and deployed alone.
+//! looked up through the discrimination index, join inputs stored once per
+//! node for every join that reads them) must deliver exactly the same
+//! per-query match sets as each query planned and deployed alone — in the
+//! simulator, and where joins share inputs, threaded and through a crash.
 
 use muse_core::algorithms::amuse::{amuse, AMuseConfig};
 use muse_core::algorithms::multi_query::amuse_workload;
@@ -19,11 +21,13 @@ use muse_core::workload::Workload;
 use muse_runtime::deploy::Deployment;
 use muse_runtime::matcher::Match;
 use muse_runtime::sim::{run_simulation, SimConfig};
+use muse_runtime::threaded::{run_threaded, FaultPlan, ThreadedConfig};
 use muse_sim::traces::{generate_traces, TraceConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::time::Duration;
 
 fn t(i: u16) -> EventTypeId {
     EventTypeId(i)
@@ -49,6 +53,8 @@ struct Recipe {
     kind: u8,
     window: Timestamp,
     band: Option<(i64, i64)>,
+    /// Whether the pattern keeps its equality predicate.
+    keyed: bool,
 }
 
 fn pattern_for(kind: u8) -> (Pattern, Vec<Predicate>) {
@@ -107,6 +113,9 @@ fn build_workload(recipes: &[Recipe]) -> Workload {
         .iter()
         .map(|r| {
             let (pattern, mut preds) = pattern_for(r.kind);
+            if !r.keyed {
+                preds.clear();
+            }
             if let Some((lo, hi)) = r.band {
                 preds.push(Predicate::unary(
                     PrimId(0),
@@ -150,7 +159,12 @@ fn recipes_from_seed(count: usize, seed: u64) -> Vec<Recipe> {
             } else {
                 None
             };
-            Recipe { kind, window, band }
+            Recipe {
+                kind,
+                window,
+                band,
+                keyed: true,
+            }
         })
         .collect()
 }
@@ -208,4 +222,140 @@ proptest! {
         // Per-sink attribution keeps the aggregate counter equal too.
         prop_assert_eq!(shared_report.metrics.sink_matches, alone_sink_matches);
     }
+}
+
+/// A workload in which joins on one node read one input: per window of
+/// 50, 120 and 300, one structure in two band variants (their banded
+/// sources differ, their other sources — and the inputs those feed —
+/// coincide) and once more without its equality predicate (the same
+/// streams, keyed differently, must reach that join through inputs of
+/// their own); plus one `NSEQ` query.
+fn shared_input_recipes(seed: u64) -> Vec<Recipe> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut recipes = Vec::new();
+    for window in [50, 120, 300] {
+        // The keyed kinds: `SEQ`, `AND`, nested, `OR`.
+        let kind = rng.gen_range(0u8..4);
+        let lo = rng.gen_range(0i64..4);
+        for (band, keyed) in [
+            (Some((lo, lo + 2)), true),
+            (Some((lo + 3, lo + 5)), true),
+            (Some((lo, lo + 2)), false),
+        ] {
+            recipes.push(Recipe {
+                kind,
+                window,
+                band,
+                keyed,
+            });
+        }
+    }
+    recipes.push(Recipe {
+        kind: 4,
+        window: [50, 120, 300][rng.gen_range(0..3usize)],
+        band: None,
+        keyed: false,
+    });
+    recipes
+}
+
+/// The tasks routing into any reader of `input`.
+fn feeders(deployment: &Deployment, input: usize) -> BTreeSet<usize> {
+    let readers = &deployment.inputs[input].readers;
+    (0..deployment.tasks.len())
+        .filter(|&task| {
+            deployment.routes[task]
+                .iter()
+                .any(|r| readers.contains(&(r.target, r.slot)))
+        })
+        .collect()
+}
+
+#[test]
+fn shared_inputs_match_independent_in_both_drivers_and_through_a_crash() {
+    let net = network();
+    let (mut shared_inputs, mut key_splits) = (0, 0);
+    for seed in 0..6 {
+        let workload = build_workload(&shared_input_recipes(seed));
+        let plan = amuse_workload(&workload, &net, &AMuseConfig::default()).unwrap();
+        let ctx = PlanContext::new(workload.queries(), &net, &plan.table);
+        let shared = Deployment::new(&plan.merged, &ctx);
+        shared_inputs += (0..shared.inputs.len())
+            .filter(|&i| !shared.shared_readers(i).is_empty())
+            .count();
+        // One stream, one node, two key terms: two inputs.
+        for a in 0..shared.inputs.len() {
+            for b in a + 1..shared.inputs.len() {
+                let (ia, ib) = (&shared.inputs[a], &shared.inputs[b]);
+                if ia.node == ib.node
+                    && ia.key != ib.key
+                    && feeders(&shared, a) == feeders(&shared, b)
+                {
+                    key_splits += 1;
+                }
+            }
+        }
+
+        let trace = generate_traces(
+            &net,
+            &TraceConfig {
+                duration: 40.0,
+                ticks_per_unit: 10.0,
+                rate_scale: 0.4,
+                key_domain: 3,
+                band_domain: 10,
+                seed,
+            },
+        );
+        let reference: Vec<BTreeSet<Vec<u64>>> = workload
+            .queries()
+            .iter()
+            .map(|query| {
+                let alone_plan = amuse(query, &net, &AMuseConfig::default()).unwrap();
+                let alone_ctx =
+                    PlanContext::new(std::slice::from_ref(query), &net, &alone_plan.table);
+                let alone = Deployment::new(&alone_plan.graph, &alone_ctx);
+                fingerprints(&run_simulation(&alone, &trace, &SimConfig::default()).matches[0])
+            })
+            .collect();
+        assert!(
+            reference.iter().any(|m| !m.is_empty()),
+            "seed {seed}: the workload must match"
+        );
+
+        let crash = |node: usize| ThreadedConfig {
+            fault: Some(FaultPlan {
+                node,
+                crash_at: trace.iter().filter(|e| e.origin.index() == node).count() as u64 / 2,
+                restart_delay: Duration::ZERO,
+            }),
+            ..ThreadedConfig::default()
+        };
+        let mut runs = vec![(
+            "simulator".to_string(),
+            run_simulation(&shared, &trace, &SimConfig::default()).matches,
+        )];
+        runs.push((
+            "threaded".to_string(),
+            run_threaded(&shared, &trace, &ThreadedConfig::default()).matches,
+        ));
+        for node in 0..net.num_nodes() {
+            runs.push((
+                format!("threaded, crash of node {node}"),
+                run_threaded(&shared, &trace, &crash(node)).matches,
+            ));
+        }
+        for (driver, matches) in &runs {
+            for (q, expected) in reference.iter().enumerate() {
+                assert_eq!(
+                    &fingerprints(&matches[q]),
+                    expected,
+                    "seed {seed}, {driver}: query {q} (window {})",
+                    workload.queries()[q].window()
+                );
+            }
+        }
+    }
+    assert!(shared_inputs > 0, "some joins must share an input");
+    assert!(key_splits > 0, "some stream must reach two key terms");
 }

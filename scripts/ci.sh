@@ -5,7 +5,8 @@
 # the narrowed pair must be refused — no test runs the binary), the loom
 # concurrency lane, the driver-parity suites once more in the release
 # profile (thread interleavings there are the ones bench/ measures, far
-# less tame than the dev profile's), the pinned benchmark under bench/
+# less tame than the dev profile's; shared join inputs and snapshot
+# restore included), the pinned benchmark under bench/
 # (its own workspace: unit tests plus the smoke run, so a public-API
 # removal cannot break BENCHMARK.json's command unnoticed; then one short
 # full-size `cluster` run for its exit code — pins, and the case study's
@@ -74,7 +75,8 @@ RUSTFLAGS="--cfg loom" cargo test --release -p muse-runtime --test loom_handoff 
 
 echo "== release: driver-parity suites under optimized interleavings =="
 cargo test --release -q -p muse-runtime \
-    --test executor_parity --test fault_recovery --test provenance
+    --test executor_parity --test fault_recovery --test provenance \
+    --test shared_parity --test migration
 cargo test --release -q --test end_to_end
 
 if [ "${MUSE_CI_TSAN:-0}" = "1" ]; then

@@ -18,7 +18,9 @@ use muse_sim::cluster_trace::{
 use muse_sim::network_gen::{generate_network, NetworkConfig};
 use muse_sim::stats_est::{rates_per_window, PairSelectivities};
 use muse_sim::traces::{generate_traces, TraceConfig};
-use muse_sim::workload_gen::{generate_workload, WorkloadConfig};
+use muse_sim::workload_gen::{
+    generate_family_workload, generate_workload, FamilyWorkloadConfig, WorkloadConfig,
+};
 use std::collections::BTreeSet;
 
 fn small_network(seed: u64) -> NetworkConfig {
@@ -369,6 +371,94 @@ fn mixed_windows_threaded_equals_simulator_by_default() {
             );
         }
     }
+}
+
+/// Band variants of a few query families on two nodes: joins that read one
+/// stream under one key read it as one input, stored once per node and
+/// shipped once per destination input — and every query still matches
+/// exactly what the reference evaluator, the simulator and the threaded
+/// executor each find.
+#[test]
+fn shared_inputs_end_to_end() {
+    const TYPES: usize = 8;
+    let mut builder = NetworkBuilder::new(2, TYPES);
+    for node in 0..2u16 {
+        let owned = (0..TYPES as u16 / 2).map(|k| EventTypeId(node * (TYPES as u16 / 2) + k));
+        builder = builder.node(NodeId(node), owned.clone());
+        for ty in owned {
+            builder = builder.rate(ty, 2.0);
+        }
+    }
+    let network = builder.build();
+    let workload = generate_family_workload(&FamilyWorkloadConfig {
+        queries: 12,
+        families: 3,
+        variants_per_family: 4,
+        prims_per_family: 3,
+        types: TYPES,
+        share_fraction: 0.3,
+        band_domain: 8,
+        window: 1_000,
+        seed: 2,
+    });
+    let events = generate_traces(
+        &network,
+        &TraceConfig {
+            duration: 40.0,
+            ticks_per_unit: 100.0,
+            rate_scale: 1.0,
+            key_domain: 3,
+            band_domain: 8,
+            seed: 1,
+        },
+    );
+    let plan = amuse_workload(&workload, &network, &AMuseConfig::default()).unwrap();
+    let ctx = PlanContext::new(workload.queries(), &network, &plan.table);
+    let deployment = Deployment::new(&plan.merged, &ctx);
+    assert!(
+        deployment
+            .inputs
+            .iter()
+            .any(|input| input.readers.len() >= 2),
+        "some input must have two readers"
+    );
+    assert!(
+        deployment.routes.iter().flatten().any(|r| {
+            let input = deployment.input_of(r.target, r.slot).expect("a join slot");
+            r.remote && deployment.inputs[input].readers.len() >= 2
+        }),
+        "some input with two readers must be fed over the network"
+    );
+
+    let sim = run_simulation(&deployment, &events, &SimConfig::default());
+    let threaded = muse_runtime::run_threaded(
+        &deployment,
+        &events,
+        &muse_runtime::ThreadedConfig::default(),
+    );
+    let fingerprints =
+        |ms: &[Match]| -> BTreeSet<Vec<u64>> { ms.iter().map(Match::fingerprint).collect() };
+    for (q, query) in workload.queries().iter().enumerate() {
+        let reference = fingerprints(&Evaluator::for_query(query).run(&events));
+        assert_eq!(
+            fingerprints(&sim.matches[q]),
+            reference,
+            "query {q}: simulator"
+        );
+        assert_eq!(
+            fingerprints(&threaded.matches[q]),
+            reference,
+            "query {q}: threaded"
+        );
+    }
+    assert!(sim.metrics.sink_matches > 0, "the workload must match");
+    // One wire message per (match, destination input): here exactly the
+    // §4.4 charge of one per (stream, destination node).
+    assert_eq!(
+        threaded.metrics.transport.messages_framed,
+        sim.metrics.messages_sent
+    );
+    assert!(sim.metrics.messages_sent > 0);
 }
 
 /// The multi-sink ablation: disabling partitioning placements never

@@ -232,6 +232,6 @@ proptest! {
             .collect();
         let m = muse_runtime::Match::new(entries);
         let bytes = muse_runtime::codec::encode_match(&m);
-        prop_assert_eq!(muse_runtime::codec::decode_match(bytes), m);
+        prop_assert_eq!(muse_runtime::codec::decode_match(bytes), Some(m));
     }
 }
