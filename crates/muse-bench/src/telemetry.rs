@@ -265,9 +265,10 @@ mod tests {
         assert_eq!(hist["count"], 5u64.to_value());
     }
 
-    /// A crashed node re-injects from its last checkpoint. The exported
-    /// account must be the rolled-back one: as many injections as the trace
-    /// has events, however many times some of them ran.
+    /// A crash rolls every node back to its last checkpoint and re-injects
+    /// from there. The exported account must be the rolled-back one: as
+    /// many injections as the trace has events, however many times some of
+    /// them ran.
     #[test]
     fn crashed_run_exports_the_rolled_back_account() {
         use crate::transport_stress::{stress_deployment, stress_network, stress_trace, CENTERS};

@@ -189,8 +189,8 @@ mod tests {
 
     /// The Fig. 1 fixture of `fault_recovery.rs` runs per-window chunks at
     /// the default slack; the relay runs in the enlarged-chunk regime
-    /// ([`CHUNK_TICKS`], [`SLACK`]), where a restarted node re-collects up
-    /// to ten windows of peer traffic from the replay logs.
+    /// ([`CHUNK_TICKS`], [`SLACK`]), where the rollback re-runs up to ten
+    /// windows of every node's traffic.
     #[test]
     fn relay_crash_is_lossless_in_the_enlarged_chunk_regime() {
         let net = stress_network();

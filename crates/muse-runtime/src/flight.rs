@@ -75,13 +75,6 @@ pub enum FlightRecord {
         /// Restored local-trace cursor.
         cursor: u64,
     },
-    /// Logged messages were re-sent to a peer after recovery.
-    Replay {
-        /// Wall nanos since run start.
-        t: u64,
-        /// Messages replayed.
-        msgs: u32,
-    },
 }
 
 impl FlightRecord {
@@ -125,11 +118,6 @@ impl FlightRecord {
                 buf.extend_from_slice(&t.to_be_bytes());
                 buf.extend_from_slice(&cursor.to_be_bytes());
             }
-            FlightRecord::Replay { t, msgs } => {
-                buf.push(7);
-                buf.extend_from_slice(&t.to_be_bytes());
-                buf.extend_from_slice(&msgs.to_be_bytes());
-            }
         }
     }
 
@@ -166,10 +154,6 @@ impl FlightRecord {
                 t,
                 cursor: try_get_u64(buf)?,
             },
-            7 => FlightRecord::Replay {
-                t,
-                msgs: try_get_u32(buf)?,
-            },
             _ => return None,
         })
     }
@@ -183,8 +167,7 @@ impl FlightRecord {
             | FlightRecord::Checkpoint { t, .. }
             | FlightRecord::Crash { t, .. }
             | FlightRecord::RecoveryStart { t }
-            | FlightRecord::RecoveryDone { t, .. }
-            | FlightRecord::Replay { t, .. } => t,
+            | FlightRecord::RecoveryDone { t, .. } => t,
         }
     }
 }
@@ -305,9 +288,6 @@ pub fn render_timeline(dump: &FlightDump) -> String {
             FlightRecord::RecoveryDone { cursor, .. } => {
                 format!("recovery     done, cursor {cursor}")
             }
-            FlightRecord::Replay { msgs, .. } => {
-                format!("replay       {msgs} msgs re-sent")
-            }
         };
         out.push_str(&format!("{us:>12.1}us  {line}\n"));
     }
@@ -340,7 +320,11 @@ mod tests {
             FlightRecord::Crash { t: 50, chunk: 4 },
             FlightRecord::RecoveryStart { t: 60 },
             FlightRecord::RecoveryDone { t: 70, cursor: 99 },
-            FlightRecord::Replay { t: 80, msgs: 12 },
+            FlightRecord::FrameSent {
+                t: 80,
+                to: 2,
+                msgs: 12,
+            },
         ]
     }
 
@@ -383,6 +367,9 @@ mod tests {
         let mut bad = buf.clone();
         bad[2 + 8 + 4] = 0xFF; // clobber the first record tag
         assert!(decode_dump(&bad).is_none());
+        // Tag 7 (a retired record kind) is unknown too.
+        bad[2 + 8 + 4] = 7;
+        assert!(decode_dump(&bad).is_none());
     }
 
     #[test]
@@ -399,7 +386,6 @@ mod tests {
             "checkpoint",
             "CRASH",
             "recovery",
-            "replay",
         ] {
             assert!(text.contains(needle), "missing {needle}:\n{text}");
         }

@@ -192,12 +192,6 @@ pub struct RecoveryStats {
     pub snapshots_taken: u64,
     /// Cumulative encoded bytes of those snapshots.
     pub snapshot_bytes: u64,
-    /// Messages re-delivered to a restarted node from peer replay logs.
-    pub replayed_messages: u64,
-    /// Duplicate physical sends suppressed during replay because the
-    /// restarted node's flushed-send log showed the message had already
-    /// crossed the network before the crash.
-    pub suppressed_sends: u64,
     /// Bounded-timeout retry rounds taken by senders while a peer was
     /// unresponsive (each round sleeps one backoff interval).
     pub send_retries: u64,
@@ -216,8 +210,6 @@ impl RecoveryStats {
         self.crashes += other.crashes;
         self.snapshots_taken += other.snapshots_taken;
         self.snapshot_bytes += other.snapshot_bytes;
-        self.replayed_messages += other.replayed_messages;
-        self.suppressed_sends += other.suppressed_sends;
         self.send_retries += other.send_retries;
         self.backoff_ns += other.backoff_ns;
         self.backoff_hist.merge(&other.backoff_hist);
@@ -231,13 +223,11 @@ impl RecoveryStats {
             return None;
         }
         Some(format!(
-            "crashes {}  snapshots {} ({} B)  replayed {}  suppressed {}  send-retries {}  \
-             backoff {:.2} ms  recovery {:.2} ms\n",
+            "crashes {}  snapshots {} ({} B)  send-retries {}  backoff {:.2} ms  \
+             recovery {:.2} ms\n",
             self.crashes,
             self.snapshots_taken,
             self.snapshot_bytes,
-            self.replayed_messages,
-            self.suppressed_sends,
             self.send_retries,
             self.backoff_ns as f64 / 1e6,
             self.recovery_ns as f64 / 1e6,
@@ -540,12 +530,12 @@ mod tests {
         a.recovery.backoff_hist.record(100);
         let mut b = Metrics::new(1);
         b.latency_samples_dropped = 3;
-        b.recovery.replayed_messages = 7;
+        b.recovery.send_retries = 7;
         b.recovery.backoff_hist.record(200);
         a.merge(&b);
         assert_eq!(a.latency_samples_dropped, 5);
         assert_eq!(a.recovery.crashes, 1);
-        assert_eq!(a.recovery.replayed_messages, 7);
+        assert_eq!(a.recovery.send_retries, 7);
         assert_eq!(a.recovery.backoff_hist.count(), 2);
     }
 

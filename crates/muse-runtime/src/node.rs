@@ -674,54 +674,8 @@ impl<'a> NodeCore<'a> {
     }
 }
 
-/// The hasher for the threaded executor's replay `recv_log`.
-///
-/// Its keys are join input indices and [`match_hash`] values — the hash
-/// already well mixed — so SipHash's keyed preimage resistance buys nothing
-/// here while its per-insert cost shows up on every logged receive. One
-/// multiply-and-rotate round per word keeps the tuple components from
-/// cancelling and costs a few cycles.
-#[derive(Default)]
-pub(crate) struct MuxHasher(u64);
-
-impl std::hash::Hasher for MuxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(buf));
-        }
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_left(26);
-    }
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.write_u64(v as u64)
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64)
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64)
-    }
-}
-
-/// `HashMap` state for [`MuxHasher`]-keyed maps.
-pub(crate) type MuxBuildHasher = std::hash::BuildHasherDefault<MuxHasher>;
-
 /// A compact hash of a match's constituent events, given as its
-/// [`Match::entries`], for replay dedup and provenance sampling.
+/// [`Match::entries`], for provenance sampling.
 pub(crate) fn match_hash(entries: &[(PrimId, Event)]) -> u64 {
     // Only the constituent events identify the physical payload: primitive
     // operator ids are receiver-side interpretation and differ across

@@ -5,15 +5,15 @@
 //! cascade of match deliveries is processed before the next injection, and
 //! deliveries are ordered by `(virtual time, triggering event, hop)` so that
 //! causality — in particular the arrive-before-candidate property that the
-//! `NSEQ` absence check relies on — holds exactly when the network latency
-//! is zero.
+//! `NSEQ` absence check relies on — holds exactly: a remote delivery is
+//! scheduled at the current virtual time, like a local one.
 //!
 //! The simulator is the measurement instrument for the paper's transmission
 //! experiments (§7.2, Table 3): the node core it drives counts every match
 //! that crosses the network (once per target node, matching the cost
 //! model's shipping rule of §4.4) and the encoded bytes. This module is
-//! only the driver — the delivery heap, its order, and the hop latency; the
-//! node semantics are the same code the threaded executor runs.
+//! only the driver — the delivery heap and its order; the node semantics
+//! are the same code the threaded executor runs.
 
 use crate::checkpoint::{CheckpointError, PendingDelivery, Snapshot};
 use crate::deploy::Deployment;
@@ -29,9 +29,6 @@ use std::collections::BinaryHeap;
 /// Simulator configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimConfig {
-    /// Virtual network latency per hop, in ticks. With the default of 0 the
-    /// simulation is exactly trace-ordered (required for `NSEQ` queries).
-    pub latency: Timestamp,
     /// Join store eviction slack (≥ 1.0).
     pub slack: f64,
     /// Telemetry collection (per-task series, trace, provenance); `None`
@@ -44,7 +41,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
-            latency: 0,
             slack: 1.0,
             telemetry: None,
         }
@@ -107,8 +103,6 @@ struct Schedule {
     /// Tiebreak counter: deliveries of one cascade run in the order they
     /// were scheduled.
     next_sub: u64,
-    /// Virtual network latency per hop.
-    latency: Timestamp,
     /// The virtual clock: time of the injection or delivery in progress.
     now: Timestamp,
     /// Sequence number of the event whose cascade is in progress.
@@ -139,7 +133,7 @@ impl Outbox for Schedule {
     }
 
     fn remote(&mut self, _dest: usize, input: usize, m: Match) {
-        self.push(self.now + self.latency, input, m);
+        self.push(self.now, input, m);
     }
 
     /// Event-time lag: emission time minus the newest constituent's
@@ -169,7 +163,6 @@ impl<'a> SimExecutor<'a> {
             schedule: Schedule {
                 heap: BinaryHeap::new(),
                 next_sub: 0,
-                latency: config.latency,
                 now: 0,
                 trigger: 0,
             },
@@ -598,30 +591,8 @@ mod tests {
         let events = trace(&net, 17, 0);
         let report = deploy_and_run(&q, &net, &events);
         assert_eq!(report.metrics.latencies.len(), report.matches[0].len());
-        // Zero latency network: emission happens at the closing event time.
+        // Deliveries run at the current virtual time: emission happens at the closing event time.
         assert!(report.metrics.latencies.iter().all(|&l| l == 0));
-    }
-
-    #[test]
-    fn network_latency_adds_to_match_latency() {
-        let net = fig1_network();
-        let q = robots_query(None);
-        let events = trace(&net, 17, 0);
-        let plan = amuse(&q, &net, &AMuseConfig::default()).unwrap();
-        let ctx = PlanContext::new(std::slice::from_ref(&q), &net, &plan.table);
-        let deployment = Deployment::new(&plan.graph, &ctx);
-        let report = run_simulation(
-            &deployment,
-            &events,
-            &SimConfig {
-                latency: 10,
-                slack: 2.0,
-                telemetry: None,
-            },
-        );
-        if !report.metrics.latencies.is_empty() {
-            assert!(report.metrics.latencies.iter().any(|&l| l > 0));
-        }
     }
 
     #[test]

@@ -37,10 +37,6 @@ pub(crate) struct ExecTelemetry {
     /// the discrimination index (source tasks); one array per task keeps
     /// the hot-path update to a single bounds check.
     disc: Vec<[u64; 2]>,
-    /// Messages replayed to each task during crash recovery.
-    replayed: Vec<u64>,
-    /// Duplicate deliveries suppressed at each task after replay.
-    suppressed: Vec<u64>,
 }
 
 impl ExecTelemetry {
@@ -61,8 +57,6 @@ impl ExecTelemetry {
             drained: vec![0; num_tasks],
             prov_sample: spec.provenance_sample,
             disc: vec![[0; 2]; num_tasks],
-            replayed: vec![0; num_tasks],
-            suppressed: vec![0; num_tasks],
         }
     }
 
@@ -130,20 +124,6 @@ impl ExecTelemetry {
         if let Some(d) = self.disc.get_mut(task) {
             d[0] += 1;
             d[1] += admitted as u64;
-        }
-    }
-
-    /// `n` logged messages replayed to `task` during crash recovery.
-    pub fn on_replayed(&mut self, task: usize, n: u64) {
-        if task < self.replayed.len() {
-            self.replayed[task] += n;
-        }
-    }
-
-    /// One duplicate delivery suppressed at `task` after a replay.
-    pub fn on_suppressed(&mut self, task: usize) {
-        if task < self.suppressed.len() {
-            self.suppressed[task] += 1;
         }
     }
 
@@ -308,8 +288,6 @@ pub(crate) fn task_summaries(
                 peak_live,
                 considered,
                 admitted: tel.disc.get(i).map_or(0, |d| d[1]),
-                replayed: tel.replayed.get(i).copied().unwrap_or(0),
-                suppressed: tel.suppressed.get(i).copied().unwrap_or(0),
             })
         })
         .collect()

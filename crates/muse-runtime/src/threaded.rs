@@ -51,8 +51,17 @@
 //! message that crossed `h` hops is still consumed no later than round
 //! `h`. At the barrier that ends a phase, and at the two crash-coordination
 //! barriers of fault mode, it only *steals*: what arrives there belongs to
-//! a peer's next phase or chunk, or must be discarded by a crashed node,
-//! and is kept unprocessed.
+//! a peer's next phase or chunk, or is discarded by the rollback, and is
+//! kept unprocessed.
+//!
+//! # Crash recovery
+//!
+//! In checkpoint or fault mode every node saves its shard at each chunk
+//! start. Every chunk ends in global quiescence, so those shards form a
+//! consistent cut. When a node crashes in chunk `k`, *every* node rolls
+//! back to its chunk-start shard and re-runs chunk `k`: each message the
+//! chunk sends is regenerated exactly once, and nothing is logged or
+//! deduplicated.
 //!
 //! # Negation
 //!
@@ -70,19 +79,19 @@ use crate::deploy::{Deployment, Route};
 use crate::flight::{FlightRecord, FlightRing};
 use crate::matcher::Match;
 use crate::metrics::{Metrics, RecoveryStats, TransportStats};
-use crate::node::{match_hash, CoreReport, MuxBuildHasher, NodeCore, Outbox};
+use crate::node::{CoreReport, NodeCore, Outbox};
 use crate::telemetry::{ClockDomain, RunTelemetry, TelemetrySpec, TraceRecord};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use muse_core::event::{Event, Timestamp};
 use muse_core::types::PrimId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Deterministic fault-injection plan: crash one node mid-run and recover
-/// it from its last chunk-boundary checkpoint (the executor's stand-in
-/// for the paper's §7.3 Ambrosia resiliency setup).
+/// Deterministic fault-injection plan: crash one node mid-run and roll
+/// every node back to its last chunk-boundary checkpoint (the executor's
+/// stand-in for the paper's §7.3 Ambrosia resiliency setup).
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// The node to crash.
@@ -190,7 +199,6 @@ impl ThreadedReport {
 }
 
 /// A match in flight to a join input on another node.
-#[derive(Clone)]
 struct NodeMsg {
     input: usize,
     m: InFlight,
@@ -204,7 +212,6 @@ struct NodeMsg {
 /// stays the trace's shared `Arc`): the sender frees the node it allocated,
 /// and the receiver allocates the one its join will store and evict.
 /// Larger matches keep sharing the sender's node.
-#[derive(Clone)]
 enum InFlight {
     Single((PrimId, Event)),
     Multi(Match),
@@ -215,13 +222,6 @@ impl InFlight {
         match m.entries() {
             [single] => Self::Single(single.clone()),
             _ => Self::Multi(m),
-        }
-    }
-
-    fn entries(&self) -> &[(PrimId, Event)] {
-        match self {
-            Self::Single(single) => std::slice::from_ref(single),
-            Self::Multi(m) => m.entries(),
         }
     }
 
@@ -353,7 +353,7 @@ const FLIGHT_CAPACITY: usize = 256;
 /// may interleave freely); a node injects in slice order, so an event stamped
 /// before its predecessor would enter its chunk late. Only debug builds
 /// assert it: the typed error waits for the session's fallible entry point
-/// (ROADMAP 5(c), 9(e)) rather than a `try_` twin of this function.
+/// (ROADMAP 3(a)) rather than a `try_` twin of this function.
 pub fn run_threaded(
     deployment: &Deployment,
     events: &[Event],
@@ -515,11 +515,6 @@ fn run_cores(
                 recovery: RecoveryStats::default(),
                 injected_local: 0,
                 crashed: false,
-                send_log: Vec::new(),
-                recv_log: Default::default(),
-                suppressed: Vec::new(),
-                logs_active: false,
-                dedup_active: false,
                 crash_started: None,
                 flight: FlightRing::new(
                     node as u16,
@@ -654,24 +649,6 @@ struct NodeRunner {
     injected_local: u64,
     /// Whether this run's planned crash has already fired (single-shot).
     crashed: bool,
-    /// Fault mode, pre-crash: messages flushed to the planned-crash node
-    /// this chunk, replayed to it after the crash (the peers' side of the
-    /// Ambrosia-style logged-call replay).
-    send_log: Vec<NodeMsg>,
-    /// Fault mode, pre-crash: multiset of messages ingested from the
-    /// planned-crash node this chunk, keyed by `(input, mux match hash)` —
-    /// the receive-side replay-dedup filter.
-    recv_log: HashMap<(usize, u64), u32, MuxBuildHasher>,
-    /// Inputs of the duplicate deliveries suppressed so far, handed to the
-    /// telemetry at the end of the run (ingest can run while the core is
-    /// borrowed).
-    suppressed: Vec<usize>,
-    /// Whether chunk logs are being recorded (fault mode, until the crash
-    /// has happened).
-    logs_active: bool,
-    /// Whether re-deliveries from the crashed node are being deduplicated
-    /// against `recv_log` (peers, from the crash to the chunk's end).
-    dedup_active: bool,
     /// Wall-clock mark of the injected crash (downtime + recovery timer).
     crash_started: Option<Instant>,
     /// Bounded black box of recent transport/checkpoint/injection steps;
@@ -698,7 +675,6 @@ fn run_node(
     schedule: ChunkSchedule<'_>,
     checkpoint: bool,
 ) -> (CoreReport, Option<Snapshot>) {
-    let node = runner.node;
     let fault_mode = runner.fault.is_some();
     let mut next = 0usize;
     for &chunk_idx in schedule.chunks {
@@ -709,14 +685,9 @@ fn run_node(
             // shard (the durable state a crash rolls back to).
             runner.save_shard(&core, next);
         }
-        if fault_mode {
-            runner.begin_chunk_logs(chunk_idx);
-        }
-        let mut crashed_here = false;
         while next < local.len() && events[local[next]].time <= last_tick {
             if runner.crash_due() {
                 runner.crash(chunk_idx);
-                crashed_here = true;
                 break;
             }
             runner.drain(&mut core);
@@ -724,14 +695,13 @@ fn run_node(
             core.maybe_sample(&runner);
             next += 1;
         }
-        if !crashed_here {
-            runner.flush_all();
-        }
+        // A no-op after a crash, which dropped the pending buffers.
+        runner.flush_all();
         if fault_mode {
             // Crash coordination. Barrier A publishes the crash flag
-            // consistently; the crashed node then discards its inbox and
-            // restores its shard while peers hold their sends; barrier B
-            // orders the discard before the replay traffic.
+            // consistently; every node then discards its inbox and rolls
+            // back to its chunk-start shard while no one sends; barrier B
+            // orders the discards before the re-run of the chunk.
             runner.barrier_steal();
             let crash_chunk = runner
                 .shared
@@ -739,28 +709,17 @@ fn run_node(
                 .map(|s| s.crashed_chunk.load(Ordering::Acquire))
                 .unwrap_or(0);
             if crash_chunk == chunk_idx + 1 {
-                let fault_node = runner.fault.as_ref().map(|f| f.node).unwrap_or(usize::MAX);
-                if node == fault_node {
-                    next = runner.recover(&mut core);
-                } else {
-                    runner.dedup_active = true;
-                }
+                next = runner.recover(&mut core);
                 runner.barrier_steal();
-                if node == fault_node {
-                    // Replay the rolled-back part of the chunk: re-inject
-                    // the local events from the restored cursor. Sends are
-                    // regenerated; peers dedup re-deliveries they already
-                    // processed against their receive logs.
-                    while next < local.len() && events[local[next]].time <= last_tick {
-                        runner.drain(&mut core);
-                        core.inject(&mut runner, &events[local[next]]);
-                        next += 1;
-                    }
-                    if let Some(started) = runner.crash_started.take() {
-                        runner.recovery.recovery_ns += started.elapsed().as_nanos() as u64;
-                    }
-                } else {
-                    runner.resend_log(&mut core);
+                // Re-run the chunk from the restored cursor: every send of
+                // the chunk is regenerated exactly once.
+                while next < local.len() && events[local[next]].time <= last_tick {
+                    runner.drain(&mut core);
+                    core.inject(&mut runner, &events[local[next]]);
+                    next += 1;
+                }
+                if let Some(started) = runner.crash_started.take() {
+                    runner.recovery.recovery_ns += started.elapsed().as_nanos() as u64;
                 }
                 runner.flush_all();
             } else {
@@ -793,14 +752,6 @@ fn run_node(
     let shard = checkpoint.then(|| runner.build_shard(&core, next));
     core.metrics.transport.merge(&runner.stats);
     core.metrics.recovery.merge(&runner.recovery);
-    let deployment = core.deployment();
-    if let Some(tel) = core.telemetry.as_mut() {
-        for input in runner.suppressed.drain(..) {
-            for &(task, _) in &deployment.inputs[input].readers {
-                tel.on_suppressed(task);
-            }
-        }
-    }
     (core.finish(runner.now()), shard)
 }
 
@@ -820,8 +771,8 @@ impl Outbox for NodeRunner {
             });
         }
         if let Some(slot) = self.inject_ns.get(event.seq as usize) {
-            // First write wins (0 means "never injected"), so a crash
-            // replay keeps the original mark and a recovered match's
+            // First write wins (0 means "never injected"), so a chunk
+            // re-run after a crash keeps the original mark and a recovered match's
             // latency includes the downtime it survived.
             let _ = slot.compare_exchange(0, now.max(1), Ordering::AcqRel, Ordering::Acquire);
         }
@@ -883,22 +834,6 @@ impl NodeRunner {
         }
     }
 
-    /// Resets the per-chunk replay logs (fault mode). Logging stops once
-    /// the planned crash has fired in an *earlier* chunk — no second
-    /// crash can need the logs. The current chunk still logs even when
-    /// the flag is already up: a node crashing at its very first
-    /// injection can publish the flag before its peers begin the chunk,
-    /// and their logs are exactly what the recovery will replay.
-    fn begin_chunk_logs(&mut self, chunk_idx: u64) {
-        self.send_log.clear();
-        self.recv_log.clear();
-        self.dedup_active = false;
-        self.logs_active = self.shared.as_ref().is_some_and(|s| {
-            let c = s.crashed_chunk.load(Ordering::Relaxed);
-            c == 0 || c == chunk_idx + 1
-        });
-    }
-
     /// Whether the planned crash fires before the next injection.
     fn crash_due(&self) -> bool {
         !self.crashed
@@ -909,10 +844,11 @@ impl NodeRunner {
     }
 
     /// Simulates the crash: publish the flag (peers read it consistently
-    /// after the next barrier), drop every piece of volatile state, and
-    /// sleep out the configured downtime. The inbox is discarded later in
-    /// [`Self::recover`]; until then barrier waits keep stealing from it
-    /// so peers blocked on this node's bounded channel stay live.
+    /// after the next barrier), drop the unsent output buffers, and sleep
+    /// out the configured downtime. The backlog and inbox are discarded
+    /// later in [`Self::recover`]; until then barrier waits keep stealing
+    /// from the inbox so peers blocked on this node's bounded channel stay
+    /// live.
     fn crash(&mut self, chunk_idx: u64) {
         self.crashed = true;
         self.crash_started = Some(Instant::now());
@@ -929,7 +865,6 @@ impl NodeRunner {
                 .lock()
                 .expect("flight dump lock") = self.flight.encode();
         }
-        self.backlog.clear();
         for buf in &mut self.out_bufs {
             buf.clear();
         }
@@ -943,10 +878,10 @@ impl NodeRunner {
         }
     }
 
-    /// Post-crash restoration: discard every in-flight frame addressed to
-    /// the old incarnation (peers replay their chunk logs afterwards),
-    /// decode the last shard, and roll the core back to it. Returns the
-    /// restored event cursor.
+    /// Rollback to the chunk-start cut, run by every node after a crash:
+    /// discard the backlog and every in-flight frame (the chunk's re-run
+    /// regenerates them), decode this node's shard, and roll the core back
+    /// to it. Returns the restored event cursor.
     fn recover(&mut self, core: &mut NodeCore<'_>) -> usize {
         self.flight
             .push(FlightRecord::RecoveryStart { t: self.now() });
@@ -972,32 +907,6 @@ impl NodeRunner {
             cursor: cursor as u64,
         });
         cursor
-    }
-
-    /// Replays every message this node flushed to the crashed node during
-    /// the chunk — the peers' half of the logged-call replay. Replayed
-    /// deliveries are not new network transmissions (the §4.4 message
-    /// metric counted them when first shipped), so they bypass the mux
-    /// accounting and are tallied separately.
-    fn resend_log(&mut self, core: &mut NodeCore<'_>) {
-        let Some(dest) = self.fault.as_ref().map(|f| f.node) else {
-            return;
-        };
-        let log = std::mem::take(&mut self.send_log);
-        self.recovery.replayed_messages += log.len() as u64;
-        self.flight.push(FlightRecord::Replay {
-            t: self.now(),
-            msgs: log.len() as u32,
-        });
-        let deployment = core.deployment();
-        for msg in log {
-            if let Some(tel) = core.telemetry.as_mut() {
-                for &(task, _) in &deployment.inputs[msg.input].readers {
-                    tel.on_replayed(task, 1);
-                }
-            }
-            self.enqueue(dest, msg);
-        }
     }
 
     /// Processes the backlog and every frame currently in the inbox;
@@ -1033,12 +942,6 @@ impl NodeRunner {
 
     /// Accepts a frame: decrements the in-flight gauge, queues its
     /// messages, and hands the emptied buffer back to the origin node.
-    ///
-    /// In fault mode, messages from the planned-crash node additionally
-    /// pass the replay-dedup filter: while the crash is being replayed,
-    /// any message this node already ingested earlier in the chunk is
-    /// dropped (the channel is FIFO per sender, so the pre-crash copy
-    /// always arrives before its replay).
     fn ingest(&mut self, mut frame: Frame) {
         self.channels.depth[self.node].fetch_sub(1, Ordering::Relaxed);
         if !self.flight.is_disabled() {
@@ -1048,31 +951,7 @@ impl NodeRunner {
                 msgs: frame.msgs.len() as u32,
             });
         }
-        let filtered = (self.logs_active || self.dedup_active)
-            && self
-                .fault
-                .as_ref()
-                .is_some_and(|f| f.node == frame.origin && f.node != self.node);
-        if filtered {
-            for msg in frame.msgs.drain(..) {
-                let key = (msg.input, match_hash(msg.m.entries()));
-                if self.dedup_active {
-                    if let Some(count) = self.recv_log.get_mut(&key) {
-                        *count -= 1;
-                        if *count == 0 {
-                            self.recv_log.remove(&key);
-                        }
-                        self.recovery.suppressed_sends += 1;
-                        self.suppressed.push(msg.input);
-                        continue;
-                    }
-                }
-                *self.recv_log.entry(key).or_insert(0) += 1;
-                self.backlog.push_back(msg);
-            }
-        } else {
-            self.backlog.extend(frame.msgs.drain(..));
-        }
+        self.backlog.extend(frame.msgs.drain(..));
         // The origin may already have shut its return receiver down at
         // the very end of the run; the buffer is then simply dropped.
         let _ = self.channels.ret_senders[frame.origin].send(frame.msgs);
@@ -1159,14 +1038,6 @@ impl NodeRunner {
     /// or parking forever, and the waits are recorded in the recovery
     /// stats.
     fn send_frame(&mut self, dest: usize, msgs: Vec<NodeMsg>) {
-        if self.logs_active
-            && self
-                .fault
-                .as_ref()
-                .is_some_and(|f| f.node == dest && f.node != self.node)
-        {
-            self.send_log.extend(msgs.iter().cloned());
-        }
         let t = &mut self.stats;
         t.frames_sent += 1;
         t.messages_framed += msgs.len() as u64;
@@ -1547,8 +1418,8 @@ mod tests {
         let baseline = run_threaded(&deployment, &events, &config);
         assert_eq!(cursors(&baseline), consumed(&events));
 
-        // A crash rolls node 1 back to its shard's cursor and replays from
-        // there: a cursor that were a trace position would skip or repeat
+        // A crash on node 1 rolls every node back to its shard's cursor and
+        // re-runs from there: a cursor that were a trace position would skip or repeat
         // events.
         let crashed = run_threaded(
             &deployment,

@@ -85,7 +85,7 @@ fn fingerprints(matches: &[Match]) -> BTreeSet<Vec<u64>> {
 
 /// Deterministic counters that must be identical between a faulted and an
 /// uninterrupted run (order-dependent engine counters like join probes are
-/// deliberately excluded — replay changes interleaving, not results).
+/// deliberately excluded — the re-run changes interleaving, not results).
 fn assert_equal_outcomes(a: &ThreadedReport, b: &ThreadedReport, ctx: &str) {
     for (q, (ma, mb)) in a.matches.iter().zip(&b.matches).enumerate() {
         assert_eq!(
@@ -143,39 +143,51 @@ fn crash_at_arbitrary_injection_is_lossless() {
     );
     // Crash each node in turn at injection indices spanning first event,
     // early, mid-chunk, and deep into the run (bounded by what the node
-    // actually injects, so the crash is guaranteed to fire).
-    for node in 0..3usize {
-        let local = events.iter().filter(|e| e.origin.index() == node).count() as u64;
-        assert!(local > 2, "node {node} must inject events");
-        let mut points = vec![0u64, 1, local / 3, (2 * local) / 3, local - 1];
-        points.dedup();
-        for crash_at in points {
-            let config = ThreadedConfig {
-                fault: Some(FaultPlan {
-                    node,
-                    crash_at,
-                    restart_delay: Duration::ZERO,
-                }),
-                ..ThreadedConfig::default()
-            };
-            let faulted = run_threaded(&deployment, &events, &config);
-            let ctx = format!("crash node {node} at injection {crash_at}");
-            assert_eq!(
-                faulted.metrics.recovery.crashes, 1,
-                "{ctx}: crash must fire"
-            );
-            assert!(
-                faulted.metrics.recovery.snapshots_taken > 0,
-                "{ctx}: fault mode checkpoints each chunk"
-            );
-            assert_equal_outcomes(&faulted, &baseline, &ctx);
-            assert_latency_invariant(&faulted, &ctx);
+    // actually injects, so the crash is guaranteed to fire). Per-message
+    // frames on one-frame channels add crashes while senders are blocked
+    // and barrier waiters steal.
+    let tight = ThreadedConfig {
+        batch: 1,
+        capacity: 1,
+        ..ThreadedConfig::default()
+    };
+    for transport in [ThreadedConfig::default(), tight] {
+        for node in 0..3usize {
+            let local = events.iter().filter(|e| e.origin.index() == node).count() as u64;
+            assert!(local > 2, "node {node} must inject events");
+            let mut points = vec![0u64, 1, local / 3, (2 * local) / 3, local - 1];
+            points.dedup();
+            for crash_at in points {
+                let config = ThreadedConfig {
+                    fault: Some(FaultPlan {
+                        node,
+                        crash_at,
+                        restart_delay: Duration::ZERO,
+                    }),
+                    ..transport.clone()
+                };
+                let faulted = run_threaded(&deployment, &events, &config);
+                let ctx = format!(
+                    "batch {}, capacity {}: crash node {node} at injection {crash_at}",
+                    transport.batch, transport.capacity
+                );
+                assert_eq!(
+                    faulted.metrics.recovery.crashes, 1,
+                    "{ctx}: crash must fire"
+                );
+                assert!(
+                    faulted.metrics.recovery.snapshots_taken > 0,
+                    "{ctx}: fault mode checkpoints each chunk"
+                );
+                assert_equal_outcomes(&faulted, &baseline, &ctx);
+                assert_latency_invariant(&faulted, &ctx);
+            }
         }
     }
 }
 
-/// A crash rolls the node's metrics back to its last checkpoint and
-/// replays from there. Telemetry is not rolled back, so it must not keep
+/// A crash rolls every node's metrics back to its last checkpoint and
+/// re-runs the chunk from there. Telemetry is not rolled back, so it must not keep
 /// counters of its own: with it attached, the report still carries exactly
 /// the uninterrupted run's account.
 #[test]

@@ -245,7 +245,11 @@ fn every_record_dump() -> Vec<u8> {
         FlightRecord::Crash { t: 50, chunk: 4 },
         FlightRecord::RecoveryStart { t: 60 },
         FlightRecord::RecoveryDone { t: 70, cursor: 99 },
-        FlightRecord::Replay { t: 80, msgs: 12 },
+        FlightRecord::FrameRecv {
+            t: 80,
+            from: 2,
+            msgs: 12,
+        },
     ] {
         ring.push(rec);
     }

@@ -178,12 +178,6 @@ pub struct TaskSummary {
     pub considered: u64,
     /// Discrimination index: lookups admitted past the predicate bands.
     pub admitted: u64,
-    /// Crash recovery: messages re-delivered to this task from peer
-    /// replay logs (threaded fault mode only).
-    pub replayed: u64,
-    /// Crash recovery: duplicate replay deliveries to this task
-    /// suppressed by the receive-log filter (threaded fault mode only).
-    pub suppressed: u64,
 }
 
 /// Everything telemetry collected over one executor run.
@@ -225,7 +219,7 @@ impl RunTelemetry {
     pub fn task_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<5} {:<5} {:<26} {:<7} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}\n",
+            "{:<5} {:<5} {:<26} {:<7} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
             "task",
             "node",
             "label",
@@ -236,13 +230,11 @@ impl RunTelemetry {
             "evicted",
             "peak-live",
             "cands",
-            "admitted",
-            "replayed",
-            "suppr"
+            "admitted"
         ));
         for t in &self.tasks {
             out.push_str(&format!(
-                "{:<5} {:<5} {:<26} {:<7} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}\n",
+                "{:<5} {:<5} {:<26} {:<7} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
                 t.task,
                 t.node,
                 t.label,
@@ -253,9 +245,7 @@ impl RunTelemetry {
                 t.evictions,
                 t.peak_live,
                 t.considered,
-                t.admitted,
-                t.replayed,
-                t.suppressed
+                t.admitted
             ));
         }
         out
@@ -307,13 +297,11 @@ mod tests {
             peak_live: 7,
             considered: 0,
             admitted: 0,
-            replayed: 0,
-            suppressed: 0,
         });
         let table = rt.task_table();
         assert!(table.contains("J0@N1"));
         assert!(table.contains("peak-live"));
-        assert!(table.contains("replayed"));
+        assert!(table.contains("admitted"));
         assert_eq!(table.lines().count(), 2);
     }
 

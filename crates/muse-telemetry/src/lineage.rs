@@ -61,8 +61,7 @@ pub struct ProvenanceRecord {
     pub query: u32,
     /// Order-independent hash of the witness sequence numbers — the
     /// record's identity, a function of the witness set alone, so sim and
-    /// threaded runs sample identical sets (the threaded executor's replay
-    /// dedup keys on the same hash).
+    /// threaded runs sample identical sets.
     pub match_hash: u64,
     /// The constituent events, in primitive-slot order.
     pub witness: Vec<WitnessEvent>,

@@ -5,8 +5,8 @@
 # the narrowed pair must be refused — no test runs the binary), the loom
 # concurrency lane, the driver-parity suites once more in the release
 # profile (thread interleavings there are the ones bench/ measures, far
-# less tame than the dev profile's; shared join inputs and snapshot
-# restore included), the pinned benchmark under bench/
+# less tame than the dev profile's; shared join inputs, snapshot restore
+# and muse-bench's two crash tests included), the pinned benchmark under bench/
 # (its own workspace: unit tests plus the smoke run, so a public-API
 # removal cannot break BENCHMARK.json's command unnoticed; then one short
 # full-size `cluster` run for its exit code — pins, and the case study's
@@ -78,6 +78,11 @@ cargo test --release -q -p muse-runtime \
     --test executor_parity --test fault_recovery --test provenance \
     --test shared_parity --test migration
 cargo test --release -q --test end_to_end
+# Crash recovery depends on thread interleaving too: the two crash tests of
+# muse-bench's full-size transport and telemetry paths.
+cargo test --release -q -p muse-bench --lib -- \
+    relay_crash_is_lossless_in_the_enlarged_chunk_regime \
+    crashed_run_exports_the_rolled_back_account
 
 if [ "${MUSE_CI_TSAN:-0}" = "1" ]; then
     echo "== tsan: cargo +nightly test -Zsanitizer=thread (opt-in) =="
