@@ -253,15 +253,10 @@ pub(crate) fn amuse_with_table(
         stats.combinations += list.len();
         combos.insert(target, list);
     }
+    let lookup = PlanContext::new(workload, network, table);
     let rates_by_id: Vec<f64> = table
         .iter()
-        .map(|(_, p)| {
-            let q = workload
-                .iter()
-                .find(|q| q.id() == p.source)
-                .expect("source query in workload");
-            crate::cost::projection_output_rate(p, q, network)
-        })
+        .map(|(_, p)| crate::cost::projection_output_rate(p, lookup.query(p.source), network))
         .collect();
 
     // ----- Construction phase (Alg. 3) -----

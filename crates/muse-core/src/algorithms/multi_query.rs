@@ -13,7 +13,7 @@ use crate::algorithms::amuse::{amuse_with_table, AMuseConfig, ConstructionStats}
 use crate::error::Result;
 use crate::graph::{MuseGraph, PlanContext, SharedTransmissions, Vertex};
 use crate::network::Network;
-use crate::projection::ProjectionTable;
+use crate::projection::{ProjId, ProjectionTable};
 use crate::query::Query;
 use crate::types::QueryId;
 use crate::workload::Workload;
@@ -80,52 +80,36 @@ fn structural_key(query: &Query) -> String {
 }
 
 /// Re-labels a representative query's graph onto a structurally identical
-/// query: every vertex `(p, n)` becomes `(π(dup, prims(p)), n)`. Because
-/// the queries share their type tree and prim numbering, the projections
-/// exist and carry the same structure and predicates.
+/// query: every vertex `(p, n)` becomes `(π(dup, prims(p)), n)`.
+///
+/// `π(dup, prims(p))` is `p` itself with `source` set to `dup`: equal
+/// structural keys mean an equal type tree, prim numbering, predicate list
+/// and window, so [`crate::projection::project`] would derive the same
+/// tree, predicate indices, selectivity and stream signature. The copies
+/// are interned in vertex order, the order `project_into` would have
+/// issued their ids in.
 fn relabel_plan(
     graph: &MuseGraph,
     sinks: &[Vertex],
     table: &mut ProjectionTable,
     dup: &Query,
-) -> Result<(MuseGraph, Vec<Vertex>)> {
-    // Collect prim sets first: `project_into` needs `&mut table` while the
-    // source graph's projections are read through the same table.
-    let verts: Vec<_> = graph
-        .vertices()
-        .map(|v| (table.get(v.proj).prims, v.node))
-        .collect();
-    let edges: Vec<_> = graph
-        .edges()
-        .map(|(a, b)| {
-            (
-                table.get(a.proj).prims,
-                a.node,
-                table.get(b.proj).prims,
-                b.node,
-            )
-        })
-        .collect();
-    let sink_keys: Vec<_> = sinks
-        .iter()
-        .map(|v| (table.get(v.proj).prims, v.node))
-        .collect();
-
+) -> (MuseGraph, Vec<Vertex>) {
+    let mut relabeled: HashMap<ProjId, ProjId> = HashMap::new();
     let mut g = MuseGraph::new();
-    for (prims, node) in verts {
-        let proj = table.project_into(dup, prims)?;
-        g.add_vertex(Vertex::new(proj, node));
+    for v in graph.vertices() {
+        let proj = *relabeled.entry(v.proj).or_insert_with(|| {
+            let mut p = table.get(v.proj).clone();
+            p.source = dup.id();
+            table.insert(p)
+        });
+        g.add_vertex(Vertex::new(proj, v.node));
     }
-    for (ap, an, bp, bn) in edges {
-        let a = Vertex::new(table.project_into(dup, ap)?, an);
-        let b = Vertex::new(table.project_into(dup, bp)?, bn);
-        g.add_edge(a, b);
+    let map = |v: Vertex| Vertex::new(relabeled[&v.proj], v.node);
+    for (a, b) in graph.edges() {
+        g.add_edge(map(a), map(b));
     }
-    let mut new_sinks = Vec::with_capacity(sink_keys.len());
-    for (prims, node) in sink_keys {
-        new_sinks.push(Vertex::new(table.project_into(dup, prims)?, node));
-    }
-    Ok((g, new_sinks))
+    let new_sinks = sinks.iter().map(|&v| map(v)).collect();
+    (g, new_sinks)
 }
 
 /// Plans a workload with aMuSE, reusing projections and event streams
@@ -155,7 +139,7 @@ pub fn amuse_workload(
             // Structural duplicate: re-label the representative's plan.
             // Its streams are byte-identical and already established, so
             // the marginal cost is zero and nothing new is absorbed.
-            let (graph, query_sinks) = relabel_plan(&graphs[rep], &sinks[rep], &mut table, query)?;
+            let (graph, query_sinks) = relabel_plan(&graphs[rep], &sinks[rep], &mut table, query);
             graphs.push(graph);
             sinks.push(query_sinks);
             per_query_cost.push(0.0);
@@ -359,6 +343,116 @@ mod tests {
         plan.graphs[1].check_complete(&ctx, 100_000).unwrap();
         // Structure mirrors the representative node-for-node.
         assert_eq!(plan.graphs[1].num_vertices(), plan.graphs[0].num_vertices());
+    }
+
+    /// A reused plan copies its representative's projections instead of
+    /// deriving them: each copy must equal `project(dup, prims)` field for
+    /// field, and the copies must be interned in the duplicate's vertex
+    /// order, vertex for vertex the representative's.
+    #[test]
+    fn relabeled_projections_equal_derived_ones() {
+        let catalog = Catalog::with_anonymous_types(4);
+        let unary = |p: u8| {
+            Predicate::unary(
+                PrimId(p),
+                AttrId(1),
+                CmpOp::Ge,
+                crate::event::Value::Int(5),
+                0.5,
+            )
+        };
+        let seq = || {
+            (
+                Pattern::seq([
+                    Pattern::leaf(t(0)),
+                    Pattern::leaf(t(1)),
+                    Pattern::leaf(t(2)),
+                ]),
+                vec![pred(0, 1, 0.01), unary(2)],
+                1000,
+            )
+        };
+        let and = || {
+            (
+                Pattern::and([
+                    Pattern::leaf(t(3)),
+                    Pattern::seq([Pattern::leaf(t(0)), Pattern::leaf(t(1))]),
+                ]),
+                vec![pred(1, 2, 0.05)],
+                500,
+            )
+        };
+        let nseq = || {
+            (
+                Pattern::seq([
+                    Pattern::nseq(
+                        Pattern::leaf(t(0)),
+                        Pattern::leaf(t(2)),
+                        Pattern::leaf(t(1)),
+                    ),
+                    Pattern::leaf(t(3)),
+                ]),
+                vec![pred(0, 2, 0.1)],
+                800,
+            )
+        };
+        let w =
+            Workload::from_patterns(catalog, [seq(), and(), seq(), nseq(), and(), nseq(), seq()])
+                .unwrap();
+        let net = network();
+        let plan = amuse_workload(&w, &net, &AMuseConfig::default()).unwrap();
+        assert_eq!(plan.reused_plans(), 4);
+        for (i, query) in w.queries().iter().enumerate() {
+            let Some(rep) = plan.plan_reuse[i] else {
+                continue;
+            };
+            let rep_graph = &plan.graphs[rep.index()];
+            let dup_graph = &plan.graphs[i];
+            let rep_verts: Vec<Vertex> = rep_graph.vertices().collect();
+            let dup_verts: Vec<Vertex> = dup_graph.vertices().collect();
+            assert_eq!(rep_verts.len(), dup_verts.len());
+            // Ids are issued in vertex order, as deriving each projection
+            // issued them: the duplicate's distinct projections, in order of
+            // first appearance, hold consecutive ids.
+            let mut firsts: Vec<ProjId> = Vec::new();
+            for d in &dup_verts {
+                if !firsts.contains(&d.proj) {
+                    firsts.push(d.proj);
+                }
+            }
+            let consecutive: Vec<ProjId> = (firsts[0].0..).take(firsts.len()).map(ProjId).collect();
+            assert_eq!(firsts, consecutive, "Q{i}: ids out of vertex order");
+            for (r, d) in rep_verts.iter().zip(&dup_verts) {
+                let copy = plan.table.get(d.proj);
+                assert_eq!(d.node, r.node);
+                assert_eq!(copy.prims, plan.table.get(r.proj).prims);
+                assert_eq!(
+                    *copy,
+                    crate::projection::project(query, copy.prims).unwrap(),
+                    "Q{i}: copied projection of {:?} differs from the derived one",
+                    copy.prims
+                );
+            }
+            let sinks = |v: &[Vertex]| -> Vec<_> {
+                v.iter()
+                    .map(|s| (plan.table.get(s.proj).prims, s.node))
+                    .collect()
+            };
+            assert_eq!(sinks(&plan.sinks[i]), sinks(&plan.sinks[rep.index()]));
+            let edges = |g: &MuseGraph| -> Vec<_> {
+                g.edges()
+                    .map(|(a, b)| {
+                        (
+                            plan.table.get(a.proj).prims,
+                            a.node,
+                            plan.table.get(b.proj).prims,
+                            b.node,
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(edges(dup_graph), edges(rep_graph));
+        }
     }
 
     /// AND(t0,t2) and AND(t2,t0) canonicalize to the same signature, but

@@ -161,7 +161,11 @@ impl SharedTransmissions {
 /// network, and the projection arena the graph's vertices reference.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanContext<'a> {
-    /// Queries of the workload (looked up by [`QueryId`]).
+    /// Queries of the workload, looked up by [`QueryId`] through
+    /// [`PlanContext::query`]: position first (`queries[id.index()]`, which
+    /// holds for every [`crate::workload::Workload`], whose ids are dense),
+    /// then a linear scan, so any slice — a sub-slice, hand-built ids in
+    /// any order — resolves.
     pub queries: &'a [Query],
     /// The event-sourced network.
     pub network: &'a Network,
@@ -204,13 +208,23 @@ impl<'a> PlanContext<'a> {
         self.table.get(id)
     }
 
+    /// The query with the given id: `O(1)` when the query sits at position
+    /// `id.index()`, a linear scan otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no query in the context has the id.
+    pub fn query(&self, id: QueryId) -> &'a Query {
+        match self.queries.get(id.index()) {
+            Some(q) if q.id() == id => Some(q),
+            _ => self.queries.iter().find(|q| q.id() == id),
+        }
+        .expect("projection's source query present in context")
+    }
+
     /// The source query of a projection.
     pub fn query_of(&self, id: ProjId) -> &'a Query {
-        let source = self.proj(id).source;
-        self.queries
-            .iter()
-            .find(|q| q.id() == source)
-            .expect("projection's source query present in context")
+        self.query(self.proj(id).source)
     }
 
     /// The output rate `r̂(p) = σ(p) · r̂(root(p))` of a projection.
@@ -1069,6 +1083,50 @@ mod tests {
 
     fn ctx<'a>(f: &'a Fig2) -> PlanContext<'a> {
         PlanContext::new(std::slice::from_ref(&f.query), &f.network, &f.table)
+    }
+
+    /// `PlanContext::query` agrees with a linear `find` on a dense workload
+    /// (the position hit), a one-query sub-slice and hand-built non-dense
+    /// ids (both the scan).
+    #[test]
+    fn query_lookup_agrees_with_scan() {
+        let f = fig2();
+        let build = |id: u32, last: u16| {
+            Query::build(
+                QueryId(id),
+                &Pattern::seq([Pattern::leaf(t(0)), Pattern::leaf(t(last))]),
+                vec![],
+                1000 + u64::from(id),
+            )
+            .unwrap()
+        };
+        let workload = crate::workload::Workload::new(
+            crate::catalog::Catalog::with_anonymous_types(3),
+            (0..5).map(|i| build(i, 1 + (i % 2) as u16)).collect(),
+        )
+        .unwrap();
+        let scan = |qs: &[Query], id: QueryId| qs.iter().position(|q| q.id() == id).unwrap();
+        let check = |qs: &[Query]| {
+            let ctx = PlanContext::new(qs, &f.network, &f.table);
+            for q in qs {
+                let found = ctx.query(q.id());
+                assert!(std::ptr::eq(found, &qs[scan(qs, q.id())]), "{:?}", q.id());
+            }
+        };
+        let w = workload.queries();
+        check(w);
+        for i in 0..w.len() {
+            check(&w[i..=i]);
+        }
+        check(&[build(7, 1), build(3, 2)]);
+        check(&[build(1, 1), build(0, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "projection's source query present in context")]
+    fn query_lookup_of_a_missing_id_panics() {
+        let f = fig2();
+        ctx(&f).query(QueryId(1));
     }
 
     #[test]

@@ -325,12 +325,13 @@ impl Deployment {
 
     /// Builds a deployment *without* running static verification.
     ///
-    /// Verification walks every query, vertex, and edge and is meant for
-    /// hand-written or externally supplied plans; programmatically generated
-    /// workloads at the 100k-query scale pay a substantial startup cost for
-    /// checks their generator guarantees by construction. Use only on plans
-    /// produced by the in-tree construction algorithms. [`Sharing::Shared`]
-    /// is the only mode; callers name it.
+    /// The build itself is linear in the plan's vertices and edges (queries
+    /// are found by id through [`PlanContext::query`]). What verification
+    /// adds on top is mostly its pairwise workload lints, which compare
+    /// every query with every other: meant for hand-written or externally
+    /// supplied plans, superfluous for plans produced by the in-tree
+    /// construction algorithms, which are the only plans to pass here.
+    /// [`Sharing::Shared`] is the only mode; callers name it.
     pub fn unchecked(graph: &MuseGraph, ctx: &PlanContext<'_>, _sharing: Sharing) -> Self {
         Self::build(graph, ctx)
     }
@@ -342,16 +343,7 @@ impl Deployment {
             graph.vertices().map(|v| ctx.proj(v.proj).source).collect();
         query_ids.sort();
         query_ids.dedup();
-        let queries: Vec<Query> = query_ids
-            .iter()
-            .map(|id| {
-                ctx.queries
-                    .iter()
-                    .find(|q| q.id() == *id)
-                    .expect("query present in context")
-                    .clone()
-            })
-            .collect();
+        let queries: Vec<Query> = query_ids.iter().map(|&id| ctx.query(id).clone()).collect();
         let query_index: HashMap<QueryId, usize> = query_ids
             .iter()
             .enumerate()
