@@ -30,6 +30,14 @@
 //! window span, shared primitives, in that order — before paying for a
 //! merge.
 //!
+//! Before any of that the trigger must pass a "no partner" check: every
+//! other positive slot holds a window-compatible entry whose equality key
+//! is unknown or equal to the trigger's key for that slot's class. It
+//! follows from the key guard below — a trigger failing it would have every
+//! pair rejected — so it skips only probes that emit nothing, and the
+//! probe counters count only triggers that passed it. The node asks the
+//! same check of a shared input's readers before it lets them probe.
+//!
 //! The equality-key guard uses the query's `=` predicates to skip pairs
 //! instead of merging them and discarding the result. The `prim.attr` terms
 //! linked by `=` predicates inside the join's positive primitives form
@@ -540,7 +548,9 @@ impl JoinTask {
         };
         let emitted = self.probe_in(slot, &entry, buffers);
         self.stores[slot].insert_keyed(entry);
-        self.settle(emitted)
+        let emitted = self.settle(emitted);
+        self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered() as u64);
+        emitted
     }
 
     /// Reads `slot` from the node's buffer `buffer` instead of a store of
@@ -556,7 +566,8 @@ impl JoinTask {
 
     /// A match on a shared slot: everything [`JoinTask::on_match`] does
     /// except storing it, which the node does once for all readers.
-    /// `entry` carries the slot's key.
+    /// `entry` carries the slot's key. The join's own stores gain nothing,
+    /// so its peak cannot rise here.
     pub(crate) fn on_shared(
         &mut self,
         slot: usize,
@@ -570,10 +581,43 @@ impl JoinTask {
         self.settle(emitted)
     }
 
+    /// Whether a match on the shared `slot` can complete a match here (see
+    /// [`JoinTask::can_match`]); read-only, so the node asks it before it
+    /// delivers.
+    pub(crate) fn can_match_shared(
+        &self,
+        slot: usize,
+        entry: &StoredMatch,
+        buffers: &[MatchStore],
+    ) -> bool {
+        let slots = Slots {
+            own: &self.stores,
+            shared: &self.shared,
+            buffers,
+        };
+        self.can_match(slot, entry, &slots)
+    }
+
+    /// A match on a shared slot that the node ruled out: what
+    /// [`JoinTask::on_shared`] does when its probe emits nothing. Only for a
+    /// join without negation checks, whose admission feeds no guard.
+    pub(crate) fn pass(&mut self, last: Timestamp) {
+        debug_assert!(self.negations.is_empty());
+        self.stats.inputs += 1;
+        self.max_time = self.max_time.max(last);
+        self.evict();
+    }
+
     /// Records a shared buffer's live count after an insert into it, so
     /// the peak covers what the join reads as well as what it stores.
     pub(crate) fn observe_shared(&mut self, live: usize) {
         self.stats.peak_buffered = self.stats.peak_buffered.max(live as u64);
+    }
+
+    /// First timestamp of the newest match stored in `slot`'s own store
+    /// (0 when empty; see [`MatchStore::latest_first`]).
+    pub(crate) fn latest_first(&self, slot: usize) -> Timestamp {
+        self.stores[slot].latest_first()
     }
 
     /// Counts an input, advances the watermark to its newest event `last`
@@ -638,15 +682,8 @@ impl JoinTask {
             shared: &self.shared,
             buffers,
         };
-
-        // Fast path for the common no-join case: the merge across slots is
-        // a conjunction, so if any other positive slot has nothing
-        // compatible buffered the trigger cannot complete — skip the
-        // candidate scaffolding below.
-        let doomed = self.slots.iter().enumerate().any(|(i, spec)| {
-            i != slot && !spec.negated && slots.compatible(i, m_first, m_last, window).is_empty()
-        });
-        if doomed {
+        // The common no-join case skips the candidate scaffolding below.
+        if !self.can_match(slot, entry, &slots) {
             return Vec::new();
         }
 
@@ -721,6 +758,38 @@ impl JoinTask {
         emitted
     }
 
+    /// Whether `entry`, arriving on `slot`, can complete a match: every
+    /// other positive slot holds a window-compatible entry whose equality
+    /// key is unknown or equal to the trigger's key for that slot's class.
+    /// The merge across slots is a conjunction, and a stored key that
+    /// differs from the trigger's is the pair the probe's key guard rejects,
+    /// so `false` means the probe would emit nothing. The trigger's key is
+    /// `entry.key` when the slot's own key term is in the class, and is
+    /// looked up in the match otherwise.
+    fn can_match<'s, B: Buffers<'s>>(
+        &self,
+        slot: usize,
+        entry: &StoredMatch,
+        slots: &Slots<'s, B>,
+    ) -> bool {
+        let window = self.query.window();
+        let own_term = self.keys[slot].as_ref().map(|k| k.term);
+        self.slots.iter().enumerate().all(|(i, spec)| {
+            if i == slot || spec.negated {
+                return true;
+            }
+            let slice = slots.compatible(i, entry.first, entry.last, window);
+            let key = self.keys[i].as_ref().and_then(|k| match own_term {
+                Some(term) if k.class.contains(&term) => entry.key,
+                _ => k.probe_key(&entry.m),
+            });
+            match key {
+                None => !slice.is_empty(),
+                Some(key) => slice.iter().any(|e| e.key.is_none_or(|k| k == key)),
+            }
+        })
+    }
+
     /// Ends an input once its match is stored: emits (or defers) what it
     /// triggered and advances eviction.
     fn settle(&mut self, mut emitted: Vec<Match>) -> Vec<Match> {
@@ -733,7 +802,6 @@ impl JoinTask {
             self.stats.emitted += emitted.len() as u64;
         }
         self.evict();
-        self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered() as u64);
         emitted
     }
 
@@ -977,8 +1045,8 @@ impl NaiveJoinTask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muse_core::event::Event;
-    use muse_core::query::Pattern;
+    use muse_core::event::{Event, Payload, Value};
+    use muse_core::query::{Pattern, Predicate};
     use muse_core::types::{EventTypeId, NodeId, PrimId, QueryId};
 
     fn ev(seq: u64, ty: u16, time: Timestamp) -> Event {
@@ -1149,6 +1217,47 @@ mod tests {
         assert_eq!(s.merge_successes, 1);
         assert_eq!(s.emitted, 1);
         assert!(s.peak_buffered >= 2);
+    }
+
+    #[test]
+    fn a_partner_holding_only_other_keys_rules_the_trigger_out() {
+        // SEQ(A, B, C) with A.k = B.k = C.k over singleton slots.
+        let k = AttrId(0);
+        let q = Query::build(
+            QueryId(0),
+            &Pattern::seq([
+                Pattern::leaf(EventTypeId(0)),
+                Pattern::leaf(EventTypeId(1)),
+                Pattern::leaf(EventTypeId(2)),
+            ]),
+            vec![
+                Predicate::binary((PrimId(0), k), CmpOp::Eq, (PrimId(1), k), 0.5),
+                Predicate::binary((PrimId(1), k), CmpOp::Eq, (PrimId(2), k), 0.5),
+            ],
+            100,
+        )
+        .unwrap();
+        let keyed = |seq: u64, prim: u8, time: Timestamp, key: i64| {
+            let mut payload = Payload::new();
+            payload.set(k, Value::Int(key));
+            let event =
+                Event::with_payload(seq, EventTypeId(prim as u16), time, NodeId(0), payload);
+            Match::single(PrimId(prim), event)
+        };
+        let mut join = JoinTask::new(&q, q.prims(), &[ps([0]), ps([1]), ps([2])]);
+        join.on_match(1, keyed(0, 1, 20, 1));
+        join.on_match(2, keyed(1, 2, 30, 2));
+        // Both partner slots are non-empty, but C holds key 2 only: the A
+        // with key 1 ends before any stored match is probed.
+        assert!(join.on_match(0, keyed(2, 0, 10, 1)).is_empty());
+        assert_eq!(join.stats().probes, 0);
+        // Once a C of key 1 is stored (it completes with the first A), the
+        // next A of key 1 probes and completes too.
+        join.on_match(2, keyed(3, 2, 35, 1));
+        let out = join.on_match(0, keyed(4, 0, 15, 1));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].fingerprint(), vec![4, 0, 3]);
+        assert!(join.stats().probes > 0);
     }
 
     #[test]

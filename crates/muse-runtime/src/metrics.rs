@@ -38,11 +38,18 @@ pub fn percentile_nearest_rank(sorted: &[u64], q: f64) -> Option<u64> {
 /// `inputs`, `probes`, `guard_rejects`, `merge_*` and `emitted` each for
 /// itself — the values private stores would give — while the buffer's
 /// evictions count once, and its live count is one store's peak.
+///
+/// A trigger that cannot complete — some other positive slot holds no
+/// window-compatible entry whose equality key could agree with it — is
+/// turned away before any probe (the join module's "Probe strategy"), so
+/// `probes`, `guard_rejects` and `merge_*` count only triggers that passed
+/// that check. It still counts as an input.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct JoinStats {
     /// Matches fed into join slots (positive and negated).
     pub inputs: u64,
-    /// Stored matches inspected by window-sliced probes.
+    /// Stored matches inspected by window-sliced probes, for triggers that
+    /// passed the "no partner" check.
     pub probes: u64,
     /// Probed pairs rejected by the cheap pre-merge guards (equality-key
     /// mismatch, window span or shared-primitive disagreement) before any

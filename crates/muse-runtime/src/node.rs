@@ -25,6 +25,19 @@
 //! each reader reads it above that horizon; ties sit in arrival order, as
 //! in a reader's own store. An input one join stores stays in that join.
 //!
+//! Most readers of a delivery cannot match it, so the core rules them out
+//! before they probe, in two steps. A reader's [`Gate`] compares one
+//! timestamp per partner slot: the newest first timestamp delivered to the
+//! input that slot reads. When it lies more than the reader's window
+//! before the delivery's newest event, that slot holds nothing to merge
+//! with, and the join is not asked. Otherwise the core asks the join's
+//! read-only key-aware check ([`JoinTask::can_match_shared`]). A
+//! ruled-out reader only counts the input and advances its watermark and
+//! eviction ([`JoinTask::pass`]), exactly what its probe would have done
+//! without emitting; its physical drains fall on the same inputs. Joins with
+//! `NSEQ` checks are always asked to probe, because every input they admit
+//! may feed their guards.
+//!
 //! Two drivers run cores. [`crate::sim`] hosts every task in one core and
 //! orders deliveries on a virtual-clock heap; [`crate::threaded`] runs one
 //! core per network node on its own thread and moves matches in frames.
@@ -92,11 +105,37 @@ struct SharedInput {
     input: usize,
     /// Its readers that store it ([`Deployment::shared_readers`]).
     readers: Vec<(usize, usize)>,
+    /// Per reader of the input (parallel to its `InputSpec::readers`): what
+    /// rules the reader out without asking its join; `None` for a negation
+    /// guard slot or a join with negation checks, which is always asked.
+    gates: Vec<Option<Gate>>,
     /// How far behind its newest entry the buffer keeps matches: slack ×
     /// the widest reader window, the longest any reader keeps them.
     reach: Timestamp,
     /// Minimum horizon progress between physical drains.
     stride: Timestamp,
+    /// The buffer's largest live count since the core was built or
+    /// restored: readers observe the count only when it exceeds this.
+    peak: usize,
+}
+
+/// A shared input reader's partners, as the node sees them: a delivery
+/// whose newest event lies more than `window` after the newest entry of a
+/// partner slot's input can merge with nothing in that slot.
+struct Gate {
+    /// The reader's query window.
+    window: Timestamp,
+    /// The inputs its other positive slots read.
+    partners: Vec<usize>,
+}
+
+impl Gate {
+    /// Whether a match ending at `last` cannot complete at the reader, given
+    /// an upper bound of each input's newest first timestamp.
+    fn rules_out(&self, newest: &[Timestamp], last: Timestamp) -> bool {
+        let oldest = last.saturating_sub(self.window);
+        self.partners.iter().any(|&p| newest[p] < oldest)
+    }
 }
 
 /// The state and behaviour of the tasks hosted in one place.
@@ -120,6 +159,10 @@ pub(crate) struct NodeCore<'a> {
     /// Per `Deployment::inputs` entry, its index in `shared` (`None` when
     /// one join stores it, or it is hosted elsewhere).
     shared_of: Vec<Option<usize>>,
+    /// Per `Deployment::inputs` entry, the largest first timestamp
+    /// delivered to it: never below that of the newest entry its store
+    /// holds, so a [`Gate`] reading it rules out only what the join would.
+    newest: Vec<Timestamp>,
     pub metrics: Metrics,
     /// Sink matches per query (parallel to `Deployment::queries`).
     matches: Vec<Vec<Match>>,
@@ -152,6 +195,7 @@ impl<'a> NodeCore<'a> {
             shared: Vec::new(),
             buffers: Vec::new(),
             shared_of: vec![None; deployment.inputs.len()],
+            newest: vec![0; deployment.inputs.len()],
             metrics: Metrics::new(deployment.num_nodes),
             matches: vec![Vec::new(); deployment.queries.len()],
             wall_latencies_ns: Vec::new(),
@@ -175,17 +219,49 @@ impl<'a> NodeCore<'a> {
             core.shared.push(SharedInput {
                 input,
                 readers,
+                gates: Vec::new(),
                 // The eviction span `JoinTask` computes for the widest reader.
                 reach: (widest as f64 * slack) as Timestamp,
                 stride: default_stride(widest),
+                peak: 0,
             });
             core.buffers.push(MatchStore::new());
         }
         core.joins = (0..deployment.tasks.len())
             .map(|i| core.make_join(i))
             .collect();
+        for b in 0..core.shared.len() {
+            core.shared[b].gates = core.gates(core.shared[b].input);
+        }
         core.attach_shared();
         core
+    }
+
+    /// The gates of a shared input's readers, in `InputSpec::readers` order.
+    fn gates(&self, input: usize) -> Vec<Option<Gate>> {
+        let deployment = self.deployment;
+        deployment.inputs[input]
+            .readers
+            .iter()
+            .map(|&(task, slot)| {
+                let join = self.joins[task].as_ref()?;
+                if join.has_negations() || join.slots()[slot].negated {
+                    return None;
+                }
+                let partners = (0..join.slots().len())
+                    .filter(|&i| i != slot && !join.slots()[i].negated)
+                    .map(|i| {
+                        deployment
+                            .input_of(task, i)
+                            .expect("a join slot has an input")
+                    })
+                    .collect();
+                Some(Gate {
+                    window: deployment.queries[deployment.tasks[task].query_idx].window(),
+                    partners,
+                })
+            })
+            .collect()
     }
 
     fn hosts(&self, task: usize) -> bool {
@@ -307,6 +383,7 @@ impl<'a> NodeCore<'a> {
             }
         }
         self.max_seen = self.max_seen.max(m.last_time());
+        self.newest[input] = self.newest[input].max(m.first_time());
         let Some(b) = self.shared_of[input] else {
             // At most one reader stores the match, in its own store.
             let (&(task, slot), rest) = spec.readers.split_last().expect("an input has a reader");
@@ -323,25 +400,36 @@ impl<'a> NodeCore<'a> {
             m,
         };
         let mut emitted = Vec::new();
-        for &(task, slot) in &spec.readers {
-            let outs = self.joins[task]
+        let shared = &mut self.shared[b];
+        for (&(task, slot), gate) in spec.readers.iter().zip(&shared.gates) {
+            let join = self.joins[task]
                 .as_mut()
-                .expect("deliveries target hosted joins")
-                .on_shared(slot, &entry, &self.buffers);
+                .expect("deliveries target hosted joins");
+            if gate.as_ref().is_some_and(|g| {
+                g.rules_out(&self.newest, entry.last)
+                    || !join.can_match_shared(slot, &entry, &self.buffers)
+            }) {
+                join.pass(entry.last);
+                continue;
+            }
+            let outs = join.on_shared(slot, &entry, &self.buffers);
             if !outs.is_empty() {
                 emitted.push((task, outs));
             }
         }
-        let (shared, buffer) = (&self.shared[b], &mut self.buffers[b]);
+        let buffer = &mut self.buffers[b];
         buffer.insert_keyed(entry);
         buffer.advance_horizon(
             buffer.latest_first().saturating_sub(shared.reach),
             shared.stride,
         );
         let live = buffer.len();
-        for &(task, _) in &shared.readers {
-            if let Some(join) = self.joins[task].as_mut() {
-                join.observe_shared(live);
+        if live > shared.peak {
+            shared.peak = live;
+            for &(task, _) in &shared.readers {
+                if let Some(join) = self.joins[task].as_mut() {
+                    join.observe_shared(live);
+                }
             }
         }
         for (task, outs) in emitted {
@@ -600,6 +688,21 @@ impl<'a> NodeCore<'a> {
             .map(JoinTask::last_seen)
             .max()
             .unwrap_or(0);
+        // The gates' timestamps, from the stores they bound.
+        for (input, spec) in deployment.inputs.iter().enumerate() {
+            self.newest[input] = match self.shared_of[input] {
+                Some(b) => self.buffers[b].latest_first(),
+                None => spec
+                    .readers
+                    .iter()
+                    .filter_map(|&(task, slot)| Some(self.joins[task].as_ref()?.latest_first(slot)))
+                    .max()
+                    .unwrap_or(0),
+            };
+        }
+        for shared in &mut self.shared {
+            shared.peak = 0;
+        }
         Ok(())
     }
 
@@ -892,6 +995,78 @@ mod tests {
         assert!(off.telemetry.is_none());
         assert!(!on.telemetry.expect("attached").trace.is_empty());
         assert_eq!(on.metrics, off.metrics);
+    }
+
+    /// [`drive`], counting the deliveries to shared-input readers that the
+    /// node's gates rule out.
+    fn drive_counting_rule_outs(
+        core: &mut NodeCore<'_>,
+        out: &mut Recorder,
+        events: &[Event],
+    ) -> usize {
+        let mut ruled_out = 0;
+        for event in events {
+            out.now = event.time;
+            core.inject(out, event);
+            while let Some((input, m)) = out.queue.pop_front() {
+                if let Some(b) = core.shared_of[input] {
+                    let mut newest = core.newest.clone();
+                    newest[input] = newest[input].max(m.first_time());
+                    let gates = core.shared[b].gates.iter().flatten();
+                    ruled_out += gates
+                        .filter(|g| g.rules_out(&newest, m.last_time()))
+                        .count();
+                }
+                core.deliver(out, input, m);
+            }
+        }
+        ruled_out
+    }
+
+    #[test]
+    fn restore_between_ruled_out_deliveries_resumes_exactly() {
+        // Fig. 1's query next to `SEQ(t0, t2)` and `SEQ(t1, t2)`: nodes 0
+        // and 1 store the `t0` stream once for two joins, and node 1 the
+        // `t2` stream that completes both `SEQ`s. A window short against
+        // the trace makes the gates rule readers out, and the partner
+        // entries stored before the save must keep the tail's readers in:
+        // a restore that does not re-derive the gates' timestamps loses
+        // the tail's matches.
+        let seq02 = Pattern::seq([Pattern::leaf(t(0)), Pattern::leaf(t(2))]);
+        let seq12 = Pattern::seq([Pattern::leaf(t(1)), Pattern::leaf(t(2))]);
+        let deployment = fig1_deployment(&[(robots(), 400), (seq02, 400), (seq12, 400)]);
+        let events = fig1_trace(13);
+        let mut full = fresh(&deployment);
+        assert!(!full.shared.is_empty(), "the joins must share an input");
+        let ruled_out = drive_counting_rule_outs(&mut full, &mut Recorder::default(), &events);
+        assert!(ruled_out > 0, "the gates must rule readers out");
+
+        // Save just before the event that completes a mid-trace match, so
+        // the match's other events are all stored before the save.
+        let completing = |m: &Match| m.entries().iter().map(|(_, e)| e.seq).max();
+        let split = full
+            .matches()
+            .iter()
+            .flatten()
+            .filter_map(completing)
+            .filter_map(|seq| events.iter().position(|e| e.seq == seq))
+            .min_by_key(|&at| at.abs_diff(events.len() / 2))
+            .expect("the trace must match");
+        let (head, tail) = events.split_at(split);
+        let mut first = fresh(&deployment);
+        let before = drive_counting_rule_outs(&mut first, &mut Recorder::default(), head);
+        assert!(before > 0, "readers are ruled out before the save");
+        let mut snap = first.save();
+        drop(first);
+        let mut resumed = fresh(&deployment);
+        resumed.restore(&mut snap).unwrap();
+        let after = drive_counting_rule_outs(&mut resumed, &mut Recorder::default(), tail);
+        assert!(after > 0, "and after the restore");
+
+        assert_eq!(resumed.save(), full.save());
+        for (q, (got, want)) in resumed.matches().iter().zip(full.matches()).enumerate() {
+            assert_eq!(fingerprints(got), fingerprints(want), "query {q}");
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! full cross-product, and retains on every arrival — on randomized
 //! out-of-order streams, windows, slack factors, eviction strides, and
 //! slot layouts (disjoint, overlapping, many-way, negation-guarded, and
-//! negation-guarded with a composite forbidden pattern) — the last four
+//! negation-guarded with a composite forbidden pattern) — the last five
 //! layouts with equality predicates, so the indexed engine's equality-key
-//! guard runs against the unkeyed reference on payloads whose keys hit,
-//! miss, cross `Int`/`Float`, and are absent.
+//! guard and its key-aware "no partner" check run against the unkeyed
+//! reference on payloads whose keys hit, miss, cross `Int`/`Float`, and are
+//! absent, and on a slot whose keys mostly differ from its partners'.
 //!
 //! Invariants checked per generated stream (see DESIGN.md, "Join engine
 //! internals"):
@@ -34,10 +35,13 @@ fn ps(prims: impl IntoIterator<Item = u8>) -> PrimSet {
 struct Shape {
     query: Query,
     slots: Vec<PrimSet>,
+    /// An event type whose events draw `k` three higher than the others',
+    /// so the two key domains share one value.
+    shifted: Option<u16>,
 }
 
 /// Number of layouts [`shape`] knows.
-const KINDS: u8 = 9;
+const KINDS: u8 = 10;
 
 /// The payload attribute the keyed layouts' predicates compare.
 const K: AttrId = AttrId(0);
@@ -55,7 +59,10 @@ fn eq_k(left: u8, right: u8) -> Predicate {
 /// `[{A},{C},{B}]` and `[{A,C},{B}]` (the `A`–`C` link is transitive only),
 /// `A.k = C.k` over the overlapping `[{A,B},{B,C}]`, and the composite
 /// `NSEQ` with `B.k = D.k` inside the forbidden pattern and `A.k = B.k`
-/// linking it to the positive part.
+/// linking it to the positive part. Last, the chain over three singleton
+/// slots again, with `C`'s keys shifted: a trigger on `A` or `B` mostly
+/// finds a `C` slot that holds only other keys, which rules it out before
+/// any probe.
 fn shape(kind: u8, window: Timestamp) -> Shape {
     let seq_abc_with = |predicates| {
         Query::build(
@@ -89,34 +96,47 @@ fn shape(kind: u8, window: Timestamp) -> Shape {
         0 => Shape {
             query: seq_abc(),
             slots: vec![ps([0, 1]), ps([2])],
+            shifted: None,
         },
         1 => Shape {
             query: seq_abc(),
             slots: vec![ps([0, 1]), ps([1, 2])],
+            shifted: None,
         },
         2 => Shape {
             query: seq_abc(),
             slots: vec![ps([0]), ps([1]), ps([2])],
+            shifted: None,
         },
         4 => Shape {
             query: nseq_a_bd_c_with(vec![]),
             slots: vec![ps([0, 3]), ps([1]), ps([2])],
+            shifted: None,
         },
         5 => Shape {
             query: seq_abc_with(vec![eq_k(0, 1), eq_k(1, 2)]),
             slots: vec![ps([0]), ps([2]), ps([1])],
+            shifted: None,
         },
         6 => Shape {
             query: seq_abc_with(vec![eq_k(0, 1), eq_k(1, 2)]),
             slots: vec![ps([0, 2]), ps([1])],
+            shifted: None,
         },
         7 => Shape {
             query: seq_abc_with(vec![eq_k(0, 2)]),
             slots: vec![ps([0, 1]), ps([1, 2])],
+            shifted: None,
+        },
+        9 => Shape {
+            query: seq_abc_with(vec![eq_k(0, 1), eq_k(1, 2)]),
+            slots: vec![ps([0]), ps([1]), ps([2])],
+            shifted: Some(2),
         },
         8 => Shape {
             query: nseq_a_bd_c_with(vec![eq_k(1, 2), eq_k(0, 1)]),
             slots: vec![ps([0, 3]), ps([1]), ps([2])],
+            shifted: None,
         },
         _ => Shape {
             query: Query::build(
@@ -131,6 +151,7 @@ fn shape(kind: u8, window: Timestamp) -> Shape {
             )
             .unwrap(),
             slots: vec![ps([0, 2]), ps([1])],
+            shifted: None,
         },
     }
 }
@@ -151,7 +172,8 @@ fn arrivals(shape: &Shape, window: Timestamp, n: usize, seed: u64) -> Vec<(usize
         seq += 1;
         let mut payload = Payload::new();
         if keyed {
-            let k = rng.gen_range(0i64..4);
+            let shift = if shape.shifted == Some(ty) { 3 } else { 0 };
+            let k = shift + rng.gen_range(0i64..4);
             match rng.gen_range(0..30) {
                 0 => {}
                 1 => payload.set(K, Value::Float(f64::NAN)),

@@ -20,6 +20,9 @@
 //! rate F 1
 //! ```
 //!
+//! Node indices are below `MAX_NODES` (128) and rates finite and ≥ 0; a
+//! line breaking either is an input error.
+//!
 //! Exit status: 0 when no `Error`-severity diagnostic was produced, 1 when
 //! the plan must be refused, 2 on usage or input errors.
 
@@ -617,6 +620,7 @@ struct RawNetwork {
 
 use muse_core::prelude::EventTypeId;
 use muse_core::prelude::Network;
+use muse_core::types::MAX_NODES;
 
 impl RawNetwork {
     fn build(&self, num_types: usize) -> Network {
@@ -648,6 +652,12 @@ fn parse_network_spec(spec: &str, catalog: &mut Catalog) -> Result<RawNetwork, S
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or(format!("line {}: node needs an index", i + 1))?;
+                if idx >= MAX_NODES {
+                    return Err(format!(
+                        "line {}: node index {idx} out of range (at most {MAX_NODES} nodes)",
+                        i + 1
+                    ));
+                }
                 let mut types = Vec::new();
                 for name in parts {
                     types.push(
@@ -666,6 +676,12 @@ fn parse_network_spec(spec: &str, catalog: &mut Catalog) -> Result<RawNetwork, S
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or(format!("line {}: rate needs a number", i + 1))?;
+                if !(rate.is_finite() && rate >= 0.0) {
+                    return Err(format!(
+                        "line {}: rate must be finite and ≥ 0, got {rate}",
+                        i + 1
+                    ));
+                }
                 let ty = catalog
                     .event_type_or_add(name)
                     .map_err(|e| format!("line {}: {e}", i + 1))?;
@@ -684,4 +700,119 @@ fn parse_network_spec(spec: &str, catalog: &mut Catalog) -> Result<RawNetwork, S
         rates,
         num_nodes,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Parses `spec` and, when it parses, builds the network as the CLI
+    /// does once the queries have registered their types.
+    fn parse_and_build(spec: &str) -> Result<Network, String> {
+        let mut catalog = Catalog::new();
+        let raw = parse_network_spec(spec, &mut catalog)?;
+        Ok(raw.build(catalog.num_event_types()))
+    }
+
+    #[test]
+    fn parses_a_valid_network() {
+        let network =
+            parse_and_build("# comment\nnode 0 C F\nnode 2 L\nrate C 100\nrate F 0.5\n").unwrap();
+        assert_eq!(network.num_nodes(), 3);
+        assert_eq!(network.num_types(), 3);
+    }
+
+    #[test]
+    fn hostile_lines_are_line_errors() {
+        let last = MAX_NODES - 1;
+        assert!(parse_and_build(&format!("node {last} X")).is_ok());
+        for (spec, message) in [
+            ("node 200 X", "line 1: node index 200 out of range"),
+            (
+                "node 0 X\nnode 18446744073709551615 X",
+                "line 2: node index 18446744073709551615 out of range",
+            ),
+            (
+                "node 0 X\nrate X NaN",
+                "line 2: rate must be finite and ≥ 0, got NaN",
+            ),
+            (
+                "node 0 X\nrate X -3",
+                "line 2: rate must be finite and ≥ 0, got -3",
+            ),
+            (
+                "node 0 X\nrate X inf",
+                "line 2: rate must be finite and ≥ 0, got inf",
+            ),
+            (
+                "node 0 X\nrate X -inf",
+                "line 2: rate must be finite and ≥ 0, got -inf",
+            ),
+            ("node -1 X", "line 1: node needs an index"),
+            ("node 18446744073709551616 X", "line 1: node needs an index"),
+            ("node 0 X\nrate X", "line 2: rate needs a number"),
+            ("edge 0 1", "line 1: unknown directive 'edge'"),
+            ("", "network has no 'node' lines"),
+        ] {
+            let err = parse_and_build(spec).expect_err(spec);
+            assert!(err.starts_with(message), "{spec:?}: {err}");
+        }
+    }
+
+    /// Numbers at and past the limits that used to panic.
+    #[rustfmt::skip]
+    const NUMBERS: &[&str] = &[
+        "0", "1", "2", "127", "128", "200", "-1", "-3", "0.5", "1e3", "NaN", "nan", "inf",
+        "-inf", "1e309", "18446744073709551615", "18446744073709551616",
+    ];
+
+    const NAMES: &[&str] = &["X", "Y", "Z", "_", "node", "rate"];
+
+    /// A well-formed `node` or `rate` line over [`NUMBERS`] and [`NAMES`], a
+    /// comment, or a soup of those words and printable ASCII runs.
+    fn line(rng: &mut StdRng) -> String {
+        fn pick(rng: &mut StdRng, words: &[&str]) -> String {
+            words[rng.gen_range(0..words.len())].to_string()
+        }
+        match rng.gen_range(0..5) {
+            0 | 1 => {
+                let types: Vec<String> =
+                    (0..rng.gen_range(0..3)).map(|_| pick(rng, NAMES)).collect();
+                format!("node {} {}", pick(rng, NUMBERS), types.join(" "))
+            }
+            2 => format!("rate {} {}", pick(rng, NAMES), pick(rng, NUMBERS)),
+            3 => format!("# {}", pick(rng, NUMBERS)),
+            _ => {
+                let words: Vec<String> = (0..rng.gen_range(0..8))
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => pick(rng, NUMBERS),
+                        1 => pick(rng, NAMES),
+                        _ => (0..rng.gen_range(1..12))
+                            .map(|_| char::from(b' ' + rng.gen_range(0..95u8)))
+                            .collect(),
+                    })
+                    .collect();
+                words.join(" ")
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5_000))]
+
+        /// No `.net` text panics the parser or the network it builds:
+        /// every input is a network or a `line N: …` style error.
+        #[test]
+        fn arbitrary_lines_never_panic(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let spec: Vec<String> = (0..rng.gen_range(0..6)).map(|_| line(&mut rng)).collect();
+            let spec = spec.join("\n");
+            let outcome = catch_unwind(AssertUnwindSafe(|| parse_and_build(&spec).map(|_| ())));
+            prop_assert!(outcome.is_ok(), "{spec:?} panicked");
+        }
+    }
 }

@@ -2,7 +2,8 @@
 # Tier-1 CI gate: release build, workspace test suite, lint gates (fmt,
 # clippy, rustdoc), static verification of the example queries/plans and a
 # `muse-verify migrate` smoke over them (the certified pair must exit 0,
-# the narrowed pair must be refused — no test runs the binary), the loom
+# the narrowed pair must be refused — no test runs the binary) and a
+# hostile `.net` file that `muse-verify plan` must reject with exit 2, the loom
 # concurrency lane, the driver-parity suites once more in the release
 # profile (thread interleavings there are the ones bench/ measures, far
 # less tame than the dev profile's; shared join inputs, snapshot restore
@@ -56,6 +57,20 @@ cargo run -q -p muse-verify --release --bin muse-verify -- \
     query examples/queries/*.sase
 cargo run -q -p muse-verify --release --bin muse-verify -- \
     plan examples/queries/factory_robots.sase --network examples/queries/factory.net
+
+echo "== verify: muse-verify plan refuses a hostile network file =="
+# A `.net` line out of the parser's range must be an input error (exit 2),
+# not a panic (exit 101).
+hostile_net="$(mktemp)"
+printf 'node 200 X\nrate X NaN\n' >"$hostile_net"
+status=0
+cargo run -q -p muse-verify --release --bin muse-verify -- \
+    plan examples/queries/factory_robots.sase --network "$hostile_net" || status=$?
+rm -f "$hostile_net"
+if [ "$status" -ne 2 ]; then
+    echo "ci.sh: muse-verify plan on a hostile network exited $status, expected 2" >&2
+    exit 1
+fi
 
 echo "== verify: muse-verify migrate over examples/queries =="
 # The certified pair (append-only edit) must exit 0 …

@@ -452,6 +452,15 @@ fn shared_inputs_end_to_end() {
         );
     }
     assert!(sim.metrics.sink_matches > 0, "the workload must match");
+    // The join account, recorded before readers were asked whether they can
+    // match: the check only skips probes that would have emitted nothing, so
+    // every count but the probes stays, and the probes fall.
+    let join = &sim.metrics.join;
+    assert_eq!(
+        (join.inputs, join.emitted, join.evicted, join.peak_buffered),
+        (9_581, 10_533, 3_111, 281)
+    );
+    assert!(join.probes < 214_354, "{} probes", join.probes);
     // One wire message per (match, destination input): here exactly the
     // §4.4 charge of one per (stream, destination node).
     assert_eq!(
