@@ -15,7 +15,9 @@
 //! | Fig. 8 | case-study latency and throughput (MS vs. OP) | `fig8` |
 //!
 //! Run with `cargo run -p muse-bench --release --bin harness -- all`.
-//! Criterion micro/ablation benches live under `benches/`.
+//! Every other wall-clock number (join engine, codec, checkpoint and
+//! telemetry cost, multi-query set-up) comes from the pinned benchmark
+//! under `bench/`, run with `bench/run.sh`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,12 +25,12 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod experiments;
-pub mod matcher_stress;
 pub mod observe;
 pub mod runner;
-pub mod stats;
+mod stats;
 pub mod telemetry;
-pub mod transport_stress;
+#[cfg(test)]
+mod transport_stress;
 
 pub use experiments::{all_experiments, run_experiment, ExperimentOutput};
 pub use runner::{evaluate_workload, StrategyCosts, SweepSettings};

@@ -39,13 +39,6 @@ pub fn summarize(values: &[f64]) -> Summary {
     }
 }
 
-/// Geometric mean (transmission ratios are multiplicative quantities).
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty());
-    let log_sum: f64 = values.iter().map(|v| v.max(f64::MIN_POSITIVE).ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,12 +67,6 @@ mod tests {
         assert_eq!(s.min, 7.0);
         assert_eq!(s.max, 7.0);
         assert_eq!(s.median, 7.0);
-    }
-
-    #[test]
-    fn geometric_mean_of_ratios() {
-        let v = [0.01, 1.0];
-        assert!((geometric_mean(&v) - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -1,19 +1,10 @@
-//! The transport-bound distributed workload shared by the provenance
-//! criterion bench and the crash-recovery tests of this crate.
-//!
-//! A relay topology: three edge nodes each produce one frequent event
-//! type, two center nodes each produce a rare anchor type, and each query
-//! `SEQ(edge_i, anchor_c)` is pinned wholesale to its center `c` through a
-//! hand-built [`OperatorPlacement`] — deliberately *not* an aMuSE plan,
-//! because aMuSE exists to minimize exactly the traffic this workload
-//! needs. Every edge event therefore crosses the network to every center
-//! as a single-event partial match (the streams differ per center, so
-//! the once-per-node charge cannot share them), while the join work
-//! there stays linear: edge partials are inserted into a window store that
-//! only the rare anchors sweep. The result is a run whose cost is
-//! dominated by the inter-node data plane — the component the batched
-//! transport optimizes — rather than by the join engine, which
-//! [`crate::matcher_stress`] isolates.
+//! The relay fixture of this crate's crash-recovery tests, which
+//! `bench/`'s `relay` workload enlarges: three edge nodes each produce one
+//! frequent event type, two center nodes each produce a rare anchor type,
+//! and each query `SEQ(edge_i, anchor_c)` is pinned wholesale to its
+//! center `c` through a hand-built [`OperatorPlacement`] — deliberately
+//! *not* an aMuSE plan — so every edge event crosses the network to every
+//! center, and a crash rolls back a network's worth of traffic.
 
 use muse_core::algorithms::baselines::{placement_to_graph, OperatorPlacement};
 use muse_core::catalog::Catalog;

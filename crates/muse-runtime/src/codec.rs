@@ -14,7 +14,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use muse_core::event::{Event, Payload, Value};
-use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId};
+use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, MAX_PRIMS};
 
 use crate::matcher::Match;
 
@@ -40,16 +40,18 @@ pub fn decode_match(mut buf: impl Buf) -> Option<Match> {
     try_decode_match(&mut bytes.as_slice())
 }
 
-/// Decodes the match at the front of a byte slice: `None` on truncation or
-/// a malformed value. Consumes from the front of `buf` exactly as far as
-/// the match extends on success.
+/// Decodes the match at the front of a byte slice: `None` on truncation, a
+/// malformed value, or a primitive id no [`PrimSet`] can hold. Consumes
+/// from the front of `buf` exactly as far as the match extends on success.
+///
+/// [`PrimSet`]: muse_core::types::PrimSet
 pub fn try_decode_match(buf: &mut &[u8]) -> Option<Match> {
     let n = try_get_u16(buf)? as usize;
     // Every entry takes more than one byte: a count beyond the remaining
     // bytes is corrupt, and must not size the buffer.
     let mut entries = Vec::with_capacity(n.min(buf.len()));
     for _ in 0..n {
-        let prim = PrimId(try_get_u8(buf)?);
+        let prim = PrimId(try_get_u8(buf).filter(|&p| usize::from(p) < MAX_PRIMS)?);
         let event = try_decode_event(buf)?;
         entries.push((prim, event));
     }
@@ -184,6 +186,7 @@ pub fn encoded_len(m: &Match) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muse_core::types::PrimSet;
 
     fn sample_event() -> Event {
         let mut p = Payload::new();
@@ -236,6 +239,19 @@ mod tests {
         let mut bad_tag = encoded;
         bad_tag[2 + 1 + 21 + 1] = 9;
         assert_eq!(try_decode_match(&mut bad_tag.as_slice()), None);
+    }
+
+    #[test]
+    fn prim_ids_beyond_a_prim_set_decode_to_none() {
+        let m = Match::single(PrimId(1), Event::new(1, EventTypeId(0), 1, NodeId(0)));
+        let mut encoded = encode_match(&m).chunk().to_vec();
+        for prim in [MAX_PRIMS - 1, MAX_PRIMS, 200, 255] {
+            // The prim byte follows the two-byte entry count.
+            encoded[2] = prim as u8;
+            let prims = try_decode_match(&mut encoded.as_slice()).map(|m| m.prims());
+            let want = (prim < MAX_PRIMS).then(|| PrimSet::single(PrimId(prim as u8)));
+            assert_eq!(prims, want, "prim {prim}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! The deployment owns copies of the workload queries so executors are
 //! self-contained (no lifetimes into the planning structures).
 
-use crate::matcher::join::{slot_key_terms, Term};
+use crate::matcher::join::{carried_prims, slot_key_terms, Term};
 use crate::matcher::JoinTask;
 use muse_core::event::{Event, Timestamp, Value};
 use muse_core::graph::{MuseGraph, PlanContext, Vertex};
@@ -548,6 +548,20 @@ impl Deployment {
     /// an index out of range).
     pub fn input_of(&self, task: usize, slot: usize) -> Option<usize> {
         self.slot_inputs.get(task)?.get(slot).copied()
+    }
+
+    /// The primitives every match delivered to join input `input` assigns
+    /// (see [`carried_prims`]); its readers share their feeders, so the
+    /// first reader's slot tells. `None` for an input out of range.
+    pub(crate) fn input_prims(&self, input: usize) -> Option<PrimSet> {
+        let &(task, slot) = self.inputs.get(input)?.readers.first()?;
+        let spec = &self.tasks[task];
+        match &spec.kind {
+            TaskKind::Join { slots } => {
+                Some(carried_prims(&self.queries[spec.query_idx], slots[slot]))
+            }
+            TaskKind::Source { .. } => None,
+        }
     }
 
     /// The readers of `input` that store its matches — its positive slots,

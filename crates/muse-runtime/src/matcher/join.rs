@@ -64,8 +64,8 @@
 //! Eviction is a logical watermark applied at probe time, with the physical
 //! prefix truncated only every [`JoinTask::with_evict_stride`] ticks of
 //! horizon progress — the emitted match stream is identical to the naive
-//! retain-per-arrival strategy ([`NaiveJoinTask`]), which is kept as the
-//! reference implementation for equivalence tests and benchmarks.
+//! retain-per-arrival strategy (`NaiveJoinTask`), which test builds keep as
+//! the reference implementation of the join-equivalence property suite.
 //!
 //! [`Value::eq_key`]: muse_core::event::Value::eq_key
 
@@ -242,6 +242,19 @@ fn slot_specs(query: &Query, predecessors: &[PrimSet]) -> Vec<SlotSpec> {
             negated: prims.is_subset(negated_prims),
         })
         .collect()
+}
+
+/// The primitives every match on a slot reading `prims` assigns. A join
+/// emits its positive primitives only, so a slot reading a projection
+/// that holds a whole `NSEQ` context carries none of its negated ones; a
+/// negation guard slot (negated primitives only) carries its own.
+pub(crate) fn carried_prims(query: &Query, prims: PrimSet) -> PrimSet {
+    let negated = query.negated_prims();
+    if prims.is_subset(negated) {
+        prims
+    } else {
+        prims.difference(negated)
+    }
 }
 
 /// The term each slot of [`JoinTask::with_slack`]`(query, target,
@@ -835,13 +848,31 @@ impl JoinTask {
     /// Grafts a saved dynamic state onto this (freshly rebuilt) join
     /// task. Fails when the state's slot or negation structure does not
     /// match the task's — the symptom of restoring against a different
-    /// plan than the one that produced the snapshot.
+    /// plan than the one that produced the snapshot — or when a buffered
+    /// match does not assign exactly the primitives of its place: those
+    /// its slot carries (its positive ones, or a guard slot's own), its
+    /// negation's negated
+    /// primitives, or (deferred) the join's positive ones. Probing with a
+    /// primitive the query lacks would index its order table out of range.
     pub fn restore_state(&mut self, state: JoinState) -> Result<(), &'static str> {
         if state.stores.len() != self.stores.len() {
             return Err("join slot count differs from snapshot");
         }
         if state.negations.len() != self.negations.len() {
             return Err("join negation count differs from snapshot");
+        }
+        let fit = |matches: &[Match], prims| matches.iter().all(|m| m.assigns_exactly(prims));
+        let carried = |spec: &SlotSpec| carried_prims(&self.query, spec.prims);
+        if !(state.stores.iter().zip(&self.slots)).all(|(s, spec)| fit(&s.matches, carried(spec))) {
+            return Err("a stored match's primitives differ from its slot's");
+        }
+        if !(state.negations.iter().zip(&self.negations))
+            .all(|((_, forbidden), neg)| fit(&forbidden.matches, neg.context.negated))
+        {
+            return Err("a forbidden match's primitives differ from its negation's");
+        }
+        if !fit(&state.deferred, self.positive) {
+            return Err("a deferred match's primitives differ from its join's");
         }
         // Keys are derived state, like the spans: recomputed, not restored.
         self.stores = state
@@ -891,12 +922,12 @@ pub(crate) fn default_stride(window: Timestamp) -> Timestamp {
 /// [`is_valid_match`] to reject incompatible pairs, and a `retain` scan of
 /// every store on every arrival.
 ///
-/// Kept as the reference implementation: the equivalence property suite
-/// (`tests/join_equivalence.rs`) checks that [`JoinTask`] emits an
-/// identical match stream, and the matcher benchmark measures the indexed
-/// engine's speedup against it.
+/// Kept, in test builds only, as the reference implementation: the
+/// equivalence property suite (`matcher::join_equivalence`) checks that
+/// [`JoinTask`] emits an identical match stream.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct NaiveJoinTask {
+pub(crate) struct NaiveJoinTask {
     query: Query,
     positive: PrimSet,
     slots: Vec<SlotSpec>,
@@ -907,6 +938,7 @@ pub struct NaiveJoinTask {
     emitted: u64,
 }
 
+#[cfg(test)]
 #[derive(Debug, Clone)]
 struct NaiveNegationCheck {
     context: NSeqContext,
@@ -914,9 +946,10 @@ struct NaiveNegationCheck {
     forbidden: Vec<Match>,
 }
 
+#[cfg(test)]
 impl NaiveJoinTask {
     /// See [`JoinTask::with_slack`].
-    pub fn with_slack(
+    pub(crate) fn with_slack(
         query: &Query,
         target: PrimSet,
         predecessors: &[PrimSet],
@@ -949,23 +982,18 @@ impl NaiveJoinTask {
         }
     }
 
-    /// The input slots.
-    pub fn slots(&self) -> &[SlotSpec] {
-        &self.slots
-    }
-
     /// Total buffered matches across positive stores.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.stores.iter().map(Vec::len).sum()
     }
 
     /// Matches emitted so far.
-    pub fn emitted(&self) -> u64 {
+    pub(crate) fn emitted(&self) -> u64 {
         self.emitted
     }
 
     /// See [`JoinTask::on_match`].
-    pub fn on_match(&mut self, slot: usize, m: Match) -> Vec<Match> {
+    pub(crate) fn on_match(&mut self, slot: usize, m: Match) -> Vec<Match> {
         self.max_time = self.max_time.max(m.last_time());
         for neg in &mut self.negations {
             for (prim, event) in m.entries() {

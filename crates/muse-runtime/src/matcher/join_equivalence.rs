@@ -19,10 +19,11 @@
 //! 3. the indexed engine's output does not depend on the eviction stride,
 //! 4. total emission counters agree.
 
+use super::join::NaiveJoinTask;
+use super::{JoinTask, Match};
 use muse_core::event::{Event, Payload, Timestamp, Value};
 use muse_core::query::{CmpOp, Pattern, Predicate, Query};
 use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, PrimSet, QueryId};
-use muse_runtime::matcher::{JoinTask, Match, NaiveJoinTask};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

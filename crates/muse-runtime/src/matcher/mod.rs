@@ -8,6 +8,8 @@
 
 pub mod evaluator;
 pub mod join;
+#[cfg(test)]
+mod join_equivalence;
 pub mod store;
 
 use muse_core::event::{Event, Timestamp};
@@ -16,7 +18,7 @@ use muse_core::types::PrimSet;
 use std::sync::Arc;
 
 pub use evaluator::Evaluator;
-pub use join::{JoinState, JoinTask, NaiveJoinTask, SlotSpec};
+pub use join::{JoinState, JoinTask, SlotSpec};
 pub use store::{MatchStore, StoreState, StoredMatch};
 
 /// A (partial) match: events assigned to primitive operators, sorted by
@@ -140,6 +142,19 @@ impl Match {
     /// deduplication and comparison with ground-truth results.
     pub fn fingerprint(&self) -> Vec<u64> {
         self.events.iter().map(|(_, e)| e.seq).collect()
+    }
+
+    /// Whether the match assigns exactly `prims`, one event each — as every
+    /// match buffered or delivered for a slot of those primitives does.
+    /// Unlike comparing [`Match::prims`], never panics on a primitive id
+    /// that no [`PrimSet`] can hold.
+    pub(crate) fn assigns_exactly(&self, prims: PrimSet) -> bool {
+        self.len() == prims.len()
+            && self
+                .events
+                .iter()
+                .zip(prims.iter())
+                .all(|((p, _), q)| *p == q)
     }
 }
 

@@ -631,9 +631,10 @@ impl<'a> NodeCore<'a> {
     /// snapshot, the first continues the interrupted totals and the others
     /// start from zero.
     ///
-    /// Fails when the snapshot's task structure does not fit the plan, or
-    /// the readers of a shared input carry different buffers; the core is
-    /// then partially restored and must be dropped.
+    /// Fails when the snapshot's task structure does not fit the plan, the
+    /// readers of a shared input carry different buffers, or a buffered
+    /// match does not assign exactly the primitives its slot carries; the
+    /// core is then partially restored and must be dropped.
     pub fn restore(&mut self, snap: &mut Snapshot) -> Result<(), CheckpointError> {
         let deployment = self.deployment;
         if snap.tasks.len() != deployment.tasks.len() {
@@ -739,6 +740,12 @@ impl<'a> NodeCore<'a> {
             }
         }
         let mut state = carried.unwrap_or_default();
+        let prims = self.deployment.input_prims(shared.input);
+        if !prims.is_some_and(|prims| state.matches.iter().all(|m| m.assigns_exactly(prims))) {
+            return Err(CheckpointError::Shape(
+                "a shared buffer's match primitives differ from its input's",
+            ));
+        }
         state.horizon = state
             .matches
             .last()
@@ -1067,6 +1074,41 @@ mod tests {
         for (q, (got, want)) in resumed.matches().iter().zip(full.matches()).enumerate() {
             assert_eq!(fingerprints(got), fingerprints(want), "query {q}");
         }
+    }
+
+    #[test]
+    fn a_shared_buffer_entry_in_the_wrong_slot_is_refused() {
+        // Every reader of a shared `t0` input carries the same buffer, one
+        // entry relabelled to a primitive no query has: the readers agree,
+        // but the next probe would index a query's order table out of range.
+        let seq02 = Pattern::seq([Pattern::leaf(t(0)), Pattern::leaf(t(2))]);
+        let seq12 = Pattern::seq([Pattern::leaf(t(1)), Pattern::leaf(t(2))]);
+        let deployment = fig1_deployment(&[(robots(), 400), (seq02, 400), (seq12, 400)]);
+        let mut core = fresh(&deployment);
+        drive(&mut core, &mut Recorder::default(), &fig1_trace(13));
+        let mut snap = core.save();
+        let readers = core
+            .shared
+            .iter()
+            .map(|shared| shared.readers.clone())
+            .find(|readers| {
+                let (task, slot) = readers[0];
+                !snap.tasks[task].as_ref().unwrap().stores[slot]
+                    .matches
+                    .is_empty()
+            })
+            .expect("a shared input buffers matches");
+        for &(task, slot) in &readers {
+            let matches = &mut snap.tasks[task].as_mut().unwrap().stores[slot].matches;
+            let entries = matches[0].entries().iter();
+            matches[0] = Match::new(entries.map(|(_, e)| (PrimId(7), e.clone())).collect());
+        }
+        assert_eq!(
+            fresh(&deployment).restore(&mut snap),
+            Err(CheckpointError::Shape(
+                "a shared buffer's match primitives differ from its input's"
+            ))
+        );
     }
 
     #[test]

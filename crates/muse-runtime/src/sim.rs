@@ -273,7 +273,8 @@ impl<'a> SimExecutor<'a> {
 
 /// Collapses a snapshot's per-reader pending deliveries back into input
 /// deliveries: each run of adjacent entries with equal `(time, trigger,
-/// match)` that lists an input's readers in order is one delivery to it.
+/// match)` that lists an input's readers in order is one delivery to it,
+/// and its match must assign exactly the primitives the input carries.
 fn collapse_pending(
     deployment: &Deployment,
     pending: &[PendingDelivery],
@@ -297,6 +298,12 @@ fn collapse_pending(
         if group.is_none() {
             return Err(CheckpointError::Shape(
                 "pending deliveries to a join input miss some of its readers",
+            ));
+        }
+        let prims = deployment.input_prims(input);
+        if !prims.is_some_and(|prims| first.m.assigns_exactly(prims)) {
+            return Err(CheckpointError::Shape(
+                "a pending match's primitives differ from its input's",
             ));
         }
         scheduled.push(Scheduled {

@@ -15,7 +15,7 @@ use muse_core::query::{Pattern, Predicate};
 use muse_core::types::{EventTypeId, NodeId};
 use muse_core::workload::Workload;
 use muse_runtime::checkpoint::{self, CheckpointError};
-use muse_runtime::deploy::Deployment;
+use muse_runtime::deploy::{Deployment, TaskKind};
 use muse_runtime::matcher::Match;
 use muse_runtime::sim::{SimConfig, SimExecutor};
 use muse_runtime::telemetry::TelemetrySpec;
@@ -45,12 +45,16 @@ fn network() -> Network {
 }
 
 fn trace(network: &Network, seed: u64) -> Vec<Event> {
+    scaled_trace(network, 0.05, seed)
+}
+
+fn scaled_trace(network: &Network, rate_scale: f64, seed: u64) -> Vec<Event> {
     muse_sim::traces::generate_traces(
         network,
         &muse_sim::traces::TraceConfig {
             duration: 30.0,
             ticks_per_unit: 100.0,
-            rate_scale: 0.05,
+            rate_scale,
             key_domain: 0,
             band_domain: 0,
             seed,
@@ -60,7 +64,7 @@ fn trace(network: &Network, seed: u64) -> Vec<Event> {
 
 fn deploy(pattern: Pattern, window: Timestamp, network: &Network) -> Deployment {
     let workload = Workload::from_patterns(
-        Catalog::with_anonymous_types(3),
+        Catalog::with_anonymous_types(network.num_types()),
         [(pattern, Vec::<Predicate>::new(), window)],
     )
     .expect("pattern builds a workload");
@@ -422,5 +426,117 @@ fn resume_rejects_foreign_plan() {
         }
         Err(other) => panic!("wrong error: {other:?}"),
         Ok(_) => panic!("foreign plan must be rejected"),
+    }
+}
+
+/// `SEQ(NSEQ(t0, t1, t2), t3)` with rare t0–t2 at nodes 0 and 1 and a
+/// frequent t3 at nodes 2 and 3: aMuSE checks the negation once, at node
+/// 0, and ships its `{t0, t2}` matches to a sink at each t3 node, which
+/// reads them on a `{t0, t1, t2}` slot.
+fn nested_nseq() -> (Network, Deployment) {
+    let net = NetworkBuilder::new(4, 4)
+        .node(n(0), [t(0), t(1), t(2)])
+        .node(n(1), [t(0), t(1), t(2)])
+        .node(n(2), [t(3)])
+        .node(n(3), [t(3)])
+        .rate(t(0), 1.0)
+        .rate(t(1), 1.0)
+        .rate(t(2), 1.0)
+        .rate(t(3), 100.0)
+        .build();
+    let [a, b, c, d] = [0, 1, 2, 3].map(|i| Pattern::leaf(t(i)));
+    let deployment = deploy(Pattern::seq([Pattern::nseq(a, b, c), d]), 100, &net);
+    (net, deployment)
+}
+
+/// The `(task, slot)` of every sink slot that reads a whole `NSEQ`
+/// context: its matches carry fewer primitives than the slot names.
+fn context_slots(deployment: &Deployment) -> Vec<(usize, usize)> {
+    let query = &deployment.queries[0];
+    let mut found = Vec::new();
+    for (task, spec) in deployment.tasks.iter().enumerate() {
+        if let (true, TaskKind::Join { slots }) = (spec.is_sink, &spec.kind) {
+            for (slot, prims) in slots.iter().enumerate() {
+                if !prims.intersect(query.negated_prims()).is_empty() && prims.len() > 1 {
+                    found.push((task, slot));
+                }
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn nseq_context_slots_survive_save_and_restore_in_both_executors() {
+    let (net, deployment) = nested_nseq();
+    let slots = context_slots(&deployment);
+    assert!(!slots.is_empty(), "a sink reads an NSEQ context slot");
+    let events = scaled_trace(&net, 1.0, 7);
+    let sim_config = SimConfig::default();
+    let full = {
+        let mut exec = SimExecutor::new(&deployment, sim_config.clone());
+        exec.process_trace(&events);
+        exec.finish()
+    };
+    assert!(
+        full.metrics.sink_matches > 0,
+        "workload must produce matches"
+    );
+
+    // Simulator: snapshot mid-run with context matches buffered, restore,
+    // run the rest.
+    let n = events.len();
+    for split in [n / 4, n / 2, 3 * n / 4] {
+        let mut exec = SimExecutor::new(&deployment, sim_config.clone());
+        exec.process_trace(&events[..split]);
+        let snap = checkpoint::snapshot(&exec).expect("sim snapshots");
+        drop(exec);
+        let decoded = checkpoint::decode_for(&deployment, &snap).expect("snapshot decodes");
+        assert!(
+            slots.iter().any(|&(task, slot)| {
+                let join = decoded.tasks[task].as_ref().expect("sink state");
+                !join.stores[slot].matches.is_empty()
+            }),
+            "split {split}: a sink buffers context matches"
+        );
+        let mut resumed =
+            checkpoint::restore(&deployment, sim_config.clone(), &snap).expect("sim restores");
+        resumed.process_trace(&events[split..]);
+        let report = resumed.finish();
+        assert_eq!(
+            fingerprints(&report.matches[0]),
+            fingerprints(&full.matches[0]),
+            "split {split}: matches diverge"
+        );
+        assert_eq!(
+            report.metrics.sink_matches, full.metrics.sink_matches,
+            "split {split}: sink_matches"
+        );
+    }
+
+    // Threaded: a crash of a sink's node restores its chunk-start shard.
+    let baseline = run_threaded(&deployment, &events, &ThreadedConfig::default());
+    assert_eq!(
+        fingerprints(&baseline.matches[0]),
+        fingerprints(&full.matches[0]),
+        "threaded and simulated runs agree"
+    );
+    for node in [2usize, 3] {
+        let local = events.iter().filter(|e| e.origin.index() == node).count() as u64;
+        let config = ThreadedConfig {
+            fault: Some(FaultPlan {
+                node,
+                crash_at: local / 2,
+                restart_delay: Duration::ZERO,
+            }),
+            ..ThreadedConfig::default()
+        };
+        let faulted = run_threaded(&deployment, &events, &config);
+        let ctx = format!("crash node {node} at injection {}", local / 2);
+        assert_eq!(
+            faulted.metrics.recovery.crashes, 1,
+            "{ctx}: crash must fire"
+        );
+        assert_equal_outcomes(&faulted, &baseline, &ctx);
     }
 }

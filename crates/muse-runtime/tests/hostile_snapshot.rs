@@ -2,8 +2,10 @@
 //! buffered state, then single bytes overwritten, bits flipped, or a random
 //! tail spliced on. `checkpoint::decode` must return `Err` or a snapshot
 //! that re-encodes, never panic, and never size a buffer from a length
-//! prefix beyond the input — which this binary's allocator measures. The
-//! flight-recorder dump format gets the same treatment.
+//! prefix beyond the input — which this binary's allocator measures. A
+//! snapshot that decodes must in turn be refused by restore or resume
+//! without a panic. The flight-recorder dump format gets the same
+//! treatment as snapshots.
 
 use muse_core::algorithms::amuse::{amuse, AMuseConfig};
 use muse_core::event::{Event, Payload, Value};
@@ -11,7 +13,9 @@ use muse_core::graph::PlanContext;
 use muse_core::network::{Network, NetworkBuilder};
 use muse_core::query::{CmpOp, Pattern, Predicate, Query};
 use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, QueryId};
-use muse_runtime::checkpoint::{decode, encode, PendingDelivery};
+use muse_runtime::checkpoint::{
+    decode, decode_for, encode, restore, CheckpointError, PendingDelivery, Snapshot,
+};
 use muse_runtime::matcher::{JoinState, StoreState};
 use muse_runtime::{decode_dump, FlightRecord, FlightRing};
 use muse_runtime::{Deployment, Match, SimConfig, SimExecutor};
@@ -135,6 +139,32 @@ fn mid_run_snapshots() -> [Vec<u8>; 2] {
     ]
 }
 
+/// The deployments of [`mid_run_snapshots`], in the same order.
+fn mid_run_deployments() -> [Deployment; 2] {
+    [keyed_two_node_deployment(), composite_guard_deployment()]
+}
+
+/// Events that follow [`mid_run_snapshots`]' prefixes, in the same order:
+/// keyed `B`s that probe the buffered `A`s, and the rest of the composite
+/// guard with a second `A … C` around it.
+fn tails() -> [Vec<Event>; 2] {
+    let keyed = |seq, ty: u16, time, k: i64| {
+        let payload = Payload::from_pairs(vec![(AttrId(0), Value::Int(k))]);
+        Event::with_payload(seq, EventTypeId(ty), time, NodeId(ty), payload)
+    };
+    let ev = |seq, ty: u16, time| Event::new(seq, EventTypeId(ty), time, NodeId(ty));
+    [
+        vec![keyed(4, 1, 20, 1), keyed(5, 0, 22, 2), keyed(6, 1, 24, 2)],
+        vec![
+            ev(2, 2, 25),
+            ev(3, 3, 30),
+            ev(4, 0, 35),
+            ev(5, 1, 40),
+            ev(6, 3, 50),
+        ],
+    ]
+}
+
 fn mutate(bytes: &mut Vec<u8>, mutation: u8, rng: &mut StdRng) {
     match mutation {
         0 => {
@@ -217,6 +247,86 @@ proptest! {
             let redecoded = decode(&again);
             prop_assert!(redecoded.is_ok(), "re-encoded snapshot refused: {:?}", redecoded.err());
             prop_assert_eq!(encode(&redecoded.unwrap()), again);
+        }
+    }
+}
+
+/// A match that does not assign exactly the primitives of where it sits,
+/// once in each place a snapshot holds matches that restore does not
+/// rebuild. Structure and plan fingerprint are intact, so each decodes,
+/// but restore must refuse it: the next `B` would probe a buffered or
+/// pending `A` under a primitive the query lacks and index the query's
+/// order table out of range.
+#[test]
+fn a_match_in_the_wrong_place_is_refused_on_restore() {
+    fn join(snap: &mut Snapshot, task: usize) -> &mut JoinState {
+        snap.tasks[task].as_mut().unwrap()
+    }
+    let [keyed, composite] = mid_run_snapshots().map(|bytes| decode(&bytes).unwrap());
+    let [keyed_deployment, composite_deployment] = mid_run_deployments();
+    let buffering = |j: &JoinState| j.stores.iter().position(|s| !s.matches.is_empty());
+    let (task, slot) = (keyed.tasks.iter().enumerate())
+        .find_map(|(t, j)| Some((t, buffering(j.as_ref()?)?)))
+        .expect("the keyed join buffers the As");
+    let sink = (composite.tasks.iter())
+        .position(|j| j.as_ref().is_some_and(|j| !j.negations.is_empty()))
+        .expect("the sink join checks the negation");
+    let foreign_a = Match::single(PrimId(7), Event::new(9, EventTypeId(0), 18, NodeId(0)));
+    let lone_b = Match::single(PrimId(1), Event::new(9, EventTypeId(1), 18, NodeId(1)));
+    let mut cases = [
+        ("slot store", &keyed_deployment, keyed.clone()),
+        ("pending delivery", &keyed_deployment, keyed),
+        ("forbidden store", &composite_deployment, composite.clone()),
+        ("deferred candidate", &composite_deployment, composite),
+    ];
+    let buffered = &mut join(&mut cases[0].2, task).stores[slot].matches[0];
+    *buffered = Match::single(PrimId(7), buffered.entries()[0].1.clone());
+    cases[1].2.pending.push(PendingDelivery {
+        time: 18,
+        trigger: 9,
+        sub: 0,
+        target: task,
+        slot,
+        m: foreign_a.clone(),
+    });
+    let (_, forbidden) = &mut join(&mut cases[2].2, sink).negations[0];
+    forbidden.matches.push(lone_b);
+    join(&mut cases[3].2, sink).deferred.push(foreign_a);
+
+    for (place, deployment, snap) in cases {
+        let bytes = encode(&snap);
+        assert!(decode_for(deployment, &bytes).is_ok(), "{place}: decode");
+        let restored = restore(deployment, SimConfig::default(), &bytes);
+        assert!(
+            matches!(restored, Err(CheckpointError::Shape(_))),
+            "{place}: restore accepted the match: {:?}",
+            restored.err()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every mutation that decodes is restored into its deployment (past
+    /// the plan-fingerprint check, which a mutation of the fingerprint
+    /// alone would fail); if the restore succeeds, the executor runs the
+    /// tail and finishes without a panic.
+    #[test]
+    fn hostile_snapshots_that_restore_run_on(
+        which in 0usize..2,
+        mutation in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let mut bytes = mid_run_snapshots()[which].clone();
+        mutate(&mut bytes, mutation, &mut StdRng::seed_from_u64(seed));
+        if let Ok(snap) = decode(&bytes) {
+            let deployment = &mid_run_deployments()[which];
+            let restored = SimExecutor::from_snapshot(deployment, SimConfig::default(), snap);
+            if let Ok(mut executor) = restored {
+                executor.process_trace(&tails()[which]);
+                executor.finish();
+            }
         }
     }
 }

@@ -196,7 +196,6 @@ fn sim_config(spec: TelemetrySpec) -> SimConfig {
     SimConfig {
         slack: SLACK,
         telemetry: Some(spec),
-        ..SimConfig::default()
     }
 }
 

@@ -46,6 +46,18 @@ cargo fmt --check
 echo "== lint: cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
+echo "== lint: cargo clippy --all-targets (first-party packages) -- -D warnings =="
+# Tests and examples too, but only of the root package and every crates/*
+# member: the vendored crates are implicit workspace members whose own
+# tests are not held to this lint set (their libs are, by the lane above).
+first_party=""
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    name=$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)
+    first_party="$first_party -p $name"
+done
+# shellcheck disable=SC2086 # one word per package flag
+cargo clippy --all-targets $first_party -- -D warnings
+
 echo "== lint: cargo doc (intra-doc links of the library crates) =="
 # Every library crate denies rustdoc::broken_intra_doc_links, which only
 # rustdoc evaluates: without this lane a deleted public type leaves its
