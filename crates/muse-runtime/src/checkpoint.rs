@@ -4,12 +4,12 @@
 //! The paper's case-study engine runs each node inside an Ambrosia
 //! *immortal* that checkpoints the application state (input queues and
 //! partial matches) and replays logged calls after a failure. Here the
-//! equivalent durable state is a [`Snapshot`]: per-task join-engine state
-//! (buffered partial matches, negation assemblers, watermarks, counters),
-//! in-flight deliveries, metrics, and collected sink matches. A snapshot
-//! taken mid-run and restored into a fresh executor resumes to exactly the
-//! same results as an uninterrupted run (verified by the executor and
-//! resilience tests).
+//! equivalent durable state is a [`Snapshot`] of a quiescent run: per-task
+//! join-engine state (buffered partial matches, negation assemblers,
+//! watermarks, counters), the node-owned buffer of each shared join input,
+//! metrics, and collected sink matches. A snapshot taken mid-run and
+//! restored into a fresh executor resumes to exactly the same results as
+//! an uninterrupted run (verified by the executor and resilience tests).
 //!
 //! # One schema, both executors
 //!
@@ -18,12 +18,12 @@
 //! ([`crate::sim::SimExecutor`]), and the threaded executor checkpoints at
 //! chunk-quiescence barriers and per-node during fault recovery
 //! ([`crate::threaded::run_threaded`] with checkpointing or a fault plan
-//! enabled). Because both executors produce and consume the same bytes, a
-//! run can be snapshotted under one executor and resumed under the other
-//! (the schema round-trip tests exercise both directions). Executor-
-//! specific fields are simply empty on the other side: the simulator
-//! never has event cursors or wall-clock latencies; a quiesced threaded
-//! snapshot never has pending deliveries.
+//! enabled). Both snapshot only quiescent state, so a snapshot holds no
+//! in-flight delivery. Because both executors produce and consume the same
+//! bytes, a run can be snapshotted under one executor and resumed under
+//! the other (the schema round-trip tests exercise both directions).
+//! Executor-specific fields are simply empty on the other side: the
+//! simulator never has event cursors or wall-clock latencies.
 //!
 //! # Format
 //!
@@ -43,14 +43,15 @@
 //! fail with [`CheckpointError::UnsupportedVersion`]; truncated or
 //! malformed bytes with [`CheckpointError::Malformed`] — never a panic.
 //!
-//! The current format is version 4: each `NSEQ` negation of a join state
+//! The current format is version 5: each piece of state is stored once. A
+//! join input two or more joins store has one buffer
+//! ([`Snapshot::buffers`]), and each reader's [`JoinState`] keeps only its
+//! own horizon for it. Each `NSEQ` negation of a join state
 //! ([`JoinState::negations`]) carries its forbidden-match store and, for a
 //! composite forbidden pattern, the nested [`JoinState`] of the join that
-//! assembles it (version 2 carried an evaluator state there). Version 3
-//! also carried a set of shipped matches; which task is charged for a
-//! transmission is fixed by the deployment
-//! ([`crate::deploy::Fanout::charged_nodes`]), so a snapshot holds no such
-//! memory.
+//! assembles it. Version 4 also carried an in-flight delivery queue and a
+//! copy of every shared buffer in each of its readers' states; versions 1
+//! to 4 are refused by number.
 //!
 //! The one sanctioned way *across* plans is [`map_snapshot`] /
 //! [`restore_mapped`]: given a certified-safe `muse-verify`
@@ -72,7 +73,7 @@ use muse_verify::{CarryMode, MigrationPlan};
 pub const SNAPSHOT_MAGIC: u32 = 0x4d55_5345;
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 4;
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 /// Errors raised by snapshot encode/decode/restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,10 +102,6 @@ pub enum CheckpointError {
     /// negation counts differ despite an equal plan fingerprint — only
     /// possible with corrupted state).
     Shape(&'static str),
-    /// The snapshot holds in-flight deliveries, which the restoring
-    /// executor cannot represent (the threaded executor resumes only from
-    /// quiescent snapshots).
-    NotQuiescent,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -135,36 +132,11 @@ impl std::fmt::Display for CheckpointError {
             }
             CheckpointError::Malformed => write!(f, "snapshot bytes are malformed"),
             CheckpointError::Shape(what) => write!(f, "snapshot shape mismatch: {what}"),
-            CheckpointError::NotQuiescent => {
-                write!(
-                    f,
-                    "snapshot holds in-flight deliveries; executor needs quiescence"
-                )
-            }
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
-
-/// One in-flight match delivery to one join slot (the simulator's
-/// scheduled queue, which lists a delivery to a join input once per reader;
-/// always empty in quiesced threaded-executor snapshots).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PendingDelivery {
-    /// Virtual delivery time.
-    pub time: u64,
-    /// Sequence number of the triggering event.
-    pub trigger: u64,
-    /// Scheduling tiebreak (hop counter).
-    pub sub: u64,
-    /// Receiving task index.
-    pub target: usize,
-    /// Input slot at the receiver.
-    pub slot: usize,
-    /// The delivered match.
-    pub m: Match,
-}
 
 /// A decoded executor snapshot — the unit of checkpointing, shared by the
 /// simulator and the threaded executor.
@@ -175,10 +147,11 @@ pub struct Snapshot {
     /// Per-task dynamic join state, parallel to `Deployment::tasks`
     /// (`None` for stateless source tasks).
     pub tasks: Vec<Option<JoinState>>,
-    /// In-flight deliveries (simulator only).
-    pub pending: Vec<PendingDelivery>,
-    /// The simulator's delivery tiebreak counter.
-    pub next_sub: u64,
+    /// The buffer of each join input, parallel to `Deployment::inputs`:
+    /// `Some` exactly for an input two or more joins store
+    /// ([`Deployment::shared_readers`]). Such a reader's store state for
+    /// the input's slot holds no matches, only its own horizon.
+    pub buffers: Vec<Option<StoreState>>,
     /// Collected metrics (crash-recovery counters excluded by design:
     /// a crash must not roll back the record of its own recovery).
     pub metrics: Metrics,
@@ -199,8 +172,7 @@ impl Snapshot {
         Self {
             plan: deployment.fingerprint(),
             tasks: vec![None; deployment.tasks.len()],
-            pending: Vec::new(),
-            next_sub: 0,
+            buffers: vec![None; deployment.inputs.len()],
             metrics: Metrics::new(deployment.num_nodes),
             matches: vec![Vec::new(); deployment.queries.len()],
             wall_latencies_ns: Vec::new(),
@@ -208,9 +180,10 @@ impl Snapshot {
         }
     }
 
-    /// Merges another snapshot shard into this one: task states are unioned
-    /// (shards own disjoint tasks), metrics merge, matches and latencies
-    /// concatenate, cursors take the element-wise maximum.
+    /// Merges another snapshot shard into this one: task states and
+    /// buffers are unioned (shards own disjoint tasks and inputs), metrics
+    /// merge, matches and latencies concatenate, cursors take the
+    /// element-wise maximum.
     pub fn merge_shard(&mut self, other: Snapshot) {
         debug_assert_eq!(self.plan, other.plan);
         for (slot, state) in self.tasks.iter_mut().zip(other.tasks) {
@@ -218,8 +191,11 @@ impl Snapshot {
                 *slot = state;
             }
         }
-        self.pending.extend(other.pending);
-        self.next_sub = self.next_sub.max(other.next_sub);
+        for (slot, state) in self.buffers.iter_mut().zip(other.buffers) {
+            if state.is_some() {
+                *slot = state;
+            }
+        }
         self.metrics.merge(&other.metrics);
         for (into, from) in self.matches.iter_mut().zip(other.matches) {
             into.extend(from);
@@ -234,16 +210,10 @@ impl Snapshot {
     }
 }
 
-/// Serializes a simulator's state into a durable snapshot.
-pub fn snapshot(executor: &SimExecutor<'_>) -> Result<Vec<u8>, CheckpointError> {
-    Ok(encode(&executor.to_snapshot()))
-}
-
 /// Restores a simulator from a snapshot against the same deployment.
 ///
-/// The snapshot may come from either executor: a quiesced threaded-
-/// executor snapshot restores into the simulator directly (its pending
-/// queue is empty by construction).
+/// The snapshot may come from either executor: a threaded run's
+/// quiescent snapshot restores into the simulator directly.
 pub fn restore<'a>(
     deployment: &'a Deployment,
     config: SimConfig,
@@ -336,20 +306,25 @@ fn shape_divergence(deployment: &Deployment, snap: &Snapshot) -> String {
 /// order. Tasks the plan marks [`CarryMode::Carry`]/[`CarryMode::Replay`]
 /// take the old task's join state verbatim; everything else starts from a
 /// freshly instantiated state (`slack` must match the restoring executor's
-/// eviction slack so fresh and grafted states share a shape). Sink matches
-/// follow their [`QueryId`](muse_core::types::QueryId); dropped queries'
-/// matches are discarded. The result claims `new`'s fingerprint and
-/// restores through the ordinary [`SimExecutor::from_snapshot`] / threaded
-/// resume paths.
+/// eviction slack so fresh and grafted states share a shape). A carried
+/// reader's stored matches follow it across a change in sharing: a shared
+/// input of `new` takes its buffer from its first carried reader's old
+/// storage (the old buffer, or the reader's own store), so a fresh reader
+/// reads the input's recent matches, as every reader of it does; a carried
+/// reader that stores its input alone in `new` but read a buffer in `old`
+/// takes the buffer's matches into its own store. Sink matches follow
+/// their [`QueryId`](muse_core::types::QueryId); dropped queries' matches
+/// are discarded. The result claims `new`'s fingerprint and restores
+/// through the ordinary [`SimExecutor::from_snapshot`] / threaded resume
+/// paths.
 ///
 /// # Errors
 ///
 /// [`CheckpointError::MigrationRejected`] when `plan.safe` is `false` —
 /// an uncertified mapping would silently corrupt join buffers, which is
 /// exactly what the verifier exists to rule out. Otherwise the usual
-/// decode errors, [`CheckpointError::PlanMismatch`] when the snapshot was
-/// not taken under `old`, and [`CheckpointError::NotQuiescent`] when
-/// in-flight deliveries exist (quiesce before migrating).
+/// decode errors, and [`CheckpointError::PlanMismatch`] when the snapshot
+/// was not taken under `old`.
 pub fn map_snapshot(
     old: &Deployment,
     new: &Deployment,
@@ -371,9 +346,6 @@ pub fn map_snapshot(
         )));
     }
     let snap = decode_for(old, bytes)?;
-    if !snap.pending.is_empty() {
-        return Err(CheckpointError::NotQuiescent);
-    }
 
     // Old tasks by migration key, duplicates queued in declaration order —
     // the same order the verifier's profile pass saw them.
@@ -392,37 +364,52 @@ pub fn map_snapshot(
         }
     }
 
-    let mut tasks = Vec::with_capacity(new.tasks.len());
-    let mut carried_task = Vec::with_capacity(new.tasks.len());
-    for i in 0..new.tasks.len() {
-        let carried = carry_by_to
-            .get_mut(&new.task_key(i))
-            .and_then(VecDeque::pop_front)
-            .and_then(|from| old_by_key.get_mut(&from).and_then(VecDeque::pop_front))
-            .and_then(|old_idx| snap.tasks[old_idx].clone());
-        carried_task.push(carried.is_some());
-        tasks.push(match carried {
-            Some(state) => Some(state),
+    // Per new task, the old task whose join state it carries.
+    let carried_from: Vec<Option<usize>> = (0..new.tasks.len())
+        .map(|i| {
+            let from = carry_by_to.get_mut(&new.task_key(i))?.pop_front()?;
+            let old_idx = old_by_key.get_mut(&from)?.pop_front()?;
+            snap.tasks[old_idx].is_some().then_some(old_idx)
+        })
+        .collect();
+    let mut tasks: Vec<_> = (0..new.tasks.len())
+        .map(|i| match carried_from[i] {
+            Some(old_idx) => snap.tasks[old_idx].clone(),
             None => new.make_join(i, slack).map(|j| j.save_state()),
-        });
-    }
-    // The readers of a shared input restore one buffer: each takes the
-    // first carried reader's, under its own horizon. A fresh reader thus
-    // reads the input's recent matches, as every reader of it does.
-    for input in 0..new.inputs.len() {
+        })
+        .collect();
+    // The old buffer a carried reader stored its input in, if it was shared.
+    let old_buffer = |task: usize, slot: usize| -> Option<StoreState> {
+        let old_task = carried_from[task]?;
+        let input = old.input_of(old_task, slot)?;
+        let stored = old.shared_readers(input).contains(&(old_task, slot));
+        snap.buffers.get(input)?.clone().filter(|_| stored)
+    };
+    let mut buffers = vec![None; new.inputs.len()];
+    for (input, buffer) in buffers.iter_mut().enumerate() {
         let readers = new.shared_readers(input);
-        let Some(buffer) = readers
-            .iter()
-            .find(|&&(task, _)| carried_task[task])
-            .and_then(|&(task, slot)| tasks[task].as_ref()?.stores.get(slot).cloned())
-        else {
+        if readers.is_empty() {
+            for &(task, slot) in &new.inputs[input].readers {
+                let store = tasks[task].as_mut().and_then(|j| j.stores.get_mut(slot));
+                if let (Some(store), Some(from)) = (store, old_buffer(task, slot)) {
+                    *store = StoreState {
+                        horizon: store.horizon,
+                        ..from
+                    };
+                }
+            }
             continue;
-        };
+        }
+        let first = readers
+            .iter()
+            .find(|&&(task, _)| carried_from[task].is_some());
+        let state = first.and_then(|&(task, slot)| {
+            old_buffer(task, slot).or_else(|| tasks[task].as_ref()?.stores.get(slot).cloned())
+        });
+        *buffer = Some(state.unwrap_or_default());
         for &(task, slot) in &readers {
             if let Some(store) = tasks[task].as_mut().and_then(|j| j.stores.get_mut(slot)) {
-                store.matches.clone_from(&buffer.matches);
-                store.drained_at = buffer.drained_at;
-                store.evicted = buffer.evicted;
+                store.matches.clear();
             }
         }
     }
@@ -454,8 +441,7 @@ pub fn map_snapshot(
     Ok(Snapshot {
         plan: new.fingerprint(),
         tasks,
-        pending: Vec::new(),
-        next_sub: snap.next_sub,
+        buffers,
         metrics,
         matches,
         wall_latencies_ns: snap.wall_latencies_ns.clone(),
@@ -490,16 +476,16 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
     for task in &snap.tasks {
         put_opt_join(&mut buf, task.as_ref());
     }
-    buf.put_u32(snap.pending.len() as u32);
-    for p in &snap.pending {
-        buf.put_u64(p.time);
-        buf.put_u64(p.trigger);
-        buf.put_u64(p.sub);
-        buf.put_u32(p.target as u32);
-        buf.put_u32(p.slot as u32);
-        put_match(&mut buf, &p.m);
+    buf.put_u32(snap.buffers.len() as u32);
+    for buffer in &snap.buffers {
+        match buffer {
+            None => buf.put_u8(0),
+            Some(store) => {
+                buf.put_u8(1);
+                put_store(&mut buf, store);
+            }
+        }
     }
-    buf.put_u64(snap.next_sub);
     put_metrics(&mut buf, &snap.metrics);
     buf.put_u32(snap.matches.len() as u32);
     for per_query in &snap.matches {
@@ -536,25 +522,15 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     for _ in 0..num_tasks {
         tasks.push(get_opt_join(buf, 0)?);
     }
-    let num_pending = get_len(buf)?;
-    let mut pending = Vec::with_capacity(num_pending);
-    for _ in 0..num_pending {
-        let time = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-        let trigger = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-        let sub = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-        let target = try_get_u32(buf).ok_or(CheckpointError::Malformed)? as usize;
-        let slot = try_get_u32(buf).ok_or(CheckpointError::Malformed)? as usize;
-        let m = get_match(buf)?;
-        pending.push(PendingDelivery {
-            time,
-            trigger,
-            sub,
-            target,
-            slot,
-            m,
+    let num_buffers = get_len(buf)?;
+    let mut buffers = Vec::with_capacity(num_buffers);
+    for _ in 0..num_buffers {
+        buffers.push(match try_get_u8(buf).ok_or(CheckpointError::Malformed)? {
+            0 => None,
+            1 => Some(get_store(buf)?),
+            _ => return Err(CheckpointError::Malformed),
         });
     }
-    let next_sub = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
     let metrics = get_metrics(buf)?;
     let num_queries = get_len(buf)?;
     let mut matches = Vec::with_capacity(num_queries);
@@ -582,8 +558,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     Ok(Snapshot {
         plan,
         tasks,
-        pending,
-        next_sub,
+        buffers,
         metrics,
         matches,
         wall_latencies_ns,
@@ -941,7 +916,7 @@ mod tests {
     fn snapshot_roundtrip_empty_executor() {
         let deployment = two_node_deployment(100);
         let executor = SimExecutor::new(&deployment, SimConfig::default());
-        let bytes = snapshot(&executor).unwrap();
+        let bytes = encode(&executor.to_snapshot());
         let restored = restore(&deployment, SimConfig::default(), &bytes).unwrap();
         assert_eq!(restored.metrics().events_injected, 0);
         assert!(restored.matches().iter().all(Vec::is_empty));
@@ -955,7 +930,7 @@ mod tests {
         assert!(restore(&deployment, SimConfig::default(), b"not a snapshot").is_err());
         assert!(restore(&deployment, SimConfig::default(), b"").is_err());
         let executor = SimExecutor::new(&deployment, SimConfig::default());
-        let bytes = snapshot(&executor).unwrap();
+        let bytes = encode(&executor.to_snapshot());
         for cut in 0..bytes.len() {
             assert!(
                 restore(&deployment, SimConfig::default(), &bytes[..cut]).is_err(),
@@ -973,7 +948,7 @@ mod tests {
         let d1 = two_node_deployment(100);
         let d2 = two_node_deployment(200); // different window ⇒ different plan
         let executor = SimExecutor::new(&d1, SimConfig::default());
-        let bytes = snapshot(&executor).unwrap();
+        let bytes = encode(&executor.to_snapshot());
         let err = match restore(&d2, SimConfig::default(), &bytes) {
             Err(e) => e,
             Ok(_) => panic!("expected PlanMismatch, got a restored executor"),
@@ -1022,7 +997,7 @@ mod tests {
         let pattern = Pattern::seq([Pattern::leaf(t0), Pattern::leaf(t1), Pattern::leaf(t2)]);
         let d2 = deploy(&net, &pattern, 100);
         let executor = SimExecutor::new(&d1, SimConfig::default());
-        let bytes = snapshot(&executor).unwrap();
+        let bytes = encode(&executor.to_snapshot());
         match restore(&d2, SimConfig::default(), &bytes) {
             Err(CheckpointError::PlanMismatch { detail, .. }) => {
                 assert!(
@@ -1039,7 +1014,7 @@ mod tests {
     fn unsupported_version_rejected() {
         let deployment = two_node_deployment(100);
         let executor = SimExecutor::new(&deployment, SimConfig::default());
-        let mut bytes = snapshot(&executor).unwrap();
+        let mut bytes = encode(&executor.to_snapshot());
         // Version field sits right after the 4-byte magic.
         bytes[4] = 0xff;
         assert!(matches!(
@@ -1048,10 +1023,11 @@ mod tests {
         ));
         // Version 1 carried a latency histogram in the metrics block that
         // later versions do not, version 2 a sub-evaluator state where later
-        // versions have the negation's assembler, and version 3 a
-        // transmission-multiplexing set after the wall latencies: all are
-        // refused by number, not misread.
-        for old in [1u16, 2, 3] {
+        // versions have the negation's assembler, version 3 a
+        // transmission-multiplexing set after the wall latencies, and
+        // version 4 an in-flight delivery queue where version 5 has the
+        // shared buffers: all are refused by number, not misread.
+        for old in [1u16, 2, 3, 4] {
             bytes[4..6].copy_from_slice(&old.to_be_bytes());
             assert_eq!(
                 decode(&bytes).err(),

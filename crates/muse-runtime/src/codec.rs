@@ -60,7 +60,7 @@ pub fn try_decode_match(buf: &mut &[u8]) -> Option<Match> {
 
 /// Decodes the event at the front of a byte slice; see
 /// [`try_decode_match`].
-pub fn try_decode_event(buf: &mut &[u8]) -> Option<Event> {
+pub(crate) fn try_decode_event(buf: &mut &[u8]) -> Option<Event> {
     let seq = try_get_u64(buf)?;
     let ty = EventTypeId(try_get_u16(buf)?);
     let time = try_get_u64(buf)?;
@@ -103,7 +103,7 @@ pub fn try_get_u16(buf: &mut &[u8]) -> Option<u16> {
     }
     let (head, rest) = buf.split_at(2);
     *buf = rest;
-    Some(u16::from_be_bytes(head.try_into().unwrap()))
+    Some(u16::from_be_bytes(head.try_into().ok()?))
 }
 
 /// Reads a big-endian `u32` from the front of the slice, if present.
@@ -113,7 +113,7 @@ pub fn try_get_u32(buf: &mut &[u8]) -> Option<u32> {
     }
     let (head, rest) = buf.split_at(4);
     *buf = rest;
-    Some(u32::from_be_bytes(head.try_into().unwrap()))
+    Some(u32::from_be_bytes(head.try_into().ok()?))
 }
 
 /// Reads a big-endian `u64` from the front of the slice, if present.
@@ -123,11 +123,11 @@ pub fn try_get_u64(buf: &mut &[u8]) -> Option<u64> {
     }
     let (head, rest) = buf.split_at(8);
     *buf = rest;
-    Some(u64::from_be_bytes(head.try_into().unwrap()))
+    Some(u64::from_be_bytes(head.try_into().ok()?))
 }
 
 /// Encodes an event into the buffer.
-pub fn encode_event(e: &Event, buf: &mut BytesMut) {
+pub(crate) fn encode_event(e: &Event, buf: &mut BytesMut) {
     buf.put_u64(e.seq);
     buf.put_u16(e.ty.0);
     buf.put_u64(e.time);
@@ -154,7 +154,7 @@ pub fn encode_event(e: &Event, buf: &mut BytesMut) {
 }
 
 /// Encoded size of one event in bytes, computed arithmetically (no buffer
-/// is written). Kept in lockstep with [`encode_event`]; the equality is
+/// is written). Kept in lockstep with the encoder; the equality is
 /// asserted by the codec property suite.
 pub fn encoded_event_len(e: &Event) -> usize {
     // seq + ty + time + origin + attr count.

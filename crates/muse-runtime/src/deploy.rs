@@ -645,16 +645,6 @@ impl Deployment {
         format!("{kind}{task}@N{}{sink}", spec.node.index())
     }
 
-    /// Task indices hosted at a node.
-    pub fn tasks_at(&self, node: NodeId) -> Vec<usize> {
-        self.tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.node == node)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// A structural fingerprint of the deployment plan, embedded in
     /// snapshot headers so [`crate::checkpoint::restore`] can reject state
     /// produced under a different plan
@@ -899,16 +889,5 @@ mod tests {
         let ctx2 = PlanContext::new(std::slice::from_ref(&q2), &net, &plan2.table);
         let c = Deployment::new(&plan2.graph, &ctx2);
         assert_ne!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn tasks_at_partitions_nodes() {
-        let net = fig1_network();
-        let q = robots_query();
-        let plan = amuse(&q, &net, &AMuseConfig::default()).unwrap();
-        let ctx = PlanContext::new(std::slice::from_ref(&q), &net, &plan.table);
-        let deployment = Deployment::new(&plan.graph, &ctx);
-        let total: usize = (0..3).map(|i| deployment.tasks_at(n(i)).len()).sum();
-        assert_eq!(total, deployment.tasks.len());
     }
 }

@@ -6,8 +6,9 @@
 //! crashes a shard, the ring is codec-encoded and published alongside the
 //! recovery snapshot, giving a post-mortem timeline of what the shard was
 //! doing in the moments before the crash — the black box to the
-//! checkpoint's restore point. The harness pretty-prints dumps with
-//! [`render_timeline`].
+//! checkpoint's restore point. [`decode_dump`] reads a published dump
+//! ([`crate::threaded::ThreadedReport::flight_dumps`]) back and
+//! [`render_timeline`] pretty-prints it; no CLI subcommand does either.
 //!
 //! Records use the same explicit big-endian byte discipline as
 //! [`crate::codec`] (and its `try_get_*` readers), so dumps are portable

@@ -22,7 +22,7 @@
 //!
 //! # Probe strategy
 //!
-//! [`JoinTask`] keeps each slot's matches in a [`MatchStore`] sorted by
+//! [`JoinTask`] keeps each slot's matches in a `MatchStore` sorted by
 //! first timestamp. An arriving match probes only the window-compatible
 //! slice of each other slot (two binary searches) instead of the full
 //! store, visits the slots smallest-slice-first so thin inputs cut the
@@ -79,7 +79,7 @@ use muse_core::types::{AttrId, PrimId, PrimSet};
 /// Static description of one input slot of a join: the predecessor
 /// projection's primitive operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotSpec {
+pub(crate) struct SlotSpec {
     /// The predecessor projection's primitives.
     pub prims: PrimSet,
     /// `true` if the slot carries only negated primitives (a negation guard
@@ -500,7 +500,7 @@ impl JoinTask {
     }
 
     /// The input slots.
-    pub fn slots(&self) -> &[SlotSpec] {
+    pub(crate) fn slots(&self) -> &[SlotSpec] {
         &self.slots
     }
 

@@ -4,7 +4,7 @@
 //! query or projection. The match is valid when the assigned events respect
 //! the operator tree's order constraints, the time window, and the
 //! predicates; `NSEQ` absence is checked separately against the forbidden
-//! pattern's matches ([`nseq_violated`]).
+//! pattern's matches (`nseq_violated`).
 
 pub mod evaluator;
 pub mod join;
@@ -18,8 +18,9 @@ use muse_core::types::PrimSet;
 use std::sync::Arc;
 
 pub use evaluator::Evaluator;
-pub use join::{JoinState, JoinTask, SlotSpec};
-pub use store::{MatchStore, StoreState, StoredMatch};
+pub use join::{JoinState, JoinTask};
+pub use store::StoreState;
+pub(crate) use store::{MatchStore, StoredMatch};
 
 /// A (partial) match: events assigned to primitive operators, sorted by
 /// primitive id. Prim ids are those of the *source query*, so matches of
@@ -89,7 +90,7 @@ impl Match {
     }
 
     /// Earliest trace position in the match.
-    pub fn first_pos(&self) -> (Timestamp, u64) {
+    pub(crate) fn first_pos(&self) -> (Timestamp, u64) {
         self.events
             .iter()
             .map(|(_, e)| e.trace_pos())
@@ -98,7 +99,7 @@ impl Match {
     }
 
     /// Latest trace position in the match.
-    pub fn last_pos(&self) -> (Timestamp, u64) {
+    pub(crate) fn last_pos(&self) -> (Timestamp, u64) {
         self.events
             .iter()
             .map(|(_, e)| e.trace_pos())
@@ -161,7 +162,7 @@ impl Match {
 /// Checks whether an assignment is internally valid w.r.t. the query's
 /// order constraints, time window, and the predicates decidable within the
 /// assigned primitives. Negation is *not* checked here (see
-/// [`nseq_violated`]); completeness (which primitives must be assigned) is
+/// `nseq_violated`); completeness (which primitives must be assigned) is
 /// the caller's concern.
 ///
 /// Order constraints of a projection equal the restriction of its source
@@ -209,7 +210,13 @@ pub fn is_valid_match(m: &Match, query: &Query) -> bool {
 /// primitive sets: the forbidden pattern must lie strictly between the end
 /// of the first part and the start of the last part, and must satisfy the
 /// predicates connecting it to the positive assignment.
-pub fn nseq_violated(m: &Match, neg: &Match, first: PrimSet, last: PrimSet, query: &Query) -> bool {
+pub(crate) fn nseq_violated(
+    m: &Match,
+    neg: &Match,
+    first: PrimSet,
+    last: PrimSet,
+    query: &Query,
+) -> bool {
     let low = m
         .entries()
         .iter()
@@ -253,7 +260,7 @@ pub fn nseq_violated(m: &Match, neg: &Match, first: PrimSet, last: PrimSet, quer
 /// valid iff no event of the negated type (passing the linking predicates)
 /// falls strictly inside any of its windows. Empty for negation-free
 /// queries and for partial matches not covering a context.
-pub fn absence_windows(
+pub(crate) fn absence_windows(
     m: &Match,
     query: &Query,
 ) -> Vec<(muse_core::types::EventTypeId, Timestamp, Timestamp)> {

@@ -20,8 +20,8 @@
 //! of the one attribute the owning join slot is keyed on (see the join
 //! module's "Probe strategy"). The store only carries it — the join decides
 //! the key term and compares. `None` means "unknown": the slot is unkeyed,
-//! the attribute is missing or `NaN`, or the entry came through the public
-//! [`MatchStore::insert`] (forbidden-match stores, unit tests); an unknown
+//! the attribute is missing or `NaN`, or the entry came through
+//! `MatchStore::insert` (forbidden-match stores, unit tests); an unknown
 //! key never excludes an entry from a probe. Like the spans, keys are
 //! derived from the match and so are not part of [`StoreState`]: a snapshot
 //! cannot desynchronize them, and restore recomputes both.
@@ -34,7 +34,7 @@ use muse_core::event::Timestamp;
 /// A buffered match with its cached time span and equality key (so probes
 /// never re-scan the match's events for timestamps or attribute values).
 #[derive(Debug, Clone, PartialEq)]
-pub struct StoredMatch {
+pub(crate) struct StoredMatch {
     /// Earliest constituent timestamp — the sort key.
     pub first: Timestamp,
     /// Latest constituent timestamp.
@@ -45,7 +45,7 @@ pub struct StoredMatch {
     pub m: Match,
 }
 
-/// The checkpointable dynamic state of a [`MatchStore`]: the buffered
+/// The checkpointable dynamic state of a `MatchStore`: the buffered
 /// matches in physical entry order (live and not-yet-drained dead alike)
 /// plus the eviction bookkeeping. The cached `first`/`last` spans and the
 /// equality keys are *not* part of the state — they are recomputed from
@@ -66,7 +66,7 @@ pub struct StoreState {
 /// An indexed buffer of matches ordered by [`Match::first_time`], with
 /// watermark-based eviction.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct MatchStore {
+pub(crate) struct MatchStore {
     /// Sorted by `first` (ties keep insertion order).
     entries: Vec<StoredMatch>,
     /// Logical eviction watermark: entries with `first < horizon` are dead.
@@ -116,11 +116,6 @@ impl MatchStore {
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.entries.len() - self.live_start()
-    }
-
-    /// `true` when no live entry remains.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Number of physically buffered entries (live + not-yet-drained dead).

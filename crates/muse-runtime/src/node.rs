@@ -297,11 +297,6 @@ impl<'a> NodeCore<'a> {
         Some(join)
     }
 
-    /// The deployment this core runs.
-    pub fn deployment(&self) -> &'a Deployment {
-        self.deployment
-    }
-
     /// The sink matches collected so far, per query.
     pub fn matches(&self) -> &[Vec<Match>] {
         &self.matches
@@ -595,28 +590,18 @@ impl<'a> NodeCore<'a> {
         tel.end_sample(now);
     }
 
-    /// This core's slice of a [`Snapshot`]: hosted join states and its
-    /// share of the run totals. Slices of all nodes merge
-    /// into one whole-run snapshot ([`Snapshot::merge_shard`]); drivers add
-    /// what only they know (pending deliveries, event cursors).
-    ///
-    /// A shared buffer is saved into each reader's store state for the
-    /// slot, under the reader's own horizon — what the reader's own store
-    /// would hold, up to entries dead to it.
+    /// This core's slice of a [`Snapshot`]: hosted join states, the
+    /// buffers of its shared inputs and its share of the run totals.
+    /// Slices of all nodes merge into one whole-run snapshot
+    /// ([`Snapshot::merge_shard`]); drivers add what only they know (event
+    /// cursors, transport counters).
     pub fn save(&self) -> Snapshot {
         let mut snap = Snapshot::empty(self.deployment);
         for (slot, join) in snap.tasks.iter_mut().zip(&self.joins) {
             *slot = join.as_ref().map(JoinTask::save_state);
         }
         for (shared, buffer) in self.shared.iter().zip(&self.buffers) {
-            let state = buffer.save_state();
-            for &(task, slot) in &shared.readers {
-                if let Some(store) = snap.tasks[task].as_mut().map(|j| &mut j.stores[slot]) {
-                    store.matches.clone_from(&state.matches);
-                    store.drained_at = state.drained_at;
-                    store.evicted = state.evicted;
-                }
-            }
+            snap.buffers[shared.input] = Some(buffer.save_state());
         }
         snap.metrics = self.metrics.clone();
         snap.matches = self.matches.clone();
@@ -625,16 +610,18 @@ impl<'a> NodeCore<'a> {
     }
 
     /// Rolls this core back to its slice of `snap`: every hosted join is
-    /// re-instantiated from the plan and the saved state grafted on, and
-    /// the run totals (metrics, sink matches, wall latencies) are *moved*
-    /// out of `snap` — when several cores restore from one whole-run
-    /// snapshot, the first continues the interrupted totals and the others
-    /// start from zero.
+    /// re-instantiated from the plan and the saved state grafted on, the
+    /// hosted buffers are taken, and the run totals (metrics, sink
+    /// matches, wall latencies) are *moved* out of `snap` — when several
+    /// cores restore from one whole-run snapshot, the first continues the
+    /// interrupted totals and the others start from zero.
     ///
-    /// Fails when the snapshot's task structure does not fit the plan, the
-    /// readers of a shared input carry different buffers, or a buffered
-    /// match does not assign exactly the primitives its slot carries; the
-    /// core is then partially restored and must be dropped.
+    /// Fails when the snapshot's task structure does not fit the plan, a
+    /// hosted input lacks its buffer or has one it should not (an input has
+    /// one exactly when two or more joins store it), a shared input's
+    /// reader holds matches of its own, or a buffered match does not assign
+    /// exactly the primitives its input or slot carries; the core is then
+    /// partially restored and must be dropped.
     pub fn restore(&mut self, snap: &mut Snapshot) -> Result<(), CheckpointError> {
         let deployment = self.deployment;
         if snap.tasks.len() != deployment.tasks.len() {
@@ -645,8 +632,29 @@ impl<'a> NodeCore<'a> {
                 "query count differs from deployment",
             ));
         }
-        for b in 0..self.shared.len() {
-            self.buffers[b] = self.take_buffer(b, snap)?;
+        if snap.buffers.len() != deployment.inputs.len() {
+            return Err(CheckpointError::Shape(
+                "buffer count differs from the deployment's inputs",
+            ));
+        }
+        for (input, spec) in deployment.inputs.iter().enumerate() {
+            if self.node.is_some_and(|n| spec.node.index() != n) {
+                continue;
+            }
+            match (self.shared_of[input], snap.buffers[input].take()) {
+                (Some(b), Some(state)) => self.buffers[b] = self.restore_buffer(b, state, snap)?,
+                (None, None) => {}
+                (Some(_), None) => {
+                    return Err(CheckpointError::Shape(
+                        "no buffer for an input two joins store",
+                    ))
+                }
+                (None, Some(_)) => {
+                    return Err(CheckpointError::Shape(
+                        "a buffer for an input fewer than two joins store",
+                    ))
+                }
+            }
         }
         for task in 0..deployment.tasks.len() {
             if !self.hosts(task) {
@@ -707,39 +715,26 @@ impl<'a> NodeCore<'a> {
         Ok(())
     }
 
-    /// Rebuilds shared buffer `b` from its readers' store states in `snap`,
-    /// which must agree, and leaves each reader's state an empty store with
-    /// its own horizon. The buffer's horizon is not saved: it trails the
-    /// newest entry, which no drain removes, by the buffer's reach.
-    fn take_buffer(&self, b: usize, snap: &mut Snapshot) -> Result<MatchStore, CheckpointError> {
+    /// Rebuilds shared buffer `b` from its saved state, whose readers in
+    /// `snap` must hold no matches of their own. The saved horizon is not
+    /// trusted: the buffer's horizon trails its newest entry, which no
+    /// drain removes, by the buffer's reach.
+    fn restore_buffer(
+        &self,
+        b: usize,
+        mut state: StoreState,
+        snap: &Snapshot,
+    ) -> Result<MatchStore, CheckpointError> {
         let shared = &self.shared[b];
-        let mut carried: Option<StoreState> = None;
-        for &(task, slot) in &shared.readers {
-            let store = snap.tasks[task]
-                .as_mut()
-                .and_then(|j| j.stores.get_mut(slot))
-                .ok_or(CheckpointError::Shape(
-                    "missing store state for a shared input reader",
-                ))?;
-            let taken = StoreState {
-                matches: std::mem::take(&mut store.matches),
-                ..store.clone()
-            };
-            store.drained_at = 0;
-            store.evicted = 0;
-            match &carried {
-                None => carried = Some(taken),
-                Some(first)
-                    if (&first.matches, first.drained_at, first.evicted)
-                        == (&taken.matches, taken.drained_at, taken.evicted) => {}
-                Some(_) => {
-                    return Err(CheckpointError::Shape(
-                        "readers of a shared input carry different buffers",
-                    ))
-                }
-            }
+        let own_matches = shared.readers.iter().any(|&(task, slot)| {
+            let store = snap.tasks[task].as_ref().and_then(|j| j.stores.get(slot));
+            store.is_some_and(|s| !s.matches.is_empty())
+        });
+        if own_matches {
+            return Err(CheckpointError::Shape(
+                "a shared input's reader holds matches of its own",
+            ));
         }
-        let mut state = carried.unwrap_or_default();
         let prims = self.deployment.input_prims(shared.input);
         if !prims.is_some_and(|prims| state.matches.iter().all(|m| m.assigns_exactly(prims))) {
             return Err(CheckpointError::Shape(
@@ -1078,31 +1073,24 @@ mod tests {
 
     #[test]
     fn a_shared_buffer_entry_in_the_wrong_slot_is_refused() {
-        // Every reader of a shared `t0` input carries the same buffer, one
-        // entry relabelled to a primitive no query has: the readers agree,
-        // but the next probe would index a query's order table out of range.
+        // A shared `t0` input's buffer with one entry relabelled to a
+        // primitive no query has: the next probe would index a query's
+        // order table out of range.
         let seq02 = Pattern::seq([Pattern::leaf(t(0)), Pattern::leaf(t(2))]);
         let seq12 = Pattern::seq([Pattern::leaf(t(1)), Pattern::leaf(t(2))]);
         let deployment = fig1_deployment(&[(robots(), 400), (seq02, 400), (seq12, 400)]);
         let mut core = fresh(&deployment);
         drive(&mut core, &mut Recorder::default(), &fig1_trace(13));
         let mut snap = core.save();
-        let readers = core
-            .shared
-            .iter()
-            .map(|shared| shared.readers.clone())
-            .find(|readers| {
-                let (task, slot) = readers[0];
-                !snap.tasks[task].as_ref().unwrap().stores[slot]
-                    .matches
-                    .is_empty()
-            })
+        let matches = snap
+            .buffers
+            .iter_mut()
+            .flatten()
+            .map(|buffer| &mut buffer.matches)
+            .find(|matches| !matches.is_empty())
             .expect("a shared input buffers matches");
-        for &(task, slot) in &readers {
-            let matches = &mut snap.tasks[task].as_mut().unwrap().stores[slot].matches;
-            let entries = matches[0].entries().iter();
-            matches[0] = Match::new(entries.map(|(_, e)| (PrimId(7), e.clone())).collect());
-        }
+        let entries = matches[0].entries().iter();
+        matches[0] = Match::new(entries.map(|(_, e)| (PrimId(7), e.clone())).collect());
         assert_eq!(
             fresh(&deployment).restore(&mut snap),
             Err(CheckpointError::Shape(

@@ -15,7 +15,7 @@
 //! only the driver — the delivery heap and its order; the node semantics
 //! are the same code the threaded executor runs.
 
-use crate::checkpoint::{CheckpointError, PendingDelivery, Snapshot};
+use crate::checkpoint::{CheckpointError, Snapshot};
 use crate::deploy::Deployment;
 use crate::matcher::Match;
 use crate::metrics::Metrics;
@@ -214,33 +214,20 @@ impl<'a> SimExecutor<'a> {
 
     /// Captures the executor's state as a portable [`Snapshot`] — the
     /// schema shared with the threaded executor (see [`crate::checkpoint`]).
-    /// A delivery to a join input is listed as one [`PendingDelivery`] per
-    /// reader, in reader order.
+    /// Every public call leaves the executor drained, so the snapshot holds
+    /// no in-flight delivery.
     pub fn to_snapshot(&self) -> Snapshot {
-        let mut snap = self.core.save();
-        let mut scheduled: Vec<&Scheduled> = self.schedule.heap.iter().map(|e| &e.0).collect();
-        scheduled.sort_by_key(|p| (p.time, p.trigger, p.sub));
-        for p in scheduled {
-            for &(target, slot) in &self.core.deployment().inputs[p.input].readers {
-                snap.pending.push(PendingDelivery {
-                    time: p.time,
-                    trigger: p.trigger,
-                    sub: p.sub,
-                    target,
-                    slot,
-                    m: p.m.clone(),
-                });
-            }
-        }
-        snap.next_sub = self.schedule.next_sub;
-        snap
+        debug_assert!(self.schedule.heap.is_empty(), "snapshots are quiescent");
+        self.core.save()
     }
 
     /// Rebuilds an executor from a decoded [`Snapshot`] (which may have
     /// been produced by either executor). Join tasks are re-instantiated
     /// from the deployment plan and the snapshot's dynamic state is
     /// grafted on; event cursors, which only the threaded executor
-    /// interprets, are ignored. Telemetry restarts fresh.
+    /// interprets, are ignored. Telemetry restarts fresh, and so does the
+    /// delivery tiebreak: after a drain every later cascade has its own
+    /// trigger, so the delivery order does not depend on it.
     pub fn from_snapshot(
         deployment: &'a Deployment,
         config: SimConfig,
@@ -248,11 +235,6 @@ impl<'a> SimExecutor<'a> {
     ) -> Result<Self, CheckpointError> {
         let mut executor = Self::new(deployment, config);
         executor.core.restore(&mut snap)?;
-        executor.schedule.heap = collapse_pending(deployment, &snap.pending)?
-            .into_iter()
-            .map(HeapEntry)
-            .collect();
-        executor.schedule.next_sub = snap.next_sub;
         Ok(executor)
     }
 
@@ -269,53 +251,6 @@ impl<'a> SimExecutor<'a> {
             telemetry: report.telemetry,
         }
     }
-}
-
-/// Collapses a snapshot's per-reader pending deliveries back into input
-/// deliveries: each run of adjacent entries with equal `(time, trigger,
-/// match)` that lists an input's readers in order is one delivery to it,
-/// and its match must assign exactly the primitives the input carries.
-fn collapse_pending(
-    deployment: &Deployment,
-    pending: &[PendingDelivery],
-) -> Result<Vec<Scheduled>, CheckpointError> {
-    let mut scheduled = Vec::new();
-    let mut rest = pending;
-    while let Some(first) = rest.first() {
-        let input = deployment
-            .input_of(first.target, first.slot)
-            .ok_or(CheckpointError::Shape(
-                "pending delivery targets a non-join task",
-            ))?;
-        let readers = &deployment.inputs[input].readers;
-        let group = rest.get(..readers.len()).filter(|group| {
-            group.iter().zip(readers).all(|(p, &reader)| {
-                (p.target, p.slot) == reader
-                    && (p.time, p.trigger) == (first.time, first.trigger)
-                    && p.m == first.m
-            })
-        });
-        if group.is_none() {
-            return Err(CheckpointError::Shape(
-                "pending deliveries to a join input miss some of its readers",
-            ));
-        }
-        let prims = deployment.input_prims(input);
-        if !prims.is_some_and(|prims| first.m.assigns_exactly(prims)) {
-            return Err(CheckpointError::Shape(
-                "a pending match's primitives differ from its input's",
-            ));
-        }
-        scheduled.push(Scheduled {
-            time: first.time,
-            trigger: first.trigger,
-            sub: first.sub,
-            input,
-            m: first.m.clone(),
-        });
-        rest = &rest[readers.len()..];
-    }
-    Ok(scheduled)
 }
 
 /// Runs a deployment over a complete global trace.
@@ -577,7 +512,7 @@ mod tests {
         let mid = events.len() / 2;
         let mut first = SimExecutor::new(&deployment, SimConfig::default());
         first.process_trace(&events[..mid]);
-        let snapshot = crate::checkpoint::snapshot(&first).unwrap();
+        let snapshot = crate::checkpoint::encode(&first.to_snapshot());
         drop(first);
         let mut resumed =
             crate::checkpoint::restore(&deployment, SimConfig::default(), &snapshot).unwrap();
@@ -603,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_with_a_shared_input_delivery_pending_resumes_identically() {
+    fn checkpoint_with_shared_buffers_resumes_identically() {
         // Two band variants of the Fig. 1 query: their t1 and t2 streams
         // feed both variants' joins, which read them as shared inputs.
         let net = fig1_network();
@@ -624,10 +559,6 @@ mod tests {
         let plan = amuse_workload(&workload, &net, &AMuseConfig::default()).unwrap();
         let ctx = PlanContext::new(workload.queries(), &net, &plan.table);
         let deployment = Deployment::new(&plan.merged, &ctx);
-        let shared: Vec<usize> = (0..deployment.inputs.len())
-            .filter(|&i| !deployment.shared_readers(i).is_empty())
-            .collect();
-        assert!(!shared.is_empty(), "the variants' joins share an input");
         let events = muse_sim::traces::generate_traces(
             &net,
             &muse_sim::traces::TraceConfig {
@@ -642,44 +573,30 @@ mod tests {
         let full = run_simulation(&deployment, &events, &SimConfig::default());
         assert!(full.matches.iter().all(|m| !m.is_empty()));
 
-        // Step deliveries until one to a shared input is next in line, some
-        // way into the trace, and checkpoint there.
+        // Checkpoint halfway: each shared input's buffer is stored once,
+        // and its readers keep only their own horizons.
+        let mid = events.len() / 2;
         let mut first = SimExecutor::new(&deployment, SimConfig::default());
-        let mut resume_at = None;
-        'trace: for (k, event) in events.iter().enumerate() {
-            first.inject(event);
-            loop {
-                let next_is_shared = first
-                    .schedule
-                    .heap
-                    .peek()
-                    .is_some_and(|e| shared.contains(&e.0.input));
-                if next_is_shared && k > events.len() / 2 {
-                    resume_at = Some(k + 1);
-                    break 'trace;
-                }
-                if !first.step() {
-                    break;
-                }
+        first.process_trace(&events[..mid]);
+        let snap = first.to_snapshot();
+        let mut buffered = 0;
+        for (input, buffer) in snap.buffers.iter().enumerate() {
+            let readers = deployment.shared_readers(input);
+            assert_eq!(buffer.is_some(), !readers.is_empty());
+            buffered += buffer.as_ref().map_or(0, |b| b.matches.len());
+            for (task, slot) in readers {
+                let own = &snap.tasks[task].as_ref().unwrap().stores[slot];
+                assert!(own.matches.is_empty(), "a reader holds no copy");
             }
         }
-        let resume_at = resume_at.expect("a shared delivery is pending at some point");
-        let snap = first.to_snapshot();
-        let head = &snap.pending[0];
-        let readers = snap
-            .pending
-            .iter()
-            .filter(|p| (p.time, p.trigger, p.sub) == (head.time, head.trigger, head.sub))
-            .count();
-        assert!(readers >= 2, "the delivery is listed once per reader");
+        assert!(buffered > 0, "the shared buffers hold matches");
         let bytes = crate::checkpoint::encode(&snap);
         drop(first);
 
         let mut resumed =
             crate::checkpoint::restore(&deployment, SimConfig::default(), &bytes).unwrap();
         assert_eq!(resumed.to_snapshot(), snap, "restore loses nothing");
-        resumed.drain();
-        resumed.process_trace(&events[resume_at..]);
+        resumed.process_trace(&events[mid..]);
         let report = resumed.finish();
         assert_eq!(report.matches, full.matches, "per-query lists, in order");
         assert_eq!(report.metrics, full.metrics);

@@ -1,5 +1,6 @@
 //! Hostile bytes in the snapshot format: a valid snapshot taken mid-run with
-//! buffered state, then single bytes overwritten, bits flipped, or a random
+//! buffered state (in join slots, a negation assembler, or a buffer two
+//! joins share), then single bytes overwritten, bits flipped, or a random
 //! tail spliced on. `checkpoint::decode` must return `Err` or a snapshot
 //! that re-encodes, never panic, and never size a buffer from a length
 //! prefix beyond the input — which this binary's allocator measures. A
@@ -8,14 +9,15 @@
 //! treatment as snapshots.
 
 use muse_core::algorithms::amuse::{amuse, AMuseConfig};
+use muse_core::algorithms::multi_query::amuse_workload;
+use muse_core::catalog::Catalog;
 use muse_core::event::{Event, Payload, Value};
 use muse_core::graph::PlanContext;
 use muse_core::network::{Network, NetworkBuilder};
 use muse_core::query::{CmpOp, Pattern, Predicate, Query};
 use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, QueryId};
-use muse_runtime::checkpoint::{
-    decode, decode_for, encode, restore, CheckpointError, PendingDelivery, Snapshot,
-};
+use muse_core::workload::Workload;
+use muse_runtime::checkpoint::{decode, decode_for, encode, restore, CheckpointError, Snapshot};
 use muse_runtime::matcher::{JoinState, StoreState};
 use muse_runtime::{decode_dump, FlightRecord, FlightRing};
 use muse_runtime::{Deployment, Match, SimConfig, SimExecutor};
@@ -109,6 +111,27 @@ fn composite_guard_deployment() -> Deployment {
     deploy(&one_type_per_node(4), &pattern, vec![])
 }
 
+/// `SEQ(A, B)` twice, the Bs in disjoint bands of attribute 1: both joins
+/// store the As, in one buffer.
+fn shared_deployment() -> Deployment {
+    let net = one_type_per_node(2);
+    let [a, b] = [0, 1].map(|t| Pattern::leaf(EventTypeId(t)));
+    let band = |lo, hi| {
+        [(CmpOp::Ge, lo), (CmpOp::Le, hi)]
+            .map(|(op, v)| Predicate::unary(PrimId(1), AttrId(1), op, Value::Int(v), 0.5))
+            .to_vec()
+    };
+    let pattern = Pattern::seq([a, b]);
+    let workload = Workload::from_patterns(
+        Catalog::with_anonymous_types(2),
+        [band(0, 4), band(5, 9)].map(|preds| (pattern.clone(), preds, 100)),
+    )
+    .unwrap();
+    let plan = amuse_workload(&workload, &net, &AMuseConfig::default()).unwrap();
+    let ctx = PlanContext::new(workload.queries(), &net, &plan.table);
+    Deployment::new(&plan.merged, &ctx)
+}
+
 /// The encoded snapshot of `deployment` after `events`.
 fn snapshot_after(deployment: &Deployment, events: &[Event]) -> Vec<u8> {
     let mut executor = SimExecutor::new(deployment, SimConfig::default());
@@ -116,51 +139,66 @@ fn snapshot_after(deployment: &Deployment, events: &[Event]) -> Vec<u8> {
     encode(&executor.to_snapshot())
 }
 
-/// The two snapshots under attack: four As under three keys buffered in the
-/// keyed join, and the forbidden `SEQ(B, D)` half-assembled (B@20 held by
-/// the assembler) after A@10.
-fn mid_run_snapshots() -> [Vec<u8>; 2] {
-    let keyed = |seq, time, k: i64| {
-        let payload = Payload::from_pairs(vec![(AttrId(0), Value::Int(k))]);
-        Event::with_payload(seq, EventTypeId(0), time, NodeId(0), payload)
-    };
+/// An event of type `ty` at node `ty` with attribute `attr` set to `v`.
+fn with_attr(seq: u64, ty: u16, time: u64, attr: u8, v: i64) -> Event {
+    let payload = Payload::from_pairs(vec![(AttrId(attr), Value::Int(v))]);
+    Event::with_payload(seq, EventTypeId(ty), time, NodeId(ty), payload)
+}
+
+/// The three snapshots under attack: four As under three keys buffered in
+/// the keyed join, the forbidden `SEQ(B, D)` half-assembled (B@20 held by
+/// the assembler) after A@10, and three As in the shared buffer.
+fn mid_run_snapshots() -> [Vec<u8>; 3] {
     let ev = |seq, ty: u16, time| Event::new(seq, EventTypeId(ty), time, NodeId(ty));
     [
         snapshot_after(
             &keyed_two_node_deployment(),
             &[
-                keyed(0, 10, 1),
-                keyed(1, 12, 2),
-                keyed(2, 14, 3),
-                keyed(3, 16, 1),
+                with_attr(0, 0, 10, 0, 1),
+                with_attr(1, 0, 12, 0, 2),
+                with_attr(2, 0, 14, 0, 3),
+                with_attr(3, 0, 16, 0, 1),
             ],
         ),
         snapshot_after(&composite_guard_deployment(), &[ev(0, 0, 10), ev(1, 1, 20)]),
+        snapshot_after(
+            &shared_deployment(),
+            &[ev(0, 0, 10), ev(1, 0, 12), ev(2, 0, 14)],
+        ),
     ]
 }
 
 /// The deployments of [`mid_run_snapshots`], in the same order.
-fn mid_run_deployments() -> [Deployment; 2] {
-    [keyed_two_node_deployment(), composite_guard_deployment()]
+fn mid_run_deployments() -> [Deployment; 3] {
+    [
+        keyed_two_node_deployment(),
+        composite_guard_deployment(),
+        shared_deployment(),
+    ]
 }
 
 /// Events that follow [`mid_run_snapshots`]' prefixes, in the same order:
-/// keyed `B`s that probe the buffered `A`s, and the rest of the composite
-/// guard with a second `A … C` around it.
-fn tails() -> [Vec<Event>; 2] {
-    let keyed = |seq, ty: u16, time, k: i64| {
-        let payload = Payload::from_pairs(vec![(AttrId(0), Value::Int(k))]);
-        Event::with_payload(seq, EventTypeId(ty), time, NodeId(ty), payload)
-    };
+/// keyed `B`s that probe the buffered `A`s, the rest of the composite
+/// guard with a second `A … C` around it, and a `B` in each band.
+fn tails() -> [Vec<Event>; 3] {
     let ev = |seq, ty: u16, time| Event::new(seq, EventTypeId(ty), time, NodeId(ty));
     [
-        vec![keyed(4, 1, 20, 1), keyed(5, 0, 22, 2), keyed(6, 1, 24, 2)],
+        vec![
+            with_attr(4, 1, 20, 0, 1),
+            with_attr(5, 0, 22, 0, 2),
+            with_attr(6, 1, 24, 0, 2),
+        ],
         vec![
             ev(2, 2, 25),
             ev(3, 3, 30),
             ev(4, 0, 35),
             ev(5, 1, 40),
             ev(6, 3, 50),
+        ],
+        vec![
+            with_attr(3, 1, 20, 1, 2),
+            ev(4, 0, 22),
+            with_attr(5, 1, 24, 1, 7),
         ],
     ]
 }
@@ -205,7 +243,11 @@ fn mid_run_snapshots_hold_buffered_state() {
                 stores + assembled.sum::<usize>()
             })
             .sum();
-        assert!(buffered > 0, "the snapshot must carry buffered matches");
+        let shared: usize = snap.buffers.iter().flatten().map(|b| b.matches.len()).sum();
+        assert!(
+            buffered + shared > 0,
+            "the snapshot must carry buffered matches"
+        );
         assert_eq!(encode(&snap), bytes);
     }
 }
@@ -215,7 +257,7 @@ proptest! {
 
     #[test]
     fn hostile_snapshot_bytes_are_refused_or_reencode(
-        which in 0usize..2,
+        which in 0usize..3,
         mutation in 0u8..3,
         seed in any::<u64>(),
     ) {
@@ -227,7 +269,7 @@ proptest! {
         let per_byte = [
             size_of::<Option<JoinState>>(),
             size_of::<(Option<JoinState>, StoreState)>(),
-            size_of::<PendingDelivery>(),
+            size_of::<Option<StoreState>>(),
             size_of::<Vec<Match>>(),
             size_of::<(PrimId, Event)>(),
         ]
@@ -254,16 +296,16 @@ proptest! {
 /// A match that does not assign exactly the primitives of where it sits,
 /// once in each place a snapshot holds matches that restore does not
 /// rebuild. Structure and plan fingerprint are intact, so each decodes,
-/// but restore must refuse it: the next `B` would probe a buffered or
-/// pending `A` under a primitive the query lacks and index the query's
-/// order table out of range.
+/// but restore must refuse it: the next `B` would probe a buffered `A`
+/// under a primitive the query lacks and index the query's order table
+/// out of range.
 #[test]
 fn a_match_in_the_wrong_place_is_refused_on_restore() {
     fn join(snap: &mut Snapshot, task: usize) -> &mut JoinState {
         snap.tasks[task].as_mut().unwrap()
     }
-    let [keyed, composite] = mid_run_snapshots().map(|bytes| decode(&bytes).unwrap());
-    let [keyed_deployment, composite_deployment] = mid_run_deployments();
+    let [keyed, composite, shared] = mid_run_snapshots().map(|bytes| decode(&bytes).unwrap());
+    let [keyed_deployment, composite_deployment, shared_deployment] = mid_run_deployments();
     let buffering = |j: &JoinState| j.stores.iter().position(|s| !s.matches.is_empty());
     let (task, slot) = (keyed.tasks.iter().enumerate())
         .find_map(|(t, j)| Some((t, buffering(j.as_ref()?)?)))
@@ -271,24 +313,20 @@ fn a_match_in_the_wrong_place_is_refused_on_restore() {
     let sink = (composite.tasks.iter())
         .position(|j| j.as_ref().is_some_and(|j| !j.negations.is_empty()))
         .expect("the sink join checks the negation");
+    let input = (shared.buffers.iter())
+        .position(|b| b.as_ref().is_some_and(|b| !b.matches.is_empty()))
+        .expect("the shared buffer holds the As");
     let foreign_a = Match::single(PrimId(7), Event::new(9, EventTypeId(0), 18, NodeId(0)));
     let lone_b = Match::single(PrimId(1), Event::new(9, EventTypeId(1), 18, NodeId(1)));
     let mut cases = [
-        ("slot store", &keyed_deployment, keyed.clone()),
-        ("pending delivery", &keyed_deployment, keyed),
+        ("slot store", &keyed_deployment, keyed),
+        ("shared buffer", &shared_deployment, shared),
         ("forbidden store", &composite_deployment, composite.clone()),
         ("deferred candidate", &composite_deployment, composite),
     ];
     let buffered = &mut join(&mut cases[0].2, task).stores[slot].matches[0];
     *buffered = Match::single(PrimId(7), buffered.entries()[0].1.clone());
-    cases[1].2.pending.push(PendingDelivery {
-        time: 18,
-        trigger: 9,
-        sub: 0,
-        target: task,
-        slot,
-        m: foreign_a.clone(),
-    });
+    cases[1].2.buffers[input].as_mut().unwrap().matches[0] = foreign_a.clone();
     let (_, forbidden) = &mut join(&mut cases[2].2, sink).negations[0];
     forbidden.matches.push(lone_b);
     join(&mut cases[3].2, sink).deferred.push(foreign_a);
@@ -305,6 +343,53 @@ fn a_match_in_the_wrong_place_is_refused_on_restore() {
     }
 }
 
+/// A shared input's buffer is stored once, in `Snapshot::buffers`: restore
+/// refuses a buffer list of the wrong length, a buffer for an input one
+/// join stores, a missing buffer for an input two joins store, and a
+/// reader of a shared input that holds matches of its own.
+#[test]
+fn a_buffer_in_the_wrong_place_is_refused_on_restore() {
+    let keyed = decode(&mid_run_snapshots()[0]).unwrap();
+    let shared = decode(&mid_run_snapshots()[2]).unwrap();
+    let [keyed_deployment, _, shared_deployment] = mid_run_deployments();
+    let input = (shared.buffers.iter())
+        .position(|b| b.as_ref().is_some_and(|b| !b.matches.is_empty()))
+        .expect("the shared buffer holds the As");
+    let (task, slot) = shared_deployment.shared_readers(input)[0];
+    let mut cases = [
+        (
+            "buffer count differs from the deployment's inputs",
+            &shared_deployment,
+            shared.clone(),
+        ),
+        (
+            "a buffer for an input fewer than two joins store",
+            &keyed_deployment,
+            keyed,
+        ),
+        (
+            "no buffer for an input two joins store",
+            &shared_deployment,
+            shared.clone(),
+        ),
+        (
+            "a shared input's reader holds matches of its own",
+            &shared_deployment,
+            shared,
+        ),
+    ];
+    cases[0].2.buffers.push(None);
+    cases[1].2.buffers[0] = Some(StoreState::default());
+    let taken = cases[2].2.buffers[input].take().unwrap();
+    let reader = cases[3].2.tasks[task].as_mut().unwrap();
+    reader.stores[slot].matches = taken.matches;
+
+    for (why, deployment, snap) in cases {
+        let restored = restore(deployment, SimConfig::default(), &encode(&snap));
+        assert_eq!(restored.err(), Some(CheckpointError::Shape(why)));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -314,7 +399,7 @@ proptest! {
     /// tail and finishes without a panic.
     #[test]
     fn hostile_snapshots_that_restore_run_on(
-        which in 0usize..2,
+        which in 0usize..3,
         mutation in 0u8..3,
         seed in any::<u64>(),
     ) {

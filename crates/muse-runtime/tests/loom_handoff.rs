@@ -1,12 +1,13 @@
-//! Model-checked interleavings of the threaded executor's worker/watermark
-//! handoff (`threaded.rs`): producers stamp an inject clock, push work over
-//! a channel-like queue, and set a done flag; the consumer drains, observes
-//! the stamps, and advances a `fetch_max` watermark.
+//! Model-checked interleavings of the threaded executor's inject-clock
+//! handoff (`threaded.rs`): a producer stamps each event's inject time,
+//! pushes it over a channel-like queue, and sets a done flag; the consumer
+//! drains and must observe every stamp.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"` (the `loom` CI lane in
-//! `scripts/ci.sh`); the vendored `loom` explores every schedule of the
-//! model, so a pass means no interleaving loses an event or regresses the
-//! watermark.
+//! `scripts/ci.sh`, which also runs the model of the executor's own drain
+//! barrier, a unit test of `threaded.rs`); the vendored `loom` explores
+//! every schedule of the model, so a pass means no interleaving loses an
+//! event or its stamp.
 #![cfg(loom)]
 
 use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -89,33 +90,5 @@ fn inject_clock_visible_at_sink() {
             EVENTS as u64 * 100,
             "watermark did not reach the last inject stamp"
         );
-    });
-}
-
-/// Two workers racing `fetch_max` on the shared watermark: each worker's
-/// subsequent load must be at least its own contribution (monotonicity),
-/// and after both join the clock holds the global max.
-#[test]
-fn watermark_fetch_max_monotonic_across_workers() {
-    loom::model(|| {
-        let clock = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (1..=2u64)
-            .map(|w| {
-                let clock = clock.clone();
-                thread::spawn(move || {
-                    let mine = w * 10;
-                    clock.fetch_max(mine, Ordering::AcqRel);
-                    let observed = clock.load(Ordering::Acquire);
-                    assert!(
-                        observed >= mine,
-                        "worker {w} saw the watermark regress below its own advance"
-                    );
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(clock.load(Ordering::Acquire), 20);
     });
 }

@@ -3,17 +3,19 @@
 //! [`checkpoint::map_snapshot`], and resume under plan B — in the
 //! simulator and the threaded executor. Certified migrations restore
 //! fingerprint-identical and resume to the uninterrupted run's results;
-//! rejected migrations must fail the restore instead of corrupting state.
+//! rejected migrations must fail the restore instead of corrupting state,
+//! and a join input that becomes shared (or stops being shared) carries
+//! its buffered matches across.
 
 use muse_core::algorithms::amuse::AMuseConfig;
 use muse_core::algorithms::multi_query::amuse_workload;
 use muse_core::catalog::Catalog;
-use muse_core::event::{Event, Timestamp};
+use muse_core::event::{Event, Timestamp, Value};
 use muse_core::graph::{MuseGraph, PlanContext};
 use muse_core::network::{Network, NetworkBuilder};
 use muse_core::projection::ProjectionTable;
-use muse_core::query::{Pattern, Predicate, Query};
-use muse_core::types::{EventTypeId, NodeId};
+use muse_core::query::{CmpOp, Pattern, Predicate, Query};
+use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId};
 use muse_core::workload::Workload;
 use muse_runtime::checkpoint::{self, CheckpointError};
 use muse_runtime::deploy::Deployment;
@@ -75,11 +77,17 @@ struct Placed {
 }
 
 fn place(window: Timestamp, network: &Network) -> Placed {
-    let workload = Workload::from_patterns(
-        Catalog::with_anonymous_types(3),
-        [(pattern(), Vec::<Predicate>::new(), window)],
-    )
-    .expect("pattern builds a workload");
+    place_all(vec![(pattern(), Vec::new(), window)], network)
+}
+
+/// Plans and deploys `(pattern, predicates, window)` registrations, query
+/// `i` with id `i`.
+fn place_all(
+    registrations: Vec<(Pattern, Vec<Predicate>, Timestamp)>,
+    network: &Network,
+) -> Placed {
+    let workload = Workload::from_patterns(Catalog::with_anonymous_types(3), registrations)
+        .expect("patterns build a workload");
     let plan =
         amuse_workload(&workload, network, &AMuseConfig::default()).expect("aMuSE plans workload");
     let queries = workload.queries().to_vec();
@@ -91,6 +99,11 @@ fn place(window: Timestamp, network: &Network) -> Placed {
         graph: plan.merged,
         deployment,
     }
+}
+
+/// Whether some join input of the plan is stored by two or more joins.
+fn shares_an_input(deployment: &Deployment) -> bool {
+    (0..deployment.inputs.len()).any(|i| !deployment.shared_readers(i).is_empty())
 }
 
 fn certify(a: &Placed, b: &Placed, network: &Network) -> (Report, MigrationPlan) {
@@ -116,7 +129,7 @@ fn certified_migration_is_lossless_in_sim() {
 
     let mut exec = SimExecutor::new(&a.deployment, SimConfig::default());
     exec.process_trace(&events[..half]);
-    let bytes = checkpoint::snapshot(&exec).expect("sim snapshots");
+    let bytes = checkpoint::encode(&exec.to_snapshot());
 
     let (report, plan) = certify(&a, &b, &net);
     assert!(plan.safe, "identity migration must certify:\n{report}");
@@ -172,7 +185,7 @@ fn certified_migration_is_lossless_threaded() {
 
     let mut exec = SimExecutor::new(&a.deployment, SimConfig::default());
     exec.process_trace(&events[..half]);
-    let bytes = checkpoint::snapshot(&exec).expect("sim snapshots");
+    let bytes = checkpoint::encode(&exec.to_snapshot());
 
     let (report, plan) = certify(&a, &b, &net);
     assert!(plan.safe, "identity migration must certify:\n{report}");
@@ -207,7 +220,7 @@ fn widened_window_migration_restores() {
     let mut exec = SimExecutor::new(&a.deployment, SimConfig::default());
     exec.process_trace(&events[..half]);
     let carried_so_far = exec.matches()[0].len();
-    let bytes = checkpoint::snapshot(&exec).expect("sim snapshots");
+    let bytes = checkpoint::encode(&exec.to_snapshot());
 
     let (report, plan) = certify(&a, &b, &net);
     assert!(plan.safe, "widened window must certify:\n{report}");
@@ -241,7 +254,7 @@ fn rejected_migration_fails_restore() {
 
     let mut exec = SimExecutor::new(&a.deployment, SimConfig::default());
     exec.process_trace(&events[..events.len() / 2]);
-    let bytes = checkpoint::snapshot(&exec).expect("sim snapshots");
+    let bytes = checkpoint::encode(&exec.to_snapshot());
 
     let (report, plan) = certify(&a, &b, &net);
     assert!(!plan.safe, "narrowed window must not certify:\n{report}");
@@ -284,7 +297,7 @@ fn migration_rejects_foreign_snapshot() {
 
     let mut exec = SimExecutor::new(&other.deployment, SimConfig::default());
     exec.process_trace(&events[..events.len() / 2]);
-    let bytes = checkpoint::snapshot(&exec).expect("sim snapshots");
+    let bytes = checkpoint::encode(&exec.to_snapshot());
 
     let (report, plan) = certify(&a, &b, &net);
     assert!(plan.safe, "{report}");
@@ -301,4 +314,118 @@ fn migration_rejects_foreign_snapshot() {
         }
         other => panic!("expected PlanMismatch, got {other:?}"),
     }
+}
+
+/// The Fig. 1 query alone, and next to a variant of itself whose `t2` lies
+/// in a band of attribute 1: the variant's `SEQ(t0, t2)` joins read the
+/// query's `t0` streams, so the plan with both stores each of them once
+/// for two joins, where the plan with one query stores it in one join.
+fn unshared_and_shared(network: &Network) -> (Placed, Placed) {
+    let band = [(CmpOp::Ge, 0), (CmpOp::Le, 4)]
+        .map(|(op, v)| Predicate::unary(PrimId(2), AttrId(1), op, Value::Int(v), 0.5))
+        .to_vec();
+    let alone = place_all(vec![(pattern(), Vec::new(), 1_000)], network);
+    let both = place_all(
+        vec![(pattern(), Vec::new(), 1_000), (pattern(), band, 1_000)],
+        network,
+    );
+    assert!(!shares_an_input(&alone.deployment));
+    assert!(
+        shares_an_input(&both.deployment),
+        "the variant shares an input"
+    );
+    (alone, both)
+}
+
+/// A trace ten windows of [`unshared_and_shared`] long, attribute 1 of
+/// every event in `0..10`.
+fn banded_trace(network: &Network, seed: u64) -> Vec<Event> {
+    muse_sim::traces::generate_traces(
+        network,
+        &muse_sim::traces::TraceConfig {
+            duration: 100.0,
+            ticks_per_unit: 100.0,
+            rate_scale: 0.05,
+            key_domain: 0,
+            band_domain: 10,
+            seed,
+        },
+    )
+}
+
+/// Migrates a run of `a`, snapshotted halfway, onto `b`, on both executors:
+/// query 0, carried, must match exactly as in an uninterrupted run of `b`,
+/// some of whose matches span the snapshot.
+fn assert_carried_query_lossless(a: &Placed, b: &Placed, network: &Network, events: &[Event]) {
+    let half = events.len() / 2;
+    let (report, plan) = certify(a, b, network);
+    assert!(plan.safe, "the migration must certify:\n{report}");
+
+    let config = SimConfig::default();
+    let mut exec = SimExecutor::new(&a.deployment, config.clone());
+    exec.process_trace(&events[..half]);
+    let bytes = checkpoint::encode(&exec.to_snapshot());
+    let mut resumed =
+        checkpoint::restore_mapped(&a.deployment, &b.deployment, &plan, config.clone(), &bytes)
+            .expect("certified migration restores");
+    resumed.process_trace(&events[half..]);
+    let migrated = resumed.finish();
+    let mut uninterrupted = SimExecutor::new(&b.deployment, config);
+    uninterrupted.process_trace(events);
+    let baseline = uninterrupted.finish();
+    let split = events[half].time;
+    assert!(
+        (baseline.matches[0].iter()).any(|m| m.first_time() < split && m.last_time() >= split),
+        "a match spans the snapshot"
+    );
+    assert_eq!(
+        migrated.matches[0], baseline.matches[0],
+        "simulator: the carried query's matches, in order"
+    );
+
+    let config = ThreadedConfig::default();
+    let mut exec = SimExecutor::new(
+        &a.deployment,
+        SimConfig {
+            slack: config.slack,
+            ..SimConfig::default()
+        },
+    );
+    exec.process_trace(&events[..half]);
+    let bytes = checkpoint::encode(&exec.to_snapshot());
+    let mapped =
+        checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, config.slack, &bytes)
+            .expect("certified migration restores");
+    let migrated = run_threaded_resumed(
+        &b.deployment,
+        &events[half..],
+        &config,
+        &checkpoint::encode(&mapped),
+    )
+    .expect("mapped snapshot resumes the threaded executor");
+    let baseline = run_threaded(&b.deployment, events, &config);
+    assert_eq!(
+        fingerprints(&migrated.matches[0]),
+        fingerprints(&baseline.matches[0]),
+        "threaded: the carried query's matches"
+    );
+}
+
+/// Appending the band variant turns each `t0` input the query's
+/// `SEQ(t0, t2)` join stores alone into one the node stores once for both
+/// queries' joins: the buffer starts from the carried join's own store.
+#[test]
+fn migration_into_a_shared_input_is_lossless() {
+    let net = network();
+    let (alone, both) = unshared_and_shared(&net);
+    assert_carried_query_lossless(&alone, &both, &net, &banded_trace(&net, 37));
+}
+
+/// Dropping the variant again: the carried join stores the input alone
+/// and takes the shared buffer's matches into its own store.
+#[test]
+fn migration_out_of_a_shared_input_is_lossless() {
+    let net = network();
+    let (alone, both) = unshared_and_shared(&net);
+    assert_carried_query_lossless(&both, &alone, &net, &banded_trace(&net, 37));
 }

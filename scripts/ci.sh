@@ -4,7 +4,7 @@
 # `muse-verify migrate` smoke over them (the certified pair must exit 0,
 # the narrowed pair must be refused — no test runs the binary) and a
 # hostile `.net` file that `muse-verify plan` must reject with exit 2, the loom
-# concurrency lane, the driver-parity suites once more in the release
+# concurrency lane (the inject-clock handoff and the executor's drain barrier), the driver-parity suites once more in the release
 # profile (thread interleavings there are the ones bench/ measures, far
 # less tame than the dev profile's; shared join inputs, snapshot restore
 # and muse-bench's two crash tests included), the multi-query set-up
@@ -97,8 +97,14 @@ if cargo run -q -p muse-verify --release --bin muse-verify -- \
     exit 1
 fi
 
-echo "== loom: model-checked worker/watermark handoff =="
+echo "== loom: model-checked inject-clock handoff and drain barrier =="
 RUSTFLAGS="--cfg loom" cargo test --release -p muse-runtime --test loom_handoff -q
+# The threaded executor's `DrainBarrier`, built on the vendored loom's
+# atomics in this configuration: every schedule of two threads through two
+# rounds. That is 491 149 executions, so the bound is raised above loom's
+# default of 100 000, which would end the exploration early.
+LOOM_MAX_ITER=1000000 RUSTFLAGS="--cfg loom" cargo test --release -p muse-runtime --lib -q \
+    drain_barrier_model_checked
 
 echo "== release: driver-parity suites under optimized interleavings =="
 cargo test --release -q -p muse-runtime \

@@ -5,7 +5,7 @@
 use muse_core::algorithms::amuse::{amuse, AMuseConfig};
 use muse_core::graph::PlanContext;
 use muse_core::prelude::*;
-use muse_runtime::checkpoint::{restore, snapshot};
+use muse_runtime::checkpoint::{encode, restore};
 use muse_runtime::sim::{run_simulation, SimConfig, SimExecutor};
 use muse_runtime::Deployment;
 use muse_sim::network_gen::{generate_network, NetworkConfig};
@@ -78,7 +78,7 @@ fn recovery_at_any_boundary_is_lossless() {
     for split in [1, n / 4, n / 2, 3 * n / 4, n - 1] {
         let mut first = SimExecutor::new(&deployment, SimConfig::default());
         first.process_trace(&inst.events[..split]);
-        let bytes = snapshot(&first).unwrap();
+        let bytes = encode(&first.to_snapshot());
         drop(first); // the crash
         let mut resumed = restore(&deployment, SimConfig::default(), &bytes).unwrap();
         resumed.process_trace(&inst.events[split..]);
@@ -112,11 +112,11 @@ fn repeated_crashes_compose() {
     let (a, b) = (n / 3, 2 * n / 3);
     let mut exec = SimExecutor::new(&deployment, SimConfig::default());
     exec.process_trace(&inst.events[..a]);
-    let snap1 = snapshot(&exec).unwrap();
+    let snap1 = encode(&exec.to_snapshot());
     drop(exec);
     let mut exec = restore(&deployment, SimConfig::default(), &snap1).unwrap();
     exec.process_trace(&inst.events[a..b]);
-    let snap2 = snapshot(&exec).unwrap();
+    let snap2 = encode(&exec.to_snapshot());
     drop(exec);
     let mut exec = restore(&deployment, SimConfig::default(), &snap2).unwrap();
     exec.process_trace(&inst.events[b..]);
@@ -145,7 +145,7 @@ fn older_snapshot_replay_converges() {
     let n = inst.events.len();
     let mut exec = SimExecutor::new(&deployment, SimConfig::default());
     exec.process_trace(&inst.events[..n / 4]);
-    let early_snap = snapshot(&exec).unwrap();
+    let early_snap = encode(&exec.to_snapshot());
     // Keep running past the snapshot point, then "crash".
     exec.process_trace(&inst.events[n / 4..n / 2]);
     drop(exec);
@@ -175,7 +175,7 @@ fn snapshot_portable_across_deployments() {
 
     let mut exec = SimExecutor::new(&deployment_a, SimConfig::default());
     exec.process_trace(&inst.events[..inst.events.len() / 2]);
-    let snap = snapshot(&exec).unwrap();
+    let snap = encode(&exec.to_snapshot());
     drop(exec);
 
     let mut resumed = restore(&deployment_b, SimConfig::default(), &snap).unwrap();
