@@ -11,14 +11,14 @@
 
 use crate::algorithms::amuse::{amuse_with_table, AMuseConfig, ConstructionStats};
 use crate::error::Result;
+use crate::event::Value;
 use crate::graph::{MuseGraph, PlanContext, SharedTransmissions, Vertex};
 use crate::network::Network;
 use crate::projection::{ProjId, ProjectionTable};
-use crate::query::Query;
+use crate::query::{PredicateExpr, Query};
 use crate::types::QueryId;
 use crate::workload::Workload;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// The result of planning a whole workload.
 #[derive(Debug, Clone)]
@@ -62,21 +62,82 @@ impl WorkloadPlan {
 }
 
 /// Canonical structural key of a query: operator tree rendered over event
-/// types, the full predicate list, and the window. Equal keys imply
+/// types, the window, and the full predicate list. Equal keys imply
 /// identical type trees (hence identical left-to-right prim numbering) and
 /// identical predicates over those prims — the queries are
 /// indistinguishable to the planner, so one plan serves both.
-fn structural_key(query: &Query) -> String {
+///
+/// The key is an unambiguous byte encoding: ids as integers, numbers by
+/// their bits (every NaN alike), and the tree signature and string
+/// constants length-prefixed, so that no constant can forge a field
+/// boundary.
+fn structural_key(query: &Query) -> Vec<u8> {
     // Order-preserving: the canonical `signature` sorts AND/OR children, so
     // equal canonical signatures do NOT imply equal prim numbering — and the
     // relabeling below maps prim ids of the representative's plan directly
     // onto the duplicate.
-    let mut s = query.root().tree_signature(query.prim_types());
+    let tree = query.root().tree_signature(query.prim_types());
+    let mut key = Vec::with_capacity(tree.len() + 16 + 32 * query.predicates().len());
+    push_bytes(&mut key, tree.as_bytes());
+    key.extend(query.window().to_le_bytes());
+    // Each predicate's encoding is self-delimiting, so the list needs no
+    // count: it runs to the end of the key.
     for p in query.predicates() {
-        let _ = write!(s, ";{p:?}");
+        match &p.expr {
+            PredicateExpr::UnaryConst {
+                prim,
+                attr,
+                op,
+                value,
+            } => {
+                key.extend([0, prim.0, attr.0, *op as u8]);
+                match value {
+                    Value::Int(v) => {
+                        key.push(0);
+                        key.extend(v.to_le_bytes());
+                    }
+                    Value::Float(f) => {
+                        key.push(1);
+                        push_f64(&mut key, *f);
+                    }
+                    Value::Str(s) => {
+                        key.push(2);
+                        push_bytes(&mut key, s.as_bytes());
+                    }
+                }
+            }
+            PredicateExpr::BinaryAttr {
+                left_prim,
+                left_attr,
+                op,
+                right_prim,
+                right_attr,
+            } => key.extend([
+                1,
+                left_prim.0,
+                left_attr.0,
+                *op as u8,
+                right_prim.0,
+                right_attr.0,
+            ]),
+        }
+        push_f64(&mut key, p.selectivity);
     }
-    let _ = write!(s, ";w{}", query.window());
-    s
+    key
+}
+
+/// Appends a length-prefixed byte string to a structural key.
+fn push_bytes(key: &mut Vec<u8>, bytes: &[u8]) {
+    key.extend((bytes.len() as u64).to_le_bytes());
+    key.extend_from_slice(bytes);
+}
+
+/// Appends an `f64` to a structural key by its bits. `-0.0` and `0.0`
+/// stay apart; every NaN is one value, since a NaN's sign and payload bits
+/// mean nothing to the planner.
+fn push_f64(key: &mut Vec<u8>, f: f64) {
+    let f = if f.is_nan() { f64::NAN } else { f };
+    key.extend(f.to_bits().to_le_bytes());
 }
 
 /// Re-labels a representative query's graph onto a structurally identical
@@ -131,7 +192,7 @@ pub fn amuse_workload(
     let mut per_query_cost = Vec::with_capacity(workload.len());
     let mut stats = Vec::with_capacity(workload.len());
     let mut plan_reuse = Vec::with_capacity(workload.len());
-    let mut memo: HashMap<String, usize> = HashMap::new();
+    let mut memo: HashMap<Vec<u8>, usize> = HashMap::new();
 
     for (qi, query) in workload.queries().iter().enumerate() {
         let key = structural_key(query);
@@ -530,5 +591,90 @@ mod tests {
             .map(|q| amuse(q, &net, &AMuseConfig::default()).unwrap().cost)
             .sum();
         assert!((plan.total_cost - independent).abs() < 1e-6);
+    }
+
+    /// The structural key as a rendering of the tree signature, every
+    /// predicate's `Debug` form and the window: the reference the byte key
+    /// must agree with.
+    fn debug_key(query: &Query) -> String {
+        use std::fmt::Write as _;
+        let mut s = query.root().tree_signature(query.prim_types());
+        for p in query.predicates() {
+            let _ = write!(s, ";{p:?}");
+        }
+        let _ = write!(s, ";w{}", query.window());
+        s
+    }
+
+    /// Byte keys are equal exactly when `Debug` keys are, on queries that
+    /// differ only in a string constant holding the separator or another
+    /// predicate's encoding, in the sign of a zero, in NaN bits, or in the
+    /// order of AND children.
+    #[test]
+    fn structural_keys_agree_with_debug_keys() {
+        let unary =
+            |value: Value, sel: f64| Predicate::unary(PrimId(0), AttrId(1), CmpOp::Eq, value, sel);
+        let query = |pattern: Pattern, preds: Vec<Predicate>| {
+            Query::build(QueryId(0), &pattern, preds, 1000).unwrap()
+        };
+        let seq = || Pattern::seq([Pattern::leaf(t(0)), Pattern::leaf(t(1))]);
+        // Written without length prefixes, one predicate on this constant
+        // would encode exactly as two: on "a" with selectivity `ascii`
+        // (every byte `?`), then on "b".
+        let ascii = f64::from_bits(0x3f3f_3f3f_3f3f_3f3f);
+        let forged = format!("a{}\0\0\u{1}\0\u{2}b", "?".repeat(8));
+        let queries = [
+            query(seq(), vec![unary(Value::Str(forged), 0.5)]),
+            query(
+                seq(),
+                vec![
+                    unary(Value::Str("a".into()), ascii),
+                    unary(Value::Str("b".into()), 0.5),
+                ],
+            ),
+            query(seq(), vec![unary(Value::Str("a;b".into()), 0.5)]),
+            query(
+                seq(),
+                vec![
+                    unary(Value::Str("a".into()), 0.5),
+                    unary(Value::Str("b".into()), 0.5),
+                ],
+            ),
+            query(seq(), vec![unary(Value::Str("a;b".into()), 0.5)]),
+            query(seq(), vec![unary(Value::Float(0.0), 0.5)]),
+            query(seq(), vec![unary(Value::Float(-0.0), 0.5)]),
+            query(seq(), vec![unary(Value::Int(0), 0.5)]),
+            query(seq(), vec![unary(Value::Float(f64::NAN), 0.5)]),
+            query(seq(), vec![unary(Value::Float(-f64::NAN), 0.5)]),
+            query(
+                Pattern::and([Pattern::leaf(t(0)), Pattern::leaf(t(1))]),
+                vec![pred(0, 1, 0.5)],
+            ),
+            query(
+                Pattern::and([Pattern::leaf(t(1)), Pattern::leaf(t(0))]),
+                vec![pred(0, 1, 0.5)],
+            ),
+            query(
+                Pattern::and([Pattern::leaf(t(0)), Pattern::leaf(t(1))]),
+                vec![pred(0, 1, 0.5)],
+            ),
+        ];
+        let mut equal_pairs = 0;
+        for a in &queries {
+            for b in &queries {
+                let debug_equal = debug_key(a) == debug_key(b);
+                assert_eq!(
+                    structural_key(a) == structural_key(b),
+                    debug_equal,
+                    "{} vs {}",
+                    debug_key(a),
+                    debug_key(b)
+                );
+                equal_pairs += usize::from(debug_equal);
+            }
+        }
+        // The diagonal, both orders of the repeated `a;b` and AND(t0, t1)
+        // queries, and of the two NaNs.
+        assert_eq!(equal_pairs, queries.len() + 6);
     }
 }

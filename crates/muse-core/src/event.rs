@@ -102,12 +102,29 @@ impl Payload {
     }
 
     /// Creates a payload from `(attribute, value)` pairs.
-    pub fn from_pairs(mut pairs: Vec<(AttrId, Value)>) -> Self {
-        if pairs.is_empty() {
+    ///
+    /// The result equals [`Payload::set`] called on each pair in turn: the
+    /// pairs are sorted by attribute, and of pairs naming one attribute the
+    /// last wins. The list is built once, without `set`'s copy-on-write
+    /// check per pair, and has room for at least four pairs, the size `set`
+    /// first grows an empty payload to.
+    pub fn from_pairs(pairs: impl IntoIterator<Item = (AttrId, Value)>) -> Self {
+        let mut pairs = pairs.into_iter().peekable();
+        if pairs.peek().is_none() {
             return Self(None);
         }
-        pairs.sort_by_key(|(a, _)| *a);
-        Self(Some(Arc::new(pairs)))
+        let mut list = Vec::with_capacity(pairs.size_hint().0.max(4));
+        list.extend(pairs);
+        // Stable: pairs naming one attribute stay in the order given.
+        list.sort_by_key(|(a, _)| *a);
+        list.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+        Self(Some(Arc::new(list)))
     }
 
     fn pairs(&self) -> &[(AttrId, Value)] {
@@ -283,6 +300,38 @@ mod tests {
         let p = Payload::from_pairs(vec![(AttrId(5), Value::Int(1)), (AttrId(2), Value::Int(2))]);
         assert_eq!(p.get(AttrId(5)), Some(&Value::Int(1)));
         assert_eq!(p.get(AttrId(2)), Some(&Value::Int(2)));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        /// `from_pairs` is `set` folded over the pairs, duplicates and
+        /// unsorted attributes included, and its list has room for four
+        /// pairs at least, as the one `set` grows.
+        #[test]
+        fn payload_from_pairs_equals_set_fold(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let pairs: Vec<(AttrId, Value)> = (0..rng.gen_range(0..10))
+                .map(|_| {
+                    let value = match rng.gen_range(0..3) {
+                        0 => Value::Int(rng.gen_range(-3..3)),
+                        1 => Value::Float(rng.gen_range(-3..3) as f64 / 2.0),
+                        _ => Value::Str(rng.gen_range(0..3i64).to_string()),
+                    };
+                    (AttrId(rng.gen_range(0..6)), value)
+                })
+                .collect();
+            let mut folded = Payload::new();
+            for (attr, value) in pairs.clone() {
+                folded.set(attr, value);
+            }
+            let built = Payload::from_pairs(pairs);
+            proptest::prop_assert_eq!(&built, &folded);
+            proptest::prop_assert_eq!(built.0.is_none(), folded.0.is_none());
+            if let Some(list) = &built.0 {
+                proptest::prop_assert!(list.capacity() >= 4);
+            }
+        }
     }
 
     #[test]

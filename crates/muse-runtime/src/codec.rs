@@ -65,28 +65,37 @@ pub(crate) fn try_decode_event(buf: &mut &[u8]) -> Option<Event> {
     let ty = EventTypeId(try_get_u16(buf)?);
     let time = try_get_u64(buf)?;
     let origin = NodeId(try_get_u16(buf)?);
-    let n_attrs = try_get_u8(buf)? as usize;
-    let mut payload = Payload::new();
-    for _ in 0..n_attrs {
-        let attr = AttrId(try_get_u8(buf)?);
-        let value = match try_get_u8(buf)? {
-            0 => Value::Int(try_get_u64(buf)? as i64),
-            1 => Value::Float(f64::from_bits(try_get_u64(buf)?)),
-            2 => {
-                let len = try_get_u32(buf)? as usize;
-                if buf.len() < len {
-                    return None;
-                }
-                let (head, rest) = buf.split_at(len);
-                let s = String::from_utf8(head.to_vec()).ok()?;
-                *buf = rest;
-                Value::Str(s)
+    let n_attrs = try_get_u8(buf)?;
+    // The pairs stream into the payload's one allocation and stop at the
+    // first that does not decode.
+    let mut complete = true;
+    let payload = Payload::from_pairs((0..n_attrs).map_while(|_| {
+        let pair = try_decode_attr(buf);
+        complete &= pair.is_some();
+        pair
+    }));
+    complete.then(|| Event::with_payload(seq, ty, time, origin, payload))
+}
+
+/// Decodes the `(attribute, value)` pair at the front of a byte slice.
+fn try_decode_attr(buf: &mut &[u8]) -> Option<(AttrId, Value)> {
+    let attr = AttrId(try_get_u8(buf)?);
+    let value = match try_get_u8(buf)? {
+        0 => Value::Int(try_get_u64(buf)? as i64),
+        1 => Value::Float(f64::from_bits(try_get_u64(buf)?)),
+        2 => {
+            let len = try_get_u32(buf)? as usize;
+            if buf.len() < len {
+                return None;
             }
-            _ => return None,
-        };
-        payload.set(attr, value);
-    }
-    Some(Event::with_payload(seq, ty, time, origin, payload))
+            let (head, rest) = buf.split_at(len);
+            let s = String::from_utf8(head.to_vec()).ok()?;
+            *buf = rest;
+            Value::Str(s)
+        }
+        _ => return None,
+    };
+    Some((attr, value))
 }
 
 /// Reads a big-endian `u8` from the front of the slice, if present.

@@ -156,9 +156,7 @@ pub fn generate_cluster_trace(config: &ClusterTraceConfig) -> ClusterTrace {
         .into_iter()
         .enumerate()
         .map(|(seq, (t, ty, node, jid, uid))| {
-            let mut payload = Payload::new();
-            payload.set(j_id, Value::Int(jid));
-            payload.set(u_id, Value::Int(uid));
+            let payload = Payload::from_pairs([(j_id, Value::Int(jid)), (u_id, Value::Int(uid))]);
             Event::with_payload(seq as u64, EventTypeId(ty), t, NodeId(node), payload)
         })
         .collect();

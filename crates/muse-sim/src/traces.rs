@@ -94,19 +94,14 @@ pub fn generate_traces(network: &Network, config: &TraceConfig) -> Vec<Event> {
     raw.into_iter()
         .enumerate()
         .map(|(seq, (tick, node, ty, key, band))| {
-            let mut payload = Payload::new();
-            if config.key_domain > 0 {
-                payload.set(KEY_ATTR, Value::Int(key as i64));
-            }
-            if config.band_domain > 0 {
-                payload.set(BAND_ATTR, Value::Int(band as i64));
-            }
+            let key = (config.key_domain > 0).then_some((KEY_ATTR, Value::Int(key as i64)));
+            let band = (config.band_domain > 0).then_some((BAND_ATTR, Value::Int(band as i64)));
             Event::with_payload(
                 seq as u64,
                 EventTypeId(ty),
                 tick,
                 muse_core::types::NodeId(node),
-                payload,
+                Payload::from_pairs(key.into_iter().chain(band)),
             )
         })
         .collect()

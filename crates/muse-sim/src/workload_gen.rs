@@ -467,6 +467,54 @@ mod tests {
         );
     }
 
+    /// aMuSE reuses a plan exactly where the query's tree signature,
+    /// predicates (by their `Debug` rendering) and window repeat those of an
+    /// earlier query, on the 10 000-query family workload of the benchmark.
+    #[test]
+    fn family_plans_are_reused_where_rendered_queries_repeat() {
+        use muse_core::algorithms::amuse::AMuseConfig;
+        use muse_core::algorithms::multi_query::amuse_workload;
+        use muse_core::network::NetworkBuilder;
+        use muse_core::types::NodeId;
+        use std::collections::HashMap;
+        use std::fmt::Write as _;
+
+        let w = generate_family_workload(&FamilyWorkloadConfig {
+            queries: 10_000,
+            families: 25,
+            variants_per_family: 8,
+            prims_per_family: 3,
+            types: 12,
+            share_fraction: 0.3,
+            band_domain: 1_000,
+            window: 1_000,
+            seed: 1,
+        });
+        let mut builder = NetworkBuilder::new(2, 12);
+        for node in 0..2u16 {
+            let owned: Vec<EventTypeId> = (0..6).map(|k| EventTypeId(node * 6 + k)).collect();
+            builder = builder.node(NodeId(node), owned.clone());
+            for t in owned {
+                builder = builder.rate(t, 2.0);
+            }
+        }
+        let plan = amuse_workload(&w, &builder.build(), &AMuseConfig::default()).unwrap();
+
+        let mut first: HashMap<String, QueryId> = HashMap::new();
+        for (q, reused) in w.queries().iter().zip(&plan.plan_reuse) {
+            let mut rendered = q.root().tree_signature(q.prim_types());
+            for p in q.predicates() {
+                let _ = write!(rendered, ";{p:?}");
+            }
+            let _ = write!(rendered, ";w{}", q.window());
+            let earlier = first.get(&rendered).copied();
+            assert_eq!(*reused, earlier, "{rendered}");
+            first.entry(rendered).or_insert(q.id());
+        }
+        assert_eq!(first.len(), 200);
+        assert_eq!(plan.reused_plans(), 9_800);
+    }
+
     #[test]
     fn family_workload_is_deterministic() {
         let cfg = FamilyWorkloadConfig {

@@ -7,8 +7,8 @@
 # concurrency lane (the inject-clock handoff and the executor's drain barrier), the driver-parity suites once more in the release
 # profile (thread interleavings there are the ones bench/ measures, far
 # less tame than the dev profile's; shared join inputs, snapshot restore
-# and muse-bench's two crash tests included), the multi-query set-up
-# scaling guard (release only), the pinned benchmark under bench/ (its own workspace: unit tests plus the smoke run, so a public-API
+# and muse-bench's two crash tests included), the set-up scaling guards
+# of multi-query planning and of selectivity estimation (release only), the pinned benchmark under bench/ (its own workspace: unit tests plus the smoke run, so a public-API
 # removal cannot break BENCHMARK.json's command unnoticed; then one short
 # full-size `cluster` run for its exit code — pins, and the case study's
 # reference matches against simulator and `Evaluator` — one of `relay`,
@@ -116,9 +116,11 @@ cargo test --release -q --test end_to_end
 cargo test --release -q -p muse-bench --lib -- \
     relay_crash_is_lossless_in_the_enlarged_chunk_regime \
     crashed_run_exports_the_rolled_back_account
-# Multi-query set-up stays linear in the number of queries: a timing guard,
-# meaningful only optimized, so it is ignored outside this lane.
+# Set-up stays linear: multi-query planning and deployment in the number of
+# queries, selectivity estimation in the number of events. Timing guards,
+# meaningful only optimized, so they are ignored outside this lane.
 cargo test --release -q -p muse-runtime --test setup_scale -- --ignored
+cargo test --release -q -p muse-sim --test estimate_scale -- --ignored
 
 if [ "${MUSE_CI_TSAN:-0}" = "1" ]; then
     echo "== tsan: cargo +nightly test -Zsanitizer=thread (opt-in) =="
