@@ -8,15 +8,29 @@
 //! is not versioned itself — snapshots wrap it in a versioned,
 //! plan-fingerprinted envelope (see `checkpoint`).
 //!
+//! An event's attribute count takes one byte up to 254. A payload can
+//! carry one value per attribute id, 256 in all, so larger counts are
+//! the escape byte `0xFF` followed by a `u16` count.
+//!
 //! Every decoder is checked: malformed or truncated bytes decode to
 //! `None`, never a panic, and no length prefix sizes a buffer beyond the
-//! bytes that remain.
+//! bytes that remain. A count after the escape must lie in `255..=256`,
+//! so each event has one encoding.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use muse_core::event::{Event, Payload, Value};
 use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, MAX_PRIMS};
 
 use crate::matcher::Match;
+
+/// The attribute-count byte that announces a `u16` count.
+const WIDE_COUNT: u8 = 0xFF;
+
+/// The smallest attribute count written as [`WIDE_COUNT`] and a `u16`.
+const WIDE_COUNTS_FROM: usize = WIDE_COUNT as usize;
+
+/// The most attributes a payload carries: one per (`u8`) attribute id.
+const MAX_ATTRS: usize = u8::MAX as usize + 1;
 
 /// Encodes a match.
 pub fn encode_match(m: &Match) -> Bytes {
@@ -65,7 +79,13 @@ pub(crate) fn try_decode_event(buf: &mut &[u8]) -> Option<Event> {
     let ty = EventTypeId(try_get_u16(buf)?);
     let time = try_get_u64(buf)?;
     let origin = NodeId(try_get_u16(buf)?);
-    let n_attrs = try_get_u8(buf)?;
+    let n_attrs = match try_get_u8(buf)? {
+        WIDE_COUNT => match usize::from(try_get_u16(buf)?) {
+            n @ WIDE_COUNTS_FROM..=MAX_ATTRS => n,
+            _ => return None,
+        },
+        n => usize::from(n),
+    };
     // The pairs stream into the payload's one allocation and stop at the
     // first that does not decode.
     let mut complete = true;
@@ -141,7 +161,13 @@ pub(crate) fn encode_event(e: &Event, buf: &mut BytesMut) {
     buf.put_u16(e.ty.0);
     buf.put_u64(e.time);
     buf.put_u16(e.origin.0);
-    buf.put_u8(e.payload.len() as u8);
+    let n_attrs = e.payload.len();
+    if n_attrs < WIDE_COUNTS_FROM {
+        buf.put_u8(n_attrs as u8);
+    } else {
+        buf.put_u8(WIDE_COUNT);
+        buf.put_u16(n_attrs as u16);
+    }
     for (attr, value) in e.payload.iter() {
         buf.put_u8(attr.0);
         match value {
@@ -166,8 +192,13 @@ pub(crate) fn encode_event(e: &Event, buf: &mut BytesMut) {
 /// is written). Kept in lockstep with the encoder; the equality is
 /// asserted by the codec property suite.
 pub fn encoded_event_len(e: &Event) -> usize {
-    // seq + ty + time + origin + attr count.
-    let mut len = 8 + 2 + 8 + 2 + 1;
+    // seq + ty + time + origin + attr count (escaped from 255 on).
+    let count = if e.payload.len() < WIDE_COUNTS_FROM {
+        1
+    } else {
+        3
+    };
+    let mut len = 8 + 2 + 8 + 2 + count;
     for (_, value) in e.payload.iter() {
         // attr id + value tag.
         len += 1 + 1;
@@ -292,6 +323,38 @@ mod tests {
         bad[tag_pos] = 9;
         let mut slice: &[u8] = &bad;
         assert_eq!(try_decode_match(&mut slice), None);
+    }
+
+    /// An event carrying the first `n` attribute ids.
+    fn with_attrs(n: usize) -> Event {
+        let payload = Payload::from_pairs((0..n).map(|a| (AttrId(a as u8), Value::Int(a as i64))));
+        Event::with_payload(1, EventTypeId(0), 1, NodeId(0), payload)
+    }
+
+    #[test]
+    fn wide_attribute_counts_roundtrip() {
+        for n in [254, 255, 256] {
+            let m = Match::single(PrimId(0), with_attrs(n));
+            assert_eq!(m.entries()[0].1.payload.len(), n);
+            let encoded = encode_match(&m);
+            assert_eq!(encoded_len(&m), encoded.len(), "{n} attributes");
+            // The count follows the entry count, prim id and event header.
+            let count = encoded.chunk()[2 + 1 + 20];
+            assert_eq!(count == WIDE_COUNT, n >= 255, "{n} attributes");
+            assert_eq!(decode_match(encoded), Some(m), "{n} attributes");
+        }
+    }
+
+    #[test]
+    fn escaped_counts_outside_the_wide_range_decode_to_none() {
+        let m = Match::single(PrimId(0), with_attrs(256));
+        let mut encoded = encode_match(&m).chunk().to_vec();
+        let at = 2 + 1 + 20 + 1;
+        for (count, ok) in [(0u16, false), (254, false), (256, true), (257, false)] {
+            encoded[at..at + 2].copy_from_slice(&count.to_be_bytes());
+            let decoded = try_decode_match(&mut encoded.as_slice());
+            assert_eq!(decoded.is_some(), ok, "escaped count {count}");
+        }
     }
 
     #[test]

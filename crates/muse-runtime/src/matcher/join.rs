@@ -75,6 +75,7 @@ use crate::metrics::JoinStats;
 use muse_core::event::Timestamp;
 use muse_core::query::{CmpOp, NSeqContext, PredicateExpr, Query};
 use muse_core::types::{AttrId, PrimId, PrimSet};
+use std::collections::vec_deque::Iter;
 
 /// Static description of one input slot of a join: the predecessor
 /// projection's primitive operators.
@@ -317,7 +318,7 @@ impl<'s, B: Buffers<'s>> Slots<'s, B> {
         first: Timestamp,
         last: Timestamp,
         window: Timestamp,
-    ) -> &'s [StoredMatch] {
+    ) -> Iter<'s, StoredMatch> {
         let own = &self.own[slot];
         match self.buffers.of(self.shared, slot) {
             None => own.compatible(first, last, window),
@@ -791,14 +792,14 @@ impl JoinTask {
             if i == slot || spec.negated {
                 return true;
             }
-            let slice = slots.compatible(i, entry.first, entry.last, window);
+            let mut slice = slots.compatible(i, entry.first, entry.last, window);
             let key = self.keys[i].as_ref().and_then(|k| match own_term {
                 Some(term) if k.class.contains(&term) => entry.key,
                 _ => k.probe_key(&entry.m),
             });
             match key {
-                None => !slice.is_empty(),
-                Some(key) => slice.iter().any(|e| e.key.is_none_or(|k| k == key)),
+                None => slice.next().is_some(),
+                Some(key) => slice.any(|e| e.key.is_none_or(|k| k == key)),
             }
         })
     }
@@ -822,7 +823,6 @@ impl JoinTask {
         self.negations.iter().all(|n| {
             n.forbidden
                 .live()
-                .iter()
                 .all(|f| !nseq_violated(m, &f.m, n.context.first, n.context.last, &self.query))
         })
     }

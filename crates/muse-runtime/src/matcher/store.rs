@@ -2,18 +2,26 @@
 //! the join engine's slot and forbidden-match buffers.
 //!
 //! Entries are kept sorted by their earliest constituent timestamp so a
-//! probe can binary-search the window-compatible slice instead of scanning
-//! the whole buffer. Eviction is split in two:
+//! probe can binary-search the window-compatible range instead of scanning
+//! the whole buffer. Under a time window the state worth keeping is a
+//! sliding window, and the store keeps it as one:
 //!
-//! * a *logical horizon* (watermark) that only ever advances and is applied
-//!   on every read — readers never observe an entry a retain-per-arrival
-//!   strategy would already have dropped, and
-//! * a *physical drain* that truncates the dead prefix, but only once the
-//!   horizon has advanced by at least a configurable stride, amortizing the
-//!   O(n) memmove over many arrivals.
+//! * an arrival whose first timestamp is at least the newest entry's is
+//!   appended at the tail; only an out-of-order arrival binary-searches
+//!   for its place;
+//! * a *logical horizon* (watermark) that only ever advances hides every
+//!   entry below it from reads — readers never observe an entry a
+//!   retain-per-arrival strategy would already have dropped. The index of
+//!   the first live entry is kept as a field and moves forward with the
+//!   horizon, so each entry crosses it once and counting the live entries
+//!   searches nothing;
+//! * a *physical drain* drops the dead prefix, but only once the horizon
+//!   has advanced by at least a configurable stride. The entries sit in a
+//!   ring buffer, so the drain pops the prefix without moving the live
+//!   suffix.
 //!
 //! Because the horizon is monotone, the set of live entries is always a
-//! suffix of the sorted vector; "evict" is a prefix truncation, never a
+//! suffix of the sorted buffer; "evict" is a prefix drop, never a
 //! scattered retain.
 //!
 //! An entry also caches an optional *equality key*: the [`Value::eq_key`]
@@ -30,6 +38,7 @@
 
 use super::Match;
 use muse_core::event::Timestamp;
+use std::collections::vec_deque::{Iter, VecDeque};
 
 /// A buffered match with its cached time span and equality key (so probes
 /// never re-scan the match's events for timestamps or attribute values).
@@ -68,7 +77,10 @@ pub struct StoreState {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct MatchStore {
     /// Sorted by `first` (ties keep insertion order).
-    entries: Vec<StoredMatch>,
+    entries: VecDeque<StoredMatch>,
+    /// Index of the first live entry: exactly the entries before it have
+    /// `first < horizon`.
+    live_start: usize,
     /// Logical eviction watermark: entries with `first < horizon` are dead.
     horizon: Timestamp,
     /// Horizon value at the last physical drain.
@@ -97,25 +109,29 @@ impl MatchStore {
     }
 
     /// [`MatchStore::insert`] for a caller that already knows the match's
-    /// span and equality key.
+    /// span and equality key. An in-order arrival is appended; an entry
+    /// below the horizon lands in the dead prefix, which grows by one.
     pub(crate) fn insert_keyed(&mut self, entry: StoredMatch) {
-        let idx = self.entries.partition_point(|e| e.first <= entry.first);
-        self.entries.insert(idx, entry);
-    }
-
-    /// Index of the first live entry.
-    fn live_start(&self) -> usize {
-        self.entries.partition_point(|e| e.first < self.horizon)
+        if entry.first < self.horizon {
+            self.live_start += 1;
+        }
+        match self.entries.back() {
+            Some(newest) if entry.first < newest.first => {
+                let at = self.entries.partition_point(|e| e.first <= entry.first);
+                self.entries.insert(at, entry);
+            }
+            _ => self.entries.push_back(entry),
+        }
     }
 
     /// The live (non-evicted) entries, oldest first.
-    pub fn live(&self) -> &[StoredMatch] {
-        &self.entries[self.live_start()..]
+    pub fn live(&self) -> Iter<'_, StoredMatch> {
+        self.entries.range(self.live_start..)
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len() - self.live_start()
+        self.entries.len() - self.live_start
     }
 
     /// Number of physically buffered entries (live + not-yet-drained dead).
@@ -133,43 +149,75 @@ impl MatchStore {
         first: Timestamp,
         last: Timestamp,
         window: Timestamp,
-    ) -> &[StoredMatch] {
+    ) -> Iter<'_, StoredMatch> {
         self.compatible_above(self.horizon, first, last, window)
     }
 
     /// [`MatchStore::compatible`] for a reader whose own horizon is `floor`:
     /// a join reading a buffer the node shares among several joins sees it
-    /// through its own watermark, which is never below the buffer's.
+    /// through its own watermark, which is never below the buffer's. Only
+    /// the live entries are searched, and the upper end not at all when
+    /// the newest entry lies within it.
     pub(crate) fn compatible_above(
         &self,
         floor: Timestamp,
         first: Timestamp,
         last: Timestamp,
         window: Timestamp,
-    ) -> &[StoredMatch] {
-        let lo = floor.max(self.horizon).max(last.saturating_sub(window));
+    ) -> Iter<'_, StoredMatch> {
+        let lo = floor.max(last.saturating_sub(window));
         let hi = first.saturating_add(window);
-        let start = self.entries.partition_point(|e| e.first < lo);
-        let end = self.entries.partition_point(|e| e.first <= hi);
-        &self.entries[start..end.max(start)]
+        let start = if lo <= self.horizon {
+            self.live_start
+        } else {
+            self.partition_from(self.live_start, |e| e.first < lo)
+        };
+        let end = match self.entries.back() {
+            Some(newest) if newest.first > hi => self.partition_from(start, |e| e.first <= hi),
+            _ => self.entries.len(),
+        };
+        self.entries.range(start..end)
+    }
+
+    /// The index of the first entry at or after `from` that is not
+    /// `below`, for a `below` that holds on a prefix of those entries.
+    fn partition_from(&self, from: usize, below: impl Fn(&StoredMatch) -> bool) -> usize {
+        let (front, back) = self.entries.as_slices();
+        if from >= front.len() {
+            return from + back[from - front.len()..].partition_point(below);
+        }
+        if back.first().is_some_and(&below) {
+            front.len() + back.partition_point(below)
+        } else {
+            from + front[from..].partition_point(below)
+        }
     }
 
     /// Advances the logical horizon (monotone; smaller values are ignored)
-    /// and physically truncates the dead prefix once the horizon has moved
-    /// at least `stride` past the last drain. Returns the number of entries
+    /// and physically drops the dead prefix once the horizon has moved at
+    /// least `stride` past the last drain. Returns the number of entries
     /// dropped by this call.
     pub fn advance_horizon(&mut self, horizon: Timestamp, stride: Timestamp) -> u64 {
         if horizon > self.horizon {
             self.horizon = horizon;
+            while self
+                .entries
+                .get(self.live_start)
+                .is_some_and(|e| e.first < horizon)
+            {
+                self.live_start += 1;
+            }
         }
         if self.horizon < self.drained_at.saturating_add(stride.max(1)) {
             return 0;
         }
-        let dead = self.live_start();
-        if dead > 0 {
-            self.entries.drain(..dead);
-            self.evicted += dead as u64;
+        // Popping one by one costs less than a `drain` of the few dead
+        // entries a stride leaves, and nothing at all when there are none.
+        let dead = std::mem::take(&mut self.live_start);
+        for _ in 0..dead {
+            self.entries.pop_front();
         }
+        self.evicted += dead as u64;
         self.drained_at = self.horizon;
         dead as u64
     }
@@ -183,7 +231,7 @@ impl MatchStore {
     /// buffered; 0 when empty). A horizon at least one window behind it
     /// never drains that entry, so the value survives every drain.
     pub(crate) fn latest_first(&self) -> Timestamp {
-        self.entries.last().map_or(0, |e| e.first)
+        self.entries.back().map_or(0, |e| e.first)
     }
 
     /// Entries physically dropped over the store's lifetime.
@@ -213,17 +261,19 @@ impl MatchStore {
     /// [`MatchStore::restore_state`] with every entry's equality key
     /// recomputed by `key`.
     pub(crate) fn restore_keyed(state: StoreState, key: impl Fn(&Match) -> Option<u64>) -> Self {
+        let entries: VecDeque<StoredMatch> = state
+            .matches
+            .into_iter()
+            .map(|m| StoredMatch {
+                first: m.first_time(),
+                last: m.last_time(),
+                key: key(&m),
+                m,
+            })
+            .collect();
         Self {
-            entries: state
-                .matches
-                .into_iter()
-                .map(|m| StoredMatch {
-                    first: m.first_time(),
-                    last: m.last_time(),
-                    key: key(&m),
-                    m,
-                })
-                .collect(),
+            live_start: entries.partition_point(|e| e.first < state.horizon),
+            entries,
             horizon: state.horizon,
             drained_at: state.drained_at,
             evicted: state.evicted,
@@ -236,13 +286,16 @@ mod tests {
     use super::*;
     use muse_core::event::Event;
     use muse_core::types::{EventTypeId, NodeId, PrimId};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn m(seq: u64, time: Timestamp) -> Match {
         Match::single(PrimId(0), Event::new(seq, EventTypeId(0), time, NodeId(0)))
     }
 
-    fn firsts(s: &[StoredMatch]) -> Vec<Timestamp> {
-        s.iter().map(|e| e.first).collect()
+    fn firsts<'a>(s: impl IntoIterator<Item = &'a StoredMatch>) -> Vec<Timestamp> {
+        s.into_iter().map(|e| e.first).collect()
     }
 
     #[test]
@@ -253,8 +306,8 @@ mod tests {
         }
         assert_eq!(firsts(s.live()), vec![10, 10, 20, 30]);
         // Equal keys keep insertion order.
-        assert_eq!(s.live()[0].m.fingerprint(), vec![1]);
-        assert_eq!(s.live()[1].m.fingerprint(), vec![3]);
+        let live: Vec<_> = s.live().map(|e| e.m.fingerprint()).collect();
+        assert_eq!(live[..2], [vec![1], vec![3]]);
     }
 
     #[test]
@@ -281,7 +334,7 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.physical_len(), 3);
         assert_eq!(firsts(s.live()), vec![90]);
-        assert!(s.compatible(95, 95, 100).iter().all(|e| e.first >= 50));
+        assert!(s.compatible(95, 95, 100).all(|e| e.first >= 50));
         // Once the horizon moves ≥ stride past the last drain, it truncates.
         assert_eq!(s.advance_horizon(1_060, 1_000), 3);
         assert_eq!(s.physical_len(), 0);
@@ -323,5 +376,183 @@ mod tests {
             .map(|e| e.m.fingerprint()[0])
             .collect();
         assert_eq!(all, vec![1, 3, 2, 0, 4]);
+    }
+
+    /// The store before it became a sliding window: a sorted `Vec` that
+    /// binary-searches every insert and every live-count, and shifts the
+    /// live suffix on every drain. [`MatchStore`] must agree with it on
+    /// every read and every state.
+    #[derive(Debug, Default)]
+    struct VecStore {
+        entries: Vec<StoredMatch>,
+        horizon: Timestamp,
+        drained_at: Timestamp,
+        evicted: u64,
+    }
+
+    impl VecStore {
+        fn insert_keyed(&mut self, entry: StoredMatch) {
+            let idx = self.entries.partition_point(|e| e.first <= entry.first);
+            self.entries.insert(idx, entry);
+        }
+
+        fn live_start(&self) -> usize {
+            self.entries.partition_point(|e| e.first < self.horizon)
+        }
+
+        fn live(&self) -> &[StoredMatch] {
+            &self.entries[self.live_start()..]
+        }
+
+        fn compatible_above(
+            &self,
+            floor: Timestamp,
+            first: Timestamp,
+            last: Timestamp,
+            window: Timestamp,
+        ) -> &[StoredMatch] {
+            let lo = floor.max(self.horizon).max(last.saturating_sub(window));
+            let hi = first.saturating_add(window);
+            let start = self.entries.partition_point(|e| e.first < lo);
+            let end = self.entries.partition_point(|e| e.first <= hi);
+            &self.entries[start..end.max(start)]
+        }
+
+        fn advance_horizon(&mut self, horizon: Timestamp, stride: Timestamp) -> u64 {
+            if horizon > self.horizon {
+                self.horizon = horizon;
+            }
+            if self.horizon < self.drained_at.saturating_add(stride.max(1)) {
+                return 0;
+            }
+            let dead = self.live_start();
+            if dead > 0 {
+                self.entries.drain(..dead);
+                self.evicted += dead as u64;
+            }
+            self.drained_at = self.horizon;
+            dead as u64
+        }
+
+        fn save_state(&self) -> StoreState {
+            StoreState {
+                matches: self.entries.iter().map(|e| e.m.clone()).collect(),
+                horizon: self.horizon,
+                drained_at: self.drained_at,
+                evicted: self.evicted,
+            }
+        }
+    }
+
+    /// One step of a store's life; times are relative to a clock that only
+    /// inserts move forward.
+    enum Op {
+        /// Moves the clock `step` on and inserts a match spanning
+        /// `[clock − back, clock − back + span]`: in order when `back` is 0
+        /// (a tie when `step` is 0 too), out of order otherwise, and below
+        /// the horizon when `back` reaches past it.
+        Insert { step: u64, back: u64, span: u64 },
+        /// Advances the horizon to `clock − lag` (a regression when that
+        /// is below the current horizon) with drain stride `stride`.
+        Advance { lag: u64, stride: u64 },
+        /// Reads the entries compatible with a probe spanning
+        /// `[clock − back, clock − back + span]`, at the store's horizon
+        /// and above a reader's floor `clock − floor_lag`.
+        Read {
+            back: u64,
+            span: u64,
+            window: u64,
+            floor_lag: u64,
+        },
+        /// Saves the state and restores a store from it.
+        RoundTrip,
+    }
+
+    /// A random step: mostly inserts (three in four in order), then
+    /// horizon moves and reads at a quarter each, and round trips.
+    fn op(rng: &mut StdRng) -> Op {
+        match rng.gen_range(0..9) {
+            0..=3 => Op::Insert {
+                step: rng.gen_range(0..4),
+                back: if rng.gen_bool(0.75) {
+                    0
+                } else {
+                    rng.gen_range(0..40)
+                },
+                span: rng.gen_range(0..6),
+            },
+            4 | 5 => Op::Advance {
+                lag: rng.gen_range(0..60),
+                stride: rng.gen_range(1..30),
+            },
+            6 | 7 => Op::Read {
+                back: rng.gen_range(0..50),
+                span: rng.gen_range(0..6),
+                window: rng.gen_range(0..40),
+                floor_lag: rng.gen_range(0..60),
+            },
+            _ => Op::RoundTrip,
+        }
+    }
+
+    /// A match of two events spanning `[first, last]`; its sequence number
+    /// also gives its key (unknown for every fourth).
+    fn spanning(seq: u64, first: Timestamp, last: Timestamp) -> Match {
+        let ev = |time| Event::new(seq, EventTypeId(0), time, NodeId(0));
+        Match::new(vec![(PrimId(0), ev(first)), (PrimId(1), ev(last))])
+    }
+
+    fn key_of(m: &Match) -> Option<u64> {
+        let seq = m.entries()[0].1.seq;
+        (!seq.is_multiple_of(4)).then_some(seq % 3)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sliding_window_store_equals_vec_store(seed in any::<u64>(), steps in 1u64..300) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut store, mut reference) = (MatchStore::new(), VecStore::default());
+            let mut clock: Timestamp = 0;
+            for seq in 0..steps {
+                match op(&mut rng) {
+                    Op::Insert { step, back, span } => {
+                        clock += step;
+                        let first = clock.saturating_sub(back);
+                        let m = spanning(seq, first, first + span);
+                        let entry = StoredMatch { first, last: first + span, key: key_of(&m), m };
+                        store.insert_keyed(entry.clone());
+                        reference.insert_keyed(entry);
+                    }
+                    Op::Advance { lag, stride } => {
+                        let horizon = clock.saturating_sub(lag);
+                        prop_assert_eq!(
+                            store.advance_horizon(horizon, stride),
+                            reference.advance_horizon(horizon, stride)
+                        );
+                    }
+                    Op::Read { back, span, window, floor_lag } => {
+                        let first = clock.saturating_sub(back);
+                        let floor = clock.saturating_sub(floor_lag);
+                        let got: Vec<_> = store.compatible(first, first + span, window).collect();
+                        let want = reference.compatible_above(0, first, first + span, window);
+                        prop_assert_eq!(got, want.iter().collect::<Vec<_>>());
+                        let got: Vec<_> =
+                            store.compatible_above(floor, first, first + span, window).collect();
+                        let want = reference.compatible_above(floor, first, first + span, window);
+                        prop_assert_eq!(got, want.iter().collect::<Vec<_>>());
+                    }
+                    Op::RoundTrip => store = MatchStore::restore_keyed(store.save_state(), key_of),
+                }
+                prop_assert_eq!(store.live().collect::<Vec<_>>(), reference.live().iter().collect::<Vec<_>>());
+                prop_assert_eq!(store.len(), reference.live().len());
+                prop_assert_eq!(store.physical_len(), reference.entries.len());
+                prop_assert_eq!(store.latest_first(), reference.entries.last().map_or(0, |e| e.first));
+                prop_assert_eq!(store.evicted(), reference.evicted);
+                prop_assert_eq!(store.horizon(), reference.horizon);
+                prop_assert_eq!(store.save_state(), reference.save_state());
+            }
+        }
     }
 }

@@ -6,8 +6,10 @@
 //! prefix beyond the input — which this binary's allocator measures. A
 //! snapshot that decodes must in turn be refused by restore or resume
 //! without a panic. The flight-recorder dump format gets the same
-//! treatment as snapshots.
+//! treatment as snapshots, and so does the match codec on its own:
+//! arbitrary bytes and mutated encodings of real matches.
 
+use bytes::Buf;
 use muse_core::algorithms::amuse::{amuse, AMuseConfig};
 use muse_core::algorithms::multi_query::amuse_workload;
 use muse_core::catalog::Catalog;
@@ -18,6 +20,7 @@ use muse_core::query::{CmpOp, Pattern, Predicate, Query};
 use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, QueryId};
 use muse_core::workload::Workload;
 use muse_runtime::checkpoint::{decode, decode_for, encode, restore, CheckpointError, Snapshot};
+use muse_runtime::codec::{encode_match, try_decode_match};
 use muse_runtime::matcher::{JoinState, StoreState};
 use muse_runtime::{decode_dump, FlightRecord, FlightRing};
 use muse_runtime::{Deployment, Match, SimConfig, SimExecutor};
@@ -485,5 +488,79 @@ proptest! {
         let mut bytes = every_record_dump();
         mutate(&mut bytes, mutation, &mut StdRng::seed_from_u64(seed));
         assert_dump_bounded(&bytes)?;
+    }
+}
+
+/// Matches as the executors send them: a bare event, an event with a value
+/// of each kind, a two-entry match, and an event with every attribute id
+/// (its count takes the wide form).
+fn real_matches() -> [Match; 4] {
+    let ev = |seq, ty: u16, time| Event::new(seq, EventTypeId(ty), time, NodeId(ty));
+    let kinds = Payload::from_pairs([
+        (AttrId(0), Value::Int(-7)),
+        (AttrId(3), Value::Float(2.5)),
+        (AttrId(5), Value::Str("job-42".into())),
+    ]);
+    let every_attr = Payload::from_pairs((0..=255).map(|a| (AttrId(a), Value::Int(a.into()))));
+    [
+        Match::single(PrimId(0), ev(1, 0, 10)),
+        Match::single(
+            PrimId(1),
+            Event::with_payload(2, EventTypeId(1), 20, NodeId(1), kinds),
+        ),
+        Match::new(vec![
+            (PrimId(0), ev(3, 0, 30)),
+            (PrimId(2), with_attr(4, 2, 31, 1, 9)),
+        ]),
+        Match::single(
+            PrimId(0),
+            Event::with_payload(5, EventTypeId(0), 40, NodeId(0), every_attr),
+        ),
+    ]
+}
+
+/// `try_decode_match` of `bytes` returns without a panic and allocates at
+/// most input bytes × the larger of a match entry and an attribute pair at
+/// once.
+fn assert_match_decode_bounded(bytes: &[u8]) -> Result<(), String> {
+    let (_, peak) = peak_alloc(|| try_decode_match(&mut &bytes[..]));
+    let per_byte = size_of::<(PrimId, Event)>().max(size_of::<(AttrId, Value)>());
+    let bound = bytes.len() * per_byte;
+    prop_assert!(
+        peak <= bound,
+        "decoding {} match bytes allocated {peak} bytes at once (bound {bound})",
+        bytes.len()
+    );
+    Ok(())
+}
+
+#[test]
+fn real_matches_decode_within_bounds() {
+    for m in real_matches() {
+        let bytes = encode_match(&m).chunk().to_vec();
+        assert_eq!(try_decode_match(&mut bytes.as_slice()), Some(m));
+        assert_match_decode_bounded(&bytes).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_match_bytes_decode_within_bounds(len in 0usize..512, seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..=255)).collect();
+        assert_match_decode_bounded(&bytes)?;
+    }
+
+    #[test]
+    fn mutated_match_encodings_decode_within_bounds(
+        which in 0usize..4,
+        mutation in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let mut bytes = encode_match(&real_matches()[which]).chunk().to_vec();
+        mutate(&mut bytes, mutation, &mut StdRng::seed_from_u64(seed));
+        assert_match_decode_bounded(&bytes)?;
     }
 }

@@ -117,10 +117,12 @@ cargo test --release -q -p muse-bench --lib -- \
     relay_crash_is_lossless_in_the_enlarged_chunk_regime \
     crashed_run_exports_the_rolled_back_account
 # Set-up stays linear: multi-query planning and deployment in the number of
-# queries, selectivity estimation in the number of events. Timing guards,
+# queries, selectivity estimation in the number of events. A join input
+# costs the same in a 1k- and a 64k-entry live window. Timing guards,
 # meaningful only optimized, so they are ignored outside this lane.
 cargo test --release -q -p muse-runtime --test setup_scale -- --ignored
 cargo test --release -q -p muse-sim --test estimate_scale -- --ignored
+cargo test --release -q -p muse-runtime --test store_scale -- --ignored
 
 if [ "${MUSE_CI_TSAN:-0}" = "1" ]; then
     echo "== tsan: cargo +nightly test -Zsanitizer=thread (opt-in) =="
