@@ -39,20 +39,22 @@
 //! may feed their guards.
 //!
 //! Two drivers run cores. [`crate::sim`] hosts every task in one core and
-//! orders deliveries on a virtual-clock heap; [`crate::threaded`] runs one
-//! core per network node on its own thread and moves matches in frames.
-//! Because both reach the node semantics through this module, their match
-//! sets, transmission counts, snapshots and telemetry agree by construction.
+//! carries cross-node deliveries in a FIFO queue on a virtual clock;
+//! [`crate::threaded`] runs one core per network node on its own thread and
+//! moves matches in frames. Because both reach the node semantics through
+//! this module, their match sets, transmission counts, snapshots and
+//! telemetry agree by construction.
 //!
 //! # Delivery order
 //!
-//! A remote delivery always goes through the driver. A node-local delivery
-//! is *offered* to the driver ([`Outbox::local`]): the simulator keeps it and
-//! schedules it on its heap, which yields the global `(time, trigger, hop)`
-//! order that the `NSEQ` absence check relies on; the threaded driver hands
-//! it back, and the core delivers it depth-first before routing the next
-//! output — a thread has no scheduler, and its negation joins defer their
-//! absence check to chunk quiescence instead.
+//! A remote delivery always goes through the driver ([`Outbox::remote`]). A
+//! node-local one never does: the core delivers it inline, depth-first,
+//! before routing the next output, under both drivers. Within one event's
+//! cascade the order cannot change a match set — skip-till-any-match
+//! selects a set of trace positions, and an `NSEQ` guard that can suppress
+//! a candidate is strictly earlier in trace order than the event that
+//! completes it. Across nodes, only the threaded driver races: its negation
+//! joins defer their absence check to chunk quiescence.
 
 use crate::checkpoint::{CheckpointError, Snapshot};
 use crate::codec::encoded_len;
@@ -74,12 +76,6 @@ pub(crate) trait Outbox {
     /// Called once per accepted event (one with at least one candidate
     /// source task), before any of its matches is routed.
     fn on_inject(&mut self, _event: &Event, _now: u64) {}
-
-    /// Offers a delivery to join input `input` on the emitting task's own
-    /// node. A driver that schedules deliveries keeps the match and returns
-    /// `None`; one that does not returns it, and the core delivers it
-    /// inline.
-    fn local(&mut self, input: usize, m: Match) -> Option<Match>;
 
     /// Sends a delivery to join input `input` on the remote node `dest`.
     fn remote(&mut self, dest: usize, input: usize, m: Match);
@@ -170,11 +166,15 @@ pub(crate) struct NodeCore<'a> {
     /// `metrics.latencies` instead: a snapshot that moved between drivers
     /// carries both, and they must not mix.
     wall_latencies_ns: Vec<u64>,
-    /// Observational; not checkpointed, untouched by [`Self::restore`].
+    /// Observational and not checkpointed; [`Self::restore`] only rebases
+    /// its series deltas on the restored join counters.
     pub telemetry: Option<ExecTelemetry>,
     /// Newest event timestamp delivered to any hosted join (the watermark
     /// behind the series' lag column).
     max_seen: Timestamp,
+    /// Deliveries to shared-input readers that their gates ruled out.
+    #[cfg(test)]
+    gate_rule_outs: usize,
 }
 
 impl<'a> NodeCore<'a> {
@@ -202,6 +202,8 @@ impl<'a> NodeCore<'a> {
             telemetry: telemetry
                 .map(|spec| ExecTelemetry::new(clock, spec, deployment.tasks.len())),
             max_seen: 0,
+            #[cfg(test)]
+            gate_rule_outs: 0,
         };
         for (input, spec) in deployment.inputs.iter().enumerate() {
             if core.node.is_some_and(|n| spec.node.index() != n) {
@@ -371,11 +373,8 @@ impl<'a> NodeCore<'a> {
     pub fn deliver<O: Outbox>(&mut self, out: &mut O, input: usize, m: Match) {
         let deployment = self.deployment;
         let spec = &deployment.inputs[input];
-        for &(task, _) in &spec.readers {
+        for _ in &spec.readers {
             self.metrics.record_processed(spec.node.index());
-            if let Some(tel) = &mut self.telemetry {
-                tel.on_delivery(task);
-            }
         }
         self.max_seen = self.max_seen.max(m.last_time());
         self.newest[input] = self.newest[input].max(m.first_time());
@@ -400,6 +399,13 @@ impl<'a> NodeCore<'a> {
             let join = self.joins[task]
                 .as_mut()
                 .expect("deliveries target hosted joins");
+            #[cfg(test)]
+            {
+                self.gate_rule_outs += usize::from(
+                    gate.as_ref()
+                        .is_some_and(|g| g.rules_out(&self.newest, entry.last)),
+                );
+            }
             if gate.as_ref().is_some_and(|g| {
                 g.rules_out(&self.newest, entry.last)
                     || !join.can_match_shared(slot, &entry, &self.buffers)
@@ -548,9 +554,7 @@ impl<'a> NodeCore<'a> {
                 "local route must stay on the node"
             );
             self.metrics.local_deliveries += readers.len() as u64;
-            if let Some(m) = out.local(input, m.clone()) {
-                self.deliver(out, input, m);
-            }
+            self.deliver(out, input, m.clone());
         }
     }
 
@@ -566,25 +570,23 @@ impl<'a> NodeCore<'a> {
     }
 
     /// Emits one series record per hosted join. Queue depth is the number
-    /// of deliveries the task consumed since the previous sample, and
-    /// watermark lag is measured against [`Self::max_seen`].
+    /// of deliveries the task consumed since the previous sample — its
+    /// `inputs` delta — and watermark lag is measured against
+    /// [`Self::max_seen`].
     fn sample(&mut self, now: u64) {
         let Some(tel) = &mut self.telemetry else {
             return;
         };
         for (i, join) in self.joins.iter().enumerate() {
             let Some(join) = join else { continue };
-            let stats = join.stats();
-            let queue_depth = tel.drained_since(i);
             tel.record_task_sample(
                 now,
                 i,
                 self.deployment.tasks[i].node.index(),
                 self.deployment.task_label(i),
-                queue_depth,
                 join.buffered() as u64,
                 self.max_seen.saturating_sub(join.last_seen()),
-                [stats.inputs, stats.probes, stats.evicted, stats.emitted],
+                join.stats(),
             );
         }
         tel.end_sample(now);
@@ -712,6 +714,13 @@ impl<'a> NodeCore<'a> {
         for shared in &mut self.shared {
             shared.peak = 0;
         }
+        if let Some(tel) = &mut self.telemetry {
+            for (task, join) in self.joins.iter().enumerate() {
+                if let Some(join) = join {
+                    tel.rebase(task, join.stats());
+                }
+            }
+        }
         Ok(())
     }
 
@@ -812,8 +821,8 @@ mod tests {
     use muse_core::workload::Workload;
     use std::collections::{BTreeSet, VecDeque};
 
-    /// A recording fake driver: every delivery, local or remote, queues
-    /// FIFO; remote ones are also logged as `(dest, input)`.
+    /// A recording fake driver: remote deliveries queue FIFO and are logged
+    /// as `(dest, input)`; the core makes node-local ones inline.
     #[derive(Default)]
     struct Recorder {
         now: u64,
@@ -824,10 +833,6 @@ mod tests {
     impl Outbox for Recorder {
         fn now(&self) -> u64 {
             self.now
-        }
-        fn local(&mut self, input: usize, m: Match) -> Option<Match> {
-            self.queue.push_back((input, m));
-            None
         }
         fn remote(&mut self, dest: usize, input: usize, m: Match) {
             self.remote.push((dest, input));
@@ -1006,23 +1011,9 @@ mod tests {
         out: &mut Recorder,
         events: &[Event],
     ) -> usize {
-        let mut ruled_out = 0;
-        for event in events {
-            out.now = event.time;
-            core.inject(out, event);
-            while let Some((input, m)) = out.queue.pop_front() {
-                if let Some(b) = core.shared_of[input] {
-                    let mut newest = core.newest.clone();
-                    newest[input] = newest[input].max(m.first_time());
-                    let gates = core.shared[b].gates.iter().flatten();
-                    ruled_out += gates
-                        .filter(|g| g.rules_out(&newest, m.last_time()))
-                        .count();
-                }
-                core.deliver(out, input, m);
-            }
-        }
-        ruled_out
+        let before = core.gate_rule_outs;
+        drive(core, out, events);
+        core.gate_rule_outs - before
     }
 
     #[test]

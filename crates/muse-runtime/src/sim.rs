@@ -1,18 +1,23 @@
 //! Deterministic discrete-event execution of a deployment.
 //!
 //! The simulator drives a [`Deployment`] over a global event trace with a
-//! virtual clock: events are injected in trace order, every triggered
-//! cascade of match deliveries is processed before the next injection, and
-//! deliveries are ordered by `(virtual time, triggering event, hop)` so that
-//! causality — in particular the arrive-before-candidate property that the
-//! `NSEQ` absence check relies on — holds exactly: a remote delivery is
-//! scheduled at the current virtual time, like a local one.
+//! virtual clock: events are injected in trace order, and every cascade of
+//! match deliveries an event triggers is processed before the next
+//! injection. The node core delivers node-local matches inline,
+//! depth-first, as under the threaded driver; cross-node deliveries wait in
+//! one FIFO queue, the simulator's zero-latency network, which is drained
+//! to empty after each injection. Every delivery therefore runs at the
+//! injected event's time. That is all the `NSEQ` absence check needs: a
+//! guard that can suppress a candidate lies strictly inside the
+//! candidate's context interval, so it is strictly earlier in trace order
+//! than the event that completes the candidate, and its whole cascade was
+//! delivered before that event was injected.
 //!
 //! The simulator is the measurement instrument for the paper's transmission
 //! experiments (§7.2, Table 3): the node core it drives counts every match
 //! that crosses the network (once per target node, matching the cost
 //! model's shipping rule of §4.4) and the encoded bytes. This module is
-//! only the driver — the delivery heap and its order; the node semantics
+//! only the driver — the clock and the network queue; the node semantics
 //! are the same code the threaded executor runs.
 
 use crate::checkpoint::{CheckpointError, Snapshot};
@@ -23,8 +28,7 @@ use crate::node::{NodeCore, Outbox};
 use crate::telemetry::{ClockDomain, RunTelemetry, TelemetrySpec};
 use muse_core::event::{Event, Timestamp};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -47,44 +51,6 @@ impl Default for SimConfig {
     }
 }
 
-/// One scheduled delivery of a match to a join input.
-#[derive(Debug, Clone)]
-struct Scheduled {
-    time: Timestamp,
-    trigger: u64,
-    sub: u64,
-    input: usize,
-    m: Match,
-}
-
-/// Heap adapter ordering scheduled deliveries by `(time, trigger, sub)`
-/// ascending.
-#[derive(Debug, Clone)]
-struct HeapEntry(Scheduled);
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for a min-heap on BinaryHeap.
-        other.key().cmp(&self.key())
-    }
-}
-impl HeapEntry {
-    fn key(&self) -> (Timestamp, u64, u64) {
-        (self.0.time, self.0.trigger, self.0.sub)
-    }
-}
-
 /// The result of a completed simulation.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -96,30 +62,15 @@ pub struct SimReport {
     pub telemetry: Option<RunTelemetry>,
 }
 
-/// The simulator's scheduler: every delivery the core causes, local or
-/// remote, goes onto one heap keyed by `(time, trigger, sub)`.
+/// The simulator's side of the core: a virtual clock and a zero-latency
+/// network. The core delivers node-local matches inline; a cross-node
+/// delivery waits here, in send order, until the cascade in progress
+/// returns to the driver.
 struct Schedule {
-    heap: BinaryHeap<HeapEntry>,
-    /// Tiebreak counter: deliveries of one cascade run in the order they
-    /// were scheduled.
-    next_sub: u64,
-    /// The virtual clock: time of the injection or delivery in progress.
+    /// Cross-node deliveries not yet made, as `(input, match)`.
+    network: VecDeque<(usize, Match)>,
+    /// The virtual clock: time of the event whose cascade is in progress.
     now: Timestamp,
-    /// Sequence number of the event whose cascade is in progress.
-    trigger: u64,
-}
-
-impl Schedule {
-    fn push(&mut self, time: Timestamp, input: usize, m: Match) {
-        self.next_sub += 1;
-        self.heap.push(HeapEntry(Scheduled {
-            time,
-            trigger: self.trigger,
-            sub: self.next_sub,
-            input,
-            m,
-        }));
-    }
 }
 
 impl Outbox for Schedule {
@@ -127,13 +78,8 @@ impl Outbox for Schedule {
         self.now
     }
 
-    fn local(&mut self, input: usize, m: Match) -> Option<Match> {
-        self.push(self.now, input, m);
-        None
-    }
-
     fn remote(&mut self, _dest: usize, input: usize, m: Match) {
-        self.push(self.now, input, m);
+        self.network.push_back((input, m));
     }
 
     /// Event-time lag: emission time minus the newest constituent's
@@ -161,10 +107,8 @@ impl<'a> SimExecutor<'a> {
                 config.telemetry.as_ref(),
             ),
             schedule: Schedule {
-                heap: BinaryHeap::new(),
-                next_sub: 0,
+                network: VecDeque::new(),
                 now: 0,
-                trigger: 0,
             },
         }
     }
@@ -173,33 +117,19 @@ impl<'a> SimExecutor<'a> {
     /// non-decreasing across successive calls).
     pub fn process_trace(&mut self, events: &[Event]) {
         for event in events {
-            self.inject(event);
+            self.schedule.now = event.time;
+            self.core.maybe_sample(&self.schedule);
+            self.core.inject(&mut self.schedule, event);
             self.drain();
         }
     }
 
-    /// Injects one event, scheduling (not yet delivering) its matches.
-    fn inject(&mut self, event: &Event) {
-        self.schedule.now = event.time;
-        self.schedule.trigger = event.seq;
-        self.core.maybe_sample(&self.schedule);
-        self.core.inject(&mut self.schedule, event);
-    }
-
-    /// Processes the next pending delivery; `false` when there is none.
-    fn step(&mut self) -> bool {
-        let Some(HeapEntry(item)) = self.schedule.heap.pop() else {
-            return false;
-        };
-        self.schedule.now = item.time;
-        self.schedule.trigger = item.trigger;
-        self.core.deliver(&mut self.schedule, item.input, item.m);
-        true
-    }
-
-    /// Processes all pending deliveries.
+    /// Makes the queued cross-node deliveries, and those they cause, until
+    /// none is left.
     fn drain(&mut self) {
-        while self.step() {}
+        while let Some((input, m)) = self.schedule.network.pop_front() {
+            self.core.deliver(&mut self.schedule, input, m);
+        }
     }
 
     /// The metrics collected so far.
@@ -217,7 +147,7 @@ impl<'a> SimExecutor<'a> {
     /// Every public call leaves the executor drained, so the snapshot holds
     /// no in-flight delivery.
     pub fn to_snapshot(&self) -> Snapshot {
-        debug_assert!(self.schedule.heap.is_empty(), "snapshots are quiescent");
+        debug_assert!(self.schedule.network.is_empty(), "snapshots are quiescent");
         self.core.save()
     }
 
@@ -225,9 +155,8 @@ impl<'a> SimExecutor<'a> {
     /// been produced by either executor). Join tasks are re-instantiated
     /// from the deployment plan and the snapshot's dynamic state is
     /// grafted on; event cursors, which only the threaded executor
-    /// interprets, are ignored. Telemetry restarts fresh, and so does the
-    /// delivery tiebreak: after a drain every later cascade has its own
-    /// trigger, so the delivery order does not depend on it.
+    /// interprets, are ignored. Telemetry restarts fresh, its series
+    /// deltas counted from the restored join counters.
     pub fn from_snapshot(
         deployment: &'a Deployment,
         config: SimConfig,

@@ -8,10 +8,13 @@
 //! reports hand it out next to the [`RunTelemetry`] built here.
 //!
 //! Telemetry is observational: it is not part of checkpointed executor
-//! state and is not rolled back on restore.
+//! state and is not rolled back on restore. A restore only rebases the
+//! series deltas on the restored join counters, so the first sample after
+//! it reports the work done since, not the snapshot's history.
 
 use crate::deploy::{Deployment, TaskKind};
 use crate::matcher::{absence_windows, JoinTask, Match};
+use crate::metrics::JoinStats;
 use muse_core::event::Event;
 use muse_core::query::Query;
 use muse_telemetry::{sampled, AbsenceWindow, ProvenanceRecord, SeriesRecord, WitnessEvent};
@@ -26,11 +29,8 @@ pub(crate) struct ExecTelemetry {
     /// `TraceRecord`s entirely when the trace ring has capacity 0.
     trace_on: bool,
     /// Cumulative `[inputs, probes, evicted, emitted]` per task at the
-    /// previous sample, for per-interval deltas.
+    /// previous sample (or restore), for per-interval deltas.
     prev: Vec<[u64; 4]>,
-    /// Deliveries consumed per task since the previous sample (the
-    /// threaded executor's queue-depth proxy).
-    drained: Vec<u64>,
     /// Provenance sampling divisor (0 disables witness recording).
     prov_sample: u64,
     /// Per-task `[considered, admitted]` candidate-projection counts for
@@ -54,7 +54,6 @@ impl ExecTelemetry {
             next_sample: 0,
             trace_on,
             prev: vec![[0; 4]; num_tasks],
-            drained: vec![0; num_tasks],
             prov_sample: spec.provenance_sample,
             disc: vec![[0; 2]; num_tasks],
         }
@@ -91,15 +90,6 @@ impl ExecTelemetry {
                 task,
                 bytes,
             });
-        }
-    }
-
-    /// One delivery consumed by a task (feeds the queue-depth series in
-    /// the threaded executor).
-    #[inline]
-    pub fn on_delivery(&mut self, task: usize) {
-        if task < self.drained.len() {
-            self.drained[task] += 1;
         }
     }
 
@@ -191,13 +181,10 @@ impl ExecTelemetry {
         now >= self.next_sample
     }
 
-    /// Deliveries consumed by `task` since its last sample.
-    pub fn drained_since(&self, task: usize) -> u64 {
-        self.drained.get(task).copied().unwrap_or(0)
-    }
-
-    /// Emits one task's series record, converting cumulative totals
-    /// `[inputs, probes, evicted, emitted]` into per-interval deltas.
+    /// Emits one task's series record, converting its cumulative
+    /// `[inputs, probes, evicted, emitted]` into per-interval deltas. Every
+    /// delivery to the task counts one input, so the `inputs` delta is also
+    /// its queue depth: the deliveries it consumed since the last sample.
     #[allow(clippy::too_many_arguments)]
     pub fn record_task_sample(
         &mut self,
@@ -205,28 +192,34 @@ impl ExecTelemetry {
         task: usize,
         node: usize,
         label: String,
-        queue_depth: u64,
         live_matches: u64,
         watermark_lag: u64,
-        totals: [u64; 4],
+        stats: &JoinStats,
     ) {
+        let totals = totals(stats);
         let prev = self.prev.get(task).copied().unwrap_or([0; 4]);
+        let inputs = totals[0].saturating_sub(prev[0]);
         self.run.series.push(SeriesRecord {
             t: now,
             task,
             node,
             label,
-            queue_depth,
+            queue_depth: inputs,
             live_matches,
             watermark_lag,
-            inputs: totals[0].saturating_sub(prev[0]),
+            inputs,
             probes: totals[1].saturating_sub(prev[1]),
             evictions: totals[2].saturating_sub(prev[2]),
             emitted: totals[3].saturating_sub(prev[3]),
         });
-        if task < self.prev.len() {
-            self.prev[task] = totals;
-            self.drained[task] = 0;
+        self.rebase(task, stats);
+    }
+
+    /// Counts `task`'s next series deltas from `stats`: after a sample, and
+    /// after a restore put the join's counters back to a snapshot's.
+    pub fn rebase(&mut self, task: usize, stats: &JoinStats) {
+        if let Some(prev) = self.prev.get_mut(task) {
+            *prev = totals(stats);
         }
     }
 
@@ -241,6 +234,11 @@ impl ExecTelemetry {
         self.run.tasks = tasks;
         self.run
     }
+}
+
+/// The counters a series record reports deltas of.
+fn totals(stats: &JoinStats) -> [u64; 4] {
+    [stats.inputs, stats.probes, stats.evicted, stats.emitted]
 }
 
 /// Builds end-of-run [`TaskSummary`] rows for the given task indices;

@@ -66,11 +66,12 @@
 //! # Negation
 //!
 //! Nodes process a chunk's events in parallel, so a negation guard may
-//! arrive *after* the match it should suppress — the simulator, processing
-//! in global timestamp order, never observes that race. Negation-hosting
-//! joins therefore defer completed candidates and re-check absence at chunk
-//! quiescence ([`crate::matcher::JoinTask::release_deferred`]), when every
-//! guard timestamped inside the chunk has been delivered. Chains of
+//! arrive *after* the match it should suppress — the simulator, which
+//! delivers each event's whole cascade before it injects the next, never
+//! observes that race. Negation-hosting joins therefore defer completed
+//! candidates and re-check absence at chunk quiescence
+//! ([`crate::matcher::JoinTask::release_deferred`]), when every guard
+//! timestamped inside the chunk has been delivered. Chains of
 //! negation joins release level by level: each chunk runs one extra
 //! release-and-drain phase per level ([`negation_release_phases`]).
 
@@ -436,9 +437,9 @@ fn run_cores(
     // barriers, and a timestamp can put 10^9 of them before an event.
     let mut positions: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
     let mut chunks: Vec<u64> = Vec::new();
-    let mut max_seq = 0;
+    let mut min_seq = u64::MAX;
     for (at, event) in events.iter().enumerate() {
-        max_seq = max_seq.max(event.seq);
+        min_seq = min_seq.min(event.seq);
         let Some(local) = positions.get_mut(event.origin.index()) else {
             continue;
         };
@@ -472,8 +473,10 @@ fn run_cores(
     }
     let depth: Arc<Vec<AtomicU64>> = Arc::new((0..num_nodes).map(|_| AtomicU64::new(0)).collect());
     let barrier = Arc::new(DrainBarrier::new(num_nodes));
-    let inject_ns: Arc<Vec<AtomicU64>> =
-        Arc::new((0..=max_seq as usize).map(|_| AtomicU64::new(0)).collect());
+    let inject_ns = Arc::new(InjectMarks {
+        min_seq,
+        marks: (0..events.len()).map(|_| AtomicU64::new(0)).collect(),
+    });
     let resilient = config.checkpoint || config.fault.is_some();
     let shared: Option<Arc<ResilienceShared>> = resilient.then(|| {
         Arc::new(ResilienceShared {
@@ -617,6 +620,22 @@ struct ChunkSchedule<'a> {
     release_phases: usize,
 }
 
+/// The wall-clock injection mark of each event (0 = never injected), by
+/// `seq − min_seq`: one per event of the trace, so a sparse or huge `seq`
+/// cannot size the table. An event whose `seq` falls outside it gets no
+/// mark, and its sink matches count as dropped latency samples.
+struct InjectMarks {
+    min_seq: u64,
+    marks: Vec<AtomicU64>,
+}
+
+impl InjectMarks {
+    fn get(&self, seq: u64) -> Option<&AtomicU64> {
+        let at = usize::try_from(seq.checked_sub(self.min_seq)?).ok()?;
+        self.marks.get(at)
+    }
+}
+
 /// One node thread's driver state: the transport and the fault machinery.
 /// It is the [`Outbox`] of the node's [`NodeCore`].
 struct NodeRunner {
@@ -635,9 +654,9 @@ struct NodeRunner {
     /// runs while the core is borrowed; folded into the metrics whenever
     /// they leave the thread (shards, end of run).
     stats: TransportStats,
-    /// Wall-clock injection mark per event seq (0 = never injected),
-    /// shared by all nodes: the baseline of sink latencies.
-    inject_ns: Arc<Vec<AtomicU64>>,
+    /// Wall-clock injection marks, shared by all nodes: the baseline of
+    /// sink latencies.
+    inject_ns: Arc<InjectMarks>,
     start: Instant,
     /// Fault plan from the config, when fault injection is enabled.
     fault: Option<FaultPlan>,
@@ -772,17 +791,12 @@ impl Outbox for NodeRunner {
                 time: event.time,
             });
         }
-        if let Some(slot) = self.inject_ns.get(event.seq as usize) {
+        if let Some(slot) = self.inject_ns.get(event.seq) {
             // First write wins (0 means "never injected"), so a chunk
             // re-run after a crash keeps the original mark and a recovered match's
             // latency includes the downtime it survived.
             let _ = slot.compare_exchange(0, now.max(1), Ordering::AcqRel, Ordering::Acquire);
         }
-    }
-
-    /// A thread has no scheduler: the core delivers local matches inline.
-    fn local(&mut self, _input: usize, m: Match) -> Option<Match> {
-        Some(m)
     }
 
     fn remote(&mut self, dest: usize, input: usize, m: Match) {
@@ -803,7 +817,7 @@ impl Outbox for NodeRunner {
             .expect("non-empty match");
         let injected = self
             .inject_ns
-            .get(newest.seq as usize)
+            .get(newest.seq)
             .map_or(0, |a| a.load(Ordering::Acquire));
         (injected != 0).then(|| now.saturating_sub(injected))
     }
@@ -1090,7 +1104,7 @@ impl NodeRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{run_simulation, SimConfig};
+    use crate::sim::{run_simulation, SimConfig, SimExecutor};
     use muse_core::algorithms::amuse::{amuse, AMuseConfig};
     use muse_core::graph::PlanContext;
     use muse_core::network::{Network, NetworkBuilder};
@@ -1254,6 +1268,64 @@ mod tests {
         assert_eq!(s_tasks, t_tasks);
         assert!(!s.series.is_empty(), "sim series sampled");
         assert!(!s.trace.is_empty(), "sim trace recorded");
+    }
+
+    /// The `[inputs, queue_depth]` column sums of a run's series.
+    fn series_sums(report: Option<&RunTelemetry>) -> [u64; 2] {
+        let series = &report.expect("telemetry attached").series;
+        series
+            .records()
+            .fold([0, 0], |[i, q], r| [i + r.inputs, q + r.queue_depth])
+    }
+
+    #[test]
+    fn series_count_the_inputs_of_this_run_only() {
+        let (deployment, events) = test_deployment();
+        let (head, tail) = events.split_at(events.len() / 2);
+        let telemetry = Some(TelemetrySpec::default());
+        let sim_config = SimConfig {
+            telemetry: telemetry.clone(),
+            ..SimConfig::default()
+        };
+        let config = ThreadedConfig {
+            telemetry,
+            ..ThreadedConfig::default()
+        };
+
+        // Simulator: a whole run, then a run resumed from a snapshot.
+        let whole = run_simulation(&deployment, &events, &sim_config);
+        let [inputs, depth] = series_sums(whole.telemetry.as_ref());
+        assert_eq!(inputs, whole.metrics.join.inputs);
+        assert_eq!(depth, inputs);
+        let mut first = SimExecutor::new(&deployment, sim_config.clone());
+        first.process_trace(head);
+        let snapshot = checkpoint::encode(&first.to_snapshot());
+        let before = first.finish().metrics.join.inputs;
+        assert!(before > 0, "the head feeds the joins");
+        let mut resumed = checkpoint::restore(&deployment, sim_config, &snapshot).unwrap();
+        resumed.process_trace(tail);
+        let report = resumed.finish();
+        let [inputs, depth] = series_sums(report.telemetry.as_ref());
+        assert!(inputs > 0, "the tail feeds the joins");
+        assert_eq!(inputs, report.metrics.join.inputs - before);
+        assert_eq!(depth, inputs);
+
+        // Threaded: the same, resumed from the head's final snapshot.
+        let whole = run_threaded(&deployment, &events, &config);
+        let [inputs, depth] = series_sums(whole.telemetry.as_ref());
+        assert_eq!(inputs, whole.metrics.join.inputs);
+        assert_eq!(depth, inputs);
+        let checkpointed = ThreadedConfig {
+            checkpoint: true,
+            ..config.clone()
+        };
+        let first = run_threaded(&deployment, head, &checkpointed);
+        let before = first.metrics.join.inputs;
+        let snapshot = first.final_snapshot.expect("checkpointing");
+        let report = run_threaded_resumed(&deployment, tail, &config, &snapshot).unwrap();
+        let [inputs, depth] = series_sums(report.telemetry.as_ref());
+        assert_eq!(inputs, report.metrics.join.inputs - before);
+        assert_eq!(depth, inputs);
     }
 
     #[test]

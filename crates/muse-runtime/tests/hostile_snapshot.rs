@@ -7,7 +7,9 @@
 //! snapshot that decodes must in turn be refused by restore or resume
 //! without a panic. The flight-recorder dump format gets the same
 //! treatment as snapshots, and so does the match codec on its own:
-//! arbitrary bytes and mutated encodings of real matches.
+//! arbitrary bytes and mutated encodings of real matches. A trace's `seq`
+//! numbers are hostile input as well: they must not size the threaded
+//! executor's latency table.
 
 use bytes::Buf;
 use muse_core::algorithms::amuse::{amuse, AMuseConfig};
@@ -23,6 +25,7 @@ use muse_runtime::checkpoint::{decode, decode_for, encode, restore, CheckpointEr
 use muse_runtime::codec::{encode_match, try_decode_match};
 use muse_runtime::matcher::{JoinState, StoreState};
 use muse_runtime::{decode_dump, FlightRecord, FlightRing};
+use muse_runtime::{run_threaded, ThreadedConfig};
 use muse_runtime::{Deployment, Match, SimConfig, SimExecutor};
 use muse_telemetry::LogHistogram;
 use proptest::prelude::*;
@@ -226,6 +229,26 @@ fn mutate(bytes: &mut Vec<u8>, mutation: u8, rng: &mut StdRng) {
             bytes.extend((0..tail).map(|_| rng.gen_range(0u8..=255)));
         }
     }
+}
+
+/// Two events, the second with `seq` 2^26: the threaded executor keeps one
+/// injection mark per event, not one per `seq` up to the largest (a
+/// 512 MiB table here). The far `seq` gets no mark, so the one match's
+/// latency sample is counted as dropped.
+#[test]
+fn a_sparse_seq_does_not_size_the_latency_table() {
+    let [a, b] = [0, 1].map(|t| Pattern::leaf(EventTypeId(t)));
+    let deployment = deploy(&one_type_per_node(2), &Pattern::seq([a, b]), vec![]);
+    let events = [
+        Event::new(0, EventTypeId(0), 10, NodeId(0)),
+        Event::new(1 << 26, EventTypeId(1), 20, NodeId(1)),
+    ];
+    let (report, peak) =
+        peak_alloc(|| run_threaded(&deployment, &events, &ThreadedConfig::default()));
+    assert!(peak < 1 << 20, "largest allocation: {peak} bytes");
+    assert_eq!(report.matches[0].len(), 1);
+    assert_eq!(report.metrics.latency_samples_dropped, 1);
+    assert!(report.wall_latencies_ns.is_empty());
 }
 
 #[test]

@@ -30,8 +30,8 @@ pub struct SeriesRecord {
     pub node: usize,
     /// Human-readable task label (e.g. `"J2@N1 SEQ(A,B)"`).
     pub label: String,
-    /// Pending deliveries (sim: global heap depth; threaded: messages
-    /// drained since the previous sample).
+    /// Deliveries the task consumed since the previous sample. Each one
+    /// is a join input, so in both executors this equals `inputs`.
     pub queue_depth: u64,
     /// Live (buffered) partial matches in the task's join stores.
     pub live_matches: u64,
