@@ -9,7 +9,9 @@
 //!   and per run its metrics plus task/series/trace/provenance sections;
 //! * `series.jsonl` — every buffered per-task series sample, one JSON
 //!   object per line, tagged with its experiment and run;
-//! * `trace.jsonl` — the bounded lineage trace rings, tagged likewise;
+//! * `trace.jsonl` — the bounded trace rings (match lineage, and the
+//!   threaded driver's frames, checkpoints and crash timeline), tagged
+//!   likewise;
 //! * `provenance.jsonl` — every retained [`ProvenanceRecord`], tagged
 //!   likewise (empty unless a run sampled provenance).
 //!
@@ -17,7 +19,7 @@
 
 use muse_runtime::metrics::Metrics;
 use muse_runtime::telemetry::{RunTelemetry, TelemetrySpec};
-use muse_telemetry::{LogHistogram, Ring};
+use muse_telemetry::Ring;
 use serde::Serialize;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -39,27 +41,6 @@ fn ring_counts<T>(ring: &Ring<T>) -> Vec<(&'static str, Value)> {
         ("len", (ring.len() as u64).to_value()),
         ("dropped", ring.dropped().to_value()),
     ]
-}
-
-/// The exported form of a run's [`Metrics`]: every field as serialized,
-/// except that the raw latency vector is replaced by its exact five-number
-/// summary and a fixed-size histogram derived from it here, off the hot
-/// path.
-fn metrics_value(metrics: &Metrics) -> Value {
-    let mut hist = LogHistogram::new();
-    for &l in &metrics.latencies {
-        hist.record(l);
-    }
-    let mut v = metrics.to_value();
-    if let Value::Object(map) = &mut v {
-        map.remove("latencies");
-        map.insert(
-            "latency_summary".to_string(),
-            metrics.latency_summary().to_value(),
-        );
-        map.insert("latency_hist".to_string(), hist.to_value());
-    }
-    v
 }
 
 /// Per-experiment telemetry collection: each run's label, metrics and
@@ -124,7 +105,7 @@ impl TelemetryCollector {
                 obj(vec![
                     ("run", label.to_value()),
                     ("clock", run.clock.to_value()),
-                    ("metrics", metrics_value(metrics)),
+                    ("metrics", metrics.to_value()),
                     ("tasks", run.tasks.to_value()),
                     ("series", obj(ring_counts(&run.series))),
                     ("trace", obj(ring_counts(&run.trace))),
@@ -134,7 +115,7 @@ impl TelemetryCollector {
             .collect();
         obj(vec![
             ("experiment", experiment.to_value()),
-            ("metrics", metrics_value(&merged)),
+            ("metrics", merged.to_value()),
             ("runs", Value::Array(runs)),
         ])
     }
@@ -243,7 +224,7 @@ mod tests {
             emitted: 0,
         });
         let mut metrics = Metrics::new(1);
-        metrics.latencies = vec![5, 100, 2_000, 30_000, 400_000];
+        metrics.sink_matches = 5;
         c.record_run("r0", &metrics, run);
         let mut out = TelemetryOutput::new();
         out.add("exp", &c);
@@ -252,17 +233,10 @@ mod tests {
         assert_eq!(map.get("experiment").and_then(Value::as_str), Some("exp"));
         assert_eq!(map.get("run").and_then(Value::as_str), Some("r0"));
         assert!(map.contains_key("t"));
-        // The experiment section carries the merged metrics; the latency
-        // vector is exported as its summary and a histogram, not raw.
+        // The experiment section carries the merged metrics as serialized.
         let section = out.experiments[0].as_object().unwrap();
         let exported = section["metrics"].as_object().unwrap();
-        assert!(!exported.contains_key("latencies"));
-        assert_eq!(
-            exported["latency_summary"],
-            [5u64, 100, 2_000, 30_000, 400_000].to_value()
-        );
-        let hist = exported["latency_hist"].as_object().unwrap();
-        assert_eq!(hist["count"], 5u64.to_value());
+        assert_eq!(exported["sink_matches"], 5u64.to_value());
     }
 
     /// A crash rolls every node back to its last checkpoint and re-injects

@@ -151,9 +151,9 @@ pub fn stress_trace(network: &Network, duration: f64, seed: u64) -> Vec<Event> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muse_runtime::flight::{decode_dump, render_timeline};
     use muse_runtime::matcher::Match;
     use muse_runtime::sim::{run_simulation, SimConfig};
+    use muse_runtime::telemetry::{TelemetrySpec, TraceRecord};
     use muse_runtime::threaded::{run_threaded, FaultPlan, ThreadedConfig, ThreadedReport};
     use std::collections::BTreeSet;
     use std::time::Duration;
@@ -209,6 +209,11 @@ mod tests {
                 crash_at: local / 2,
                 restart_delay: Duration::from_millis(1),
             }),
+            // A trace long enough to keep the crash record.
+            telemetry: Some(TelemetrySpec {
+                trace_capacity: 1 << 24,
+                ..TelemetrySpec::default()
+            }),
             ..checkpoint_config.clone()
         };
         let fingerprints = |report: &ThreadedReport| -> Vec<BTreeSet<Vec<u64>>> {
@@ -231,12 +236,14 @@ mod tests {
         assert_eq!(checkpointed.metrics.recovery.crashes, 0);
         assert_eq!(crashed.metrics.recovery.crashes, 1, "crash must fire");
 
-        let dump = crashed
-            .flight_dumps
-            .iter()
-            .find_map(|d| decode_dump(d))
-            .expect("the crashed node publishes a flight dump that decodes");
-        let timeline = render_timeline(&dump);
-        assert!(timeline.contains("CRASH"), "timeline:\n{timeline}");
+        let trace = crashed.telemetry.expect("telemetry requested").trace;
+        let crashes: Vec<usize> = trace
+            .records()
+            .filter_map(|r| match r {
+                TraceRecord::Crash { node, .. } => Some(*node),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(crashes, [node], "the trace records the crash");
     }
 }

@@ -43,15 +43,18 @@
 //! fail with [`CheckpointError::UnsupportedVersion`]; truncated or
 //! malformed bytes with [`CheckpointError::Malformed`] — never a panic.
 //!
-//! The current format is version 5: each piece of state is stored once. A
+//! The current format is version 6: each piece of state is stored once. A
 //! join input two or more joins store has one buffer
 //! ([`Snapshot::buffers`]), and each reader's [`JoinState`] keeps only its
 //! own horizon for it. Each `NSEQ` negation of a join state
 //! ([`JoinState::negations`]) carries its forbidden-match store and, for a
 //! composite forbidden pattern, the nested [`JoinState`] of the join that
-//! assembles it. Version 4 also carried an in-flight delivery queue and a
-//! copy of every shared buffer in each of its readers' states; versions 1
-//! to 4 are refused by number.
+//! assembles it. The only latency samples are the wall-clock ones
+//! ([`Snapshot::wall_latencies_ns`]). Version 5 also carried the
+//! simulator's virtual-time latencies in the metrics block, every one of
+//! them 0; version 4 an in-flight delivery queue and a copy of every shared
+//! buffer in each of its readers' states; versions 1 to 5 are refused by
+//! number.
 //!
 //! The one sanctioned way *across* plans is [`map_snapshot`] /
 //! [`restore_mapped`]: given a certified-safe `muse-verify`
@@ -73,7 +76,7 @@ use muse_verify::{CarryMode, MigrationPlan};
 pub const SNAPSHOT_MAGIC: u32 = 0x4d55_5345;
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 5;
+pub const SNAPSHOT_VERSION: u16 = 6;
 
 /// Errors raised by snapshot encode/decode/restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,7 +161,7 @@ pub struct Snapshot {
     /// Sink matches per query (parallel to `Deployment::queries`).
     pub matches: Vec<Vec<Match>>,
     /// Wall-clock sink latencies (threaded executor only; the simulator
-    /// carries its virtual-time latencies inside `metrics`).
+    /// samples none).
     pub wall_latencies_ns: Vec<u64>,
     /// Per-node next-event cursors into the node-local event partitions
     /// (threaded executor only; empty for the simulator).
@@ -768,10 +771,6 @@ fn put_metrics(buf: &mut BytesMut, m: &Metrics) {
     for &v in &m.per_node_processed {
         buf.put_u64(v);
     }
-    buf.put_u32(m.latencies.len() as u32);
-    for &v in &m.latencies {
-        buf.put_u64(v);
-    }
     put_join_stats(buf, &m.join);
     let t = &m.transport;
     for v in [
@@ -804,11 +803,6 @@ fn get_metrics(buf: &mut &[u8]) -> Result<Metrics, CheckpointError> {
     for _ in 0..n {
         per_node_processed.push(try_get_u64(buf).ok_or(CheckpointError::Malformed)?);
     }
-    let n = get_len(buf)?;
-    let mut latencies = Vec::with_capacity(n);
-    for _ in 0..n {
-        latencies.push(try_get_u64(buf).ok_or(CheckpointError::Malformed)?);
-    }
     let join = get_join_stats(buf)?;
     let mut tvals = [0u64; 6];
     for v in &mut tvals {
@@ -828,7 +822,6 @@ fn get_metrics(buf: &mut &[u8]) -> Result<Metrics, CheckpointError> {
         sink_matches: head[4],
         latency_samples_dropped: head[5],
         per_node_processed,
-        latencies,
         join,
         transport: TransportStats {
             frames_sent: tvals[0],
@@ -1025,9 +1018,10 @@ mod tests {
         // later versions do not, version 2 a sub-evaluator state where later
         // versions have the negation's assembler, version 3 a
         // transmission-multiplexing set after the wall latencies, and
-        // version 4 an in-flight delivery queue where version 5 has the
-        // shared buffers: all are refused by number, not misread.
-        for old in [1u16, 2, 3, 4] {
+        // version 4 an in-flight delivery queue where later versions have
+        // the shared buffers, and version 5 virtual-time latencies in the
+        // metrics block: all are refused by number, not misread.
+        for old in [1u16, 2, 3, 4, 5] {
             bytes[4..6].copy_from_slice(&old.to_be_bytes());
             assert_eq!(
                 decode(&bytes).err(),

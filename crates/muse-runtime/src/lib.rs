@@ -31,7 +31,6 @@ pub mod checkpoint;
 pub mod codec;
 pub mod deploy;
 pub mod drift;
-pub mod flight;
 pub mod matcher;
 pub mod metrics;
 mod node;
@@ -41,7 +40,6 @@ pub mod threaded;
 
 pub use deploy::{Deployment, Route, TaskKind, TaskSpec};
 pub use drift::{CostDrift, VertexDrift};
-pub use flight::{decode_dump, render_timeline, FlightDump, FlightRecord, FlightRing};
 pub use matcher::{Evaluator, JoinTask, Match};
 pub use metrics::Metrics;
 pub use sim::{run_simulation, SimConfig, SimExecutor, SimReport};

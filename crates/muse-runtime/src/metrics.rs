@@ -1,13 +1,13 @@
-//! Execution metrics: transmission accounting, processing load, and match
-//! latencies.
+//! Execution metrics: transmission accounting, processing load, and the
+//! account of match latency samples.
 //!
 //! The paper's central metric is the *transmission ratio*: the rate of
 //! events (matches) sent over the network under a plan, relative to
 //! centralized evaluation where every raw event crosses the network once
 //! (§7.1). The case study (§7.3) additionally reports throughput and
-//! per-match latency.
+//! per-match latency; the threaded executor measures those in wall time
+//! ([`crate::threaded::ThreadedReport`]).
 
-use muse_core::event::Timestamp;
 use muse_telemetry::LogHistogram;
 use serde::{Deserialize, Serialize};
 
@@ -15,9 +15,8 @@ use serde::{Deserialize, Serialize};
 /// `rank = round(q · (n − 1))` for `q ∈ [0, 1]`.
 ///
 /// This is the single definition of "percentile" in the codebase — the
-/// virtual-time summaries here, the wall-clock summaries in
-/// [`crate::threaded::ThreadedReport`], and the
-/// [`LogHistogram::quantile`] estimates all use this same rule, so their
+/// wall-clock summaries in [`crate::threaded::ThreadedReport`] and the
+/// [`LogHistogram::quantile`] estimates use this same rule, so their
 /// results are comparable rank-for-rank. Returns `None` on an empty slice.
 pub fn percentile_nearest_rank(sorted: &[u64], q: f64) -> Option<u64> {
     if sorted.is_empty() {
@@ -334,17 +333,13 @@ pub struct Metrics {
     pub sink_matches: u64,
     /// Per-node count of processed inputs (events + matches).
     pub per_node_processed: Vec<u64>,
-    /// Virtual-time latency per sink match: emission time minus the latest
-    /// constituent event's timestamp (ticks). Kept exact: the paper's
-    /// Fig. 8 summaries and the pinned benchmark read this vector, and an
-    /// export that wants fixed memory derives a [`LogHistogram`] from it.
-    pub latencies: Vec<Timestamp>,
-    /// Latency samples that could not be attributed to an injection
-    /// timestamp and were dropped instead of being recorded as a bogus
-    /// value — e.g. a sink match in a resumed run whose constituent events
-    /// were injected before the restored snapshot. Loss of accounting is
-    /// visible, never silent: `sink_matches` always equals recorded
-    /// latency samples plus this counter.
+    /// Wall-clock latency samples that could not be attributed to an
+    /// injection timestamp and were dropped instead of being recorded as a
+    /// bogus value — e.g. a sink match in a resumed run whose constituent
+    /// events were injected before the restored snapshot. Loss of
+    /// accounting is visible, never silent: in a threaded run
+    /// `sink_matches` always equals the recorded wall latency samples plus
+    /// this counter. The simulator samples no latency and drops none.
     #[serde(default)]
     pub latency_samples_dropped: u64,
     /// Join-engine counters aggregated over all join tasks.
@@ -391,7 +386,6 @@ impl Metrics {
         for (i, v) in other.per_node_processed.iter().enumerate() {
             self.per_node_processed[i] += v;
         }
-        self.latencies.extend_from_slice(&other.latencies);
         self.latency_samples_dropped += other.latency_samples_dropped;
         self.join.merge(&other.join);
         self.transport.merge(&other.transport);
@@ -406,30 +400,6 @@ impl Metrics {
             return 0.0;
         }
         self.messages_sent as f64 / self.events_injected as f64
-    }
-
-    /// Latency percentile in ticks (p ∈ [0, 100]); `None` when no match was
-    /// produced.
-    pub fn latency_percentile(&self, p: f64) -> Option<Timestamp> {
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        percentile_nearest_rank(&sorted, p / 100.0)
-    }
-
-    /// Five-number latency summary `(min, p25, p50, p75, max)` as reported
-    /// in Fig. 8 of the paper. Sorts the latency vector once for all five
-    /// percentiles, each picked by the shared
-    /// [`percentile_nearest_rank`] rule.
-    pub fn latency_summary(&self) -> Option<[Timestamp; 5]> {
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        Some([
-            percentile_nearest_rank(&sorted, 0.0)?,
-            percentile_nearest_rank(&sorted, 0.25)?,
-            percentile_nearest_rank(&sorted, 0.5)?,
-            percentile_nearest_rank(&sorted, 0.75)?,
-            percentile_nearest_rank(&sorted, 1.0)?,
-        ])
     }
 }
 
@@ -446,13 +416,11 @@ mod tests {
         let mut b = Metrics::new(2);
         b.events_injected = 5;
         b.messages_sent = 2;
-        b.latencies.push(7);
         b.record_processed(1);
         a.merge(&b);
         assert_eq!(a.events_injected, 15);
         assert_eq!(a.messages_sent, 5);
         assert_eq!(a.per_node_processed, vec![1, 1]);
-        assert_eq!(a.latencies, vec![7]);
     }
 
     #[test]
@@ -462,17 +430,6 @@ mod tests {
         m.events_injected = 100;
         m.messages_sent = 5;
         assert!((m.transmission_ratio() - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn latency_percentiles() {
-        let mut m = Metrics::new(1);
-        assert_eq!(m.latency_percentile(50.0), None);
-        m.latencies = vec![10, 30, 20, 40, 50];
-        assert_eq!(m.latency_percentile(0.0), Some(10));
-        assert_eq!(m.latency_percentile(50.0), Some(30));
-        assert_eq!(m.latency_percentile(100.0), Some(50));
-        assert_eq!(m.latency_summary(), Some([10, 20, 30, 40, 50]));
     }
 
     #[test]

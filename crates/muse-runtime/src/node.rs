@@ -80,11 +80,13 @@ pub(crate) trait Outbox {
     /// Sends a delivery to join input `input` on the remote node `dest`.
     fn remote(&mut self, dest: usize, input: usize, m: Match);
 
-    /// The latency sample of a sink match emitted at `now`, on the driver's
-    /// clock; `None` when no injection time can be attributed to the match
-    /// (the core then counts a dropped sample instead of recording a bogus
-    /// one).
-    fn sink_latency(&self, m: &Match, now: u64) -> Option<u64>;
+    /// The wall-clock latency sample of a sink match emitted at `now`;
+    /// `None` when no injection time can be attributed to the match (the
+    /// core then counts a dropped sample instead of recording a bogus one).
+    /// Only a core on the wall clock asks: the simulator keeps no samples.
+    fn sink_latency(&self, _m: &Match, _now: u64) -> Option<u64> {
+        None
+    }
 }
 
 /// What a finished core hands back to its driver.
@@ -142,8 +144,8 @@ pub(crate) struct NodeCore<'a> {
     node: Option<usize>,
     /// Join store eviction slack.
     slack: f64,
-    /// The driver's clock: decides where latency samples are kept and
-    /// whether negation joins defer (see [`Self::make_join`]).
+    /// The driver's clock: decides whether sink matches take latency
+    /// samples and whether negation joins defer (see [`Self::make_join`]).
     clock: ClockDomain,
     /// Join state per task, parallel to `Deployment::tasks` (`None` for
     /// sources and for tasks hosted elsewhere).
@@ -162,9 +164,7 @@ pub(crate) struct NodeCore<'a> {
     pub metrics: Metrics,
     /// Sink matches per query (parallel to `Deployment::queries`).
     matches: Vec<Vec<Match>>,
-    /// Wall-clock sink latencies. Virtual-tick samples live in
-    /// `metrics.latencies` instead: a snapshot that moved between drivers
-    /// carries both, and they must not mix.
+    /// Wall-clock sink latencies; a core on the virtual clock takes none.
     wall_latencies_ns: Vec<u64>,
     /// Observational and not checkpointed; [`Self::restore`] only rebases
     /// its series deltas on the restored join counters.
@@ -478,8 +478,11 @@ impl<'a> NodeCore<'a> {
             // One physical sink may feed many logical queries (shared
             // deployments): attribute each match — and its latency
             // bookkeeping — to every subscriber so per-query match sets
-            // are identical to independent evaluation.
+            // are identical to independent evaluation. Only wall time has
+            // a latency to sample: under the virtual clock a match is
+            // emitted at its newest event's time.
             let now = out.now();
+            let sampled = self.clock == ClockDomain::WallNanos;
             let prov = self
                 .telemetry
                 .as_ref()
@@ -490,16 +493,16 @@ impl<'a> NodeCore<'a> {
                 } else {
                     0
                 };
-                let latency = out.sink_latency(m, now);
+                let latency = sampled.then(|| out.sink_latency(m, now));
                 for &query_idx in &deployment.sink_queries[task] {
                     self.metrics.sink_matches += 1;
-                    match (latency, self.clock) {
-                        (Some(l), ClockDomain::VirtualTicks) => self.metrics.latencies.push(l),
-                        (Some(l), ClockDomain::WallNanos) => self.wall_latencies_ns.push(l),
-                        // Invariant: `sink_matches == latency samples +
-                        // latency_samples_dropped` — a loss is counted,
-                        // never hidden.
-                        (None, _) => self.metrics.latency_samples_dropped += 1,
+                    match latency {
+                        None => {}
+                        Some(Some(l)) => self.wall_latencies_ns.push(l),
+                        // Invariant on the wall clock: `sink_matches ==
+                        // latency samples + latency_samples_dropped` — a
+                        // loss is counted, never hidden.
+                        Some(None) => self.metrics.latency_samples_dropped += 1,
                     }
                     if let Some(tel) = &mut self.telemetry {
                         let query = &deployment.queries[query_idx];
@@ -978,14 +981,17 @@ mod tests {
     fn shared_sink_attributes_each_match_to_every_query() {
         let (deployment, events) = fig1(2);
         assert_eq!(deployment.queries.len(), 2);
-        let mut core = fresh(&deployment);
+        // On the wall clock, so that every attribution takes a latency
+        // sample.
+        let mut core = NodeCore::new(&deployment, None, 1.0, ClockDomain::WallNanos, None);
         drive(&mut core, &mut Recorder::default(), &events);
         let central = Evaluator::for_query(&deployment.queries[0]).run(&events);
         for per_query in core.matches() {
             assert_eq!(fingerprints(per_query), fingerprints(&central));
         }
         assert_eq!(core.metrics.sink_matches as usize, 2 * central.len());
-        assert_eq!(core.metrics.latencies.len(), 2 * central.len());
+        assert_eq!(core.wall_latencies_ns.len(), 2 * central.len());
+        assert_eq!(core.metrics.latency_samples_dropped, 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Each network node runs as one OS thread driving the node core of its
 //! tasks — the same node semantics the simulator runs; this module is only
 //! the driver: frames, pools, backpressure, barriers, the chunk schedule and
-//! crash recovery. Matches cross nodes in batched [`Frame`]s over bounded
+//! crash recovery. Matches cross nodes in batched frames over bounded
 //! `crossbeam` channels. Execution proceeds
 //! in *chunks* of virtual time: within a chunk every node injects
 //! its local events as fast as possible (interleaved with inbox draining),
@@ -73,11 +73,18 @@
 //! ([`crate::matcher::JoinTask::release_deferred`]), when every guard
 //! timestamped inside the chunk has been delivered. Chains of
 //! negation joins release level by level: each chunk runs one extra
-//! release-and-drain phase per level ([`negation_release_phases`]).
+//! release-and-drain phase per level (`negation_release_phases`).
+//!
+//! # Trace
+//!
+//! With [`ThreadedConfig::telemetry`] tracing (`trace_capacity > 0`), each
+//! node thread records its driver steps as [`TraceRecord`]s next to the
+//! node core's lineage records: every frame sent and received, every
+//! chunk-start checkpoint, and a crash with every node's rollback. The
+//! report's merged trace, sorted by `t`, is the run's crash timeline.
 
 use crate::checkpoint::{self, CheckpointError, Snapshot};
 use crate::deploy::{Deployment, Route};
-use crate::flight::{FlightRecord, FlightRing};
 use crate::matcher::Match;
 use crate::metrics::{Metrics, RecoveryStats, TransportStats};
 use crate::node::{CoreReport, NodeCore, Outbox};
@@ -85,6 +92,7 @@ use crate::telemetry::{ClockDomain, RunTelemetry, TelemetrySpec, TraceRecord};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use muse_core::event::{Event, Timestamp};
 use muse_core::types::PrimId;
+use muse_telemetry::TraceRing;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 // `DrainBarrier`'s atomics: loom's in `cfg(loom)` tests, which model-check it.
@@ -163,7 +171,7 @@ impl Default for ThreadedConfig {
 pub struct ThreadedReport {
     /// Sink matches per query.
     pub matches: Vec<Vec<Match>>,
-    /// Aggregated metrics (virtual-time latencies unused; see
+    /// Aggregated metrics (the latency samples are in
     /// `wall_latencies_ns`).
     pub metrics: Metrics,
     /// Total wall-clock execution time.
@@ -183,19 +191,13 @@ pub struct ThreadedReport {
     /// [`ThreadedConfig::checkpoint`] was set. Restorable by either
     /// executor via [`crate::checkpoint`].
     pub final_snapshot: Option<Vec<u8>>,
-    /// Encoded flight-recorder dumps published by crashed shards (one per
-    /// crash; empty unless a [`FaultPlan`] fired). Decode with
-    /// [`crate::flight::decode_dump`] and pretty-print with
-    /// [`crate::flight::render_timeline`].
-    pub flight_dumps: Vec<Vec<u8>>,
 }
 
 impl ThreadedReport {
     /// Five-number summary of wall-clock latencies in nanoseconds
     /// `(min, p25, p50, p75, max)`, as plotted in Fig. 8. Quantiles use
     /// the shared nearest-rank rule
-    /// ([`crate::metrics::percentile_nearest_rank`]), so summaries agree
-    /// with `Metrics::latency_percentile` on identical samples.
+    /// ([`crate::metrics::percentile_nearest_rank`]).
     pub fn latency_summary_ns(&self) -> Option<[u64; 5]> {
         let mut sorted = self.wall_latencies_ns.clone();
         sorted.sort_unstable();
@@ -348,13 +350,7 @@ struct ResilienceShared {
     /// crash-coordination barrier, so every node reads a consistent value
     /// right after it.
     crashed_chunk: AtomicU64,
-    /// Encoded flight-recorder dump of each node, published by the crash
-    /// path alongside the recovery snapshot (empty while no crash).
-    flight_dumps: Vec<Mutex<Vec<u8>>>,
 }
-
-/// Flight-recorder records retained per shard in resilient mode.
-const FLIGHT_CAPACITY: usize = 256;
 
 /// Runs a deployment with one thread per network node.
 ///
@@ -482,7 +478,6 @@ fn run_cores(
         Arc::new(ResilienceShared {
             shards: (0..num_nodes).map(|_| Mutex::new(Vec::new())).collect(),
             crashed_chunk: AtomicU64::new(0),
-            flight_dumps: (0..num_nodes).map(|_| Mutex::new(Vec::new())).collect(),
         })
     });
     let schedule = ChunkSchedule {
@@ -491,9 +486,13 @@ fn run_cores(
         rounds_per_chunk,
         release_phases,
     };
+    let trace_capacity = config
+        .telemetry
+        .as_ref()
+        .map_or(0, |spec| spec.trace_capacity);
     let start = Instant::now();
 
-    let report_parts: Vec<(CoreReport, Option<Snapshot>)> = std::thread::scope(|scope| {
+    let report_parts: Vec<_> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(num_nodes);
         for (node, core) in cores.into_iter().enumerate() {
             let channels = NodeChannels {
@@ -521,10 +520,7 @@ fn run_cores(
                 injected_local: 0,
                 crashed: false,
                 crash_started: None,
-                flight: FlightRing::new(
-                    node as u16,
-                    if shared.is_some() { FLIGHT_CAPACITY } else { 0 },
-                ),
+                trace: TraceRing::new(trace_capacity),
                 shared,
             };
             let checkpoint = config.checkpoint;
@@ -547,7 +543,8 @@ fn run_cores(
         .as_ref()
         .map(|spec| RunTelemetry::new(ClockDomain::WallNanos, spec));
     let mut final_state = config.checkpoint.then(|| Snapshot::empty(deployment));
-    for (part, shard) in report_parts {
+    let (mut series, mut traces, mut provenance) = (Vec::new(), Vec::new(), Vec::new());
+    for (part, shard, driver_trace) in report_parts {
         metrics.merge(&part.metrics);
         for (q, ms) in part.matches.into_iter().enumerate() {
             matches[q].extend(ms);
@@ -557,29 +554,19 @@ fn run_cores(
             merged.merge_shard(shard);
         }
         if let (Some(merged), Some(shard)) = (&mut telemetry, part.telemetry) {
-            merged.series.absorb(shard.series);
-            merged.trace.absorb(shard.trace);
-            merged.provenance.absorb(shard.provenance);
+            series.push(shard.series);
+            traces.extend([shard.trace, driver_trace]);
+            provenance.push(shard.provenance);
             merged.rates.merge(&shard.rates);
             merged.tasks.extend(shard.tasks);
         }
     }
-    let flight_dumps: Vec<Vec<u8>> = shared
-        .as_ref()
-        .map(|s| {
-            s.flight_dumps
-                .iter()
-                .map(|d| std::mem::take(&mut *d.lock().expect("flight dump lock")))
-                .filter(|d| !d.is_empty())
-                .collect()
-        })
-        .unwrap_or_default();
     let final_snapshot = final_state.map(|state| checkpoint::encode(&state));
     if let Some(merged) = &mut telemetry {
-        // Shards were absorbed node by node; read in time order.
-        merged.series.sort_by_key(|r| (r.t, r.task));
-        merged.trace.sort_by_key(TraceRecord::t);
-        merged.provenance.sort_by_key(|r| r.t);
+        // In time order over all nodes, newest kept.
+        merged.series.merge(series, |r| (r.t, r.task));
+        merged.trace.merge(traces, TraceRecord::t);
+        merged.provenance.merge(provenance, |r| r.t);
         merged.tasks.sort_by_key(|s| s.task);
     }
     let events_per_sec = if wall_time.as_secs_f64() > 0.0 {
@@ -595,7 +582,6 @@ fn run_cores(
         wall_latencies_ns,
         telemetry,
         final_snapshot,
-        flight_dumps,
     }
 }
 
@@ -672,10 +658,9 @@ struct NodeRunner {
     crashed: bool,
     /// Wall-clock mark of the injected crash (downtime + recovery timer).
     crash_started: Option<Instant>,
-    /// Bounded black box of recent transport/checkpoint/injection steps;
-    /// recording only in resilient mode (capacity 0 otherwise), dumped by
-    /// the crash path.
-    flight: FlightRing,
+    /// This node's driver steps (see "Trace"); capacity 0 unless the
+    /// run's telemetry traces. Merged with the core's trace after the run.
+    trace: TraceRing,
 }
 
 /// First backoff sleep of a blocked fault-mode send.
@@ -687,7 +672,8 @@ const SEND_BACKOFF_START: Duration = Duration::from_micros(1);
 const SEND_BACKOFF_CAP: Duration = Duration::from_micros(256);
 
 /// One node thread: drives `core` through the chunk schedule. `local` lists
-/// the positions in `events` of this node's events.
+/// the positions in `events` of this node's events. Hands back the core's
+/// report, the end-of-run shard when checkpointing, and the driver trace.
 fn run_node(
     mut core: NodeCore<'_>,
     mut runner: NodeRunner,
@@ -695,7 +681,7 @@ fn run_node(
     local: &[usize],
     schedule: ChunkSchedule<'_>,
     checkpoint: bool,
-) -> (CoreReport, Option<Snapshot>) {
+) -> (CoreReport, Option<Snapshot>, TraceRing) {
     let fault_mode = runner.fault.is_some();
     let mut next = 0usize;
     for &chunk_idx in schedule.chunks {
@@ -773,7 +759,7 @@ fn run_node(
     let shard = checkpoint.then(|| runner.build_shard(&core, next));
     core.metrics.transport.merge(&runner.stats);
     core.metrics.recovery.merge(&runner.recovery);
-    (core.finish(runner.now()), shard)
+    (core.finish(runner.now()), shard, runner.trace)
 }
 
 impl Outbox for NodeRunner {
@@ -783,14 +769,6 @@ impl Outbox for NodeRunner {
 
     fn on_inject(&mut self, event: &Event, now: u64) {
         self.injected_local += 1;
-        if !self.flight.is_disabled() {
-            self.flight.push(FlightRecord::Inject {
-                t: now,
-                seq: event.seq,
-                ty: event.ty.0,
-                time: event.time,
-            });
-        }
         if let Some(slot) = self.inject_ns.get(event.seq) {
             // First write wins (0 means "never injected"), so a chunk
             // re-run after a crash keeps the original mark and a recovered match's
@@ -841,8 +819,9 @@ impl NodeRunner {
         let bytes = checkpoint::encode(&self.build_shard(core, cursor));
         self.recovery.snapshots_taken += 1;
         self.recovery.snapshot_bytes += bytes.len() as u64;
-        self.flight.push(FlightRecord::Checkpoint {
+        self.trace.push(TraceRecord::Checkpoint {
             t: self.now(),
+            node: self.node,
             bytes: bytes.len() as u64,
         });
         if let Some(shared) = &self.shared {
@@ -869,17 +848,13 @@ impl NodeRunner {
         self.crashed = true;
         self.crash_started = Some(Instant::now());
         self.recovery.crashes += 1;
-        self.flight.push(FlightRecord::Crash {
+        self.trace.push(TraceRecord::Crash {
             t: self.now(),
+            node: self.node,
             chunk: chunk_idx,
         });
         if let Some(shared) = &self.shared {
             shared.crashed_chunk.store(chunk_idx + 1, Ordering::Release);
-            // The black box: publish this shard's recent history next to
-            // the snapshot it will recover from.
-            *shared.flight_dumps[self.node]
-                .lock()
-                .expect("flight dump lock") = self.flight.encode();
         }
         for buf in &mut self.out_bufs {
             buf.clear();
@@ -899,8 +874,10 @@ impl NodeRunner {
     /// regenerates them), decode this node's shard, and roll the core back
     /// to it. Returns the restored event cursor.
     fn recover(&mut self, core: &mut NodeCore<'_>) -> usize {
-        self.flight
-            .push(FlightRecord::RecoveryStart { t: self.now() });
+        self.trace.push(TraceRecord::RecoveryStarted {
+            t: self.now(),
+            node: self.node,
+        });
         self.backlog.clear();
         while let Ok(frame) = self.channels.inbox.try_recv() {
             self.channels.depth[self.node].fetch_sub(1, Ordering::Relaxed);
@@ -918,8 +895,9 @@ impl NodeRunner {
         // checkpoint; the live ones roll back with the rest of the state.
         self.stats = TransportStats::default();
         let cursor = snap.cursors.get(self.node).copied().unwrap_or(0) as usize;
-        self.flight.push(FlightRecord::RecoveryDone {
+        self.trace.push(TraceRecord::Recovered {
             t: self.now(),
+            node: self.node,
             cursor: cursor as u64,
         });
         cursor
@@ -960,11 +938,12 @@ impl NodeRunner {
     /// messages, and hands the emptied buffer back to the origin node.
     fn ingest(&mut self, mut frame: Frame) {
         self.channels.depth[self.node].fetch_sub(1, Ordering::Relaxed);
-        if !self.flight.is_disabled() {
-            self.flight.push(FlightRecord::FrameRecv {
+        if self.trace.is_enabled() {
+            self.trace.push(TraceRecord::FrameReceived {
                 t: self.now(),
-                from: frame.origin as u16,
-                msgs: frame.msgs.len() as u32,
+                from: frame.origin,
+                to: self.node,
+                msgs: frame.msgs.len(),
             });
         }
         self.backlog.extend(frame.msgs.drain(..));
@@ -1058,11 +1037,12 @@ impl NodeRunner {
         t.frames_sent += 1;
         t.messages_framed += msgs.len() as u64;
         t.batch_hist.record(msgs.len() as u64);
-        if !self.flight.is_disabled() {
-            self.flight.push(FlightRecord::FrameSent {
+        if self.trace.is_enabled() {
+            self.trace.push(TraceRecord::FrameSent {
                 t: self.now(),
-                to: dest as u16,
-                msgs: msgs.len() as u32,
+                from: self.node,
+                to: dest,
+                msgs: msgs.len(),
             });
         }
         let in_flight = self.channels.depth[dest].fetch_add(1, Ordering::Relaxed) + 1;
@@ -1338,7 +1318,6 @@ mod tests {
             wall_latencies_ns: vec![50, 10, 30, 20, 40],
             telemetry: None,
             final_snapshot: None,
-            flight_dumps: vec![],
         };
         assert_eq!(report.latency_summary_ns(), Some([10, 20, 30, 40, 50]));
         let empty = ThreadedReport {

@@ -18,7 +18,7 @@ use muse_runtime::checkpoint::{self, CheckpointError};
 use muse_runtime::deploy::{Deployment, TaskKind};
 use muse_runtime::matcher::Match;
 use muse_runtime::sim::{SimConfig, SimExecutor};
-use muse_runtime::telemetry::TelemetrySpec;
+use muse_runtime::telemetry::{TelemetrySpec, TraceRecord};
 use muse_runtime::threaded::{
     run_threaded, run_threaded_resumed, FaultPlan, ThreadedConfig, ThreadedReport,
 };
@@ -537,5 +537,106 @@ fn nseq_context_slots_survive_save_and_restore_in_both_executors() {
             "{ctx}: crash must fire"
         );
         assert_equal_outcomes(&faulted, &baseline, &ctx);
+    }
+}
+
+/// The driver's steps in an uncapped trace, counted exactly. Without a
+/// crash, every frame is recorded once by its sender and once by its
+/// receiver, and every chunk-start checkpoint once. A crash on any node is
+/// recorded once, on that node, and every node's rollback follows it: one
+/// `RecoveryStarted`, then one `Recovered`, per node.
+#[test]
+fn crash_timeline_records_every_rollback() {
+    let net = network();
+    let deployment = deploy(fig1_pattern(), 5_000, &net);
+    let events = trace(&net, 7);
+    let config = ThreadedConfig {
+        checkpoint: true,
+        telemetry: Some(TelemetrySpec {
+            trace_capacity: usize::MAX,
+            ..TelemetrySpec::default()
+        }),
+        ..ThreadedConfig::default()
+    };
+    let records = |report: &ThreadedReport| -> Vec<TraceRecord> {
+        let trace = &report.telemetry.as_ref().expect("telemetry").trace;
+        assert_eq!(trace.dropped(), 0, "the trace is uncapped");
+        trace.records().cloned().collect()
+    };
+
+    let plain = run_threaded(&deployment, &events, &config);
+    let trace = records(&plain);
+    let count = |kind: fn(&TraceRecord) -> bool| trace.iter().filter(|r| kind(r)).count() as u64;
+    let frames = plain.metrics.transport.frames_sent;
+    assert!(frames > 0, "the plan ships matches");
+    assert_eq!(
+        count(|r| matches!(r, TraceRecord::FrameSent { .. })),
+        frames
+    );
+    assert_eq!(
+        count(|r| matches!(r, TraceRecord::FrameReceived { .. })),
+        frames
+    );
+    assert_eq!(
+        count(|r| matches!(r, TraceRecord::Checkpoint { .. })),
+        plain.metrics.recovery.snapshots_taken
+    );
+    assert_eq!(
+        count(|r| matches!(
+            r,
+            TraceRecord::Crash { .. }
+                | TraceRecord::RecoveryStarted { .. }
+                | TraceRecord::Recovered { .. }
+        )),
+        0
+    );
+
+    for node in 0..3usize {
+        let local = events.iter().filter(|e| e.origin.index() == node).count() as u64;
+        let faulted = run_threaded(
+            &deployment,
+            &events,
+            &ThreadedConfig {
+                fault: Some(FaultPlan {
+                    node,
+                    crash_at: local / 2,
+                    restart_delay: Duration::ZERO,
+                }),
+                ..config.clone()
+            },
+        );
+        assert_eq!(faulted.metrics.recovery.crashes, 1, "crash on node {node}");
+        let trace = records(&faulted);
+        let crashes: Vec<(usize, u64)> = trace
+            .iter()
+            .filter_map(|r| match *r {
+                TraceRecord::Crash { t, node, .. } => Some((node, t)),
+                _ => None,
+            })
+            .collect();
+        let [(crashed, crash_t)] = crashes[..] else {
+            panic!("crash on node {node}: one crash record, got {crashes:?}");
+        };
+        assert_eq!(crashed, node);
+        for at in 0..3usize {
+            let steps: Vec<(&str, u64)> = trace
+                .iter()
+                .filter_map(|r| match *r {
+                    TraceRecord::RecoveryStarted { t, node } if node == at => Some(("started", t)),
+                    TraceRecord::Recovered { t, node, .. } if node == at => Some(("recovered", t)),
+                    _ => None,
+                })
+                .collect();
+            let kinds: Vec<&str> = steps.iter().map(|&(kind, _)| kind).collect();
+            assert_eq!(
+                kinds,
+                ["started", "recovered"],
+                "crash on node {node}: rollback of node {at}"
+            );
+            assert!(
+                steps.iter().all(|&(_, t)| t >= crash_t),
+                "crash on node {node}: node {at} rolled back before the crash"
+            );
+        }
     }
 }

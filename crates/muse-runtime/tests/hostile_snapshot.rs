@@ -5,8 +5,7 @@
 //! that re-encodes, never panic, and never size a buffer from a length
 //! prefix beyond the input — which this binary's allocator measures. A
 //! snapshot that decodes must in turn be refused by restore or resume
-//! without a panic. The flight-recorder dump format gets the same
-//! treatment as snapshots, and so does the match codec on its own:
+//! without a panic. The match codec on its own gets the same treatment:
 //! arbitrary bytes and mutated encodings of real matches. A trace's `seq`
 //! numbers are hostile input as well: they must not size the threaded
 //! executor's latency table.
@@ -24,7 +23,6 @@ use muse_core::workload::Workload;
 use muse_runtime::checkpoint::{decode, decode_for, encode, restore, CheckpointError, Snapshot};
 use muse_runtime::codec::{encode_match, try_decode_match};
 use muse_runtime::matcher::{JoinState, StoreState};
-use muse_runtime::{decode_dump, FlightRecord, FlightRing};
 use muse_runtime::{run_threaded, ThreadedConfig};
 use muse_runtime::{Deployment, Match, SimConfig, SimExecutor};
 use muse_telemetry::LogHistogram;
@@ -439,78 +437,6 @@ proptest! {
                 executor.finish();
             }
         }
-    }
-}
-
-/// A flight dump holding one record of every variant.
-fn every_record_dump() -> Vec<u8> {
-    let mut ring = FlightRing::new(1, 16);
-    for rec in [
-        FlightRecord::Inject {
-            t: 10,
-            seq: 7,
-            ty: 2,
-            time: 400,
-        },
-        FlightRecord::FrameSent {
-            t: 20,
-            to: 1,
-            msgs: 3,
-        },
-        FlightRecord::FrameRecv {
-            t: 30,
-            from: 0,
-            msgs: 5,
-        },
-        FlightRecord::Checkpoint { t: 40, bytes: 128 },
-        FlightRecord::Crash { t: 50, chunk: 4 },
-        FlightRecord::RecoveryStart { t: 60 },
-        FlightRecord::RecoveryDone { t: 70, cursor: 99 },
-        FlightRecord::FrameRecv {
-            t: 80,
-            from: 2,
-            msgs: 12,
-        },
-    ] {
-        ring.push(rec);
-    }
-    ring.encode()
-}
-
-/// `decode_dump` of `bytes` allocates at most input bytes × record size at
-/// once.
-fn assert_dump_bounded(bytes: &[u8]) -> Result<(), String> {
-    let (_, peak) = peak_alloc(|| decode_dump(bytes));
-    let bound = bytes.len() * size_of::<FlightRecord>();
-    prop_assert!(
-        peak <= bound,
-        "decoding a {}-byte dump allocated {peak} bytes at once (bound {bound})",
-        bytes.len()
-    );
-    Ok(())
-}
-
-#[test]
-fn flight_dump_record_count_does_not_size_the_buffer() {
-    // Node, dropped count, then a record count of u32::MAX and no record.
-    let mut bytes = vec![0u8; 2 + 8];
-    bytes.extend_from_slice(&u32::MAX.to_be_bytes());
-    assert!(decode_dump(&bytes).is_none());
-    assert_dump_bounded(&bytes).unwrap();
-    assert!(decode_dump(&every_record_dump()).is_some());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn hostile_flight_dumps_are_refused_or_decode_within_bounds(
-        mutation in 0u8..3,
-        seed in any::<u64>(),
-    ) {
-        let mut bytes = every_record_dump();
-        mutate(&mut bytes, mutation, &mut StdRng::seed_from_u64(seed));
-        assert_dump_bounded(&bytes)?;
     }
 }
 

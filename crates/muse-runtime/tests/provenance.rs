@@ -26,7 +26,7 @@ use muse_core::workload::Workload;
 use muse_runtime::deploy::Deployment;
 use muse_runtime::matcher::Match;
 use muse_runtime::sim::{run_simulation, SimConfig};
-use muse_runtime::telemetry::{RunTelemetry, TelemetrySpec};
+use muse_runtime::telemetry::{RunTelemetry, TelemetrySpec, TraceRecord};
 use muse_runtime::threaded::{run_threaded, FaultPlan, ThreadedConfig};
 use muse_sim::traces::{generate_traces, TraceConfig};
 use muse_telemetry::ProvenanceRecord;
@@ -409,21 +409,29 @@ fn crash_and_replay_preserves_provenance() {
                 crash_at: local / 2,
                 restart_delay: Duration::ZERO,
             }),
-            ..threaded_config(full_spec())
+            // A trace long enough to keep the crash record.
+            ..threaded_config(TelemetrySpec {
+                trace_capacity: 1 << 24,
+                ..full_spec()
+            })
         };
         let faulted = run_threaded(&deployment, &events, &config);
         assert_eq!(
             faulted.metrics.recovery.crashes, 1,
             "crash on node {node} must fire"
         );
-        assert!(
-            !faulted.flight_dumps.is_empty(),
-            "crash must publish a flight dump"
-        );
-        for dump in &faulted.flight_dumps {
-            let decoded = muse_runtime::flight::decode_dump(dump).expect("dump decodes");
-            assert!(!decoded.records.is_empty(), "dump must carry records");
-        }
+        let crashed: Vec<usize> = faulted
+            .telemetry
+            .as_ref()
+            .unwrap()
+            .trace
+            .records()
+            .filter_map(|r| match r {
+                TraceRecord::Crash { node, .. } => Some(*node),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(crashed, [node], "the trace must record the crash");
         // Telemetry is observational, not checkpointed: the crashed
         // chunk's re-execution may record a match twice, so parity is on
         // the hash-keyed *set* (dedup is the ring's documented consumer

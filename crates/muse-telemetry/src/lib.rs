@@ -8,8 +8,9 @@
 //! * [`ring`] — the one bounded record container the buffers below share.
 //! * [`series`] — bounded per-task time series (queue depth, watermark
 //!   lag, live partial matches, per-interval join activity).
-//! * [`trace`] — a bounded ring of structured lineage records with JSONL
-//!   export.
+//! * [`trace`] — a bounded ring of structured records with JSONL export:
+//!   match lineage, and the threaded executor's frames, checkpoints and
+//!   crash timeline.
 //! * [`lineage`] — sampled causal provenance: self-contained witness
 //!   records explaining a sink match back to its source events.
 //! * [`rate`] — windowed per-task output-rate estimators feeding the
@@ -187,7 +188,7 @@ pub struct RunTelemetry {
     pub clock: Option<ClockDomain>,
     /// Per-task time series.
     pub series: SeriesBuffer,
-    /// Lineage trace ring.
+    /// Trace ring: match lineage, and the threaded driver's steps.
     pub trace: TraceRing,
     /// Sampled causal provenance records (witness sets of sink matches).
     pub provenance: ProvenanceRing,

@@ -137,8 +137,8 @@ impl RateEstimator {
         self.total as f64 / duration_ticks.max(1) as f64
     }
 
-    /// Mean rate per tick over the newest retained windows (up to
-    /// [`RECENT_WINDOWS`]); 0.0 before any observation.
+    /// Mean rate per tick over the newest retained windows (at most
+    /// `RECENT_WINDOWS` of them); 0.0 before any observation.
     pub fn recent_rate(&self) -> f64 {
         let k = self.counts.len().min(RECENT_WINDOWS);
         if k == 0 {

@@ -1,10 +1,12 @@
 //! The one bounded record container behind every telemetry buffer.
 //!
-//! Series samples, lifecycle trace records, provenance records and the
-//! threaded executor's flight records are all kept the same way: a FIFO
-//! with a capacity, evicting the oldest record when full and counting what
-//! it lost. [`Ring`] is that container; the record modules name their
-//! instantiation (`SeriesBuffer`, `TraceRing`, `ProvenanceRing`).
+//! Series samples, trace records (match lineage and the threaded driver's
+//! steps) and provenance records are all kept the same way: a FIFO with a
+//! capacity, evicting the oldest record when full and counting what it
+//! lost. [`Ring`] is that container; the record modules name their
+//! instantiation (`SeriesBuffer`, `TraceRing`, `ProvenanceRing`). The
+//! threaded executor keeps one ring of each kind per node and
+//! [`Ring::merge`]s them when the threads join.
 
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -77,19 +79,25 @@ impl<T> Ring<T> {
         self.dropped
     }
 
-    /// Moves all records from `other` into this ring, in order, under this
-    /// ring's capacity; `other`'s losses are added to this ring's.
-    pub fn absorb(&mut self, other: Ring<T>) {
-        self.dropped += other.dropped;
-        for rec in other.records {
-            self.push(rec);
+    /// Merges per-shard rings into this one, in order of `key` (a stable
+    /// sort: equal keys keep this ring's records first, then each shard's
+    /// in turn). The newest `capacity` records by `key` stay, whichever
+    /// ring held them; the others count as dropped, next to every ring's
+    /// own losses.
+    pub fn merge<K: Ord>(
+        &mut self,
+        shards: impl IntoIterator<Item = Ring<T>>,
+        key: impl FnMut(&T) -> K,
+    ) {
+        let mut all = Vec::from(std::mem::take(&mut self.records));
+        for shard in shards {
+            self.dropped += shard.dropped;
+            all.extend(shard.records);
         }
-    }
-
-    /// Re-sorts the held records (stably) — used after absorbing per-shard
-    /// rings so the merged ring reads in time order.
-    pub fn sort_by_key<K: Ord>(&mut self, key: impl FnMut(&T) -> K) {
-        self.records.make_contiguous().sort_by_key(key);
+        all.sort_by_key(key);
+        let excess = all.len().saturating_sub(self.capacity);
+        self.dropped += excess as u64;
+        self.records = all.into_iter().skip(excess).collect();
     }
 }
 
@@ -132,29 +140,38 @@ mod tests {
     }
 
     #[test]
-    fn absorb_preserves_order_and_adds_drops() {
-        let mut a = Ring::new(4);
-        a.push(1u64);
-        let mut b = Ring::new(2);
-        for t in 2..6 {
-            b.push(t);
-        }
-        a.absorb(b);
-        assert_eq!(a.records().copied().collect::<Vec<_>>(), vec![1, 4, 5]);
-        assert_eq!(a.dropped(), 2);
-    }
-
-    #[test]
-    fn absorbed_shards_sort_into_time_order() {
+    fn merged_shards_read_in_time_order_and_add_drops() {
         let mut a = Ring::new(8);
         a.push((10u64, 'a'));
-        let mut b = Ring::new(8);
-        b.push((4u64, 'b'));
-        b.push((10u64, 'b'));
-        a.absorb(b);
-        a.sort_by_key(|r| r.0);
+        let mut b = Ring::new(2);
+        for t in [2u64, 4, 10] {
+            b.push((t, 'b'));
+        }
+        a.merge([b], |r| r.0);
         let got: Vec<_> = a.records().copied().collect();
         assert_eq!(got, vec![(4, 'b'), (10, 'a'), (10, 'b')]);
+        assert_eq!(a.dropped(), 1);
+    }
+
+    /// The shard merged first holds the newest records: they stay, and the
+    /// older records of the shard merged last are the ones dropped.
+    #[test]
+    fn merge_keeps_the_newest_records_of_any_shard() {
+        let mut newer = Ring::new(4);
+        for t in 10..14u64 {
+            newer.push(t);
+        }
+        let mut older = Ring::new(4);
+        for t in 0..4u64 {
+            older.push(t);
+        }
+        let mut merged = Ring::new(4);
+        merged.merge([newer, older], |&t| t);
+        assert_eq!(
+            merged.records().copied().collect::<Vec<_>>(),
+            vec![10, 11, 12, 13]
+        );
+        assert_eq!(merged.dropped(), 4);
     }
 
     #[test]

@@ -1,17 +1,22 @@
-//! Structured trace records for match-lineage reconstruction.
+//! Structured trace records: match lineage and the threaded driver's steps.
 //!
 //! Every significant lifecycle step of an event/partial match gets one
 //! [`TraceRecord`] in a bounded [`TraceRing`]: injection at a source task,
 //! a successful merge inside a join, a message shipped between nodes, and a
 //! final emission at a sink. Exported as JSONL, the ring lets a match at a
 //! sink be traced back through every node that contributed to it.
+//!
+//! The threaded executor adds its own steps to the same ring: transport
+//! frames sent and received, chunk-boundary checkpoints, and the crash and
+//! recovery of fault injection. Sorted by `t`, they are the crash timeline
+//! of a run — every node's rollback and the chunk's re-run included.
 
 use crate::ring::Ring;
 use serde::{Deserialize, Serialize};
 
-/// One step in a match's lineage. `t` is always in the run's clock domain
-/// (virtual ticks in the simulator, wall nanoseconds in the threaded
-/// executor).
+/// One step in a match's lineage or in the threaded driver's run. `t` is
+/// always in the run's clock domain (virtual ticks in the simulator, wall
+/// nanoseconds in the threaded executor).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceRecord {
     /// A primitive event entered the system at a source task.
@@ -68,6 +73,64 @@ pub enum TraceRecord {
         /// Timestamp of the newest constituent event.
         last_time: u64,
     },
+    /// A transport frame was handed to a peer's inbox (threaded executor).
+    FrameSent {
+        /// Send timestamp.
+        t: u64,
+        /// Sending node.
+        from: usize,
+        /// Receiving node.
+        to: usize,
+        /// Messages in the frame.
+        msgs: usize,
+    },
+    /// A transport frame was taken from a node's inbox (threaded executor).
+    FrameReceived {
+        /// Receive timestamp.
+        t: u64,
+        /// Sending node.
+        from: usize,
+        /// Receiving node.
+        to: usize,
+        /// Messages in the frame.
+        msgs: usize,
+    },
+    /// A node saved its chunk-start shard (threaded executor, checkpoint or
+    /// fault mode).
+    Checkpoint {
+        /// Save timestamp.
+        t: u64,
+        /// Node whose shard was saved.
+        node: usize,
+        /// Encoded shard size.
+        bytes: u64,
+    },
+    /// Fault injection crashed a node (threaded executor).
+    Crash {
+        /// Crash timestamp.
+        t: u64,
+        /// The crashed node.
+        node: usize,
+        /// Index of the chunk the crash interrupted.
+        chunk: u64,
+    },
+    /// A node began rolling back to its chunk-start shard after a crash;
+    /// every node does, not only the crashed one.
+    RecoveryStarted {
+        /// Rollback start timestamp.
+        t: u64,
+        /// The node rolling back.
+        node: usize,
+    },
+    /// A node finished its rollback and re-runs the chunk from `cursor`.
+    Recovered {
+        /// Rollback end timestamp.
+        t: u64,
+        /// The node that rolled back.
+        node: usize,
+        /// Restored position in the node's local events.
+        cursor: u64,
+    },
 }
 
 impl TraceRecord {
@@ -77,7 +140,13 @@ impl TraceRecord {
             TraceRecord::EventInjected { t, .. }
             | TraceRecord::MatchMerged { t, .. }
             | TraceRecord::MessageShipped { t, .. }
-            | TraceRecord::SinkMatch { t, .. } => *t,
+            | TraceRecord::SinkMatch { t, .. }
+            | TraceRecord::FrameSent { t, .. }
+            | TraceRecord::FrameReceived { t, .. }
+            | TraceRecord::Checkpoint { t, .. }
+            | TraceRecord::Crash { t, .. }
+            | TraceRecord::RecoveryStarted { t, .. }
+            | TraceRecord::Recovered { t, .. } => *t,
         }
     }
 }
@@ -107,6 +176,12 @@ mod tests {
             size: 3,
             last_time: 9,
         });
+        let crash = TraceRecord::Crash {
+            t: 12,
+            node: 2,
+            chunk: 4,
+        };
+        ring.push(crash.clone());
         let mut out = Vec::new();
         ring.write_jsonl(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -114,8 +189,9 @@ mod tests {
             .lines()
             .map(|l| serde_json::from_str(l).unwrap())
             .collect();
-        assert_eq!(back.len(), 2);
+        assert_eq!(back.len(), 3);
         assert_eq!(back[1].t(), 9);
+        assert_eq!(back[2], crash);
         assert!(matches!(
             back[0],
             TraceRecord::MessageShipped { bytes: 24, .. }

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate: release build, workspace test suite, lint gates (fmt,
-# clippy, rustdoc), static verification of the example queries/plans and a
+# clippy, rustdoc with warnings denied), static verification of the example queries/plans and a
 # `muse-verify migrate` smoke over them (the certified pair must exit 0,
 # the narrowed pair must be refused — no test runs the binary) and a
 # hostile `.net` file that `muse-verify plan` must reject with exit 2, the loom
@@ -58,11 +58,14 @@ done
 # shellcheck disable=SC2086 # one word per package flag
 cargo clippy --all-targets $first_party -- -D warnings
 
-echo "== lint: cargo doc (intra-doc links of the library crates) =="
-# Every library crate denies rustdoc::broken_intra_doc_links, which only
-# rustdoc evaluates: without this lane a deleted public type leaves its
-# [`links`] dangling unnoticed.
-cargo doc --offline --workspace --no-deps
+echo "== lint: cargo doc (first-party packages) -- -D warnings =="
+# Only rustdoc evaluates doc links: without this lane a deleted public type
+# leaves its [`links`] dangling unnoticed, and a public doc that links a
+# private item renders a dead link. Every rustdoc warning fails the lane.
+# The vendored crates stay outside it: crossbeam has a broken link of its
+# own.
+# shellcheck disable=SC2086 # one word per package flag
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps $first_party
 
 echo "== verify: muse-verify over examples/queries =="
 cargo run -q -p muse-verify --release --bin muse-verify -- \
