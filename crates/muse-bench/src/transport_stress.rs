@@ -155,7 +155,6 @@ mod tests {
     use muse_runtime::sim::{run_simulation, SimConfig};
     use muse_runtime::telemetry::{TelemetrySpec, TraceRecord};
     use muse_runtime::threaded::{run_threaded, FaultPlan, ThreadedConfig, ThreadedReport};
-    use std::collections::BTreeSet;
     use std::time::Duration;
 
     #[test]
@@ -216,12 +215,15 @@ mod tests {
             }),
             ..checkpoint_config.clone()
         };
-        let fingerprints = |report: &ThreadedReport| -> Vec<BTreeSet<Vec<u64>>> {
-            report
-                .matches
-                .iter()
-                .map(|q| q.iter().map(Match::fingerprint).collect())
-                .collect()
+        // Per query, the matches as a multiset: a match the rollback left
+        // in the report and the re-run emitted again would show twice.
+        let fingerprints = |report: &ThreadedReport| -> Vec<Vec<Vec<u64>>> {
+            let multiset = |q: &Vec<Match>| {
+                let mut prints: Vec<_> = q.iter().map(Match::fingerprint).collect();
+                prints.sort_unstable();
+                prints
+            };
+            report.matches.iter().map(multiset).collect()
         };
 
         let baseline = run_threaded(&deployment, &events, &baseline_config);

@@ -7,9 +7,14 @@
 //! equivalent durable state is a [`Snapshot`] of a quiescent run: per-task
 //! join-engine state (buffered partial matches, negation assemblers,
 //! watermarks, counters), the node-owned buffer of each shared join input,
-//! metrics, and collected sink matches. A snapshot taken mid-run and
-//! restored into a fresh executor resumes to exactly the same results as
-//! an uninterrupted run (verified by the executor and resilience tests).
+//! metrics, and the threaded executor's event cursors. It holds no output:
+//! a join buffer is bounded by its window, but the sink matches and latency
+//! samples of a run grow with its length, and a snapshot that carried them
+//! would cost more at every checkpoint. So a restored executor reports only
+//! the matches and samples it emits itself, and its [`Metrics`] continue
+//! the snapshot's: the prefix run's matches followed by the resumed run's
+//! equal an uninterrupted run's, as a multiset (the executor and resilience
+//! tests check it).
 //!
 //! # One schema, both executors
 //!
@@ -19,11 +24,10 @@
 //! chunk-quiescence barriers and per-node during fault recovery
 //! ([`crate::threaded::run_threaded`] with checkpointing or a fault plan
 //! enabled). Both snapshot only quiescent state, so a snapshot holds no
-//! in-flight delivery. Because both executors produce and consume the same
-//! bytes, a run can be snapshotted under one executor and resumed under
-//! the other (the schema round-trip tests exercise both directions).
-//! Executor-specific fields are simply empty on the other side: the
-//! simulator never has event cursors or wall-clock latencies.
+//! in-flight delivery and no deferred negation candidate. Because both
+//! executors produce and consume the same bytes, a run can be snapshotted
+//! under one executor and resumed under the other (the schema round-trip
+//! tests exercise both directions). The simulator has no event cursors.
 //!
 //! # Format
 //!
@@ -43,18 +47,15 @@
 //! fail with [`CheckpointError::UnsupportedVersion`]; truncated or
 //! malformed bytes with [`CheckpointError::Malformed`] — never a panic.
 //!
-//! The current format is version 6: each piece of state is stored once. A
+//! The current format is version 7: each piece of state is stored once. A
 //! join input two or more joins store has one buffer
 //! ([`Snapshot::buffers`]), and each reader's [`JoinState`] keeps only its
 //! own horizon for it. Each `NSEQ` negation of a join state
 //! ([`JoinState::negations`]) carries its forbidden-match store and, for a
 //! composite forbidden pattern, the nested [`JoinState`] of the join that
-//! assembles it. The only latency samples are the wall-clock ones
-//! ([`Snapshot::wall_latencies_ns`]). Version 5 also carried the
-//! simulator's virtual-time latencies in the metrics block, every one of
-//! them 0; version 4 an in-flight delivery queue and a copy of every shared
-//! buffer in each of its readers' states; versions 1 to 5 are refused by
-//! number.
+//! assembles it. Version 6 also carried the sink matches, the wall latency
+//! samples and each join's deferred candidates (none at quiescence);
+//! versions 1 to 6 are refused by number.
 //!
 //! The one sanctioned way *across* plans is [`map_snapshot`] /
 //! [`restore_mapped`]: given a certified-safe `muse-verify`
@@ -76,7 +77,7 @@ use muse_verify::{CarryMode, MigrationPlan};
 pub const SNAPSHOT_MAGIC: u32 = 0x4d55_5345;
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 6;
+pub const SNAPSHOT_VERSION: u16 = 7;
 
 /// Errors raised by snapshot encode/decode/restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,11 +159,6 @@ pub struct Snapshot {
     /// Collected metrics (crash-recovery counters excluded by design:
     /// a crash must not roll back the record of its own recovery).
     pub metrics: Metrics,
-    /// Sink matches per query (parallel to `Deployment::queries`).
-    pub matches: Vec<Vec<Match>>,
-    /// Wall-clock sink latencies (threaded executor only; the simulator
-    /// samples none).
-    pub wall_latencies_ns: Vec<u64>,
     /// Per-node next-event cursors into the node-local event partitions
     /// (threaded executor only; empty for the simulator).
     pub cursors: Vec<u64>,
@@ -177,16 +173,13 @@ impl Snapshot {
             tasks: vec![None; deployment.tasks.len()],
             buffers: vec![None; deployment.inputs.len()],
             metrics: Metrics::new(deployment.num_nodes),
-            matches: vec![Vec::new(); deployment.queries.len()],
-            wall_latencies_ns: Vec::new(),
             cursors: Vec::new(),
         }
     }
 
     /// Merges another snapshot shard into this one: task states and
     /// buffers are unioned (shards own disjoint tasks and inputs), metrics
-    /// merge, matches and latencies concatenate, cursors take the
-    /// element-wise maximum.
+    /// merge, cursors take the element-wise maximum.
     pub fn merge_shard(&mut self, other: Snapshot) {
         debug_assert_eq!(self.plan, other.plan);
         for (slot, state) in self.tasks.iter_mut().zip(other.tasks) {
@@ -200,10 +193,6 @@ impl Snapshot {
             }
         }
         self.metrics.merge(&other.metrics);
-        for (into, from) in self.matches.iter_mut().zip(other.matches) {
-            into.extend(from);
-        }
-        self.wall_latencies_ns.extend(other.wall_latencies_ns);
         if self.cursors.len() < other.cursors.len() {
             self.cursors.resize(other.cursors.len(), 0);
         }
@@ -241,11 +230,6 @@ pub fn decode_for(deployment: &Deployment, bytes: &[u8]) -> Result<Snapshot, Che
     if snap.tasks.len() != deployment.tasks.len() {
         return Err(CheckpointError::Shape("task count differs from deployment"));
     }
-    if snap.matches.len() != deployment.queries.len() {
-        return Err(CheckpointError::Shape(
-            "query count differs from deployment",
-        ));
-    }
     Ok(snap)
 }
 
@@ -260,13 +244,6 @@ fn shape_divergence(deployment: &Deployment, snap: &Snapshot) -> String {
             "snapshot carries {} task states, the deployment has {} tasks",
             snap.tasks.len(),
             deployment.tasks.len()
-        );
-    }
-    if snap.matches.len() != deployment.queries.len() {
-        return format!(
-            "snapshot carries {} per-query match streams, the deployment has {} queries",
-            snap.matches.len(),
-            deployment.queries.len()
         );
     }
     for (i, saved) in snap.tasks.iter().enumerate() {
@@ -315,9 +292,8 @@ fn shape_divergence(deployment: &Deployment, snap: &Snapshot) -> String {
 /// storage (the old buffer, or the reader's own store), so a fresh reader
 /// reads the input's recent matches, as every reader of it does; a carried
 /// reader that stores its input alone in `new` but read a buffer in `old`
-/// takes the buffer's matches into its own store. Sink matches follow
-/// their [`QueryId`](muse_core::types::QueryId); dropped queries' matches
-/// are discarded. The result claims `new`'s fingerprint and restores
+/// takes the buffer's matches into its own store. The result claims
+/// `new`'s fingerprint and restores
 /// through the ordinary [`SimExecutor::from_snapshot`] / threaded resume
 /// paths.
 ///
@@ -417,23 +393,6 @@ pub fn map_snapshot(
         }
     }
 
-    let old_query_idx: HashMap<_, _> = old
-        .queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| (q.id(), i))
-        .collect();
-    let matches = new
-        .queries
-        .iter()
-        .map(|q| {
-            old_query_idx
-                .get(&q.id())
-                .map(|&i| snap.matches[i].clone())
-                .unwrap_or_default()
-        })
-        .collect();
-
     let mut metrics = snap.metrics.clone();
     metrics.per_node_processed.resize(new.num_nodes, 0);
     let mut cursors = snap.cursors.clone();
@@ -446,8 +405,6 @@ pub fn map_snapshot(
         tasks,
         buffers,
         metrics,
-        matches,
-        wall_latencies_ns: snap.wall_latencies_ns.clone(),
         cursors,
     })
 }
@@ -490,17 +447,6 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
         }
     }
     put_metrics(&mut buf, &snap.metrics);
-    buf.put_u32(snap.matches.len() as u32);
-    for per_query in &snap.matches {
-        buf.put_u32(per_query.len() as u32);
-        for m in per_query {
-            put_match(&mut buf, m);
-        }
-    }
-    buf.put_u32(snap.wall_latencies_ns.len() as u32);
-    for &l in &snap.wall_latencies_ns {
-        buf.put_u64(l);
-    }
     buf.put_u32(snap.cursors.len() as u32);
     for &c in &snap.cursors {
         buf.put_u64(c);
@@ -535,21 +481,6 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
         });
     }
     let metrics = get_metrics(buf)?;
-    let num_queries = get_len(buf)?;
-    let mut matches = Vec::with_capacity(num_queries);
-    for _ in 0..num_queries {
-        let n = get_len(buf)?;
-        let mut per_query = Vec::with_capacity(n);
-        for _ in 0..n {
-            per_query.push(get_match(buf)?);
-        }
-        matches.push(per_query);
-    }
-    let n = get_len(buf)?;
-    let mut wall_latencies_ns = Vec::with_capacity(n);
-    for _ in 0..n {
-        wall_latencies_ns.push(try_get_u64(buf).ok_or(CheckpointError::Malformed)?);
-    }
     let n = get_len(buf)?;
     let mut cursors = Vec::with_capacity(n);
     for _ in 0..n {
@@ -563,8 +494,6 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
         tasks,
         buffers,
         metrics,
-        matches,
-        wall_latencies_ns,
         cursors,
     })
 }
@@ -630,10 +559,6 @@ fn put_join(buf: &mut BytesMut, j: &JoinState) {
         put_store(buf, forbidden);
     }
     buf.put_u64(j.max_time);
-    buf.put_u32(j.deferred.len() as u32);
-    for m in &j.deferred {
-        put_match(buf, m);
-    }
     put_join_stats(buf, &j.stats);
 }
 
@@ -675,17 +600,11 @@ fn get_join(buf: &mut &[u8], depth: usize) -> Result<JoinState, CheckpointError>
         negations.push((assembler, forbidden));
     }
     let max_time = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    let n = get_len(buf)?;
-    let mut deferred = Vec::with_capacity(n);
-    for _ in 0..n {
-        deferred.push(get_match(buf)?);
-    }
     let stats = get_join_stats(buf)?;
     Ok(JoinState {
         stores,
         negations,
         max_time,
-        deferred,
         stats,
     })
 }
@@ -1019,13 +938,60 @@ mod tests {
         // versions have the negation's assembler, version 3 a
         // transmission-multiplexing set after the wall latencies, and
         // version 4 an in-flight delivery queue where later versions have
-        // the shared buffers, and version 5 virtual-time latencies in the
-        // metrics block: all are refused by number, not misread.
-        for old in [1u16, 2, 3, 4, 5] {
+        // the shared buffers, version 5 virtual-time latencies in the
+        // metrics block, and version 6 the sink matches and wall latencies
+        // after it and deferred candidates in each join state: all are
+        // refused by number, not misread.
+        for old in [1u16, 2, 3, 4, 5, 6] {
             bytes[4..6].copy_from_slice(&old.to_be_bytes());
             assert_eq!(
                 decode(&bytes).err(),
                 Some(CheckpointError::UnsupportedVersion(old))
+            );
+        }
+    }
+
+    /// A snapshot holds state, not output. On a relay-style plan, where
+    /// every `A` crosses to the sink's node and waits a window there for
+    /// its `B`s, a run of four times the events emits four times the
+    /// matches, and its snapshot is about as large, under both executors.
+    #[test]
+    fn snapshot_size_is_flat_in_emitted_matches() {
+        use crate::threaded::{run_threaded, ThreadedConfig};
+        let deployment = two_node_deployment(20);
+        let events: Vec<Event> = (0..1_600u64)
+            .map(|seq| {
+                let ty = (seq % 2) as u16;
+                Event::new(seq, EventTypeId(ty), seq, NodeId(ty))
+            })
+            .collect();
+        let sim = |n: usize| {
+            let mut executor = SimExecutor::new(&deployment, SimConfig::default());
+            executor.process_trace(&events[..n]);
+            let bytes = encode(&executor.to_snapshot());
+            (executor.metrics().sink_matches, bytes.len())
+        };
+        let threaded = |n: usize| {
+            let config = ThreadedConfig {
+                checkpoint: true,
+                ..ThreadedConfig::default()
+            };
+            let report = run_threaded(&deployment, &events[..n], &config);
+            let bytes = report.final_snapshot.expect("checkpoint mode");
+            (report.metrics.sink_matches, bytes.len())
+        };
+        let runs = [
+            ("sim", [sim(400), sim(1_600)]),
+            ("threaded", [threaded(400), threaded(1_600)]),
+        ];
+        for (executor, [(short_matches, short_len), (long_matches, long_len)]) in runs {
+            assert!(
+                short_matches > 0 && long_matches > 3 * short_matches,
+                "{executor}: {short_matches} then {long_matches} sink matches"
+            );
+            assert!(
+                2 * long_len <= 3 * short_len,
+                "{executor}: the snapshot grew from {short_len} to {long_len} bytes"
             );
         }
     }
@@ -1106,16 +1072,14 @@ mod tests {
             }
 
             // The restored executor finishes the trace like an
-            // uninterrupted run.
+            // uninterrupted run: after the prefix's matches, it emits the
+            // rest, in order.
             let mut resumed =
                 SimExecutor::from_snapshot(&deployment, SimConfig::default(), decoded).unwrap();
             resumed.process_trace(&events[split..]);
             let whole = crate::sim::run_simulation(&deployment, &events, &SimConfig::default());
-            let fingerprints = |ms: &[Match]| ms.iter().map(Match::fingerprint).collect::<Vec<_>>();
-            assert_eq!(
-                fingerprints(&resumed.matches()[0]),
-                fingerprints(&whole.matches[0])
-            );
+            let across_cut = [&executor.matches()[0][..], &resumed.matches()[0]].concat();
+            assert_eq!(across_cut, whole.matches[0]);
             // Restored store entries probe exactly like the ones they were
             // saved from: equality keys are recomputed, not lost.
             assert_eq!(

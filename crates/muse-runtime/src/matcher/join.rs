@@ -339,9 +339,11 @@ struct NegationCheck {
 
 /// The checkpointable dynamic state of a [`JoinTask`]: per-slot match
 /// buffers, per-negation assembler/forbidden state, the local watermark,
-/// deferred candidates, and the task's counters. Static structure (query,
-/// slot specs, slack, stride, defer flag) is rebuilt from the deployment
-/// plan on restore and validated structurally against this state.
+/// and the task's counters. Static structure (query, slot specs, slack,
+/// stride, defer flag) is rebuilt from the deployment plan on restore and
+/// validated structurally against this state. Deferred negation
+/// candidates are not part of it: a join is saved only at quiescence,
+/// after every release phase has emptied them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinState {
     /// Buffered matches per slot, parallel to the task's slot list
@@ -353,8 +355,6 @@ pub struct JoinState {
     pub negations: Vec<(Option<JoinState>, StoreState)>,
     /// Largest timestamp seen on any input.
     pub max_time: Timestamp,
-    /// Candidates awaiting their deferred absence check.
-    pub deferred: Vec<Match>,
     /// Observability counters.
     pub stats: JoinStats,
 }
@@ -827,8 +827,10 @@ impl JoinTask {
         })
     }
 
-    /// Captures the join's dynamic state for a checkpoint.
+    /// Captures the join's dynamic state for a checkpoint, which is taken
+    /// at quiescence: no candidate awaits its deferred absence check.
     pub fn save_state(&self) -> JoinState {
+        debug_assert!(self.deferred.is_empty(), "a join is saved at quiescence");
         JoinState {
             stores: self.stores.iter().map(MatchStore::save_state).collect(),
             negations: self
@@ -840,7 +842,6 @@ impl JoinTask {
                 })
                 .collect(),
             max_time: self.max_time,
-            deferred: self.deferred.clone(),
             stats: self.stats,
         }
     }
@@ -850,10 +851,9 @@ impl JoinTask {
     /// match the task's — the symptom of restoring against a different
     /// plan than the one that produced the snapshot — or when a buffered
     /// match does not assign exactly the primitives of its place: those
-    /// its slot carries (its positive ones, or a guard slot's own), its
-    /// negation's negated
-    /// primitives, or (deferred) the join's positive ones. Probing with a
-    /// primitive the query lacks would index its order table out of range.
+    /// its slot carries (its positive ones, or a guard slot's own), or its
+    /// negation's negated primitives. Probing with a primitive the query
+    /// lacks would index its order table out of range.
     pub fn restore_state(&mut self, state: JoinState) -> Result<(), &'static str> {
         if state.stores.len() != self.stores.len() {
             return Err("join slot count differs from snapshot");
@@ -871,9 +871,6 @@ impl JoinTask {
         {
             return Err("a forbidden match's primitives differ from its negation's");
         }
-        if !fit(&state.deferred, self.positive) {
-            return Err("a deferred match's primitives differ from its join's");
-        }
         // Keys are derived state, like the spans: recomputed, not restored.
         self.stores = state
             .stores
@@ -890,7 +887,6 @@ impl JoinTask {
             neg.forbidden = MatchStore::restore_state(forbidden);
         }
         self.max_time = state.max_time;
-        self.deferred = state.deferred;
         self.stats = state.stats;
         Ok(())
     }

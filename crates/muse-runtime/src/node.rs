@@ -97,6 +97,14 @@ pub(crate) struct CoreReport {
     pub telemetry: Option<RunTelemetry>,
 }
 
+/// A core's output lengths: sink matches per query and wall-latency
+/// samples. A snapshot holds no output, so a driver that rolls a core back
+/// truncates its outputs to the mark taken with the snapshot.
+pub(crate) struct OutputMark {
+    matches: Vec<usize>,
+    wall_samples: usize,
+}
+
 /// A hosted input two or more joins store (see "Shared join inputs").
 struct SharedInput {
     /// Index into `Deployment::inputs`.
@@ -302,6 +310,22 @@ impl<'a> NodeCore<'a> {
     /// The sink matches collected so far, per query.
     pub fn matches(&self) -> &[Vec<Match>] {
         &self.matches
+    }
+
+    /// The current length of this core's outputs.
+    pub fn output_mark(&self) -> OutputMark {
+        OutputMark {
+            matches: self.matches.iter().map(Vec::len).collect(),
+            wall_samples: self.wall_latencies_ns.len(),
+        }
+    }
+
+    /// Drops the outputs emitted since `mark` was taken.
+    pub fn truncate_outputs(&mut self, mark: &OutputMark) {
+        for (matches, &len) in self.matches.iter_mut().zip(&mark.matches) {
+            matches.truncate(len);
+        }
+        self.wall_latencies_ns.truncate(mark.wall_samples);
     }
 
     /// Newest event timestamp delivered to any hosted join.
@@ -596,7 +620,8 @@ impl<'a> NodeCore<'a> {
     }
 
     /// This core's slice of a [`Snapshot`]: hosted join states, the
-    /// buffers of its shared inputs and its share of the run totals.
+    /// buffers of its shared inputs and its share of the run totals, but
+    /// none of its outputs (see [`crate::checkpoint`]).
     /// Slices of all nodes merge into one whole-run snapshot
     /// ([`Snapshot::merge_shard`]); drivers add what only they know (event
     /// cursors, transport counters).
@@ -609,17 +634,16 @@ impl<'a> NodeCore<'a> {
             snap.buffers[shared.input] = Some(buffer.save_state());
         }
         snap.metrics = self.metrics.clone();
-        snap.matches = self.matches.clone();
-        snap.wall_latencies_ns = self.wall_latencies_ns.clone();
         snap
     }
 
     /// Rolls this core back to its slice of `snap`: every hosted join is
     /// re-instantiated from the plan and the saved state grafted on, the
-    /// hosted buffers are taken, and the run totals (metrics, sink
-    /// matches, wall latencies) are *moved* out of `snap` — when several
-    /// cores restore from one whole-run snapshot, the first continues the
-    /// interrupted totals and the others start from zero.
+    /// hosted buffers are taken, and the run's metrics are *moved* out of
+    /// `snap` — when several cores restore from one whole-run snapshot, the
+    /// first continues the interrupted totals and the others start from
+    /// zero. The core's outputs stay: a snapshot holds none
+    /// ([`Self::truncate_outputs`]).
     ///
     /// Fails when the snapshot's task structure does not fit the plan, a
     /// hosted input lacks its buffer or has one it should not (an input has
@@ -631,11 +655,6 @@ impl<'a> NodeCore<'a> {
         let deployment = self.deployment;
         if snap.tasks.len() != deployment.tasks.len() {
             return Err(CheckpointError::Shape("task count differs from deployment"));
-        }
-        if snap.matches.len() != deployment.queries.len() {
-            return Err(CheckpointError::Shape(
-                "query count differs from deployment",
-            ));
         }
         if snap.buffers.len() != deployment.inputs.len() {
             return Err(CheckpointError::Shape(
@@ -681,15 +700,10 @@ impl<'a> NodeCore<'a> {
         }
         self.attach_shared();
         self.metrics = std::mem::replace(&mut snap.metrics, Metrics::new(deployment.num_nodes));
-        self.matches = std::mem::replace(
-            &mut snap.matches,
-            vec![Vec::new(); deployment.queries.len()],
-        );
-        self.wall_latencies_ns = std::mem::take(&mut snap.wall_latencies_ns);
         if self.clock == ClockDomain::WallNanos {
-            // Sink matches the snapshot carries without a wall-latency
-            // sample (all of them, when the simulator took it — it measures
-            // event-time lag, not wall time) count as dropped samples.
+            // Sink matches counted without a wall-latency sample this core
+            // holds (all of a resumed run's earlier ones, whichever
+            // executor took the snapshot) count as dropped samples.
             self.metrics.latency_samples_dropped = self
                 .metrics
                 .sink_matches
@@ -1056,15 +1070,17 @@ mod tests {
         let before = drive_counting_rule_outs(&mut first, &mut Recorder::default(), head);
         assert!(before > 0, "readers are ruled out before the save");
         let mut snap = first.save();
-        drop(first);
         let mut resumed = fresh(&deployment);
         resumed.restore(&mut snap).unwrap();
         let after = drive_counting_rule_outs(&mut resumed, &mut Recorder::default(), tail);
         assert!(after > 0, "and after the restore");
 
+        // After the head's matches, the resumed core emits the rest, in
+        // order, each once.
         assert_eq!(resumed.save(), full.save());
-        for (q, (got, want)) in resumed.matches().iter().zip(full.matches()).enumerate() {
-            assert_eq!(fingerprints(got), fingerprints(want), "query {q}");
+        let emitted = first.matches().iter().zip(resumed.matches());
+        for (q, (head, tail)) in emitted.enumerate() {
+            assert_eq!([&head[..], tail].concat(), full.matches()[q], "query {q}");
         }
     }
 

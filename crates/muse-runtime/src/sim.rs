@@ -54,7 +54,9 @@ impl Default for SimConfig {
 /// The result of a completed simulation.
 #[derive(Debug, Clone)]
 pub struct SimReport {
-    /// Sink matches per query (parallel to `Deployment::queries`).
+    /// Sink matches per query (parallel to `Deployment::queries`) that this
+    /// executor emitted: one restored from a snapshot holds none of the
+    /// matches emitted before the snapshot.
     pub matches: Vec<Vec<Match>>,
     /// Collected metrics.
     pub metrics: Metrics,
@@ -131,7 +133,7 @@ impl<'a> SimExecutor<'a> {
         &self.core.metrics
     }
 
-    /// The sink matches collected so far, per query.
+    /// The sink matches this executor has emitted so far, per query.
     pub fn matches(&self) -> &[Vec<Match>] {
         self.core.matches()
     }
@@ -149,8 +151,9 @@ impl<'a> SimExecutor<'a> {
     /// been produced by either executor). Join tasks are re-instantiated
     /// from the deployment plan and the snapshot's dynamic state is
     /// grafted on; event cursors, which only the threaded executor
-    /// interprets, are ignored. Telemetry restarts fresh, its series
-    /// deltas counted from the restored join counters.
+    /// interprets, are ignored. The metrics continue the snapshot's, and
+    /// the collected matches start empty. Telemetry restarts fresh, its
+    /// series deltas counted from the restored join counters.
     pub fn from_snapshot(
         deployment: &'a Deployment,
         config: SimConfig,
@@ -433,20 +436,22 @@ mod tests {
         // Uninterrupted run.
         let full = run_simulation(&deployment, &events, &SimConfig::default());
 
-        // Interrupted run: snapshot at the midpoint, restore, resume.
+        // Interrupted run: snapshot at the midpoint, restore, resume. The
+        // resumed run emits the matches the first one did not.
         let mid = events.len() / 2;
         let mut first = SimExecutor::new(&deployment, SimConfig::default());
         first.process_trace(&events[..mid]);
         let snapshot = crate::checkpoint::encode(&first.to_snapshot());
-        drop(first);
+        let head = first.finish();
         let mut resumed =
             crate::checkpoint::restore(&deployment, SimConfig::default(), &snapshot).unwrap();
         resumed.process_trace(&events[mid..]);
         let report = resumed.finish();
 
+        assert!(!head.matches[0].is_empty() && !report.matches[0].is_empty());
         assert_eq!(
-            fingerprints(&report.matches[0]),
-            fingerprints(&full.matches[0])
+            [&head.matches[0][..], &report.matches[0]].concat(),
+            full.matches[0]
         );
         assert_eq!(report.metrics.messages_sent, full.metrics.messages_sent);
     }
@@ -505,14 +510,17 @@ mod tests {
         }
         assert!(buffered > 0, "the shared buffers hold matches");
         let bytes = crate::checkpoint::encode(&snap);
-        drop(first);
+        let head = first.finish();
 
         let mut resumed =
             crate::checkpoint::restore(&deployment, SimConfig::default(), &bytes).unwrap();
         assert_eq!(resumed.to_snapshot(), snap, "restore loses nothing");
         resumed.process_trace(&events[mid..]);
         let report = resumed.finish();
-        assert_eq!(report.matches, full.matches, "per-query lists, in order");
+        for (q, (head, tail)) in head.matches.iter().zip(&report.matches).enumerate() {
+            let across_cut = [&head[..], tail].concat();
+            assert_eq!(across_cut, full.matches[q], "query {q}, in order");
+        }
         assert_eq!(report.metrics, full.metrics);
     }
 }

@@ -61,7 +61,9 @@
 //! consistent cut. When a node crashes in chunk `k`, *every* node rolls
 //! back to its chunk-start shard and re-runs chunk `k`: each message the
 //! chunk sends is regenerated exactly once, and nothing is logged or
-//! deduplicated.
+//! deduplicated. A shard holds no output, so the rollback also cuts each
+//! node's sink matches and latency samples back to their lengths when it
+//! saved the shard, and the re-run emits the chunk's matches once.
 //!
 //! # Negation
 //!
@@ -87,7 +89,7 @@ use crate::checkpoint::{self, CheckpointError, Snapshot};
 use crate::deploy::{Deployment, Route};
 use crate::matcher::Match;
 use crate::metrics::{Metrics, RecoveryStats, TransportStats};
-use crate::node::{CoreReport, NodeCore, Outbox};
+use crate::node::{CoreReport, NodeCore, Outbox, OutputMark};
 use crate::telemetry::{ClockDomain, RunTelemetry, TelemetrySpec, TraceRecord};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use muse_core::event::{Event, Timestamp};
@@ -169,10 +171,10 @@ impl Default for ThreadedConfig {
 /// The result of a threaded run.
 #[derive(Debug, Clone)]
 pub struct ThreadedReport {
-    /// Sink matches per query.
+    /// Sink matches per query, emitted by this run (not before a snapshot).
     pub matches: Vec<Vec<Match>>,
-    /// Aggregated metrics (the latency samples are in
-    /// `wall_latencies_ns`).
+    /// Aggregated metrics, continuing a resumed-from snapshot's (the
+    /// latency samples are in `wall_latencies_ns`).
     pub metrics: Metrics,
     /// Total wall-clock execution time.
     pub wall_time: Duration,
@@ -522,6 +524,7 @@ fn run_cores(
                 crash_started: None,
                 trace: TraceRing::new(trace_capacity),
                 shared,
+                mark: core.output_mark(),
             };
             let checkpoint = config.checkpoint;
             handles.push(
@@ -648,6 +651,8 @@ struct NodeRunner {
     fault: Option<FaultPlan>,
     /// Shared shard storage and crash flag (checkpoint or fault mode).
     shared: Option<Arc<ResilienceShared>>,
+    /// The core's output lengths when this node saved its shard.
+    mark: OutputMark,
     /// Crash-recovery counters, kept OUTSIDE the core's metrics so the
     /// crashing node's state rollback cannot erase the record of its own
     /// recovery; folded into `metrics.recovery` when the thread finishes.
@@ -813,9 +818,10 @@ impl NodeRunner {
         snap
     }
 
-    /// Encodes this node's state and stores it as the chunk-boundary
-    /// shard — the durable state a crash rolls back to.
+    /// Marks the core's outputs, encodes this node's state and stores it as
+    /// the chunk-boundary shard — the durable state a crash rolls back to.
     fn save_shard(&mut self, core: &NodeCore<'_>, cursor: usize) {
+        self.mark = core.output_mark();
         let bytes = checkpoint::encode(&self.build_shard(core, cursor));
         self.recovery.snapshots_taken += 1;
         self.recovery.snapshot_bytes += bytes.len() as u64;
@@ -871,8 +877,9 @@ impl NodeRunner {
 
     /// Rollback to the chunk-start cut, run by every node after a crash:
     /// discard the backlog and every in-flight frame (the chunk's re-run
-    /// regenerates them), decode this node's shard, and roll the core back
-    /// to it. Returns the restored event cursor.
+    /// regenerates them), drop the outputs emitted since the shard was
+    /// saved, decode the shard, and roll the core back to it. Returns the
+    /// restored event cursor.
     fn recover(&mut self, core: &mut NodeCore<'_>) -> usize {
         self.trace.push(TraceRecord::RecoveryStarted {
             t: self.now(),
@@ -890,6 +897,7 @@ impl NodeRunner {
             .expect("shard lock")
             .clone();
         let mut snap = checkpoint::decode(&bytes).expect("own shard decodes");
+        core.truncate_outputs(&self.mark);
         core.restore(&mut snap).expect("own shard matches the plan");
         // The shard's metrics carry the transport counters up to the
         // checkpoint; the live ones roll back with the rest of the state.
@@ -1090,7 +1098,6 @@ mod tests {
     use muse_core::network::{Network, NetworkBuilder};
     use muse_core::query::{Pattern, Query};
     use muse_core::types::{EventTypeId, NodeId, QueryId};
-    use std::collections::BTreeSet;
 
     fn t(i: u16) -> EventTypeId {
         EventTypeId(i)
@@ -1123,8 +1130,11 @@ mod tests {
         .unwrap()
     }
 
-    fn fingerprints(ms: &[Match]) -> BTreeSet<Vec<u64>> {
-        ms.iter().map(Match::fingerprint).collect()
+    /// A match list as a multiset: a match emitted twice shows.
+    fn fingerprints(ms: &[Match]) -> Vec<Vec<u64>> {
+        let mut prints: Vec<_> = ms.iter().map(Match::fingerprint).collect();
+        prints.sort_unstable();
+        prints
     }
 
     fn test_deployment() -> (Deployment, Vec<Event>) {
@@ -1497,15 +1507,17 @@ mod tests {
         );
         assert_eq!(cursors(&crashed), cursors(&baseline));
 
-        // A resumed run counts from the start of its remainder.
+        // A resumed run counts from the start of its remainder, and emits
+        // the matches the prefix run did not.
         let (prefix, rest) = events.split_at(events.len() / 3);
         let first = run_threaded(&deployment, prefix, &config);
         let snapshot = first.final_snapshot.as_deref().expect("final snapshot");
         let resumed = run_threaded_resumed(&deployment, rest, &config, snapshot).expect("resumes");
         assert_eq!(cursors(&first), consumed(prefix));
         assert_eq!(cursors(&resumed), consumed(rest));
+        let across_cut = [&first.matches[0][..], &resumed.matches[0]].concat();
         assert_eq!(
-            fingerprints(&resumed.matches[0]),
+            fingerprints(&across_cut),
             fingerprints(&baseline.matches[0])
         );
     }

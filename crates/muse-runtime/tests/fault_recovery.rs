@@ -1,9 +1,10 @@
 //! Crash-recovery tests for the threaded executor (the paper's §7.3
 //! Ambrosia-style fault tolerance): a node crash injected at an arbitrary
 //! injection index must be invisible in the results — the recovered run
-//! produces the same match sets and deterministic counters as the
-//! uninterrupted one — and snapshots round-trip between the simulator and
-//! the threaded executor in both directions.
+//! produces the same matches, each once, and the same deterministic
+//! counters as the uninterrupted one — and snapshots round-trip between the
+//! simulator and the threaded executor in both directions, each match
+//! emitted once across the cut.
 
 use muse_core::algorithms::amuse::AMuseConfig;
 use muse_core::algorithms::multi_query::amuse_workload;
@@ -22,7 +23,6 @@ use muse_runtime::telemetry::{TelemetrySpec, TraceRecord};
 use muse_runtime::threaded::{
     run_threaded, run_threaded_resumed, FaultPlan, ThreadedConfig, ThreadedReport,
 };
-use std::collections::BTreeSet;
 use std::time::Duration;
 
 fn t(i: u16) -> EventTypeId {
@@ -83,8 +83,19 @@ fn fig1_pattern() -> Pattern {
     ])
 }
 
-fn fingerprints(matches: &[Match]) -> BTreeSet<Vec<u64>> {
-    matches.iter().map(Match::fingerprint).collect()
+/// A match list as a multiset: its sorted fingerprints, so that a match
+/// emitted twice shows.
+fn fingerprints(matches: &[Match]) -> Vec<Vec<u64>> {
+    let mut prints: Vec<_> = matches.iter().map(Match::fingerprint).collect();
+    prints.sort_unstable();
+    prints
+}
+
+/// Per query, the matches a prefix run emitted before its snapshot
+/// followed by those of the run resumed from it.
+fn across_cut(prefix: &[Vec<Match>], resumed: &[Vec<Match>]) -> Vec<Vec<Match>> {
+    let queries = prefix.iter().zip(resumed);
+    queries.map(|(p, r)| [p.as_slice(), r].concat()).collect()
 }
 
 /// Deterministic counters that must be identical between a faulted and an
@@ -238,12 +249,17 @@ fn crash_with_downtime_still_converges() {
     // retries) and the results must still converge.
     let net = network();
     let deployment = deploy(fig1_pattern(), 5_000, &net);
-    let events = trace(&net, 41);
+    let events = trace(&net, 13);
     let baseline = run_threaded(&deployment, &events, &ThreadedConfig::default());
+    assert!(
+        !baseline.matches[0].is_empty(),
+        "workload must produce matches"
+    );
+    let local = events.iter().filter(|e| e.origin.index() == 1).count() as u64;
     let config = ThreadedConfig {
         fault: Some(FaultPlan {
             node: 1,
-            crash_at: 10,
+            crash_at: local / 2,
             restart_delay: Duration::from_millis(2),
         }),
         ..ThreadedConfig::default()
@@ -324,7 +340,8 @@ fn threaded_snapshot_resumes_in_simulator() {
             checkpoint::restore(&deployment, sim_config.clone(), snap).expect("sim restores");
         resumed.process_trace(&events[split..]);
         let report = resumed.finish();
-        for (q, (a, b)) in report.matches.iter().zip(&full.matches).enumerate() {
+        let matches = across_cut(&prefix.matches, &report.matches);
+        for (q, (a, b)) in matches.iter().zip(&full.matches).enumerate() {
             assert_eq!(
                 fingerprints(a),
                 fingerprints(b),
@@ -369,7 +386,7 @@ fn simulator_snapshot_resumes_in_threaded() {
         let mut exec = SimExecutor::new(&deployment, sim_config.clone());
         exec.process_trace(&events[..split]);
         let snap = checkpoint::encode(&exec.to_snapshot());
-        drop(exec);
+        let prefix = exec.finish();
         let report = run_threaded_resumed(
             &deployment,
             &events[split..],
@@ -377,7 +394,8 @@ fn simulator_snapshot_resumes_in_threaded() {
             &snap,
         )
         .expect("threaded resumes from sim snapshot");
-        for (q, (a, b)) in report.matches.iter().zip(&full.matches).enumerate() {
+        let matches = across_cut(&prefix.matches, &report.matches);
+        for (q, (a, b)) in matches.iter().zip(&full.matches).enumerate() {
             assert_eq!(
                 fingerprints(a),
                 fingerprints(b),
@@ -400,6 +418,66 @@ fn simulator_snapshot_resumes_in_threaded() {
         // injection record in the resumed run; the accounting must name
         // them instead of silently shrinking the sample set.
         assert_latency_invariant(&report, &format!("split {split}"));
+    }
+}
+
+/// A snapshot holds no output, so each match is emitted exactly once
+/// across a cut: the prefix run's matches followed by the resumed run's
+/// are the uninterrupted run's as a multiset, for every pair of executors.
+/// A resumed report that repeated the prefix's matches would hold some
+/// twice.
+#[test]
+fn each_match_is_emitted_once_across_a_cut() {
+    let net = network();
+    let deployment = deploy(fig1_pattern(), 5_000, &net);
+    let events = trace(&net, 1);
+    let sim_config = SimConfig {
+        slack: 4.0,
+        ..SimConfig::default()
+    };
+    let config = ThreadedConfig {
+        checkpoint: true,
+        ..ThreadedConfig::default()
+    };
+    let full = run_threaded(&deployment, &events, &ThreadedConfig::default());
+    let (head, tail) = events.split_at(events.len() / 2);
+    let spans_the_cut = |m: &Match| m.first_time() < tail[0].time && m.last_time() >= tail[0].time;
+    assert!(
+        full.matches[0].iter().any(spans_the_cut),
+        "a match spans the cut"
+    );
+
+    // The prefix runs: their matches and their snapshot.
+    let sim_prefix = {
+        let mut exec = SimExecutor::new(&deployment, sim_config.clone());
+        exec.process_trace(head);
+        let snap = checkpoint::encode(&exec.to_snapshot());
+        (exec.finish().matches, snap)
+    };
+    let threaded_prefix = {
+        let report = run_threaded(&deployment, head, &config);
+        let snap = report.final_snapshot.expect("checkpoint mode");
+        (report.matches, snap)
+    };
+    for (from, (prefix, snap)) in [("sim", &sim_prefix), ("threaded", &threaded_prefix)] {
+        assert!(!prefix[0].is_empty(), "{from}: the head matches");
+        let in_sim = {
+            let mut exec = checkpoint::restore(&deployment, sim_config.clone(), snap)
+                .expect("the simulator restores");
+            exec.process_trace(tail);
+            exec.finish()
+        };
+        let in_threaded =
+            run_threaded_resumed(&deployment, tail, &config, snap).expect("threaded resumes");
+        assert_latency_invariant(&in_threaded, &format!("{from} to threaded"));
+        for (to, resumed) in [("sim", &in_sim.matches), ("threaded", &in_threaded.matches)] {
+            assert!(!resumed[0].is_empty(), "{from} to {to}: the tail matches");
+            assert_eq!(
+                fingerprints(&across_cut(prefix, resumed)[0]),
+                fingerprints(&full.matches[0]),
+                "{from} to {to}"
+            );
+        }
     }
 }
 
@@ -489,7 +567,7 @@ fn nseq_context_slots_survive_save_and_restore_in_both_executors() {
         let mut exec = SimExecutor::new(&deployment, sim_config.clone());
         exec.process_trace(&events[..split]);
         let snap = checkpoint::encode(&exec.to_snapshot());
-        drop(exec);
+        let prefix = exec.finish();
         let decoded = checkpoint::decode_for(&deployment, &snap).expect("snapshot decodes");
         assert!(
             slots.iter().any(|&(task, slot)| {
@@ -503,7 +581,7 @@ fn nseq_context_slots_survive_save_and_restore_in_both_executors() {
         resumed.process_trace(&events[split..]);
         let report = resumed.finish();
         assert_eq!(
-            fingerprints(&report.matches[0]),
+            fingerprints(&across_cut(&prefix.matches, &report.matches)[0]),
             fingerprints(&full.matches[0]),
             "split {split}: matches diverge"
         );

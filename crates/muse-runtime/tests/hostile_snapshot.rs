@@ -294,7 +294,7 @@ proptest! {
             size_of::<Option<JoinState>>(),
             size_of::<(Option<JoinState>, StoreState)>(),
             size_of::<Option<StoreState>>(),
-            size_of::<Vec<Match>>(),
+            size_of::<Match>(),
             size_of::<(PrimId, Event)>(),
         ]
         .into_iter()
@@ -345,15 +345,13 @@ fn a_match_in_the_wrong_place_is_refused_on_restore() {
     let mut cases = [
         ("slot store", &keyed_deployment, keyed),
         ("shared buffer", &shared_deployment, shared),
-        ("forbidden store", &composite_deployment, composite.clone()),
-        ("deferred candidate", &composite_deployment, composite),
+        ("forbidden store", &composite_deployment, composite),
     ];
     let buffered = &mut join(&mut cases[0].2, task).stores[slot].matches[0];
     *buffered = Match::single(PrimId(7), buffered.entries()[0].1.clone());
-    cases[1].2.buffers[input].as_mut().unwrap().matches[0] = foreign_a.clone();
+    cases[1].2.buffers[input].as_mut().unwrap().matches[0] = foreign_a;
     let (_, forbidden) = &mut join(&mut cases[2].2, sink).negations[0];
     forbidden.matches.push(lone_b);
-    join(&mut cases[3].2, sink).deferred.push(foreign_a);
 
     for (place, deployment, snap) in cases {
         let bytes = encode(&snap);

@@ -2,7 +2,9 @@
 //! A→B migration with `muse-verify`'s plan-diff pass, map the state with
 //! [`checkpoint::map_snapshot`], and resume under plan B — in the
 //! simulator and the threaded executor. Certified migrations restore
-//! fingerprint-identical and resume to the uninterrupted run's results;
+//! fingerprint-identical and resume to the uninterrupted run's results: the
+//! matches the old plan emitted before the snapshot, followed by those the
+//! new plan emits after it, each once;
 //! rejected migrations must fail the restore instead of corrupting state,
 //! and a join input that becomes shared (or stops being shared) carries
 //! its buffered matches across.
@@ -23,7 +25,6 @@ use muse_runtime::matcher::Match;
 use muse_runtime::sim::{SimConfig, SimExecutor};
 use muse_runtime::threaded::{run_threaded, run_threaded_resumed, ThreadedConfig};
 use muse_verify::{verify_migration, MigrationPlan, Report};
-use std::collections::BTreeSet;
 
 fn t(i: u16) -> EventTypeId {
     EventTypeId(i)
@@ -112,8 +113,29 @@ fn certify(a: &Placed, b: &Placed, network: &Network) -> (Report, MigrationPlan)
     verify_migration(&a.graph, &actx, &b.graph, &bctx, None)
 }
 
-fn fingerprints(matches: &[Match]) -> BTreeSet<Vec<u64>> {
-    matches.iter().map(Match::fingerprint).collect()
+/// A match list as a multiset: its sorted fingerprints, so that a match
+/// emitted twice shows.
+fn fingerprints(matches: &[Match]) -> Vec<Vec<u64>> {
+    let mut prints: Vec<_> = matches.iter().map(Match::fingerprint).collect();
+    prints.sort_unstable();
+    prints
+}
+
+/// Per query of `new`, the matches a run of `old` emitted before its
+/// snapshot (those of the query with the same id) followed by those of the
+/// run of `new` resumed from it.
+fn across_cut(
+    old: &Placed,
+    before: &[Vec<Match>],
+    new: &Placed,
+    after: &[Vec<Match>],
+) -> Vec<Vec<Match>> {
+    let before_of = |q: &Query| {
+        let old_idx = old.queries.iter().position(|o| o.id() == q.id());
+        old_idx.map_or(&[][..], |i| &before[i])
+    };
+    let queries = new.queries.iter().zip(after);
+    queries.map(|(q, m)| [before_of(q), m].concat()).collect()
 }
 
 /// A certified identity migration resumes the simulator to exactly the
@@ -124,12 +146,13 @@ fn certified_migration_is_lossless_in_sim() {
     let net = network();
     let a = place(5_000, &net);
     let b = place(5_000, &net);
-    let events = trace(&net, 11);
+    let events = trace(&net, 1);
     let half = events.len() / 2;
 
     let mut exec = SimExecutor::new(&a.deployment, SimConfig::default());
     exec.process_trace(&events[..half]);
     let bytes = checkpoint::encode(&exec.to_snapshot());
+    let before = exec.finish();
 
     let (report, plan) = certify(&a, &b, &net);
     assert!(plan.safe, "identity migration must certify:\n{report}");
@@ -163,9 +186,10 @@ fn certified_migration_is_lossless_in_sim() {
     uninterrupted.process_trace(&events);
     let baseline = uninterrupted.finish();
 
-    assert!(!baseline.matches[0].is_empty(), "trace produces matches");
+    assert!(!before.matches[0].is_empty(), "the head produces matches");
+    assert!(!migrated.matches[0].is_empty(), "the tail produces matches");
     assert_eq!(
-        fingerprints(&migrated.matches[0]),
+        fingerprints(&across_cut(&a, &before.matches, &b, &migrated.matches)[0]),
         fingerprints(&baseline.matches[0]),
         "migrated run diverges from the uninterrupted run"
     );
@@ -183,44 +207,54 @@ fn certified_migration_is_lossless_threaded() {
     let events = trace(&net, 17);
     let half = events.len() / 2;
 
-    let mut exec = SimExecutor::new(&a.deployment, SimConfig::default());
+    let config = ThreadedConfig::default();
+    let mut exec = SimExecutor::new(
+        &a.deployment,
+        SimConfig {
+            slack: config.slack,
+            ..SimConfig::default()
+        },
+    );
     exec.process_trace(&events[..half]);
     let bytes = checkpoint::encode(&exec.to_snapshot());
+    let before = exec.finish();
 
     let (report, plan) = certify(&a, &b, &net);
     assert!(plan.safe, "identity migration must certify:\n{report}");
 
-    let config = ThreadedConfig::default();
     let mapped =
         checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, config.slack, &bytes)
             .expect("certified migration restores");
     let mapped_bytes = checkpoint::encode(&mapped);
-    let migrated = run_threaded_resumed(&b.deployment, &events, &config, &mapped_bytes)
+    let migrated = run_threaded_resumed(&b.deployment, &events[half..], &config, &mapped_bytes)
         .expect("mapped snapshot resumes the threaded executor");
 
     let baseline = run_threaded(&b.deployment, &events, &config);
-    assert!(!baseline.matches[0].is_empty(), "trace produces matches");
+    assert!(!before.matches[0].is_empty(), "the head produces matches");
+    assert!(!migrated.matches[0].is_empty(), "the tail produces matches");
     assert_eq!(
-        fingerprints(&migrated.matches[0]),
+        fingerprints(&across_cut(&a, &before.matches, &b, &migrated.matches)[0]),
         fingerprints(&baseline.matches[0]),
         "migrated threaded run diverges from the uninterrupted run"
     );
 }
 
-/// A widened window certifies with a replay obligation and restores; the
-/// resumed run completes and reaches at least the carried state's matches.
+/// A widened window certifies with a replay obligation and restores. Across
+/// the cut, the run finds every match of an uninterrupted run under the old
+/// window and only matches of one under the new, each once: the carried
+/// state lacks what only the wider window would have kept before the cut.
 #[test]
 fn widened_window_migration_restores() {
     let net = network();
     let a = place(5_000, &net);
     let b = place(8_000, &net);
-    let events = trace(&net, 23);
+    let events = trace(&net, 9);
     let half = events.len() / 2;
 
     let mut exec = SimExecutor::new(&a.deployment, SimConfig::default());
     exec.process_trace(&events[..half]);
-    let carried_so_far = exec.matches()[0].len();
     let bytes = checkpoint::encode(&exec.to_snapshot());
+    let before = exec.finish();
 
     let (report, plan) = certify(&a, &b, &net);
     assert!(plan.safe, "widened window must certify:\n{report}");
@@ -236,10 +270,20 @@ fn widened_window_migration_restores() {
     .expect("certified migration restores");
     resumed.process_trace(&events[half..]);
     let migrated = resumed.finish();
+    let found = fingerprints(&across_cut(&a, &before.matches, &b, &migrated.matches)[0]);
+    let [narrow, wide] = [&a, &b].map(|placed| {
+        let mut exec = SimExecutor::new(&placed.deployment, SimConfig::default());
+        exec.process_trace(&events);
+        fingerprints(&exec.finish().matches[0])
+    });
+    assert!(!before.matches[0].is_empty() && !migrated.matches[0].is_empty());
     assert!(
-        migrated.matches[0].len() >= carried_so_far,
-        "carried matches must survive the migration"
+        found.windows(2).all(|w| w[0] != w[1]),
+        "a match found twice"
     );
+    let within = |small: &[Vec<u64>], large: &[Vec<u64>]| small.iter().all(|m| large.contains(m));
+    assert!(within(&narrow, &found), "a match of the old window lost");
+    assert!(within(&found, &wide), "a match no window admits");
 }
 
 /// An uncertified plan — here a narrowed window — must fail the restore
@@ -365,6 +409,7 @@ fn assert_carried_query_lossless(a: &Placed, b: &Placed, network: &Network, even
     let mut exec = SimExecutor::new(&a.deployment, config.clone());
     exec.process_trace(&events[..half]);
     let bytes = checkpoint::encode(&exec.to_snapshot());
+    let before = exec.finish();
     let mut resumed =
         checkpoint::restore_mapped(&a.deployment, &b.deployment, &plan, config.clone(), &bytes)
             .expect("certified migration restores");
@@ -379,7 +424,8 @@ fn assert_carried_query_lossless(a: &Placed, b: &Placed, network: &Network, even
         "a match spans the snapshot"
     );
     assert_eq!(
-        migrated.matches[0], baseline.matches[0],
+        across_cut(a, &before.matches, b, &migrated.matches)[0],
+        baseline.matches[0],
         "simulator: the carried query's matches, in order"
     );
 
@@ -393,6 +439,7 @@ fn assert_carried_query_lossless(a: &Placed, b: &Placed, network: &Network, even
     );
     exec.process_trace(&events[..half]);
     let bytes = checkpoint::encode(&exec.to_snapshot());
+    let before = exec.finish();
     let mapped =
         checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, config.slack, &bytes)
             .expect("certified migration restores");
@@ -405,7 +452,7 @@ fn assert_carried_query_lossless(a: &Placed, b: &Placed, network: &Network, even
     .expect("mapped snapshot resumes the threaded executor");
     let baseline = run_threaded(&b.deployment, events, &config);
     assert_eq!(
-        fingerprints(&migrated.matches[0]),
+        fingerprints(&across_cut(a, &before.matches, b, &migrated.matches)[0]),
         fingerprints(&baseline.matches[0]),
         "threaded: the carried query's matches"
     );

@@ -245,6 +245,14 @@ fn closure_holds(
     find_recorded(&replay.matches, rec) == Some(original)
 }
 
+/// A match list as a multiset: its sorted fingerprints, so that a match
+/// emitted twice shows.
+fn multiset(matches: &[Match]) -> Vec<Vec<u64>> {
+    let mut prints: Vec<_> = matches.iter().map(Match::fingerprint).collect();
+    prints.sort_unstable();
+    prints
+}
+
 /// One record's comparable payload: witness seqs in slot order plus
 /// absence windows as `(ty, lo, hi)` tuples.
 type ProvenanceKey = (Vec<u64>, BTreeSet<(u16, u64, u64)>);
@@ -432,6 +440,22 @@ fn crash_and_replay_preserves_provenance() {
             })
             .collect();
         assert_eq!(crashed, [node], "the trace must record the crash");
+        // The rollback drops the sink matches emitted since the chunk
+        // started, and the re-run emits them again: each match is in the
+        // report once.
+        assert_eq!(
+            faulted
+                .matches
+                .iter()
+                .map(|q| multiset(q))
+                .collect::<Vec<_>>(),
+            baseline
+                .matches
+                .iter()
+                .map(|q| multiset(q))
+                .collect::<Vec<_>>(),
+            "crash on node {node} changed the sink matches"
+        );
         // Telemetry is observational, not checkpointed: the crashed
         // chunk's re-execution may record a match twice, so parity is on
         // the hash-keyed *set* (dedup is the ring's documented consumer

@@ -13,8 +13,9 @@
 # full-size `cluster` run for its exit code — pins, and the case study's
 # reference matches against simulator and `Evaluator` — one of `relay`,
 # 60 850 matches through a receiver that works while parked at the barrier,
-# and one of `multiquery`, whose pins and threaded-vs-simulator digest no
-# other lane exercises at full size),
+# one of `multiquery`, whose pins and threaded-vs-simulator digest no
+# other lane exercises at full size, and a traced one of `relay_ckpt`,
+# which decodes and re-encodes the checkpointed run's final snapshot),
 # and two harness smokes: `table3` with the telemetry export under out/, and the
 # `explain` witness-closure replay. Correctness is gated by the test suite and performance is
 # judged by bench/ alone; no lane here reads a number. Exits nonzero on
@@ -155,6 +156,10 @@ bash bench/run.sh smoke
 bash bench/run.sh --workload cluster --seed 1 --seconds 3 --trace 0 --out "$(mktemp -d)"
 bash bench/run.sh --workload relay --seed 1 --seconds 3 --trace 0 --out "$(mktemp -d)"
 bash bench/run.sh --workload multiquery --seed 1 --seconds 3 --trace 0 --out "$(mktemp -d)"
+# The checkpointed relay at full size, traced: its simulator-vs-threaded
+# digest, and `checkpoint::decode` / `encode` on the executor's own
+# `final_snapshot`.
+bash bench/run.sh --workload relay_ckpt --seed 1 --seconds 3 --trace 1 --out "$(mktemp -d)"
 
 echo "== smoke: harness table3 with the telemetry export =="
 cargo run -p muse-bench --release --bin harness -- table3 --quick --telemetry out
