@@ -237,6 +237,20 @@ mod tests {
         assert_eq!(fingerprints(&baseline), fingerprints(&crashed));
         assert_eq!(checkpointed.metrics.recovery.crashes, 0);
         assert_eq!(crashed.metrics.recovery.crashes, 1, "crash must fire");
+        // The rollback rewinds every counter: the crashed run counts each
+        // event, message and match once.
+        let counters = |report: &ThreadedReport| {
+            let m = &report.metrics;
+            [
+                m.events_injected,
+                m.messages_sent,
+                m.bytes_sent,
+                m.local_deliveries,
+                m.sink_matches,
+                m.join.emitted,
+            ]
+        };
+        assert_eq!(counters(&crashed), counters(&baseline));
 
         let trace = crashed.telemetry.expect("telemetry requested").trace;
         let crashes: Vec<usize> = trace
@@ -247,5 +261,18 @@ mod tests {
             })
             .collect();
         assert_eq!(crashes, [node], "the trace records the crash");
+        let restored: Vec<u64> = trace
+            .records()
+            .filter_map(|r| match r {
+                TraceRecord::Recovered {
+                    node: at, cursor, ..
+                } if *at == node => Some(*cursor),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            matches!(restored[..], [cursor] if cursor > 0),
+            "the crashed node restores a shard saved mid-run: {restored:?}"
+        );
     }
 }

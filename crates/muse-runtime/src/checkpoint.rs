@@ -4,17 +4,20 @@
 //! The paper's case-study engine runs each node inside an Ambrosia
 //! *immortal* that checkpoints the application state (input queues and
 //! partial matches) and replays logged calls after a failure. Here the
-//! equivalent durable state is a [`Snapshot`] of a quiescent run: per-task
-//! join-engine state (buffered partial matches, negation assemblers,
-//! watermarks, counters), the node-owned buffer of each shared join input,
-//! metrics, and the threaded executor's event cursors. It holds no output:
-//! a join buffer is bounded by its window, but the sink matches and latency
-//! samples of a run grow with its length, and a snapshot that carried them
-//! would cost more at every checkpoint. So a restored executor reports only
-//! the matches and samples it emits itself, and its [`Metrics`] continue
-//! the snapshot's: the prefix run's matches followed by the resumed run's
-//! equal an uninterrupted run's, as a multiset (the executor and resilience
-//! tests check it).
+//! equivalent durable state is a [`Snapshot`] of a quiescent run: what a
+//! restored executor needs to emit the same future matches. That is the
+//! per-task join-engine state (buffered partial matches, negation
+//! assemblers, watermarks) and the node-owned buffer of each shared join
+//! input, all bounded by the window. It holds no history: neither output
+//! (sink matches, latency samples) nor counters (metrics, join and
+//! eviction counts), which grow with the run, nor a position in the
+//! trace, which the resuming caller supplies. So a restored executor
+//! reports only its own work: the prefix run's matches followed by the
+//! resumed run's equal an uninterrupted run's, as a multiset, and the
+//! prefix run's [`crate::metrics::Metrics`] merged with the resumed run's
+//! equal its counters (the executor and resilience tests check both). The
+//! threaded executor's in-run crash rollback keeps the account it rewinds
+//! to beside the snapshot, not in it ([`crate::threaded`]).
 //!
 //! # One schema, both executors
 //!
@@ -27,7 +30,7 @@
 //! in-flight delivery and no deferred negation candidate. Because both
 //! executors produce and consume the same bytes, a run can be snapshotted
 //! under one executor and resumed under the other (the schema round-trip
-//! tests exercise both directions). The simulator has no event cursors.
+//! tests exercise both directions).
 //!
 //! # Format
 //!
@@ -47,15 +50,17 @@
 //! fail with [`CheckpointError::UnsupportedVersion`]; truncated or
 //! malformed bytes with [`CheckpointError::Malformed`] — never a panic.
 //!
-//! The current format is version 7: each piece of state is stored once. A
+//! The current format is version 8: each piece of state is stored once. A
 //! join input two or more joins store has one buffer
 //! ([`Snapshot::buffers`]), and each reader's [`JoinState`] keeps only its
 //! own horizon for it. Each `NSEQ` negation of a join state
 //! ([`JoinState::negations`]) carries its forbidden-match store and, for a
 //! composite forbidden pattern, the nested [`JoinState`] of the join that
-//! assembles it. Version 6 also carried the sink matches, the wall latency
-//! samples and each join's deferred candidates (none at quiescence);
-//! versions 1 to 6 are refused by number.
+//! assembles it. Version 7 also carried the run's metrics, each join's
+//! counters, each store's eviction count and the threaded executor's
+//! event cursors; version 6 the sink matches, the wall latency samples
+//! and each join's deferred candidates (none at quiescence). Versions 1
+//! to 7 are refused by number.
 //!
 //! The one sanctioned way *across* plans is [`map_snapshot`] /
 //! [`restore_mapped`]: given a certified-safe `muse-verify`
@@ -67,17 +72,15 @@ use crate::codec::{
 };
 use crate::deploy::{Deployment, TaskKind};
 use crate::matcher::{JoinState, Match, StoreState};
-use crate::metrics::{JoinStats, Metrics, TransportStats};
 use crate::sim::{SimConfig, SimExecutor};
 use bytes::{BufMut, BytesMut};
-use muse_telemetry::{HistSnapshot, LogHistogram};
 use muse_verify::{CarryMode, MigrationPlan};
 
 /// Leading magic of every snapshot ("MUSE" in ASCII).
 pub const SNAPSHOT_MAGIC: u32 = 0x4d55_5345;
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 7;
+pub const SNAPSHOT_VERSION: u16 = 8;
 
 /// Errors raised by snapshot encode/decode/restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,12 +159,6 @@ pub struct Snapshot {
     /// ([`Deployment::shared_readers`]). Such a reader's store state for
     /// the input's slot holds no matches, only its own horizon.
     pub buffers: Vec<Option<StoreState>>,
-    /// Collected metrics (crash-recovery counters excluded by design:
-    /// a crash must not roll back the record of its own recovery).
-    pub metrics: Metrics,
-    /// Per-node next-event cursors into the node-local event partitions
-    /// (threaded executor only; empty for the simulator).
-    pub cursors: Vec<u64>,
 }
 
 impl Snapshot {
@@ -172,14 +169,11 @@ impl Snapshot {
             plan: deployment.fingerprint(),
             tasks: vec![None; deployment.tasks.len()],
             buffers: vec![None; deployment.inputs.len()],
-            metrics: Metrics::new(deployment.num_nodes),
-            cursors: Vec::new(),
         }
     }
 
     /// Merges another snapshot shard into this one: task states and
-    /// buffers are unioned (shards own disjoint tasks and inputs), metrics
-    /// merge, cursors take the element-wise maximum.
+    /// buffers are unioned (shards own disjoint tasks and inputs).
     pub fn merge_shard(&mut self, other: Snapshot) {
         debug_assert_eq!(self.plan, other.plan);
         for (slot, state) in self.tasks.iter_mut().zip(other.tasks) {
@@ -191,13 +185,6 @@ impl Snapshot {
             if state.is_some() {
                 *slot = state;
             }
-        }
-        self.metrics.merge(&other.metrics);
-        if self.cursors.len() < other.cursors.len() {
-            self.cursors.resize(other.cursors.len(), 0);
-        }
-        for (i, c) in other.cursors.into_iter().enumerate() {
-            self.cursors[i] = self.cursors[i].max(c);
         }
     }
 }
@@ -285,11 +272,10 @@ fn shape_divergence(deployment: &Deployment, snap: &Snapshot) -> String {
 /// shared-collapse key the verifier profiles), duplicates in declaration
 /// order. Tasks the plan marks [`CarryMode::Carry`]/[`CarryMode::Replay`]
 /// take the old task's join state verbatim; everything else starts from a
-/// freshly instantiated state (`slack` must match the restoring executor's
-/// eviction slack so fresh and grafted states share a shape). A carried
-/// reader's stored matches follow it across a change in sharing: a shared
-/// input of `new` takes its buffer from its first carried reader's old
-/// storage (the old buffer, or the reader's own store), so a fresh reader
+/// freshly instantiated state. A carried reader's stored matches follow it
+/// across a change in sharing: a shared input of `new` takes its buffer
+/// from its first carried reader's old storage (the old buffer, or the
+/// reader's own store), so a fresh reader
 /// reads the input's recent matches, as every reader of it does; a carried
 /// reader that stores its input alone in `new` but read a buffer in `old`
 /// takes the buffer's matches into its own store. The result claims
@@ -308,7 +294,6 @@ pub fn map_snapshot(
     old: &Deployment,
     new: &Deployment,
     plan: &MigrationPlan,
-    slack: f64,
     bytes: &[u8],
 ) -> Result<Snapshot, CheckpointError> {
     use std::collections::{HashMap, VecDeque};
@@ -354,7 +339,8 @@ pub fn map_snapshot(
     let mut tasks: Vec<_> = (0..new.tasks.len())
         .map(|i| match carried_from[i] {
             Some(old_idx) => snap.tasks[old_idx].clone(),
-            None => new.make_join(i, slack).map(|j| j.save_state()),
+            // Empty stores at watermark 0, whatever the eviction slack.
+            None => new.make_join(i, 1.0).map(|j| j.save_state()),
         })
         .collect();
     // The old buffer a carried reader stored its input in, if it was shared.
@@ -393,27 +379,17 @@ pub fn map_snapshot(
         }
     }
 
-    let mut metrics = snap.metrics.clone();
-    metrics.per_node_processed.resize(new.num_nodes, 0);
-    let mut cursors = snap.cursors.clone();
-    if !cursors.is_empty() {
-        cursors.resize(new.num_nodes, 0);
-    }
-
     Ok(Snapshot {
         plan: new.fingerprint(),
         tasks,
         buffers,
-        metrics,
-        cursors,
     })
 }
 
 /// Restores a simulator under `new` from a snapshot taken under `old`,
 /// through a certified [`MigrationPlan`] — [`map_snapshot`] followed by the
 /// ordinary snapshot-restore path (which re-validates every grafted state's
-/// shape). The fresh states use `config.slack`, keeping them identical to
-/// what the executor would build itself.
+/// shape).
 pub fn restore_mapped<'a>(
     old: &Deployment,
     new: &'a Deployment,
@@ -421,8 +397,7 @@ pub fn restore_mapped<'a>(
     config: SimConfig,
     bytes: &[u8],
 ) -> Result<SimExecutor<'a>, CheckpointError> {
-    let slack = config.slack;
-    let snap = map_snapshot(old, new, plan, slack, bytes)?;
+    let snap = map_snapshot(old, new, plan, bytes)?;
     SimExecutor::from_snapshot(new, config, snap)
 }
 
@@ -445,11 +420,6 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
                 put_store(&mut buf, store);
             }
         }
-    }
-    put_metrics(&mut buf, &snap.metrics);
-    buf.put_u32(snap.cursors.len() as u32);
-    for &c in &snap.cursors {
-        buf.put_u64(c);
     }
     buf.into_vec()
 }
@@ -480,12 +450,6 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
             _ => return Err(CheckpointError::Malformed),
         });
     }
-    let metrics = get_metrics(buf)?;
-    let n = get_len(buf)?;
-    let mut cursors = Vec::with_capacity(n);
-    for _ in 0..n {
-        cursors.push(try_get_u64(buf).ok_or(CheckpointError::Malformed)?);
-    }
     if !buf.is_empty() {
         return Err(CheckpointError::Malformed);
     }
@@ -493,8 +457,6 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
         plan,
         tasks,
         buffers,
-        metrics,
-        cursors,
     })
 }
 
@@ -528,7 +490,6 @@ fn put_store(buf: &mut BytesMut, s: &StoreState) {
     }
     buf.put_u64(s.horizon);
     buf.put_u64(s.drained_at);
-    buf.put_u64(s.evicted);
 }
 
 fn get_store(buf: &mut &[u8]) -> Result<StoreState, CheckpointError> {
@@ -539,12 +500,10 @@ fn get_store(buf: &mut &[u8]) -> Result<StoreState, CheckpointError> {
     }
     let horizon = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
     let drained_at = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    let evicted = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
     Ok(StoreState {
         matches,
         horizon,
         drained_at,
-        evicted,
     })
 }
 
@@ -559,7 +518,6 @@ fn put_join(buf: &mut BytesMut, j: &JoinState) {
         put_store(buf, forbidden);
     }
     buf.put_u64(j.max_time);
-    put_join_stats(buf, &j.stats);
 }
 
 /// An optional join state: a task's (absent for sources) or a negation's
@@ -600,164 +558,10 @@ fn get_join(buf: &mut &[u8], depth: usize) -> Result<JoinState, CheckpointError>
         negations.push((assembler, forbidden));
     }
     let max_time = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    let stats = get_join_stats(buf)?;
     Ok(JoinState {
         stores,
         negations,
         max_time,
-        stats,
-    })
-}
-
-fn put_join_stats(buf: &mut BytesMut, s: &JoinStats) {
-    for v in [
-        s.inputs,
-        s.probes,
-        s.guard_rejects,
-        s.merge_attempts,
-        s.merge_successes,
-        s.emitted,
-        s.evicted,
-        s.peak_buffered,
-    ] {
-        buf.put_u64(v);
-    }
-}
-
-fn get_join_stats(buf: &mut &[u8]) -> Result<JoinStats, CheckpointError> {
-    let mut vals = [0u64; 8];
-    for v in &mut vals {
-        *v = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    }
-    Ok(JoinStats {
-        inputs: vals[0],
-        probes: vals[1],
-        guard_rejects: vals[2],
-        merge_attempts: vals[3],
-        merge_successes: vals[4],
-        emitted: vals[5],
-        evicted: vals[6],
-        peak_buffered: vals[7],
-    })
-}
-
-fn put_hist(buf: &mut BytesMut, h: &LogHistogram) {
-    let snap = HistSnapshot::from(h.clone());
-    buf.put_u64(snap.count);
-    buf.put_u64(snap.sum);
-    buf.put_u64(snap.min);
-    buf.put_u64(snap.max);
-    buf.put_u32(snap.buckets.len() as u32);
-    for &(i, c) in &snap.buckets {
-        buf.put_u32(i);
-        buf.put_u64(c);
-    }
-}
-
-fn get_hist(buf: &mut &[u8]) -> Result<LogHistogram, CheckpointError> {
-    let count = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    let sum = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    let min = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    let max = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    let n = get_len(buf)?;
-    let mut buckets = Vec::with_capacity(n);
-    for _ in 0..n {
-        let i = try_get_u32(buf).ok_or(CheckpointError::Malformed)?;
-        let c = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-        buckets.push((i, c));
-    }
-    Ok(LogHistogram::from(HistSnapshot {
-        count,
-        sum,
-        min,
-        max,
-        buckets,
-    }))
-}
-
-fn put_metrics(buf: &mut BytesMut, m: &Metrics) {
-    for v in [
-        m.events_injected,
-        m.messages_sent,
-        m.bytes_sent,
-        m.local_deliveries,
-        m.sink_matches,
-        m.latency_samples_dropped,
-    ] {
-        buf.put_u64(v);
-    }
-    buf.put_u32(m.per_node_processed.len() as u32);
-    for &v in &m.per_node_processed {
-        buf.put_u64(v);
-    }
-    put_join_stats(buf, &m.join);
-    let t = &m.transport;
-    for v in [
-        t.frames_sent,
-        t.messages_framed,
-        t.blocked_sends,
-        t.pool_allocs,
-        t.pool_reuses,
-        t.peak_queue_depth,
-    ] {
-        buf.put_u64(v);
-    }
-    put_hist(buf, &t.batch_hist);
-    let d = &m.discrimination;
-    for v in [d.events, d.candidates_considered, d.candidates_admitted] {
-        buf.put_u64(v);
-    }
-    put_hist(buf, &d.candidate_hist);
-    // `m.recovery` is intentionally not encoded: recovery counters live
-    // outside the rolled-back state (see `RecoveryStats`).
-}
-
-fn get_metrics(buf: &mut &[u8]) -> Result<Metrics, CheckpointError> {
-    let mut head = [0u64; 6];
-    for v in &mut head {
-        *v = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    }
-    let n = get_len(buf)?;
-    let mut per_node_processed = Vec::with_capacity(n);
-    for _ in 0..n {
-        per_node_processed.push(try_get_u64(buf).ok_or(CheckpointError::Malformed)?);
-    }
-    let join = get_join_stats(buf)?;
-    let mut tvals = [0u64; 6];
-    for v in &mut tvals {
-        *v = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    }
-    let batch_hist = get_hist(buf)?;
-    let mut dvals = [0u64; 3];
-    for v in &mut dvals {
-        *v = try_get_u64(buf).ok_or(CheckpointError::Malformed)?;
-    }
-    let candidate_hist = get_hist(buf)?;
-    Ok(Metrics {
-        events_injected: head[0],
-        messages_sent: head[1],
-        bytes_sent: head[2],
-        local_deliveries: head[3],
-        sink_matches: head[4],
-        latency_samples_dropped: head[5],
-        per_node_processed,
-        join,
-        transport: TransportStats {
-            frames_sent: tvals[0],
-            messages_framed: tvals[1],
-            blocked_sends: tvals[2],
-            pool_allocs: tvals[3],
-            pool_reuses: tvals[4],
-            peak_queue_depth: tvals[5],
-            batch_hist,
-        },
-        recovery: Default::default(),
-        discrimination: crate::metrics::DiscriminationStats {
-            events: dvals[0],
-            candidates_considered: dvals[1],
-            candidates_admitted: dvals[2],
-            candidate_hist,
-        },
     })
 }
 
@@ -939,10 +743,11 @@ mod tests {
         // transmission-multiplexing set after the wall latencies, and
         // version 4 an in-flight delivery queue where later versions have
         // the shared buffers, version 5 virtual-time latencies in the
-        // metrics block, and version 6 the sink matches and wall latencies
-        // after it and deferred candidates in each join state: all are
-        // refused by number, not misread.
-        for old in [1u16, 2, 3, 4, 5, 6] {
+        // metrics block, version 6 the sink matches and wall latencies
+        // after it and deferred candidates in each join state, and version
+        // 7 the metrics block, event cursors, join counters and eviction
+        // counts: all are refused by number, not misread.
+        for old in [1u16, 2, 3, 4, 5, 6, 7] {
             bytes[4..6].copy_from_slice(&old.to_be_bytes());
             assert_eq!(
                 decode(&bytes).err(),
@@ -1053,7 +858,8 @@ mod tests {
             let snap = executor.to_snapshot();
             let decoded = decode_for(&deployment, &encode(&snap)).unwrap();
             assert_eq!(decoded, snap);
-            assert!(decoded.metrics.sink_matches > 0 || decoded.metrics.events_injected > 0);
+            let stores = decoded.tasks.iter().flatten().flat_map(|j| &j.stores);
+            assert!(stores.into_iter().any(|s| !s.matches.is_empty()));
 
             // Without its assembler states the snapshot no longer fits the
             // plan's negation joins, and the restore says so.
@@ -1073,19 +879,21 @@ mod tests {
 
             // The restored executor finishes the trace like an
             // uninterrupted run: after the prefix's matches, it emits the
-            // rest, in order.
+            // rest, in order, and counts the rest of the work.
             let mut resumed =
                 SimExecutor::from_snapshot(&deployment, SimConfig::default(), decoded).unwrap();
             resumed.process_trace(&events[split..]);
+            let (head, tail) = (executor.finish(), resumed.finish());
             let whole = crate::sim::run_simulation(&deployment, &events, &SimConfig::default());
-            let across_cut = [&executor.matches()[0][..], &resumed.matches()[0]].concat();
-            assert_eq!(across_cut, whole.matches[0]);
+            assert_eq!(
+                [&head.matches[0][..], &tail.matches[0]].concat(),
+                whole.matches[0]
+            );
             // Restored store entries probe exactly like the ones they were
             // saved from: equality keys are recomputed, not lost.
-            assert_eq!(
-                resumed.finish().metrics.join.merge_attempts,
-                whole.metrics.join.merge_attempts
-            );
+            let mut merged = head.metrics;
+            merged.merge(&tail.metrics);
+            assert_eq!(merged, whole.metrics);
         }
     }
 }

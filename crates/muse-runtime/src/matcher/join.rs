@@ -338,8 +338,9 @@ struct NegationCheck {
 }
 
 /// The checkpointable dynamic state of a [`JoinTask`]: per-slot match
-/// buffers, per-negation assembler/forbidden state, the local watermark,
-/// and the task's counters. Static structure (query, slot specs, slack,
+/// buffers, per-negation assembler/forbidden state and the local
+/// watermark. The task's counters are not state: a restored join counts
+/// from zero. Static structure (query, slot specs, slack,
 /// stride, defer flag) is rebuilt from the deployment plan on restore and
 /// validated structurally against this state. Deferred negation
 /// candidates are not part of it: a join is saved only at quiescence,
@@ -355,8 +356,6 @@ pub struct JoinState {
     pub negations: Vec<(Option<JoinState>, StoreState)>,
     /// Largest timestamp seen on any input.
     pub max_time: Timestamp,
-    /// Observability counters.
-    pub stats: JoinStats,
 }
 
 /// A join candidate being assembled across slots, with its cached span.
@@ -530,6 +529,12 @@ impl JoinTask {
     /// The join's observability counters.
     pub fn stats(&self) -> &JoinStats {
         &self.stats
+    }
+
+    /// Puts the counters back to `stats`, as a driver that rewinds a
+    /// restored join to an earlier account does.
+    pub(crate) fn set_stats(&mut self, stats: JoinStats) {
+        self.stats = stats;
     }
 
     /// Feeds one match into a slot, returning the complete target matches
@@ -842,7 +847,6 @@ impl JoinTask {
                 })
                 .collect(),
             max_time: self.max_time,
-            stats: self.stats,
         }
     }
 
@@ -887,7 +891,6 @@ impl JoinTask {
             neg.forbidden = MatchStore::restore_state(forbidden);
         }
         self.max_time = state.max_time;
-        self.stats = state.stats;
         Ok(())
     }
 

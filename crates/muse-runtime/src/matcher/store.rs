@@ -56,7 +56,8 @@ pub(crate) struct StoredMatch {
 
 /// The checkpointable dynamic state of a `MatchStore`: the buffered
 /// matches in physical entry order (live and not-yet-drained dead alike)
-/// plus the eviction bookkeeping. The cached `first`/`last` spans and the
+/// plus the eviction watermarks. The eviction count is a counter, not
+/// state: a restored store counts from zero. The cached `first`/`last` spans and the
 /// equality keys are *not* part of the state — they are recomputed from
 /// each match on restore, so a snapshot can never desynchronize them.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -68,8 +69,6 @@ pub struct StoreState {
     pub horizon: Timestamp,
     /// Horizon value at the last physical drain.
     pub drained_at: Timestamp,
-    /// Dead entries physically dropped so far.
-    pub evicted: u64,
 }
 
 /// An indexed buffer of matches ordered by [`Match::first_time`], with
@@ -85,7 +84,8 @@ pub(crate) struct MatchStore {
     horizon: Timestamp,
     /// Horizon value at the last physical drain.
     drained_at: Timestamp,
-    /// Dead entries physically dropped so far.
+    /// Dead entries physically dropped since the store was built or
+    /// restored.
     evicted: u64,
 }
 
@@ -234,7 +234,7 @@ impl MatchStore {
         self.entries.back().map_or(0, |e| e.first)
     }
 
-    /// Entries physically dropped over the store's lifetime.
+    /// Entries physically dropped since the store was built or restored.
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
@@ -245,7 +245,6 @@ impl MatchStore {
             matches: self.entries.iter().map(|e| e.m.clone()).collect(),
             horizon: self.horizon,
             drained_at: self.drained_at,
-            evicted: self.evicted,
         }
     }
 
@@ -276,7 +275,7 @@ impl MatchStore {
             entries,
             horizon: state.horizon,
             drained_at: state.drained_at,
-            evicted: state.evicted,
+            evicted: 0,
         }
     }
 }
@@ -366,7 +365,10 @@ mod tests {
         s.advance_horizon(12, 1_000);
         assert_eq!(s.evicted(), 1);
         assert_eq!(s.physical_len(), 5);
-        let restored = MatchStore::restore_state(s.save_state());
+        let mut restored = MatchStore::restore_state(s.save_state());
+        // The eviction count is a counter, not state: it restarts.
+        assert_eq!(restored.evicted(), 0);
+        restored.evicted = s.evicted;
         assert_eq!(restored, s);
         // Insertion-order ties survive (seq 1 before seq 3 at t=10), and
         // the hidden-but-buffered dead prefix is included.
@@ -439,7 +441,6 @@ mod tests {
                 matches: self.entries.iter().map(|e| e.m.clone()).collect(),
                 horizon: self.horizon,
                 drained_at: self.drained_at,
-                evicted: self.evicted,
             }
         }
     }
@@ -543,7 +544,11 @@ mod tests {
                         let want = reference.compatible_above(floor, first, first + span, window);
                         prop_assert_eq!(got, want.iter().collect::<Vec<_>>());
                     }
-                    Op::RoundTrip => store = MatchStore::restore_keyed(store.save_state(), key_of),
+                    Op::RoundTrip => {
+                        store = MatchStore::restore_keyed(store.save_state(), key_of);
+                        // A restored store counts its evictions from zero.
+                        reference.evicted = 0;
+                    }
                 }
                 prop_assert_eq!(store.live().collect::<Vec<_>>(), reference.live().iter().collect::<Vec<_>>());
                 prop_assert_eq!(store.len(), reference.live().len());

@@ -61,7 +61,7 @@ use crate::codec::encoded_len;
 use crate::deploy::{Deployment, TaskKind};
 use crate::matcher::join::{default_stride, term_key};
 use crate::matcher::{JoinTask, Match, MatchStore, StoreState, StoredMatch};
-use crate::metrics::Metrics;
+use crate::metrics::{JoinStats, Metrics};
 use crate::telemetry::{task_summaries, ClockDomain, ExecTelemetry, RunTelemetry, TelemetrySpec};
 use muse_core::event::{Event, Timestamp};
 use muse_core::types::PrimId;
@@ -97,12 +97,19 @@ pub(crate) struct CoreReport {
     pub telemetry: Option<RunTelemetry>,
 }
 
-/// A core's output lengths: sink matches per query and wall-latency
-/// samples. A snapshot holds no output, so a driver that rolls a core back
-/// truncates its outputs to the mark taken with the snapshot.
-pub(crate) struct OutputMark {
+/// A core's account at one moment: its output lengths (sink matches per
+/// query, wall-latency samples), its metrics and each hosted join's
+/// counters. A snapshot holds none of these, so a driver that rolls a core
+/// back to a snapshot rewinds it to the mark taken with it
+/// ([`NodeCore::rewind`]).
+pub(crate) struct CoreMark {
     matches: Vec<usize>,
     wall_samples: usize,
+    /// The metrics, shared buffers' evictions folded in: a restored
+    /// buffer counts its evictions from zero.
+    pub metrics: Metrics,
+    /// Per task, a hosted join's counters.
+    joins: Vec<Option<JoinStats>>,
 }
 
 /// A hosted input two or more joins store (see "Shared join inputs").
@@ -174,8 +181,8 @@ pub(crate) struct NodeCore<'a> {
     matches: Vec<Vec<Match>>,
     /// Wall-clock sink latencies; a core on the virtual clock takes none.
     wall_latencies_ns: Vec<u64>,
-    /// Observational and not checkpointed; [`Self::restore`] only rebases
-    /// its series deltas on the restored join counters.
+    /// Observational and not checkpointed; [`Self::rewind`] only rebases
+    /// its series deltas on the rewound join counters.
     pub telemetry: Option<ExecTelemetry>,
     /// Newest event timestamp delivered to any hosted join (the watermark
     /// behind the series' lag column).
@@ -312,20 +319,39 @@ impl<'a> NodeCore<'a> {
         &self.matches
     }
 
-    /// The current length of this core's outputs.
-    pub fn output_mark(&self) -> OutputMark {
-        OutputMark {
+    /// This core's account now.
+    pub fn mark(&self) -> CoreMark {
+        let mut metrics = self.metrics.clone();
+        for buffer in &self.buffers {
+            metrics.join.evicted += buffer.evicted();
+        }
+        CoreMark {
             matches: self.matches.iter().map(Vec::len).collect(),
             wall_samples: self.wall_latencies_ns.len(),
+            metrics,
+            joins: (self.joins.iter())
+                .map(|join| Some(*join.as_ref()?.stats()))
+                .collect(),
         }
     }
 
-    /// Drops the outputs emitted since `mark` was taken.
-    pub fn truncate_outputs(&mut self, mark: &OutputMark) {
+    /// Rewinds the account to `mark`, right after a [`Self::restore`] of
+    /// the snapshot taken with it: drops the outputs emitted since, and
+    /// puts the metrics and each hosted join's counters back.
+    pub fn rewind(&mut self, mark: &CoreMark) {
         for (matches, &len) in self.matches.iter_mut().zip(&mark.matches) {
             matches.truncate(len);
         }
         self.wall_latencies_ns.truncate(mark.wall_samples);
+        self.metrics = mark.metrics.clone();
+        for (task, stats) in mark.joins.iter().enumerate() {
+            if let (Some(join), Some(stats)) = (&mut self.joins[task], stats) {
+                join.set_stats(*stats);
+                if let Some(tel) = &mut self.telemetry {
+                    tel.rebase(task, stats);
+                }
+            }
+        }
     }
 
     /// Newest event timestamp delivered to any hosted join.
@@ -619,12 +645,11 @@ impl<'a> NodeCore<'a> {
         tel.end_sample(now);
     }
 
-    /// This core's slice of a [`Snapshot`]: hosted join states, the
-    /// buffers of its shared inputs and its share of the run totals, but
-    /// none of its outputs (see [`crate::checkpoint`]).
-    /// Slices of all nodes merge into one whole-run snapshot
-    /// ([`Snapshot::merge_shard`]); drivers add what only they know (event
-    /// cursors, transport counters).
+    /// This core's slice of a [`Snapshot`]: hosted join states and the
+    /// buffers of its shared inputs, but neither its outputs nor its
+    /// counters (see [`crate::checkpoint`] and [`Self::mark`]). Slices of
+    /// all nodes merge into one whole-run snapshot
+    /// ([`Snapshot::merge_shard`]).
     pub fn save(&self) -> Snapshot {
         let mut snap = Snapshot::empty(self.deployment);
         for (slot, join) in snap.tasks.iter_mut().zip(&self.joins) {
@@ -633,17 +658,13 @@ impl<'a> NodeCore<'a> {
         for (shared, buffer) in self.shared.iter().zip(&self.buffers) {
             snap.buffers[shared.input] = Some(buffer.save_state());
         }
-        snap.metrics = self.metrics.clone();
         snap
     }
 
-    /// Rolls this core back to its slice of `snap`: every hosted join is
-    /// re-instantiated from the plan and the saved state grafted on, the
-    /// hosted buffers are taken, and the run's metrics are *moved* out of
-    /// `snap` — when several cores restore from one whole-run snapshot, the
-    /// first continues the interrupted totals and the others start from
-    /// zero. The core's outputs stay: a snapshot holds none
-    /// ([`Self::truncate_outputs`]).
+    /// Rolls this core's state back to its slice of `snap`: every hosted
+    /// join is re-instantiated from the plan, with zero counters, and the
+    /// saved state grafted on, and the hosted buffers are taken. The
+    /// core's account stays: a snapshot holds none ([`Self::rewind`]).
     ///
     /// Fails when the snapshot's task structure does not fit the plan, a
     /// hosted input lacks its buffer or has one it should not (an input has
@@ -699,16 +720,6 @@ impl<'a> NodeCore<'a> {
             };
         }
         self.attach_shared();
-        self.metrics = std::mem::replace(&mut snap.metrics, Metrics::new(deployment.num_nodes));
-        if self.clock == ClockDomain::WallNanos {
-            // Sink matches counted without a wall-latency sample this core
-            // holds (all of a resumed run's earlier ones, whichever
-            // executor took the snapshot) count as dropped samples.
-            self.metrics.latency_samples_dropped = self
-                .metrics
-                .sink_matches
-                .saturating_sub(self.wall_latencies_ns.len() as u64);
-        }
         self.max_seen = self
             .joins
             .iter()
@@ -730,13 +741,6 @@ impl<'a> NodeCore<'a> {
         }
         for shared in &mut self.shared {
             shared.peak = 0;
-        }
-        if let Some(tel) = &mut self.telemetry {
-            for (task, join) in self.joins.iter().enumerate() {
-                if let Some(join) = join {
-                    tel.rebase(task, join.stats());
-                }
-            }
         }
         Ok(())
     }
@@ -779,9 +783,8 @@ impl<'a> NodeCore<'a> {
     }
 
     /// Ends the run: a final series sample at `now`, the per-join engine
-    /// counters folded into the metrics (snapshots keep them unfolded, in
-    /// the saved join states, so a resumed run folds them exactly once),
-    /// and the telemetry sealed with this core's task summaries.
+    /// counters folded into the metrics, and the telemetry sealed with
+    /// this core's task summaries.
     pub fn finish(mut self, now: u64) -> CoreReport {
         self.sample(now);
         for join in self.joins.iter().flatten() {
@@ -1113,6 +1116,44 @@ mod tests {
     }
 
     #[test]
+    fn rewind_to_a_mark_counts_the_rerun_once() {
+        // A core rolled back to a mid-run save and rewound to the mark taken
+        // with it, then driven over the rest again, gives the uninterrupted
+        // core's account: outputs, metrics (shared buffers' evictions too)
+        // and each join's counters. Telemetry is not rolled back, so the
+        // sources' candidate counts in the task summaries are not compared.
+        let seq02 = Pattern::seq([Pattern::leaf(t(0)), Pattern::leaf(t(2))]);
+        let deployment = fig1_deployment(&[(robots(), 400), (seq02, 400)]);
+        let events = fig1_trace(13);
+        let spec = TelemetrySpec::default();
+        let wall = || NodeCore::new(&deployment, None, 1.0, ClockDomain::WallNanos, Some(&spec));
+        let mut full = wall();
+        assert!(!full.shared.is_empty(), "the joins must share an input");
+        drive(&mut full, &mut Recorder::default(), &events);
+        let (head, tail) = events.split_at(events.len() / 2);
+        let mut core = wall();
+        drive(&mut core, &mut Recorder::default(), head);
+        let (mut snap, mark) = (core.save(), core.mark());
+        drive(&mut core, &mut Recorder::default(), tail);
+        core.restore(&mut snap).unwrap();
+        core.rewind(&mark);
+        drive(&mut core, &mut Recorder::default(), tail);
+        let (rewound, full) = (core.finish(0), full.finish(0));
+        assert!(full.metrics.sink_matches > 0 && full.metrics.join.evicted > 0);
+        assert_eq!(rewound.metrics, full.metrics);
+        assert_eq!(rewound.matches, full.matches);
+        assert_eq!(rewound.wall_latencies_ns, full.wall_latencies_ns);
+        let joins = |r: CoreReport| -> Vec<_> {
+            let tasks = r.telemetry.expect("telemetry").tasks.into_iter();
+            let joins = tasks.filter(|s| s.kind != "source");
+            joins
+                .map(|s| (s.inputs, s.probes, s.emitted, s.evictions, s.peak_live))
+                .collect()
+        };
+        assert_eq!(joins(rewound), joins(full));
+    }
+
+    #[test]
     fn save_restore_continue_equals_uninterrupted() {
         let (deployment, events) = fig1(1);
         let mut full = fresh(&deployment);
@@ -1130,14 +1171,14 @@ mod tests {
         let whole = full.save();
         assert_eq!(resumed.save(), whole);
 
-        // Per-node cores each take their slice of a whole-run snapshot (the
-        // first one the run totals); the slices merge back into it.
+        // Per-node cores each take their slice of a whole-run snapshot, and
+        // count from zero; the slices merge back into it.
         let mut rest = whole.clone();
         let mut merged = Snapshot::empty(&deployment);
         for node in 0..deployment.num_nodes {
             let mut core = NodeCore::new(&deployment, Some(node), 1.0, full.clock, None);
             core.restore(&mut rest).unwrap();
-            assert_eq!(core.metrics.sink_matches > 0, node == 0);
+            assert_eq!(core.metrics, Metrics::new(deployment.num_nodes));
             merged.merge_shard(core.save());
         }
         assert_eq!(merged, whole);

@@ -61,9 +61,10 @@
 //! consistent cut. When a node crashes in chunk `k`, *every* node rolls
 //! back to its chunk-start shard and re-runs chunk `k`: each message the
 //! chunk sends is regenerated exactly once, and nothing is logged or
-//! deduplicated. A shard holds no output, so the rollback also cuts each
-//! node's sink matches and latency samples back to their lengths when it
-//! saved the shard, and the re-run emits the chunk's matches once.
+//! deduplicated. A shard holds join state only, so each node also marks its
+//! account with the shard: output lengths, metrics, join counters and
+//! event cursor. The rollback rewinds the account to that mark, and the
+//! re-run emits and counts the chunk's work once.
 //!
 //! # Negation
 //!
@@ -89,7 +90,7 @@ use crate::checkpoint::{self, CheckpointError, Snapshot};
 use crate::deploy::{Deployment, Route};
 use crate::matcher::Match;
 use crate::metrics::{Metrics, RecoveryStats, TransportStats};
-use crate::node::{CoreReport, NodeCore, Outbox, OutputMark};
+use crate::node::{CoreMark, CoreReport, NodeCore, Outbox};
 use crate::telemetry::{ClockDomain, RunTelemetry, TelemetrySpec, TraceRecord};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use muse_core::event::{Event, Timestamp};
@@ -102,7 +103,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::atomic::{AtomicU64 as BarrierU64, AtomicUsize as BarrierUsize};
 #[cfg(not(all(test, loom)))]
 use std::sync::atomic::{AtomicU64 as BarrierU64, AtomicUsize as BarrierUsize};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Deterministic fault-injection plan: crash one node mid-run and roll
@@ -341,26 +342,14 @@ fn negation_release_phases(deployment: &Deployment, cores: &[NodeCore<'_>]) -> u
     })
 }
 
-/// Crash-recovery coordination shared by the node threads in checkpoint
-/// or fault mode.
-struct ResilienceShared {
-    /// Last chunk-boundary snapshot of each node, encoded (the "durable
-    /// storage" a crashed node recovers from).
-    shards: Vec<Mutex<Vec<u8>>>,
-    /// `chunk index + 1` of the injected crash; 0 while no crash has
-    /// happened. Written by the crashing node before it reaches the
-    /// crash-coordination barrier, so every node reads a consistent value
-    /// right after it.
-    crashed_chunk: AtomicU64,
-}
-
 /// Runs a deployment with one thread per network node.
 ///
 /// Precondition: each origin's events are non-decreasing in `time` (origins
 /// may interleave freely); a node injects in slice order, so an event stamped
 /// before its predecessor would enter its chunk late. Only debug builds
 /// assert it: the typed error waits for the session's fallible entry point
-/// (ROADMAP 3(a)) rather than a `try_` twin of this function.
+/// (the streaming entry point of the ROADMAP item "A latency that measures
+/// cost, not a race") rather than a `try_` twin of this function.
 pub fn run_threaded(
     deployment: &Deployment,
     events: &[Event],
@@ -382,9 +371,7 @@ pub fn run_threaded_resumed(
 ) -> Result<ThreadedReport, CheckpointError> {
     let mut snap = checkpoint::decode_for(deployment, snapshot)?;
     // Restore on the caller, so a snapshot that does not fit the plan is an
-    // error here and the node threads cannot fail. Node 0 absorbs the
-    // snapshot's run totals (see `NodeCore::restore`), so the merged report
-    // continues them.
+    // error here and the node threads cannot fail.
     let mut cores = node_cores(deployment, config);
     for core in &mut cores {
         core.restore(&mut snap)?;
@@ -475,13 +462,7 @@ fn run_cores(
         min_seq,
         marks: (0..events.len()).map(|_| AtomicU64::new(0)).collect(),
     });
-    let resilient = config.checkpoint || config.fault.is_some();
-    let shared: Option<Arc<ResilienceShared>> = resilient.then(|| {
-        Arc::new(ResilienceShared {
-            shards: (0..num_nodes).map(|_| Mutex::new(Vec::new())).collect(),
-            crashed_chunk: AtomicU64::new(0),
-        })
-    });
+    let crashed_chunk = Arc::new(AtomicU64::new(0));
     let schedule = ChunkSchedule {
         chunk,
         chunks: &chunks,
@@ -506,7 +487,6 @@ fn run_cores(
                 barrier: Arc::clone(&barrier),
             };
             let local = positions[node].as_slice();
-            let shared = shared.clone();
             let runner = NodeRunner {
                 node,
                 channels,
@@ -523,8 +503,10 @@ fn run_cores(
                 crashed: false,
                 crash_started: None,
                 trace: TraceRing::new(trace_capacity),
-                shared,
-                mark: core.output_mark(),
+                crashed_chunk: Arc::clone(&crashed_chunk),
+                shard: Vec::new(),
+                mark: core.mark(),
+                cursor: 0,
             };
             let checkpoint = config.checkpoint;
             handles.push(
@@ -640,8 +622,8 @@ struct NodeRunner {
     batch: usize,
     /// Transport counters since the run (or the last recovery) started.
     /// Kept here rather than in the core's metrics because the send path
-    /// runs while the core is borrowed; folded into the metrics whenever
-    /// they leave the thread (shards, end of run).
+    /// runs while the core is borrowed; folded into the metrics of each
+    /// chunk-start mark and at the end of the run.
     stats: TransportStats,
     /// Wall-clock injection marks, shared by all nodes: the baseline of
     /// sink latencies.
@@ -649,10 +631,19 @@ struct NodeRunner {
     start: Instant,
     /// Fault plan from the config, when fault injection is enabled.
     fault: Option<FaultPlan>,
-    /// Shared shard storage and crash flag (checkpoint or fault mode).
-    shared: Option<Arc<ResilienceShared>>,
-    /// The core's output lengths when this node saved its shard.
-    mark: OutputMark,
+    /// `chunk index + 1` of the injected crash, shared by all nodes; 0
+    /// while no crash has happened. Written by the crashing node before it
+    /// reaches the crash-coordination barrier, so every node reads a
+    /// consistent value right after it.
+    crashed_chunk: Arc<AtomicU64>,
+    /// This node's last chunk-start shard, encoded (checkpoint or fault
+    /// mode): the "durable storage" a crash rolls the node back to.
+    shard: Vec<u8>,
+    /// The core's account when this node saved `shard`, live transport
+    /// counters folded in.
+    mark: CoreMark,
+    /// The local event cursor when this node saved `shard`.
+    cursor: usize,
     /// Crash-recovery counters, kept OUTSIDE the core's metrics so the
     /// crashing node's state rollback cannot erase the record of its own
     /// recovery; folded into `metrics.recovery` when the thread finishes.
@@ -688,11 +679,12 @@ fn run_node(
     checkpoint: bool,
 ) -> (CoreReport, Option<Snapshot>, TraceRing) {
     let fault_mode = runner.fault.is_some();
+    let resilient = checkpoint || fault_mode;
     let mut next = 0usize;
     for &chunk_idx in schedule.chunks {
         // Inclusive, so the last chunk of the time domain keeps its last tick.
         let last_tick = (chunk_idx * schedule.chunk).saturating_add(schedule.chunk - 1);
-        if runner.shared.is_some() {
+        if resilient {
             // Every chunk starts from quiescence: persist this node's
             // shard (the durable state a crash rolls back to).
             runner.save_shard(&core, next);
@@ -715,12 +707,7 @@ fn run_node(
             // back to its chunk-start shard while no one sends; barrier B
             // orders the discards before the re-run of the chunk.
             runner.barrier_steal();
-            let crash_chunk = runner
-                .shared
-                .as_ref()
-                .map(|s| s.crashed_chunk.load(Ordering::Acquire))
-                .unwrap_or(0);
-            if crash_chunk == chunk_idx + 1 {
+            if runner.crashed_chunk.load(Ordering::Acquire) == chunk_idx + 1 {
                 next = runner.recover(&mut core);
                 runner.barrier_steal();
                 // Re-run the chunk from the restored cursor: every send of
@@ -759,9 +746,7 @@ fn run_node(
             runner.barrier_steal();
         }
     }
-    // End-of-run state shard, captured BEFORE `finish` folds the join
-    // stats: snapshots keep `metrics.join` unfolded.
-    let shard = checkpoint.then(|| runner.build_shard(&core, next));
+    let shard = checkpoint.then(|| core.save());
     core.metrics.transport.merge(&runner.stats);
     core.metrics.recovery.merge(&runner.recovery);
     (core.finish(runner.now()), shard, runner.trace)
@@ -807,32 +792,21 @@ impl Outbox for NodeRunner {
 }
 
 impl NodeRunner {
-    /// This node's state as a snapshot shard: the core's slice plus the
-    /// live transport counters and the local event cursor. Shards of all
-    /// nodes merge into one whole-run [`Snapshot`].
-    fn build_shard(&self, core: &NodeCore<'_>, cursor: usize) -> Snapshot {
-        let mut snap = core.save();
-        snap.metrics.transport.merge(&self.stats);
-        snap.cursors = vec![0; self.out_bufs.len()];
-        snap.cursors[self.node] = cursor as u64;
-        snap
-    }
-
-    /// Marks the core's outputs, encodes this node's state and stores it as
-    /// the chunk-boundary shard — the durable state a crash rolls back to.
+    /// Saves this node's chunk-start shard — the durable state a crash
+    /// rolls back to — and marks the account and event cursor it leaves
+    /// out.
     fn save_shard(&mut self, core: &NodeCore<'_>, cursor: usize) {
-        self.mark = core.output_mark();
-        let bytes = checkpoint::encode(&self.build_shard(core, cursor));
+        self.shard = checkpoint::encode(&core.save());
+        self.mark = core.mark();
+        self.mark.metrics.transport.merge(&self.stats);
+        self.cursor = cursor;
         self.recovery.snapshots_taken += 1;
-        self.recovery.snapshot_bytes += bytes.len() as u64;
+        self.recovery.snapshot_bytes += self.shard.len() as u64;
         self.trace.push(TraceRecord::Checkpoint {
             t: self.now(),
             node: self.node,
-            bytes: bytes.len() as u64,
+            bytes: self.shard.len() as u64,
         });
-        if let Some(shared) = &self.shared {
-            *shared.shards[self.node].lock().expect("shard lock") = bytes;
-        }
     }
 
     /// Whether the planned crash fires before the next injection.
@@ -859,9 +833,7 @@ impl NodeRunner {
             node: self.node,
             chunk: chunk_idx,
         });
-        if let Some(shared) = &self.shared {
-            shared.crashed_chunk.store(chunk_idx + 1, Ordering::Release);
-        }
+        self.crashed_chunk.store(chunk_idx + 1, Ordering::Release);
         for buf in &mut self.out_bufs {
             buf.clear();
         }
@@ -877,9 +849,9 @@ impl NodeRunner {
 
     /// Rollback to the chunk-start cut, run by every node after a crash:
     /// discard the backlog and every in-flight frame (the chunk's re-run
-    /// regenerates them), drop the outputs emitted since the shard was
-    /// saved, decode the shard, and roll the core back to it. Returns the
-    /// restored event cursor.
+    /// regenerates them), roll the core back to the decoded shard and
+    /// rewind its account to the mark taken with it. Returns the marked
+    /// event cursor.
     fn recover(&mut self, core: &mut NodeCore<'_>) -> usize {
         self.trace.push(TraceRecord::RecoveryStarted {
             t: self.now(),
@@ -892,23 +864,18 @@ impl NodeRunner {
             msgs.clear();
             let _ = self.channels.ret_senders[origin].send(msgs);
         }
-        let bytes = self.shared.as_ref().expect("fault mode has shards").shards[self.node]
-            .lock()
-            .expect("shard lock")
-            .clone();
-        let mut snap = checkpoint::decode(&bytes).expect("own shard decodes");
-        core.truncate_outputs(&self.mark);
+        let mut snap = checkpoint::decode(&self.shard).expect("own shard decodes");
         core.restore(&mut snap).expect("own shard matches the plan");
-        // The shard's metrics carry the transport counters up to the
-        // checkpoint; the live ones roll back with the rest of the state.
+        core.rewind(&self.mark);
+        // The mark's metrics carry the transport counters up to the chunk
+        // start; the live ones roll back with the rest of the account.
         self.stats = TransportStats::default();
-        let cursor = snap.cursors.get(self.node).copied().unwrap_or(0) as usize;
         self.trace.push(TraceRecord::Recovered {
             t: self.now(),
             node: self.node,
-            cursor: cursor as u64,
+            cursor: self.cursor as u64,
         });
-        cursor
+        self.cursor
     }
 
     /// Processes the backlog and every frame currently in the inbox;
@@ -1290,14 +1257,16 @@ mod tests {
         let mut first = SimExecutor::new(&deployment, sim_config.clone());
         first.process_trace(head);
         let snapshot = checkpoint::encode(&first.to_snapshot());
-        let before = first.finish().metrics.join.inputs;
-        assert!(before > 0, "the head feeds the joins");
+        assert!(
+            first.finish().metrics.join.inputs > 0,
+            "the head feeds the joins"
+        );
         let mut resumed = checkpoint::restore(&deployment, sim_config, &snapshot).unwrap();
         resumed.process_trace(tail);
         let report = resumed.finish();
         let [inputs, depth] = series_sums(report.telemetry.as_ref());
         assert!(inputs > 0, "the tail feeds the joins");
-        assert_eq!(inputs, report.metrics.join.inputs - before);
+        assert_eq!(inputs, report.metrics.join.inputs);
         assert_eq!(depth, inputs);
 
         // Threaded: the same, resumed from the head's final snapshot.
@@ -1310,11 +1279,11 @@ mod tests {
             ..config.clone()
         };
         let first = run_threaded(&deployment, head, &checkpointed);
-        let before = first.metrics.join.inputs;
         let snapshot = first.final_snapshot.expect("checkpointing");
         let report = run_threaded_resumed(&deployment, tail, &config, &snapshot).unwrap();
         let [inputs, depth] = series_sums(report.telemetry.as_ref());
-        assert_eq!(inputs, report.metrics.join.inputs - before);
+        assert!(inputs > 0, "the tail feeds the joins");
+        assert_eq!(inputs, report.metrics.join.inputs);
         assert_eq!(depth, inputs);
     }
 
@@ -1465,32 +1434,47 @@ mod tests {
     #[test]
     fn crash_and_resume_keep_counting_local_events() {
         let (deployment, events) = trace_with_foreign_origin();
-        let consumed = |events: &[Event]| -> Vec<u64> {
-            (0..3)
-                .map(|node| local_seqs(events, node).len() as u64)
-                .collect()
-        };
-        let cursors = |report: &ThreadedReport| {
-            let snapshot = report.final_snapshot.as_deref().expect("final snapshot");
-            checkpoint::decode(snapshot).expect("decodes").cursors
-        };
         let config = ThreadedConfig {
             checkpoint: true,
+            // Chunks shorter than the trace: a crash rolls back to a shard
+            // saved mid-run.
+            chunk_ticks: Some(500),
+            telemetry: Some(TelemetrySpec {
+                trace_capacity: 1 << 16,
+                ..TelemetrySpec::default()
+            }),
             ..ThreadedConfig::default()
         };
+        let records = |report: &ThreadedReport| {
+            let trace = &report.telemetry.as_ref().expect("telemetry").trace;
+            assert_eq!(trace.dropped(), 0);
+            trace.records().cloned().collect::<Vec<_>>()
+        };
+        let injected = |records: &[TraceRecord], node: usize| -> Vec<u64> {
+            let at_node = records.iter().filter_map(|r| match *r {
+                TraceRecord::EventInjected { node: at, seq, .. } if at == node => Some(seq),
+                _ => None,
+            });
+            at_node.collect()
+        };
         let baseline = run_threaded(&deployment, &events, &config);
-        assert_eq!(cursors(&baseline), consumed(&events));
+        for node in 0..3 {
+            let injected = injected(&records(&baseline), node);
+            assert_eq!(injected, local_seqs(&events, node), "node {node}");
+        }
 
-        // A crash on node 1 rolls every node back to its shard's cursor and
-        // re-runs from there: a cursor that were a trace position would skip or repeat
-        // events.
+        // A crash on node 1 rolls every node back to its chunk-start cursor
+        // and re-runs from there: each node injects its events up to the
+        // crash, then again from the cursor on. A cursor that were a trace
+        // position would skip or repeat events.
+        let crash_at = local_seqs(&events, 1).len() as u64 / 2;
         let crashed = run_threaded(
             &deployment,
             &events,
             &ThreadedConfig {
                 fault: Some(FaultPlan {
                     node: 1,
-                    crash_at: consumed(&events)[1] / 2,
+                    crash_at,
                     restart_delay: Duration::ZERO,
                 }),
                 ..config.clone()
@@ -1505,21 +1489,44 @@ mod tests {
             fingerprints(&crashed.matches[0]),
             fingerprints(&baseline.matches[0])
         );
-        assert_eq!(cursors(&crashed), cursors(&baseline));
+        let trace = records(&crashed);
+        let mut cursors = Vec::new();
+        for node in 0..3 {
+            let cursor = trace.iter().find_map(|r| match *r {
+                TraceRecord::Recovered {
+                    node: at, cursor, ..
+                } if at == node => Some(cursor),
+                _ => None,
+            });
+            let cursor = cursor.expect("every node recovers") as usize;
+            let (local, injected) = (local_seqs(&events, node), injected(&trace, node));
+            let (before, rerun) = injected.split_at(injected.len() + cursor - local.len());
+            assert!(before.len() >= cursor, "node {node}");
+            assert_eq!(before, &local[..before.len()], "node {node}");
+            assert_eq!(rerun, &local[cursor..], "node {node}");
+            cursors.push(cursor);
+        }
+        assert!(cursors[1] > 0, "the crash restores a mid-run shard");
 
-        // A resumed run counts from the start of its remainder, and emits
-        // the matches the prefix run did not.
+        // A resumed run counts from the start of its remainder, emits the
+        // matches the prefix run did not, and counts only its own work.
         let (prefix, rest) = events.split_at(events.len() / 3);
         let first = run_threaded(&deployment, prefix, &config);
         let snapshot = first.final_snapshot.as_deref().expect("final snapshot");
         let resumed = run_threaded_resumed(&deployment, rest, &config, snapshot).expect("resumes");
-        assert_eq!(cursors(&first), consumed(prefix));
-        assert_eq!(cursors(&resumed), consumed(rest));
+        for node in 0..3 {
+            assert_eq!(injected(&records(&first), node), local_seqs(prefix, node));
+            assert_eq!(injected(&records(&resumed), node), local_seqs(rest, node));
+        }
         let across_cut = [&first.matches[0][..], &resumed.matches[0]].concat();
         assert_eq!(
             fingerprints(&across_cut),
             fingerprints(&baseline.matches[0])
         );
+        let mut merged = first.metrics.clone();
+        merged.merge(&resumed.metrics);
+        assert_eq!(merged.events_injected, baseline.metrics.events_injected);
+        assert_eq!(merged.sink_matches, baseline.metrics.sink_matches);
     }
 
     #[test]

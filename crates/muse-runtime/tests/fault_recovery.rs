@@ -18,6 +18,7 @@ use muse_core::workload::Workload;
 use muse_runtime::checkpoint::{self, CheckpointError};
 use muse_runtime::deploy::{Deployment, TaskKind};
 use muse_runtime::matcher::Match;
+use muse_runtime::metrics::Metrics;
 use muse_runtime::sim::{SimConfig, SimExecutor};
 use muse_runtime::telemetry::{TelemetrySpec, TraceRecord};
 use muse_runtime::threaded::{
@@ -98,9 +99,66 @@ fn across_cut(prefix: &[Vec<Match>], resumed: &[Vec<Match>]) -> Vec<Vec<Match>> 
     queries.map(|(p, r)| [p.as_slice(), r].concat()).collect()
 }
 
+/// The default threaded configuration with the trace on, for the
+/// rollback's `Recovered` records.
+fn traced() -> ThreadedConfig {
+    ThreadedConfig {
+        telemetry: Some(TelemetrySpec {
+            trace_capacity: 1 << 20,
+            ..TelemetrySpec::default()
+        }),
+        ..ThreadedConfig::default()
+    }
+}
+
+/// [`traced`] in 500-tick chunks, far shorter than the 3 000-tick traces,
+/// so that a crash rolls back to a shard saved mid-run: the default chunk,
+/// the smallest window, would cover the whole trace under the 5 000-tick
+/// window. With the default slack 4, `slack · window ≥ chunk + window`.
+fn chunked() -> ThreadedConfig {
+    ThreadedConfig {
+        chunk_ticks: Some(500),
+        ..traced()
+    }
+}
+
+/// Whether a crash rolled some node back to a shard saved after the first
+/// chunk: one whose event cursor is past the node's first event.
+fn restored_mid_run(report: &ThreadedReport) -> bool {
+    let trace = &report.telemetry.as_ref().expect("telemetry").trace;
+    assert_eq!(trace.dropped(), 0, "the trace keeps every record");
+    (trace.records()).any(|r| matches!(r, TraceRecord::Recovered { cursor, .. } if *cursor > 0))
+}
+
 /// Deterministic counters that must be identical between a faulted and an
-/// uninterrupted run (order-dependent engine counters like join probes are
+/// uninterrupted run, or between a run cut in two, merged, and an
+/// uninterrupted one (order-dependent engine counters like join probes are
 /// deliberately excluded — the re-run changes interleaving, not results).
+fn assert_same_counters(a: &Metrics, b: &Metrics, ctx: &str) {
+    let counters = |m: &Metrics| {
+        [
+            ("events_injected", m.events_injected),
+            ("messages_sent", m.messages_sent),
+            ("bytes_sent", m.bytes_sent),
+            ("local_deliveries", m.local_deliveries),
+            ("sink_matches", m.sink_matches),
+            ("join.emitted", m.join.emitted),
+        ]
+    };
+    for ((name, va), (_, vb)) in counters(a).into_iter().zip(counters(b)) {
+        assert_eq!(va, vb, "{ctx}: {name}");
+    }
+}
+
+/// The prefix run's metrics merged with the resumed run's: the account of
+/// the whole trace, since a resumed report counts only its own work.
+fn merged(prefix: &Metrics, resumed: &Metrics) -> Metrics {
+    let mut merged = prefix.clone();
+    merged.merge(resumed);
+    merged
+}
+
+/// The same matches, each as often, and the same deterministic counters.
 fn assert_equal_outcomes(a: &ThreadedReport, b: &ThreadedReport, ctx: &str) {
     for (q, (ma, mb)) in a.matches.iter().zip(&b.matches).enumerate() {
         assert_eq!(
@@ -109,30 +167,7 @@ fn assert_equal_outcomes(a: &ThreadedReport, b: &ThreadedReport, ctx: &str) {
             "{ctx}: query {q} match sets diverge"
         );
     }
-    assert_eq!(
-        a.metrics.events_injected, b.metrics.events_injected,
-        "{ctx}: events_injected"
-    );
-    assert_eq!(
-        a.metrics.messages_sent, b.metrics.messages_sent,
-        "{ctx}: messages_sent"
-    );
-    assert_eq!(
-        a.metrics.bytes_sent, b.metrics.bytes_sent,
-        "{ctx}: bytes_sent"
-    );
-    assert_eq!(
-        a.metrics.local_deliveries, b.metrics.local_deliveries,
-        "{ctx}: local_deliveries"
-    );
-    assert_eq!(
-        a.metrics.sink_matches, b.metrics.sink_matches,
-        "{ctx}: sink_matches"
-    );
-    assert_eq!(
-        a.metrics.join.emitted, b.metrics.join.emitted,
-        "{ctx}: join.emitted"
-    );
+    assert_same_counters(&a.metrics, &b.metrics, ctx);
 }
 
 /// Every sink match either produced a latency sample or was explicitly
@@ -151,7 +186,7 @@ fn crash_at_arbitrary_injection_is_lossless() {
     let net = network();
     let deployment = deploy(fig1_pattern(), 5_000, &net);
     let events = trace(&net, 23);
-    let baseline = run_threaded(&deployment, &events, &ThreadedConfig::default());
+    let baseline = run_threaded(&deployment, &events, &chunked());
     assert!(
         baseline.metrics.sink_matches > 0,
         "workload must produce matches"
@@ -164,9 +199,10 @@ fn crash_at_arbitrary_injection_is_lossless() {
     let tight = ThreadedConfig {
         batch: 1,
         capacity: 1,
-        ..ThreadedConfig::default()
+        ..chunked()
     };
-    for transport in [ThreadedConfig::default(), tight] {
+    let mut mid_run = 0;
+    for transport in [chunked(), tight] {
         for node in 0..3usize {
             let local = events.iter().filter(|e| e.origin.index() == node).count() as u64;
             assert!(local > 2, "node {node} must inject events");
@@ -196,13 +232,15 @@ fn crash_at_arbitrary_injection_is_lossless() {
                 );
                 assert_equal_outcomes(&faulted, &baseline, &ctx);
                 assert_latency_invariant(&faulted, &ctx);
+                mid_run += usize::from(restored_mid_run(&faulted));
             }
         }
     }
+    assert!(mid_run > 0, "no crash restored a shard saved mid-run");
 }
 
-/// A crash rolls every node's metrics back to its last checkpoint and
-/// re-runs the chunk from there. Telemetry is not rolled back, so it must not keep
+/// A crash rewinds every node's metrics to the mark taken with its last
+/// checkpoint and re-runs the chunk from there. Telemetry is not rolled back, so it must not keep
 /// counters of its own: with it attached, the report still carries exactly
 /// the uninterrupted run's account.
 #[test]
@@ -210,12 +248,10 @@ fn crash_with_telemetry_attached_keeps_one_account() {
     let net = network();
     let deployment = deploy(fig1_pattern(), 5_000, &net);
     let events = trace(&net, 23);
-    let observed = ThreadedConfig {
-        telemetry: Some(TelemetrySpec::default()),
-        ..ThreadedConfig::default()
-    };
+    let observed = chunked();
     let baseline = run_threaded(&deployment, &events, &observed);
     assert_eq!(baseline.metrics.events_injected as usize, events.len());
+    let mut mid_run = 0;
     for node in 0..3usize {
         let local = events.iter().filter(|e| e.origin.index() == node).count() as u64;
         let config = ThreadedConfig {
@@ -239,7 +275,9 @@ fn crash_with_telemetry_attached_keeps_one_account() {
             events.len(),
             "{ctx}: one injection per trace event"
         );
+        mid_run += usize::from(restored_mid_run(&faulted));
     }
+    assert!(mid_run > 0, "no crash restored a shard saved mid-run");
 }
 
 #[test]
@@ -250,7 +288,7 @@ fn crash_with_downtime_still_converges() {
     let net = network();
     let deployment = deploy(fig1_pattern(), 5_000, &net);
     let events = trace(&net, 13);
-    let baseline = run_threaded(&deployment, &events, &ThreadedConfig::default());
+    let baseline = run_threaded(&deployment, &events, &chunked());
     assert!(
         !baseline.matches[0].is_empty(),
         "workload must produce matches"
@@ -262,10 +300,14 @@ fn crash_with_downtime_still_converges() {
             crash_at: local / 2,
             restart_delay: Duration::from_millis(2),
         }),
-        ..ThreadedConfig::default()
+        ..chunked()
     };
     let faulted = run_threaded(&deployment, &events, &config);
     assert_eq!(faulted.metrics.recovery.crashes, 1);
+    assert!(
+        restored_mid_run(&faulted),
+        "the crash restores a mid-run shard"
+    );
     assert!(
         faulted.metrics.recovery.recovery_ns >= 2_000_000,
         "recovery time includes the configured downtime"
@@ -348,22 +390,8 @@ fn threaded_snapshot_resumes_in_simulator() {
                 "split {split}: query {q} diverges"
             );
         }
-        assert_eq!(
-            report.metrics.sink_matches, full.metrics.sink_matches,
-            "split {split}: sink_matches"
-        );
-        assert_eq!(
-            report.metrics.events_injected, full.metrics.events_injected,
-            "split {split}: events_injected"
-        );
-        assert_eq!(
-            report.metrics.messages_sent, full.metrics.messages_sent,
-            "split {split}: messages_sent"
-        );
-        assert_eq!(
-            report.metrics.join.emitted, full.metrics.join.emitted,
-            "split {split}: join.emitted"
-        );
+        let whole = merged(&prefix.metrics, &report.metrics);
+        assert_same_counters(&whole, &full.metrics, &format!("split {split}"));
     }
 }
 
@@ -402,18 +430,8 @@ fn simulator_snapshot_resumes_in_threaded() {
                 "split {split}: query {q} diverges"
             );
         }
-        assert_eq!(
-            report.metrics.sink_matches, full.metrics.sink_matches,
-            "split {split}: sink_matches"
-        );
-        assert_eq!(
-            report.metrics.events_injected, full.metrics.events_injected,
-            "split {split}: events_injected"
-        );
-        assert_eq!(
-            report.metrics.messages_sent, full.metrics.messages_sent,
-            "split {split}: messages_sent"
-        );
+        let whole = merged(&prefix.metrics, &report.metrics);
+        assert_same_counters(&whole, &full.metrics, &format!("split {split}"));
         // Matches completed from grafted pre-split partials have no wall
         // injection record in the resumed run; the accounting must name
         // them instead of silently shrinking the sample set.
@@ -421,11 +439,13 @@ fn simulator_snapshot_resumes_in_threaded() {
     }
 }
 
-/// A snapshot holds no output, so each match is emitted exactly once
-/// across a cut: the prefix run's matches followed by the resumed run's
-/// are the uninterrupted run's as a multiset, for every pair of executors.
-/// A resumed report that repeated the prefix's matches would hold some
-/// twice.
+/// A snapshot holds no output and no counter, so each match is emitted
+/// and counted exactly once across a cut: the prefix run's matches
+/// followed by the resumed run's are the uninterrupted run's as a
+/// multiset, and the prefix run's metrics merged with the resumed run's
+/// are its counters, for every pair of executors. A resumed report that
+/// repeated the prefix's matches would hold some twice, and one that
+/// continued its counters would count them twice.
 #[test]
 fn each_match_is_emitted_once_across_a_cut() {
     let net = network();
@@ -447,19 +467,20 @@ fn each_match_is_emitted_once_across_a_cut() {
         "a match spans the cut"
     );
 
-    // The prefix runs: their matches and their snapshot.
+    // The prefix runs: their matches, their metrics and their snapshot.
     let sim_prefix = {
         let mut exec = SimExecutor::new(&deployment, sim_config.clone());
         exec.process_trace(head);
         let snap = checkpoint::encode(&exec.to_snapshot());
-        (exec.finish().matches, snap)
+        let report = exec.finish();
+        (report.matches, report.metrics, snap)
     };
     let threaded_prefix = {
         let report = run_threaded(&deployment, head, &config);
         let snap = report.final_snapshot.expect("checkpoint mode");
-        (report.matches, snap)
+        (report.matches, report.metrics, snap)
     };
-    for (from, (prefix, snap)) in [("sim", &sim_prefix), ("threaded", &threaded_prefix)] {
+    for (from, (prefix, metrics, snap)) in [("sim", &sim_prefix), ("threaded", &threaded_prefix)] {
         assert!(!prefix[0].is_empty(), "{from}: the head matches");
         let in_sim = {
             let mut exec = checkpoint::restore(&deployment, sim_config.clone(), snap)
@@ -470,13 +491,19 @@ fn each_match_is_emitted_once_across_a_cut() {
         let in_threaded =
             run_threaded_resumed(&deployment, tail, &config, snap).expect("threaded resumes");
         assert_latency_invariant(&in_threaded, &format!("{from} to threaded"));
-        for (to, resumed) in [("sim", &in_sim.matches), ("threaded", &in_threaded.matches)] {
+        let resumed_runs = [
+            ("sim", &in_sim.matches, &in_sim.metrics),
+            ("threaded", &in_threaded.matches, &in_threaded.metrics),
+        ];
+        for (to, resumed, resumed_metrics) in resumed_runs {
             assert!(!resumed[0].is_empty(), "{from} to {to}: the tail matches");
             assert_eq!(
                 fingerprints(&across_cut(prefix, resumed)[0]),
                 fingerprints(&full.matches[0]),
                 "{from} to {to}"
             );
+            let whole = merged(metrics, resumed_metrics);
+            assert_same_counters(&whole, &full.metrics, &format!("{from} to {to}"));
         }
     }
 }
@@ -585,14 +612,13 @@ fn nseq_context_slots_survive_save_and_restore_in_both_executors() {
             fingerprints(&full.matches[0]),
             "split {split}: matches diverge"
         );
-        assert_eq!(
-            report.metrics.sink_matches, full.metrics.sink_matches,
-            "split {split}: sink_matches"
-        );
+        let whole = merged(&prefix.metrics, &report.metrics);
+        assert_same_counters(&whole, &full.metrics, &format!("split {split}"));
     }
 
-    // Threaded: a crash of a sink's node restores its chunk-start shard.
-    let baseline = run_threaded(&deployment, &events, &ThreadedConfig::default());
+    // Threaded: a crash of a sink's node restores its chunk-start shard,
+    // one of the window-long default chunks.
+    let baseline = run_threaded(&deployment, &events, &traced());
     assert_eq!(
         fingerprints(&baseline.matches[0]),
         fingerprints(&full.matches[0]),
@@ -606,7 +632,7 @@ fn nseq_context_slots_survive_save_and_restore_in_both_executors() {
                 crash_at: local / 2,
                 restart_delay: Duration::ZERO,
             }),
-            ..ThreadedConfig::default()
+            ..traced()
         };
         let faulted = run_threaded(&deployment, &events, &config);
         let ctx = format!("crash node {node} at injection {}", local / 2);
@@ -615,6 +641,10 @@ fn nseq_context_slots_survive_save_and_restore_in_both_executors() {
             "{ctx}: crash must fire"
         );
         assert_equal_outcomes(&faulted, &baseline, &ctx);
+        assert!(
+            restored_mid_run(&faulted),
+            "{ctx}: restores a mid-run shard"
+        );
     }
 }
 
@@ -634,7 +664,7 @@ fn crash_timeline_records_every_rollback() {
             trace_capacity: usize::MAX,
             ..TelemetrySpec::default()
         }),
-        ..ThreadedConfig::default()
+        ..chunked()
     };
     let records = |report: &ThreadedReport| -> Vec<TraceRecord> {
         let trace = &report.telemetry.as_ref().expect("telemetry").trace;
@@ -684,6 +714,10 @@ fn crash_timeline_records_every_rollback() {
             },
         );
         assert_eq!(faulted.metrics.recovery.crashes, 1, "crash on node {node}");
+        assert!(
+            restored_mid_run(&faulted),
+            "crash on node {node}: mid-run shard"
+        );
         let trace = records(&faulted);
         let crashes: Vec<(usize, u64)> = trace
             .iter()

@@ -25,7 +25,6 @@ use muse_runtime::codec::{encode_match, try_decode_match};
 use muse_runtime::matcher::{JoinState, StoreState};
 use muse_runtime::{run_threaded, ThreadedConfig};
 use muse_runtime::{Deployment, Match, SimConfig, SimExecutor};
-use muse_telemetry::LogHistogram;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -288,8 +287,8 @@ proptest! {
         let mut bytes = mid_run_snapshots()[which].clone();
         mutate(&mut bytes, mutation, &mut StdRng::seed_from_u64(seed));
 
-        // A length prefix sizes one of these element types; the format's
-        // only fixed buffer is a histogram's bucket table.
+        // A length prefix sizes one of these element types; the format has
+        // no fixed-size buffer.
         let per_byte = [
             size_of::<Option<JoinState>>(),
             size_of::<(Option<JoinState>, StoreState)>(),
@@ -300,9 +299,8 @@ proptest! {
         .into_iter()
         .max()
         .unwrap();
-        let (_, bucket_table) = peak_alloc(LogHistogram::new);
         let (decoded, peak) = peak_alloc(|| decode(&bytes));
-        let bound = (bytes.len() * per_byte).max(bucket_table);
+        let bound = bytes.len() * per_byte;
         prop_assert!(
             peak <= bound,
             "decoding {} bytes allocated {peak} bytes at once (bound {bound})",

@@ -157,14 +157,8 @@ fn certified_migration_is_lossless_in_sim() {
     let (report, plan) = certify(&a, &b, &net);
     assert!(plan.safe, "identity migration must certify:\n{report}");
 
-    let mapped = checkpoint::map_snapshot(
-        &a.deployment,
-        &b.deployment,
-        &plan,
-        SimConfig::default().slack,
-        &bytes,
-    )
-    .expect("certified migration restores");
+    let mapped = checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, &bytes)
+        .expect("certified migration restores");
     assert_eq!(
         mapped.plan,
         b.deployment.fingerprint(),
@@ -193,7 +187,12 @@ fn certified_migration_is_lossless_in_sim() {
         fingerprints(&baseline.matches[0]),
         "migrated run diverges from the uninterrupted run"
     );
-    assert_eq!(migrated.metrics.sink_matches, baseline.metrics.sink_matches);
+    let mut merged = before.metrics;
+    merged.merge(&migrated.metrics);
+    assert_eq!(
+        merged, baseline.metrics,
+        "the two runs count the whole trace once"
+    );
 }
 
 /// The same certified migration resumes the threaded executor: the mapped
@@ -222,9 +221,8 @@ fn certified_migration_is_lossless_threaded() {
     let (report, plan) = certify(&a, &b, &net);
     assert!(plan.safe, "identity migration must certify:\n{report}");
 
-    let mapped =
-        checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, config.slack, &bytes)
-            .expect("certified migration restores");
+    let mapped = checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, &bytes)
+        .expect("certified migration restores");
     let mapped_bytes = checkpoint::encode(&mapped);
     let migrated = run_threaded_resumed(&b.deployment, &events[half..], &config, &mapped_bytes)
         .expect("mapped snapshot resumes the threaded executor");
@@ -316,13 +314,7 @@ fn rejected_migration_fails_restore() {
         Err(other) => panic!("expected MigrationRejected, got {other:?}"),
         Ok(_) => panic!("unsafe migration must not restore"),
     }
-    match checkpoint::map_snapshot(
-        &a.deployment,
-        &b.deployment,
-        &plan,
-        SimConfig::default().slack,
-        &bytes,
-    ) {
+    match checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, &bytes) {
         Err(CheckpointError::MigrationRejected(_)) => {}
         other => panic!("expected MigrationRejected, got {other:?}"),
     }
@@ -346,13 +338,7 @@ fn migration_rejects_foreign_snapshot() {
     let (report, plan) = certify(&a, &b, &net);
     assert!(plan.safe, "{report}");
 
-    match checkpoint::map_snapshot(
-        &a.deployment,
-        &b.deployment,
-        &plan,
-        SimConfig::default().slack,
-        &bytes,
-    ) {
+    match checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, &bytes) {
         Err(CheckpointError::PlanMismatch { found, .. }) => {
             assert_eq!(found, other.deployment.fingerprint());
         }
@@ -440,9 +426,8 @@ fn assert_carried_query_lossless(a: &Placed, b: &Placed, network: &Network, even
     exec.process_trace(&events[..half]);
     let bytes = checkpoint::encode(&exec.to_snapshot());
     let before = exec.finish();
-    let mapped =
-        checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, config.slack, &bytes)
-            .expect("certified migration restores");
+    let mapped = checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, &bytes)
+        .expect("certified migration restores");
     let migrated = run_threaded_resumed(
         &b.deployment,
         &events[half..],

@@ -6,8 +6,9 @@
 # hostile `.net` file that `muse-verify plan` must reject with exit 2, the loom
 # concurrency lane (the inject-clock handoff and the executor's drain barrier), the driver-parity suites once more in the release
 # profile (thread interleavings there are the ones bench/ measures, far
-# less tame than the dev profile's; shared join inputs, snapshot restore
-# and muse-bench's two crash tests included), the set-up scaling guards
+# less tame than the dev profile's; shared join inputs, snapshot restore,
+# muse-runtime's crash-and-resume and snapshot-codec lib tests and
+# muse-bench's two crash tests included), the set-up scaling guards
 # of multi-query planning and of selectivity estimation (release only), the pinned benchmark under bench/ (its own workspace: unit tests plus the smoke run, so a public-API
 # removal cannot break BENCHMARK.json's command unnoticed; then one short
 # full-size `cluster` run for its exit code — pins, and the case study's
@@ -115,8 +116,13 @@ cargo test --release -q -p muse-runtime \
     --test executor_parity --test fault_recovery --test provenance \
     --test shared_parity --test migration
 cargo test --release -q --test end_to_end
-# Crash recovery depends on thread interleaving too: the two crash tests of
+# Crash recovery depends on thread interleaving too: muse-runtime's own
+# test whose node threads crash and resume, and the snapshot codec's
+# tests, which resume the threaded executor, so that the rollback's rewind
+# runs under optimized interleavings; then the two crash tests of
 # muse-bench's full-size transport and telemetry paths.
+cargo test --release -q -p muse-runtime --lib -- \
+    threaded::tests::crash_and_resume_keep_counting_local_events checkpoint::tests
 cargo test --release -q -p muse-bench --lib -- \
     relay_crash_is_lossless_in_the_enlarged_chunk_regime \
     crashed_run_exports_the_rolled_back_account
