@@ -502,7 +502,6 @@ fn table3_case_study(
     let jobs = if settings.reps <= 2 { 150 } else { 400 };
     let sim_config = SimConfig {
         telemetry: tel.as_ref().map(|t| t.spec()),
-        ..SimConfig::default()
     };
     let mut rows = Vec::new();
     for (scenario, sources) in case_study_scenarios() {

@@ -145,7 +145,6 @@ pub fn witness_run(duration: f64, seed: u64) -> (Deployment, Vec<Event>, SimRepo
     let trace = observe_trace(&network, duration, seed);
     let config = SimConfig {
         telemetry: Some(witness_spec()),
-        ..SimConfig::default()
     };
     let report = run_simulation(&deployment, &trace, &config);
     (deployment, trace, report)
@@ -234,7 +233,6 @@ mod tests {
         let trace = observe_trace(&network, duration, 5);
         let config = SimConfig {
             telemetry: Some(TelemetrySpec::default()),
-            ..SimConfig::default()
         };
         let mut report = run_simulation(&deployment, &trace, &config);
         let run = report.telemetry.take().unwrap();
@@ -256,7 +254,6 @@ mod tests {
         let trace = observe_trace(&shifted_network(), duration, 5);
         let config = SimConfig {
             telemetry: Some(TelemetrySpec::default()),
-            ..SimConfig::default()
         };
         let mut report = run_simulation(&deployment, &trace, &config);
         let run = report.telemetry.take().unwrap();

@@ -45,7 +45,7 @@
 //!
 //! The plan fingerprint ([`crate::deploy::Deployment::fingerprint`])
 //! guards restores: state grafted onto a different plan would silently
-//! corrupt join buffers, so [`restore`] (and every other decode path)
+//! corrupt join buffers, so [`decode_for`] (and every other decode path)
 //! fails with [`CheckpointError::PlanMismatch`] instead. Unknown versions
 //! fail with [`CheckpointError::UnsupportedVersion`]; truncated or
 //! malformed bytes with [`CheckpointError::Malformed`] — never a panic.
@@ -62,17 +62,16 @@
 //! and each join's deferred candidates (none at quiescence). Versions 1
 //! to 7 are refused by number.
 //!
-//! The one sanctioned way *across* plans is [`map_snapshot`] /
-//! [`restore_mapped`]: given a certified-safe `muse-verify`
-//! [`MigrationPlan`], state is re-keyed task-by-task from the old
-//! deployment onto the new one (live migration of a running network).
+//! The one sanctioned way *across* plans is [`map_snapshot`]: given a
+//! certified-safe `muse-verify` [`MigrationPlan`], state is re-keyed
+//! task-by-task from the old deployment onto the new one (live migration
+//! of a running network).
 
 use crate::codec::{
     encode_match, try_decode_match, try_get_u16, try_get_u32, try_get_u64, try_get_u8,
 };
 use crate::deploy::{Deployment, TaskKind};
 use crate::matcher::{JoinState, Match, StoreState};
-use crate::sim::{SimConfig, SimExecutor};
 use bytes::{BufMut, BytesMut};
 use muse_verify::{CarryMode, MigrationPlan};
 
@@ -189,21 +188,10 @@ impl Snapshot {
     }
 }
 
-/// Restores a simulator from a snapshot against the same deployment.
-///
-/// The snapshot may come from either executor: a threaded run's
-/// quiescent snapshot restores into the simulator directly.
-pub fn restore<'a>(
-    deployment: &'a Deployment,
-    config: SimConfig,
-    bytes: &[u8],
-) -> Result<SimExecutor<'a>, CheckpointError> {
-    let snap = decode_for(deployment, bytes)?;
-    SimExecutor::from_snapshot(deployment, config, snap)
-}
-
 /// Decodes a snapshot and verifies it against a deployment's plan
-/// fingerprint.
+/// fingerprint. The snapshot may come from either executor, and restores
+/// into either ([`crate::sim::SimExecutor::from_snapshot`],
+/// [`crate::threaded::run_threaded_resumed`]).
 pub fn decode_for(deployment: &Deployment, bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
     let snap = decode(bytes)?;
     let expected = deployment.fingerprint();
@@ -280,8 +268,8 @@ fn shape_divergence(deployment: &Deployment, snap: &Snapshot) -> String {
 /// reader that stores its input alone in `new` but read a buffer in `old`
 /// takes the buffer's matches into its own store. The result claims
 /// `new`'s fingerprint and restores
-/// through the ordinary [`SimExecutor::from_snapshot`] / threaded resume
-/// paths.
+/// through the ordinary [`crate::sim::SimExecutor::from_snapshot`] /
+/// threaded resume paths, which re-validate every grafted state's shape.
 ///
 /// # Errors
 ///
@@ -339,8 +327,8 @@ pub fn map_snapshot(
     let mut tasks: Vec<_> = (0..new.tasks.len())
         .map(|i| match carried_from[i] {
             Some(old_idx) => snap.tasks[old_idx].clone(),
-            // Empty stores at watermark 0, whatever the eviction slack.
-            None => new.make_join(i, 1.0).map(|j| j.save_state()),
+            // Empty stores at watermark 0, whatever the reach.
+            None => new.make_join(i, 0).map(|j| j.save_state()),
         })
         .collect();
     // The old buffer a carried reader stored its input in, if it was shared.
@@ -384,21 +372,6 @@ pub fn map_snapshot(
         tasks,
         buffers,
     })
-}
-
-/// Restores a simulator under `new` from a snapshot taken under `old`,
-/// through a certified [`MigrationPlan`] — [`map_snapshot`] followed by the
-/// ordinary snapshot-restore path (which re-validates every grafted state's
-/// shape).
-pub fn restore_mapped<'a>(
-    old: &Deployment,
-    new: &'a Deployment,
-    plan: &MigrationPlan,
-    config: SimConfig,
-    bytes: &[u8],
-) -> Result<SimExecutor<'a>, CheckpointError> {
-    let snap = map_snapshot(old, new, plan, bytes)?;
-    SimExecutor::from_snapshot(new, config, snap)
 }
 
 /// Encodes a snapshot into its versioned byte form.
@@ -568,6 +541,7 @@ fn get_join(buf: &mut &[u8], depth: usize) -> Result<JoinState, CheckpointError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{SimConfig, SimExecutor};
     use muse_core::algorithms::amuse::{amuse, AMuseConfig};
     use muse_core::event::{Event, Payload, Value};
     use muse_core::graph::PlanContext;
@@ -633,7 +607,8 @@ mod tests {
         let deployment = two_node_deployment(100);
         let executor = SimExecutor::new(&deployment, SimConfig::default());
         let bytes = encode(&executor.to_snapshot());
-        let restored = restore(&deployment, SimConfig::default(), &bytes).unwrap();
+        let snap = decode_for(&deployment, &bytes).unwrap();
+        let restored = SimExecutor::from_snapshot(&deployment, SimConfig::default(), snap).unwrap();
         assert_eq!(restored.metrics().events_injected, 0);
         assert!(restored.matches().iter().all(Vec::is_empty));
     }
@@ -643,20 +618,20 @@ mod tests {
         let deployment = two_node_deployment(100);
         // Garbage, empty, and every truncation of a valid snapshot must be
         // rejected with an error, never a panic.
-        assert!(restore(&deployment, SimConfig::default(), b"not a snapshot").is_err());
-        assert!(restore(&deployment, SimConfig::default(), b"").is_err());
+        assert!(decode_for(&deployment, b"not a snapshot").is_err());
+        assert!(decode_for(&deployment, b"").is_err());
         let executor = SimExecutor::new(&deployment, SimConfig::default());
         let bytes = encode(&executor.to_snapshot());
         for cut in 0..bytes.len() {
             assert!(
-                restore(&deployment, SimConfig::default(), &bytes[..cut]).is_err(),
+                decode_for(&deployment, &bytes[..cut]).is_err(),
                 "truncation at {cut} must be rejected"
             );
         }
         // Trailing garbage is also rejected.
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(restore(&deployment, SimConfig::default(), &padded).is_err());
+        assert!(decode_for(&deployment, &padded).is_err());
     }
 
     #[test]
@@ -665,9 +640,9 @@ mod tests {
         let d2 = two_node_deployment(200); // different window ⇒ different plan
         let executor = SimExecutor::new(&d1, SimConfig::default());
         let bytes = encode(&executor.to_snapshot());
-        let err = match restore(&d2, SimConfig::default(), &bytes) {
+        let err = match decode_for(&d2, &bytes) {
             Err(e) => e,
-            Ok(_) => panic!("expected PlanMismatch, got a restored executor"),
+            Ok(_) => panic!("expected PlanMismatch, got a decoded snapshot"),
         };
         match &err {
             CheckpointError::PlanMismatch {
@@ -714,7 +689,7 @@ mod tests {
         let d2 = deploy(&net, &pattern, 100);
         let executor = SimExecutor::new(&d1, SimConfig::default());
         let bytes = encode(&executor.to_snapshot());
-        match restore(&d2, SimConfig::default(), &bytes) {
+        match decode_for(&d2, &bytes) {
             Err(CheckpointError::PlanMismatch { detail, .. }) => {
                 assert!(
                     detail.contains("task states") || detail.contains("first diverging task"),
@@ -722,7 +697,7 @@ mod tests {
                 );
             }
             Err(other) => panic!("expected PlanMismatch, got {other:?}"),
-            Ok(_) => panic!("expected PlanMismatch, got a restored executor"),
+            Ok(_) => panic!("expected PlanMismatch, got a decoded snapshot"),
         }
     }
 
@@ -734,7 +709,7 @@ mod tests {
         // Version field sits right after the 4-byte magic.
         bytes[4] = 0xff;
         assert!(matches!(
-            restore(&deployment, SimConfig::default(), &bytes),
+            decode_for(&deployment, &bytes),
             Err(CheckpointError::UnsupportedVersion(_))
         ));
         // Version 1 carried a latency histogram in the metrics block that

@@ -602,16 +602,17 @@ impl Deployment {
             .map_or(&[], Vec::as_slice)
     }
 
-    /// Instantiates the join state for a task (`None` for sources).
-    pub fn make_join(&self, task: usize, slack: f64) -> Option<JoinTask> {
+    /// Instantiates the join state for a task (`None` for sources), its
+    /// stores keeping matches `reach` ticks behind the newest input.
+    pub fn make_join(&self, task: usize, reach: Timestamp) -> Option<JoinTask> {
         let spec = &self.tasks[task];
         match &spec.kind {
             TaskKind::Source { .. } => None,
-            TaskKind::Join { slots } => Some(JoinTask::with_slack(
+            TaskKind::Join { slots } => Some(JoinTask::with_reach(
                 &self.queries[spec.query_idx],
                 spec.prims,
                 slots,
-                slack,
+                reach,
             )),
         }
     }
@@ -646,7 +647,7 @@ impl Deployment {
     }
 
     /// A structural fingerprint of the deployment plan, embedded in
-    /// snapshot headers so [`crate::checkpoint::restore`] can reject state
+    /// snapshot headers so [`crate::checkpoint::decode_for`] can reject state
     /// produced under a different plan
     /// ([`crate::checkpoint::CheckpointError::PlanMismatch`]).
     ///
@@ -842,10 +843,10 @@ mod tests {
         let mut joins = 0;
         for i in 0..deployment.tasks.len() {
             match &deployment.tasks[i].kind {
-                TaskKind::Source { .. } => assert!(deployment.make_join(i, 1.0).is_none()),
+                TaskKind::Source { .. } => assert!(deployment.make_join(i, 0).is_none()),
                 TaskKind::Join { slots } => {
                     joins += 1;
-                    let join = deployment.make_join(i, 1.0).unwrap();
+                    let join = deployment.make_join(i, 0).unwrap();
                     assert_eq!(join.slots().len(), slots.len());
                 }
             }

@@ -111,19 +111,14 @@ pub struct JoinTask {
     negations: Vec<NegationCheck>,
     /// Largest timestamp seen on any input.
     max_time: Timestamp,
-    /// Eviction slack: stores keep matches for `slack × window` (≥ 1.0;
-    /// > 1 tolerates out-of-order arrival in the threaded executor).
-    slack: f64,
+    /// How far behind `max_time` the stores keep matches (at least the
+    /// window; more tolerates out-of-order arrival).
+    reach: Timestamp,
     /// Minimum horizon progress between physical prefix drains.
     evict_stride: Timestamp,
-    /// When set, candidate matches of negation-guarded contexts are held in
-    /// `deferred` instead of being emitted from [`JoinTask::on_match`], and
-    /// the final absence check runs in [`JoinTask::release_deferred`] once
-    /// the caller knows every in-flight guard has arrived (the threaded
-    /// executor's chunk-quiescence boundary). Joins without negations are
-    /// unaffected.
-    defer_negation: bool,
-    /// Candidates awaiting their deferred absence check.
+    /// Candidates of a join with negation checks, held for the absence
+    /// check of [`JoinTask::release_deferred`]: a guard that suppresses
+    /// one may arrive after it completes.
     deferred: Vec<Match>,
     /// Observability counters.
     stats: JoinStats,
@@ -340,8 +335,8 @@ struct NegationCheck {
 /// The checkpointable dynamic state of a [`JoinTask`]: per-slot match
 /// buffers, per-negation assembler/forbidden state and the local
 /// watermark. The task's counters are not state: a restored join counts
-/// from zero. Static structure (query, slot specs, slack,
-/// stride, defer flag) is rebuilt from the deployment plan on restore and
+/// from zero. Static structure (query, slot specs, reach,
+/// stride) is rebuilt from the deployment plan on restore and
 /// validated structurally against this state. Deferred negation
 /// candidates are not part of it: a join is saved only at quiescence,
 /// after every release phase has emptied them.
@@ -373,8 +368,8 @@ impl JoinTask {
         Self::with_slack(query, target, predecessors, 1.0)
     }
 
-    /// Like [`JoinTask::new`] with an eviction slack factor for
-    /// out-of-order tolerant execution.
+    /// Like [`JoinTask::new`], keeping matches `slack` (≥ 1.0) windows
+    /// behind the newest input, for out-of-order tolerant execution.
     pub fn with_slack(
         query: &Query,
         target: PrimSet,
@@ -382,16 +377,28 @@ impl JoinTask {
         slack: f64,
     ) -> Self {
         assert!(slack >= 1.0);
+        let reach = (query.window() as f64 * slack) as Timestamp;
+        Self::with_reach(query, target, predecessors, reach)
+    }
+
+    /// Like [`JoinTask::new`], keeping matches `reach` ticks behind the
+    /// newest input.
+    pub(crate) fn with_reach(
+        query: &Query,
+        target: PrimSet,
+        predecessors: &[PrimSet],
+        reach: Timestamp,
+    ) -> Self {
         let slots = slot_specs(query, predecessors);
         let positive = target.difference(query.negated_prims());
-        Self::build(query, target, positive, slots, slack)
+        Self::build(query, target, positive, slots, reach)
     }
 
     /// The join assembling the forbidden pattern of `ctx` from the raw
     /// guard streams of its primitives: one singleton input slot per
     /// negated primitive (in primitive order), each a *positive* input of
     /// this join, whose emitted matches are the forbidden matches.
-    fn assembler(query: &Query, ctx: &NSeqContext, slack: f64) -> Self {
+    fn assembler(query: &Query, ctx: &NSeqContext, reach: Timestamp) -> Self {
         let slots = ctx
             .negated
             .iter()
@@ -400,7 +407,7 @@ impl JoinTask {
                 negated: false,
             })
             .collect();
-        Self::build(query, ctx.negated, ctx.negated, slots, slack)
+        Self::build(query, ctx.negated, ctx.negated, slots, reach)
     }
 
     /// Shared constructor: a join emitting matches over `positive`, with an
@@ -413,7 +420,7 @@ impl JoinTask {
         target: PrimSet,
         positive: PrimSet,
         slots: Vec<SlotSpec>,
-        slack: f64,
+        reach: Timestamp,
     ) -> Self {
         let guard_prims = slots
             .iter()
@@ -428,7 +435,7 @@ impl JoinTask {
             })
             .map(|ctx| NegationCheck {
                 context: *ctx,
-                assembler: (ctx.negated.len() > 1).then(|| Self::assembler(query, ctx, slack)),
+                assembler: (ctx.negated.len() > 1).then(|| Self::assembler(query, ctx, reach)),
                 forbidden: MatchStore::new(),
             })
             .collect();
@@ -443,9 +450,8 @@ impl JoinTask {
             shared: Vec::new(),
             negations,
             max_time: 0,
-            slack,
+            reach,
             evict_stride: default_stride(query.window()),
-            defer_negation: false,
             deferred: Vec::new(),
             stats: JoinStats::default(),
         }
@@ -465,27 +471,15 @@ impl JoinTask {
         !self.negations.is_empty()
     }
 
-    /// Enables (or disables) deferred negation: candidate matches of
-    /// negation-guarded contexts are buffered instead of emitted, and the
-    /// absence check runs when [`JoinTask::release_deferred`] is called.
-    ///
-    /// Needed by executors with real network latency, where a forbidden
-    /// guard event can physically arrive *after* the positive candidate it
-    /// must suppress; deferring the check to a quiescence boundary restores
-    /// the arrive-before-candidate property the zero-latency simulator gets
-    /// from causal delivery order. No-op for joins without negations.
-    pub fn set_defer_negation(&mut self, on: bool) {
-        self.defer_negation = on;
-    }
-
     /// Runs the absence check over the deferred candidates and returns the
     /// survivors, in deferral order. Counts them as emitted.
     ///
-    /// The caller must guarantee that every guard event that could fall
+    /// A hosting node calls it once every guard event that could fall
     /// strictly inside a deferred candidate's context interval has been fed
-    /// to this join (chunk quiescence in the threaded executor: any such
-    /// guard is older than the candidate's newest event and therefore
-    /// belongs to an already-drained chunk).
+    /// to this join: after each event's cascade in the simulator, at chunk
+    /// quiescence in the threaded executor (any such guard is older than
+    /// the candidate's newest event and therefore belongs to an
+    /// already-drained chunk). [`JoinTask::on_match`] calls it itself.
     pub fn release_deferred(&mut self) -> Vec<Match> {
         if self.deferred.is_empty() {
             return Vec::new();
@@ -538,17 +532,23 @@ impl JoinTask {
     }
 
     /// Feeds one match into a slot, returning the complete target matches
-    /// it triggers.
+    /// it triggers, checked against the guards fed so far.
     ///
     /// # Panics
     ///
     /// Panics if the slot index is out of range.
     pub fn on_match(&mut self, slot: usize, m: Match) -> Vec<Match> {
-        self.on_match_in(slot, m, &[])
+        let emitted = self.on_match_in(slot, m, &[]);
+        if self.negations.is_empty() {
+            emitted
+        } else {
+            self.release_deferred()
+        }
     }
 
     /// [`JoinTask::on_match`] for a join whose shared slots read `buffers`
-    /// (the hosting node's; see [`JoinTask::share_slot`]).
+    /// (the hosting node's; see [`JoinTask::share_slot`]), deferring the
+    /// candidates of its negation checks to the node's release.
     pub(crate) fn on_match_in(
         &mut self,
         slot: usize,
@@ -809,16 +809,16 @@ impl JoinTask {
         })
     }
 
-    /// Ends an input once its match is stored: emits (or defers) what it
-    /// triggered and advances eviction.
+    /// Ends an input once its match is stored: emits what it triggered, or
+    /// defers it when the join checks negations, and advances eviction.
     fn settle(&mut self, mut emitted: Vec<Match>) -> Vec<Match> {
-        if self.defer_negation && !self.negations.is_empty() {
-            // Hold candidates for the quiescence-time absence check; the
-            // probe already removed everything rejectable by the guards
-            // seen so far (the guard set only grows until release).
-            self.deferred.append(&mut emitted);
-        } else {
+        if self.negations.is_empty() {
             self.stats.emitted += emitted.len() as u64;
+        } else {
+            // Hold candidates for the release's absence check; the probe
+            // already removed everything rejectable by the guards seen so
+            // far (the guard set only grows until release).
+            self.deferred.append(&mut emitted);
         }
         self.evict();
         emitted
@@ -894,13 +894,11 @@ impl JoinTask {
         Ok(())
     }
 
-    /// Advances the eviction watermark to `max_time − slack × window`.
+    /// Advances the eviction watermark to `max_time − reach`.
     /// Matches below it become invisible immediately; the sorted prefix is
     /// physically truncated once the watermark has moved a whole stride.
     fn evict(&mut self) {
-        let horizon = self
-            .max_time
-            .saturating_sub((self.query.window() as f64 * self.slack) as Timestamp);
+        let horizon = self.max_time.saturating_sub(self.reach);
         for store in &mut self.stores {
             self.stats.evicted += store.advance_horizon(horizon, self.evict_stride);
         }
@@ -933,7 +931,7 @@ pub(crate) struct NaiveJoinTask {
     stores: Vec<Vec<Match>>,
     negations: Vec<NaiveNegationCheck>,
     max_time: Timestamp,
-    slack: f64,
+    reach: Timestamp,
     emitted: u64,
 }
 
@@ -976,7 +974,7 @@ impl NaiveJoinTask {
             positive: task.positive,
             slots: task.slots,
             max_time: 0,
-            slack: task.slack,
+            reach: task.reach,
             emitted: 0,
         }
     }
@@ -1055,11 +1053,9 @@ impl NaiveJoinTask {
         })
     }
 
-    /// Drops buffered matches outside the (slack-scaled) window.
+    /// Drops buffered matches more than the reach behind the newest input.
     fn evict(&mut self) {
-        let horizon = self
-            .max_time
-            .saturating_sub((self.query.window() as f64 * self.slack) as Timestamp);
+        let horizon = self.max_time.saturating_sub(self.reach);
         for store in &mut self.stores {
             store.retain(|m| m.first_time() >= horizon);
         }
@@ -1361,26 +1357,28 @@ mod tests {
     fn nseq_composite_guards_assemble_in_any_arrival_order() {
         // Distribution delivers the B and D guard streams in arbitrary
         // relative order; whether SEQ(B, D) forms depends on the events'
-        // trace positions only. Deferred as under the threaded executor.
+        // trace positions only. Hosted, as a node core feeds it: the
+        // candidate waits for the release.
         let q = nseq_a_bd_c();
-        let deferred_join = || {
+        let released = |guards: [(usize, Match); 2]| {
             let mut join = JoinTask::new(&q, q.prims(), &[ps([0, 3]), ps([1]), ps([2])]);
-            join.set_defer_negation(true);
-            join
+            for (slot, guard) in guards {
+                assert!(join.on_match_in(slot, guard, &[]).is_empty());
+            }
+            let ac = Match::new(vec![(PrimId(0), ev(0, 0, 10)), (PrimId(3), ev(5, 2, 30))]);
+            assert!(join.on_match_in(0, ac, &[]).is_empty(), "deferred");
+            join.release_deferred().len()
         };
-        let ac = || Match::new(vec![(PrimId(0), ev(0, 0, 10)), (PrimId(3), ev(5, 2, 30))]);
+        let guard = |prim: u8, seq, ty, time| {
+            (
+                usize::from(prim),
+                Match::single(PrimId(prim), ev(seq, ty, time)),
+            )
+        };
         // D@25 arrives before B@20: the pattern still completes in (10, 30).
-        let mut join = deferred_join();
-        join.on_match(2, Match::single(PrimId(2), ev(2, 3, 25)));
-        join.on_match(1, Match::single(PrimId(1), ev(1, 1, 20)));
-        assert!(join.on_match(0, ac()).is_empty());
-        assert!(join.release_deferred().is_empty());
+        assert_eq!(released([guard(2, 2, 3, 25), guard(1, 1, 1, 20)]), 0);
         // B@20, then a late D@10: D precedes B, nothing forbidden exists.
-        let mut join = deferred_join();
-        join.on_match(1, Match::single(PrimId(1), ev(1, 1, 20)));
-        join.on_match(2, Match::single(PrimId(2), ev(2, 3, 10)));
-        assert!(join.on_match(0, ac()).is_empty());
-        assert_eq!(join.release_deferred().len(), 1);
+        assert_eq!(released([guard(1, 1, 1, 20), guard(2, 2, 3, 10)]), 1);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //! once and drains the buffer once; then the readers' outputs fan out. All
 //! readers see the insert at one instant, after all of them were
 //! triggered, so each pair is still found once, by its later arrival. The
-//! buffer keeps matches for slack × the widest reader window behind its
-//! newest entry, so it holds everything any reader's own horizon keeps, and
-//! each reader reads it above that horizon; ties sit in arrival order, as
-//! in a reader's own store. An input one join stores stays in that join.
+//! buffer keeps matches as far behind its newest entry as the widest
+//! reader's own store would (see "Retention and release"), so it holds
+//! everything any reader's own horizon keeps, and each reader reads it
+//! above that horizon; ties sit in arrival order, as in a reader's own
+//! store. An input one join stores stays in that join.
 //!
 //! Most readers of a delivery cannot match it, so the core rules them out
 //! before they probe, in two steps. A reader's [`Gate`] compares one
@@ -37,6 +38,15 @@
 //! without emitting; its physical drains fall on the same inputs. Joins with
 //! `NSEQ` checks are always asked to probe, because every input they admit
 //! may feed their guards.
+//!
+//! # Retention and release
+//!
+//! A driver's quiescence period (the threaded chunk; 0 for the simulator)
+//! decides two things. A store over window `W` keeps `max(slack · W,
+//! period + W)` ticks behind its newest entry, `slack` being the driver's
+//! floor: a delivery lags at most one period (DESIGN §3f). A hosted join
+//! with `NSEQ` checks holds its candidates until the driver, quiescent,
+//! calls [`NodeCore::release_deferred`].
 //!
 //! Two drivers run cores. [`crate::sim`] hosts every task in one core and
 //! carries cross-node deliveries in a FIFO queue on a virtual clock;
@@ -53,8 +63,8 @@
 //! cascade the order cannot change a match set — skip-till-any-match
 //! selects a set of trace positions, and an `NSEQ` guard that can suppress
 //! a candidate is strictly earlier in trace order than the event that
-//! completes it. Across nodes, only the threaded driver races: its negation
-//! joins defer their absence check to chunk quiescence.
+//! completes it. Across nodes, only the threaded driver races, and the
+//! deferred absence check waits for its chunk's quiescence.
 
 use crate::checkpoint::{CheckpointError, Snapshot};
 use crate::codec::encoded_len;
@@ -98,10 +108,10 @@ pub(crate) struct CoreReport {
 }
 
 /// A core's account at one moment: its output lengths (sink matches per
-/// query, wall-latency samples), its metrics and each hosted join's
-/// counters. A snapshot holds none of these, so a driver that rolls a core
-/// back to a snapshot rewinds it to the mark taken with it
-/// ([`NodeCore::rewind`]).
+/// query, wall-latency samples), its metrics, each hosted join's counters
+/// and the telemetry's candidate counts. A snapshot holds none of these,
+/// so a driver that rolls a core back to a snapshot rewinds it to the mark
+/// taken with it ([`NodeCore::rewind`]).
 pub(crate) struct CoreMark {
     matches: Vec<usize>,
     wall_samples: usize,
@@ -110,6 +120,8 @@ pub(crate) struct CoreMark {
     pub metrics: Metrics,
     /// Per task, a hosted join's counters.
     joins: Vec<Option<JoinStats>>,
+    /// Per task, the telemetry's `[considered, admitted]`, when attached.
+    candidates: Option<Vec<[u64; 2]>>,
 }
 
 /// A hosted input two or more joins store (see "Shared join inputs").
@@ -122,8 +134,8 @@ struct SharedInput {
     /// rules the reader out without asking its join; `None` for a negation
     /// guard slot or a join with negation checks, which is always asked.
     gates: Vec<Option<Gate>>,
-    /// How far behind its newest entry the buffer keeps matches: slack ×
-    /// the widest reader window, the longest any reader keeps them.
+    /// How far behind its newest entry the buffer keeps matches: the reach
+    /// of the widest reader window, the longest any reader keeps them.
     reach: Timestamp,
     /// Minimum horizon progress between physical drains.
     stride: Timestamp,
@@ -157,14 +169,19 @@ pub(crate) struct NodeCore<'a> {
     /// The node whose tasks this core hosts; `None` hosts every task (the
     /// simulator runs the whole network in one core).
     node: Option<usize>,
-    /// Join store eviction slack.
+    /// The driver's retention floor, in windows (see "Retention and
+    /// release").
     slack: f64,
+    /// The driver's quiescence period, in ticks.
+    period: Timestamp,
     /// The driver's clock: decides whether sink matches take latency
-    /// samples and whether negation joins defer (see [`Self::make_join`]).
+    /// samples.
     clock: ClockDomain,
     /// Join state per task, parallel to `Deployment::tasks` (`None` for
     /// sources and for tasks hosted elsewhere).
     joins: Vec<Option<JoinTask>>,
+    /// The hosted joins with `NSEQ` checks, ascending.
+    negations: Vec<usize>,
     /// The hosted inputs two or more joins store, parallel to `buffers`.
     shared: Vec<SharedInput>,
     /// One store per shared input: what its readers' shared slots read.
@@ -193,11 +210,14 @@ pub(crate) struct NodeCore<'a> {
 }
 
 impl<'a> NodeCore<'a> {
-    /// A core with fresh state for the tasks of `node` (all tasks if `None`).
+    /// A core with fresh state for the tasks of `node` (all tasks if `None`),
+    /// run by a driver with retention floor `slack` and quiescence period
+    /// `period` (see "Retention and release").
     pub fn new(
         deployment: &'a Deployment,
         node: Option<usize>,
         slack: f64,
+        period: Timestamp,
         clock: ClockDomain,
         telemetry: Option<&TelemetrySpec>,
     ) -> Self {
@@ -205,8 +225,10 @@ impl<'a> NodeCore<'a> {
             deployment,
             node,
             slack,
+            period,
             clock,
             joins: Vec::new(),
+            negations: Vec::new(),
             shared: Vec::new(),
             buffers: Vec::new(),
             shared_of: vec![None; deployment.inputs.len()],
@@ -237,8 +259,7 @@ impl<'a> NodeCore<'a> {
                 input,
                 readers,
                 gates: Vec::new(),
-                // The eviction span `JoinTask` computes for the widest reader.
-                reach: (widest as f64 * slack) as Timestamp,
+                reach: core.reach(widest),
                 stride: default_stride(widest),
                 peak: 0,
             });
@@ -246,6 +267,9 @@ impl<'a> NodeCore<'a> {
         }
         core.joins = (0..deployment.tasks.len())
             .map(|i| core.make_join(i))
+            .collect();
+        core.negations = (0..deployment.tasks.len())
+            .filter(|&i| core.joins[i].as_ref().is_some_and(JoinTask::has_negations))
             .collect();
         for b in 0..core.shared.len() {
             core.shared[b].gates = core.gates(core.shared[b].input);
@@ -297,21 +321,20 @@ impl<'a> NodeCore<'a> {
         }
     }
 
+    /// How far behind its newest entry a store over `window` keeps
+    /// matches (see "Retention and release").
+    fn reach(&self, window: Timestamp) -> Timestamp {
+        ((window as f64 * self.slack) as Timestamp).max(self.period.saturating_add(window))
+    }
+
     /// Instantiates a hosted join from the plan (`None` for sources and
-    /// foreign tasks). Wall-clock drivers run nodes in parallel, so a
-    /// negation guard can arrive after the match it should suppress: their
-    /// negation joins defer candidates until [`Self::release_deferred`].
-    /// Under the virtual clock deliveries are globally ordered and emit
-    /// directly.
+    /// foreign tasks).
     fn make_join(&self, task: usize) -> Option<JoinTask> {
         if !self.hosts(task) {
             return None;
         }
-        let mut join = self.deployment.make_join(task, self.slack)?;
-        if self.clock == ClockDomain::WallNanos && join.has_negations() {
-            join.set_defer_negation(true);
-        }
-        Some(join)
+        let window = self.deployment.queries[self.deployment.tasks[task].query_idx].window();
+        self.deployment.make_join(task, self.reach(window))
     }
 
     /// The sink matches collected so far, per query.
@@ -332,12 +355,14 @@ impl<'a> NodeCore<'a> {
             joins: (self.joins.iter())
                 .map(|join| Some(*join.as_ref()?.stats()))
                 .collect(),
+            candidates: self.telemetry.as_ref().map(|tel| tel.disc.clone()),
         }
     }
 
     /// Rewinds the account to `mark`, right after a [`Self::restore`] of
     /// the snapshot taken with it: drops the outputs emitted since, and
-    /// puts the metrics and each hosted join's counters back.
+    /// puts the metrics, each hosted join's counters and the telemetry's
+    /// candidate counts back.
     pub fn rewind(&mut self, mark: &CoreMark) {
         for (matches, &len) in self.matches.iter_mut().zip(&mark.matches) {
             matches.truncate(len);
@@ -352,6 +377,9 @@ impl<'a> NodeCore<'a> {
                 }
             }
         }
+        if let (Some(tel), Some(candidates)) = (&mut self.telemetry, &mark.candidates) {
+            tel.disc.clone_from(candidates);
+        }
     }
 
     /// Newest event timestamp delivered to any hosted join.
@@ -361,9 +389,7 @@ impl<'a> NodeCore<'a> {
 
     /// Whether `task` is a hosted join running an `NSEQ` absence check.
     pub fn hosts_negation(&self, task: usize) -> bool {
-        self.joins[task]
-            .as_ref()
-            .is_some_and(JoinTask::has_negations)
+        self.negations.binary_search(&task).is_ok()
     }
 
     /// Injects one event into the source tasks at its origin, consulting
@@ -498,16 +524,19 @@ impl<'a> NodeCore<'a> {
     }
 
     /// Re-checks and releases the deferred candidates of every hosted
-    /// negation join (the threaded driver calls this once per release
-    /// phase, at chunk quiescence, when all in-window guards have arrived).
-    pub fn release_deferred<O: Outbox>(&mut self, out: &mut O) {
-        for task in 0..self.joins.len() {
-            let released = match self.joins[task].as_mut() {
-                Some(join) if join.has_negations() => join.release_deferred(),
-                _ => continue,
-            };
+    /// negation join, at the driver's quiescence (see "Retention and
+    /// release"). Returns whether it released any: a released match may
+    /// leave new candidates downstream.
+    pub fn release_deferred<O: Outbox>(&mut self, out: &mut O) -> bool {
+        let mut released_any = false;
+        for k in 0..self.negations.len() {
+            let task = self.negations[k];
+            let join = self.joins[task].as_mut();
+            let released = join.map(JoinTask::release_deferred).unwrap_or_default();
+            released_any |= !released.is_empty();
             self.emit(out, task, released);
         }
+        released_any
     }
 
     /// Sink attribution (or merge telemetry) for a join's outputs, then
@@ -863,19 +892,25 @@ mod tests {
         }
     }
 
-    /// Injects each event and delivers the queue to quiescence.
+    /// Injects each event and delivers the queue to quiescence, releasing
+    /// deferred negation candidates there, as the simulator does.
     fn drive(core: &mut NodeCore<'_>, out: &mut Recorder, events: &[Event]) {
         for event in events {
             out.now = event.time;
             core.inject(out, event);
-            while let Some((input, m)) = out.queue.pop_front() {
-                core.deliver(out, input, m);
+            loop {
+                while let Some((input, m)) = out.queue.pop_front() {
+                    core.deliver(out, input, m);
+                }
+                if !core.release_deferred(out) {
+                    break;
+                }
             }
         }
     }
 
     fn fresh(deployment: &Deployment) -> NodeCore<'_> {
-        NodeCore::new(deployment, None, 1.0, ClockDomain::VirtualTicks, None)
+        NodeCore::new(deployment, None, 1.0, 0, ClockDomain::VirtualTicks, None)
     }
 
     fn t(i: u16) -> EventTypeId {
@@ -1000,7 +1035,7 @@ mod tests {
         assert_eq!(deployment.queries.len(), 2);
         // On the wall clock, so that every attribution takes a latency
         // sample.
-        let mut core = NodeCore::new(&deployment, None, 1.0, ClockDomain::WallNanos, None);
+        let mut core = NodeCore::new(&deployment, None, 1.0, 0, ClockDomain::WallNanos, None);
         drive(&mut core, &mut Recorder::default(), &events);
         let central = Evaluator::for_query(&deployment.queries[0]).run(&events);
         for per_query in core.matches() {
@@ -1015,7 +1050,8 @@ mod tests {
     fn telemetry_observes_without_touching_the_account() {
         let (deployment, events) = fig1(1);
         let run = |spec: Option<&TelemetrySpec>| {
-            let mut core = NodeCore::new(&deployment, None, 1.0, ClockDomain::VirtualTicks, spec);
+            let mut core =
+                NodeCore::new(&deployment, None, 1.0, 0, ClockDomain::VirtualTicks, spec);
             drive(&mut core, &mut Recorder::default(), &events);
             core.finish(events.last().map_or(0, |e| e.time))
         };
@@ -1119,14 +1155,23 @@ mod tests {
     fn rewind_to_a_mark_counts_the_rerun_once() {
         // A core rolled back to a mid-run save and rewound to the mark taken
         // with it, then driven over the rest again, gives the uninterrupted
-        // core's account: outputs, metrics (shared buffers' evictions too)
-        // and each join's counters. Telemetry is not rolled back, so the
-        // sources' candidate counts in the task summaries are not compared.
+        // core's account: outputs, metrics (shared buffers' evictions too),
+        // each join's counters and every task summary row, the sources'
+        // candidate counts included.
         let seq02 = Pattern::seq([Pattern::leaf(t(0)), Pattern::leaf(t(2))]);
         let deployment = fig1_deployment(&[(robots(), 400), (seq02, 400)]);
         let events = fig1_trace(13);
         let spec = TelemetrySpec::default();
-        let wall = || NodeCore::new(&deployment, None, 1.0, ClockDomain::WallNanos, Some(&spec));
+        let wall = || {
+            NodeCore::new(
+                &deployment,
+                None,
+                1.0,
+                0,
+                ClockDomain::WallNanos,
+                Some(&spec),
+            )
+        };
         let mut full = wall();
         assert!(!full.shared.is_empty(), "the joins must share an input");
         drive(&mut full, &mut Recorder::default(), &events);
@@ -1143,14 +1188,10 @@ mod tests {
         assert_eq!(rewound.metrics, full.metrics);
         assert_eq!(rewound.matches, full.matches);
         assert_eq!(rewound.wall_latencies_ns, full.wall_latencies_ns);
-        let joins = |r: CoreReport| -> Vec<_> {
-            let tasks = r.telemetry.expect("telemetry").tasks.into_iter();
-            let joins = tasks.filter(|s| s.kind != "source");
-            joins
-                .map(|s| (s.inputs, s.probes, s.emitted, s.evictions, s.peak_live))
-                .collect()
-        };
-        assert_eq!(joins(rewound), joins(full));
+        let rows = |r: CoreReport| r.telemetry.expect("telemetry").tasks;
+        let (rewound, full) = (rows(rewound), rows(full));
+        assert!(rewound.iter().any(|s| s.kind == "source"));
+        assert_eq!(rewound, full);
     }
 
     #[test]
@@ -1176,7 +1217,7 @@ mod tests {
         let mut rest = whole.clone();
         let mut merged = Snapshot::empty(&deployment);
         for node in 0..deployment.num_nodes {
-            let mut core = NodeCore::new(&deployment, Some(node), 1.0, full.clock, None);
+            let mut core = NodeCore::new(&deployment, Some(node), 1.0, 0, full.clock, None);
             core.restore(&mut rest).unwrap();
             assert_eq!(core.metrics, Metrics::new(deployment.num_nodes));
             merged.merge_shard(core.save());

@@ -11,7 +11,9 @@
 //! guard that can suppress a candidate lies strictly inside the
 //! candidate's context interval, so it is strictly earlier in trace order
 //! than the event that completes the candidate, and its whole cascade was
-//! delivered before that event was injected.
+//! delivered before that event was injected. So the simulator releases the
+//! core's deferred negation candidates after each cascade, and its stores
+//! keep exactly their window: its quiescence period is 0.
 //!
 //! The simulator is the measurement instrument for the paper's transmission
 //! experiments (§7.2, Table 3): the node core it drives counts every match
@@ -31,24 +33,13 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Simulator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SimConfig {
-    /// Join store eviction slack (≥ 1.0).
-    pub slack: f64,
     /// Telemetry collection (per-task series, trace, provenance); `None`
     /// disables it entirely. Telemetry is observational — it is not part
     /// of checkpointed state and restarts fresh on restore.
     #[serde(default)]
     pub telemetry: Option<TelemetrySpec>,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        Self {
-            slack: 1.0,
-            telemetry: None,
-        }
-    }
 }
 
 /// The result of a completed simulation.
@@ -98,7 +89,8 @@ impl<'a> SimExecutor<'a> {
             core: NodeCore::new(
                 deployment,
                 None,
-                config.slack,
+                1.0,
+                0,
                 ClockDomain::VirtualTicks,
                 config.telemetry.as_ref(),
             ),
@@ -121,10 +113,16 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// Makes the queued cross-node deliveries, and those they cause, until
-    /// none is left.
+    /// none is left; then releases the deferred negation candidates and
+    /// drains again, until a release emits nothing.
     fn drain(&mut self) {
-        while let Some((input, m)) = self.schedule.network.pop_front() {
-            self.core.deliver(&mut self.schedule, input, m);
+        loop {
+            while let Some((input, m)) = self.schedule.network.pop_front() {
+                self.core.deliver(&mut self.schedule, input, m);
+            }
+            if !self.core.release_deferred(&mut self.schedule) {
+                return;
+            }
         }
     }
 
@@ -224,6 +222,7 @@ pub fn run_simulation(deployment: &Deployment, events: &[Event], config: &SimCon
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::decode_for;
     use crate::matcher::Evaluator;
     use muse_core::algorithms::amuse::{amuse, AMuseConfig};
     use muse_core::algorithms::multi_query::amuse_workload;
@@ -442,8 +441,12 @@ mod tests {
         first.process_trace(&events[..mid]);
         let snapshot = crate::checkpoint::encode(&first.to_snapshot());
         let head = first.finish();
-        let mut resumed =
-            crate::checkpoint::restore(&deployment, SimConfig::default(), &snapshot).unwrap();
+        let mut resumed = SimExecutor::from_snapshot(
+            &deployment,
+            SimConfig::default(),
+            decode_for(&deployment, &snapshot).unwrap(),
+        )
+        .unwrap();
         resumed.process_trace(&events[mid..]);
         let report = resumed.finish();
 
@@ -513,8 +516,12 @@ mod tests {
         let bytes = crate::checkpoint::encode(&snap);
         let head = first.finish();
 
-        let mut resumed =
-            crate::checkpoint::restore(&deployment, SimConfig::default(), &bytes).unwrap();
+        let mut resumed = SimExecutor::from_snapshot(
+            &deployment,
+            SimConfig::default(),
+            decode_for(&deployment, &bytes).unwrap(),
+        )
+        .unwrap();
         assert_eq!(resumed.to_snapshot(), snap, "restore loses nothing");
         resumed.process_trace(&events[mid..]);
         let report = resumed.finish();

@@ -8,9 +8,10 @@
 //! reports hand it out next to the [`RunTelemetry`] built here.
 //!
 //! Telemetry is observational: it is not part of checkpointed executor
-//! state and is not rolled back on restore. A restore only rebases the
-//! series deltas on the restored join counters, so the first sample after
-//! it reports the work done since, not the snapshot's history.
+//! state, and a restore leaves it as it is. A crash rollback's rewind
+//! rebases the series deltas on the rewound join counters and puts the
+//! sources' candidate counts back, so the first sample after it reports
+//! the work done since and the task summaries count the re-run once.
 
 use crate::deploy::{Deployment, TaskKind};
 use crate::matcher::{absence_windows, JoinTask, Match};
@@ -36,7 +37,7 @@ pub(crate) struct ExecTelemetry {
     /// Per-task `[considered, admitted]` candidate-projection counts for
     /// the discrimination index (source tasks); one array per task keeps
     /// the hot-path update to a single bounds check.
-    disc: Vec<[u64; 2]>,
+    pub disc: Vec<[u64; 2]>,
 }
 
 impl ExecTelemetry {

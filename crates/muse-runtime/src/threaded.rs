@@ -10,10 +10,10 @@
 //! its local events as fast as possible (interleaved with inbox draining),
 //! then all nodes run a fixed number of barrier-synchronized drain rounds —
 //! one per possible network hop — so every in-flight match is consumed
-//! before the next chunk starts. With a store-eviction slack covering the
-//! chunk skew, the produced match sets equal the deterministic simulator's
-//! (asserted in tests), while wall-clock throughput and per-match latency
-//! reflect real parallel execution.
+//! before the next chunk starts. The chunk is each node core's quiescence
+//! period, so for any chunk the produced match sets equal the
+//! deterministic simulator's (asserted in tests), while wall-clock
+//! throughput and per-match latency reflect real parallel execution.
 //!
 //! # Data plane
 //!
@@ -71,10 +71,9 @@
 //! Nodes process a chunk's events in parallel, so a negation guard may
 //! arrive *after* the match it should suppress — the simulator, which
 //! delivers each event's whole cascade before it injects the next, never
-//! observes that race. Negation-hosting joins therefore defer completed
-//! candidates and re-check absence at chunk quiescence
-//! ([`crate::matcher::JoinTask::release_deferred`]), when every guard
-//! timestamped inside the chunk has been delivered. Chains of
+//! observes that race. This driver releases the cores' deferred candidates
+//! at chunk quiescence, when every guard timestamped inside the chunk has
+//! been delivered. Chains of
 //! negation joins release level by level: each chunk runs one extra
 //! release-and-drain phase per level (`negation_release_phases`).
 //!
@@ -124,19 +123,14 @@ pub struct FaultPlan {
 /// Configuration of the threaded executor.
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
-    /// Join store eviction slack (multiples of the window; must cover the
-    /// inter-node skew of one chunk, ≥ 2 recommended; deferred-negation
-    /// release additionally needs `slack · window ≥ chunk + window`, which
-    /// the defaults satisfy).
+    /// Retention floor of the join stores, in multiples of the window: a
+    /// store over window `W` keeps `max(slack · W, chunk + W)` ticks
+    /// behind its newest entry. The second term is what correctness needs,
+    /// so a larger floor only keeps more.
     pub slack: f64,
     /// Virtual-time chunk length; defaults to the workload's *smallest*
-    /// window. Each query's eviction horizon is `slack` times its own
-    /// window, so the smallest window is the one the documented
-    /// `slack · window ≥ chunk + window` must hold for, and with the
-    /// default slack of 4 this default satisfies it for every query. An
-    /// explicit `chunk_ticks` or `slack` that breaks it is not rejected:
-    /// match sets then silently depend on the transport, and keeping the
-    /// precondition is the caller's responsibility.
+    /// window. Any length gives the simulator's match sets: the stores'
+    /// retention grows with it.
     pub chunk_ticks: Option<Timestamp>,
     /// Messages per frame before an eager flush (frames also flush at
     /// chunk and drain-round boundaries, so they may be smaller). Clamped
@@ -158,7 +152,7 @@ pub struct ThreadedConfig {
 impl Default for ThreadedConfig {
     fn default() -> Self {
         Self {
-            slack: 4.0,
+            slack: 1.0,
             chunk_ticks: None,
             batch: 64,
             capacity: 128,
@@ -174,8 +168,8 @@ impl Default for ThreadedConfig {
 pub struct ThreadedReport {
     /// Sink matches per query, emitted by this run (not before a snapshot).
     pub matches: Vec<Vec<Match>>,
-    /// Aggregated metrics, continuing a resumed-from snapshot's (the
-    /// latency samples are in `wall_latencies_ns`).
+    /// Aggregated metrics of this run only, not of a resumed-from
+    /// snapshot's (the latency samples are in `wall_latencies_ns`).
     pub metrics: Metrics,
     /// Total wall-clock execution time.
     pub wall_time: Duration,
@@ -379,14 +373,23 @@ pub fn run_threaded_resumed(
     Ok(run_cores(deployment, events, config, cores))
 }
 
-/// One fresh core per network node.
+/// The run's chunk length: [`ThreadedConfig::chunk_ticks`], by default
+/// the smallest window.
+fn chunk_ticks(deployment: &Deployment, config: &ThreadedConfig) -> Timestamp {
+    let smallest = || deployment.queries.iter().map(|q| q.window()).min();
+    config.chunk_ticks.or_else(smallest).unwrap_or(1).max(1)
+}
+
+/// One fresh core per network node, quiescent after every chunk.
 fn node_cores<'a>(deployment: &'a Deployment, config: &ThreadedConfig) -> Vec<NodeCore<'a>> {
+    let chunk = chunk_ticks(deployment, config);
     (0..deployment.num_nodes.max(1))
         .map(|node| {
             NodeCore::new(
                 deployment,
                 Some(node),
                 config.slack,
+                chunk,
                 ClockDomain::WallNanos,
                 config.telemetry.as_ref(),
             )
@@ -402,17 +405,7 @@ fn run_cores(
     cores: Vec<NodeCore<'_>>,
 ) -> ThreadedReport {
     let num_nodes = deployment.num_nodes.max(1);
-    let chunk = config
-        .chunk_ticks
-        .unwrap_or_else(|| {
-            deployment
-                .queries
-                .iter()
-                .map(|q| q.window())
-                .min()
-                .unwrap_or(1)
-        })
-        .max(1);
+    let chunk = chunk_ticks(deployment, config);
     let rounds_per_chunk = remote_depth(deployment) + 1;
     let release_phases = negation_release_phases(deployment, &cores);
 
@@ -1197,7 +1190,6 @@ mod tests {
             &events,
             &SimConfig {
                 telemetry: Some(TelemetrySpec::default()),
-                ..SimConfig::default()
             },
         );
         let threaded = run_threaded(
@@ -1242,7 +1234,6 @@ mod tests {
         let telemetry = Some(TelemetrySpec::default());
         let sim_config = SimConfig {
             telemetry: telemetry.clone(),
-            ..SimConfig::default()
         };
         let config = ThreadedConfig {
             telemetry,
@@ -1261,7 +1252,8 @@ mod tests {
             first.finish().metrics.join.inputs > 0,
             "the head feeds the joins"
         );
-        let mut resumed = checkpoint::restore(&deployment, sim_config, &snapshot).unwrap();
+        let snap = checkpoint::decode_for(&deployment, &snapshot).unwrap();
+        let mut resumed = SimExecutor::from_snapshot(&deployment, sim_config, snap).unwrap();
         resumed.process_trace(tail);
         let report = resumed.finish();
         let [inputs, depth] = series_sums(report.telemetry.as_ref());

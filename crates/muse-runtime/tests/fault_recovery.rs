@@ -114,7 +114,7 @@ fn traced() -> ThreadedConfig {
 /// [`traced`] in 500-tick chunks, far shorter than the 3 000-tick traces,
 /// so that a crash rolls back to a shard saved mid-run: the default chunk,
 /// the smallest window, would cover the whole trace under the 5 000-tick
-/// window. With the default slack 4, `slack · window ≥ chunk + window`.
+/// window.
 fn chunked() -> ThreadedConfig {
     ThreadedConfig {
         chunk_ticks: Some(500),
@@ -359,12 +359,7 @@ fn threaded_snapshot_resumes_in_simulator() {
     let net = network();
     let deployment = deploy(fig1_pattern(), 5_000, &net);
     let events = trace(&net, 23);
-    // Matching store slack on both sides so eviction cannot differ across
-    // the handoff (the threaded default is wider than the sim default).
-    let sim_config = SimConfig {
-        slack: 4.0,
-        ..SimConfig::default()
-    };
+    let sim_config = SimConfig::default();
     let full = {
         let mut exec = SimExecutor::new(&deployment, sim_config.clone());
         exec.process_trace(&events);
@@ -378,8 +373,9 @@ fn threaded_snapshot_resumes_in_simulator() {
         };
         let prefix = run_threaded(&deployment, &events[..split], &config);
         let snap = prefix.final_snapshot.as_deref().expect("final snapshot");
-        let mut resumed =
-            checkpoint::restore(&deployment, sim_config.clone(), snap).expect("sim restores");
+        let snap = checkpoint::decode_for(&deployment, snap).expect("snapshot decodes");
+        let mut resumed = SimExecutor::from_snapshot(&deployment, sim_config.clone(), snap)
+            .expect("sim restores");
         resumed.process_trace(&events[split..]);
         let report = resumed.finish();
         let matches = across_cut(&prefix.matches, &report.matches);
@@ -400,10 +396,7 @@ fn simulator_snapshot_resumes_in_threaded() {
     let net = network();
     let deployment = deploy(fig1_pattern(), 5_000, &net);
     let events = trace(&net, 23);
-    let sim_config = SimConfig {
-        slack: 4.0,
-        ..SimConfig::default()
-    };
+    let sim_config = SimConfig::default();
     let full = {
         let mut exec = SimExecutor::new(&deployment, sim_config.clone());
         exec.process_trace(&events);
@@ -451,10 +444,7 @@ fn each_match_is_emitted_once_across_a_cut() {
     let net = network();
     let deployment = deploy(fig1_pattern(), 5_000, &net);
     let events = trace(&net, 1);
-    let sim_config = SimConfig {
-        slack: 4.0,
-        ..SimConfig::default()
-    };
+    let sim_config = SimConfig::default();
     let config = ThreadedConfig {
         checkpoint: true,
         ..ThreadedConfig::default()
@@ -483,7 +473,8 @@ fn each_match_is_emitted_once_across_a_cut() {
     for (from, (prefix, metrics, snap)) in [("sim", &sim_prefix), ("threaded", &threaded_prefix)] {
         assert!(!prefix[0].is_empty(), "{from}: the head matches");
         let in_sim = {
-            let mut exec = checkpoint::restore(&deployment, sim_config.clone(), snap)
+            let snap = checkpoint::decode_for(&deployment, snap).expect("snapshot decodes");
+            let mut exec = SimExecutor::from_snapshot(&deployment, sim_config.clone(), snap)
                 .expect("the simulator restores");
             exec.process_trace(tail);
             exec.finish()
@@ -603,8 +594,8 @@ fn nseq_context_slots_survive_save_and_restore_in_both_executors() {
             }),
             "split {split}: a sink buffers context matches"
         );
-        let mut resumed =
-            checkpoint::restore(&deployment, sim_config.clone(), &snap).expect("sim restores");
+        let mut resumed = SimExecutor::from_snapshot(&deployment, sim_config.clone(), decoded)
+            .expect("sim restores");
         resumed.process_trace(&events[split..]);
         let report = resumed.finish();
         assert_eq!(

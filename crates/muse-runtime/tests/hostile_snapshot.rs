@@ -20,7 +20,7 @@ use muse_core::network::{Network, NetworkBuilder};
 use muse_core::query::{CmpOp, Pattern, Predicate, Query};
 use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, QueryId};
 use muse_core::workload::Workload;
-use muse_runtime::checkpoint::{decode, decode_for, encode, restore, CheckpointError, Snapshot};
+use muse_runtime::checkpoint::{decode, decode_for, encode, CheckpointError, Snapshot};
 use muse_runtime::codec::{encode_match, try_decode_match};
 use muse_runtime::matcher::{JoinState, StoreState};
 use muse_runtime::{run_threaded, ThreadedConfig};
@@ -354,7 +354,8 @@ fn a_match_in_the_wrong_place_is_refused_on_restore() {
     for (place, deployment, snap) in cases {
         let bytes = encode(&snap);
         assert!(decode_for(deployment, &bytes).is_ok(), "{place}: decode");
-        let restored = restore(deployment, SimConfig::default(), &bytes);
+        let restored = decode_for(deployment, &bytes)
+            .and_then(|snap| SimExecutor::from_snapshot(deployment, SimConfig::default(), snap));
         assert!(
             matches!(restored, Err(CheckpointError::Shape(_))),
             "{place}: restore accepted the match: {:?}",
@@ -405,7 +406,8 @@ fn a_buffer_in_the_wrong_place_is_refused_on_restore() {
     reader.stores[slot].matches = taken.matches;
 
     for (why, deployment, snap) in cases {
-        let restored = restore(deployment, SimConfig::default(), &encode(&snap));
+        let restored = decode_for(deployment, &encode(&snap))
+            .and_then(|snap| SimExecutor::from_snapshot(deployment, SimConfig::default(), snap));
         assert_eq!(restored.err(), Some(CheckpointError::Shape(why)));
     }
 }

@@ -165,14 +165,8 @@ fn certified_migration_is_lossless_in_sim() {
         "mapped snapshot must claim the new plan's fingerprint"
     );
 
-    let mut resumed = checkpoint::restore_mapped(
-        &a.deployment,
-        &b.deployment,
-        &plan,
-        SimConfig::default(),
-        &bytes,
-    )
-    .expect("certified migration restores into an executor");
+    let mut resumed = SimExecutor::from_snapshot(&b.deployment, SimConfig::default(), mapped)
+        .expect("certified migration restores into an executor");
     resumed.process_trace(&events[half..]);
     let migrated = resumed.finish();
 
@@ -207,13 +201,7 @@ fn certified_migration_is_lossless_threaded() {
     let half = events.len() / 2;
 
     let config = ThreadedConfig::default();
-    let mut exec = SimExecutor::new(
-        &a.deployment,
-        SimConfig {
-            slack: config.slack,
-            ..SimConfig::default()
-        },
-    );
+    let mut exec = SimExecutor::new(&a.deployment, SimConfig::default());
     exec.process_trace(&events[..half]);
     let bytes = checkpoint::encode(&exec.to_snapshot());
     let before = exec.finish();
@@ -258,14 +246,10 @@ fn widened_window_migration_restores() {
     assert!(plan.safe, "widened window must certify:\n{report}");
     assert!(plan.needs_replay, "widening carries a replay obligation");
 
-    let mut resumed = checkpoint::restore_mapped(
-        &a.deployment,
-        &b.deployment,
-        &plan,
-        SimConfig::default(),
-        &bytes,
-    )
-    .expect("certified migration restores");
+    let mapped = checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, &bytes)
+        .expect("certified migration maps");
+    let mut resumed = SimExecutor::from_snapshot(&b.deployment, SimConfig::default(), mapped)
+        .expect("certified migration restores");
     resumed.process_trace(&events[half..]);
     let migrated = resumed.finish();
     let found = fingerprints(&across_cut(&a, &before.matches, &b, &migrated.matches)[0]);
@@ -301,13 +285,9 @@ fn rejected_migration_fails_restore() {
     let (report, plan) = certify(&a, &b, &net);
     assert!(!plan.safe, "narrowed window must not certify:\n{report}");
 
-    match checkpoint::restore_mapped(
-        &a.deployment,
-        &b.deployment,
-        &plan,
-        SimConfig::default(),
-        &bytes,
-    ) {
+    let restored = checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, &bytes)
+        .and_then(|snap| SimExecutor::from_snapshot(&b.deployment, SimConfig::default(), snap));
+    match restored {
         Err(CheckpointError::MigrationRejected(why)) => {
             assert!(why.contains("not certified safe"), "{why}");
         }
@@ -396,9 +376,10 @@ fn assert_carried_query_lossless(a: &Placed, b: &Placed, network: &Network, even
     exec.process_trace(&events[..half]);
     let bytes = checkpoint::encode(&exec.to_snapshot());
     let before = exec.finish();
-    let mut resumed =
-        checkpoint::restore_mapped(&a.deployment, &b.deployment, &plan, config.clone(), &bytes)
-            .expect("certified migration restores");
+    let mapped = checkpoint::map_snapshot(&a.deployment, &b.deployment, &plan, &bytes)
+        .expect("certified migration maps");
+    let mut resumed = SimExecutor::from_snapshot(&b.deployment, config.clone(), mapped)
+        .expect("certified migration restores");
     resumed.process_trace(&events[half..]);
     let migrated = resumed.finish();
     let mut uninterrupted = SimExecutor::new(&b.deployment, config);
@@ -416,13 +397,7 @@ fn assert_carried_query_lossless(a: &Placed, b: &Placed, network: &Network, even
     );
 
     let config = ThreadedConfig::default();
-    let mut exec = SimExecutor::new(
-        &a.deployment,
-        SimConfig {
-            slack: config.slack,
-            ..SimConfig::default()
-        },
-    );
+    let mut exec = SimExecutor::new(&a.deployment, SimConfig::default());
     exec.process_trace(&events[..half]);
     let bytes = checkpoint::encode(&exec.to_snapshot());
     let before = exec.finish();

@@ -183,26 +183,17 @@ fn full_spec() -> TelemetrySpec {
     }
 }
 
-/// Executor configs with identical eviction horizons. The workloads here
-/// mix windows (50..300), so the threaded chunk is the *smallest* window
-/// (the default, pinned here) and the slack covers one chunk of inter-node
-/// skew for every query (`slack · window ≥ chunk + window`); a chunk of the
-/// largest window would silently evict small-window partials mid-skew and
-/// lose matches the simulator keeps.
-const CHUNK: Timestamp = 50;
-const SLACK: f64 = 8.0;
-
+/// Executor configs: the default ones, collecting telemetry by `spec`.
+/// The threaded stores keep a chunk more than the window, which is what a
+/// delivery can lag, so the match sets agree whatever the chunk.
 fn sim_config(spec: TelemetrySpec) -> SimConfig {
     SimConfig {
-        slack: SLACK,
         telemetry: Some(spec),
     }
 }
 
 fn threaded_config(spec: TelemetrySpec) -> ThreadedConfig {
     ThreadedConfig {
-        slack: SLACK,
-        chunk_ticks: Some(CHUNK),
         telemetry: Some(spec),
         ..ThreadedConfig::default()
     }
@@ -288,7 +279,6 @@ proptest! {
         let events = trace(&net, trace_seed);
         let config = SimConfig {
             telemetry: Some(full_spec()),
-            ..SimConfig::default()
         };
         let mut report = run_simulation(&deployment, &events, &config);
         let run = report.telemetry.take().expect("telemetry requested");
@@ -326,7 +316,6 @@ fn nseq_records_carry_valid_absence_windows() {
     let events = trace(&net, 9);
     let config = SimConfig {
         telemetry: Some(full_spec()),
-        ..SimConfig::default()
     };
     let mut report = run_simulation(&deployment, &events, &config);
     let run = report.telemetry.take().unwrap();

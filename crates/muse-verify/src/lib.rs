@@ -15,7 +15,7 @@
 //! 4. **Migration safety** ([`migrate`]): a plan-diff pass deciding whether
 //!    snapshot state taken under one deployment can be mapped into another
 //!    (the `MG025x` family), shipped as a typed [`MigrationPlan`] that
-//!    `muse-runtime`'s `checkpoint::restore_mapped` enforces.
+//!    `muse-runtime`'s `checkpoint::map_snapshot` enforces.
 //!
 //! Findings are structured [`Diagnostic`]s with stable `MGxxxx` codes,
 //! severities, and source spans, collected into a [`Report`] with JSON and

@@ -34,7 +34,7 @@
 //!
 //! The decision ships as a typed [`MigrationPlan`] of per-task
 //! [`TaskAction`]s, consumed by `muse-runtime`'s
-//! `checkpoint::restore_mapped` to actually carry the state across.
+//! `checkpoint::map_snapshot` to actually carry the state across.
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use crate::domain::PredAbstract;
@@ -62,7 +62,7 @@ pub enum CarryMode {
 /// `(node, stream_sig, prims, window)` that `Deployment::build` dedupes on.
 /// Computable identically from a verifier-side vertex profile and from a
 /// runtime-side `TaskSpec`, which is what lets a [`MigrationPlan`] produced
-/// here drive `restore_mapped` over there.
+/// here drive `map_snapshot` over there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskKey {
     /// Hosting node.
@@ -92,7 +92,7 @@ pub struct TaskAction {
 #[derive(Debug, Clone, Default)]
 pub struct MigrationPlan {
     /// `true` when no `Error`-severity diagnostic was produced; only then
-    /// may `restore_mapped` proceed.
+    /// may `map_snapshot` proceed.
     pub safe: bool,
     /// `true` when at least one action is [`CarryMode::Replay`] — the
     /// restored run is complete only after replaying the widened horizon.

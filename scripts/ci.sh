@@ -119,10 +119,13 @@ cargo test --release -q --test end_to_end
 # Crash recovery depends on thread interleaving too: muse-runtime's own
 # test whose node threads crash and resume, and the snapshot codec's
 # tests, which resume the threaded executor, so that the rollback's rewind
-# runs under optimized interleavings; then the two crash tests of
-# muse-bench's full-size transport and telemetry paths.
+# runs under optimized interleavings; the node core's and the join's
+# tests, which cover the rewind and the release of deferred negation
+# candidates; then the two crash tests of muse-bench's full-size transport
+# and telemetry paths.
 cargo test --release -q -p muse-runtime --lib -- \
-    threaded::tests::crash_and_resume_keep_counting_local_events checkpoint::tests
+    threaded::tests::crash_and_resume_keep_counting_local_events checkpoint::tests \
+    node::tests matcher::join::tests
 cargo test --release -q -p muse-bench --lib -- \
     relay_crash_is_lossless_in_the_enlarged_chunk_regime \
     crashed_run_exports_the_rolled_back_account

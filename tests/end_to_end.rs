@@ -308,9 +308,10 @@ fn workload_threaded_equals_simulator() {
 }
 
 /// One keyed `SEQ` registered under windows 300 and 50 runs on the threaded
-/// executor with the default config and matches the simulator per query.
-/// The default chunk is the smallest window: a chunk of the largest window
-/// would outrun the window-50 query's eviction slack and lose its matches.
+/// executor and matches the simulator per query, with the default chunk
+/// (the smallest window) and with a chunk of the largest window, which
+/// covers the whole trace: the window-50 query's stores keep a chunk more
+/// than its window, what a delivery can lag, whatever the chunk.
 #[test]
 fn mixed_windows_threaded_equals_simulator_by_default() {
     let t = EventTypeId;
@@ -354,21 +355,24 @@ fn mixed_windows_threaded_equals_simulator_by_default() {
             },
         );
         let sim = run_simulation(&deployment, &events, &SimConfig::default());
-        let threaded = muse_runtime::run_threaded(
-            &deployment,
-            &events,
-            &muse_runtime::ThreadedConfig::default(),
-        );
-        for (q, (s, r)) in sim.matches.iter().zip(&threaded.matches).enumerate() {
-            assert!(!s.is_empty(), "seed {seed}: query {q} must match");
-            assert_eq!(
-                fingerprints(s),
-                fingerprints(r),
-                "seed {seed}: query {q} (window {}) reads {} simulator vs {} threaded matches",
-                deployment.queries[q].window(),
-                s.len(),
-                r.len()
-            );
+        for chunk_ticks in [None, Some(300)] {
+            let config = muse_runtime::ThreadedConfig {
+                chunk_ticks,
+                ..muse_runtime::ThreadedConfig::default()
+            };
+            let threaded = muse_runtime::run_threaded(&deployment, &events, &config);
+            for (q, (s, r)) in sim.matches.iter().zip(&threaded.matches).enumerate() {
+                assert!(!s.is_empty(), "seed {seed}: query {q} must match");
+                assert_eq!(
+                    fingerprints(s),
+                    fingerprints(r),
+                    "seed {seed}, chunk {chunk_ticks:?}: query {q} (window {}) reads {} \
+                     simulator vs {} threaded matches",
+                    deployment.queries[q].window(),
+                    s.len(),
+                    r.len()
+                );
+            }
         }
     }
 }

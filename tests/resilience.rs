@@ -9,7 +9,7 @@
 use muse_core::algorithms::amuse::{amuse, AMuseConfig};
 use muse_core::graph::PlanContext;
 use muse_core::prelude::*;
-use muse_runtime::checkpoint::{encode, restore};
+use muse_runtime::checkpoint::{decode_for, encode};
 use muse_runtime::sim::{run_simulation, SimConfig, SimExecutor};
 use muse_runtime::Deployment;
 use muse_runtime::Match;
@@ -78,6 +78,12 @@ fn deploy(inst: &Instance) -> Deployment {
     Deployment::new(&plan.graph, &ctx)
 }
 
+/// A simulator resumed from `bytes`, a snapshot taken under `deployment`.
+fn resume<'a>(deployment: &'a Deployment, bytes: &[u8]) -> SimExecutor<'a> {
+    let snap = decode_for(deployment, bytes).unwrap();
+    SimExecutor::from_snapshot(deployment, SimConfig::default(), snap).unwrap()
+}
+
 /// Crashing and recovering at *every possible* chunk boundary produces the
 /// same results as the uninterrupted run.
 #[test]
@@ -93,7 +99,7 @@ fn recovery_at_any_boundary_is_lossless() {
         first.process_trace(&inst.events[..split]);
         let bytes = encode(&first.to_snapshot());
         let before = first.finish(); // the crash
-        let mut resumed = restore(&deployment, SimConfig::default(), &bytes).unwrap();
+        let mut resumed = resume(&deployment, &bytes);
         resumed.process_trace(&inst.events[split..]);
         let report = resumed.finish();
         assert_eq!(
@@ -121,11 +127,11 @@ fn repeated_crashes_compose() {
     exec.process_trace(&inst.events[..a]);
     let snap1 = encode(&exec.to_snapshot());
     let first = exec.finish();
-    let mut exec = restore(&deployment, SimConfig::default(), &snap1).unwrap();
+    let mut exec = resume(&deployment, &snap1);
     exec.process_trace(&inst.events[a..b]);
     let snap2 = encode(&exec.to_snapshot());
     let second = exec.finish();
-    let mut exec = restore(&deployment, SimConfig::default(), &snap2).unwrap();
+    let mut exec = resume(&deployment, &snap2);
     exec.process_trace(&inst.events[b..]);
     let third = exec.finish();
     let runs = [&first, &second, &third].map(|run| &run.matches[0][..]);
@@ -152,7 +158,7 @@ fn older_snapshot_replay_converges() {
     let lost = exec.matches()[0].len() - before_snap.len();
     drop(exec);
     // Recover from the older snapshot and replay everything after it.
-    let mut exec = restore(&deployment, SimConfig::default(), &early_snap).unwrap();
+    let mut exec = resume(&deployment, &early_snap);
     exec.process_trace(&inst.events[n / 4..]);
     let report = exec.finish();
     assert!(
@@ -180,7 +186,7 @@ fn snapshot_portable_across_deployments() {
     let snap = encode(&exec.to_snapshot());
     let before = exec.finish();
 
-    let mut resumed = restore(&deployment_b, SimConfig::default(), &snap).unwrap();
+    let mut resumed = resume(&deployment_b, &snap);
     resumed.process_trace(&inst.events[inst.events.len() / 2..]);
     let report = resumed.finish();
     let baseline = run_simulation(&deployment_a, &inst.events, &SimConfig::default());
