@@ -92,8 +92,37 @@ impl From<&str> for Value {
 /// reference-counted: cloning an event — which the executors do once per
 /// route on the send path — bumps a refcount instead of copying attribute
 /// values, and mutation after sharing falls back to copy-on-write.
+///
+/// Beside the list sits the count and total byte length of its string
+/// values ([`Payload::string_totals`]), kept up to date by every mutation,
+/// so an event's encoded size is known without reading a value.
 #[derive(Debug, Clone, Default)]
-pub struct Payload(Option<Arc<Vec<(AttrId, Value)>>>);
+pub struct Payload(Option<Arc<Pairs>>);
+
+/// A payload's pair list and the summary of its string values.
+#[derive(Debug, Clone, Default)]
+struct Pairs {
+    list: Vec<(AttrId, Value)>,
+    /// Number of [`Value::Str`] values in `list`.
+    strings: usize,
+    /// Total byte length of those values.
+    string_bytes: usize,
+}
+
+impl Pairs {
+    /// Adds `value` to the string summary (`add`) or takes it out.
+    fn count(&mut self, value: &Value, add: bool) {
+        if let Value::Str(s) = value {
+            if add {
+                self.strings += 1;
+                self.string_bytes += s.len();
+            } else {
+                self.strings -= 1;
+                self.string_bytes -= s.len();
+            }
+        }
+    }
+}
 
 impl Payload {
     /// Creates an empty payload (no allocation).
@@ -124,20 +153,29 @@ impl Payload {
             }
             same
         });
-        Self(Some(Arc::new(list)))
+        let mut pairs = Pairs::default();
+        for (_, value) in &list {
+            pairs.count(value, true);
+        }
+        pairs.list = list;
+        Self(Some(Arc::new(pairs)))
     }
 
     fn pairs(&self) -> &[(AttrId, Value)] {
-        self.0.as_deref().map_or(&[], Vec::as_slice)
+        self.0.as_deref().map_or(&[], |p| p.list.as_slice())
     }
 
     /// Sets an attribute value, replacing any previous value (copying the
     /// pair list first if it is shared with another event).
     pub fn set(&mut self, attr: AttrId, value: Value) {
         let pairs = Arc::make_mut(self.0.get_or_insert_with(Default::default));
-        match pairs.binary_search_by_key(&attr, |(a, _)| *a) {
-            Ok(i) => pairs[i].1 = value,
-            Err(i) => pairs.insert(i, (attr, value)),
+        pairs.count(&value, true);
+        match pairs.list.binary_search_by_key(&attr, |(a, _)| *a) {
+            Ok(i) => {
+                let old = std::mem::replace(&mut pairs.list[i].1, value);
+                pairs.count(&old, false);
+            }
+            Err(i) => pairs.list.insert(i, (attr, value)),
         }
     }
 
@@ -157,6 +195,14 @@ impl Payload {
     /// Returns `true` if the payload carries no attribute.
     pub fn is_empty(&self) -> bool {
         self.pairs().is_empty()
+    }
+
+    /// The number of string values and their total byte length, read from
+    /// a summary kept beside the list: no value is visited.
+    pub fn string_totals(&self) -> (usize, usize) {
+        self.0
+            .as_deref()
+            .map_or((0, 0), |p| (p.strings, p.string_bytes))
     }
 
     /// Iterates over `(attribute, value)` pairs in attribute order.
@@ -302,11 +348,21 @@ mod tests {
         assert_eq!(p.get(AttrId(2)), Some(&Value::Int(2)));
     }
 
+    /// The string summary recounted from the values.
+    fn recount(p: &Payload) -> (usize, usize) {
+        p.iter().fold((0, 0), |(n, bytes), (_, v)| match v {
+            Value::Str(s) => (n + 1, bytes + s.len()),
+            _ => (n, bytes),
+        })
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
         /// `from_pairs` is `set` folded over the pairs, duplicates and
         /// unsorted attributes included, and its list has room for four
-        /// pairs at least, as the one `set` grows.
+        /// pairs at least, as the one `set` grows. After `from_pairs` and
+        /// after every `set` the string summary equals a recount, a string
+        /// replaced by a number and a number by a string included.
         #[test]
         fn payload_from_pairs_equals_set_fold(seed in proptest::prelude::any::<u64>()) {
             use rand::{Rng, SeedableRng};
@@ -316,7 +372,7 @@ mod tests {
                     let value = match rng.gen_range(0..3) {
                         0 => Value::Int(rng.gen_range(-3..3)),
                         1 => Value::Float(rng.gen_range(-3..3) as f64 / 2.0),
-                        _ => Value::Str(rng.gen_range(0..3i64).to_string()),
+                        _ => Value::Str("x".repeat(rng.gen_range(0..5))),
                     };
                     (AttrId(rng.gen_range(0..6)), value)
                 })
@@ -324,13 +380,28 @@ mod tests {
             let mut folded = Payload::new();
             for (attr, value) in pairs.clone() {
                 folded.set(attr, value);
+                proptest::prop_assert_eq!(folded.string_totals(), recount(&folded));
             }
             let built = Payload::from_pairs(pairs);
             proptest::prop_assert_eq!(&built, &folded);
+            proptest::prop_assert_eq!(built.string_totals(), recount(&built));
             proptest::prop_assert_eq!(built.0.is_none(), folded.0.is_none());
-            if let Some(list) = &built.0 {
-                proptest::prop_assert!(list.capacity() >= 4);
+            if let Some(pairs) = &built.0 {
+                proptest::prop_assert!(pairs.list.capacity() >= 4);
             }
+            // On a copy that shares `built`'s list until its first `set`.
+            let mut replaced = built.clone();
+            for (attr, value) in [
+                (AttrId(6), Value::Str("abc".into())),
+                (AttrId(6), Value::Int(1)),
+                (AttrId(7), Value::Float(0.5)),
+                (AttrId(7), Value::Str("de".into())),
+                (AttrId(7), Value::Str(String::new())),
+            ] {
+                replaced.set(attr, value);
+                proptest::prop_assert_eq!(replaced.string_totals(), recount(&replaced));
+            }
+            proptest::prop_assert_eq!(built.string_totals(), recount(&built));
         }
     }
 

@@ -189,35 +189,30 @@ pub(crate) fn encode_event(e: &Event, buf: &mut BytesMut) {
 }
 
 /// Encoded size of one event in bytes, computed arithmetically (no buffer
-/// is written). Kept in lockstep with the encoder; the equality is
-/// asserted by the codec property suite.
+/// is written) from the payload's attribute count and string summary
+/// ([`Payload::string_totals`]): no payload value is read. Kept in lockstep
+/// with the encoder; the equality is asserted by the codec property suite.
 pub fn encoded_event_len(e: &Event) -> usize {
+    let attrs = e.payload.len();
+    let (strings, string_bytes) = e.payload.string_totals();
     // seq + ty + time + origin + attr count (escaped from 255 on).
-    let count = if e.payload.len() < WIDE_COUNTS_FROM {
-        1
-    } else {
-        3
-    };
-    let mut len = 8 + 2 + 8 + 2 + count;
-    for (_, value) in e.payload.iter() {
-        // attr id + value tag.
-        len += 1 + 1;
-        len += match value {
-            Value::Int(_) => 8,
-            Value::Float(_) => 8,
-            Value::Str(s) => 4 + s.len(),
-        };
-    }
-    len
+    let count = if attrs < WIDE_COUNTS_FROM { 1 } else { 3 };
+    // Every attribute: id + value tag, then 8 bytes of number, or a 4-byte
+    // length and the string's bytes.
+    8 + 2 + 8 + 2 + count + (attrs - strings) * (2 + 8) + strings * (2 + 4) + string_bytes
 }
 
 /// Encoded size of a match in bytes (what a network transmission costs).
 /// Computed arithmetically so the executors' send paths can account bytes
 /// without encoding (and allocating) the full wire buffer per match.
 pub fn encoded_len(m: &Match) -> usize {
+    entries_len(m.entries())
+}
+
+/// [`encoded_len`] of the match of `entries`, however it is held.
+pub(crate) fn entries_len(entries: &[(PrimId, Event)]) -> usize {
     // Entry count prefix, then one prim id byte per entry plus its event.
-    2 + m
-        .entries()
+    2 + entries
         .iter()
         .map(|(_, e)| 1 + encoded_event_len(e))
         .sum::<usize>()

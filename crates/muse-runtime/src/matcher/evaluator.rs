@@ -216,9 +216,15 @@ impl Evaluator {
     /// (live) forbidden matches.
     fn passes_negation(&self, m: &Match) -> bool {
         self.negations.iter().all(|n| {
-            n.forbidden
-                .iter()
-                .all(|f| !nseq_violated(m, f, n.context.first, n.context.last, &self.query))
+            n.forbidden.iter().all(|f| {
+                !nseq_violated(
+                    m.entries(),
+                    f.entries(),
+                    n.context.first,
+                    n.context.last,
+                    &self.query,
+                )
+            })
         })
     }
 }

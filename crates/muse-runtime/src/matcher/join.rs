@@ -70,9 +70,9 @@
 //! [`Value::eq_key`]: muse_core::event::Value::eq_key
 
 use super::store::{MatchStore, StoreState, StoredMatch};
-use super::{is_valid_match, nseq_violated, Match};
+use super::{agrees_on, is_valid_match, merge, nseq_violated, prims, Carried, Match};
 use crate::metrics::JoinStats;
-use muse_core::event::Timestamp;
+use muse_core::event::{Event, Timestamp};
 use muse_core::query::{CmpOp, NSeqContext, PredicateExpr, Query};
 use muse_core::types::{AttrId, PrimId, PrimSet};
 use std::collections::vec_deque::Iter;
@@ -138,22 +138,23 @@ struct SlotKey {
 }
 
 impl SlotKey {
-    /// The key under which `m` is stored in this slot.
-    fn stored_key(&self, m: &Match) -> Option<u64> {
-        term_key(m, self.term)
+    /// The key under which the match of `entries` is stored in this slot.
+    fn stored_key(&self, entries: &[(PrimId, Event)]) -> Option<u64> {
+        term_key(entries, self.term)
     }
 
-    /// The key with which `m` probes this slot; `None` when `m` has no key
-    /// for any term of the class.
-    fn probe_key(&self, m: &Match) -> Option<u64> {
-        self.class.iter().find_map(|&term| term_key(m, term))
+    /// The key with which the match of `entries` probes this slot; `None`
+    /// when it has no key for any term of the class.
+    fn probe_key(&self, entries: &[(PrimId, Event)]) -> Option<u64> {
+        self.class.iter().find_map(|&term| term_key(entries, term))
     }
 }
 
-/// `m`'s equality key for a term: `None` when `m` does not assign the
-/// primitive, the event lacks the attribute, or the value is `NaN`.
-pub(crate) fn term_key(m: &Match, (prim, attr): Term) -> Option<u64> {
-    m.get(prim)?.payload.get(attr)?.eq_key()
+/// The equality key for a term of the match of `entries`: `None` when it
+/// does not assign the primitive, the event lacks the attribute, or the
+/// value is `NaN`.
+pub(crate) fn term_key(entries: &[(PrimId, Event)], (prim, attr): Term) -> Option<u64> {
+    super::get(entries, prim)?.payload.get(attr)?.eq_key()
 }
 
 /// The equality classes of `prim.attr` terms under the query's `=`
@@ -357,7 +358,7 @@ pub struct JoinState {
 struct Candidate {
     first: Timestamp,
     last: Timestamp,
-    m: Match,
+    m: Carried,
 }
 
 impl JoinTask {
@@ -538,6 +539,11 @@ impl JoinTask {
     ///
     /// Panics if the slot index is out of range.
     pub fn on_match(&mut self, slot: usize, m: Match) -> Vec<Match> {
+        self.feed(slot, m.into())
+    }
+
+    /// [`JoinTask::on_match`] of a carried match.
+    fn feed(&mut self, slot: usize, m: Carried) -> Vec<Match> {
         let emitted = self.on_match_in(slot, m, &[]);
         if self.negations.is_empty() {
             emitted
@@ -552,19 +558,16 @@ impl JoinTask {
     pub(crate) fn on_match_in(
         &mut self,
         slot: usize,
-        m: Match,
+        m: Carried,
         buffers: &[MatchStore],
     ) -> Vec<Match> {
-        let (first, last) = (m.first_time(), m.last_time());
-        if !self.admit(slot, &m, last) {
+        let key = self.keys[slot]
+            .as_ref()
+            .and_then(|k| k.stored_key(m.entries()));
+        let entry = StoredMatch::new(m, key);
+        if !self.admit(slot, entry.m.entries(), entry.last) {
             return Vec::new();
         }
-        let entry = StoredMatch {
-            first,
-            last,
-            key: self.keys[slot].as_ref().and_then(|k| k.stored_key(&m)),
-            m,
-        };
         let emitted = self.probe_in(slot, &entry, buffers);
         self.stores[slot].insert_keyed(entry);
         let emitted = self.settle(emitted);
@@ -593,7 +596,7 @@ impl JoinTask {
         entry: &StoredMatch,
         buffers: &[MatchStore],
     ) -> Vec<Match> {
-        if !self.admit(slot, &entry.m, entry.last) {
+        if !self.admit(slot, entry.m.entries(), entry.last) {
             return Vec::new();
         }
         let emitted = self.probe_in(slot, entry, buffers);
@@ -639,10 +642,11 @@ impl JoinTask {
         self.stores[slot].latest_first()
     }
 
-    /// Counts an input, advances the watermark to its newest event `last`
-    /// and feeds its negated primitives to the absence checks. Returns
-    /// `false` for a negation guard slot, which stores and probes nothing.
-    fn admit(&mut self, slot: usize, m: &Match, last: Timestamp) -> bool {
+    /// Counts an input of `entries`, advances the watermark to its newest
+    /// event `last` and feeds its negated primitives to the absence checks.
+    /// Returns `false` for a negation guard slot, which stores and probes
+    /// nothing.
+    fn admit(&mut self, slot: usize, entries: &[(PrimId, Event)], last: Timestamp) -> bool {
         self.stats.inputs += 1;
         self.max_time = self.max_time.max(last);
         // Negation guards: every event of a context's negated primitive is
@@ -650,16 +654,16 @@ impl JoinTask {
         // context's assembler. Matches on positive slots carry no negated
         // primitive, except in an assembler whose pattern nests an `NSEQ`.
         for neg in &mut self.negations {
-            for (prim, event) in m.entries() {
+            for (prim, event) in entries {
                 // The primitive's rank in the negated set is its assembler slot.
                 let Some(slot) = neg.context.negated.iter().position(|p| p == *prim) else {
                     continue;
                 };
-                let guard = Match::single(*prim, event.clone());
+                let guard = Carried::Single((*prim, event.clone()));
                 match &mut neg.assembler {
-                    None => neg.forbidden.insert(guard),
+                    None => neg.forbidden.insert_keyed(StoredMatch::new(guard, None)),
                     Some(assembler) => {
-                        for found in assembler.on_match(slot, guard) {
+                        for found in assembler.feed(slot, guard) {
                             neg.forbidden.insert(found);
                         }
                     }
@@ -727,8 +731,11 @@ impl JoinTask {
             let slot_prims = self.slots[i].prims;
             let mut next = Vec::new();
             for cand in &acc {
-                let shared = cand.m.prims().intersect(slot_prims);
-                let probe_key = self.keys[i].as_ref().and_then(|k| k.probe_key(&cand.m));
+                let cand_entries = cand.m.entries();
+                let shared = prims(cand_entries).intersect(slot_prims);
+                let probe_key = self.keys[i]
+                    .as_ref()
+                    .and_then(|k| k.probe_key(cand_entries));
                 let slice = slots.compatible(i, cand.first, cand.last, window);
                 self.stats.probes += slice.len() as u64;
                 for stored in slice {
@@ -741,18 +748,19 @@ impl JoinTask {
                     }
                     let first = cand.first.min(stored.first);
                     let last = cand.last.max(stored.last);
-                    if last - first > window || !cand.m.agrees_on(&stored.m, shared) {
+                    let stored_entries = stored.m.entries();
+                    if last - first > window || !agrees_on(cand_entries, stored_entries, shared) {
                         self.stats.guard_rejects += 1;
                         continue;
                     }
                     self.stats.merge_attempts += 1;
-                    if let Some(merged) = cand.m.merge(&stored.m) {
+                    if let Some(merged) = merge(cand_entries, stored_entries) {
                         if is_valid_match(&merged, &self.query) {
                             self.stats.merge_successes += 1;
                             next.push(Candidate {
                                 first,
                                 last,
-                                m: merged,
+                                m: merged.into(),
                             });
                         }
                     }
@@ -765,15 +773,16 @@ impl JoinTask {
         }
         let mut emitted: Vec<Match> = acc
             .into_iter()
-            .map(|c| c.m)
-            .filter(|c| c.prims() == self.positive)
+            .filter(|c| prims(c.m.entries()) == self.positive)
+            .map(|c| Match::from(c.m))
             .filter(|c| is_valid_match(c, &self.query))
             .filter(|c| self.passes_negation(c))
             .collect();
         // Deduplicate (overlapping slots can assemble the same final match
-        // along different merge orders within one trigger).
-        emitted.sort_by_key(Match::fingerprint);
-        emitted.dedup_by(|a, b| a.fingerprint() == b.fingerprint());
+        // along different merge orders within one trigger), in fingerprint
+        // order without collecting a fingerprint.
+        emitted.sort_by(|a, b| a.seqs().cmp(b.seqs()));
+        emitted.dedup_by(|a, b| a.seqs().eq(b.seqs()));
         emitted
     }
 
@@ -800,7 +809,7 @@ impl JoinTask {
             let mut slice = slots.compatible(i, entry.first, entry.last, window);
             let key = self.keys[i].as_ref().and_then(|k| match own_term {
                 Some(term) if k.class.contains(&term) => entry.key,
-                _ => k.probe_key(&entry.m),
+                _ => k.probe_key(entry.m.entries()),
             });
             match key {
                 None => slice.next().is_some(),
@@ -826,9 +835,15 @@ impl JoinTask {
 
     fn passes_negation(&self, m: &Match) -> bool {
         self.negations.iter().all(|n| {
-            n.forbidden
-                .live()
-                .all(|f| !nseq_violated(m, &f.m, n.context.first, n.context.last, &self.query))
+            n.forbidden.live().all(|f| {
+                !nseq_violated(
+                    m.entries(),
+                    f.m.entries(),
+                    n.context.first,
+                    n.context.last,
+                    &self.query,
+                )
+            })
         })
     }
 
@@ -880,7 +895,9 @@ impl JoinTask {
             .stores
             .into_iter()
             .zip(&self.keys)
-            .map(|(store, key)| MatchStore::restore_keyed(store, |m| key.as_ref()?.stored_key(m)))
+            .map(|(store, key)| {
+                MatchStore::restore_keyed(store, |m| key.as_ref()?.stored_key(m.entries()))
+            })
             .collect();
         for (neg, (assembler, forbidden)) in self.negations.iter_mut().zip(state.negations) {
             match (&mut neg.assembler, assembler) {
@@ -1047,9 +1064,15 @@ impl NaiveJoinTask {
 
     fn passes_negation(&self, m: &Match) -> bool {
         self.negations.iter().all(|n| {
-            n.forbidden
-                .iter()
-                .all(|f| !nseq_violated(m, f, n.context.first, n.context.last, &self.query))
+            n.forbidden.iter().all(|f| {
+                !nseq_violated(
+                    m.entries(),
+                    f.entries(),
+                    n.context.first,
+                    n.context.last,
+                    &self.query,
+                )
+            })
         })
     }
 
@@ -1363,10 +1386,10 @@ mod tests {
         let released = |guards: [(usize, Match); 2]| {
             let mut join = JoinTask::new(&q, q.prims(), &[ps([0, 3]), ps([1]), ps([2])]);
             for (slot, guard) in guards {
-                assert!(join.on_match_in(slot, guard, &[]).is_empty());
+                assert!(join.on_match_in(slot, guard.into(), &[]).is_empty());
             }
             let ac = Match::new(vec![(PrimId(0), ev(0, 0, 10)), (PrimId(3), ev(5, 2, 30))]);
-            assert!(join.on_match_in(0, ac, &[]).is_empty(), "deferred");
+            assert!(join.on_match_in(0, ac.into(), &[]).is_empty(), "deferred");
             join.release_deferred().len()
         };
         let guard = |prim: u8, seq, ty, time| {

@@ -14,7 +14,7 @@ pub mod store;
 
 use muse_core::event::{Event, Timestamp};
 use muse_core::query::{OrderRel, Query};
-use muse_core::types::PrimSet;
+use muse_core::types::{PrimId, PrimSet};
 use std::sync::Arc;
 
 pub use evaluator::Evaluator;
@@ -28,24 +28,32 @@ pub(crate) use store::{MatchStore, StoredMatch};
 ///
 /// The event list is shared (`Arc`), so cloning a match — which the join
 /// engine does once per store insert and per network route — is O(1) and
-/// allocation-free instead of a deep copy of every payload.
+/// allocation-free instead of a deep copy of every payload. The executors
+/// carry and store a single-event match by value instead (`Carried`), so a
+/// match node is allocated only by a merge of two or more events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Match {
-    events: Arc<[(muse_core::types::PrimId, Event)]>,
+    events: Arc<[(PrimId, Event)]>,
 }
+
+// A report holds every sink match, up to 882 700 of them on the `multiquery`
+// benchmark: a `Match` that carried one event inline (48 bytes) raised that
+// run's peak RSS from 142 to 234 MB. The data path's by-value single-event
+// form is `Carried`, which no report holds.
+const _: () = assert!(std::mem::size_of::<Match>() == 16);
 
 impl Match {
     /// Creates a match from `(prim, event)` pairs.
-    pub fn new(mut events: Vec<(muse_core::types::PrimId, Event)>) -> Self {
+    pub fn new(mut events: Vec<(PrimId, Event)>) -> Self {
         events.sort_by_key(|(p, _)| *p);
         Self {
             events: events.into(),
         }
     }
 
-    /// A single-event match for a primitive operator: one allocation (the
-    /// executors build one per injected event and per received one).
-    pub fn single(prim: muse_core::types::PrimId, event: Event) -> Self {
+    /// A single-event match for a primitive operator: one allocation. The
+    /// executors build none: they carry a single-event match by value.
+    pub fn single(prim: PrimId, event: Event) -> Self {
         Self {
             events: Arc::from([(prim, event)]),
         }
@@ -53,19 +61,16 @@ impl Match {
 
     /// The assigned primitive operators.
     pub fn prims(&self) -> PrimSet {
-        self.events.iter().map(|(p, _)| *p).collect()
+        prims(&self.events)
     }
 
     /// The event assigned to a primitive operator.
-    pub fn get(&self, prim: muse_core::types::PrimId) -> Option<&Event> {
-        self.events
-            .binary_search_by_key(&prim, |(p, _)| *p)
-            .ok()
-            .map(|i| &self.events[i].1)
+    pub fn get(&self, prim: PrimId) -> Option<&Event> {
+        get(&self.events, prim)
     }
 
     /// All `(prim, event)` pairs in primitive order.
-    pub fn entries(&self) -> &[(muse_core::types::PrimId, Event)] {
+    pub fn entries(&self) -> &[(PrimId, Event)] {
         &self.events
     }
 
@@ -81,30 +86,12 @@ impl Match {
 
     /// Earliest timestamp in the match.
     pub fn first_time(&self) -> Timestamp {
-        self.events.iter().map(|(_, e)| e.time).min().unwrap_or(0)
+        first_time(&self.events)
     }
 
     /// Latest timestamp in the match.
     pub fn last_time(&self) -> Timestamp {
-        self.events.iter().map(|(_, e)| e.time).max().unwrap_or(0)
-    }
-
-    /// Earliest trace position in the match.
-    pub(crate) fn first_pos(&self) -> (Timestamp, u64) {
-        self.events
-            .iter()
-            .map(|(_, e)| e.trace_pos())
-            .min()
-            .unwrap_or((0, 0))
-    }
-
-    /// Latest trace position in the match.
-    pub(crate) fn last_pos(&self) -> (Timestamp, u64) {
-        self.events
-            .iter()
-            .map(|(_, e)| e.trace_pos())
-            .max()
-            .unwrap_or((0, 0))
+        last_time(&self.events)
     }
 
     /// Merges two matches of disjoint or agreeing primitive sets. Returns
@@ -112,37 +99,18 @@ impl Match {
     /// from overlapping projections must agree on shared primitives,
     /// cf. Example 8 of the paper).
     pub fn merge(&self, other: &Match) -> Option<Match> {
-        let mut events = self.events.to_vec();
-        for (p, e) in other.events.iter() {
-            match events.binary_search_by_key(p, |(q, _)| *q) {
-                Ok(i) => {
-                    if events[i].1.seq != e.seq {
-                        return None;
-                    }
-                }
-                Err(i) => events.insert(i, (*p, e.clone())),
-            }
-        }
-        Some(Match {
-            events: events.into(),
-        })
-    }
-
-    /// Checks that both matches assign the same event to every primitive of
-    /// `shared` that they both assign. This is a cheap pre-merge guard:
-    /// when it returns `false`, [`Match::merge`] is guaranteed to fail, so
-    /// the merge's allocation and event copies can be skipped.
-    pub fn agrees_on(&self, other: &Match, shared: PrimSet) -> bool {
-        shared.iter().all(|p| match (self.get(p), other.get(p)) {
-            (Some(a), Some(b)) => a.seq == b.seq,
-            _ => true,
-        })
+        merge(&self.events, &other.events)
     }
 
     /// A canonical fingerprint (sorted event sequence numbers), usable for
     /// deduplication and comparison with ground-truth results.
     pub fn fingerprint(&self) -> Vec<u64> {
-        self.events.iter().map(|(_, e)| e.seq).collect()
+        self.seqs().collect()
+    }
+
+    /// The fingerprint's sequence numbers, without collecting them.
+    pub(crate) fn seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.events.iter().map(|(_, e)| e.seq)
     }
 
     /// Whether the match assigns exactly `prims`, one event each — as every
@@ -157,6 +125,133 @@ impl Match {
                 .zip(prims.iter())
                 .all(|((p, _), q)| *p == q)
     }
+}
+
+/// A match as the data path carries and stores it: a single-event match —
+/// every source task's output, every negation guard, and on a relay every
+/// message — by value, so building, sending and storing it allocates
+/// nothing (its payload stays the trace's shared one); a larger match by
+/// its shared [`Match`] node. Sink matches, snapshots and the public join
+/// and store calls hold [`Match`]es and convert at that edge.
+#[derive(Debug, Clone)]
+pub(crate) enum Carried {
+    /// One `(primitive, event)` pair, inline.
+    Single((PrimId, Event)),
+    /// A match node, shared.
+    Shared(Match),
+}
+
+impl Carried {
+    /// All `(prim, event)` pairs in primitive order.
+    pub fn entries(&self) -> &[(PrimId, Event)] {
+        match self {
+            Self::Single(pair) => std::slice::from_ref(pair),
+            Self::Shared(m) => m.entries(),
+        }
+    }
+
+    /// Earliest timestamp in the match.
+    pub fn first_time(&self) -> Timestamp {
+        first_time(self.entries())
+    }
+
+    /// Latest timestamp in the match.
+    pub fn last_time(&self) -> Timestamp {
+        last_time(self.entries())
+    }
+}
+
+/// Two carried matches are equal when they assign the same events, however
+/// they hold them.
+impl PartialEq for Carried {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
+}
+
+impl From<Match> for Carried {
+    fn from(m: Match) -> Self {
+        Self::Shared(m)
+    }
+}
+
+impl From<Carried> for Match {
+    fn from(m: Carried) -> Self {
+        match m {
+            Carried::Single((prim, event)) => Match::single(prim, event),
+            Carried::Shared(m) => m,
+        }
+    }
+}
+
+/// The primitives of `(prim, event)` pairs.
+pub(crate) fn prims(entries: &[(PrimId, Event)]) -> PrimSet {
+    entries.iter().map(|(p, _)| *p).collect()
+}
+
+/// The event a primitive is assigned in pairs sorted by primitive.
+pub(crate) fn get(entries: &[(PrimId, Event)], prim: PrimId) -> Option<&Event> {
+    entries
+        .binary_search_by_key(&prim, |(p, _)| *p)
+        .ok()
+        .map(|i| &entries[i].1)
+}
+
+fn first_time(entries: &[(PrimId, Event)]) -> Timestamp {
+    entries.iter().map(|(_, e)| e.time).min().unwrap_or(0)
+}
+
+fn last_time(entries: &[(PrimId, Event)]) -> Timestamp {
+    entries.iter().map(|(_, e)| e.time).max().unwrap_or(0)
+}
+
+/// Earliest trace position of the pairs.
+fn first_pos(entries: &[(PrimId, Event)]) -> (Timestamp, u64) {
+    entries
+        .iter()
+        .map(|(_, e)| e.trace_pos())
+        .min()
+        .unwrap_or((0, 0))
+}
+
+/// Latest trace position of the pairs.
+fn last_pos(entries: &[(PrimId, Event)]) -> (Timestamp, u64) {
+    entries
+        .iter()
+        .map(|(_, e)| e.trace_pos())
+        .max()
+        .unwrap_or((0, 0))
+}
+
+/// [`Match::merge`] of two matches' pairs: the one allocation of a merged
+/// node, its list built at full capacity and moved into the node.
+pub(crate) fn merge(a: &[(PrimId, Event)], b: &[(PrimId, Event)]) -> Option<Match> {
+    let mut events = Vec::with_capacity(a.len() + b.len());
+    events.extend_from_slice(a);
+    for (p, e) in b {
+        match events.binary_search_by_key(p, |(q, _)| *q) {
+            Ok(i) => {
+                if events[i].1.seq != e.seq {
+                    return None;
+                }
+            }
+            Err(i) => events.insert(i, (*p, e.clone())),
+        }
+    }
+    Some(Match {
+        events: events.into(),
+    })
+}
+
+/// Checks that both matches assign the same event to every primitive of
+/// `shared` that they both assign. This is a cheap pre-merge guard: when it
+/// returns `false`, [`merge`] is guaranteed to fail, so the merge's
+/// allocation and event copies can be skipped.
+pub(crate) fn agrees_on(a: &[(PrimId, Event)], b: &[(PrimId, Event)], shared: PrimSet) -> bool {
+    shared.iter().all(|p| match (get(a, p), get(b, p)) {
+        (Some(x), Some(y)) => x.seq == y.seq,
+        _ => true,
+    })
 }
 
 /// Checks whether an assignment is internally valid w.r.t. the query's
@@ -206,25 +301,24 @@ pub fn is_valid_match(m: &Match, query: &Query) -> bool {
 }
 
 /// Checks whether a forbidden (negated) match `neg` invalidates the
-/// positive match `m` for an `NSEQ` context with the given first/last
-/// primitive sets: the forbidden pattern must lie strictly between the end
-/// of the first part and the start of the last part, and must satisfy the
-/// predicates connecting it to the positive assignment.
+/// positive match `m` — both given as their `(prim, event)` pairs — for an
+/// `NSEQ` context with the given first/last primitive sets: the forbidden
+/// pattern must lie strictly between the end of the first part and the
+/// start of the last part, and must satisfy the predicates connecting it to
+/// the positive assignment.
 pub(crate) fn nseq_violated(
-    m: &Match,
-    neg: &Match,
+    m: &[(PrimId, Event)],
+    neg: &[(PrimId, Event)],
     first: PrimSet,
     last: PrimSet,
     query: &Query,
 ) -> bool {
     let low = m
-        .entries()
         .iter()
         .filter(|(p, _)| first.contains(*p))
         .map(|(_, e)| e.trace_pos())
         .max();
     let high = m
-        .entries()
         .iter()
         .filter(|(p, _)| last.contains(*p))
         .map(|(_, e)| e.trace_pos())
@@ -233,16 +327,17 @@ pub(crate) fn nseq_violated(
         // Context not (fully) part of this projection: nothing to check.
         return false;
     };
-    if !(neg.first_pos() > low && neg.last_pos() < high) {
+    if !(first_pos(neg) > low && last_pos(neg) < high) {
         return false;
     }
     // Predicates linking the negated primitives to the assignment: the
     // forbidden pattern only counts if it satisfies them.
-    let combined_prims = m.prims().union(neg.prims());
+    let neg_prims = prims(neg);
+    let combined_prims = prims(m).union(neg_prims);
     for pred in query.predicates() {
         let prims = pred.prims();
-        if !prims.is_disjoint(neg.prims()) && prims.is_subset(combined_prims) {
-            let ok = pred.evaluate(|p| neg.get(p).or_else(|| m.get(p)));
+        if !prims.is_disjoint(neg_prims) && prims.is_subset(combined_prims) {
+            let ok = pred.evaluate(|p| get(neg, p).or_else(|| get(m, p)));
             if ok != Some(true) {
                 return false;
             }
@@ -293,7 +388,7 @@ mod tests {
     use super::*;
     use muse_core::event::{Payload, Value};
     use muse_core::query::{CmpOp, Pattern, Predicate};
-    use muse_core::types::{AttrId, EventTypeId, NodeId, PrimId, QueryId};
+    use muse_core::types::{AttrId, EventTypeId, NodeId, QueryId};
 
     fn ev(seq: u64, ty: u16, time: Timestamp) -> Event {
         Event::new(seq, EventTypeId(ty), time, NodeId(0))
@@ -433,13 +528,31 @@ mod tests {
         let m = Match::new(vec![(PrimId(0), ev(1, 0, 10)), (PrimId(2), ev(5, 2, 50))]);
         // B inside (10, 50): violates.
         let inside = Match::single(PrimId(1), ev(3, 1, 30));
-        assert!(nseq_violated(&m, &inside, ctx.first, ctx.last, &q));
+        assert!(nseq_violated(
+            m.entries(),
+            inside.entries(),
+            ctx.first,
+            ctx.last,
+            &q
+        ));
         // B before A: fine.
         let before = Match::single(PrimId(1), ev(0, 1, 5));
-        assert!(!nseq_violated(&m, &before, ctx.first, ctx.last, &q));
+        assert!(!nseq_violated(
+            m.entries(),
+            before.entries(),
+            ctx.first,
+            ctx.last,
+            &q
+        ));
         // B after C: fine.
         let after = Match::single(PrimId(1), ev(9, 1, 60));
-        assert!(!nseq_violated(&m, &after, ctx.first, ctx.last, &q));
+        assert!(!nseq_violated(
+            m.entries(),
+            after.entries(),
+            ctx.first,
+            ctx.last,
+            &q
+        ));
     }
 
     #[test]
@@ -468,8 +581,20 @@ mod tests {
             (PrimId(2), ev_key(5, 2, 50, 0)),
         ]);
         let matching_key = Match::single(PrimId(1), ev_key(3, 1, 30, 7));
-        assert!(nseq_violated(&m, &matching_key, ctx.first, ctx.last, &q));
+        assert!(nseq_violated(
+            m.entries(),
+            matching_key.entries(),
+            ctx.first,
+            ctx.last,
+            &q
+        ));
         let other_key = Match::single(PrimId(1), ev_key(3, 1, 30, 9));
-        assert!(!nseq_violated(&m, &other_key, ctx.first, ctx.last, &q));
+        assert!(!nseq_violated(
+            m.entries(),
+            other_key.entries(),
+            ctx.first,
+            ctx.last,
+            &q
+        ));
     }
 }

@@ -36,7 +36,7 @@
 //!
 //! [`Value::eq_key`]: muse_core::event::Value::eq_key
 
-use super::Match;
+use super::{Carried, Match};
 use muse_core::event::Timestamp;
 use std::collections::vec_deque::{Iter, VecDeque};
 
@@ -50,8 +50,20 @@ pub(crate) struct StoredMatch {
     pub last: Timestamp,
     /// Equality key of the owning slot's key term; `None` when unknown.
     pub key: Option<u64>,
-    /// The match itself.
-    pub m: Match,
+    /// The match itself: a single event inline, a larger match shared.
+    pub m: Carried,
+}
+
+impl StoredMatch {
+    /// An entry for `m` under equality key `key`, its span read off `m`.
+    pub fn new(m: Carried, key: Option<u64>) -> Self {
+        Self {
+            first: m.first_time(),
+            last: m.last_time(),
+            key,
+            m,
+        }
+    }
 }
 
 /// The checkpointable dynamic state of a `MatchStore`: the buffered
@@ -99,13 +111,7 @@ impl MatchStore {
     /// Entries with equal first timestamps keep their insertion order. The
     /// entry's equality key is unknown.
     pub fn insert(&mut self, m: Match) {
-        let (first, last) = (m.first_time(), m.last_time());
-        self.insert_keyed(StoredMatch {
-            first,
-            last,
-            key: None,
-            m,
-        });
+        self.insert_keyed(StoredMatch::new(m.into(), None));
     }
 
     /// [`MatchStore::insert`] for a caller that already knows the match's
@@ -242,7 +248,7 @@ impl MatchStore {
     /// Captures the store's dynamic state for a checkpoint.
     pub fn save_state(&self) -> StoreState {
         StoreState {
-            matches: self.entries.iter().map(|e| e.m.clone()).collect(),
+            matches: self.entries.iter().map(|e| e.m.clone().into()).collect(),
             horizon: self.horizon,
             drained_at: self.drained_at,
         }
@@ -263,11 +269,9 @@ impl MatchStore {
         let entries: VecDeque<StoredMatch> = state
             .matches
             .into_iter()
-            .map(|m| StoredMatch {
-                first: m.first_time(),
-                last: m.last_time(),
-                key: key(&m),
-                m,
+            .map(|m| {
+                let key = key(&m);
+                StoredMatch::new(m.into(), key)
             })
             .collect();
         Self {
@@ -305,8 +309,8 @@ mod tests {
         }
         assert_eq!(firsts(s.live()), vec![10, 10, 20, 30]);
         // Equal keys keep insertion order.
-        let live: Vec<_> = s.live().map(|e| e.m.fingerprint()).collect();
-        assert_eq!(live[..2], [vec![1], vec![3]]);
+        let live: Vec<_> = s.live().map(|e| e.m.entries()[0].1.seq).collect();
+        assert_eq!(live[..2], [1, 3]);
     }
 
     #[test]
@@ -375,7 +379,7 @@ mod tests {
         let all: Vec<u64> = restored
             .entries
             .iter()
-            .map(|e| e.m.fingerprint()[0])
+            .map(|e| e.m.entries()[0].1.seq)
             .collect();
         assert_eq!(all, vec![1, 3, 2, 0, 4]);
     }
@@ -438,7 +442,7 @@ mod tests {
 
         fn save_state(&self) -> StoreState {
             StoreState {
-                matches: self.entries.iter().map(|e| e.m.clone()).collect(),
+                matches: self.entries.iter().map(|e| e.m.clone().into()).collect(),
                 horizon: self.horizon,
                 drained_at: self.drained_at,
             }
@@ -522,7 +526,7 @@ mod tests {
                         clock += step;
                         let first = clock.saturating_sub(back);
                         let m = spanning(seq, first, first + span);
-                        let entry = StoredMatch { first, last: first + span, key: key_of(&m), m };
+                        let entry = StoredMatch { first, last: first + span, key: key_of(&m), m: m.into() };
                         store.insert_keyed(entry.clone());
                         reference.insert_keyed(entry);
                     }

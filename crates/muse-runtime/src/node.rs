@@ -67,10 +67,10 @@
 //! deferred absence check waits for its chunk's quiescence.
 
 use crate::checkpoint::{CheckpointError, Snapshot};
-use crate::codec::encoded_len;
+use crate::codec::entries_len;
 use crate::deploy::{Deployment, TaskKind};
 use crate::matcher::join::{default_stride, term_key};
-use crate::matcher::{JoinTask, Match, MatchStore, StoreState, StoredMatch};
+use crate::matcher::{Carried, JoinTask, Match, MatchStore, StoreState, StoredMatch};
 use crate::metrics::{JoinStats, Metrics};
 use crate::telemetry::{task_summaries, ClockDomain, ExecTelemetry, RunTelemetry, TelemetrySpec};
 use muse_core::event::{Event, Timestamp};
@@ -88,7 +88,7 @@ pub(crate) trait Outbox {
     fn on_inject(&mut self, _event: &Event, _now: u64) {}
 
     /// Sends a delivery to join input `input` on the remote node `dest`.
-    fn remote(&mut self, dest: usize, input: usize, m: Match);
+    fn remote(&mut self, dest: usize, input: usize, m: Carried);
 
     /// The wall-clock latency sample of a sink match emitted at `now`;
     /// `None` when no injection time can be attributed to the match (the
@@ -436,7 +436,7 @@ impl<'a> NodeCore<'a> {
             if let Some(tel) = &mut self.telemetry {
                 tel.on_emit(task, event.time, 1);
             }
-            self.fan_out(out, task, Match::single(*prim, event.clone()));
+            self.fan_out(out, task, Carried::Single((*prim, event.clone())));
         }
         self.metrics
             .discrimination
@@ -446,7 +446,7 @@ impl<'a> NodeCore<'a> {
     /// Delivers a match to the hosted join input `input` — to every join
     /// slot reading it — and processes everything the joins emit. The one
     /// delivery path: see "Shared join inputs" for the order.
-    pub fn deliver<O: Outbox>(&mut self, out: &mut O, input: usize, m: Match) {
+    pub fn deliver<O: Outbox>(&mut self, out: &mut O, input: usize, m: Carried) {
         let deployment = self.deployment;
         let spec = &deployment.inputs[input];
         for _ in &spec.readers {
@@ -463,12 +463,8 @@ impl<'a> NodeCore<'a> {
             self.deliver_to(out, task, slot, m);
             return;
         };
-        let entry = StoredMatch {
-            first: m.first_time(),
-            last: m.last_time(),
-            key: spec.key.and_then(|term| term_key(&m, term)),
-            m,
-        };
+        let key = spec.key.and_then(|term| term_key(m.entries(), term));
+        let entry = StoredMatch::new(m, key);
         let mut emitted = Vec::new();
         let shared = &mut self.shared[b];
         for (&(task, slot), gate) in spec.readers.iter().zip(&shared.gates) {
@@ -515,7 +511,7 @@ impl<'a> NodeCore<'a> {
     }
 
     /// Delivers a match to one join slot that reads its input alone.
-    fn deliver_to<O: Outbox>(&mut self, out: &mut O, task: usize, slot: usize, m: Match) {
+    fn deliver_to<O: Outbox>(&mut self, out: &mut O, task: usize, slot: usize, m: Carried) {
         let outs = self.joins[task]
             .as_mut()
             .expect("deliveries target hosted joins")
@@ -598,7 +594,7 @@ impl<'a> NodeCore<'a> {
             }
         }
         for m in outs {
-            self.fan_out(out, task, m);
+            self.fan_out(out, task, m.into());
         }
     }
 
@@ -609,15 +605,17 @@ impl<'a> NodeCore<'a> {
     /// among the node's placements, and the deployment decided which task
     /// pays for each (stream, destination). A task emits each match once,
     /// so that is the whole account. Nothing here allocates — the fanout is
-    /// borrowed, match clones are reference-counted, the encoded size is
-    /// computed, not encoded. What a delivery allocates is the executor's
-    /// business (see [`crate::threaded`]).
-    fn fan_out<O: Outbox>(&mut self, out: &mut O, task: usize, m: Match) {
+    /// borrowed, a single-event match is copied by value and a larger one
+    /// by reference count, and the encoded size is computed from each
+    /// event's header and payload summary, not encoded. No executor
+    /// allocates a delivery either: a single-event match, which is what a
+    /// source task emits, is never put in a node of its own.
+    fn fan_out<O: Outbox>(&mut self, out: &mut O, task: usize, m: Carried) {
         let deployment = self.deployment;
         let fanout = &deployment.fanouts[task];
         let spec = &deployment.tasks[task];
         if !fanout.charged_nodes.is_empty() {
-            let bytes = encoded_len(&m) as u64;
+            let bytes = entries_len(m.entries()) as u64;
             for &n in &fanout.charged_nodes {
                 self.metrics.messages_sent += 1;
                 self.metrics.bytes_sent += bytes;
@@ -807,7 +805,7 @@ impl<'a> NodeCore<'a> {
             .saturating_sub(shared.reach);
         let key = self.deployment.inputs[shared.input].key;
         Ok(MatchStore::restore_keyed(state, |m| {
-            key.and_then(|term| term_key(m, term))
+            key.and_then(|term| term_key(m.entries(), term))
         }))
     }
 
@@ -875,7 +873,7 @@ mod tests {
     #[derive(Default)]
     struct Recorder {
         now: u64,
-        queue: VecDeque<(usize, Match)>,
+        queue: VecDeque<(usize, Carried)>,
         remote: Vec<(usize, usize)>,
     }
 
@@ -883,7 +881,7 @@ mod tests {
         fn now(&self) -> u64 {
             self.now
         }
-        fn remote(&mut self, dest: usize, input: usize, m: Match) {
+        fn remote(&mut self, dest: usize, input: usize, m: Carried) {
             self.remote.push((dest, input));
             self.queue.push_back((input, m));
         }

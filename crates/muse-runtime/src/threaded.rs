@@ -25,11 +25,12 @@
 //! The transport keeps one output buffer per destination node and flushes
 //! it as a multi-message frame when it reaches [`ThreadedConfig::batch`],
 //! and at chunk and drain-round boundaries. A message carries a
-//! single-event match by value and a larger one by its shared node (see
-//! `InFlight`), so the match node a join stores is allocated, and later
-//! freed, by the thread that runs the join. Receivers hand emptied frame
-//! buffers back to their origin node over an unbounded return channel, so
-//! the steady-state send path recycles buffers instead of allocating.
+//! single-event match by value — the form the receiving join stores it
+//! in, so neither thread allocates for it — and a larger one by the
+//! shared node its sender's merge allocated (see `NodeMsg`). Receivers
+//! hand emptied frame buffers back to their origin node over an unbounded
+//! return channel, so the steady-state send path recycles buffers instead
+//! of allocating.
 //! Data channels are bounded ([`ThreadedConfig::capacity`] frames): a full
 //! channel rejects the `try_send`, and the blocked sender *steals from its
 //! own inbox* (ingesting frames into a local backlog without processing
@@ -87,13 +88,12 @@
 
 use crate::checkpoint::{self, CheckpointError, Snapshot};
 use crate::deploy::{Deployment, Route};
-use crate::matcher::Match;
+use crate::matcher::{Carried, Match};
 use crate::metrics::{Metrics, RecoveryStats, TransportStats};
 use crate::node::{CoreMark, CoreReport, NodeCore, Outbox};
 use crate::telemetry::{ClockDomain, RunTelemetry, TelemetrySpec, TraceRecord};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use muse_core::event::{Event, Timestamp};
-use muse_core::types::PrimId;
 use muse_telemetry::TraceRing;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -203,39 +203,14 @@ impl ThreadedReport {
     }
 }
 
-/// A match in flight to a join input on another node.
+/// A match in flight to a join input on another node, as the data path
+/// carries it: a single-event match — every source task's output, and on
+/// a relay every message — by value, with the payload still the trace's
+/// shared one, so neither thread allocates or frees a node for it; a
+/// larger match by the node its sender's merge allocated.
 struct NodeMsg {
     input: usize,
-    m: InFlight,
-}
-
-/// What a [`NodeMsg`] carries of its match. A match node (`Arc<[..]>`) that
-/// crossed threads would be allocated by the sender and freed by the
-/// receiver when its join evicts it, which no allocator serves from a
-/// thread-local cache. So a single-event match — every source task's
-/// output, and on a relay every message — travels by value (the payload
-/// stays the trace's shared `Arc`): the sender frees the node it allocated,
-/// and the receiver allocates the one its join will store and evict.
-/// Larger matches keep sharing the sender's node.
-enum InFlight {
-    Single((PrimId, Event)),
-    Multi(Match),
-}
-
-impl InFlight {
-    fn of(m: Match) -> Self {
-        match m.entries() {
-            [single] => Self::Single(single.clone()),
-            _ => Self::Multi(m),
-        }
-    }
-
-    fn into_match(self) -> Match {
-        match self {
-            Self::Single((prim, event)) => Match::single(prim, event),
-            Self::Multi(m) => m,
-        }
-    }
+    m: Carried,
 }
 
 /// A batch of messages on an inter-node channel. `origin` addresses the
@@ -760,8 +735,7 @@ impl Outbox for NodeRunner {
         }
     }
 
-    fn remote(&mut self, dest: usize, input: usize, m: Match) {
-        let m = InFlight::of(m);
+    fn remote(&mut self, dest: usize, input: usize, m: Carried) {
         self.enqueue(dest, NodeMsg { input, m });
     }
 
@@ -872,14 +846,13 @@ impl NodeRunner {
     }
 
     /// Processes the backlog and every frame currently in the inbox;
-    /// returns whether there was anything to process. Each match node is
-    /// built here, on the thread whose join will store and evict it.
+    /// returns whether there was anything to process.
     fn drain(&mut self, core: &mut NodeCore<'_>) -> bool {
         let mut worked = false;
         loop {
             while let Some(msg) = self.backlog.pop_front() {
                 worked = true;
-                core.deliver(self, msg.input, msg.m.into_match());
+                core.deliver(self, msg.input, msg.m);
             }
             match self.channels.inbox.try_recv() {
                 Ok(frame) => self.ingest(frame),

@@ -1,7 +1,7 @@
 //! Property suite for the binary wire codec.
 //!
 //! Two invariants over randomized matches (all three value kinds, varied
-//! payload shapes and entry counts):
+//! payload shapes — without strings and with several — and entry counts):
 //! 1. `decode_match(encode_match(m)) == Some(m)` — lossless roundtrip,
 //! 2. `encoded_len(m) == encode_match(m).len()` — the arithmetic size the
 //!    executors use for byte accounting stays in lockstep with the actual
@@ -18,24 +18,53 @@ use rand::{Rng, SeedableRng};
 
 fn random_value(rng: &mut StdRng) -> Value {
     match rng.gen_range(0u8..3) {
-        0 => Value::Int(rng.gen::<u64>() as i64),
-        // Finite, exactly representable floats (roundtrip uses equality).
-        1 => Value::Float((rng.gen::<u32>() as f64 - 2_147_483_648.0) / 8.0),
-        _ => {
-            let len = rng.gen_range(0usize..16);
-            let s: String = (0..len)
-                .map(|_| char::from(rng.gen_range(b'a'..=b'z')))
-                .collect();
-            Value::Str(s)
-        }
+        0 | 1 => random_number(rng),
+        _ => random_string(rng),
     }
 }
 
-fn random_event(rng: &mut StdRng) -> Event {
+fn random_number(rng: &mut StdRng) -> Value {
+    if rng.gen_bool(0.5) {
+        Value::Int(rng.gen::<u64>() as i64)
+    } else {
+        // Finite, exactly representable floats (roundtrip uses equality).
+        Value::Float((rng.gen::<u32>() as f64 - 2_147_483_648.0) / 8.0)
+    }
+}
+
+fn random_string(rng: &mut StdRng) -> Value {
+    let len = rng.gen_range(0usize..16);
+    let s: String = (0..len)
+        .map(|_| char::from(rng.gen_range(b'a'..=b'z')))
+        .collect();
+    Value::Str(s)
+}
+
+/// Up to five values set at random attributes, so that they replace each
+/// other. One payload in three holds numbers only, one in three gains two
+/// to four strings at attributes of their own, so the encoded size is
+/// checked on payloads without strings and with several.
+fn random_payload(rng: &mut StdRng) -> Payload {
+    let shape = rng.gen_range(0u8..3);
     let mut payload = Payload::new();
     for _ in 0..rng.gen_range(0usize..6) {
-        payload.set(AttrId(rng.gen_range(0u8..12)), random_value(rng));
+        let value = if shape == 0 {
+            random_number(rng)
+        } else {
+            random_value(rng)
+        };
+        payload.set(AttrId(rng.gen_range(0u8..12)), value);
     }
+    if shape == 2 {
+        for attr in 12..rng.gen_range(14u8..17) {
+            payload.set(AttrId(attr), random_string(rng));
+        }
+    }
+    payload
+}
+
+fn random_event(rng: &mut StdRng) -> Event {
+    let payload = random_payload(rng);
     Event::with_payload(
         rng.gen::<u64>(),
         EventTypeId(rng.gen_range(0u16..64)),

@@ -8,7 +8,8 @@
 # profile (thread interleavings there are the ones bench/ measures, far
 # less tame than the dev profile's; shared join inputs, snapshot restore,
 # muse-runtime's crash-and-resume and snapshot-codec lib tests and
-# muse-bench's two crash tests included), the set-up scaling guards
+# muse-bench's two crash tests included, and the guard that a relayed
+# event allocates nothing), the set-up scaling guards
 # of multi-query planning and of selectivity estimation (release only), the pinned benchmark under bench/ (its own workspace: unit tests plus the smoke run, so a public-API
 # removal cannot break BENCHMARK.json's command unnoticed; then one short
 # full-size `cluster` run for its exit code — pins, and the case study's
@@ -112,9 +113,11 @@ LOOM_MAX_ITER=1000000 RUSTFLAGS="--cfg loom" cargo test --release -p muse-runtim
     drain_barrier_model_checked
 
 echo "== release: driver-parity suites under optimized interleavings =="
+# `alloc_per_event` rides along: the allocations a relayed event costs are
+# the optimized build's, which is what bench/ measures.
 cargo test --release -q -p muse-runtime \
     --test executor_parity --test fault_recovery --test provenance \
-    --test shared_parity --test migration
+    --test shared_parity --test migration --test alloc_per_event
 cargo test --release -q --test end_to_end
 # Crash recovery depends on thread interleaving too: muse-runtime's own
 # test whose node threads crash and resume, and the snapshot codec's
